@@ -536,7 +536,9 @@ fn handle_connection(
 ) {
     metrics.in_flight.fetch_add(1, Ordering::Relaxed);
     serve_connection(store, metrics, fleet, stream, verbose);
-    metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
+    // Release: whoever reads the gauge back at zero also sees every
+    // counter this connection updated after its response was written.
+    metrics.in_flight.fetch_sub(1, Ordering::Release);
 }
 
 /// The body of [`handle_connection`], split out so the in-flight gauge
@@ -909,10 +911,7 @@ fn route(
             }
         }
         ("POST", path) if path.starts_with("/v1/jobs/") && path.ends_with("/cut") => {
-            let Some(job) = path
-                .strip_suffix("/cut")
-                .and_then(|p| parse_job_path(p))
-            else {
+            let Some(job) = path.strip_suffix("/cut").and_then(parse_job_path) else {
                 respond_text(stream, 400, "malformed job id\n")?;
                 return Ok(400);
             };

@@ -6,7 +6,7 @@
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use transform_litmus::format::print_elt;
-use transform_serve::{ServeOptions, Server};
+use transform_serve::{ServeOptions, Server, ServerHandle};
 use transform_store::{
     cached_or_synthesize, suite_fingerprint, CacheStatus, HttpTier, Store, TieredCache,
 };
@@ -302,6 +302,25 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     body.to_string()
 }
 
+/// Waits, for at most ten seconds, until the server has no connection
+/// in flight. The server updates some counters (suite hits, route
+/// counts, the in-flight gauge) after the response bytes are written, so
+/// a scrape that follows a finished request can race that bookkeeping;
+/// a scrape made after this returns sees all of it.
+fn settle(handle: &ServerHandle) {
+    use std::sync::atomic::Ordering;
+    use std::time::{Duration, Instant};
+    let metrics = handle.metrics();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while metrics.in_flight.load(Ordering::Acquire) != 0 {
+        assert!(
+            Instant::now() < deadline,
+            "connections still in flight after 10 s"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// One counter's value out of the Prometheus-style plaintext.
 fn metric(body: &str, name: &str) -> u64 {
     body.lines()
@@ -353,6 +372,7 @@ fn metrics_endpoint_reports_requests_hits_puts_and_bytes() {
         .expect("entry present");
     assert_eq!(served, bytes);
 
+    settle(&handle);
     let warm = http_get(addr, "/v1/metrics");
     assert_eq!(metric(&warm, "transform_serve_suite_hits_total"), 1);
     assert_eq!(metric(&warm, "transform_serve_suite_misses_total"), 1);
@@ -379,6 +399,7 @@ fn metrics_endpoint_reports_requests_hits_puts_and_bytes() {
         client.publish(fp, &damaged).is_err(),
         "damaged upload bytes must be refused even for a present entry"
     );
+    settle(&handle);
     let after = http_get(addr, "/v1/metrics");
     assert_eq!(metric(&after, "transform_serve_puts_rejected_total"), 1);
     assert_eq!(
@@ -600,6 +621,7 @@ fn metrics_conform_to_prometheus_text_format() {
     http_get_raw(addr, "/healthz");
     http_get_raw(addr, "/no/such/path");
 
+    settle(&handle);
     let (head, body) = http_get_raw(addr, "/v1/metrics");
     assert!(
         head.to_ascii_lowercase()

@@ -16,8 +16,8 @@
 //!   statistics, round-tripping exactly: a decoded witness prints
 //!   byte-identically under [`transform_litmus::format::print_elt`].
 //! * [`fingerprint`] — the content-address of a synthesis run.
-//! * [`store`] — the on-disk format: parallel workers stream shard
-//!   files as shards retire ([`store::PendingSuite`] implements
+//! * [`store`] — the on-disk format: parallel workers stream shards
+//!   into memory as they retire ([`store::PendingSuite`] implements
 //!   [`transform_par::SuiteSink`]), a deterministic merge seals the
 //!   canonical index, and [`store::SuiteReader`] iterates a sealed
 //!   suite record-by-record behind checksum validation.

@@ -1,5 +1,5 @@
-//! The on-disk store: shard-streaming writes, a sealed canonical index
-//! per suite, and checksum-validated streaming reads.
+//! The on-disk store: suites sealed from streamed shards, a sealed
+//! canonical index per suite, and checksum-validated streaming reads.
 //!
 //! # Layout
 //!
@@ -9,16 +9,17 @@
 //! ```text
 //! store/
 //!   3f9c…e2a1.tfs            sealed suite (canonical order, checksummed)
-//!   tmp-3f9c…e2a1-1234/      an in-progress synthesis (pid-suffixed)
-//!     shard-0007.bin         one worker-written shard
+//!   tmp-3f9c…e2a1-1234-0     a seal being written (pid + nonce suffixed)
 //! ```
 //!
-//! Workers append `shard-*.bin` files as shards retire (the
-//! [`transform_par::SuiteSink`] implementation on [`PendingSuite`]);
-//! [`PendingSuite::seal`] merges them — sorting the framed records by
-//! plan index *without decoding payloads* — into the suite file, then
-//! atomically renames it into place. A crash before `seal` leaves only
-//! a `tmp-*` directory, which never shadows a sealed entry.
+//! Workers hand each retired shard to [`PendingSuite`] (its
+//! [`transform_par::SuiteSink`] implementation), which encodes and
+//! checksums the shard and keeps the bytes in memory.
+//! [`PendingSuite::seal`] validates and merges them — sorting the framed
+//! records by plan index *without decoding payloads* — into the suite
+//! file, staged as a `tmp-*` file and atomically renamed into place.
+//! Nothing reaches the disk before the seal, and a crash during it leaves
+//! only a `tmp-*` file, which never shadows a sealed entry.
 //!
 //! # Integrity
 //!
@@ -538,8 +539,8 @@ impl Store {
         Ok(fs::metadata(self.entry_path(fp))?.modified()?)
     }
 
-    /// Leftover `tmp-*` entries from crashed or in-flight runs: shard
-    /// directories and index staging files. `store gc` removes them;
+    /// Leftover `tmp-*` entries from crashed or in-flight runs: staged
+    /// seals, installs, digests, journals and index rewrites. `store gc` removes them;
     /// callers must ensure no synthesis is currently streaming into the
     /// store.
     ///
@@ -581,35 +582,20 @@ impl Store {
         Ok(count)
     }
 
-    /// Starts an in-progress entry: a temporary shard directory workers
-    /// stream into, sealed atomically by [`PendingSuite::seal`].
+    /// Starts an in-progress entry: the sink workers stream shards into,
+    /// sealed atomically by [`PendingSuite::seal`]. Shards are staged in
+    /// memory, so nothing touches the disk before the seal.
     ///
     /// # Errors
     ///
-    /// Returns the underlying error when the directory cannot be
-    /// created.
+    /// None today: the `Result` is kept for callers that already handle
+    /// one.
     pub fn begin(&self, fp: Fingerprint, meta: EntryMeta) -> Result<PendingSuite, StoreError> {
-        // pid + per-process nonce: concurrent synthesis of the same key
-        // (two threads, two processes) stream into disjoint directories;
-        // the last seal wins the atomic rename with identical content.
-        static NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let nonce = NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = self
-            .root
-            .join(format!("tmp-{}-{}-{nonce}", fp.hex(), std::process::id()));
-        // A stale directory from a crashed run of this same pid/nonce is
-        // re-created fresh; shards would otherwise double-count.
-        if dir.exists() {
-            fs::remove_dir_all(&dir)?;
-        }
-        fs::create_dir_all(&dir)?;
         Ok(PendingSuite {
             root: self.root.clone(),
-            dir,
             fp,
             meta,
-            write_error: Mutex::new(None),
-            sealed: false,
+            shards: Mutex::new(Vec::new()),
         })
     }
 }
@@ -629,22 +615,15 @@ pub(crate) fn header_bytes(
     e.into_bytes()
 }
 
-/// A merged shard set: per-shard counters plus the still-encoded
-/// record payloads, keyed and sorted by plan index.
-type MergedShards = (Vec<ShardStats>, Vec<(u64, Vec<u8>)>);
-
 /// An in-progress store entry: the [`SuiteSink`] parallel synthesis
-/// streams into, and the seal step that turns shard files into the
-/// canonical suite file.
+/// streams into, and the seal step that turns the staged shards into
+/// the canonical suite file.
 pub struct PendingSuite {
     root: PathBuf,
-    dir: PathBuf,
     fp: Fingerprint,
     meta: EntryMeta,
-    /// The first shard-write failure, surfaced at seal time (the sink
-    /// trait has no error channel — workers must not panic).
-    write_error: Mutex<Option<String>>,
-    sealed: bool,
+    /// Each retired shard, encoded and checksummed, in arrival order.
+    shards: Mutex<Vec<Vec<u8>>>,
 }
 
 impl SuiteSink for PendingSuite {
@@ -671,42 +650,26 @@ impl SuiteSink for PendingSuite {
         let checksum = fnv1a64(&stats_payload);
         e.raw(&stats_payload);
         e.u64(checksum);
-
-        let path = self.dir.join(format!("shard-{:04}.bin", stats.shard));
-        if let Err(err) = fs::write(&path, e.into_bytes()) {
-            let mut slot = self.write_error.lock().expect("error lock never poisoned");
-            slot.get_or_insert_with(|| format!("writing {}: {err}", path.display()));
-        }
+        let bytes = e.into_bytes();
+        self.shards
+            .lock()
+            .expect("shard lock never poisoned")
+            .push(bytes);
     }
 }
 
 impl PendingSuite {
-    /// Reads the streamed shard files back: per-shard counters and the
-    /// framed record payloads, still encoded, sorted by plan index.
-    fn merge(&self) -> Result<MergedShards, StoreError> {
-        if let Some(err) = self
-            .write_error
-            .lock()
-            .expect("error lock never poisoned")
-            .take()
-        {
-            return Err(StoreError::Io(std::io::Error::other(err)));
-        }
-        let mut shard_paths: Vec<PathBuf> = fs::read_dir(&self.dir)?
-            .map(|entry| entry.map(|e| e.path()))
-            .collect::<Result<_, _>>()?;
-        shard_paths.sort();
-        let mut shards = Vec::new();
+    /// Validates the staged shards and returns their framed record
+    /// payloads, still encoded, sorted by plan index.
+    fn merge(&mut self) -> Result<Vec<(u64, Vec<u8>)>, StoreError> {
+        let shards = std::mem::take(self.shards.get_mut().expect("shard lock never poisoned"));
         let mut records: Vec<(u64, Vec<u8>)> = Vec::new();
-        for path in shard_paths {
-            let bytes = fs::read(&path)?;
-            let mut d = Dec::new(&bytes);
+        for (n, bytes) in shards.iter().enumerate() {
+            let corrupt = |what: &str| StoreError::Corrupt(format!("staged shard {n}: {what}"));
+            let mut d = Dec::new(bytes);
             let magic = d.bytes(8).map_err(StoreError::from)?;
             if magic != SHARD_MAGIC.as_slice() {
-                return Err(StoreError::Corrupt(format!(
-                    "{}: bad shard magic",
-                    path.display()
-                )));
+                return Err(corrupt("bad shard magic"));
             }
             let version = d.u32().map_err(StoreError::from)?;
             if version != FORMAT_VERSION {
@@ -715,10 +678,7 @@ impl PendingSuite {
             let hi = d.u64().map_err(StoreError::from)?;
             let lo = d.u64().map_err(StoreError::from)?;
             if Fingerprint((u128::from(hi) << 64) | u128::from(lo)) != self.fp {
-                return Err(StoreError::Corrupt(format!(
-                    "{}: shard belongs to a different suite",
-                    path.display()
-                )));
+                return Err(corrupt("shard belongs to a different suite"));
             }
             loop {
                 match d.u8().map_err(StoreError::from)? {
@@ -726,49 +686,58 @@ impl PendingSuite {
                         let index = d.varint().map_err(StoreError::from)?;
                         let (payload, checksum) = read_framed(&mut d)?;
                         if fnv1a64(&payload) != checksum {
-                            return Err(StoreError::Corrupt(format!(
-                                "{}: shard record checksum mismatch",
-                                path.display()
-                            )));
+                            return Err(corrupt("shard record checksum mismatch"));
                         }
                         records.push((index, payload));
                     }
                     0 => {
                         let (payload, checksum) = read_framed(&mut d)?;
                         if fnv1a64(&payload) != checksum {
-                            return Err(StoreError::Corrupt(format!(
-                                "{}: shard stats checksum mismatch",
-                                path.display()
-                            )));
+                            return Err(corrupt("shard stats checksum mismatch"));
                         }
                         let mut sd = Dec::new(&payload);
-                        shards.push(codec::decode_shard_stats(&mut sd).map_err(StoreError::from)?);
+                        codec::decode_shard_stats(&mut sd).map_err(StoreError::from)?;
                         if !d.at_end() {
-                            return Err(StoreError::Corrupt(format!(
-                                "{}: bytes after shard trailer",
-                                path.display()
-                            )));
+                            return Err(corrupt("bytes after shard trailer"));
                         }
                         break;
                     }
-                    t => {
-                        return Err(StoreError::Corrupt(format!(
-                            "{}: invalid shard frame tag {t}",
-                            path.display()
-                        )))
-                    }
+                    t => return Err(corrupt(&format!("invalid shard frame tag {t}"))),
                 }
             }
         }
-        shards.sort_by_key(|s| s.shard);
         records.sort_by_key(|&(index, _)| index);
         if records.windows(2).any(|w| w[0].0 == w[1].0) {
             return Err(StoreError::Corrupt("duplicate plan index in shards".into()));
         }
-        Ok((shards, records))
+        Ok(records)
     }
 
-    /// Merges the shard files into the sealed canonical suite file and
+    /// Writes `bytes` to a `tmp-*` staging file beside the entry and
+    /// renames it into place, so readers never see a torn entry, then
+    /// folds the entry into the store's advisory index (best-effort —
+    /// query/export fall back to scanning headers when the index is
+    /// missing or stale).
+    fn publish(&self, bytes: &[u8]) -> Result<Fingerprint, StoreError> {
+        // pid + nonce: concurrent seals of the same key stage to disjoint
+        // files; the last rename wins with identical content.
+        static NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let nonce = NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let staged = self.root.join(format!(
+            "tmp-{}-{}-{nonce}",
+            self.fp.hex(),
+            std::process::id()
+        ));
+        let target = self.root.join(format!("{}.{SUITE_EXT}", self.fp.hex()));
+        if let Err(e) = fs::write(&staged, bytes).and_then(|()| fs::rename(&staged, &target)) {
+            let _ = fs::remove_file(&staged);
+            return Err(e.into());
+        }
+        crate::index::update_on_seal(&self.root, self.fp, &self.meta);
+        Ok(self.fp)
+    }
+
+    /// Merges the staged shards into the sealed canonical suite file and
     /// atomically publishes it. `stats` are the run's counters, as
     /// returned by [`transform_par::synthesize_suite_streamed`].
     ///
@@ -777,15 +746,15 @@ impl PendingSuite {
     ///
     /// # Errors
     ///
-    /// Surfaces shard-write failures, unreadable shard files, and final
-    /// write/rename failures.
+    /// Surfaces shards that fail validation and final write/rename
+    /// failures.
     ///
     /// # Panics
     ///
     /// Panics when `stats.timed_out` is set.
     pub fn seal(mut self, stats: &SuiteStats) -> Result<Fingerprint, StoreError> {
         assert!(!stats.timed_out, "refusing to seal a partial suite");
-        let (_, records) = self.merge()?;
+        let records = self.merge()?;
         let mut e = Enc::new();
         e.raw(SUITE_MAGIC);
         e.u32(FORMAT_VERSION);
@@ -806,22 +775,10 @@ impl PendingSuite {
             trailer.update(&record_checksum.to_le_bytes());
         }
         e.u64(trailer.finish());
-
-        let staged = self.dir.join("suite.tfs");
-        fs::write(&staged, e.into_bytes())?;
-        let target = self.root.join(format!("{}.{SUITE_EXT}", self.fp.hex()));
-        fs::rename(&staged, &target)?;
-        // Fold the new entry into the store's advisory index (atomic
-        // rewrite; best-effort — query/export fall back to scanning
-        // headers when the index is missing or stale).
-        crate::index::update_on_seal(&self.root, self.fp, &self.meta);
-        self.sealed = true;
-        let fp = self.fp;
-        drop(self); // removes the temp directory
-        Ok(fp)
+        self.publish(&e.into_bytes())
     }
 
-    /// Merges the shard files and seals them as a **delta entry**: the
+    /// Merges the staged shards and seals them as a **delta entry**: the
     /// records at the plan indices in `parent_map` (the warm run's
     /// spliced parent records) are dropped from the payload — the
     /// parent link reproduces them at decode time — and only the
@@ -850,7 +807,7 @@ impl PendingSuite {
         parent_map: &[u64],
     ) -> Result<Fingerprint, StoreError> {
         assert!(!stats.timed_out, "refusing to seal a partial suite");
-        let (_, records) = self.merge()?;
+        let records = self.merge()?;
         if parent_map.windows(2).any(|w| w[0] >= w[1]) {
             return Err(StoreError::Corrupt(
                 "parent map not strictly increasing".into(),
@@ -880,26 +837,18 @@ impl PendingSuite {
             parent_map,
             &new_records,
         );
-        let staged = self.dir.join("suite.tfs");
-        fs::write(&staged, bytes)?;
-        let target = self.root.join(format!("{}.{SUITE_EXT}", self.fp.hex()));
-        fs::rename(&staged, &target)?;
-        crate::index::update_on_seal(&self.root, self.fp, &self.meta);
-        self.sealed = true;
-        let fp = self.fp;
-        drop(self);
-        Ok(fp)
+        self.publish(&bytes)
     }
 
-    /// Assembles the in-memory suite from the shard files *without*
+    /// Assembles the in-memory suite from the staged shards *without*
     /// sealing — the path for timed-out (partial) runs, which are
     /// returned to the caller but never persisted.
     ///
     /// # Errors
     ///
-    /// Surfaces shard-write failures and undecodable shard files.
-    pub fn into_suite(self, stats: &SuiteStats) -> Result<Suite, StoreError> {
-        let (_, records) = self.merge()?;
+    /// Surfaces shards that fail validation and undecodable records.
+    pub fn into_suite(mut self, stats: &SuiteStats) -> Result<Suite, StoreError> {
+        let records = self.merge()?;
         let elts = records
             .into_iter()
             .map(|(_, payload)| decode_record(&payload).map(|r| r.elt))
@@ -910,12 +859,6 @@ impl PendingSuite {
             elts,
             stats: stats.clone(),
         })
-    }
-}
-
-impl Drop for PendingSuite {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.dir);
     }
 }
 

@@ -8,14 +8,49 @@
 //! * the first same-VA access on a core must walk (TLBs start empty);
 //! * an access after an `INVLPG` of its VA must walk (Fig. 5b);
 //! * other accesses may hit or miss freely (capacity evictions, §III-B2);
+//!   a PTE write leaves its core's TLB untouched;
 //! * every user write carries a dirty-bit update (§III-A2);
-//! * every PTE write invokes exactly one `INVLPG` per core (§III-B2);
+//! * every PTE write invokes exactly one `INVLPG` per core (§III-B2): of
+//!   the PTE write's VA, strictly later in po on the PTE write's own core,
+//!   and each `INVLPG` serves at most one PTE write;
+//! * a PTE write targets either another VA's initial page or a page no VA
+//!   initially maps; re-installing its own VA's initial page (an
+//!   identity remap) needs [`EnumOptions::allow_identity_remap`];
 //! * spurious `INVLPG`s appear only where they can affect the thread's
-//!   execution (a later same-VA access exists);
-//! * fences appear only between two instructions of their thread.
+//!   execution (a later same-VA user read or write on the same core);
+//! * fences appear only between two instructions of their thread, and
+//!   never directly after another fence;
+//! * an RMW is a read immediately followed by a write of the same VA on
+//!   one thread; the write reuses the read's translation, so it never
+//!   walks;
+//! * `TlbFlush` is never generated (it exists for hand-written ELTs);
+//! * every thread has at least one instruction, and there are at most
+//!   [`EnumOptions::max_threads`] threads (default: the bound).
 //!
 //! The instruction bound counts *every* event, ghosts included — the
 //! paper's Fig. 10a is a four-instruction ELT.
+//!
+//! # Enumeration order
+//!
+//! Per-thread *shapes* (the TLB, fence and RMW rules, with thread-local
+//! VA and PA names) are built first. `combine` then visits every
+//! non-decreasing multiset of shapes, one *node* per multiset, and each
+//! node is labelled in this order, cheapest filter first:
+//!
+//! 1. **INVLPG feasibility.** Every PTE write needs its own `INVLPG` on
+//!    every core, so a node where some shape has fewer `INVLPG`s than
+//!    the node has PTE writes emits nothing and stops here. The node is
+//!    still visited and counted (node masses, warm-start digests and run
+//!    journals count nodes, not programs).
+//! 2. **VA maps.** Each thread's local VAs map injectively to global
+//!    VAs, numbered by first use.
+//! 3. **Remaps, per VA map.** The remap assignments and the
+//!    spurious-`INVLPG` rule read only VAs and slot positions, so they
+//!    are computed once per VA map; a map with no surviving remap never
+//!    reaches the PA product.
+//! 4. **PA assignments.** Each PTE write's page is chosen with identity
+//!    remaps pruned as they are generated, and every surviving
+//!    assignment is emitted once per surviving remap, in that order.
 
 use crate::canon::canonical_key;
 use serde::{Deserialize, Serialize};
@@ -1219,9 +1254,27 @@ impl Iterator for ProgramStream<'_> {
 
 /// Resolves local VA numbers and PA symbols to global meanings, assigns
 /// remaps, validates spurious INVLPGs, and emits canonical programs.
+///
+/// The remap and spurious-INVLPG filters read only VAs and slot
+/// positions, so they run once per VA map, before any PA is assigned;
+/// a VA map with no surviving remap never builds its PA product.
 fn assign_and_emit(shapes: &[Shape], chosen: &[usize], sink: &mut EmitSink<'_>) {
     let opts = sink.opts;
     let ts: Vec<&Shape> = chosen.iter().map(|&i| &shapes[i]).collect();
+
+    // Every PTE write needs its own same-VA INVLPG on every core, so a
+    // core with fewer INVLPGs than the node has PTE writes leaves no
+    // remap assignment under any VA map.
+    let pte_writes: usize = ts.iter().map(|s| s.num_pa_syms).sum();
+    let invlpgs = |s: &Shape| {
+        s.ops
+            .iter()
+            .filter(|op| matches!(op, SlotOp::Invlpg { .. }))
+            .count()
+    };
+    if ts.iter().any(|s| invlpgs(s) < pte_writes) {
+        return;
+    }
 
     // Enumerate injective per-thread maps local VA → global VA with
     // canonical (first-use) numbering of fresh globals.
@@ -1260,24 +1313,66 @@ fn assign_and_emit(shapes: &[Shape], chosen: &[usize], sink: &mut EmitSink<'_>) 
         globals_so_far = next_globals;
     }
 
+    let rmw: Vec<(usize, usize)> = ts
+        .iter()
+        .enumerate()
+        .flat_map(|(t, s)| s.rmw.iter().map(move |&slot| (t, slot)))
+        .collect();
+
     for (vmap, &num_vas) in va_maps.iter().zip(&globals_so_far) {
-        // Collect PA symbols in (thread, slot) order.
-        let mut syms: Vec<(usize, usize)> = Vec::new(); // (thread, local sym)
-        for (t, shape) in ts.iter().enumerate() {
-            for op in &shape.ops {
-                if let SlotOp::PteWrite {
-                    pa: PaRef::Fresh(k),
-                    ..
-                } = op
-                {
-                    syms.push((t, *k));
-                }
-            }
+        // Global threads with every PTE write's PA still unassigned
+        // (a placeholder the PA product below overwrites).
+        let va_threads: Vec<Vec<SlotOp>> = ts
+            .iter()
+            .enumerate()
+            .map(|(t, shape)| {
+                shape
+                    .ops
+                    .iter()
+                    .map(|&op| match op {
+                        SlotOp::Read { va, walk } => SlotOp::Read {
+                            va: vmap[t][va],
+                            walk,
+                        },
+                        SlotOp::Write { va, walk } => SlotOp::Write {
+                            va: vmap[t][va],
+                            walk,
+                        },
+                        SlotOp::Fence => SlotOp::Fence,
+                        SlotOp::TlbFlush => SlotOp::TlbFlush,
+                        SlotOp::Invlpg { va } => SlotOp::Invlpg { va: vmap[t][va] },
+                        SlotOp::PteWrite { va, pa } => SlotOp::PteWrite {
+                            va: vmap[t][va],
+                            pa,
+                        },
+                    })
+                    .collect()
+            })
+            .collect();
+        let remaps: Vec<Vec<RemapPair>> = remap_assignments(&va_threads)
+            .into_iter()
+            .filter(|remap| spurious_invlpgs_useful(&va_threads, remap))
+            .collect();
+        if remaps.is_empty() {
+            continue;
         }
+
+        // The global VA of each PTE write, in (thread, slot) order — the
+        // order PA symbols are assigned in.
+        let pte_vas: Vec<usize> = va_threads
+            .iter()
+            .flatten()
+            .filter_map(|op| match op {
+                SlotOp::PteWrite { va, .. } => Some(*va),
+                _ => None,
+            })
+            .collect();
         // Each symbol maps to Initial(v) for v < num_vas or Fresh(j) with
-        // first-use numbering.
+        // first-use numbering. Identity remaps are pruned as they are
+        // generated: a pruned prefix extends only to candidates the rule
+        // rejects, so the survivors keep their order.
         let mut assignments: Vec<Vec<PaRef>> = vec![Vec::new()];
-        for _ in &syms {
+        for &va in &pte_vas {
             let mut grown = Vec::new();
             for a in &assignments {
                 let fresh_used = a
@@ -1289,6 +1384,9 @@ fn assign_and_emit(shapes: &[Shape], chosen: &[usize], sink: &mut EmitSink<'_>) 
                     .max()
                     .unwrap_or(0);
                 for v in 0..num_vas {
+                    if v == va && !opts.allow_identity_remap {
+                        continue;
+                    }
                     let mut a2 = a.clone();
                     a2.push(PaRef::Initial(v));
                     grown.push(a2);
@@ -1303,57 +1401,19 @@ fn assign_and_emit(shapes: &[Shape], chosen: &[usize], sink: &mut EmitSink<'_>) 
         }
 
         for assignment in &assignments {
-            // Materialize global threads.
-            let mut threads: Vec<Vec<SlotOp>> = Vec::new();
-            let mut sym_iter = assignment.iter();
-            let mut ok = true;
-            for (t, shape) in ts.iter().enumerate() {
-                let mut row = Vec::new();
-                for &op in &shape.ops {
-                    let g = match op {
-                        SlotOp::Read { va, walk } => SlotOp::Read {
-                            va: vmap[t][va],
-                            walk,
-                        },
-                        SlotOp::Write { va, walk } => SlotOp::Write {
-                            va: vmap[t][va],
-                            walk,
-                        },
-                        SlotOp::Fence => SlotOp::Fence,
-                        SlotOp::TlbFlush => SlotOp::TlbFlush,
-                        SlotOp::Invlpg { va } => SlotOp::Invlpg { va: vmap[t][va] },
-                        SlotOp::PteWrite { va, .. } => {
-                            let pa = *sym_iter.next().expect("one symbol per PTE write");
-                            let va = vmap[t][va];
-                            if !opts.allow_identity_remap && pa == PaRef::Initial(va) {
-                                ok = false;
-                            }
-                            SlotOp::PteWrite { va, pa }
-                        }
-                    };
-                    row.push(g);
+            let mut threads = va_threads.clone();
+            let mut pas = assignment.iter();
+            for op in threads.iter_mut().flatten() {
+                if let SlotOp::PteWrite { pa, .. } = op {
+                    *pa = *pas.next().expect("one symbol per PTE write");
                 }
-                threads.push(row);
             }
-            if !ok {
-                continue;
-            }
-            let rmw: Vec<(usize, usize)> = ts
-                .iter()
-                .enumerate()
-                .flat_map(|(t, s)| s.rmw.iter().map(move |&slot| (t, slot)))
-                .collect();
-
-            for remap in remap_assignments(&threads) {
-                let prog = Program {
+            for remap in &remaps {
+                sink.emit(Program {
                     threads: threads.clone(),
-                    remap,
+                    remap: remap.clone(),
                     rmw: rmw.clone(),
-                };
-                if !spurious_invlpgs_useful(&prog) {
-                    continue;
-                }
-                sink.emit(prog);
+                });
             }
         }
     }
@@ -1459,9 +1519,9 @@ fn remap_assignments(threads: &[Vec<SlotOp>]) -> Vec<Vec<RemapPair>> {
 
 /// Spurious (un-remapped) INVLPGs must be able to affect the execution: a
 /// later same-VA access on the same core.
-fn spurious_invlpgs_useful(p: &Program) -> bool {
-    let remapped: BTreeSet<(usize, usize)> = p.remap.iter().map(|&(_, i)| i).collect();
-    for (t, row) in p.threads.iter().enumerate() {
+fn spurious_invlpgs_useful(threads: &[Vec<SlotOp>], remap: &[RemapPair]) -> bool {
+    let remapped: BTreeSet<(usize, usize)> = remap.iter().map(|&(_, i)| i).collect();
+    for (t, row) in threads.iter().enumerate() {
         for (s, op) in row.iter().enumerate() {
             let SlotOp::Invlpg { va } = op else { continue };
             if remapped.contains(&(t, s)) {

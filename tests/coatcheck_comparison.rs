@@ -3,8 +3,8 @@
 //!
 //! The quick test runs the synthesis at bound 5 — large enough for three
 //! of the four verbatim programs. The full paper numbers (7 verbatim tests
-//! → 4 unique programs, 15 reducible, 9 + 9 out of scope) need bound 6 and
-//! run in the `#[ignore]`d test below (and in the `comparison` release
+//! → 4 unique programs, 15 reducible, 9 + 9 out of scope) need bound 6,
+//! checked by the second test below (and by the `comparison` release
 //! binary).
 
 use std::time::Duration;
@@ -52,10 +52,9 @@ fn comparison_at_bound_5_classifies_the_suite() {
     assert_eq!(by_name("ipi_resched1"), compare::Category::UnsupportedIpi);
 }
 
-/// The full §VI-B numbers. Slow in debug builds; run with
-/// `cargo test --release -- --ignored comparison_at_bound_6`.
+/// The full §VI-B numbers (bound-6 synthesis, a few seconds in a debug
+/// build).
 #[test]
-#[ignore = "bound-6 synthesis takes minutes in debug builds"]
 fn comparison_at_bound_6_reproduces_the_paper_composition() {
     let keys = keys_at_bound(6);
     let suite = coatcheck::suite();
