@@ -49,9 +49,7 @@ use transform_par::{
     synthesize_suite_streamed_metrics, synthesize_suite_streamed_observed, ProgressState,
     StreamMetrics, SuiteSink,
 };
-use transform_store::{
-    execute_lease, read_suite, suite_fingerprint, HttpTier, JobSpec, Store, TieredCache, WarmMode,
-};
+use transform_store::{execute_lease, read_suite, suite_fingerprint, HttpTier, JobSpec, Store};
 use transform_synth::programs::{Balance, EnumSpace};
 use transform_synth::{ShardStats, SuiteRecord, SynthOptions};
 use transform_x86::x86t_elt;
@@ -336,97 +334,6 @@ fn measure_all_axioms(bound: usize) -> AllAxiomsPoint {
     }
 }
 
-/// The cross-bound headline: a bound-N run seeded from the sealed
-/// bound-N−1 suite (fully-covered partitions skipped, result sealed as
-/// a delta entry) vs the same run cold into an empty store. Both sides
-/// pay the parent seal separately so the timed region is exactly the
-/// bound-N synthesis; the warm suite must match the cold one
-/// program-for-program, and the delta entry is compared against the
-/// full entry the cold run seals.
-struct WarmPoint {
-    bound: usize,
-    elts: usize,
-    parent_secs: f64,
-    cold_secs: f64,
-    warm_secs: f64,
-    full_entry_bytes: usize,
-    delta_entry_bytes: usize,
-}
-
-fn measure_warm(bound: usize) -> WarmPoint {
-    let mtm = x86t_elt();
-    let o = opts(bound);
-    let parent_o = opts(bound - 1);
-    let jobs = jobs();
-    let root = std::env::temp_dir().join(format!(
-        "transform-bench-warm-{}-{bound}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&root).ok();
-
-    // Cold side: parent sealed first (so both stores hold the same
-    // entries afterwards), then the timed bound-N run seals a full
-    // entry.
-    let cold = TieredCache::new(Store::open(root.join("cold")).expect("cold store"));
-    let start = Instant::now();
-    cold.cached_or_synthesize(&mtm, AXIOM, &parent_o, jobs)
-        .expect("parent seals");
-    let parent_secs = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let (cold_suite, _) = cold
-        .cached_or_synthesize(&mtm, AXIOM, &o, jobs)
-        .expect("cold bound-N seals");
-    let cold_secs = start.elapsed().as_secs_f64();
-
-    // Warm side: same parent in a fresh store, then the timed bound-N
-    // run seeds from it and seals a delta.
-    let warm = TieredCache::new(Store::open(root.join("warm")).expect("warm store"));
-    warm.cached_or_synthesize(&mtm, AXIOM, &parent_o, jobs)
-        .expect("parent seals");
-    let start = Instant::now();
-    let (warm_suite, _) = warm
-        .cached_or_synthesize_warm(&mtm, AXIOM, &o, jobs, WarmMode::Require, None)
-        .expect("warm bound-N seals");
-    let warm_secs = start.elapsed().as_secs_f64();
-
-    assert_eq!(warm_suite.elts.len(), cold_suite.elts.len());
-    for (w, c) in warm_suite.elts.iter().zip(&cold_suite.elts) {
-        assert_eq!(w.program, c.program, "warm suite diverged from cold");
-    }
-    assert_eq!(warm_suite.stats.programs, cold_suite.stats.programs);
-
-    let fp = suite_fingerprint(&mtm, AXIOM, &o);
-    let entry_len = |cache: &TieredCache| {
-        cache
-            .local()
-            .entry_bytes(fp)
-            .expect("entry readable")
-            .expect("entry sealed")
-            .len()
-    };
-    let full_entry_bytes = entry_len(&cold);
-    let delta_entry_bytes = entry_len(&warm);
-    assert_eq!(
-        cold.local().entry_is_delta(fp).expect("readable"),
-        Some(false)
-    );
-    assert_eq!(
-        warm.local().entry_is_delta(fp).expect("readable"),
-        Some(true)
-    );
-
-    std::fs::remove_dir_all(&root).ok();
-    WarmPoint {
-        bound,
-        elts: cold_suite.elts.len(),
-        parent_secs,
-        cold_secs,
-        warm_secs,
-        full_entry_bytes,
-        delta_entry_bytes,
-    }
-}
-
 /// The distributed headline: an all-axiom run driven through a loopback
 /// coordinator by two leasing workers vs the same fused run in-process.
 /// The fleet pays the HTTP round-trips, shard encode/upload, and the
@@ -563,21 +470,6 @@ fn throughput_summary(_c: &mut Criterion) {
         all.eager_secs / all.fused_secs.max(f64::EPSILON),
         all.elts_total,
     );
-    let warm = measure_warm(6);
-    println!(
-        "enum_throughput warm-start: `{AXIOM}` @ bound {} --fences --rmw on {} workers: \
-         cold {:.3}s vs warm {:.3}s ({:.2}x, parent seal {:.3}s); \
-         entry {} B full vs {} B delta ({:.1}% of full)",
-        warm.bound,
-        jobs(),
-        warm.cold_secs,
-        warm.warm_secs,
-        warm.cold_secs / warm.warm_secs.max(f64::EPSILON),
-        warm.parent_secs,
-        warm.full_entry_bytes,
-        warm.delta_entry_bytes,
-        warm.delta_entry_bytes as f64 / warm.full_entry_bytes.max(1) as f64 * 100.0,
-    );
     let fleet = measure_fleet(5, 2);
     println!(
         "enum_throughput fleet: {} axioms @ bound {} --fences --rmw, {} loopback workers \
@@ -628,23 +520,6 @@ fn throughput_summary(_c: &mut Criterion) {
         all.fused_secs,
         all.eager_secs / all.fused_secs.max(f64::EPSILON),
     );
-    let warm_body = format!(
-        concat!(
-            "{{\"bound\": {}, \"fences\": true, \"rmw\": true, \"elts\": {}, ",
-            "\"parent_seal_secs\": {:.6}, \"cold_secs\": {:.6}, \"warm_secs\": {:.6}, ",
-            "\"warm_speedup\": {:.3}, \"full_entry_bytes\": {}, ",
-            "\"delta_entry_bytes\": {}, \"delta_size_ratio\": {:.3}}}"
-        ),
-        warm.bound,
-        warm.elts,
-        warm.parent_secs,
-        warm.cold_secs,
-        warm.warm_secs,
-        warm.cold_secs / warm.warm_secs.max(f64::EPSILON),
-        warm.full_entry_bytes,
-        warm.delta_entry_bytes,
-        warm.delta_entry_bytes as f64 / warm.full_entry_bytes.max(1) as f64,
-    );
     let fleet_body = format!(
         concat!(
             "{{\"bound\": {}, \"fences\": true, \"rmw\": true, \"workers\": {}, ",
@@ -664,12 +539,11 @@ fn throughput_summary(_c: &mut Criterion) {
         "{{\n  \"bench\": \"enum_throughput\",\n  \"axiom\": \"{AXIOM}\",\n  \
          \"jobs\": {},\n  \"points\": [\n    {}\n  ],\n  \
          \"balance\": [\n    {}\n  ],\n  \"all_axioms\": {},\n  \
-         \"warm_start\": {},\n  \"fleet\": {}\n}}\n",
+         \"fleet\": {}\n}}\n",
         jobs(),
         body,
         balance_body,
         all_body,
-        warm_body,
         fleet_body,
     );
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_enum.json");

@@ -92,7 +92,7 @@ usage: transform synthesize --axiom A|--all --bound N [--mtm M]
            [--max-threads T] [--fences] [--rmw] [--timeout-secs S]
            [--quiet] [--jobs N|auto] [--backend explicit|relational]
            [--partition-size N|auto] [--balance mass|depth]
-           [--progress[=human|json]] [--warm-start[=auto]]
+           [--progress[=human|json]]
            [--cache DIR] [--cache-url URL] [--out FILE]
            [--workers URL[,URL...]] [--lease-ttl-secs S]
            [--fleet-ranges N]
@@ -121,13 +121,6 @@ flags:
 {PARTITION_FLAG}
 {BALANCE_FLAG}
 {PROGRESS_FLAG}
-  --warm-start[=auto]    seed the run from the sealed bound-N\u{2212}1 suite in
-                         the cache (needs --cache): fully-covered partitions
-                         are skipped and the result seals as a delta entry
-                         referencing the parent, byte-identical to a cold
-                         run when served. Bare --warm-start errors when the
-                         parent or its admission digest is missing; `=auto`
-                         falls back to a cold full run instead
 
 fleet (distributed synthesis):
   --workers URL[,URL...]  run the synthesis on a worker fleet instead of
@@ -152,10 +145,6 @@ caching:
 example:
   transform synthesize --all --bound 5 --fences --rmw --jobs auto \\
       --progress --cache store --cache-url http://cache.internal:7171
-
-  # step a cache through bounds, each bound warm-started on the last:
-  transform synthesize --all --bound 4 --cache store
-  transform synthesize --all --bound 5 --warm-start --cache store
 
   # drive a worker fleet from one invocation (workers run elsewhere):
   transform synthesize --all --bound 5 --jobs auto --cache store \\
@@ -271,8 +260,7 @@ hands mass-balanced partition ranges to `transform worker` processes,
 heartbeats renew leases (a silent worker's range is reclaimed and
 reassigned), PUT /v1/shard/... stages checksummed shard results
 idempotently, and the last range in triggers the deterministic merge
-that seals suites byte-identical to a single-machine run. Admission
-digests replicate over GET/PUT /v1/digest/<fingerprint>.
+that seals suites byte-identical to a single-machine run.
 
 flags:
   --root DIR             the store directory to serve (required; created
@@ -391,16 +379,11 @@ usage: transform store verify --cache DIR [--remove-corrupt]
 
 Re-checksum every sealed suite of a local store offline: header, every
 record, and the trailer — and every recorded run journal end to end.
-Delta entries are validated twice: their own bytes, then the parent
-chain they materialize through. Reports (and with --remove-corrupt
-deletes) entries and journals that fail.
+Reports (and with --remove-corrupt deletes) entries and journals that
+fail.
 
 flags:
-  --remove-corrupt       delete entries whose own bytes fail validation.
-                         An intact delta above a damaged parent is
-                         reported as BROKEN CHAIN but kept — removing
-                         the damaged parent is what quarantines the
-                         fault
+  --remove-corrupt       delete entries and journals that fail validation
 
 caching:
   --cache DIR            the local suite store to verify (required)
@@ -414,11 +397,9 @@ usage: transform store gc --cache DIR [--older-than-days N]
            [--keep-list FILE] [--dry-run]
 
 Age out cached suites by mtime and/or a keep-list of fingerprints,
-sweep leftover tmp-* shard directories and orphaned admission digests,
-and (with --older-than-days) age out run journals by the same cutoff.
-Keeping a delta entry pins its whole parent chain: an entry some kept
-delta references survives whatever its own age or list status, so a
-served chain never breaks mid-collection.
+sweep leftover tmp-* shard directories and the admission digests
+(*.tfd) older builds wrote beside their entries, and (with
+--older-than-days) age out run journals by the same cutoff.
 
 flags:
   --older-than-days N    remove entries and run journals older than N days
@@ -441,10 +422,7 @@ usage: transform store push --cache DIR --url URL [--fingerprint FP]
 Upload sealed entries of a local store to a shared `transform serve`
 cache. Entries the remote already holds are skipped (content addressing
 makes them immutable); the server validates every uploaded byte before
-sealing. Delta entries land parent-first, so the server can resolve
-each chain as it validates. Each pushed entry's admission digest rides
-along, so a later `store pull` elsewhere can seed `--warm-start` from
-the replicated parent.
+sealing.
 
 flags:
   --fingerprint FP       push one entry instead of all
@@ -462,10 +440,7 @@ usage: transform store pull --cache DIR --url URL [--fingerprint FP]
 
 Download sealed entries from a shared `transform serve` cache into a
 local store. Every fetched entry is validated byte-for-byte before it
-is installed; entries already present locally are skipped. Admission
-digests are pulled alongside their entries when the remote holds them,
-so a pulled parent seeds `--warm-start` exactly like a locally
-synthesized one.
+is installed; entries already present locally are skipped.
 
 flags:
   --fingerprint FP       pull one entry instead of the remote's index

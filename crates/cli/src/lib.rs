@@ -60,8 +60,8 @@ use transform_par::{
 use transform_sim::{check_conformance, explore, Bugs, SimConfig, SimProgram};
 use transform_store::{
     cached_or_synthesize, cached_or_synthesize_all, cached_or_synthesize_all_observed,
-    cached_or_synthesize_observed, execute_lease, is_delta, validate_delta, CacheTier, EntryMeta,
-    Fingerprint, HttpTier, JobSpec, Store, TieredCache, WarmMode,
+    cached_or_synthesize_observed, execute_lease, CacheTier, EntryMeta, Fingerprint, HttpTier,
+    JobSpec, Store, TieredCache,
 };
 use transform_synth::engine::{Backend, Suite, SynthOptions};
 use transform_synth::programs::{Balance, Program, SlotOp};
@@ -80,7 +80,7 @@ commands:
              [--fences] [--rmw] [--timeout-secs S] [--quiet]
              [--jobs N|auto] [--backend explicit|relational]
              [--partition-size N|auto] [--balance mass|depth]
-             [--progress[=human|json]] [--warm-start[=auto]]
+             [--progress[=human|json]]
              [--cache DIR] [--cache-url URL] [--out FILE]
              [--workers URL[,URL...]] [--lease-ttl-secs S]
              [--fleet-ranges N]
@@ -125,13 +125,7 @@ way. `top` polls a serve instance's /v1/metrics and /v1/runs for a
 live fleet view, in-flight synthesis runs included.
 --cache makes synthesis stream from / seal into a persistent suite
 store keyed on (MTM, axiom, bound, options); corrupt or stale entries
-are detected by checksums and rebuilt.
---warm-start (needs --cache) seeds a bound-N run from the sealed
-bound-N\u{2212}1 suite in the store: fully-covered partitions are skipped and
-the result seals as a delta entry referencing the parent — the served
-suite stays byte-identical to a cold run. Bare --warm-start fails when
-the parent or its admission digest is missing; `=auto` falls back to a
-cold (full) run instead. Cached runs also record a
+are detected by checksums and rebuilt. Cached runs also record a
 checksummed run journal (manifest + timestamped span events) into the
 store — `runs` lists and inspects them, and `runs export --chrome`
 turns one into a Chrome trace-event file. --cache-url adds a shared
@@ -139,8 +133,7 @@ turns one into a Chrome trace-event file. --cache-url adds a shared
 fetch (validated byte-for-byte), push-on-seal. `check -` and
 `simulate -` read the ELT from stdin. `serve` exposes a store directory
 over HTTP for a fleet-wide shared cache; `store push`/`store pull`
-bulk-replicate sealed entries (admission digests included, so pulled
-parents seed --warm-start) to/from one. A `serve` instance is also the
+bulk-replicate sealed entries to/from one. A `serve` instance is also the
 synthesis-fleet coordinator: `synthesize --workers URL` registers the
 run as a fleet job there, `transform worker --url URL` processes lease
 partition ranges and upload shard results, and the client pulls the
@@ -239,9 +232,7 @@ fn cmd_check(mut opts: Opts) -> Result<String, String> {
     opts.finish()?;
     let src = read_source(&file)?;
     let (name, x) = parse_elt(&src).map_err(|e| format!("{file}: {e}"))?;
-    let a = x
-        .analyze()
-        .map_err(|e| format!("`{name}` is not a well-formed ELT: {e}"))?;
+    let a = x.analyze().map_err(|e| malformed_elt(&name, e))?;
     let v = mtm.evaluate(&a);
     let mut out = pretty::render(&a);
     out.push_str(&format!(
@@ -255,6 +246,12 @@ fn cmd_check(mut opts: Opts) -> Result<String, String> {
         }
     ));
     Ok(out)
+}
+
+/// The one-line error `check` and `simulate` report for an ELT that
+/// parses but is not a well-formed execution.
+fn malformed_elt(name: &str, e: impl std::fmt::Display) -> String {
+    format!("`{name}` is not a well-formed ELT: {e}")
 }
 
 fn cmd_synthesize(mut opts: Opts) -> Result<String, String> {
@@ -288,7 +285,6 @@ fn cmd_synthesize(mut opts: Opts) -> Result<String, String> {
     let jobs = opts.jobs()?;
     let quiet = opts.flag("--quiet");
     let progress_mode = parse_progress(opts.optional_value("--progress"))?;
-    let warm = parse_warm_start(opts.optional_value("--warm-start"))?;
     let cache = opts.value("--cache");
     let cache_url = opts.value("--cache-url");
     let out_file = opts.value("--out");
@@ -307,13 +303,6 @@ fn cmd_synthesize(mut opts: Opts) -> Result<String, String> {
         .unwrap_or_else(|| (jobs * 2).max(4))
         .max(1);
     opts.finish()?;
-    if warm != WarmMode::Off && cache.is_none() {
-        return Err(
-            "--warm-start needs --cache DIR (the sealed bound-N\u{2212}1 parent suite and its \
-             admission digest live there)"
-                .into(),
-        );
-    }
     let axioms: Vec<String> = match (axiom, all) {
         (Some(_), true) => return Err("--axiom and --all are mutually exclusive".into()),
         (None, false) => return Err("synthesize needs --axiom <name> or --all".into()),
@@ -338,13 +327,6 @@ fn cmd_synthesize(mut opts: Opts) -> Result<String, String> {
     // the sealed suites are pulled back — byte-identical to the local
     // paths below at any worker count.
     if let Some(urls) = workers {
-        if warm != WarmMode::Off {
-            return Err(
-                "--warm-start does not combine with --workers (leased ranges always run cold; \
-                 `store pull` replicates the parent digest for local warm starts instead)"
-                    .into(),
-            );
-        }
         if cache_url.is_some() {
             return Err(
                 "--workers and --cache-url are mutually exclusive (the first --workers URL \
@@ -356,8 +338,17 @@ fn cmd_synthesize(mut opts: Opts) -> Result<String, String> {
             "--workers needs --cache DIR for the local tier (the fleet-sealed suites are \
              pulled and validated into it)",
         )?;
-        let suites =
-            fleet_synthesize(&mtm, &axioms, &sopts, jobs, dir, &urls, fleet_ranges, lease_ttl, progress_mode)?;
+        let suites = fleet_synthesize(
+            &mtm,
+            &axioms,
+            &sopts,
+            jobs,
+            dir,
+            &urls,
+            fleet_ranges,
+            lease_ttl,
+            progress_mode,
+        )?;
         return render_synthesize_output(&axioms, bound, jobs, &suites, quiet, out_file.as_deref());
     }
     // --progress: a shared atomics block the run publishes into and a
@@ -384,7 +375,6 @@ fn cmd_synthesize(mut opts: Opts) -> Result<String, String> {
             cache.as_deref(),
             cache_url.as_deref(),
             progress.as_ref(),
-            warm,
         )?
     } else {
         let suite = synthesize_maybe_cached(
@@ -395,7 +385,6 @@ fn cmd_synthesize(mut opts: Opts) -> Result<String, String> {
             cache.as_deref(),
             cache_url.as_deref(),
             progress.as_ref(),
-            warm,
         )?;
         std::iter::once((axioms[0].clone(), suite)).collect()
     };
@@ -791,7 +780,6 @@ fn start_recorder(
 /// artifact of the cold one, statistics included. A `progress` handle
 /// observes the run (cache hits marked cached, live runs publishing
 /// their counters) without changing any of that.
-#[allow(clippy::too_many_arguments)]
 fn synthesize_maybe_cached(
     mtm: &Mtm,
     axiom: &str,
@@ -800,7 +788,6 @@ fn synthesize_maybe_cached(
     cache: Option<&str>,
     cache_url: Option<&str>,
     progress: Option<&Arc<ProgressState>>,
-    warm: WarmMode,
 ) -> Result<Suite, String> {
     match (cache, cache_url) {
         (None, None) => Ok(match progress {
@@ -814,14 +801,9 @@ fn synthesize_maybe_cached(
         ),
         (Some(dir), None) => {
             let store = Store::open(dir).map_err(|e| format!("cannot open cache `{dir}`: {e}"))?;
-            let (suite, _status) = if warm != WarmMode::Off {
-                TieredCache::new(store)
-                    .cached_or_synthesize_warm(mtm, axiom, sopts, jobs, warm, progress)
-            } else {
-                match progress {
-                    Some(p) => cached_or_synthesize_observed(&store, mtm, axiom, sopts, jobs, p),
-                    None => cached_or_synthesize(&store, mtm, axiom, sopts, jobs),
-                }
+            let (suite, _status) = match progress {
+                Some(p) => cached_or_synthesize_observed(&store, mtm, axiom, sopts, jobs, p),
+                None => cached_or_synthesize(&store, mtm, axiom, sopts, jobs),
             }
             .map_err(|e| format!("cache `{dir}`: {e}"))?;
             Ok(suite)
@@ -831,13 +813,9 @@ fn synthesize_maybe_cached(
             let remote = HttpTier::new(url).map_err(|e| e.to_string())?;
             let store = Store::open(dir).map_err(|e| format!("cannot open cache `{dir}`: {e}"))?;
             let tiered = TieredCache::new(store).with_remote(Box::new(remote));
-            let (suite, _status) = if warm != WarmMode::Off {
-                tiered.cached_or_synthesize_warm(mtm, axiom, sopts, jobs, warm, progress)
-            } else {
-                match progress {
-                    Some(p) => tiered.cached_or_synthesize_observed(mtm, axiom, sopts, jobs, p),
-                    None => tiered.cached_or_synthesize(mtm, axiom, sopts, jobs),
-                }
+            let (suite, _status) = match progress {
+                Some(p) => tiered.cached_or_synthesize_observed(mtm, axiom, sopts, jobs, p),
+                None => tiered.cached_or_synthesize(mtm, axiom, sopts, jobs),
             }
             .map_err(|e| format!("cache `{dir}` + `{url}`: {e}"))?;
             Ok(suite)
@@ -852,7 +830,6 @@ fn synthesize_maybe_cached(
 /// synthesized together and sealed per axiom as each finishes), and
 /// through the tiered local+remote cache when `--cache-url` names a
 /// shared `transform serve` endpoint too.
-#[allow(clippy::too_many_arguments)]
 fn synthesize_all_maybe_cached(
     mtm: &Mtm,
     sopts: &SynthOptions,
@@ -860,7 +837,6 @@ fn synthesize_all_maybe_cached(
     cache: Option<&str>,
     cache_url: Option<&str>,
     progress: Option<&Arc<ProgressState>>,
-    warm: WarmMode,
 ) -> Result<BTreeMap<String, Suite>, String> {
     match (cache, cache_url) {
         (None, None) => Ok(match progress {
@@ -874,14 +850,9 @@ fn synthesize_all_maybe_cached(
         ),
         (Some(dir), None) => {
             let store = Store::open(dir).map_err(|e| format!("cannot open cache `{dir}`: {e}"))?;
-            let all = if warm != WarmMode::Off {
-                TieredCache::new(store)
-                    .cached_or_synthesize_all_warm(mtm, sopts, jobs, warm, progress)
-            } else {
-                match progress {
-                    Some(p) => cached_or_synthesize_all_observed(&store, mtm, sopts, jobs, p),
-                    None => cached_or_synthesize_all(&store, mtm, sopts, jobs),
-                }
+            let all = match progress {
+                Some(p) => cached_or_synthesize_all_observed(&store, mtm, sopts, jobs, p),
+                None => cached_or_synthesize_all(&store, mtm, sopts, jobs),
             }
             .map_err(|e| format!("cache `{dir}`: {e}"))?;
             Ok(all.into_iter().map(|(ax, (s, _))| (ax, s)).collect())
@@ -891,13 +862,9 @@ fn synthesize_all_maybe_cached(
             let remote = HttpTier::new(url).map_err(|e| e.to_string())?;
             let store = Store::open(dir).map_err(|e| format!("cannot open cache `{dir}`: {e}"))?;
             let tiered = TieredCache::new(store).with_remote(Box::new(remote));
-            let all = if warm != WarmMode::Off {
-                tiered.cached_or_synthesize_all_warm(mtm, sopts, jobs, warm, progress)
-            } else {
-                match progress {
-                    Some(p) => tiered.cached_or_synthesize_all_observed(mtm, sopts, jobs, p),
-                    None => tiered.cached_or_synthesize_all(mtm, sopts, jobs),
-                }
+            let all = match progress {
+                Some(p) => tiered.cached_or_synthesize_all_observed(mtm, sopts, jobs, p),
+                None => tiered.cached_or_synthesize_all(mtm, sopts, jobs),
             }
             .map_err(|e| format!("cache `{dir}` + `{url}`: {e}"))?;
             Ok(all.into_iter().map(|(ax, (s, _))| (ax, s)).collect())
@@ -922,23 +889,6 @@ fn parse_backend(name: &str) -> Result<Backend, String> {
         other => Err(format!(
             "unknown --backend `{other}` (expected `explicit` or `relational`)"
         )),
-    }
-}
-
-/// `--warm-start` → `Require` (fail loudly when the parent is absent);
-/// `--warm-start=auto` → `Auto` (fall back to a cold run); absent →
-/// `Off`.
-fn parse_warm_start(flag: Option<Option<String>>) -> Result<WarmMode, String> {
-    match flag {
-        None => Ok(WarmMode::Off),
-        Some(None) => Ok(WarmMode::Require),
-        Some(Some(mode)) => match mode.as_str() {
-            "auto" => Ok(WarmMode::Auto),
-            "require" => Ok(WarmMode::Require),
-            other => Err(format!(
-                "unknown --warm-start mode `{other}` (expected `auto` or `require`)"
-            )),
-        },
     }
 }
 
@@ -1005,7 +955,6 @@ fn cmd_compare(mut opts: Opts) -> Result<String, String> {
         cache.as_deref(),
         cache_url.as_deref(),
         progress.as_ref(),
-        WarmMode::Off,
     )?;
     if let Some(reporter) = reporter {
         reporter.finish();
@@ -1277,7 +1226,7 @@ fn scan_cache(
     filter: &CacheFilter,
     mut on_match: impl FnMut(&EntryMeta, usize, &SuiteRecord),
     warnings: &mut String,
-) -> Result<(usize, usize, usize, usize), String> {
+) -> Result<(usize, usize, usize), String> {
     let store = Store::open(dir).map_err(|e| format!("cannot open cache `{dir}`: {e}"))?;
     // The advisory index lets non-matching entries be skipped without
     // opening their headers; a missing or stale index degrades to the
@@ -1296,14 +1245,10 @@ fn scan_cache(
             .collect(),
     };
     let mut scanned = 0usize;
-    let mut deltas = 0usize;
     let mut entries_matched = 0usize;
     let mut records_matched = 0usize;
     for (fp, indexed_meta) in entries {
         scanned += 1;
-        if store.entry_is_delta(fp).ok().flatten() == Some(true) {
-            deltas += 1;
-        }
         if let Some(meta) = &indexed_meta {
             if !filter.admits_entry(meta) {
                 continue;
@@ -1349,7 +1294,7 @@ fn scan_cache(
             on_match(&meta, *i, record);
         }
     }
-    Ok((scanned, deltas, entries_matched, records_matched))
+    Ok((scanned, entries_matched, records_matched))
 }
 
 fn cmd_query(mut opts: Opts) -> Result<String, String> {
@@ -1358,7 +1303,7 @@ fn cmd_query(mut opts: Opts) -> Result<String, String> {
     opts.finish()?;
     let mut body = String::new();
     let mut warnings = String::new();
-    let (scanned, deltas, entries, records) = scan_cache(
+    let (scanned, entries, records) = scan_cache(
         &dir,
         &filter,
         |meta, i, record| {
@@ -1376,7 +1321,7 @@ fn cmd_query(mut opts: Opts) -> Result<String, String> {
         &mut warnings,
     )?;
     Ok(format!(
-        "{warnings}{body}{records} matching ELT{} in {entries} suite{} ({scanned} cached suite{} scanned, {deltas} delta-encoded)\n",
+        "{warnings}{body}{records} matching ELT{} in {entries} suite{} ({scanned} cached suite{} scanned)\n",
         if records == 1 { "" } else { "s" },
         if entries == 1 { "" } else { "s" },
         if scanned == 1 { "" } else { "s" },
@@ -1390,7 +1335,7 @@ fn cmd_export(mut opts: Opts) -> Result<String, String> {
     opts.finish()?;
     let mut body = String::new();
     let mut warnings = String::new();
-    let (_, _, _, records) = scan_cache(
+    let (_, _, records) = scan_cache(
         &dir,
         &filter,
         |meta, i, record| {
@@ -1483,65 +1428,6 @@ fn parse_fingerprint_flag(opts: &mut Opts) -> Result<Option<Fingerprint>, String
         .transpose()
 }
 
-/// Pushes `fp`'s whole parent chain (deepest ancestor first), then
-/// `fp` itself, skipping whatever the remote already holds. Returns
-/// `true` when `fp` itself was already present (the caller's "skipped"
-/// tally; newly-pushed parents count through `pushed` like any entry).
-#[allow(clippy::too_many_arguments)]
-fn push_chain(
-    store: &Store,
-    remote: &HttpTier,
-    present: &Option<BTreeSet<Fingerprint>>,
-    on_remote: &mut BTreeSet<Fingerprint>,
-    out: &mut String,
-    pushed: &mut usize,
-    fp: Fingerprint,
-    depth: usize,
-) -> Result<bool, String> {
-    let already = on_remote.contains(&fp)
-        || match present {
-            Some(present) => present.contains(&fp),
-            None => remote.exists(fp).map_err(|e| e.to_string())?,
-        };
-    if already {
-        on_remote.insert(fp);
-        return Ok(true);
-    }
-    let bytes = store
-        .entry_bytes(fp)
-        .map_err(|e| e.to_string())?
-        .ok_or(format!("no sealed entry {fp} in the local store"))?;
-    if let Some(parent) = transform_store::entry_parent(&bytes) {
-        if depth == 0 {
-            return Err(format!("{fp}: delta parent chain exceeds the cap"));
-        }
-        push_chain(
-            store,
-            remote,
-            present,
-            on_remote,
-            out,
-            pushed,
-            parent,
-            depth - 1,
-        )?;
-    }
-    CacheTier::publish(remote, fp, &bytes).map_err(|e| e.to_string())?;
-    out.push_str(&format!("pushed {fp} ({} bytes)\n", bytes.len()));
-    *pushed += 1;
-    // Digest-aware push: the entry's admission digest rides along, so
-    // a `store pull` on another machine can seed `--warm-start` from
-    // the replicated parent exactly like a locally synthesized one.
-    if let Some(digest) = store.digest_bytes(fp).map_err(|e| e.to_string())? {
-        remote
-            .publish_digest(fp, &digest)
-            .map_err(|e| format!("digest {fp}: {e}"))?;
-        out.push_str(&format!("pushed digest for {fp} ({} bytes)\n", digest.len()));
-    }
-    on_remote.insert(fp);
-    Ok(false)
-}
-
 fn cmd_store_push(mut opts: Opts) -> Result<String, String> {
     let (store, remote) = store_remote_args(&mut opts, "push")?;
     let only = parse_fingerprint_flag(&mut opts)?;
@@ -1558,24 +1444,22 @@ fn cmd_store_push(mut opts: Opts) -> Result<String, String> {
         .map(|index| index.into_iter().map(|e| e.fingerprint).collect());
     let mut out = String::new();
     let (mut pushed, mut skipped) = (0usize, 0usize);
-    // Parent-first: the remote validates a delta against the parent it
-    // already holds, so a delta's chain must land before the delta —
-    // whatever order the entry listing has.
-    let mut on_remote: BTreeSet<Fingerprint> = BTreeSet::new();
     for fp in entries {
-        let already = push_chain(
-            &store,
-            &remote,
-            &present,
-            &mut on_remote,
-            &mut out,
-            &mut pushed,
-            fp,
-            transform_store::MAX_PARENT_CHAIN,
-        )?;
+        let already = match &present {
+            Some(present) => present.contains(&fp),
+            None => remote.exists(fp).map_err(|e| e.to_string())?,
+        };
         if already {
             skipped += 1;
+            continue;
         }
+        let bytes = store
+            .entry_bytes(fp)
+            .map_err(|e| e.to_string())?
+            .ok_or(format!("no sealed entry {fp} in the local store"))?;
+        CacheTier::publish(&remote, fp, &bytes).map_err(|e| e.to_string())?;
+        out.push_str(&format!("pushed {fp} ({} bytes)\n", bytes.len()));
+        pushed += 1;
     }
     out.push_str(&format!(
         "{pushed} entr{} pushed to {}, {skipped} already present\n",
@@ -1583,63 +1467,6 @@ fn cmd_store_push(mut opts: Opts) -> Result<String, String> {
         remote.url(),
     ));
     Ok(out)
-}
-
-/// Pulls `fp`, first resolving any delta parents it needs (deepest
-/// ancestor installed first, so every install validates against a
-/// complete local chain).
-fn pull_chain(
-    store: &Store,
-    remote: &HttpTier,
-    out: &mut String,
-    pulled: &mut usize,
-    fp: Fingerprint,
-    depth: usize,
-) -> Result<(), String> {
-    let bytes = CacheTier::fetch(remote, fp)
-        .map_err(|e| e.to_string())?
-        .ok_or(format!("remote {} has no entry {fp}", remote.url()))?;
-    if let Some(parent) = transform_store::entry_parent(&bytes) {
-        if !store.contains(parent) {
-            if depth == 0 {
-                return Err(format!("{fp}: delta parent chain exceeds the cap"));
-            }
-            pull_chain(store, remote, out, pulled, parent, depth - 1)?;
-        }
-    }
-    // Full byte-for-byte validation before anything is published.
-    store
-        .install_bytes(fp, &bytes)
-        .map_err(|e| format!("{fp}: {e}"))?;
-    out.push_str(&format!("pulled {fp} ({} bytes)\n", bytes.len()));
-    *pulled += 1;
-    pull_digest(store, remote, out, fp)?;
-    Ok(())
-}
-
-/// Digest-aware pull: fetches `fp`'s admission digest when the remote
-/// holds one and the local store does not, so a pulled parent entry
-/// seeds `--warm-start` exactly like a locally synthesized one. A
-/// remote without the digest endpoint (or without the digest) is not an
-/// error — the entry is still fully usable, just not warm-startable.
-fn pull_digest(
-    store: &Store,
-    remote: &HttpTier,
-    out: &mut String,
-    fp: Fingerprint,
-) -> Result<(), String> {
-    if store.digest_bytes(fp).map_err(|e| e.to_string())?.is_some() {
-        return Ok(());
-    }
-    let Ok(Some(bytes)) = remote.fetch_digest(fp) else {
-        return Ok(());
-    };
-    // Checksum-validated before install, like every pulled artifact.
-    store
-        .install_digest_bytes(fp, &bytes)
-        .map_err(|e| format!("digest {fp}: {e}"))?;
-    out.push_str(&format!("pulled digest for {fp} ({} bytes)\n", bytes.len()));
-    Ok(())
 }
 
 fn cmd_store_pull(mut opts: Opts) -> Result<String, String> {
@@ -1659,20 +1486,18 @@ fn cmd_store_pull(mut opts: Opts) -> Result<String, String> {
     let (mut pulled, mut skipped) = (0usize, 0usize);
     for fp in wanted {
         if store.contains(fp) {
-            // Already-present entries may still be missing their
-            // admission digest (pulled before digests replicated).
-            pull_digest(&store, &remote, &mut out, fp)?;
             skipped += 1;
             continue;
         }
-        pull_chain(
-            &store,
-            &remote,
-            &mut out,
-            &mut pulled,
-            fp,
-            transform_store::MAX_PARENT_CHAIN,
-        )?;
+        let bytes = CacheTier::fetch(&remote, fp)
+            .map_err(|e| e.to_string())?
+            .ok_or(format!("remote {} has no entry {fp}", remote.url()))?;
+        // Full byte-for-byte validation before anything is published.
+        store
+            .install_bytes(fp, &bytes)
+            .map_err(|e| format!("{fp}: {e}"))?;
+        out.push_str(&format!("pulled {fp} ({} bytes)\n", bytes.len()));
+        pulled += 1;
     }
     out.push_str(&format!(
         "{pulled} entr{} pulled from {}, {skipped} already present\n",
@@ -1682,69 +1507,20 @@ fn cmd_store_pull(mut opts: Opts) -> Result<String, String> {
     Ok(out)
 }
 
-/// One entry's verification verdict. Delta entries are judged twice:
-/// their own bytes first, then the parent chain — damage in a *parent*
-/// must not condemn an intact child (removing the child would not fix
-/// anything; removing the damaged parent is what `--remove-corrupt`
-/// does, via the parent's own row).
-enum EntryHealth {
-    /// Fully valid: header, every record checksum, trailer — and for a
-    /// delta, the whole parent chain.
-    Ok {
-        /// Records served (post-materialization for deltas).
-        records: u64,
-        /// The entry's key metadata.
-        meta: EntryMeta,
-        /// The delta's parent link, `None` for full entries.
-        parent: Option<Fingerprint>,
-    },
-    /// The entry's own bytes are damaged; `--remove-corrupt` removes it.
-    Corrupt(transform_store::StoreError),
-    /// A delta whose own bytes are intact but whose parent chain does
-    /// not resolve; kept under `--remove-corrupt`.
-    BrokenChain(transform_store::StoreError),
-}
-
 /// Fully re-validates one sealed entry: header, every record checksum,
-/// and the trailer; delta entries additionally resolve (and thereby
-/// validate) their parent chain.
-fn validate_entry(store: &Store, fp: Fingerprint) -> EntryHealth {
-    let bytes = match store.entry_bytes(fp) {
-        Ok(Some(bytes)) => bytes,
-        Ok(None) => {
-            return EntryHealth::Corrupt(transform_store::StoreError::Corrupt(
-                "entry vanished mid-scan".into(),
-            ))
-        }
-        Err(e) => return EntryHealth::Corrupt(e),
-    };
-    let parent = if is_delta(&bytes) {
-        match validate_delta(&bytes, Some(fp)) {
-            Ok(header) => Some(header.parent),
-            Err(e) => return EntryHealth::Corrupt(e),
-        }
-    } else {
-        None
-    };
-    let read_through = || -> Result<(u64, EntryMeta), transform_store::StoreError> {
-        let mut reader = store.open_suite(fp)?;
-        let meta = reader.meta().clone();
-        let mut records = 0u64;
-        for record in reader.by_ref() {
-            record?;
-            records += 1;
-        }
-        Ok((records, meta))
-    };
-    match read_through() {
-        Ok((records, meta)) => EntryHealth::Ok {
-            records,
-            meta,
-            parent,
-        },
-        Err(e) if parent.is_some() => EntryHealth::BrokenChain(e),
-        Err(e) => EntryHealth::Corrupt(e),
+/// and the trailer.
+fn validate_entry(
+    store: &Store,
+    fp: Fingerprint,
+) -> Result<(u64, EntryMeta), transform_store::StoreError> {
+    let mut reader = store.open_suite(fp)?;
+    let meta = reader.meta().clone();
+    let mut records = 0u64;
+    for record in reader.by_ref() {
+        record?;
+        records += 1;
     }
+    Ok((records, meta))
 }
 
 fn cmd_store_verify(mut opts: Opts) -> Result<String, String> {
@@ -1757,32 +1533,15 @@ fn cmd_store_verify(mut opts: Opts) -> Result<String, String> {
     let entries = store.entries().map_err(|e| format!("cache `{dir}`: {e}"))?;
     let mut out = String::new();
     let mut corrupt = Vec::new();
-    let mut broken_chains = 0usize;
     for &fp in &entries {
         match validate_entry(&store, fp) {
-            EntryHealth::Ok {
-                records,
-                meta,
-                parent,
-            } => out.push_str(&format!(
-                "{fp} ok       {records:>6} records  {}@{} ({}){}\n",
-                meta.axiom,
-                meta.bound,
-                meta.backend,
-                match parent {
-                    Some(parent) => format!("  delta of {parent}"),
-                    None => String::new(),
-                }
+            Ok((records, meta)) => out.push_str(&format!(
+                "{fp} ok       {records:>6} records  {}@{} ({})\n",
+                meta.axiom, meta.bound, meta.backend
             )),
-            EntryHealth::Corrupt(e) => {
+            Err(e) => {
                 out.push_str(&format!("{fp} CORRUPT  {e}\n"));
                 corrupt.push(fp);
-            }
-            EntryHealth::BrokenChain(e) => {
-                broken_chains += 1;
-                out.push_str(&format!(
-                    "{fp} BROKEN CHAIN  {e} (delta intact; fix or remove its parent)\n"
-                ));
             }
         }
     }
@@ -1822,17 +1581,9 @@ fn cmd_store_verify(mut opts: Opts) -> Result<String, String> {
         store.rebuild_index().ok();
     }
     out.push_str(&format!(
-        "{} ok, {} corrupt{} of {} sealed entr{}{}\n",
-        entries.len() - corrupt.len() - broken_chains,
+        "{} ok, {} corrupt of {} sealed entr{}{}\n",
+        entries.len() - corrupt.len(),
         corrupt.len(),
-        if broken_chains > 0 {
-            format!(
-                ", {broken_chains} broken chain{}",
-                if broken_chains == 1 { "" } else { "s" }
-            )
-        } else {
-            String::new()
-        },
         entries.len(),
         if entries.len() == 1 { "y" } else { "ies" },
         if remove && !corrupt.is_empty() {
@@ -1872,22 +1623,7 @@ fn cmd_store_gc(mut opts: Opts) -> Result<String, String> {
     let mut out = String::new();
     let mut removed = 0usize;
     let mut kept = 0usize;
-    let entries = store.entries().map_err(|e| format!("cache `{dir}`: {e}"))?;
-    // A delta entry is useless without its parent chain, so the keep
-    // decision is made in two passes: first each entry on its own
-    // (keep-list / age), then a closure over parent links — any entry a
-    // surviving delta (transitively) references is pinned too, whatever
-    // its age or list status.
-    let mut parent_of: BTreeMap<Fingerprint, Fingerprint> = BTreeMap::new();
-    for &fp in &entries {
-        if let Ok(Some(bytes)) = store.entry_bytes(fp) {
-            if let Some(parent) = transform_store::entry_parent(&bytes) {
-                parent_of.insert(fp, parent);
-            }
-        }
-    }
-    let mut keep_set: BTreeSet<Fingerprint> = BTreeSet::new();
-    for &fp in &entries {
+    for fp in store.entries().map_err(|e| format!("cache `{dir}`: {e}"))? {
         let protected = keep.as_ref().is_some_and(|k| k.contains(&fp));
         // Aged out: older than the mtime cutoff when one is given;
         // otherwise (keep-list alone) any unlisted entry goes.
@@ -1902,20 +1638,6 @@ fn cmd_store_gc(mut opts: Opts) -> Result<String, String> {
             None => keep.is_some(),
         };
         if protected || !aged {
-            keep_set.insert(fp);
-        }
-    }
-    let mut frontier: Vec<Fingerprint> = keep_set.iter().copied().collect();
-    while let Some(fp) = frontier.pop() {
-        if let Some(&parent) = parent_of.get(&fp) {
-            if keep_set.insert(parent) {
-                out.push_str(&format!("pinned {parent} (parent of kept delta {fp})\n"));
-                frontier.push(parent);
-            }
-        }
-    }
-    for &fp in &entries {
-        if keep_set.contains(&fp) {
             kept += 1;
             continue;
         }
@@ -1929,19 +1651,17 @@ fn cmd_store_gc(mut opts: Opts) -> Result<String, String> {
             out.push_str(&format!("removed {fp}\n"));
         }
     }
-    // Admission digests whose entry is already gone are pure leftovers.
-    let mut digests_swept = 0usize;
-    for fp in store
-        .orphan_digests()
-        .map_err(|e| format!("cache `{dir}`: {e}"))?
-    {
-        digests_swept += 1;
+    // Admission digests (`*.tfd`) older builds wrote beside their
+    // entries: nothing reads them, so every one is a leftover.
+    let legacy = store
+        .legacy_digests()
+        .map_err(|e| format!("cache `{dir}`: {e}"))?;
+    for path in &legacy {
         if dry {
-            out.push_str(&format!("would sweep orphan digest {fp}\n"));
+            out.push_str(&format!("would sweep legacy digest {}\n", path.display()));
         } else {
-            store
-                .remove(fp)
-                .map_err(|e| format!("cannot sweep digest {fp}: {e}"))?;
+            std::fs::remove_file(path)
+                .map_err(|e| format!("cannot sweep {}: {e}", path.display()))?;
         }
     }
     // Run journals age out by the same mtime cutoff (the keep-list
@@ -1983,15 +1703,15 @@ fn cmd_store_gc(mut opts: Opts) -> Result<String, String> {
         store.rebuild_index().ok();
     }
     out.push_str(&format!(
-        "{}{} entr{} removed, {} kept, {} tmp dir{} swept, {} orphan digest{} swept, {} run journal{} removed\n",
+        "{}{} entr{} removed, {} kept, {} tmp dir{} swept, {} legacy digest{} swept, {} run journal{} removed\n",
         if dry { "[dry-run] " } else { "" },
         removed,
         if removed == 1 { "y" } else { "ies" },
         kept,
         tmp,
         if tmp == 1 { "" } else { "s" },
-        digests_swept,
-        if digests_swept == 1 { "" } else { "s" },
+        legacy.len(),
+        if legacy.len() == 1 { "" } else { "s" },
         runs_removed,
         if runs_removed == 1 { "" } else { "s" },
     ));
@@ -2025,6 +1745,9 @@ fn cmd_simulate(mut opts: Opts) -> Result<String, String> {
     opts.finish()?;
     let src = read_source(&file)?;
     let (name, x) = parse_elt(&src).map_err(|e| format!("{file}: {e}"))?;
+    // The simulator assumes a well-formed ELT: reject malformed input
+    // with `check`'s error instead of running it.
+    x.analyze().map_err(|e| malformed_elt(&name, e))?;
     let prog = SimProgram::from_execution(&x);
     let exploration = explore(&prog, &cfg);
     let conf = check_conformance(&prog, &mtm, &cfg);
@@ -2530,6 +2253,9 @@ mod tests {
         .expect("seeds sc_per_loc");
         // A leftover shard directory from a crashed run.
         std::fs::create_dir_all(cache.join("tmp-deadbeef-1-0")).expect("mkdir");
+        // An admission digest an older build wrote beside its entry.
+        let legacy = cache.join("0123456789abcdef0123456789abcdef.tfd");
+        std::fs::write(&legacy, b"TFDIGST\0").expect("plants a legacy digest");
 
         // Dry run: nothing is touched.
         let dry = run_str(&format!(
@@ -2537,11 +2263,15 @@ mod tests {
         ))
         .expect("dry-runs");
         assert!(dry.contains("would remove"), "{dry}");
+        assert!(dry.contains("would sweep legacy digest"), "{dry}");
         assert!(
-            dry.contains("[dry-run] 2 entries removed, 0 kept, 1 tmp dir swept"),
+            dry.contains(
+                "[dry-run] 2 entries removed, 0 kept, 1 tmp dir swept, 1 legacy digest swept"
+            ),
             "{dry}"
         );
         assert!(cache.join("tmp-deadbeef-1-0").exists());
+        assert!(legacy.exists());
 
         // Keep-list protects one fingerprint; everything else ages out.
         let store = Store::open(&cache).expect("opens");
@@ -2555,12 +2285,13 @@ mod tests {
         .expect("gcs");
         assert!(
             out.contains(
-                "1 entry removed, 1 kept, 1 tmp dir swept, 0 orphan digests swept, \
+                "1 entry removed, 1 kept, 1 tmp dir swept, 1 legacy digest swept, \
                  2 run journals removed"
             ),
             "{out}"
         );
         assert!(!cache.join("tmp-deadbeef-1-0").exists());
+        assert!(!legacy.exists(), "gc sweeps every legacy digest");
         assert!(store.run_ids().expect("listable").is_empty());
         assert_eq!(store.entries().expect("listable"), vec![protected]);
         // The index was rebuilt to match.
@@ -2805,8 +2536,8 @@ mod tests {
     /// The tentpole's end-to-end acceptance: one `synthesize --workers`
     /// invocation drives a loopback coordinator plus two `transform
     /// worker` loops, and the fleet-sealed suites print identically to
-    /// a single-machine run — then replicate digest-aware over `store
-    /// push`/`store pull` so a pulled parent could seed a warm start.
+    /// a single-machine run — then replicate byte-identically over
+    /// `store pull`/`store push`.
     #[test]
     fn fleet_workers_and_client_reproduce_the_local_run() {
         use transform_serve::{ServeOptions, Server};
@@ -2876,33 +2607,41 @@ mod tests {
         .expect("warm local run");
         assert_eq!(split(&warm).0, split(&local_run).0);
 
-        // Digest-aware replication: the fleet merge wrote admission
-        // digests into the coordinator store; `store pull` fetches them
-        // alongside the entries, and `store push` sends them on.
+        // Replication: `store pull` fetches the fleet-sealed entries
+        // from the coordinator store, and `store push` sends them on.
         let server = Server::bind(&origin, "127.0.0.1:0", ServeOptions::default()).expect("binds");
         let url = format!("http://{}", server.local_addr());
         let handle = server.spawn();
         let mirror = dir.join("mirror");
-        let out =
-            run_str(&format!("store pull --cache {} --url {url}", mirror.display())).expect("pulls");
-        assert!(out.contains("pulled digest for"), "{out}");
+        let out = run_str(&format!(
+            "store pull --cache {} --url {url}",
+            mirror.display()
+        ))
+        .expect("pulls");
+        assert!(out.contains("pulled from"), "{out}");
+        assert!(out.contains(", 0 already present"), "{out}");
         handle.shutdown();
 
         let second = dir.join("second");
         let server = Server::bind(&second, "127.0.0.1:0", ServeOptions::default()).expect("binds");
         let url = format!("http://{}", server.local_addr());
         let handle = server.spawn();
-        let out =
-            run_str(&format!("store push --cache {} --url {url}", mirror.display())).expect("pushes");
-        assert!(out.contains("pushed digest for"), "{out}");
+        let out = run_str(&format!(
+            "store push --cache {} --url {url}",
+            mirror.display()
+        ))
+        .expect("pushes");
+        assert!(out.contains("pushed to"), "{out}");
+        assert!(out.contains(", 0 already present"), "{out}");
         handle.shutdown();
-        // The digests arrived byte-identical at the second coordinator.
+        // The entries arrived byte-identical at the second coordinator.
         let a = Store::open(&origin).expect("opens");
         let b = Store::open(&second).expect("opens");
+        assert_eq!(a.entries().expect("lists"), b.entries().expect("lists"));
         for fp in a.entries().expect("lists") {
             assert_eq!(
-                a.digest_bytes(fp).expect("readable"),
-                b.digest_bytes(fp).expect("readable"),
+                a.entry_bytes(fp).expect("readable"),
+                b.entry_bytes(fp).expect("readable"),
                 "{fp}"
             );
         }
@@ -2920,12 +2659,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.contains("mutually exclusive"), "{e}");
-        let e = run_str(
-            "synthesize --axiom invlpg --bound 4 --cache x --warm-start \
-             --workers http://127.0.0.1:1",
-        )
-        .unwrap_err();
-        assert!(e.contains("--warm-start"), "{e}");
         // A draining worker against a dead coordinator reports it.
         let e = run_str("worker --url http://127.0.0.1:1 --drain").unwrap_err();
         assert!(e.contains("coordinator"), "{e}");
@@ -3294,163 +3027,29 @@ mod tests {
         assert!(out.contains("outcomes"), "{out}");
     }
 
+    /// ELTs that parse but are not well-formed executions: `check`
+    /// rejects them, and `simulate` must report the same one-line error
+    /// instead of panicking inside the simulator.
     #[test]
-    fn warm_start_seals_a_delta_and_prints_the_cold_output() {
-        let dir = temp_dir("warm");
-        let cold_c = dir.join("cold");
-        let warm_c = dir.join("warm");
-        let (cold_c, warm_c) = (cold_c.display(), warm_c.display());
-
-        let cold4 = run_str(&format!(
-            "synthesize --axiom sc_per_loc --bound 4 --cache {cold_c}"
-        ))
-        .expect("cold bound 4");
-        let warm4 = run_str(&format!(
-            "synthesize --axiom sc_per_loc --bound 4 --cache {warm_c}"
-        ))
-        .expect("warm-store bound 4 (cold seed)");
-        // Stdout differs only in the (scheduling-dependent) elapsed time
-        // inside the summary line; the ELT listing must match exactly.
-        let strip = |s: &str| -> String {
-            s.lines()
-                .filter(|l| !l.starts_with("suite `"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip(&cold4), strip(&warm4));
-
-        // --warm-start without a parent fails loudly; =auto runs cold.
-        let err = run_str("synthesize --axiom sc_per_loc --bound 4 --warm-start")
-            .expect_err("warm start without --cache");
-        assert!(err.contains("--cache"), "{err}");
-
-        let cold5 = run_str(&format!(
-            "synthesize --axiom sc_per_loc --bound 5 --cache {cold_c}"
-        ))
-        .expect("cold bound 5");
-        let warm5 = run_str(&format!(
-            "synthesize --axiom sc_per_loc --bound 5 --warm-start --cache {warm_c}"
-        ))
-        .expect("warm bound 5");
-        assert_eq!(strip(&cold5), strip(&warm5));
-
-        // verify labels the sealed result a delta of the bound-4 parent.
-        let verify = run_str(&format!("store verify --cache {warm_c}")).expect("verifies");
-        assert!(verify.contains("delta of"), "{verify}");
-        assert!(!verify.contains("CORRUPT"), "{verify}");
-        let query = run_str(&format!("query --cache {warm_c} --bound 5")).expect("queries");
-        assert!(query.contains("1 delta-encoded"), "{query}");
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn verify_quarantines_exactly_the_damaged_parent() {
-        let dir = temp_dir("quarantine");
-        let cache = dir.join("store");
-        let c = cache.display();
-        run_str(&format!(
-            "synthesize --axiom sc_per_loc --bound 4 --quiet --cache {c}"
-        ))
-        .expect("parent seals");
-        run_str(&format!(
-            "synthesize --axiom sc_per_loc --bound 5 --quiet --warm-start --cache {c}"
-        ))
-        .expect("delta seals");
-
-        let store = Store::open(&cache).expect("opens");
-        let mtm = x86t_elt();
-        // Match the CLI defaults: --fences / --rmw are opt-in flags.
-        let key = |bound: usize| {
-            let mut o = SynthOptions::new(bound);
-            o.enumeration.allow_fences = false;
-            o.enumeration.allow_rmw = false;
-            transform_store::suite_fingerprint(&mtm, "sc_per_loc", &o)
-        };
-        let parent_fp = key(4);
-        let child_fp = key(5);
-        let parent_path = store.entry_path(parent_fp);
-        let mut bytes = std::fs::read(&parent_path).expect("parent bytes");
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(&parent_path, &bytes).expect("plant damage");
-
-        // The damaged parent is CORRUPT; the intact child is a BROKEN
-        // CHAIN and must survive --remove-corrupt.
-        let out = run_str(&format!("store verify --cache {c} --remove-corrupt")).expect("verifies");
-        assert!(out.contains(&format!("{parent_fp} CORRUPT")), "{out}");
-        assert!(out.contains(&format!("{child_fp} BROKEN CHAIN")), "{out}");
-        assert!(out.contains("1 corrupt, 1 broken chain"), "{out}");
-        assert!(!store.contains(parent_fp), "parent quarantined");
-        assert!(store.contains(child_fp), "child retained");
-
-        // The next cached read of the child rebuilds it (cold, full).
-        let rebuilt = run_str(&format!(
-            "synthesize --axiom sc_per_loc --bound 5 --quiet --cache {c}"
-        ))
-        .expect("rebuilds");
-        assert!(
-            rebuilt.contains("suite `sc_per_loc` @ bound 5"),
-            "{rebuilt}"
-        );
-        assert_eq!(
-            store.entry_is_delta(child_fp).expect("readable"),
-            Some(false)
-        );
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn gc_keep_list_pins_a_delta_entrys_parent_chain() {
-        let dir = temp_dir("gc-chain");
-        let cache = dir.join("store");
-        let c = cache.display();
-        run_str(&format!(
-            "synthesize --axiom sc_per_loc --bound 4 --quiet --cache {c}"
-        ))
-        .expect("parent seals");
-        run_str(&format!(
-            "synthesize --axiom sc_per_loc --bound 5 --quiet --warm-start --cache {c}"
-        ))
-        .expect("delta seals");
-
-        let store = Store::open(&cache).expect("opens");
-        let mtm = x86t_elt();
-        // Match the CLI defaults: --fences / --rmw are opt-in flags.
-        let key = |bound: usize| {
-            let mut o = SynthOptions::new(bound);
-            o.enumeration.allow_fences = false;
-            o.enumeration.allow_rmw = false;
-            transform_store::suite_fingerprint(&mtm, "sc_per_loc", &o)
-        };
-        let parent_fp = key(4);
-        let child_fp = key(5);
-
-        // The keep-list names ONLY the delta child; its parent must be
-        // pinned anyway or the kept chain would break.
-        let keep = dir.join("keep.txt");
-        std::fs::write(&keep, format!("{child_fp}\n")).expect("writable");
-        let out = run_str(&format!(
-            "store gc --cache {c} --keep-list {}",
-            keep.display()
-        ))
-        .expect("gcs");
-        assert!(
-            out.contains(&format!(
-                "pinned {parent_fp} (parent of kept delta {child_fp})"
-            )),
-            "{out}"
-        );
-        assert!(store.contains(parent_fp), "parent pinned through the chain");
-        assert!(store.contains(child_fp));
-        // The kept chain still serves.
-        let served = run_str(&format!(
-            "synthesize --axiom sc_per_loc --bound 5 --quiet --cache {c}"
-        ))
-        .expect("serves");
-        assert!(served.contains("suite `sc_per_loc` @ bound 5"), "{served}");
-
+    fn malformed_elts_are_rejected_by_check_and_simulate() {
+        let dir = temp_dir("malformed");
+        for (i, src) in [
+            "elt \"e0\" {\n  thread C0 {\n    WPTE x -> b\n    R x walk\n  }\n}\n",
+            "elt \"e1\" {\n  thread C0 {\n    WPTE x -> b\n    INVLPG x\n  }\n}\n",
+            "elt \"e0\" {\n  thread C0 {\n    W x -> b\n    R x walk\n    INVLPG x\n  }\n  \
+             remap C0:0 -> C0:2\n}\n",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let path = dir.join(format!("bad{i}.elt"));
+            std::fs::write(&path, src).expect("write");
+            let p = path.display();
+            let check = run_str(&format!("check {p}")).expect_err("check rejects it");
+            assert!(check.contains("is not a well-formed ELT"), "{check}");
+            let simulate = run_str(&format!("simulate {p}")).expect_err("simulate rejects it");
+            assert_eq!(simulate, check, "simulate reports check's error");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

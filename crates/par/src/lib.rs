@@ -95,7 +95,7 @@ use transform_synth::{
 pub use progress::{
     AxiomSnapshot, AxiomState, JournalEvent, JournalEventKind, ProgressSnapshot, ProgressState,
 };
-pub use stream::{RunArtifacts, StreamMetrics, WarmParent, WarmSeed};
+pub use stream::StreamMetrics;
 
 /// Shards per worker: enough granularity for stealing to balance uneven
 /// shards without shrinking them into solver-reuse-defeating slivers.
@@ -121,16 +121,6 @@ pub fn space_for(opts: &SynthOptions, jobs: usize) -> EnumSpace {
         Balance::Mass => EnumSpace::balanced_for_target(&opts.enumeration, target),
         Balance::Depth => EnumSpace::with_target_partitions(&opts.enumeration, target),
     }
-}
-
-/// The exact enumeration-node count of the space `opts` describes.
-/// Node counts are partition-invariant (any `--jobs` or balance mode
-/// yields the same figure), so this is the cross-check a warm-start
-/// caller runs against a persisted admission digest before trusting
-/// it: a digest with any other node count belongs to different
-/// enumeration options and must not seed a warm run.
-pub fn enumeration_nodes(opts: &SynthOptions) -> u64 {
-    space_for(opts, 1).total_mass()
 }
 
 /// Parallel plan construction over the prefix-partitioned enumeration:
@@ -495,39 +485,7 @@ pub fn synthesize_axioms_streamed_metrics(
     jobs: usize,
     sinks: &[&dyn SuiteSink],
 ) -> (Vec<SuiteStats>, StreamMetrics) {
-    let (stats, metrics, _) = stream::run_fused(mtm, axioms, opts, jobs, sinks, None, None);
-    (stats, metrics)
-}
-
-/// Like [`synthesize_axioms_streamed_metrics`] with the incremental
-/// cross-bound machinery exposed: an optional [`WarmSeed`] derived from
-/// a sealed bound-N−1 run warm-starts the pipeline (covered enumeration
-/// nodes replay the parent's admission digest instead of
-/// re-enumerating, fully covered partitions are skipped outright, and
-/// each parent suite is spliced back in as one synthetic shard), and
-/// the returned [`RunArtifacts`] carry this run's own digest — the seed
-/// of the *next* bound — plus, on warm runs, the parent-record index
-/// maps a delta store entry encodes. Warm output is byte-identical to
-/// the cold run's records and semantic totals at every worker count;
-/// only the scheduling-dependent shard breakdown (and `elapsed`)
-/// differs. `progress` is optional, exactly as in the `_observed`
-/// variant.
-///
-/// # Panics
-///
-/// Panics when any axiom is not part of `mtm`, `axioms` and `sinks`
-/// disagree in length, a warm seed's parent count disagrees with
-/// `axioms`, or `progress` is given but does not track every axiom.
-pub fn synthesize_axioms_streamed_incremental(
-    mtm: &Mtm,
-    axioms: &[&str],
-    opts: &SynthOptions,
-    jobs: usize,
-    sinks: &[&dyn SuiteSink],
-    progress: Option<&std::sync::Arc<ProgressState>>,
-    warm: Option<&WarmSeed>,
-) -> (Vec<SuiteStats>, StreamMetrics, RunArtifacts) {
-    stream::run_fused(mtm, axioms, opts, jobs, sinks, progress, warm)
+    stream::run_fused(mtm, axioms, opts, jobs, sinks, None)
 }
 
 /// The fleet's per-worker entry: a fused run restricted to the
@@ -536,15 +494,14 @@ pub fn synthesize_axioms_streamed_incremental(
 /// plan_jobs)`). The whole prefix `[0, range.1)` is enumerated and
 /// admitted — dedup state and plan indices stay global — but only items
 /// admitted inside the range are examined and delivered to the sinks,
-/// so ranges that tile `[0, partition_count)` yield records and
-/// semantic counters whose ordinal-ordered concatenation is exactly the
-/// single-machine fused run, at any worker count.
+/// and [`SuiteStats::programs`] counts only the programs admitted inside
+/// the range. Ranges that tile `[0, partition_count)` therefore yield
+/// records and counters whose ordinal-ordered concatenation (or sum) is
+/// exactly the single-machine fused run, at any worker count.
 ///
 /// `jobs` is this worker's local thread count and never affects the
 /// output; `plan_jobs` (fixed by the coordinator for the whole fleet)
-/// alone determines the partition shape. Range runs are always cold —
-/// fleet jobs carry no warm seed. The returned [`RunArtifacts`] hold
-/// this run's admission digest over `[0, range.1)` enumeration nodes.
+/// alone determines the partition shape.
 ///
 /// # Panics
 ///
@@ -559,18 +516,8 @@ pub fn synthesize_axioms_fused_range(
     jobs: usize,
     range: (usize, usize),
     sinks: &[&dyn SuiteSink],
-) -> (Vec<SuiteStats>, StreamMetrics, RunArtifacts) {
-    stream::run_fused_range(
-        mtm,
-        axioms,
-        opts,
-        plan_jobs,
-        jobs,
-        sinks,
-        None,
-        None,
-        Some(range),
-    )
+) -> (Vec<SuiteStats>, StreamMetrics) {
+    stream::run_fused_range(mtm, axioms, opts, plan_jobs, jobs, sinks, None, Some(range))
 }
 
 /// Like [`synthesize_axioms_streamed_metrics`], publishing live
@@ -591,9 +538,7 @@ pub fn synthesize_axioms_streamed_observed(
     sinks: &[&dyn SuiteSink],
     progress: &std::sync::Arc<ProgressState>,
 ) -> (Vec<SuiteStats>, StreamMetrics) {
-    let (stats, metrics, _) =
-        stream::run_fused(mtm, axioms, opts, jobs, sinks, Some(progress), None);
-    (stats, metrics)
+    stream::run_fused(mtm, axioms, opts, jobs, sinks, Some(progress))
 }
 
 /// The pre-streaming two-phase reference: the full plan is materialized

@@ -115,14 +115,6 @@ pub enum JournalEventKind {
     Seal,
     /// A sealed suite for `axiom` was pushed to a remote tier.
     Push,
-    /// The run warm-started from a cached smaller-bound suite: `a` =
-    /// covered recursion nodes (skipped, spliced from the parent), `b`
-    /// = parent plan items inherited, `c` = the parent bound.
-    WarmStart,
-    /// A partition every one of whose nodes the parent bound covers was
-    /// skipped without enumerating: `a` = its ordinal, `b` = its
-    /// covered node count.
-    WarmSkip,
     /// A fleet coordinator granted a partition-range lease: `a` = the
     /// job id, `b` = the packed range (`lo << 32 | hi`), `c` = the
     /// lease id.
@@ -140,7 +132,7 @@ pub enum JournalEventKind {
 
 impl JournalEventKind {
     /// The wire byte of the kind (stable across releases — the journal
-    /// codec persists it).
+    /// codec persists it). Bytes 10 and 11 are retired and unassigned.
     pub fn as_u8(self) -> u8 {
         match self {
             JournalEventKind::RunStart => 0,
@@ -153,8 +145,6 @@ impl JournalEventKind {
             JournalEventKind::RunEnd => 7,
             JournalEventKind::Seal => 8,
             JournalEventKind::Push => 9,
-            JournalEventKind::WarmStart => 10,
-            JournalEventKind::WarmSkip => 11,
             JournalEventKind::LeaseGranted => 12,
             JournalEventKind::LeaseExpired => 13,
             JournalEventKind::ShardUploaded => 14,
@@ -175,8 +165,6 @@ impl JournalEventKind {
             7 => JournalEventKind::RunEnd,
             8 => JournalEventKind::Seal,
             9 => JournalEventKind::Push,
-            10 => JournalEventKind::WarmStart,
-            11 => JournalEventKind::WarmSkip,
             12 => JournalEventKind::LeaseGranted,
             13 => JournalEventKind::LeaseExpired,
             14 => JournalEventKind::ShardUploaded,
@@ -198,8 +186,6 @@ impl JournalEventKind {
             JournalEventKind::RunEnd => "run_end",
             JournalEventKind::Seal => "seal",
             JournalEventKind::Push => "push",
-            JournalEventKind::WarmStart => "warm_start",
-            JournalEventKind::WarmSkip => "warm_skip",
             JournalEventKind::LeaseGranted => "lease_granted",
             JournalEventKind::LeaseExpired => "lease_expired",
             JournalEventKind::ShardUploaded => "shard_uploaded",
@@ -609,8 +595,6 @@ mod tests {
             JournalEventKind::RunEnd,
             JournalEventKind::Seal,
             JournalEventKind::Push,
-            JournalEventKind::WarmStart,
-            JournalEventKind::WarmSkip,
             JournalEventKind::LeaseGranted,
             JournalEventKind::LeaseExpired,
             JournalEventKind::ShardUploaded,
@@ -619,7 +603,10 @@ mod tests {
             assert_eq!(JournalEventKind::from_u8(kind.as_u8()), Some(kind));
             assert!(!kind.name().is_empty());
         }
-        assert_eq!(JournalEventKind::from_u8(250), None);
+        // 10 and 11 stay unassigned: no kind may reuse their bytes.
+        for retired in [10, 11, 250] {
+            assert_eq!(JournalEventKind::from_u8(retired), None);
+        }
     }
 
     #[test]

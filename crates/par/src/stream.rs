@@ -61,7 +61,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use transform_core::axiom::Mtm;
-use transform_synth::programs::{EnumSpace, KeyedProgram, NodeSpan, NodeStream};
+use transform_synth::programs::{EnumSpace, KeyedProgram};
 use transform_synth::{
     branches_co_pa, Examiner, ShardStats, SuiteRecord, SuiteStats, SynthOptions, SynthesizedElt,
     WorkItem,
@@ -124,60 +124,6 @@ impl StreamMetrics {
     }
 }
 
-/// One axiom's share of a warm-start seed: the parent suite's records
-/// (plan indices in the *parent* run's numbering, strictly increasing)
-/// and its aggregate counters, which the warm run splices in as one
-/// synthetic shard instead of re-examining the parent's plan items.
-#[derive(Clone, Debug)]
-pub struct WarmParent {
-    /// The parent suite's records, sorted by plan index (the order
-    /// [`crate::SuiteSink::shard_done`] consumers merge by).
-    pub records: Vec<SuiteRecord>,
-    /// The parent run's plan-item total (sum of its shards' `items`).
-    pub items: usize,
-    /// The parent run's execution total.
-    pub executions: usize,
-    /// The parent run's forbidden-execution total.
-    pub forbidden: usize,
-    /// The parent run's minimality-pass total.
-    pub minimal: usize,
-}
-
-/// A warm-start seed derived from a sealed bound-`parent_bound` run:
-/// the per-node admission digest plus each axiom's parent suite. The
-/// warm run skips every enumeration node the parent bound covers,
-/// replays only the digest (never the parent's programs or keys — the
-/// enumeration order makes covered-node keys disjoint from new ones),
-/// and splices each parent suite back in with its plan indices rebased
-/// into the child numbering.
-#[derive(Clone, Debug)]
-pub struct WarmSeed {
-    /// The bound the parent run was synthesized at.
-    pub parent_bound: usize,
-    /// Per covered node, in enumeration (admission) order: the programs
-    /// the parent admitted there and the plan items it created there —
-    /// [`RunArtifacts::node_counts`] of the parent run.
-    pub node_counts: Vec<(u64, u64)>,
-    /// One entry per run axiom, in run-axiom order.
-    pub parents: Vec<WarmParent>,
-}
-
-/// Byproducts of a streamed run that feed the *next* bound's warm
-/// start, alongside the [`SuiteStats`] the run returns.
-#[derive(Clone, Debug, Default)]
-pub struct RunArtifacts {
-    /// Per enumeration node, in admission order: (programs admitted,
-    /// plan items created). This is the digest a bound-N+1 warm start
-    /// consumes as [`WarmSeed::node_counts`]. Complete only when the
-    /// run was not cut (`timed_out` on every stat is false); a cut run
-    /// yields the admitted prefix.
-    pub node_counts: Vec<(u64, u64)>,
-    /// Warm runs only (`None` on cold runs): per axiom, the child plan
-    /// index assigned to each parent record, in parent-record order —
-    /// exactly the parent-map a delta store entry encodes.
-    pub parent_maps: Option<Vec<Vec<u64>>>,
-}
-
 /// The deterministic dedup frontier: admits partitions in enumeration
 /// order, keeping the first occurrence of each canonical key — exactly
 /// the scan [`transform_synth::plan_from_keyed`] runs over the eager
@@ -205,20 +151,6 @@ impl Admitter {
     /// they contribute (write-bearing first occurrences).
     pub fn admit(&mut self, keyed: Vec<KeyedProgram>) -> Vec<WorkItem> {
         let mut items = Vec::new();
-        self.admit_node(keyed.into_iter(), &mut items);
-        items
-    }
-
-    /// Admits one enumeration node's programs into `items`, returning
-    /// this node's (programs admitted, plan items created) — one entry
-    /// of the warm-start digest.
-    fn admit_node(
-        &mut self,
-        keyed: impl Iterator<Item = KeyedProgram>,
-        items: &mut Vec<WorkItem>,
-    ) -> (u64, u64) {
-        let programs_before = self.programs;
-        let items_before = items.len();
         for kp in keyed {
             if self.symmetry {
                 // Enumeration-level symmetry reduction across partitions:
@@ -252,10 +184,7 @@ impl Admitter {
                 self.next_index += 1;
             }
         }
-        (
-            (self.programs - programs_before) as u64,
-            (items.len() - items_before) as u64,
-        )
+        items
     }
 }
 
@@ -371,7 +300,7 @@ struct State {
     enumerating: usize,
     /// Enumerated partitions waiting for the frontier (`None` = cut by
     /// the deadline).
-    resolved: BTreeMap<usize, Option<NodeStream>>,
+    resolved: BTreeMap<usize, Option<Vec<KeyedProgram>>>,
     /// Next ordinal the admitter must process.
     frontier: usize,
     /// First partition the deadline cut, if any.
@@ -380,6 +309,10 @@ struct State {
     /// drain everything and let workers exit.
     expired: bool,
     admitter: Admitter,
+    /// The admitter's program count when the frontier reached the
+    /// examine range's start: the programs admitted below the range,
+    /// which a range run does not report as its own.
+    programs_below_range: usize,
     exam: VecDeque<Batch>,
     /// Next chunk ordinal — the per-axiom shard id.
     next_shard: usize,
@@ -398,47 +331,14 @@ struct State {
     /// Estimated subtree mass of the partitions admitted so far.
     mass_retired: u64,
     tuner: Tuner,
-    /// Per enumeration node, in admission order: (programs, plan items)
-    /// — the digest the next bound's warm start consumes.
-    node_counts: Vec<(u64, u64)>,
-    /// Warm runs: covered nodes admitted so far (cursor into
-    /// [`WarmCtx::counts`]).
-    warm_cursor: usize,
-    /// Warm runs: per-axiom cursor into the parent's records.
-    parent_cursors: Vec<usize>,
-    /// Warm runs: per-axiom parent records rebased to child plan
-    /// indices, accumulated until the synthetic-shard flush.
-    parent_out: Vec<Vec<SuiteRecord>>,
-    /// Warm runs: per-axiom child plan index of each parent record, in
-    /// parent order — returned as [`RunArtifacts::parent_maps`].
-    parent_maps: Vec<Vec<u64>>,
-    /// Warm runs: the synthetic parent shard was handed to a worker.
-    warm_flushed: bool,
-}
-
-/// Read-only warm-start context of one pipeline (derived from the
-/// [`WarmSeed`] at construction).
-struct WarmCtx {
-    parent_bound: usize,
-    /// Per covered node, in admission order: (programs, plan items).
-    counts: Vec<(u64, u64)>,
-    /// Prefix sums of the planned-item counts: `planned[j]` = parent
-    /// plan items created strictly before covered node `j`. Length
-    /// `counts.len() + 1`; the last entry is the parent's plan total.
-    planned: Vec<u64>,
-    /// Per run axiom, the parent suite to splice back in.
-    parents: Vec<WarmParent>,
-}
-
-/// The parent-suite splice of a warm run, delivered by the worker that
-/// admits the last covered node: one synthetic shard (id 0) per axiom
-/// carrying the parent's aggregate counters and its rebased records.
-struct WarmFlush {
-    /// In run-axiom order.
-    per_axiom: Vec<(ShardStats, Vec<SuiteRecord>)>,
 }
 
 impl State {
+    /// The admitted programs inside the examine range.
+    fn programs_in_range(&self) -> usize {
+        self.admitter.programs - self.programs_below_range
+    }
+
     /// No further batches will ever be created: every partition was
     /// admitted and none is still being enumerated.
     fn enum_settled(&self, partition_count: usize) -> bool {
@@ -494,18 +394,11 @@ struct Pipeline<'s> {
     /// per-range records concatenate into the byte-identical
     /// whole-space suite.
     range: (usize, usize),
-    /// Warm-start context, `None` on cold runs.
-    warm: Option<WarmCtx>,
-    /// Warm runs: per-partition covered-node count (empty when cold) —
-    /// a partition whose covered count equals its mass is skipped
-    /// without enumerating.
-    covered: Vec<u64>,
     state: Mutex<State>,
     cv: Condvar,
 }
 
 impl<'s> Pipeline<'s> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         space: &'s EnumSpace,
         axiom_names: &[&str],
@@ -513,7 +406,6 @@ impl<'s> Pipeline<'s> {
         deadline: Option<Instant>,
         jobs: usize,
         fixed_batch: Option<usize>,
-        warm: Option<&WarmSeed>,
         range: Option<(usize, usize)>,
     ) -> Self {
         let range = range.unwrap_or((0, space.partition_count()));
@@ -522,35 +414,7 @@ impl<'s> Pipeline<'s> {
             "examine range {range:?} must lie within the {}-partition space",
             space.partition_count()
         );
-        assert!(
-            warm.is_none() || range == (0, space.partition_count()),
-            "range-restricted runs are always cold (fleet jobs carry no warm seed)"
-        );
         let axioms = axiom_names.len();
-        // A seed with no covered nodes warms nothing: run cold.
-        let warm = warm.filter(|w| !w.node_counts.is_empty());
-        let warm_ctx = warm.map(|w| {
-            assert_eq!(
-                w.parents.len(),
-                axioms,
-                "one warm parent suite per run axiom"
-            );
-            let mut planned = Vec::with_capacity(w.node_counts.len() + 1);
-            planned.push(0u64);
-            for &(_, items) in &w.node_counts {
-                planned.push(planned.last().expect("non-empty") + items);
-            }
-            WarmCtx {
-                parent_bound: w.parent_bound,
-                counts: w.node_counts.clone(),
-                planned,
-                parents: w.parents.clone(),
-            }
-        });
-        let covered = match &warm_ctx {
-            Some(ctx) => space.covered_masses(ctx.parent_bound),
-            None => Vec::new(),
-        };
         let progress = match progress {
             Some(p) => Arc::clone(p),
             None => Arc::new(ProgressState::new(axiom_names)),
@@ -578,7 +442,6 @@ impl<'s> Pipeline<'s> {
         for &slot in &slots {
             progress.set_axiom_state(slot, AxiomState::Running);
         }
-        let is_warm = warm_ctx.is_some();
         Pipeline {
             space,
             axioms,
@@ -588,8 +451,6 @@ impl<'s> Pipeline<'s> {
             deadline,
             window: (2 * jobs).max(2),
             range,
-            warm: warm_ctx,
-            covered,
             state: Mutex::new(State {
                 next_enum: 0,
                 enumerating: 0,
@@ -598,18 +459,11 @@ impl<'s> Pipeline<'s> {
                 cut_at: None,
                 expired: false,
                 admitter: Admitter::new(space.options().symmetry_reduction),
+                programs_below_range: 0,
                 exam: VecDeque::new(),
-                // Shard 0 is reserved for the warm splice of the parent
-                // suite; examine shards start at 1 so the merged shard
-                // order puts the parent's records' stats first.
-                next_shard: if is_warm { 1 } else { 0 },
+                next_shard: 0,
                 batches: 0,
-                // Warm runs owe one synthetic flush per axiom: the
-                // pre-incremented slot keeps the axiom incomplete until
-                // the worker that admits the last covered node delivers
-                // the parent shard (and correctly never completes it if
-                // a deadline cut lands first).
-                remaining: vec![usize::from(is_warm); axioms],
+                remaining: vec![0; axioms],
                 axiom_cut: vec![false; axioms],
                 complete: vec![false; axioms],
                 chunk_refs: BTreeMap::new(),
@@ -617,12 +471,6 @@ impl<'s> Pipeline<'s> {
                 peak_live: 0,
                 mass_retired: 0,
                 tuner: Tuner::new(fixed_batch),
-                node_counts: Vec::new(),
-                warm_cursor: 0,
-                parent_cursors: vec![0; axioms],
-                parent_out: vec![Vec::new(); axioms],
-                parent_maps: vec![Vec::new(); axioms],
-                warm_flushed: false,
             }),
             cv: Condvar::new(),
         }
@@ -654,40 +502,14 @@ impl<'s> Pipeline<'s> {
         self.deadline.is_some_and(|d| Instant::now() > d)
     }
 
-    /// Materializes one partition's node stream. Warm runs skip the
-    /// enumeration entirely for partitions every one of whose nodes the
-    /// parent bound covers — the stream is just covered markers, whose
-    /// count the mass table already knows.
-    fn enumerate_partition(&self, ordinal: usize) -> NodeStream {
-        if let Some(warm) = &self.warm {
-            let covered = self.covered[ordinal];
-            if covered > 0 && covered == self.masses[ordinal] {
-                self.progress
-                    .record(JournalEventKind::WarmSkip, None, ordinal as u64, covered, 0);
-                return NodeStream {
-                    nodes: vec![NodeSpan::Covered; covered as usize],
-                    programs: Vec::new(),
-                };
-            }
-            return self.space.enumerate_nodes_within(
-                ordinal,
-                Some(warm.parent_bound),
-                self.deadline,
-            );
-        }
-        self.space
-            .enumerate_nodes_within(ordinal, None, self.deadline)
-    }
-
-    /// The count of admitted (post-symmetry-reduction) programs — final
-    /// once enumeration settles, which is a precondition of any axiom
-    /// completing.
+    /// The count of admitted (post-symmetry-reduction) programs inside
+    /// the examine range — final once enumeration settles, which is a
+    /// precondition of any axiom completing.
     fn programs(&self) -> usize {
         self.state
             .lock()
             .expect("pipeline lock is never poisoned")
-            .admitter
-            .programs
+            .programs_in_range()
     }
 
     /// The next unit of work, examination first (it frees live
@@ -716,25 +538,19 @@ impl<'s> Pipeline<'s> {
         }
     }
 
-    /// One partition's outcome: its node stream, or `None` when its
-    /// worker saw the deadline expired before enumerating it. Returns
-    /// the axioms this settles (an empty plan completes every axiom the
-    /// moment the last partition is admitted) and, on the warm run's
-    /// last covered node, the parent-suite splice the caller must
-    /// deliver as each axiom's synthetic shard 0.
-    fn resolve(
-        &self,
-        ordinal: usize,
-        outcome: Option<NodeStream>,
-    ) -> (Vec<usize>, Option<WarmFlush>) {
+    /// One partition's outcome: its programs, or `None` when its worker
+    /// saw the deadline expired before enumerating it. Returns the
+    /// axioms this settles (an empty plan completes every axiom the
+    /// moment the last partition is admitted).
+    fn resolve(&self, ordinal: usize, outcome: Option<Vec<KeyedProgram>>) -> Vec<usize> {
         let mut st = self.state.lock().expect("pipeline lock is never poisoned");
         st.enumerating -= 1;
-        if let Some(ns) = &outcome {
+        if let Some(keyed) = &outcome {
             self.progress.record(
                 JournalEventKind::PartitionEnumerated,
                 None,
                 ordinal as u64,
-                ns.programs.len() as u64,
+                keyed.len() as u64,
                 0,
             );
         }
@@ -743,19 +559,18 @@ impl<'s> Pipeline<'s> {
             // *was* materialized, so it still counts toward the peak
             // (the whole point of `peak_live_candidates` is memory
             // pressure, and these programs existed).
-            if let Some(ns) = &outcome {
-                st.peak_live = st.peak_live.max(st.live + ns.programs.len());
+            if let Some(keyed) = &outcome {
+                st.peak_live = st.peak_live.max(st.live + keyed.len());
             }
             self.publish(&st);
             self.cv.notify_all();
-            return (Vec::new(), None);
+            return Vec::new();
         }
-        if let Some(ns) = &outcome {
-            st.live += ns.programs.len();
+        if let Some(keyed) = &outcome {
+            st.live += keyed.len();
             st.peak_live = st.peak_live.max(st.live);
         }
         st.resolved.insert(ordinal, outcome);
-        let mut flush = None;
         // Advance the frontier: admit in strict ordinal order.
         while let Some(entry) = {
             let frontier = st.frontier;
@@ -771,9 +586,9 @@ impl<'s> Pipeline<'s> {
                     Self::expire(&mut st);
                     break;
                 }
-                Some(ns) => {
-                    let delivered = ns.programs.len();
-                    let mut items = self.admit_stream(&mut st, ns);
+                Some(keyed) => {
+                    let delivered = keyed.len();
+                    let mut items = st.admitter.admit(keyed);
                     st.live -= delivered - items.len(); // dropped by dedup
                     st.mass_retired = st.mass_retired.saturating_add(self.masses[st.frontier]);
                     self.progress.record(
@@ -828,36 +643,10 @@ impl<'s> Pipeline<'s> {
                         }
                     }
                     st.frontier += 1;
+                    if st.frontier == self.range.0 {
+                        st.programs_below_range = st.admitter.programs;
+                    }
                 }
-            }
-        }
-        // The last covered node passed the frontier: the parent suite
-        // can be spliced in. The caller (not the lock holder) delivers
-        // it through the sinks, exactly like a retired batch.
-        if let Some(warm) = &self.warm {
-            if !st.warm_flushed && st.warm_cursor == warm.counts.len() && !st.expired {
-                st.warm_flushed = true;
-                let per_axiom = warm
-                    .parents
-                    .iter()
-                    .enumerate()
-                    .map(|(ai, parent)| {
-                        debug_assert_eq!(
-                            st.parent_cursors[ai],
-                            parent.records.len(),
-                            "every parent record must rebase before the flush"
-                        );
-                        let stats = ShardStats {
-                            shard: 0,
-                            items: parent.items,
-                            executions: parent.executions,
-                            forbidden: parent.forbidden,
-                            minimal: parent.minimal,
-                        };
-                        (stats, std::mem::take(&mut st.parent_out[ai]))
-                    })
-                    .collect();
-                flush = Some(WarmFlush { per_axiom });
             }
         }
         // Head-of-line blocking: out-of-order delivery filled the whole
@@ -870,91 +659,6 @@ impl<'s> Pipeline<'s> {
                 st.resolved.len() as u64,
                 0,
             );
-        }
-        let done = st.newly_complete(self.range.1);
-        self.publish(&st);
-        self.cv.notify_all();
-        (done, flush)
-    }
-
-    /// Admits one partition's node stream in order: emitted nodes run
-    /// the dedup scan (recording the per-node digest), covered nodes
-    /// replay the parent digest — bumping the program and plan-item
-    /// counters without materializing anything — and rebase the parent
-    /// records planned there onto their child plan indices.
-    fn admit_stream(&self, st: &mut State, ns: NodeStream) -> Vec<WorkItem> {
-        let mut items = Vec::new();
-        let mut programs = ns.programs.into_iter();
-        let mut start = 0usize;
-        for node in ns.nodes {
-            match node {
-                NodeSpan::Covered => {
-                    let warm = self
-                        .warm
-                        .as_ref()
-                        .expect("covered nodes only exist in warm runs");
-                    let j = st.warm_cursor;
-                    assert!(
-                        j < warm.counts.len(),
-                        "warm digest shorter than the covered node count"
-                    );
-                    let (node_programs, node_planned) = warm.counts[j];
-                    let lo = warm.planned[j];
-                    let hi = warm.planned[j + 1];
-                    debug_assert_eq!(hi - lo, node_planned);
-                    let base = st.admitter.next_index as u64;
-                    for (ai, parent) in warm.parents.iter().enumerate() {
-                        let cursor = &mut st.parent_cursors[ai];
-                        while *cursor < parent.records.len()
-                            && (parent.records[*cursor].index as u64) < hi
-                        {
-                            let rec = &parent.records[*cursor];
-                            debug_assert!(
-                                rec.index as u64 >= lo,
-                                "parent records must be sorted by plan index"
-                            );
-                            let child_index = base + (rec.index as u64 - lo);
-                            st.parent_maps[ai].push(child_index);
-                            st.parent_out[ai].push(SuiteRecord {
-                                index: child_index as usize,
-                                elt: rec.elt.clone(),
-                            });
-                            *cursor += 1;
-                        }
-                    }
-                    st.admitter.programs += node_programs as usize;
-                    st.admitter.next_index += node_planned as usize;
-                    st.node_counts.push((node_programs, node_planned));
-                    st.warm_cursor += 1;
-                }
-                NodeSpan::Emitted { end } => {
-                    let counts = st
-                        .admitter
-                        .admit_node(programs.by_ref().take(end - start), &mut items);
-                    st.node_counts.push(counts);
-                    start = end;
-                }
-            }
-        }
-        debug_assert!(programs.next().is_none(), "node spans cover every program");
-        items
-    }
-
-    /// The synthetic parent shards of a warm run were delivered to
-    /// every sink: release the per-axiom flush slots reserved at
-    /// construction and return the axioms this completes. Also mirrors
-    /// the parent's contribution into the live per-axiom telemetry so
-    /// observers see totals consistent with the final stats.
-    fn warm_flush_done(&self, delivered: &[(usize, usize)]) -> Vec<usize> {
-        use std::sync::atomic::Ordering::Relaxed;
-        for (ai, &(items, elts)) in delivered.iter().enumerate() {
-            let ax = self.progress.axiom(self.slots[ai]);
-            ax.items_examined.fetch_add(items, Relaxed);
-            ax.elts.fetch_add(elts, Relaxed);
-        }
-        let mut st = self.state.lock().expect("pipeline lock is never poisoned");
-        for ai in 0..self.axioms {
-            st.remaining[ai] -= 1;
         }
         let done = st.newly_complete(self.range.1);
         self.publish(&st);
@@ -1031,7 +735,7 @@ impl<'s> Pipeline<'s> {
         st.expired = true;
         for (_, outcome) in std::mem::take(&mut st.resolved) {
             if let Some(keyed) = outcome {
-                st.live = st.live.saturating_sub(keyed.programs.len());
+                st.live = st.live.saturating_sub(keyed.len());
             }
         }
         for batch in std::mem::take(&mut st.exam) {
@@ -1074,29 +778,14 @@ fn worker(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>) {
                 // partial, so its output is discarded and the partition
                 // counts as cut — the plan stays a reproducible prefix.
                 let outcome = (!pipeline.past_deadline())
-                    .then(|| pipeline.enumerate_partition(ordinal))
+                    .then(|| {
+                        pipeline
+                            .space
+                            .enumerate_keyed_within(ordinal, pipeline.deadline)
+                    })
                     .filter(|_| !pipeline.past_deadline());
-                let (done, flush) = pipeline.resolve(ordinal, outcome);
-                for ai in done {
+                for ai in pipeline.resolve(ordinal, outcome) {
                     finish_axiom(pipeline, ctx, ai);
-                }
-                if let Some(flush) = flush {
-                    // The warm splice: deliver the parent suite as each
-                    // axiom's synthetic shard 0, then release the flush
-                    // slots — which may complete axioms, exactly like a
-                    // retiring batch.
-                    let mut delivered = Vec::with_capacity(flush.per_axiom.len());
-                    for (ai, (stats, records)) in flush.per_axiom.into_iter().enumerate() {
-                        delivered.push((stats.items, records.len()));
-                        ctx.shard_stats[ai]
-                            .lock()
-                            .expect("stats lock is never poisoned")
-                            .push(stats);
-                        ctx.sinks[ai].shard_done(stats, records);
-                    }
-                    for ai in pipeline.warm_flush_done(&delivered) {
-                        finish_axiom(pipeline, ctx, ai);
-                    }
                 }
             }
             Task::Examine(batch) => {
@@ -1193,21 +882,12 @@ fn finish_axiom(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>, ai: usize) {
 /// per-axiom sinks. Partitions are enumerated once and their admitted
 /// chunks shared across axioms; each axiom's `run_done` fires the
 /// moment its schedule retires. Returns per-axiom counters (in `axioms`
-/// order), the run's scheduling metrics, and the artifacts a future
-/// warm start consumes.
-///
-/// With a warm seed, partitions fully covered by the parent bound are
-/// skipped, covered nodes replay the parent digest instead of
-/// re-enumerating, and each parent suite is spliced back in as a
-/// synthetic shard — the sealed result is byte-identical to the cold
-/// run's (scheduling-dependent shard breakdowns aside), at any worker
-/// count, with the deadline-cut semantics unchanged.
+/// order) and the run's scheduling metrics.
 ///
 /// # Panics
 ///
-/// Panics when any axiom is not part of `mtm`, `axioms` and `sinks`
-/// disagree in length, or a warm seed's parent count disagrees with
-/// `axioms`.
+/// Panics when any axiom is not part of `mtm` or `axioms` and `sinks`
+/// disagree in length.
 pub(crate) fn run_fused(
     mtm: &Mtm,
     axioms: &[&str],
@@ -1215,18 +895,19 @@ pub(crate) fn run_fused(
     jobs: usize,
     sinks: &[&dyn SuiteSink],
     progress: Option<&Arc<ProgressState>>,
-    warm: Option<&WarmSeed>,
-) -> (Vec<SuiteStats>, StreamMetrics, RunArtifacts) {
-    run_fused_range(mtm, axioms, opts, jobs, jobs, sinks, progress, warm, None)
+) -> (Vec<SuiteStats>, StreamMetrics) {
+    run_fused_range(mtm, axioms, opts, jobs, jobs, sinks, progress, None)
 }
 
 /// [`run_fused`] restricted to the partition range `range` (global
 /// ordinals of the plan produced by `plan_jobs`-way partitioning): the
 /// whole prefix `[0, range.1)` is enumerated and admitted so dedup
 /// state and plan indices stay global, but only items admitted inside
-/// `[range.0, range.1)` are examined and emitted. Ranges that tile the
-/// space therefore produce shard results whose concatenation is exactly
-/// the single-machine run — the fleet's work unit. `plan_jobs` fixes
+/// `[range.0, range.1)` are examined and emitted, and
+/// [`SuiteStats::programs`] counts only the programs admitted inside the
+/// range. Ranges that tile the space therefore produce shard results
+/// whose concatenation is exactly the single-machine run — the fleet's
+/// work unit. `plan_jobs` fixes
 /// the partition shape (the coordinator's choice, shared fleet-wide);
 /// `jobs` is only this run's local thread count and never affects the
 /// output.
@@ -1239,9 +920,8 @@ pub(crate) fn run_fused_range(
     jobs: usize,
     sinks: &[&dyn SuiteSink],
     progress: Option<&Arc<ProgressState>>,
-    warm: Option<&WarmSeed>,
     range: Option<(usize, usize)>,
-) -> (Vec<SuiteStats>, StreamMetrics, RunArtifacts) {
+) -> (Vec<SuiteStats>, StreamMetrics) {
     assert_eq!(axioms.len(), sinks.len(), "one sink per axiom");
     for axiom in axioms {
         assert!(
@@ -1263,7 +943,6 @@ pub(crate) fn run_fused_range(
         deadline,
         jobs,
         opts.partition_size,
-        warm,
         Some(range),
     );
     pipeline.progress.record(
@@ -1273,15 +952,6 @@ pub(crate) fn run_fused_range(
         space.total_mass(),
         jobs as u64,
     );
-    if let Some(ctx) = &pipeline.warm {
-        pipeline.progress.record(
-            JournalEventKind::WarmStart,
-            None,
-            ctx.counts.len() as u64,
-            *ctx.planned.last().expect("non-empty prefix sums"),
-            ctx.parent_bound as u64,
-        );
-    }
     let claimed: Vec<crate::dedup::KeySet> =
         axioms.iter().map(|_| crate::dedup::KeySet::new()).collect();
     let shard_stats: Vec<Mutex<Vec<ShardStats>>> =
@@ -1310,7 +980,6 @@ pub(crate) fn run_fused_range(
 
     let progress = Arc::clone(&pipeline.progress);
     let slots = pipeline.slots.clone();
-    let is_warm = pipeline.warm.is_some();
     let st = pipeline
         .state
         .into_inner()
@@ -1345,7 +1014,7 @@ pub(crate) fn run_fused_range(
                     );
                     let mut shards = shards.lock().expect("stats lock is never poisoned").clone();
                     shards.sort_by_key(|s| s.shard);
-                    let mut stats = SuiteStats::from_shards(st.admitter.programs, shards);
+                    let mut stats = SuiteStats::from_shards(st.programs_in_range(), shards);
                     stats.elapsed = elapsed;
                     stats.timed_out = !complete;
                     sink.run_done(&stats);
@@ -1365,11 +1034,7 @@ pub(crate) fn run_fused_range(
     // counters from first live sample to final record.
     let mut metrics = StreamMetrics::from_snapshot(&progress.snapshot());
     metrics.axioms = axioms.len();
-    let artifacts = RunArtifacts {
-        node_counts: st.node_counts,
-        parent_maps: is_warm.then_some(st.parent_maps),
-    };
-    (all_stats, metrics, artifacts)
+    (all_stats, metrics)
 }
 
 /// Runs the fused pipeline for one axiom — the single-suite entry the
@@ -1386,7 +1051,7 @@ pub(crate) fn run_streamed(
     sink: &dyn SuiteSink,
     progress: Option<&Arc<ProgressState>>,
 ) -> (SuiteStats, StreamMetrics) {
-    let (mut stats, metrics, _) = run_fused(mtm, &[axiom], opts, jobs, &[sink], progress, None);
+    let (mut stats, metrics) = run_fused(mtm, &[axiom], opts, jobs, &[sink], progress);
     (stats.remove(0), metrics)
 }
 
@@ -1409,12 +1074,6 @@ mod tests {
             "mtm m { axiom sc_per_loc: acyclic(rf | co | fr | po_loc) }",
         )
         .expect("spec parses")
-    }
-
-    /// A cold node stream for `ordinal` — what the worker feeds
-    /// `resolve` on non-warm runs.
-    fn ns(space: &EnumSpace, ordinal: usize) -> NodeStream {
-        space.enumerate_nodes_within(ordinal, None, None)
     }
 
     /// The admitter over in-order partitions equals the sequential
@@ -1480,7 +1139,7 @@ mod tests {
         let eo = enum_opts(4, true);
         let space = EnumSpace::with_target_partitions(&eo, 8);
         assert!(space.partition_count() >= 3, "space too small for the test");
-        let pipeline = Pipeline::new(&space, &["a"], None, None, 2, None, None, None);
+        let pipeline = Pipeline::new(&space, &["a"], None, None, 2, None, None);
         // Claim the first three enumeration tasks.
         for expect in 0..3 {
             match pipeline.next_task() {
@@ -1490,9 +1149,9 @@ mod tests {
         }
         // Deliver 2 first, cut 1, then deliver 0: only partition 0 may
         // be admitted, and the cut lands at ordinal 1.
-        pipeline.resolve(2, Some(ns(&space, 2)));
+        pipeline.resolve(2, Some(space.enumerate_keyed(2)));
         pipeline.resolve(1, None);
-        pipeline.resolve(0, Some(ns(&space, 0)));
+        pipeline.resolve(0, Some(space.enumerate_keyed(0)));
         let st = pipeline.state.into_inner().expect("lock");
         assert_eq!(st.cut_at, Some(1));
         assert!(st.expired);
@@ -1519,7 +1178,6 @@ mod tests {
             space.partition_count(),
             None,
             None,
-            None,
         );
         for ordinal in 0..space.partition_count() {
             match pipeline.next_task() {
@@ -1528,7 +1186,7 @@ mod tests {
             }
         }
         for ordinal in 0..space.partition_count() {
-            pipeline.resolve(ordinal, Some(ns(&space, ordinal)));
+            pipeline.resolve(ordinal, Some(space.enumerate_keyed(ordinal)));
         }
         let st = pipeline.state.into_inner().expect("lock");
         assert_eq!(st.batches % 3, 0, "every chunk spawns one batch per axiom");
@@ -1556,7 +1214,7 @@ mod tests {
         let eo = enum_opts(4, true);
         let space = EnumSpace::with_target_partitions(&eo, 8);
         assert!(space.partition_count() >= 3, "space too small for the test");
-        let pipeline = Pipeline::new(&space, &["a"], None, None, 3, None, None, None);
+        let pipeline = Pipeline::new(&space, &["a"], None, None, 3, None, None);
         for expect in 0..3 {
             match pipeline.next_task() {
                 Some(Task::Enumerate(ord)) => assert_eq!(ord, expect),
@@ -1566,7 +1224,7 @@ mod tests {
         let n0 = space.enumerate_keyed(0).len();
         let n2 = space.enumerate_keyed(2).len();
         // Partition 0 admits: its items go live and queue as batches.
-        pipeline.resolve(0, Some(ns(&space, 0)));
+        pipeline.resolve(0, Some(space.enumerate_keyed(0)));
         // Partition 1 is cut: expire() discards the queued batches and
         // drains their candidates from the live count on the spot.
         pipeline.resolve(1, None);
@@ -1580,7 +1238,7 @@ mod tests {
         }
         // Partition 2 lands after expiry: discarded, but its programs
         // were materialized — the peak must include them.
-        pipeline.resolve(2, Some(ns(&space, 2)));
+        pipeline.resolve(2, Some(space.enumerate_keyed(2)));
         let st = pipeline.state.into_inner().expect("lock");
         assert_eq!(st.live, 0);
         assert!(
@@ -1604,7 +1262,7 @@ mod tests {
         let eo = enum_opts(4, true);
         let space = EnumSpace::with_target_partitions(&eo, 8);
         let masses = space.masses();
-        let pipeline = Pipeline::new(&space, &["a"], None, None, 2, None, None, None);
+        let pipeline = Pipeline::new(&space, &["a"], None, None, 2, None, None);
         assert_eq!(pipeline.progress.snapshot().mass_total, space.total_mass());
         for ordinal in 0..space.partition_count() {
             loop {
@@ -1620,7 +1278,7 @@ mod tests {
                     None => panic!("pipeline drained early"),
                 }
             }
-            pipeline.resolve(ordinal, Some(ns(&space, ordinal)));
+            pipeline.resolve(ordinal, Some(space.enumerate_keyed(ordinal)));
             let snap = pipeline.progress.snapshot();
             assert_eq!(snap.partitions_retired, ordinal + 1);
             assert_eq!(snap.mass_retired, masses[..=ordinal].iter().sum::<u64>());
@@ -1636,7 +1294,7 @@ mod tests {
     }
 
     /// A sink retaining every record with its plan index — what the
-    /// store's shard files keep, and what a warm seed needs back.
+    /// store's shard files keep.
     struct RecordSink {
         records: Mutex<Vec<SuiteRecord>>,
     }
@@ -1671,102 +1329,19 @@ mod tests {
         o
     }
 
-    fn run_cold(
-        m: &Mtm,
-        bound: usize,
-        jobs: usize,
-    ) -> (Vec<SuiteRecord>, SuiteStats, RunArtifacts) {
+    fn run_cold(m: &Mtm, bound: usize, jobs: usize) -> (Vec<SuiteRecord>, SuiteStats) {
         let opts = synth_opts(bound);
         let sink = RecordSink::new();
-        let (mut stats, _, artifacts) =
-            run_fused(m, &["sc_per_loc"], &opts, jobs, &[&sink], None, None);
-        (sink.take(), stats.remove(0), artifacts)
-    }
-
-    fn seed_from(
-        parent_bound: usize,
-        artifacts: &RunArtifacts,
-        records: &[SuiteRecord],
-        stats: &SuiteStats,
-    ) -> WarmSeed {
-        WarmSeed {
-            parent_bound,
-            node_counts: artifacts.node_counts.clone(),
-            parents: vec![WarmParent {
-                records: records.to_vec(),
-                items: stats.shards.iter().map(|s| s.items).sum(),
-                executions: stats.executions,
-                forbidden: stats.forbidden,
-                minimal: stats.minimal,
-            }],
-        }
-    }
-
-    /// The tentpole invariant at the pipeline level: a warm-started
-    /// bound-N run reproduces the cold bound-N suite exactly — same
-    /// records at the same plan indices, same semantic totals, and the
-    /// same admission digest for the *next* bound — at several worker
-    /// counts.
-    #[test]
-    fn warm_run_reproduces_the_cold_suite() {
-        let m = mtm();
-        for jobs in [1usize, 2, 4] {
-            let (parent_records, parent_stats, parent_art) = run_cold(&m, 3, jobs);
-            let seed = seed_from(3, &parent_art, &parent_records, &parent_stats);
-            let (cold_records, cold_stats, cold_art) = run_cold(&m, 4, jobs);
-
-            let opts = synth_opts(4);
-            let sink = RecordSink::new();
-            let (mut warm_stats, _, warm_art) = run_fused(
-                &m,
-                &["sc_per_loc"],
-                &opts,
-                jobs,
-                &[&sink],
-                None,
-                Some(&seed),
-            );
-            let warm_stats = warm_stats.remove(0);
-            let warm_records = sink.take();
-
-            assert!(!warm_stats.timed_out, "jobs {jobs}");
-            assert_eq!(warm_records.len(), cold_records.len(), "jobs {jobs}");
-            for (w, c) in warm_records.iter().zip(&cold_records) {
-                assert_eq!(w.index, c.index, "jobs {jobs}");
-                assert_eq!(w.elt.program, c.elt.program, "jobs {jobs}");
-                assert_eq!(w.elt.violated, c.elt.violated, "jobs {jobs}");
-            }
-            assert_eq!(warm_stats.programs, cold_stats.programs, "jobs {jobs}");
-            assert_eq!(warm_stats.executions, cold_stats.executions, "jobs {jobs}");
-            assert_eq!(warm_stats.forbidden, cold_stats.forbidden, "jobs {jobs}");
-            assert_eq!(warm_stats.minimal, cold_stats.minimal, "jobs {jobs}");
-            // The digest this warm run hands the next bound matches the
-            // cold run's — warm starts chain.
-            assert_eq!(warm_art.node_counts, cold_art.node_counts, "jobs {jobs}");
-            // Every parent record was rebased, in parent order, onto
-            // strictly increasing child indices — the delta parent map.
-            let maps = warm_art.parent_maps.expect("warm runs produce parent maps");
-            assert_eq!(maps.len(), 1);
-            assert_eq!(maps[0].len(), parent_records.len(), "jobs {jobs}");
-            assert!(maps[0].windows(2).all(|w| w[0] < w[1]), "jobs {jobs}");
-            // The rebased indices are exactly where the parent's
-            // programs landed in the cold child suite.
-            let by_index: BTreeMap<usize, &SuiteRecord> =
-                cold_records.iter().map(|r| (r.index, r)).collect();
-            for (rec, &child_index) in parent_records.iter().zip(&maps[0]) {
-                let child = by_index
-                    .get(&(child_index as usize))
-                    .expect("mapped index exists in the cold suite");
-                assert_eq!(child.elt.program, rec.elt.program, "jobs {jobs}");
-            }
-        }
+        let (mut stats, _) = run_fused(m, &["sc_per_loc"], &opts, jobs, &[&sink], None);
+        (sink.take(), stats.remove(0))
     }
 
     /// The fleet invariant at the pipeline level: partition ranges that
     /// tile the space produce shard results whose concatenation is
     /// exactly the single-machine run — same records at the same global
-    /// plan indices, semantic counters summing to the full totals — at
-    /// several worker counts and split points.
+    /// plan indices, semantic counters and per-range program counts
+    /// summing to the full totals — at several worker counts and split
+    /// points.
     #[test]
     fn range_runs_tile_into_the_full_suite() {
         let m = mtm();
@@ -1774,24 +1349,23 @@ mod tests {
         for jobs in [1usize, 2, 3] {
             let space = crate::space_for(&opts, jobs);
             let n = space.partition_count();
-            let (full_records, full_stats, full_art) = run_cold(&m, 4, jobs);
+            let (full_records, full_stats) = run_cold(&m, 4, jobs);
             for split in [1, n / 3, n / 2, n - 1] {
                 let split = split.clamp(1, n - 1);
                 let mut records = Vec::new();
                 let mut executions = 0usize;
                 let mut forbidden = 0usize;
                 let mut minimal = 0usize;
-                let mut arts = Vec::new();
+                let mut programs = Vec::new();
                 for range in [(0, split), (split, n)] {
                     let sink = RecordSink::new();
-                    let (mut stats, _, art) = run_fused_range(
+                    let (mut stats, _) = run_fused_range(
                         &m,
                         &["sc_per_loc"],
                         &opts,
                         jobs,
                         2,
                         &[&sink],
-                        None,
                         None,
                         Some(range),
                     );
@@ -1800,129 +1374,65 @@ mod tests {
                     executions += stats.executions;
                     forbidden += stats.forbidden;
                     minimal += stats.minimal;
+                    programs.push(stats.programs);
                     records.extend(sink.take());
-                    arts.push(art);
                 }
                 records.sort_by_key(|r| r.index);
-                assert_eq!(records.len(), full_records.len(), "jobs {jobs} split {split}");
+                assert_eq!(
+                    records.len(),
+                    full_records.len(),
+                    "jobs {jobs} split {split}"
+                );
                 for (r, f) in records.iter().zip(&full_records) {
                     assert_eq!(r.index, f.index, "jobs {jobs} split {split}");
                     assert_eq!(r.elt.program, f.elt.program, "jobs {jobs} split {split}");
                     assert_eq!(r.elt.violated, f.elt.violated, "jobs {jobs} split {split}");
                 }
-                assert_eq!(executions, full_stats.executions, "jobs {jobs} split {split}");
-                assert_eq!(forbidden, full_stats.forbidden, "jobs {jobs} split {split}");
-                assert_eq!(minimal, full_stats.minimal, "jobs {jobs} split {split}");
-                // The digest each range run accumulates is a prefix of
-                // the full run's — the tail range admits the whole
-                // prefix, so its digest IS the full digest.
                 assert_eq!(
-                    arts[0].node_counts[..],
-                    full_art.node_counts[..arts[0].node_counts.len()],
+                    executions, full_stats.executions,
                     "jobs {jobs} split {split}"
                 );
-                assert_eq!(arts[1].node_counts, full_art.node_counts, "jobs {jobs} split {split}");
+                assert_eq!(forbidden, full_stats.forbidden, "jobs {jobs} split {split}");
+                assert_eq!(minimal, full_stats.minimal, "jobs {jobs} split {split}");
+                // Each range reports only the programs admitted inside
+                // it, so the per-range counts sum to the whole run's.
+                assert_eq!(
+                    programs.iter().sum::<usize>(),
+                    full_stats.programs,
+                    "jobs {jobs} split {split}"
+                );
             }
         }
     }
 
-    /// A warm run journals its provenance: one `WarmStart` event with
-    /// the digest size and parent bound, and (for this space, where
-    /// early partitions sit fully under the parent bound) `WarmSkip`
-    /// events whose covered counts match the space's.
+    /// A deadline-cut run keeps its partition-granular journal
+    /// invariants: retired mass in the progress mirror equals the sum of
+    /// `PartitionRetired` journal events, and a recorded cut matches
+    /// `cut_at_partition`.
     #[test]
-    fn warm_run_journals_skips() {
+    fn deadline_cut_run_keeps_journal_invariants() {
         let m = mtm();
-        let (parent_records, parent_stats, parent_art) = run_cold(&m, 3, 2);
-        let seed = seed_from(3, &parent_art, &parent_records, &parent_stats);
-        let opts = synth_opts(4);
+        let mut opts = synth_opts(4);
+        opts.timeout = Some(Duration::from_millis(1));
         let progress = Arc::new(ProgressState::with_journal(&["sc_per_loc"]));
         let sink = RecordSink::new();
-        let (stats, _, _) = run_fused(
-            &m,
-            &["sc_per_loc"],
-            &opts,
-            2,
-            &[&sink],
-            Some(&progress),
-            Some(&seed),
-        );
-        assert!(!stats[0].timed_out);
+        let (stats, metrics) = run_fused(&m, &["sc_per_loc"], &opts, 2, &[&sink], Some(&progress));
         let journal = progress.take_journal();
-        let warm_starts: Vec<_> = journal
+        let snap = progress.snapshot();
+        let retired: u64 = journal
             .iter()
-            .filter(|e| e.kind == JournalEventKind::WarmStart)
-            .collect();
-        assert_eq!(warm_starts.len(), 1);
-        assert_eq!(warm_starts[0].a, seed.node_counts.len() as u64);
-        assert_eq!(
-            warm_starts[0].b,
-            seed.node_counts.iter().map(|&(_, i)| i).sum::<u64>()
-        );
-        assert_eq!(warm_starts[0].c, 3);
-        let space = crate::space_for(&opts, 2);
-        let masses = space.masses();
-        let covered = space.covered_masses(3);
-        let fully_covered: Vec<u64> = (0..space.partition_count())
-            .filter(|&o| covered[o] > 0 && covered[o] == masses[o])
-            .map(|o| o as u64)
-            .collect();
-        let skipped: Vec<u64> = journal
-            .iter()
-            .filter(|e| e.kind == JournalEventKind::WarmSkip)
-            .map(|e| e.a)
-            .collect();
-        let mut sorted = skipped.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, fully_covered, "every fully covered partition skips");
-        for e in journal
-            .iter()
-            .filter(|e| e.kind == JournalEventKind::WarmSkip)
-        {
-            assert_eq!(e.b, covered[e.a as usize]);
-        }
-    }
-
-    /// The deadline-cut satellite: a cut warm-start run keeps the same
-    /// partition-granular invariants as a cold one — retired mass in
-    /// the progress mirror equals the sum of `PartitionRetired` journal
-    /// events, and a recorded cut matches `cut_at_partition`.
-    #[test]
-    fn deadline_cut_warm_run_keeps_journal_invariants() {
-        let m = mtm();
-        let (parent_records, parent_stats, parent_art) = run_cold(&m, 3, 2);
-        let seed = seed_from(3, &parent_art, &parent_records, &parent_stats);
-        for (label, warm) in [("cold", None), ("warm", Some(&seed))] {
-            let mut opts = synth_opts(4);
-            opts.timeout = Some(Duration::from_millis(1));
-            let progress = Arc::new(ProgressState::with_journal(&["sc_per_loc"]));
-            let sink = RecordSink::new();
-            let (stats, metrics, _) = run_fused(
-                &m,
-                &["sc_per_loc"],
-                &opts,
-                2,
-                &[&sink],
-                Some(&progress),
-                warm,
-            );
-            let journal = progress.take_journal();
-            let snap = progress.snapshot();
-            let retired: u64 = journal
+            .filter(|e| e.kind == JournalEventKind::PartitionRetired)
+            .map(|e| e.b)
+            .sum();
+        assert_eq!(snap.mass_retired, retired);
+        if let Some(cut) = metrics.cut_at_partition {
+            assert!(stats[0].timed_out);
+            let cuts: Vec<u64> = journal
                 .iter()
-                .filter(|e| e.kind == JournalEventKind::PartitionRetired)
-                .map(|e| e.b)
-                .sum();
-            assert_eq!(snap.mass_retired, retired, "{label}");
-            if let Some(cut) = metrics.cut_at_partition {
-                assert!(stats[0].timed_out, "{label}");
-                let cuts: Vec<u64> = journal
-                    .iter()
-                    .filter(|e| e.kind == JournalEventKind::Cut)
-                    .map(|e| e.a)
-                    .collect();
-                assert_eq!(cuts, vec![cut as u64], "{label}");
-            }
+                .filter(|e| e.kind == JournalEventKind::Cut)
+                .map(|e| e.a)
+                .collect();
+            assert_eq!(cuts, vec![cut as u64]);
         }
     }
 
@@ -1930,7 +1440,10 @@ mod tests {
     fn tuner_targets_the_batch_slice() {
         let mut tuner = Tuner::new(None);
         assert_eq!(tuner.batch_size(), DEFAULT_BATCH);
-        assert!(tuner.target_weight().is_none(), "uncalibrated until observed");
+        assert!(
+            tuner.target_weight().is_none(),
+            "uncalibrated until observed"
+        );
         // 1000 items of uniform weight 32 in one second → rate 32000
         // weight/sec, 32 weight/item → 50 items per 50 ms slice.
         tuner.observe(1000, 32_000, Duration::from_secs(1));

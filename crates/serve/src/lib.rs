@@ -24,8 +24,6 @@
 //! | `GET /v1/runs` | recent run manifests (`transform_store::encode_run_list` bytes) |
 //! | `GET /v1/runs/<id>` | one run's full journal, checksummed |
 //! | `PUT /v1/runs/<id>` | validate and publish a run journal (rewritable — live runs heartbeat) |
-//! | `GET /v1/digest/<fingerprint>` | a suite's warm-start digest, checksummed |
-//! | `PUT /v1/digest/<fingerprint>` | validate and publish a digest; idempotent |
 //! | `POST /v1/jobs` | register a fleet job (an encoded `JobSpec`; idempotent — the id is the spec's hash) |
 //! | `GET /v1/jobs/<id>` | job progress as flat JSON (`ranges`/`staged`/`leased`/`complete`/`cut`) |
 //! | `POST /v1/jobs/<id>/cut` | stop leasing the job's ranges; it will never seal |

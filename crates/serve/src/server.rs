@@ -34,7 +34,7 @@ use transform_store::{suite_fingerprint, Fingerprint, Store, StoreError};
 /// The route classes `/v1/metrics` breaks request and latency counters
 /// down by, in rendering order. `other` absorbs unknown paths and
 /// disallowed methods.
-pub const ROUTE_NAMES: [&str; 15] = [
+pub const ROUTE_NAMES: [&str; 13] = [
     "healthz",
     "metrics",
     "index",
@@ -43,8 +43,6 @@ pub const ROUTE_NAMES: [&str; 15] = [
     "runs_list",
     "run_get",
     "run_put",
-    "digest_get",
-    "digest_put",
     "jobs",
     "lease",
     "heartbeat",
@@ -63,14 +61,12 @@ fn route_slot(method: &str, path: &str) -> usize {
         ("GET" | "HEAD", "/v1/runs") => 5,
         ("GET" | "HEAD", p) if p.starts_with("/v1/runs/") => 6,
         ("PUT", p) if p.starts_with("/v1/runs/") => 7,
-        ("GET" | "HEAD", p) if p.starts_with("/v1/digest/") => 8,
-        ("PUT", p) if p.starts_with("/v1/digest/") => 9,
-        ("POST", "/v1/jobs") => 10,
-        ("GET" | "HEAD" | "POST", p) if p.starts_with("/v1/jobs/") => 10,
-        ("POST", "/v1/lease") => 11,
-        ("POST", p) if p.starts_with("/v1/lease/") && p.ends_with("/heartbeat") => 12,
-        ("PUT", p) if p.starts_with("/v1/shard/") => 13,
-        _ => 14,
+        ("POST", "/v1/jobs") => 8,
+        ("GET" | "HEAD" | "POST", p) if p.starts_with("/v1/jobs/") => 8,
+        ("POST", "/v1/lease") => 9,
+        ("POST", p) if p.starts_with("/v1/lease/") && p.ends_with("/heartbeat") => 10,
+        ("PUT", p) if p.starts_with("/v1/shard/") => 11,
+        _ => 12,
     }
 }
 
@@ -139,7 +135,7 @@ pub struct ServeMetrics {
     /// Per-route request and latency counters, indexed like
     /// [`ROUTE_NAMES`]. Parse failures never reach a route, so the
     /// route totals can lag `requests` by the malformed share.
-    pub routes: [RouteMetrics; 15],
+    pub routes: [RouteMetrics; 13],
 }
 
 impl ServeMetrics {
@@ -713,14 +709,6 @@ fn route(
                     respond_text(stream, status, "sealed\n")?;
                     Ok(status)
                 }
-                // A delta whose parent this store does not (yet) hold is
-                // not damage — the client pushed out of order. 409 tells
-                // it to land the parent chain first and retry.
-                Err(e @ StoreError::Corrupt(_)) if is_missing_parent(&e) => {
-                    metrics.puts_rejected.fetch_add(1, Ordering::Relaxed);
-                    respond_text(stream, 409, &format!("{e} (push the parent first)\n"))?;
-                    Ok(409)
-                }
                 Err(e @ (StoreError::Corrupt(_) | StoreError::Version { .. })) => {
                     metrics.puts_rejected.fetch_add(1, Ordering::Relaxed);
                     respond_text(stream, 400, &format!("{e}\n"))?;
@@ -798,62 +786,6 @@ fn route(
                     // place), 201 on first sight — mirroring suite PUT.
                     let status = if already { 200 } else { 201 };
                     respond_text(stream, status, "journaled\n")?;
-                    Ok(status)
-                }
-                Err(e @ (StoreError::Corrupt(_) | StoreError::Version { .. })) => {
-                    respond_text(stream, 400, &format!("{e}\n"))?;
-                    Ok(400)
-                }
-                Err(e) => {
-                    respond_text(stream, 500, &format!("{e}\n"))?;
-                    Ok(500)
-                }
-            }
-        }
-        (method @ ("GET" | "HEAD"), path) if path.starts_with("/v1/digest/") => {
-            let Some(fp) = parse_digest_path(path) else {
-                respond_text(stream, 400, "malformed fingerprint\n")?;
-                return Ok(400);
-            };
-            match store.digest_bytes(fp) {
-                Ok(Some(bytes)) => {
-                    if method == "HEAD" {
-                        write_head(stream, 200, bytes.len() as u64, "application/octet-stream")?;
-                    } else {
-                        respond(stream, 200, &bytes, "application/octet-stream")?;
-                        metrics
-                            .bytes_served
-                            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                    }
-                    Ok(200)
-                }
-                Ok(None) => {
-                    respond_text(stream, 404, "no such digest\n")?;
-                    Ok(404)
-                }
-                Err(e) => {
-                    respond_text(stream, 500, &format!("{e}\n"))?;
-                    Ok(500)
-                }
-            }
-        }
-        ("PUT", path) if path.starts_with("/v1/digest/") => {
-            // The body crossed the wire regardless of what happens to
-            // it — count it before any refusal.
-            metrics
-                .bytes_received
-                .fetch_add(request.body.len() as u64, Ordering::Relaxed);
-            let Some(fp) = parse_digest_path(path) else {
-                respond_text(stream, 400, "malformed fingerprint\n")?;
-                return Ok(400);
-            };
-            let already = store.digest_path(fp).is_file();
-            match store.install_digest_bytes(fp, &request.body) {
-                Ok(()) => {
-                    // 200 on a rewrite (digests are deterministic for a
-                    // fingerprint), 201 on first sight — like suite PUT.
-                    let status = if already { 200 } else { 201 };
-                    respond_text(stream, status, "digested\n")?;
                     Ok(status)
                 }
                 Err(e @ (StoreError::Corrupt(_) | StoreError::Version { .. })) => {
@@ -995,7 +927,11 @@ fn route(
                         | StagedOutcome::SealFailed
                         | StagedOutcome::UnknownRange => {}
                     }
-                    let status = if outcome == StageOutcome::New { 201 } else { 200 };
+                    let status = if outcome == StageOutcome::New {
+                        201
+                    } else {
+                        200
+                    };
                     respond_text(stream, status, "staged\n")?;
                     Ok(status)
                 }
@@ -1020,7 +956,6 @@ fn route(
         (_, path)
             if path.starts_with("/v1/suite/")
                 || path.starts_with("/v1/runs")
-                || path.starts_with("/v1/digest/")
                 || path.starts_with("/v1/jobs")
                 || path.starts_with("/v1/lease")
                 || path.starts_with("/v1/shard/")
@@ -1038,13 +973,6 @@ fn route(
     }
 }
 
-/// Whether an install failure is the out-of-order-delta case: the
-/// uploaded bytes are intact but reference a parent entry this store
-/// does not hold.
-fn is_missing_parent(e: &StoreError) -> bool {
-    matches!(e, StoreError::Corrupt(m) if m.contains("not in store"))
-}
-
 /// `/v1/suite/<32 hex chars>` → the fingerprint.
 fn parse_suite_path(path: &str) -> Option<Fingerprint> {
     Fingerprint::from_hex(path.strip_prefix("/v1/suite/")?)
@@ -1057,11 +985,6 @@ fn parse_run_path(path: &str) -> Option<u64> {
         return None;
     }
     u64::from_str_radix(hex, 16).ok()
-}
-
-/// `/v1/digest/<32 hex chars>` → the fingerprint.
-fn parse_digest_path(path: &str) -> Option<Fingerprint> {
-    Fingerprint::from_hex(path.strip_prefix("/v1/digest/")?)
 }
 
 /// `/v1/jobs/<16 hex chars>` → the job id.

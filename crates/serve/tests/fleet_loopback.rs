@@ -7,9 +7,7 @@
 
 use transform_serve::{ServeOptions, Server};
 use transform_store::fleet::StageOutcome;
-use transform_store::{
-    execute_lease, read_suite, suite_fingerprint, HttpTier, JobSpec, Store,
-};
+use transform_store::{execute_lease, read_suite, suite_fingerprint, HttpTier, JobSpec, Store};
 use transform_synth::SynthOptions;
 use transform_x86::x86t_elt;
 
@@ -81,8 +79,8 @@ fn leased_workers_reproduce_the_single_machine_run() {
     let store = Store::open(&origin).expect("opens");
     for axiom in &axioms {
         let fp = suite_fingerprint(&mtm, axiom, &o);
-        let sealed = read_suite(store.open_suite(fp).expect("sealed entry"))
-            .expect("suite reads back");
+        let sealed =
+            read_suite(store.open_suite(fp).expect("sealed entry")).expect("suite reads back");
         let reference = transform_par::synthesize_suite_jobs(&mtm, axiom, &o, 2);
         assert_eq!(sealed.elts.len(), reference.elts.len(), "{axiom}");
         for (a, b) in sealed.elts.iter().zip(&reference.elts) {
@@ -94,13 +92,9 @@ fn leased_workers_reproduce_the_single_machine_run() {
         assert_eq!(sealed.stats.executions, reference.stats.executions);
         assert_eq!(sealed.stats.forbidden, reference.stats.forbidden);
         assert_eq!(sealed.stats.minimal, reference.stats.minimal);
-
-        // The merge also wrote the warm-start digest, replicated over
-        // `GET /v1/digest/<fp>` for digest-aware pulls.
-        let local = store.digest_bytes(fp).expect("readable").expect("written");
-        let remote = client.fetch_digest(fp).expect("fetch").expect("served");
-        assert_eq!(local, remote);
     }
+    // The merge seals suites and writes nothing beside them.
+    assert!(store.legacy_digests().expect("lists").is_empty());
 
     // Idempotent re-upload: the identical bytes are a duplicate, not a
     // conflict, even after the job sealed.
@@ -118,6 +112,15 @@ fn leased_workers_reproduce_the_single_machine_run() {
     );
     // Garbage is rejected outright (400), never staged.
     assert!(client.put_shard(ujob, ulo, uhi, b"garbage").is_err());
+    // So is an intact upload from a worker on an older format version.
+    let mut old = ubytes[..ubytes.len() - 8].to_vec();
+    old[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let checksum = transform_store::codec::fnv1a64(&old);
+    old.extend_from_slice(&checksum.to_le_bytes());
+    let err = client
+        .put_shard(ujob, ulo, uhi, &old)
+        .expect_err("version skew is refused");
+    assert!(err.to_string().contains("status 400"), "{err}");
     // A drained fleet leases nothing, and stale leases are not honored.
     assert!(client.lease("test-worker").expect("drained").is_none());
     assert!(!client.heartbeat(u64::MAX).expect("bogus lease"));
@@ -167,7 +170,10 @@ fn expired_leases_are_reassigned_and_the_merge_still_seals() {
         assert_eq!(outcome, StageOutcome::New);
     }
     let status = client.job_status(job).expect("status").expect("known");
-    assert!(status.complete, "expiry and reassignment never block the seal");
+    assert!(
+        status.complete,
+        "expiry and reassignment never block the seal"
+    );
 
     // The sealed suite still matches the local engine exactly.
     let store = Store::open(&origin).expect("opens");

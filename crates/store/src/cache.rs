@@ -82,16 +82,7 @@ pub fn cached_or_synthesize(
     opts: &SynthOptions,
     jobs: usize,
 ) -> Result<(Suite, CacheStatus), StoreError> {
-    crate::tier::run_tiered(
-        store,
-        None,
-        mtm,
-        axiom,
-        opts,
-        jobs,
-        None,
-        crate::tier::WarmMode::Off,
-    )
+    crate::tier::run_tiered(store, None, mtm, axiom, opts, jobs, None)
 }
 
 /// [`cached_or_synthesize`] with live telemetry: a cache hit marks the
@@ -114,16 +105,7 @@ pub fn cached_or_synthesize_observed(
     jobs: usize,
     progress: &std::sync::Arc<transform_par::ProgressState>,
 ) -> Result<(Suite, CacheStatus), StoreError> {
-    crate::tier::run_tiered(
-        store,
-        None,
-        mtm,
-        axiom,
-        opts,
-        jobs,
-        Some(progress),
-        crate::tier::WarmMode::Off,
-    )
+    crate::tier::run_tiered(store, None, mtm, axiom, opts, jobs, Some(progress))
 }
 
 /// Serves **every** per-axiom suite of `mtm` from the store in one
@@ -143,15 +125,7 @@ pub fn cached_or_synthesize_all(
     opts: &SynthOptions,
     jobs: usize,
 ) -> Result<std::collections::BTreeMap<String, (Suite, CacheStatus)>, StoreError> {
-    crate::tier::run_tiered_all(
-        store,
-        None,
-        mtm,
-        opts,
-        jobs,
-        None,
-        crate::tier::WarmMode::Off,
-    )
+    crate::tier::run_tiered_all(store, None, mtm, opts, jobs, None)
 }
 
 /// [`cached_or_synthesize_all`] with live telemetry: cache-served
@@ -169,13 +143,5 @@ pub fn cached_or_synthesize_all_observed(
     jobs: usize,
     progress: &std::sync::Arc<transform_par::ProgressState>,
 ) -> Result<std::collections::BTreeMap<String, (Suite, CacheStatus)>, StoreError> {
-    crate::tier::run_tiered_all(
-        store,
-        None,
-        mtm,
-        opts,
-        jobs,
-        Some(progress),
-        crate::tier::WarmMode::Off,
-    )
+    crate::tier::run_tiered_all(store, None, mtm, opts, jobs, Some(progress))
 }

@@ -26,7 +26,7 @@ use transform_synth::{ShardStats, SuiteRecord, SuiteStats, SynthesizedElt};
 
 /// The store's on-disk format version. Bump on any encoding change;
 /// readers reject other versions and the cache resynthesizes.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// A decoding failure: malformed, truncated, or out-of-range bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]

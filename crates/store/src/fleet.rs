@@ -17,8 +17,8 @@
 //! the spec so a worker needs no other state), run the fused pipeline
 //! range-restricted, and upload one [`ShardResult`] per range: the
 //! per-axiom records and counters for exactly the plan items admitted
-//! in `[lo, hi)`, plus that range's slice of the admission digest.
-//! Results are content-checksummed and staged idempotently
+//! in `[lo, hi)`, plus the number of programs admitted there. Results
+//! are content-checksummed and staged idempotently
 //! ([`Store::stage_shard`]): a retried or duplicate upload of the same
 //! range is a no-op, a conflicting one is rejected.
 //!
@@ -30,10 +30,9 @@
 //! count, upload order, retries, or lease reassignment.
 
 use crate::codec::{
-    decode_record, decode_shard_stats, encode_record, encode_shard_stats, fnv1a64, CodecError,
-    Dec, Enc, FORMAT_VERSION,
+    decode_record, decode_shard_stats, encode_record, encode_shard_stats, fnv1a64, CodecError, Dec,
+    Enc, FORMAT_VERSION,
 };
-use crate::delta::Digest;
 use crate::fingerprint::Fingerprint;
 use crate::store::{EntryMeta, Store, StoreError};
 use std::fs;
@@ -326,8 +325,7 @@ impl JobSpec {
 }
 
 /// One leased range's complete output: per-axiom records and counters
-/// for the plan items admitted in `[lo, hi)`, plus that range's slice
-/// of the admission digest.
+/// for the plan items admitted in `[lo, hi)`.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ShardResult {
     /// The job this shard belongs to.
@@ -339,11 +337,6 @@ pub struct ShardResult {
     /// Programs admitted to the plan within `[lo, hi)` — summed across
     /// ranges this reconstructs the suite's `programs` total.
     pub programs: usize,
-    /// This range's slice of the run's admission digest: per
-    /// enumeration node in admission order, (programs admitted, plan
-    /// items created). Concatenated across ranges this reconstructs
-    /// the full digest a warm start replays.
-    pub node_counts: Vec<(u64, u64)>,
     /// One entry per run axiom, in run-axiom order.
     pub per_axiom: Vec<AxiomShard>,
 }
@@ -369,11 +362,6 @@ impl ShardResult {
         e.u32(self.lo);
         e.u32(self.hi);
         e.size(self.programs);
-        e.size(self.node_counts.len());
-        for &(admitted, items) in &self.node_counts {
-            e.varint(admitted);
-            e.varint(items);
-        }
         e.size(self.per_axiom.len());
         for ax in &self.per_axiom {
             encode_shard_stats(&mut e, &ax.stats);
@@ -397,13 +385,6 @@ impl ShardResult {
             return Err(CodecError::new(format!("empty shard range {lo}..{hi}")));
         }
         let programs = d.size()?;
-        let num_nodes = d.size_bounded(MAX_FLEET_LEN, "shard node counts")?;
-        let mut node_counts = Vec::with_capacity(num_nodes);
-        for _ in 0..num_nodes {
-            let admitted = d.varint()?;
-            let items = d.varint()?;
-            node_counts.push((admitted, items));
-        }
         let num_axioms = d.size_bounded(MAX_FLEET_LEN, "shard axioms")?;
         let mut per_axiom = Vec::with_capacity(num_axioms);
         for _ in 0..num_axioms {
@@ -424,7 +405,6 @@ impl ShardResult {
             lo,
             hi,
             programs,
-            node_counts,
             per_axiom,
         })
     }
@@ -482,7 +462,9 @@ impl LeaseGrant {
             return Err(CodecError::new("trailing bytes after lease grant"));
         }
         if spec.id() != job {
-            return Err(CodecError::new("lease grant job id does not match its spec"));
+            return Err(CodecError::new(
+                "lease grant job id does not match its spec",
+            ));
         }
         if !spec.ranges.contains(&(lo, hi)) {
             return Err(CodecError::new(format!(
@@ -510,11 +492,7 @@ fn seal_frame(e: Enc) -> Vec<u8> {
 
 /// Validates magic, version, and trailing checksum; returns a cursor
 /// over the payload between them.
-fn open_frame<'a>(
-    bytes: &'a [u8],
-    magic: &[u8; 8],
-    what: &str,
-) -> Result<Dec<'a>, CodecError> {
+fn open_frame<'a>(bytes: &'a [u8], magic: &[u8; 8], what: &str) -> Result<Dec<'a>, CodecError> {
     if bytes.len() < magic.len() + 4 + 8 {
         return Err(CodecError::new(format!("{what} truncated")));
     }
@@ -557,7 +535,8 @@ impl Store {
     }
 
     fn fleet_shard_path(&self, job: u64, lo: u32, hi: u32) -> PathBuf {
-        self.fleet_dir(job).join(format!("shard-{lo:08}-{hi:08}.bin"))
+        self.fleet_dir(job)
+            .join(format!("shard-{lo:08}-{hi:08}.bin"))
     }
 
     /// Stages one uploaded shard result idempotently.
@@ -668,10 +647,7 @@ impl Store {
 /// shard merge with the range ordinal as the shard index, then sealed
 /// with the exact summed statistics — so the sealed entry is
 /// byte-identical (fingerprint, records, counters; all but wall-clock)
-/// to a single-machine fused run of the same plan. Each axiom also
-/// gets the full admission [`Digest`] (the ranges' `node_counts`
-/// concatenated), so the fleet-sealed entry can seed a bound-N+1 warm
-/// start exactly like a local one.
+/// to a single-machine fused run of the same plan.
 ///
 /// `elapsed` is the job's wall-clock as observed by the coordinator;
 /// it lands in the sealed [`SuiteStats`] but never in the fingerprint.
@@ -699,14 +675,6 @@ pub fn merge_fleet_job(
         results.push(result);
     }
     let total_programs: usize = results.iter().map(|r| r.programs).sum();
-    let mut counts = Vec::new();
-    for result in &results {
-        counts.extend_from_slice(&result.node_counts);
-    }
-    let digest = Digest {
-        bound: spec.bound,
-        counts,
-    };
     let mut sealed = Vec::with_capacity(spec.axioms.len());
     for (ai, &(_, fp)) in spec.axioms.iter().enumerate() {
         let pending = store.begin(fp, spec.entry_meta(ai))?;
@@ -721,7 +689,6 @@ pub fn merge_fleet_job(
         let mut stats = SuiteStats::from_shards(total_programs, shards);
         stats.elapsed = elapsed;
         sealed.push(pending.seal(&stats)?);
-        store.write_digest(fp, &digest)?;
     }
     Ok(sealed)
 }
@@ -783,8 +750,7 @@ impl SuiteSink for CollectShard {
 ///
 /// The spec's `plan_jobs` (not `jobs`) fixes the partition shape, so
 /// every worker reproduces the same global plan regardless of local
-/// thread count; records are sorted by plan index and the range's
-/// slice of the admission digest is cut out of the run's artifacts.
+/// thread count; records are sorted by plan index.
 ///
 /// # Errors
 ///
@@ -817,7 +783,7 @@ pub fn execute_lease(grant: &LeaseGrant, jobs: usize) -> Result<ShardResult, Sto
     }
     let sinks: Vec<CollectShard> = axioms.iter().map(|_| CollectShard::default()).collect();
     let sink_refs: Vec<&dyn SuiteSink> = sinks.iter().map(|s| s as &dyn SuiteSink).collect();
-    let (stats, _, artifacts) = transform_par::synthesize_axioms_fused_range(
+    let (stats, _) = transform_par::synthesize_axioms_fused_range(
         &mtm,
         &axioms,
         &opts,
@@ -826,17 +792,9 @@ pub fn execute_lease(grant: &LeaseGrant, jobs: usize) -> Result<ShardResult, Sto
         (lo, hi),
         &sink_refs,
     );
-    // The artifacts' digest covers every enumeration node in `[0, hi)`
-    // (the prefix is enumerated for global dedup); this range owns the
-    // slice past the `[0, lo)` nodes.
-    let masses = space.masses();
-    let skip: u64 = masses[..lo].iter().sum();
-    let node_counts: Vec<(u64, u64)> = artifacts
-        .node_counts
-        .get(skip as usize..)
-        .unwrap_or(&[])
-        .to_vec();
-    let programs: usize = node_counts.iter().map(|&(admitted, _)| admitted as usize).sum();
+    // Every axiom shares the range's plan, so any axiom's count is the
+    // range's: the programs admitted inside `[lo, hi)`.
+    let programs = stats.first().map_or(0, |s| s.programs);
     let per_axiom = stats
         .iter()
         .zip(sinks)
@@ -863,7 +821,6 @@ pub fn execute_lease(grant: &LeaseGrant, jobs: usize) -> Result<ShardResult, Sto
         lo: grant.lo,
         hi: grant.hi,
         programs,
-        node_counts,
         per_axiom,
     })
 }
@@ -972,7 +929,6 @@ mod tests {
             lo,
             hi,
             programs: 5,
-            node_counts: vec![(2, 1), (3, 4)],
             per_axiom: vec![AxiomShard {
                 stats: ShardStats {
                     shard: usize::try_from(lo).expect("fits"),
@@ -997,16 +953,20 @@ mod tests {
         assert!(ShardResult::decode(&flipped).is_err());
         let truncated = &bytes[..bytes.len() - 1];
         assert!(ShardResult::decode(truncated).is_err());
+        // A correctly checksummed frame from an older format version
+        // (whose shard results also carried node counts) is refused.
+        let mut old = bytes[..bytes.len() - 8].to_vec();
+        old[8..12].copy_from_slice(&1u32.to_le_bytes());
+        old.extend_from_slice(&fnv1a64(&old).to_le_bytes());
+        let err = ShardResult::decode(&old).expect_err("version skew");
+        assert!(err.to_string().contains("format version 1"), "{err}");
     }
 
     #[test]
     fn staging_is_idempotent_and_conflict_safe() {
         let tag = "stage";
-        let dir = std::env::temp_dir().join(format!(
-            "tfs-fleet-{tag}-{}-{:p}",
-            std::process::id(),
-            &tag
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("tfs-fleet-{tag}-{}-{:p}", std::process::id(), &tag));
         let _ = std::fs::remove_dir_all(&dir);
         let store = Store::open(&dir).expect("store opens");
         let job = 42;
@@ -1038,7 +998,10 @@ mod tests {
         assert!(store.stage_shard(job, 0, 3, b"junk").is_err());
 
         assert_eq!(store.staged_shards(job).expect("lists"), vec![(0, 3)]);
-        assert_eq!(store.read_shard(job, 0, 3).expect("reads"), shard(job, 0, 3));
+        assert_eq!(
+            store.read_shard(job, 0, 3).expect("reads"),
+            shard(job, 0, 3)
+        );
 
         store.clear_fleet_job(job).expect("clears");
         assert!(store.staged_shards(job).expect("lists").is_empty());

@@ -21,10 +21,6 @@
 //!   [`transform_par::SuiteSink`]), a deterministic merge seals the
 //!   canonical index, and [`store::SuiteReader`] iterates a sealed
 //!   suite record-by-record behind checksum validation.
-//! * [`delta`] — delta-encoded entries for incremental cross-bound
-//!   synthesis: a bound-N suite can reference the sealed bound-N−1
-//!   entry as an immutable parent and carry only the records new at
-//!   bound N, plus the admission digests warm starts replay.
 //! * [`cache`] — the policy: serve sealed entries, stream cold runs in,
 //!   and rebuild (never serve) corrupt, truncated, or
 //!   version-mismatched files.
@@ -80,7 +76,6 @@
 
 pub mod cache;
 pub mod codec;
-pub mod delta;
 pub mod fingerprint;
 pub mod fleet;
 pub mod index;
@@ -94,10 +89,6 @@ pub use cache::{
     cached_or_synthesize_observed, CacheStatus,
 };
 pub use codec::{CodecError, FORMAT_VERSION};
-pub use delta::{
-    entry_parent, is_delta, materialize, validate_delta, DeltaHeader, Digest, DELTA_FORMAT_VERSION,
-    MAX_PARENT_CHAIN,
-};
 pub use fingerprint::{suite_fingerprint, Fingerprint};
 pub use fleet::{
     balanced_ranges, execute_lease, merge_fleet_job, AxiomShard, JobSpec, LeaseGrant, ShardResult,
@@ -110,4 +101,4 @@ pub use journal::{
 };
 pub use remote::HttpTier;
 pub use store::{read_suite, EntryMeta, PendingSuite, Store, StoreError, SuiteReader};
-pub use tier::{CacheTier, TieredCache, WarmMode};
+pub use tier::{CacheTier, TieredCache};

@@ -12,8 +12,6 @@
 //! | `GET /v1/runs` | recent run manifests ([`crate::journal::encode_run_list`] bytes) |
 //! | `GET /v1/runs/<id>` | one run's full journal ([`crate::journal::encode_run`] bytes) |
 //! | `PUT /v1/runs/<id>` | upload a run journal (rewritable — heartbeats) |
-//! | `GET /v1/digest/<fingerprint>` | the sealed entry's admission digest |
-//! | `PUT /v1/digest/<fingerprint>` | upload an admission digest (idempotent) |
 //! | `POST /v1/jobs` | create a fleet job ([`crate::fleet::JobSpec`] bytes, idempotent) |
 //! | `GET /v1/jobs/<id>` | fleet job progress (JSON) |
 //! | `POST /v1/jobs/<id>/cut` | abandon a fleet job |
@@ -342,47 +340,6 @@ impl HttpTier {
         }
     }
 
-    /// `GET /v1/digest/<fp>`: the sealed entry's encoded admission
-    /// digest, or `None` when the remote does not hold one. Validate on
-    /// install via [`crate::Store::install_digest_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Remote`] when the server is unreachable, truncates
-    /// the response, or answers with an unexpected status.
-    pub fn fetch_digest(&self, fp: Fingerprint) -> Result<Option<Vec<u8>>, StoreError> {
-        let (status, body) = self.exchange("GET", &digest_path(fp), None)?;
-        match status {
-            200 => Ok(Some(body)),
-            404 => Ok(None),
-            other => Err(StoreError::Remote(format!(
-                "GET {}{} returned status {other}",
-                self.url(),
-                digest_path(fp)
-            ))),
-        }
-    }
-
-    /// `PUT /v1/digest/<fp>`: uploads an admission digest. Idempotent
-    /// like suite uploads — digests are as immutable as their entries.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Remote`] when the server is unreachable or rejects
-    /// the upload (it validates every byte before publishing).
-    pub fn publish_digest(&self, fp: Fingerprint, bytes: &[u8]) -> Result<(), StoreError> {
-        let (status, body) = self.exchange("PUT", &digest_path(fp), Some(bytes))?;
-        match status {
-            200 | 201 => Ok(()),
-            other => Err(StoreError::Remote(format!(
-                "PUT {}{} returned status {other}: {}",
-                self.url(),
-                digest_path(fp),
-                String::from_utf8_lossy(&body).trim()
-            ))),
-        }
-    }
-
     /// `POST /v1/jobs`: registers a fleet job from its encoded
     /// [`crate::fleet::JobSpec`]. Idempotent — the job id is the hash
     /// of the spec, so re-posting the same work re-joins the existing
@@ -595,11 +552,6 @@ fn suite_path(fp: Fingerprint) -> String {
 /// The wire path of one run journal.
 fn run_path(id: u64) -> String {
     format!("/v1/runs/{id:016x}")
-}
-
-/// The wire path of one admission digest.
-fn digest_path(fp: Fingerprint) -> String {
-    format!("/v1/digest/{}", fp.hex())
 }
 
 /// A parsed response head: status code, lowercased headers, and any

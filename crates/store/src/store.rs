@@ -46,11 +46,13 @@ use transform_core::axiom::Mtm;
 use transform_par::SuiteSink;
 use transform_synth::{ShardStats, Suite, SuiteRecord, SuiteStats, SynthOptions};
 
-pub(crate) const SUITE_MAGIC: &[u8; 8] = b"TFSUITE\0";
+const SUITE_MAGIC: &[u8; 8] = b"TFSUITE\0";
 const SHARD_MAGIC: &[u8; 8] = b"TFSHARD\0";
 const SUITE_EXT: &str = "tfs";
-/// Extension of admission-digest artifacts (`<fingerprint>.tfd`).
-const DIGEST_EXT: &str = "tfd";
+/// Extension of the per-entry admission digests (`<fingerprint>.tfd`)
+/// that format-version-1 builds wrote beside every sealed entry.
+/// Nothing reads them; `store gc` sweeps them.
+const LEGACY_DIGEST_EXT: &str = "tfd";
 
 /// A store failure.
 #[derive(Debug)]
@@ -70,11 +72,6 @@ pub enum StoreError {
     /// the tiered read path (it falls through to synthesis) but surface
     /// directly from explicit `store push`/`store pull` operations.
     Remote(String),
-    /// A warm start was demanded (`--warm-start` without `auto`) but
-    /// its prerequisites — the sealed bound-N−1 parent suite and its
-    /// admission digest — were unavailable or inconsistent. The
-    /// `auto` mode turns every such condition into a cold run instead.
-    WarmStart(String),
 }
 
 impl fmt::Display for StoreError {
@@ -87,7 +84,6 @@ impl fmt::Display for StoreError {
             ),
             StoreError::Corrupt(m) => write!(f, "store entry corrupt: {m}"),
             StoreError::Remote(m) => write!(f, "remote cache: {m}"),
-            StoreError::WarmStart(m) => write!(f, "warm start unavailable: {m}"),
         }
     }
 }
@@ -215,61 +211,24 @@ impl Store {
     }
 
     /// Opens a sealed entry for streaming reads, validating magic,
-    /// version, and the header checksum up front. Delta entries are
-    /// materialized transparently — the parent chain is resolved
-    /// through this store and validated link by link, so the reader is
-    /// indistinguishable from one over a full entry.
+    /// version, and the header checksum up front.
     ///
     /// # Errors
     ///
     /// [`StoreError::Version`] on format skew, [`StoreError::Corrupt`]
-    /// on a damaged header or a broken delta chain (missing, corrupt,
-    /// or over-deep parents), [`StoreError::Io`] when the file is
-    /// missing or unreadable.
+    /// on a damaged header, [`StoreError::Io`] when the file is missing
+    /// or unreadable.
     pub fn open_suite(&self, fp: Fingerprint) -> Result<SuiteReader, StoreError> {
-        let path = self.entry_path(fp);
-        let mut head = [0u8; 8];
-        let sniffed = File::open(&path)?.read(&mut head)?;
-        if crate::delta::is_delta(&head[..sniffed]) {
-            let bytes = fs::read(&path)?;
-            let full = crate::delta::materialize(self, &bytes, Some(fp))?;
-            return SuiteReader::open_bytes(full, Some(fp));
-        }
-        SuiteReader::open(&path, Some(fp))
-    }
-
-    /// Whether the sealed entry for `fp` is delta-encoded (`None` when
-    /// no entry exists). Sniffs the magic only; validity is established
-    /// by reading.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying error when the entry cannot be read.
-    pub fn entry_is_delta(&self, fp: Fingerprint) -> Result<Option<bool>, StoreError> {
-        let mut head = [0u8; 8];
-        match File::open(self.entry_path(fp)) {
-            Ok(mut f) => {
-                let n = f.read(&mut head)?;
-                Ok(Some(crate::delta::is_delta(&head[..n])))
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e.into()),
-        }
+        SuiteReader::open(&self.entry_path(fp), Some(fp))
     }
 
     /// Deletes the sealed entry for `fp`, if present — the cache layer's
-    /// response to a corrupt read. The entry's admission digest (if any)
-    /// goes with it; a digest without its entry is meaningless.
+    /// response to a corrupt read.
     ///
     /// # Errors
     ///
     /// Returns the underlying error when deletion itself fails.
     pub fn remove(&self, fp: Fingerprint) -> Result<(), StoreError> {
-        match fs::remove_file(self.digest_path(fp)) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
         match fs::remove_file(self.entry_path(fp)) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
@@ -277,109 +236,18 @@ impl Store {
         }
     }
 
-    /// The admission-digest path of a fingerprint.
-    pub fn digest_path(&self, fp: Fingerprint) -> PathBuf {
-        self.root.join(format!("{}.{DIGEST_EXT}", fp.hex()))
-    }
-
-    /// Writes (atomically) the admission digest for the sealed entry
-    /// `fp` — the warm-start seed the next bound replays.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying error when staging or renaming fails.
-    pub fn write_digest(
-        &self,
-        fp: Fingerprint,
-        digest: &crate::delta::Digest,
-    ) -> Result<(), StoreError> {
-        static NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let nonce = NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let staged = self.root.join(format!(
-            "tmp-digest-{}-{}-{nonce}",
-            fp.hex(),
-            std::process::id()
-        ));
-        fs::write(&staged, crate::delta::encode_digest(fp, digest))?;
-        fs::rename(&staged, self.digest_path(fp))?;
-        Ok(())
-    }
-
-    /// Reads and validates the admission digest for `fp`, or `None`
-    /// when no digest was recorded. A damaged digest is an error —
-    /// callers fall back to a cold run, never to a wrong warm one.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Corrupt`]/[`StoreError::Version`] when the digest
-    /// fails validation; [`StoreError::Io`] on read trouble.
-    pub fn read_digest(&self, fp: Fingerprint) -> Result<Option<crate::delta::Digest>, StoreError> {
-        match fs::read(self.digest_path(fp)) {
-            Ok(bytes) => crate::delta::decode_digest(&bytes, fp).map(Some),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// The raw encoded digest bytes for `fp`, or `None` when no digest
-    /// was recorded — the wire form `GET /v1/digest/<fp>` serves.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on read trouble other than absence.
-    pub fn digest_bytes(&self, fp: Fingerprint) -> Result<Option<Vec<u8>>, StoreError> {
-        match fs::read(self.digest_path(fp)) {
-            Ok(bytes) => Ok(Some(bytes)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Validates and installs digest bytes received over the wire
-    /// (`PUT /v1/digest/<fp>`, or a digest-aware `store pull`): the
-    /// bytes must decode as a digest for exactly `fp` before anything
-    /// lands on disk, then install atomically like [`Store::write_digest`].
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Corrupt`]/[`StoreError::Version`] when the bytes
-    /// fail validation; [`StoreError::Io`] when staging or renaming
-    /// fails.
-    pub fn install_digest_bytes(&self, fp: Fingerprint, bytes: &[u8]) -> Result<(), StoreError> {
-        crate::delta::decode_digest(bytes, fp)?;
-        static NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let nonce = NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let staged = self.root.join(format!(
-            "tmp-digest-{}-{}-{nonce}",
-            fp.hex(),
-            std::process::id()
-        ));
-        fs::write(&staged, bytes)?;
-        fs::rename(&staged, self.digest_path(fp))?;
-        Ok(())
-    }
-
-    /// Digest artifacts whose sealed entry is gone — leftovers `store
-    /// gc` sweeps.
+    /// Every admission-digest file (`*.tfd`) an older build left in the
+    /// store, sorted — leftovers `store gc` sweeps.
     ///
     /// # Errors
     ///
     /// Returns the underlying error when the directory is unreadable.
-    pub fn orphan_digests(&self) -> Result<Vec<Fingerprint>, StoreError> {
+    pub fn legacy_digests(&self) -> Result<Vec<PathBuf>, StoreError> {
         let mut out = Vec::new();
         for entry in fs::read_dir(&self.root)? {
             let path = entry?.path();
-            if path.extension().and_then(|e| e.to_str()) != Some(DIGEST_EXT) {
-                continue;
-            }
-            if let Some(fp) = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .and_then(Fingerprint::from_hex)
-            {
-                if !self.contains(fp) {
-                    out.push(fp);
-                }
+            if path.extension().and_then(|e| e.to_str()) == Some(LEGACY_DIGEST_EXT) {
+                out.push(path);
             }
         }
         out.sort();
@@ -473,11 +341,6 @@ impl Store {
     /// any failure — corrupt remote bytes can never become a servable
     /// entry.
     ///
-    /// Delta-entry bytes are validated by materializing them against
-    /// this store, so a delta whose parent is not already installed
-    /// locally is refused (`delta parent … not in store`) — install
-    /// parents first.
-    ///
     /// Installation is idempotent: entries are content-addressed and
     /// immutable, so re-installing an existing fingerprint atomically
     /// replaces the file with identical content.
@@ -499,15 +362,6 @@ impl Store {
         ));
         fs::write(&staged, bytes)?;
         let validated = (|| -> Result<EntryMeta, StoreError> {
-            if crate::delta::is_delta(bytes) {
-                let full = crate::delta::materialize(self, bytes, Some(fp))?;
-                let mut reader = SuiteReader::open_bytes(full, Some(fp))?;
-                let meta = reader.meta().clone();
-                for record in reader.by_ref() {
-                    record?;
-                }
-                return Ok(meta);
-            }
             let mut reader = SuiteReader::open(&staged, Some(fp))?;
             let meta = reader.meta().clone();
             for record in reader.by_ref() {
@@ -540,7 +394,7 @@ impl Store {
     }
 
     /// Leftover `tmp-*` entries from crashed or in-flight runs: staged
-    /// seals, installs, digests, journals and index rewrites. `store gc` removes them;
+    /// seals, installs, journals and index rewrites. `store gc` removes them;
     /// callers must ensure no synthesis is currently streaming into the
     /// store.
     ///
@@ -600,12 +454,7 @@ impl Store {
     }
 }
 
-pub(crate) fn header_bytes(
-    fp: Fingerprint,
-    meta: &EntryMeta,
-    stats: &SuiteStats,
-    records: u64,
-) -> Vec<u8> {
+fn header_bytes(fp: Fingerprint, meta: &EntryMeta, stats: &SuiteStats, records: u64) -> Vec<u8> {
     let mut e = Enc::new();
     e.u64((fp.0 >> 64) as u64);
     e.u64(fp.0 as u64);
@@ -778,68 +627,6 @@ impl PendingSuite {
         self.publish(&e.into_bytes())
     }
 
-    /// Merges the staged shards and seals them as a **delta entry**: the
-    /// records at the plan indices in `parent_map` (the warm run's
-    /// spliced parent records) are dropped from the payload — the
-    /// parent link reproduces them at decode time — and only the
-    /// records new at this bound are written. `parent_map` must be the
-    /// strictly increasing child plan indices of the parent's records,
-    /// exactly as reported by the warm run's
-    /// [`transform_par::RunArtifacts`].
-    ///
-    /// Reading the sealed delta back (via [`Store::open_suite`])
-    /// materializes bytes whose record region is identical to what
-    /// [`PendingSuite::seal`] would have written for the same run.
-    ///
-    /// # Errors
-    ///
-    /// Surfaces shard failures like [`PendingSuite::seal`], plus
-    /// [`StoreError::Corrupt`] when `parent_map` does not match the
-    /// streamed records.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `stats.timed_out` is set.
-    pub fn seal_delta(
-        mut self,
-        stats: &SuiteStats,
-        parent: Fingerprint,
-        parent_map: &[u64],
-    ) -> Result<Fingerprint, StoreError> {
-        assert!(!stats.timed_out, "refusing to seal a partial suite");
-        let records = self.merge()?;
-        if parent_map.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(StoreError::Corrupt(
-                "parent map not strictly increasing".into(),
-            ));
-        }
-        let mut new_records =
-            Vec::with_capacity(records.len() - parent_map.len().min(records.len()));
-        let mut mi = 0usize;
-        for (index, payload) in records {
-            if mi < parent_map.len() && parent_map[mi] == index {
-                mi += 1;
-            } else {
-                new_records.push((index, payload));
-            }
-        }
-        if mi != parent_map.len() {
-            return Err(StoreError::Corrupt(format!(
-                "parent map names {} plan indices absent from the run",
-                parent_map.len() - mi
-            )));
-        }
-        let bytes = crate::delta::encode_delta(
-            self.fp,
-            parent,
-            &self.meta,
-            stats,
-            parent_map,
-            &new_records,
-        );
-        self.publish(&bytes)
-    }
-
     /// Assembles the in-memory suite from the staged shards *without*
     /// sealing — the path for timed-out (partial) runs, which are
     /// returned to the caller but never persisted.
@@ -897,7 +684,7 @@ fn read_varint_stream(r: &mut impl Read, what: &str) -> Result<u64, StoreError> 
 /// cached suite can be filtered or re-printed without ever
 /// materializing all of it.
 pub struct SuiteReader {
-    reader: Box<dyn Read + Send>,
+    reader: BufReader<File>,
     fingerprint: Fingerprint,
     meta: EntryMeta,
     stats: SuiteStats,
@@ -909,22 +696,7 @@ pub struct SuiteReader {
 
 impl SuiteReader {
     fn open(path: &Path, expect: Option<Fingerprint>) -> Result<SuiteReader, StoreError> {
-        SuiteReader::from_reader(Box::new(BufReader::new(File::open(path)?)), expect)
-    }
-
-    /// A reader over in-memory sealed-suite bytes — the serving path
-    /// for materialized delta entries, validated identically to a file.
-    pub(crate) fn open_bytes(
-        bytes: Vec<u8>,
-        expect: Option<Fingerprint>,
-    ) -> Result<SuiteReader, StoreError> {
-        SuiteReader::from_reader(Box::new(std::io::Cursor::new(bytes)), expect)
-    }
-
-    fn from_reader(
-        mut reader: Box<dyn Read + Send>,
-        expect: Option<Fingerprint>,
-    ) -> Result<SuiteReader, StoreError> {
+        let mut reader = BufReader::new(File::open(path)?);
         let mut magic = [0u8; 8];
         read_exact_or_corrupt(&mut reader, &mut magic, "suite magic")?;
         if &magic != SUITE_MAGIC {

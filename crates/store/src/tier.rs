@@ -22,7 +22,6 @@
 //! Only genuine local i/o failures surface as errors.
 
 use crate::cache::CacheStatus;
-use crate::delta::{self, Digest, MAX_PARENT_CHAIN};
 use crate::fingerprint::{suite_fingerprint, Fingerprint};
 use crate::store::{read_suite, EntryMeta, PendingSuite, Store, StoreError};
 use std::collections::BTreeMap;
@@ -30,32 +29,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use transform_core::axiom::Mtm;
 use transform_par::{
-    enumeration_nodes, synthesize_axioms_streamed_incremental, JournalEventKind, ProgressState,
-    SuiteSink, WarmParent, WarmSeed,
+    synthesize_axioms_streamed, synthesize_axioms_streamed_observed, synthesize_suite_streamed,
+    synthesize_suite_streamed_observed, JournalEventKind, ProgressState, SuiteSink,
 };
 use transform_synth::{ShardStats, Suite, SuiteRecord, SuiteStats, SynthOptions};
-
-/// How a tiered synthesis should use the previous bound's sealed suite.
-///
-/// A warm start needs two artifacts for the same key at bound N−1: the
-/// sealed parent suite (local or remote) and its admission digest
-/// (local, recorded at seal time by this build). When both are present
-/// and consistent, the run skips every enumeration node already covered
-/// at bound N−1 and replays the digest instead, then seals the result
-/// as a delta entry referencing the parent.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum WarmMode {
-    /// Cold synthesis; delta entries already sealed are still served.
-    #[default]
-    Off,
-    /// Warm-start when the parent suite and digest are available and
-    /// consistent; silently fall back to a cold run otherwise.
-    Auto,
-    /// Warm-start or fail with [`StoreError::WarmStart`] — the mode for
-    /// benchmarking and CI, where a silent cold fallback would hide a
-    /// regression.
-    Require,
-}
 
 /// One tier of a layered suite cache: somewhere sealed-suite bytes can
 /// be fetched from and published to, keyed by [`Fingerprint`].
@@ -87,32 +64,6 @@ pub trait CacheTier: Sync {
     /// Tier-specific trouble, or validation failure for tiers that
     /// verify on ingest.
     fn publish(&self, fp: Fingerprint, bytes: &[u8]) -> Result<(), StoreError>;
-
-    /// The encoded admission digest for `fp`, or `None` when this tier
-    /// does not hold one (including tiers that never store digests —
-    /// the default). Digests ride beside sealed entries so a pulled
-    /// parent can seed a warm start on another machine.
-    ///
-    /// # Errors
-    ///
-    /// Tier-specific trouble, as for [`CacheTier::fetch`].
-    fn fetch_digest(&self, fp: Fingerprint) -> Result<Option<Vec<u8>>, StoreError> {
-        let _ = fp;
-        Ok(None)
-    }
-
-    /// Publishes the encoded admission digest for `fp`. Digests are as
-    /// immutable as their entries, so republishing is idempotent. The
-    /// default drops the digest (a tier that can't store them is still
-    /// a valid suite tier).
-    ///
-    /// # Errors
-    ///
-    /// Tier-specific trouble, as for [`CacheTier::publish`].
-    fn publish_digest(&self, fp: Fingerprint, bytes: &[u8]) -> Result<(), StoreError> {
-        let _ = (fp, bytes);
-        Ok(())
-    }
 }
 
 impl CacheTier for Store {
@@ -127,14 +78,6 @@ impl CacheTier for Store {
     fn publish(&self, fp: Fingerprint, bytes: &[u8]) -> Result<(), StoreError> {
         self.install_bytes(fp, bytes)
     }
-
-    fn fetch_digest(&self, fp: Fingerprint) -> Result<Option<Vec<u8>>, StoreError> {
-        self.digest_bytes(fp)
-    }
-
-    fn publish_digest(&self, fp: Fingerprint, bytes: &[u8]) -> Result<(), StoreError> {
-        self.install_digest_bytes(fp, bytes)
-    }
 }
 
 impl CacheTier for crate::remote::HttpTier {
@@ -148,14 +91,6 @@ impl CacheTier for crate::remote::HttpTier {
 
     fn publish(&self, fp: Fingerprint, bytes: &[u8]) -> Result<(), StoreError> {
         crate::remote::HttpTier::publish(self, fp, bytes)
-    }
-
-    fn fetch_digest(&self, fp: Fingerprint) -> Result<Option<Vec<u8>>, StoreError> {
-        crate::remote::HttpTier::fetch_digest(self, fp)
-    }
-
-    fn publish_digest(&self, fp: Fingerprint, bytes: &[u8]) -> Result<(), StoreError> {
-        crate::remote::HttpTier::publish_digest(self, fp, bytes)
     }
 }
 
@@ -250,70 +185,6 @@ impl TieredCache {
             opts,
             jobs,
             None,
-            WarmMode::Off,
-        )
-    }
-
-    /// [`TieredCache::cached_or_synthesize`] with an explicit
-    /// [`WarmMode`]: on a miss, `Auto`/`Require` seed the run from the
-    /// sealed bound-N−1 suite (pulled through the tiers if needed) and
-    /// seal the result as a delta entry referencing it.
-    ///
-    /// # Errors
-    ///
-    /// Local i/o failures, plus [`StoreError::WarmStart`] when
-    /// [`WarmMode::Require`] finds no usable parent.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `axiom` is not part of `mtm`.
-    pub fn cached_or_synthesize_warm(
-        &self,
-        mtm: &Mtm,
-        axiom: &str,
-        opts: &SynthOptions,
-        jobs: usize,
-        warm: WarmMode,
-        progress: Option<&Arc<ProgressState>>,
-    ) -> Result<(Suite, CacheStatus), StoreError> {
-        run_tiered(
-            &self.local,
-            self.remote.as_deref(),
-            mtm,
-            axiom,
-            opts,
-            jobs,
-            progress,
-            warm,
-        )
-    }
-
-    /// [`TieredCache::cached_or_synthesize_all`] with an explicit
-    /// [`WarmMode`]: the fused run over all missing axioms warm-starts
-    /// from their bound-N−1 parents when every parent (and the shared
-    /// admission digest) is available, and each missing axiom seals as
-    /// a delta entry.
-    ///
-    /// # Errors
-    ///
-    /// Local i/o failures, plus [`StoreError::WarmStart`] when
-    /// [`WarmMode::Require`] finds no usable parent set.
-    pub fn cached_or_synthesize_all_warm(
-        &self,
-        mtm: &Mtm,
-        opts: &SynthOptions,
-        jobs: usize,
-        warm: WarmMode,
-        progress: Option<&Arc<ProgressState>>,
-    ) -> Result<BTreeMap<String, (Suite, CacheStatus)>, StoreError> {
-        run_tiered_all(
-            &self.local,
-            self.remote.as_deref(),
-            mtm,
-            opts,
-            jobs,
-            progress,
-            warm,
         )
     }
 
@@ -343,7 +214,6 @@ impl TieredCache {
             opts,
             jobs,
             Some(progress),
-            WarmMode::Off,
         )
     }
 
@@ -365,15 +235,7 @@ impl TieredCache {
         opts: &SynthOptions,
         jobs: usize,
     ) -> Result<BTreeMap<String, (Suite, CacheStatus)>, StoreError> {
-        run_tiered_all(
-            &self.local,
-            self.remote.as_deref(),
-            mtm,
-            opts,
-            jobs,
-            None,
-            WarmMode::Off,
-        )
+        run_tiered_all(&self.local, self.remote.as_deref(), mtm, opts, jobs, None)
     }
 
     /// [`TieredCache::cached_or_synthesize_all`] with live telemetry:
@@ -401,7 +263,6 @@ impl TieredCache {
             opts,
             jobs,
             Some(progress),
-            WarmMode::Off,
         )
     }
 }
@@ -409,7 +270,6 @@ impl TieredCache {
 /// The tiered lookup shared by [`TieredCache::cached_or_synthesize`] and
 /// the local-only [`crate::cached_or_synthesize`] (which passes no
 /// remote).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_tiered(
     local: &Store,
     remote: Option<&dyn CacheTier>,
@@ -418,7 +278,6 @@ pub(crate) fn run_tiered(
     opts: &SynthOptions,
     jobs: usize,
     progress: Option<&Arc<ProgressState>>,
-    warm: WarmMode,
 ) -> Result<(Suite, CacheStatus), StoreError> {
     assert!(
         mtm.axiom(axiom).is_some(),
@@ -436,26 +295,20 @@ pub(crate) fn run_tiered(
         Lookup::Absent(status) => status,
     };
 
-    // Tier 3: synthesize (warm-started when possible), seal locally,
-    // push the sealed bytes.
-    let warm_plan = prepare_warm(local, remote, mtm, &[axiom], opts, warm)?;
+    // Tier 3: synthesize, seal locally, push the sealed bytes.
     let pending = local.begin(fp, EntryMeta::describe(mtm, axiom, opts))?;
     // The gate's scope ends before `pending` is sealed or dismantled —
     // it only lives for the streaming run it observes.
-    let (stats, completed, artifacts) = {
+    let (stats, completed) = {
         let gate = PushGate::new(&pending);
-        let sinks: [&dyn SuiteSink; 1] = [&gate];
-        let (mut all_stats, _metrics, artifacts) = synthesize_axioms_streamed_incremental(
-            mtm,
-            &[axiom],
-            opts,
-            jobs,
-            &sinks,
-            progress,
-            warm_plan.as_ref().map(|plan| &plan.seed),
-        );
+        let stats = match progress {
+            Some(progress) => {
+                synthesize_suite_streamed_observed(mtm, axiom, opts, jobs, &gate, progress).0
+            }
+            None => synthesize_suite_streamed(mtm, axiom, opts, jobs, &gate),
+        };
         let completed = gate.completed();
-        (all_stats.remove(0), completed, artifacts)
+        (stats, completed)
     };
     if stats.timed_out {
         let suite = pending.into_suite(&stats)?;
@@ -466,36 +319,17 @@ pub(crate) fn run_tiered(
             },
         ));
     }
-    match &warm_plan {
-        Some(plan) => {
-            let maps = artifacts
-                .parent_maps
-                .as_ref()
-                .expect("warm runs report parent maps");
-            pending.seal_delta(&stats, plan.parent_fps[0], &maps[0])?;
-        }
-        None => {
-            pending.seal(&stats)?;
-        }
-    }
-    // Record the run's admission digest alongside the sealed entry —
-    // the seed the next bound's warm start replays.
-    local.write_digest(
-        fp,
-        &Digest {
-            bound: opts.enumeration.bound,
-            counts: artifacts.node_counts.clone(),
-        },
-    )?;
+    pending.seal(&stats)?;
     record_seal(progress, axiom, local, fp);
     if let Some(remote) = remote {
         if completed {
             // Best-effort: a failed push costs the fleet a warm entry,
             // never this run its result.
-            if push_with_parents(local, remote, fp) {
-                record_push(progress, axiom);
+            if let Ok(Some(bytes)) = local.entry_bytes(fp) {
+                if remote.publish(fp, &bytes).is_ok() {
+                    record_push(progress, axiom);
+                }
             }
-            push_digest(local, remote, fp);
         }
     }
     let suite = read_entry(local, fp, axiom)?;
@@ -540,11 +374,10 @@ fn lookup_tiers(
         }
     }
 
-    // Tier 2: the remote, read-through. Delta entries pull their
-    // parent chain first (each link installed and validated in order).
+    // Tier 2: the remote, read-through.
     if let Some(remote) = remote {
         if let Ok(Some(bytes)) = remote.fetch(fp) {
-            match install_with_parents(local, remote, fp, &bytes, MAX_PARENT_CHAIN) {
+            match local.install_bytes(fp, &bytes) {
                 Ok(()) => match read_entry(local, fp, axiom) {
                     Ok(suite) => return Ok(Lookup::Served(suite, CacheStatus::RemoteHit)),
                     Err(StoreError::Io(e)) => return Err(StoreError::Io(e)),
@@ -581,7 +414,6 @@ pub(crate) fn run_tiered_all(
     opts: &SynthOptions,
     jobs: usize,
     progress: Option<&Arc<ProgressState>>,
-    warm: WarmMode,
 ) -> Result<BTreeMap<String, (Suite, CacheStatus)>, StoreError> {
     let axioms: Vec<String> = mtm.axioms().iter().map(|a| a.name.clone()).collect();
     let mut out = BTreeMap::new();
@@ -606,41 +438,27 @@ pub(crate) fn run_tiered_all(
     }
 
     // One fused run for every miss: enumerate once, examine per axiom,
-    // seal each suite from inside the pool as its axiom finishes. A
-    // warm run defers its seals to the driver loop below instead — the
-    // delta seal needs the parent maps, which the run reports only
-    // once it drains.
+    // seal each suite from inside the pool as its axiom finishes.
     let axiom_refs: Vec<&str> = misses.iter().map(|(a, _, _)| a.as_str()).collect();
-    let warm_plan = prepare_warm(local, remote, mtm, &axiom_refs, opts, warm)?;
     let gates: Vec<SealOnDone<'_>> = misses
         .iter()
         .map(|(axiom, fp, _)| {
             let pending = local.begin(*fp, EntryMeta::describe(mtm, axiom, opts))?;
             Ok(SealOnDone::new(
-                local,
-                remote,
-                *fp,
-                pending,
-                axiom,
-                progress,
-                warm_plan.is_some(),
+                local, remote, *fp, pending, axiom, progress,
             ))
         })
         .collect::<Result<_, StoreError>>()?;
     let sink_refs: Vec<&dyn SuiteSink> = gates.iter().map(|g| g as &dyn SuiteSink).collect();
-    let (all_stats, _metrics, artifacts) = synthesize_axioms_streamed_incremental(
-        mtm,
-        &axiom_refs,
-        opts,
-        jobs,
-        &sink_refs,
-        progress,
-        warm_plan.as_ref().map(|plan| &plan.seed),
-    );
+    let all_stats = match progress {
+        Some(progress) => {
+            synthesize_axioms_streamed_observed(mtm, &axiom_refs, opts, jobs, &sink_refs, progress)
+                .0
+        }
+        None => synthesize_axioms_streamed(mtm, &axiom_refs, opts, jobs, &sink_refs),
+    };
 
-    for (i, (((axiom, fp, status), gate), stats)) in
-        misses.into_iter().zip(gates).zip(all_stats).enumerate()
-    {
+    for (((axiom, fp, status), gate), stats) in misses.into_iter().zip(gates).zip(all_stats) {
         let (pending, seal_outcome) = gate.into_parts();
         if stats.timed_out {
             let pending = pending.expect("timed-out runs are never sealed");
@@ -656,294 +474,13 @@ pub(crate) fn run_tiered_all(
             );
             continue;
         }
-        match &warm_plan {
-            Some(plan) => {
-                // Deferred warm seal: the delta entry references the
-                // bound-N−1 parent and carries only the new records.
-                let pending = pending.expect("deferred warm seals keep the pending entry");
-                let maps = artifacts
-                    .parent_maps
-                    .as_ref()
-                    .expect("warm runs report parent maps");
-                pending.seal_delta(&stats, plan.parent_fps[i], &maps[i])?;
-                record_seal(progress, &axiom, local, fp);
-                if let Some(remote) = remote {
-                    if push_with_parents(local, remote, fp) {
-                        record_push(progress, &axiom);
-                    }
-                }
-            }
-            None => {
-                // A completed axiom was sealed from the pool; surface
-                // any seal failure now (local disk trouble is hard, as
-                // ever).
-                seal_outcome.expect("run_done seals every completed axiom")?;
-            }
-        }
-        local.write_digest(
-            fp,
-            &Digest {
-                bound: opts.enumeration.bound,
-                counts: artifacts.node_counts.clone(),
-            },
-        )?;
-        if let Some(remote) = remote {
-            push_digest(local, remote, fp);
-        }
+        // A completed axiom was sealed from the pool; surface any seal
+        // failure now (local disk trouble is hard, as ever).
+        seal_outcome.expect("run_done seals every completed axiom")?;
         let suite = read_entry(local, fp, &axiom)?;
         out.insert(axiom, (suite, status));
     }
     Ok(out)
-}
-
-/// The warm-start inputs of one tiered run: the seed replayed by the
-/// pipeline, plus each missing axiom's parent fingerprint (same order
-/// as the run's axioms) for the delta seals.
-struct WarmPlan {
-    seed: WarmSeed,
-    parent_fps: Vec<Fingerprint>,
-}
-
-/// Assembles a [`WarmPlan`] per [`WarmMode`]: `Off` never warm-starts,
-/// `Auto` turns every missing prerequisite into a cold run, `Require`
-/// surfaces it as [`StoreError::WarmStart`].
-fn prepare_warm(
-    local: &Store,
-    remote: Option<&dyn CacheTier>,
-    mtm: &Mtm,
-    axioms: &[&str],
-    opts: &SynthOptions,
-    mode: WarmMode,
-) -> Result<Option<WarmPlan>, StoreError> {
-    if mode == WarmMode::Off {
-        return Ok(None);
-    }
-    match gather_warm(local, remote, mtm, axioms, opts) {
-        Ok(plan) => Ok(Some(plan)),
-        Err(reason) => match mode {
-            WarmMode::Require => Err(StoreError::WarmStart(reason)),
-            _ => Ok(None),
-        },
-    }
-}
-
-/// Collects and cross-validates everything a warm start rests on: the
-/// sealed bound-N−1 suite of every axiom (pulled through the remote
-/// tier, parents first, when absent locally) and the shared admission
-/// digest, checked against the parent space's node count and each
-/// parent's own counters. Any inconsistency is a reason to run cold —
-/// a warm start must never be able to produce a different suite.
-fn gather_warm(
-    local: &Store,
-    remote: Option<&dyn CacheTier>,
-    mtm: &Mtm,
-    axioms: &[&str],
-    opts: &SynthOptions,
-) -> Result<WarmPlan, String> {
-    let bound = opts.enumeration.bound;
-    if bound < 2 {
-        // A bound-0 parent space is empty: its seed would degenerate to
-        // a cold run and could never seal a meaningful delta.
-        return Err(format!("warm starts need bound >= 2, got {bound}"));
-    }
-    let parent_bound = bound - 1;
-    let mut popts = opts.clone();
-    popts.enumeration.bound = parent_bound;
-    let expected_nodes = enumeration_nodes(&popts);
-
-    let mut digest: Option<Digest> = None;
-    let mut parent_fps = Vec::with_capacity(axioms.len());
-    let mut parents = Vec::with_capacity(axioms.len());
-    let mut parent_programs = Vec::with_capacity(axioms.len());
-    for &axiom in axioms {
-        let pfp = suite_fingerprint(mtm, axiom, &popts);
-        if !local.contains(pfp) {
-            let Some(remote) = remote else {
-                return Err(format!(
-                    "no sealed bound-{parent_bound} suite for axiom `{axiom}`"
-                ));
-            };
-            let Some(bytes) = remote.fetch(pfp).ok().flatten() else {
-                return Err(format!(
-                    "no sealed bound-{parent_bound} suite for axiom `{axiom}` in any tier"
-                ));
-            };
-            install_with_parents(local, remote, pfp, &bytes, MAX_PARENT_CHAIN).map_err(|e| {
-                format!("bound-{parent_bound} parent for `{axiom}` failed to install: {e}")
-            })?;
-        }
-        if digest.is_none() {
-            // The admission digest is axiom-independent (admission
-            // happens before axioms examine), so any parent's copy
-            // seeds the run.
-            digest = local.read_digest(pfp).ok().flatten();
-            if digest.is_none() {
-                // A pulled parent leaves its digest behind on the
-                // machine that sealed it — fetch the replica so the
-                // warm start works here too. Validation happens on
-                // install; a bad replica just means running cold.
-                if let Some(remote) = remote {
-                    if let Some(bytes) = remote.fetch_digest(pfp).ok().flatten() {
-                        if local.install_digest_bytes(pfp, &bytes).is_ok() {
-                            digest = local.read_digest(pfp).ok().flatten();
-                        }
-                    }
-                }
-            }
-        }
-        let reader = local
-            .open_suite(pfp)
-            .map_err(|e| format!("bound-{parent_bound} parent for `{axiom}` unreadable: {e}"))?;
-        if reader.meta().axiom != axiom {
-            return Err(format!(
-                "bound-{parent_bound} entry for `{axiom}` names axiom `{}`",
-                reader.meta().axiom
-            ));
-        }
-        let stats = reader.stats().clone();
-        let mut records = Vec::with_capacity(reader.record_count() as usize);
-        for record in reader {
-            records.push(record.map_err(|e| {
-                format!("bound-{parent_bound} parent for `{axiom}` unreadable: {e}")
-            })?);
-        }
-        parent_fps.push(pfp);
-        parent_programs.push(stats.programs);
-        parents.push(WarmParent {
-            records,
-            items: stats.shards.iter().map(|s| s.items).sum(),
-            executions: stats.executions,
-            forbidden: stats.forbidden,
-            minimal: stats.minimal,
-        });
-    }
-
-    let digest = digest.ok_or_else(|| {
-        format!(
-            "no admission digest for the bound-{parent_bound} parents \
-             (seal them with this build to record one)"
-        )
-    })?;
-    if digest.bound != parent_bound {
-        return Err(format!(
-            "admission digest is for bound {}, expected {parent_bound}",
-            digest.bound
-        ));
-    }
-    if digest.counts.len() as u64 != expected_nodes {
-        return Err(format!(
-            "admission digest covers {} nodes, the bound-{parent_bound} space has {expected_nodes}",
-            digest.counts.len()
-        ));
-    }
-    let planned: u64 = digest.counts.iter().map(|&(_, items)| items).sum();
-    let admitted: u64 = digest.counts.iter().map(|&(programs, _)| programs).sum();
-    for ((&axiom, parent), &programs) in axioms.iter().zip(&parents).zip(&parent_programs) {
-        if parent.items as u64 != planned {
-            return Err(format!(
-                "parent for `{axiom}` examined {} plan items, its digest planned {planned}",
-                parent.items
-            ));
-        }
-        if programs as u64 != admitted {
-            return Err(format!(
-                "parent for `{axiom}` admitted {programs} programs, its digest admitted {admitted}"
-            ));
-        }
-        if let Some(last) = parent.records.last() {
-            if last.index as u64 >= planned {
-                return Err(format!(
-                    "parent record index {} for `{axiom}` is outside its digest's {planned} plan items",
-                    last.index
-                ));
-            }
-        }
-    }
-    Ok(WarmPlan {
-        seed: WarmSeed {
-            parent_bound,
-            node_counts: digest.counts,
-            parents,
-        },
-        parent_fps,
-    })
-}
-
-/// Installs possibly-delta bytes into the local tier, fetching and
-/// installing missing parents from `remote` first (deepest ancestor
-/// first, each link fully validated by [`Store::install_bytes`]).
-fn install_with_parents(
-    local: &Store,
-    remote: &dyn CacheTier,
-    fp: Fingerprint,
-    bytes: &[u8],
-    depth: usize,
-) -> Result<(), StoreError> {
-    match local.install_bytes(fp, bytes) {
-        Ok(()) => Ok(()),
-        Err(first) => {
-            if depth == 0 {
-                return Err(first);
-            }
-            // Only a delta whose parent is absent can be rescued by
-            // pulling more; anything else is a genuine failure.
-            let Some(parent) = delta::entry_parent(bytes) else {
-                return Err(first);
-            };
-            if local.contains(parent) {
-                return Err(first);
-            }
-            let Some(parent_bytes) = remote.fetch(parent)? else {
-                return Err(first);
-            };
-            install_with_parents(local, remote, parent, &parent_bytes, depth - 1)?;
-            local.install_bytes(fp, bytes)
-        }
-    }
-}
-
-/// Publishes a sealed entry to the remote tier, retrying once with its
-/// parent chain (deepest first) when the remote refuses a delta whose
-/// parent it does not hold. Returns whether the entry itself landed.
-fn push_with_parents(local: &Store, remote: &dyn CacheTier, fp: Fingerprint) -> bool {
-    let Ok(Some(bytes)) = local.entry_bytes(fp) else {
-        return false;
-    };
-    if remote.publish(fp, &bytes).is_ok() {
-        return true;
-    }
-    // Walk the chain bottom-up, then publish it top-down so every
-    // delta's parent precedes it.
-    let mut chain: Vec<(Fingerprint, Vec<u8>)> = Vec::new();
-    let mut cursor = delta::entry_parent(&bytes);
-    while let Some(parent) = cursor {
-        if chain.len() >= MAX_PARENT_CHAIN {
-            return false;
-        }
-        let Ok(Some(parent_bytes)) = local.entry_bytes(parent) else {
-            return false;
-        };
-        cursor = delta::entry_parent(&parent_bytes);
-        chain.push((parent, parent_bytes));
-    }
-    if chain.is_empty() {
-        return false;
-    }
-    for (parent, parent_bytes) in chain.into_iter().rev() {
-        if remote.publish(parent, &parent_bytes).is_err() {
-            return false;
-        }
-    }
-    remote.publish(fp, &bytes).is_ok()
-}
-
-/// Replicates the sealed entry's admission digest to the remote tier,
-/// best-effort: a missing replica only costs a remote machine its warm
-/// start, never a run its result.
-fn push_digest(local: &Store, remote: &dyn CacheTier, fp: Fingerprint) {
-    if let Ok(Some(bytes)) = local.digest_bytes(fp) {
-        let _ = remote.publish_digest(fp, &bytes);
-    }
 }
 
 /// The per-axiom [`SuiteSink`] of a fused cached run: streams shards
@@ -965,14 +502,9 @@ struct SealOnDone<'a> {
     axiom: String,
     /// The run's journal target, when the run is observed.
     progress: Option<&'a Arc<ProgressState>>,
-    /// Warm runs defer sealing to the driver (the delta seal needs the
-    /// parent maps, reported only when the whole run drains); the gate
-    /// then only streams shards.
-    defer: bool,
 }
 
 impl<'a> SealOnDone<'a> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         local: &'a Store,
         remote: Option<&'a dyn CacheTier>,
@@ -980,7 +512,6 @@ impl<'a> SealOnDone<'a> {
         pending: PendingSuite,
         axiom: &str,
         progress: Option<&'a Arc<ProgressState>>,
-        defer: bool,
     ) -> SealOnDone<'a> {
         SealOnDone {
             local,
@@ -990,7 +521,6 @@ impl<'a> SealOnDone<'a> {
             sealed: Mutex::new(None),
             axiom: axiom.to_string(),
             progress,
-            defer,
         }
     }
 
@@ -1024,9 +554,6 @@ impl SuiteSink for SealOnDone<'_> {
     fn run_done(&self, stats: &SuiteStats) {
         if stats.timed_out {
             return; // never sealed; the driver assembles the partial suite
-        }
-        if self.defer {
-            return; // a warm run's delta seal happens in the driver
         }
         let Some(pending) = self
             .pending

@@ -132,20 +132,20 @@ fn stale_format_versions_are_rebuilt_not_served() {
     let h = Harness::new("version");
     // Bytes 8..12 hold the little-endian format version, right after the
     // 8-byte magic. A future (or ancient) version must be refused before
-    // any structure is trusted, then rebuilt.
-    let mut bytes = h.clean_bytes.clone();
-    let stale = (transform_store::FORMAT_VERSION + 1).to_le_bytes();
-    bytes[8..12].copy_from_slice(&stale);
+    // any structure is trusted, then rebuilt. Version 1 is what every
+    // entry sealed before the shard-result frame changed carries.
     let fp = suite_fingerprint(&h.mtm, "sc_per_loc", &opts());
-    std::fs::write(&h.path, &bytes).expect("plants version skew");
-    match h.store.open_suite(fp) {
-        Err(transform_store::StoreError::Version { found }) => {
-            assert_eq!(found, transform_store::FORMAT_VERSION + 1);
+    for stale in [1, transform_store::FORMAT_VERSION + 1] {
+        let mut bytes = h.clean_bytes.clone();
+        bytes[8..12].copy_from_slice(&stale.to_le_bytes());
+        std::fs::write(&h.path, &bytes).expect("plants version skew");
+        match h.store.open_suite(fp) {
+            Err(transform_store::StoreError::Version { found }) => assert_eq!(found, stale),
+            Err(other) => panic!("expected a version error, got {other}"),
+            Ok(_) => panic!("expected a version error, got a reader"),
         }
-        Err(other) => panic!("expected a version error, got {other}"),
-        Ok(_) => panic!("expected a version error, got a reader"),
+        h.assert_detected_and_rebuilt(&bytes, &format!("stale version {stale}"));
     }
-    h.assert_detected_and_rebuilt(&bytes, "stale version");
 }
 
 #[test]
@@ -153,4 +153,8 @@ fn garbage_files_are_rebuilt_not_served() {
     let h = Harness::new("garbage");
     h.assert_detected_and_rebuilt(b"definitely not a suite", "garbage file");
     h.assert_detected_and_rebuilt(&[], "empty file");
+    // A delta entry sealed by an older build: its magic is no suite's.
+    let mut legacy_delta = b"TFDELTA\0".to_vec();
+    legacy_delta.extend_from_slice(&h.clean_bytes[8..]);
+    h.assert_detected_and_rebuilt(&legacy_delta, "legacy delta entry");
 }

@@ -40,8 +40,8 @@
 //! 1. **INVLPG feasibility.** Every PTE write needs its own `INVLPG` on
 //!    every core, so a node where some shape has fewer `INVLPG`s than
 //!    the node has PTE writes emits nothing and stops here. The node is
-//!    still visited and counted (node masses, warm-start digests and run
-//!    journals count nodes, not programs).
+//!    still visited and counted (node masses and run journals count
+//!    nodes, not programs).
 //! 2. **VA maps.** Each thread's local VAs map injectively to global
 //!    VAs, numbered by first use.
 //! 3. **Remaps, per VA map.** The remap assignments and the
@@ -623,98 +623,6 @@ fn combine(
     }
 }
 
-/// One node of the shape-combination recursion as seen by a
-/// node-granular enumeration ([`EnumSpace::enumerate_nodes_within`]).
-/// Nodes appear in exactly the recursion's visit order, which is stable
-/// across bounds: raising the bound appends costlier shapes to the
-/// (cost-sorted) shape list and grows each partition's node sequence,
-/// but never reorders the nodes the smaller bound already visited.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum NodeSpan {
-    /// The node's total shape cost fits the warm-start parent bound:
-    /// every program it would emit is already part of the parent
-    /// bound's enumeration, so nothing was materialized for it.
-    Covered,
-    /// The node was enumerated; its programs end at `end` (exclusive)
-    /// in [`NodeStream::programs`].
-    Emitted {
-        /// One-past-the-last index of the node's programs.
-        end: usize,
-    },
-}
-
-/// One partition enumerated at node granularity: the partition's
-/// programs (partition-local symmetry dedup applied, exactly as
-/// [`EnumSpace::enumerate_keyed_within`]) plus, per recursion node in
-/// visit order, where that node's programs end — or a
-/// [`NodeSpan::Covered`] marker for nodes a warm-start parent bound
-/// already covers.
-#[derive(Clone, Debug)]
-pub struct NodeStream {
-    /// The partition's nodes in recursion order.
-    pub nodes: Vec<NodeSpan>,
-    /// The programs of the [`NodeSpan::Emitted`] nodes, concatenated.
-    pub programs: Vec<KeyedProgram>,
-}
-
-/// [`combine`] with node-granular bookkeeping: identical recursion,
-/// identical emission order, but each node also records a [`NodeSpan`] —
-/// and nodes whose total cost fits `parent_bound` are marked
-/// [`NodeSpan::Covered`] instead of being materialized. Covered nodes
-/// still recurse: a node inside the parent bound can own descendants
-/// that only fit the current (larger) bound.
-#[allow(clippy::too_many_arguments)]
-fn combine_nodes(
-    shapes: &[Shape],
-    from: usize,
-    budget_left: usize,
-    threads_left: usize,
-    cost_used: usize,
-    parent_bound: Option<usize>,
-    chosen: &mut Vec<usize>,
-    deadline: &Option<std::time::Instant>,
-    sink: &mut EmitSink<'_>,
-    nodes: &mut Vec<NodeSpan>,
-) {
-    if let Some(d) = deadline {
-        if std::time::Instant::now() > *d {
-            return;
-        }
-    }
-    if !chosen.is_empty() {
-        if parent_bound.is_some_and(|pb| cost_used <= pb) {
-            nodes.push(NodeSpan::Covered);
-        } else {
-            assign_and_emit(shapes, chosen, sink);
-            nodes.push(NodeSpan::Emitted {
-                end: sink.out.len(),
-            });
-        }
-    }
-    if threads_left == 0 {
-        return;
-    }
-    for i in from..shapes.len() {
-        if shapes[i].cost > budget_left {
-            break; // shapes are sorted by cost
-        }
-        chosen.push(i);
-        combine_nodes(
-            shapes,
-            i, // allow repeats; non-decreasing order breaks permutations
-            budget_left - shapes[i].cost,
-            threads_left - 1,
-            cost_used + shapes[i].cost,
-            parent_bound,
-            chosen,
-            deadline,
-            sink,
-            nodes,
-        );
-        chosen.pop();
-    }
-}
-
 /// How a partitioned [`EnumSpace`] decides where to split.
 ///
 /// Both modes yield the same program sequence (splits are always
@@ -1112,96 +1020,6 @@ impl EnumSpace {
             assign_and_emit(&self.shapes, &chosen, &mut sink);
         }
         sink.out
-    }
-
-    /// Like [`EnumSpace::enumerate_keyed_within`], at node granularity:
-    /// the same programs in the same order, segmented per recursion
-    /// node — and, when `parent_bound` is given, nodes whose cost fits
-    /// that smaller bound are *skipped* ([`NodeSpan::Covered`]): their
-    /// programs are exactly the ones a bound-`parent_bound` enumeration
-    /// already produced, in the same relative node order, so a
-    /// warm-start consumer can splice the parent's results in instead
-    /// of re-enumerating them.
-    ///
-    /// The deadline contract matches
-    /// [`EnumSpace::enumerate_keyed_within`]: an aborted partition's
-    /// output is partial and must be discarded.
-    pub fn enumerate_nodes_within(
-        &self,
-        ordinal: usize,
-        parent_bound: Option<usize>,
-        deadline: Option<std::time::Instant>,
-    ) -> NodeStream {
-        let part = &self.partitions[ordinal];
-        let mut sink = EmitSink::new(&self.opts, true);
-        let mut nodes = Vec::new();
-        let mut chosen = part.prefix.clone();
-        let used: usize = chosen.iter().map(|&i| self.shapes[i].cost).sum();
-        if part.subtree {
-            let from = *chosen.last().expect("prefixes are non-empty");
-            combine_nodes(
-                &self.shapes,
-                from,
-                self.opts.bound - used,
-                self.max_threads - chosen.len(),
-                used,
-                parent_bound,
-                &mut chosen,
-                &deadline,
-                &mut sink,
-                &mut nodes,
-            );
-        } else if parent_bound.is_some_and(|pb| used <= pb) {
-            nodes.push(NodeSpan::Covered);
-        } else {
-            assign_and_emit(&self.shapes, &chosen, &mut sink);
-            nodes.push(NodeSpan::Emitted {
-                end: sink.out.len(),
-            });
-        }
-        NodeStream {
-            nodes,
-            programs: sink.out,
-        }
-    }
-
-    /// The number of recursion nodes of each partition whose cost fits
-    /// `parent_bound` — the nodes [`EnumSpace::enumerate_nodes_within`]
-    /// marks [`NodeSpan::Covered`]. A partition whose covered mass
-    /// equals its [`EnumSpace::masses`] entry is *fully* covered at the
-    /// parent bound: warm-start enumeration can skip it without even
-    /// walking its recursion.
-    pub fn covered_masses(&self, parent_bound: usize) -> Vec<u64> {
-        let table = MassTable::new(&self.shapes, parent_bound, self.max_threads);
-        self.partitions
-            .iter()
-            .map(|p| {
-                let used: usize = p.prefix.iter().map(|&i| self.shapes[i].cost).sum();
-                if used > parent_bound {
-                    return 0;
-                }
-                if !p.subtree {
-                    return 1;
-                }
-                let from = *p.prefix.last().expect("prefixes are non-empty");
-                1u64.saturating_add(table.descendants(
-                    from,
-                    parent_bound - used,
-                    self.max_threads.saturating_sub(p.prefix.len()),
-                ))
-            })
-            .collect()
-    }
-
-    /// Total covered node count at `parent_bound`: the sum of
-    /// [`EnumSpace::covered_masses`]. By node-order stability this
-    /// equals the *parent* space's [`EnumSpace::total_mass`], whatever
-    /// either space's partitioning — the cross-bound consistency check
-    /// warm-start seeding validates against.
-    pub fn covered_total(&self, parent_bound: usize) -> u64 {
-        self.covered_masses(parent_bound)
-            .iter()
-            .fold(0u64, |a, &m| a.saturating_add(m))
     }
 
     /// A resumable iterator over the whole program space, one partition
@@ -1861,149 +1679,6 @@ mod tests {
         let space = EnumSpace::with_target_partitions(&opts, 16);
         assert_eq!(space.partition_count(), 0);
         assert_eq!(space.stream().count(), 0);
-    }
-
-    #[test]
-    fn node_streams_match_keyed_enumeration() {
-        let mut opts = EnumOptions::new(4);
-        opts.allow_fences = true;
-        opts.allow_rmw = true;
-        for target in [1usize, 16, 200] {
-            for space in [
-                EnumSpace::balanced_for_target(&opts, target),
-                EnumSpace::with_target_partitions(&opts, target),
-            ] {
-                let masses = space.masses();
-                for (o, &mass) in masses.iter().enumerate() {
-                    let ns = space.enumerate_nodes_within(o, None, None);
-                    // Same programs in the same order as the keyed path.
-                    let keyed = space.enumerate_keyed(o);
-                    assert_eq!(ns.programs.len(), keyed.len());
-                    for (a, b) in ns.programs.iter().zip(&keyed) {
-                        assert_eq!(a.program, b.program, "partition {o}");
-                    }
-                    // One node per unit of the partition's mass, ends
-                    // monotone and exhaustive.
-                    assert_eq!(ns.nodes.len() as u64, mass, "partition {o}");
-                    let mut prev = 0;
-                    for n in &ns.nodes {
-                        let NodeSpan::Emitted { end } = *n else {
-                            panic!("no parent bound, so no covered nodes");
-                        };
-                        assert!(end >= prev);
-                        prev = end;
-                    }
-                    assert_eq!(prev, ns.programs.len());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn covered_total_equals_the_parent_spaces_mass() {
-        for bound in [3usize, 4, 5] {
-            let mut opts = EnumOptions::new(bound);
-            opts.allow_fences = true;
-            opts.allow_rmw = true;
-            let mut popts = opts.clone();
-            popts.bound = bound - 1;
-            let parent = EnumSpace::new(&popts);
-            for target in [1usize, 16] {
-                let child = EnumSpace::balanced_for_target(&opts, target);
-                assert_eq!(
-                    child.covered_total(bound - 1),
-                    parent.total_mass(),
-                    "bound {bound} target {target}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn warm_node_streams_splice_into_the_cold_enumeration() {
-        // The warm-start theorem, pinned at the synth layer: walking a
-        // child space with the parent bound's nodes skipped, then
-        // splicing the parent's (globally deduped) per-node programs
-        // into the Covered slots, reproduces the cold child enumeration
-        // element for element — across *different* partitionings of
-        // parent and child.
-        for (bound, fences, rmw) in [(3usize, false, false), (4, true, true), (4, false, true)] {
-            let parent_bound = bound - 1;
-            let mut opts = EnumOptions::new(bound);
-            opts.allow_fences = fences;
-            opts.allow_rmw = rmw;
-            let mut popts = opts.clone();
-            popts.bound = parent_bound;
-
-            // Parent admitted programs, grouped per recursion node.
-            let pspace = EnumSpace::balanced_for_target(&popts, 7);
-            let mut parent_nodes: Vec<Vec<Program>> = Vec::new();
-            let mut seen = BTreeSet::new();
-            for o in 0..pspace.partition_count() {
-                let ns = pspace.enumerate_nodes_within(o, None, None);
-                let mut start = 0;
-                for n in &ns.nodes {
-                    let NodeSpan::Emitted { end } = *n else {
-                        panic!("no parent bound, so no covered nodes");
-                    };
-                    let admitted = ns.programs[start..end]
-                        .iter()
-                        .filter(|kp| {
-                            let key = kp.key.clone().expect("symmetry keys every program");
-                            seen.insert(key)
-                        })
-                        .map(|kp| kp.program.clone())
-                        .collect();
-                    parent_nodes.push(admitted);
-                    start = end;
-                }
-            }
-
-            let cspace = EnumSpace::balanced_for_target(&opts, 13);
-            let covered = cspace.covered_masses(parent_bound);
-            let mut warm_admitted: Vec<Program> = Vec::new();
-            let mut seen = BTreeSet::new();
-            let mut pcursor = 0usize;
-            for (o, &cov) in covered.iter().enumerate() {
-                let ns = cspace.enumerate_nodes_within(o, Some(parent_bound), None);
-                let marked = ns
-                    .nodes
-                    .iter()
-                    .filter(|n| matches!(n, NodeSpan::Covered))
-                    .count() as u64;
-                assert_eq!(marked, cov, "partition {o}");
-                let mut start = 0;
-                for n in &ns.nodes {
-                    match *n {
-                        NodeSpan::Covered => {
-                            for p in &parent_nodes[pcursor] {
-                                // Canonical keys preserve program size, so a
-                                // parent-admitted program is a global first
-                                // occurrence in the child stream too.
-                                assert!(seen.insert(canonical_key(p)), "{p:?}");
-                                warm_admitted.push(p.clone());
-                            }
-                            pcursor += 1;
-                        }
-                        NodeSpan::Emitted { end } => {
-                            for kp in &ns.programs[start..end] {
-                                let key = kp.key.clone().expect("symmetry keys every program");
-                                if seen.insert(key) {
-                                    warm_admitted.push(kp.program.clone());
-                                }
-                            }
-                            start = end;
-                        }
-                    }
-                }
-            }
-            assert_eq!(pcursor, parent_nodes.len(), "every parent node spliced");
-            let cold = programs(&opts);
-            assert_eq!(
-                warm_admitted, cold,
-                "bound {bound} fences {fences} rmw {rmw}"
-            );
-        }
     }
 
     #[test]
