@@ -1,26 +1,21 @@
-//! Enumeration throughput, streamed vs eager, and what fusing program
-//! generation into the pool buys end-to-end.
+//! Enumeration throughput and what the fused parallel pipeline buys
+//! over the sequential engine (`transform_synth::engine`), the
+//! reference every parallel run reproduces.
 //!
 //! Measured per configuration:
 //!
-//! * programs/second of the eager `programs()` enumeration vs the
+//! * programs/second of the sequential `programs()` enumeration vs the
 //!   partition-streamed `EnumSpace::stream()` (same sequence, proven by
 //!   count);
-//! * wall-clock of the two-phase reference engine
-//!   (`synthesize_suite_jobs_eager`: full plan first, then the pool)
-//!   vs the fused streaming pipeline (`synthesize_suite_jobs`), same
-//!   suite;
-//! * peak live candidates: the eager path materializes the whole
+//! * wall-clock of the sequential engine (`synthesize_suite`) vs the
+//!   fused streaming pipeline on the pool, same suite;
+//! * peak live candidates: the sequential engine materializes the whole
 //!   enumeration at once, the streamed pipeline holds at most a few
 //!   partitions (`StreamMetrics::peak_live_candidates`).
 //!
-//! * fused cross-axiom synthesis: the shared-plan two-phase baseline
-//!   (`synthesize_all_jobs_eager`) vs the fused all-axiom stream
-//!   (`synthesize_all_jobs`), same per-axiom suites;
-//! * balance modes: partition counts and mass distribution of the
-//!   depth-2 split vs mass-estimated splitting
-//!   (`EnumSpace::balanced_for_target`), plus the streamed enumeration
-//!   wall-clock of each;
+//! * fused cross-axiom synthesis: the sequential `synthesize_all` vs
+//!   the fused all-axiom stream (`synthesize_all_jobs`), same per-axiom
+//!   suites;
 //! * progress-instrumentation overhead: the fused run with a subscribed
 //!   journaling `ProgressState` (published counters, span-event journal
 //!   recording, plus a polling sampler thread at the coalesced 100 ms
@@ -45,12 +40,11 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use transform_par::{
-    default_jobs, synthesize_all_jobs, synthesize_all_jobs_eager, synthesize_suite_jobs_eager,
-    synthesize_suite_streamed_metrics, synthesize_suite_streamed_observed, ProgressState,
-    StreamMetrics, SuiteSink,
+    default_jobs, synthesize_all_jobs, synthesize_suite_streamed_metrics,
+    synthesize_suite_streamed_observed, ProgressState, StreamMetrics, SuiteSink,
 };
 use transform_store::{execute_lease, read_suite, suite_fingerprint, HttpTier, JobSpec, Store};
-use transform_synth::programs::{Balance, EnumSpace};
+use transform_synth::programs::EnumSpace;
 use transform_synth::{ShardStats, SuiteRecord, SynthOptions};
 use transform_x86::x86t_elt;
 
@@ -71,15 +65,11 @@ fn bench_enumeration(c: &mut Criterion) {
     let mut group = c.benchmark_group("enum_throughput");
     group.sample_size(10);
     let o = opts(5);
-    group.bench_function("eager/bound5", |b| {
+    group.bench_function("sequential/bound5", |b| {
         b.iter(|| transform_synth::programs::programs(&o.enumeration).len())
     });
     group.bench_function("streamed/bound5", |b| {
-        b.iter(|| {
-            EnumSpace::with_target_partitions(&o.enumeration, jobs() * 8)
-                .stream()
-                .count()
-        })
+        b.iter(|| EnumSpace::new(&o.enumeration).stream().count())
     });
     group.finish();
 }
@@ -100,12 +90,12 @@ struct Point {
     bound: usize,
     programs: usize,
     elts: usize,
-    enum_eager: Duration,
+    enum_sequential: Duration,
     enum_streamed: Duration,
-    synth_eager: Duration,
+    synth_sequential: Duration,
     synth_fused: Duration,
     synth_observed: Duration,
-    peak_live_eager: usize,
+    peak_live_sequential: usize,
     metrics: StreamMetrics,
 }
 
@@ -115,23 +105,21 @@ fn measure(bound: usize) -> Point {
     let jobs = jobs();
 
     let start = Instant::now();
-    let eager_programs = transform_synth::programs::programs(&o.enumeration);
-    let enum_eager = start.elapsed();
-    let peak_live_eager = eager_programs.len();
+    let all_programs = transform_synth::programs::programs(&o.enumeration);
+    let enum_sequential = start.elapsed();
+    let peak_live_sequential = all_programs.len();
 
     let start = Instant::now();
-    let streamed_count = EnumSpace::with_target_partitions(&o.enumeration, jobs * 8)
-        .stream()
-        .count();
+    let streamed_count = EnumSpace::new(&o.enumeration).stream().count();
     let enum_streamed = start.elapsed();
     assert_eq!(
-        peak_live_eager, streamed_count,
-        "stream diverged from eager"
+        peak_live_sequential, streamed_count,
+        "stream diverged from the sequential enumeration"
     );
 
     let start = Instant::now();
-    let eager_suite = synthesize_suite_jobs_eager(&mtm, AXIOM, &o, jobs);
-    let synth_eager = start.elapsed();
+    let sequential = transform_synth::synthesize_suite(&mtm, AXIOM, &o);
+    let synth_sequential = start.elapsed();
 
     let sink = Collect(Mutex::new(Vec::new()));
     let start = Instant::now();
@@ -139,19 +127,22 @@ fn measure(bound: usize) -> Point {
     let synth_fused = start.elapsed();
     let mut records = sink.0.into_inner().expect("collect lock");
     records.sort_by_key(|r| r.index);
-    assert_eq!(records.len(), eager_suite.elts.len(), "suite sizes diverge");
-    for (r, e) in records.iter().zip(&eager_suite.elts) {
-        assert_eq!(r.elt.program, e.program, "fused suite diverged from eager");
+    assert_eq!(records.len(), sequential.elts.len(), "suite sizes diverge");
+    for (r, e) in records.iter().zip(&sequential.elts) {
+        assert_eq!(
+            r.elt.program, e.program,
+            "fused suite diverged from sequential"
+        );
     }
-    assert_eq!(stats.programs, eager_suite.stats.programs);
+    assert_eq!(stats.programs, sequential.stats.programs);
     // The whole point: the pipeline never materializes the full
     // enumeration at once.
-    if peak_live_eager > 100 {
+    if peak_live_sequential > 100 {
         assert!(
-            metrics.peak_live_candidates < peak_live_eager,
+            metrics.peak_live_candidates < peak_live_sequential,
             "peak live {} should stay below the full enumeration {}",
             metrics.peak_live_candidates,
-            peak_live_eager
+            peak_live_sequential
         );
     }
 
@@ -208,12 +199,12 @@ fn measure(bound: usize) -> Point {
         bound,
         programs: stats.programs,
         elts: records.len(),
-        enum_eager,
+        enum_sequential,
         enum_streamed,
-        synth_eager,
+        synth_sequential,
         synth_fused,
         synth_observed,
-        peak_live_eager,
+        peak_live_sequential,
         metrics,
     }
 }
@@ -223,29 +214,29 @@ fn json_point(p: &Point) -> String {
         concat!(
             "{{\"bound\": {}, \"fences\": true, \"rmw\": true, ",
             "\"programs\": {}, \"elts\": {}, ",
-            "\"enum_eager_secs\": {:.6}, \"enum_streamed_secs\": {:.6}, ",
-            "\"enum_eager_programs_per_sec\": {:.1}, ",
+            "\"enum_sequential_secs\": {:.6}, \"enum_streamed_secs\": {:.6}, ",
+            "\"enum_sequential_programs_per_sec\": {:.1}, ",
             "\"enum_streamed_programs_per_sec\": {:.1}, ",
-            "\"synth_eager_secs\": {:.6}, \"synth_fused_secs\": {:.6}, ",
+            "\"synth_sequential_secs\": {:.6}, \"synth_fused_secs\": {:.6}, ",
             "\"fused_speedup\": {:.3}, ",
             "\"synth_observed_secs\": {:.6}, \"progress_overhead_pct\": {:.2}, ",
-            "\"peak_live_eager\": {}, \"peak_live_streamed\": {}, ",
+            "\"peak_live_sequential\": {}, \"peak_live_streamed\": {}, ",
             "\"partitions\": {}, \"batches\": {}, \"final_batch_size\": {}}}"
         ),
         p.bound,
         p.programs,
         p.elts,
-        p.enum_eager.as_secs_f64(),
+        p.enum_sequential.as_secs_f64(),
         p.enum_streamed.as_secs_f64(),
-        p.programs as f64 / p.enum_eager.as_secs_f64().max(f64::EPSILON),
+        p.programs as f64 / p.enum_sequential.as_secs_f64().max(f64::EPSILON),
         p.programs as f64 / p.enum_streamed.as_secs_f64().max(f64::EPSILON),
-        p.synth_eager.as_secs_f64(),
+        p.synth_sequential.as_secs_f64(),
         p.synth_fused.as_secs_f64(),
-        p.synth_eager.as_secs_f64() / p.synth_fused.as_secs_f64().max(f64::EPSILON),
+        p.synth_sequential.as_secs_f64() / p.synth_fused.as_secs_f64().max(f64::EPSILON),
         p.synth_observed.as_secs_f64(),
         (p.synth_observed.as_secs_f64() / p.synth_fused.as_secs_f64().max(f64::EPSILON) - 1.0)
             * 100.0,
-        p.peak_live_eager,
+        p.peak_live_sequential,
         p.metrics.peak_live_candidates,
         p.metrics.partitions,
         p.metrics.batches,
@@ -253,50 +244,13 @@ fn json_point(p: &Point) -> String {
     )
 }
 
-/// One balance mode's split of the bound-5 `--fences --rmw` space:
-/// partition counts, the mass distribution, and the streamed
-/// enumeration wall-clock.
-struct BalancePoint {
-    mode: Balance,
-    partitions: usize,
-    total_mass: u64,
-    max_mass: u64,
-    enum_secs: f64,
-}
-
-fn measure_balance(bound: usize) -> Vec<BalancePoint> {
-    let o = opts(bound);
-    let target = jobs() * 8;
-    [Balance::Depth, Balance::Mass]
-        .into_iter()
-        .map(|mode| {
-            let space = match mode {
-                Balance::Depth => EnumSpace::with_target_partitions(&o.enumeration, target),
-                Balance::Mass => EnumSpace::balanced_for_target(&o.enumeration, target),
-            };
-            let masses = space.masses();
-            let start = Instant::now();
-            let streamed = space.stream().count();
-            let enum_secs = start.elapsed().as_secs_f64();
-            assert!(streamed > 0);
-            BalancePoint {
-                mode,
-                partitions: space.partition_count(),
-                total_mass: masses.iter().sum(),
-                max_mass: masses.iter().copied().max().unwrap_or(0),
-                enum_secs,
-            }
-        })
-        .collect()
-}
-
-/// The fused cross-axiom run vs the shared-plan two-phase baseline:
-/// every axiom of x86t_elt in one pass, same suites both ways.
+/// The fused cross-axiom run vs the sequential engine: every axiom of
+/// x86t_elt, same suites both ways.
 struct AllAxiomsPoint {
     bound: usize,
     axioms: usize,
     elts_total: usize,
-    eager_secs: f64,
+    sequential_secs: f64,
     fused_secs: f64,
 }
 
@@ -306,20 +260,20 @@ fn measure_all_axioms(bound: usize) -> AllAxiomsPoint {
     let jobs = jobs();
 
     let start = Instant::now();
-    let eager = synthesize_all_jobs_eager(&mtm, &o, jobs);
-    let eager_secs = start.elapsed().as_secs_f64();
+    let sequential = transform_synth::synthesize_all(&mtm, &o);
+    let sequential_secs = start.elapsed().as_secs_f64();
 
     let start = Instant::now();
     let fused = synthesize_all_jobs(&mtm, &o, jobs);
     let fused_secs = start.elapsed().as_secs_f64();
 
-    assert_eq!(eager.len(), fused.len());
-    for (axiom, a) in &eager {
+    assert_eq!(sequential.len(), fused.len());
+    for (axiom, a) in &sequential {
         let b = &fused[axiom];
         assert_eq!(
             a.elts.len(),
             b.elts.len(),
-            "{axiom}: fused all-axiom run diverged from the shared-plan baseline"
+            "{axiom}: fused all-axiom run diverged from the sequential engine"
         );
         for (x, y) in a.elts.iter().zip(&b.elts) {
             assert_eq!(x.program, y.program, "{axiom}");
@@ -329,7 +283,7 @@ fn measure_all_axioms(bound: usize) -> AllAxiomsPoint {
         bound,
         axioms: fused.len(),
         elts_total: fused.values().map(|s| s.elts.len()).sum(),
-        eager_secs,
+        sequential_secs,
         fused_secs,
     }
 }
@@ -426,48 +380,36 @@ fn throughput_summary(_c: &mut Criterion) {
     for p in &points {
         println!(
             "enum_throughput summary: `{AXIOM}` @ bound {} --fences --rmw on {} workers: \
-             enum eager {:?} vs streamed {:?}; synth eager {:?} vs fused {:?} ({:.2}x); \
-             observed fused {:?} ({:+.2}% progress overhead); \
+             enum sequential {:?} vs streamed {:?}; synth sequential {:?} vs fused {:?} \
+             ({:.2}x); observed fused {:?} ({:+.2}% progress overhead); \
              peak live {} -> {} (of {} programs, {} partitions, {} batches)",
             p.bound,
             jobs(),
-            p.enum_eager,
+            p.enum_sequential,
             p.enum_streamed,
-            p.synth_eager,
+            p.synth_sequential,
             p.synth_fused,
-            p.synth_eager.as_secs_f64() / p.synth_fused.as_secs_f64().max(f64::EPSILON),
+            p.synth_sequential.as_secs_f64() / p.synth_fused.as_secs_f64().max(f64::EPSILON),
             p.synth_observed,
             (p.synth_observed.as_secs_f64() / p.synth_fused.as_secs_f64().max(f64::EPSILON) - 1.0)
                 * 100.0,
-            p.peak_live_eager,
+            p.peak_live_sequential,
             p.metrics.peak_live_candidates,
             p.programs,
             p.metrics.partitions,
             p.metrics.batches,
         );
     }
-    let balance = measure_balance(5);
-    for b in &balance {
-        println!(
-            "enum_throughput balance: {} split at bound 5 --fences --rmw: \
-             {} partitions, max mass {} of {} total, streamed in {:.3}s",
-            b.mode.name(),
-            b.partitions,
-            b.max_mass,
-            b.total_mass,
-            b.enum_secs,
-        );
-    }
     let all = measure_all_axioms(4);
     println!(
         "enum_throughput all-axioms: {} axioms @ bound {} --fences --rmw on {} workers: \
-         shared-plan eager {:.3}s vs fused {:.3}s ({:.2}x), {} ELTs total",
+         sequential {:.3}s vs fused {:.3}s ({:.2}x), {} ELTs total",
         all.axioms,
         all.bound,
         jobs(),
-        all.eager_secs,
+        all.sequential_secs,
         all.fused_secs,
-        all.eager_secs / all.fused_secs.max(f64::EPSILON),
+        all.sequential_secs / all.fused_secs.max(f64::EPSILON),
         all.elts_total,
     );
     let fleet = measure_fleet(5, 2);
@@ -490,35 +432,18 @@ fn throughput_summary(_c: &mut Criterion) {
         .map(json_point)
         .collect::<Vec<_>>()
         .join(",\n    ");
-    let balance_body = balance
-        .iter()
-        .map(|b| {
-            format!(
-                concat!(
-                    "{{\"mode\": \"{}\", \"bound\": 5, \"partitions\": {}, ",
-                    "\"total_mass\": {}, \"max_mass\": {}, \"enum_secs\": {:.6}}}"
-                ),
-                b.mode.name(),
-                b.partitions,
-                b.total_mass,
-                b.max_mass,
-                b.enum_secs,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n    ");
     let all_body = format!(
         concat!(
             "{{\"bound\": {}, \"fences\": true, \"rmw\": true, \"axioms\": {}, ",
-            "\"elts_total\": {}, \"synth_all_eager_secs\": {:.6}, ",
+            "\"elts_total\": {}, \"synth_all_sequential_secs\": {:.6}, ",
             "\"synth_all_fused_secs\": {:.6}, \"fused_speedup\": {:.3}}}"
         ),
         all.bound,
         all.axioms,
         all.elts_total,
-        all.eager_secs,
+        all.sequential_secs,
         all.fused_secs,
-        all.eager_secs / all.fused_secs.max(f64::EPSILON),
+        all.sequential_secs / all.fused_secs.max(f64::EPSILON),
     );
     let fleet_body = format!(
         concat!(
@@ -538,11 +463,9 @@ fn throughput_summary(_c: &mut Criterion) {
     let json = format!(
         "{{\n  \"bench\": \"enum_throughput\",\n  \"axiom\": \"{AXIOM}\",\n  \
          \"jobs\": {},\n  \"points\": [\n    {}\n  ],\n  \
-         \"balance\": [\n    {}\n  ],\n  \"all_axioms\": {},\n  \
-         \"fleet\": {}\n}}\n",
+         \"all_axioms\": {},\n  \"fleet\": {}\n}}\n",
         jobs(),
         body,
-        balance_body,
         all_body,
         fleet_body,
     );

@@ -2,8 +2,7 @@
 //! bound) and Fig. 9b (synthesis runtimes).
 //!
 //! Usage: `fig9 [max_bound] [budget_seconds] [--fences] [--rmw]
-//! [--jobs N] [--partition-size N] [--balance mass|depth]
-//! [--cache DIR] [--cache-url URL] [--progress[=human|json]]`
+//! [--jobs N] [--cache DIR] [--cache-url URL] [--progress[=human|json]]`
 //!
 //! `--progress` streams each point's live telemetry to stderr (stdout
 //! keeps the Fig. 9 tables): `human` prints compact one-line samples,
@@ -33,8 +32,6 @@ fn main() {
     };
     let mut positional = Vec::new();
     let mut take_jobs = false;
-    let mut take_partition = false;
-    let mut take_balance = false;
     let mut take_cache = false;
     let mut take_cache_url = false;
     for a in &args {
@@ -44,22 +41,6 @@ fn main() {
                 std::process::exit(2);
             });
             take_jobs = false;
-            continue;
-        }
-        if take_partition {
-            cfg.partition_size = Some(a.parse().unwrap_or_else(|_| {
-                eprintln!("error: --partition-size takes a number, got `{a}`");
-                std::process::exit(2);
-            }));
-            take_partition = false;
-            continue;
-        }
-        if take_balance {
-            cfg.balance = transform_synth::programs::Balance::parse(a).unwrap_or_else(|| {
-                eprintln!("error: --balance takes `mass` or `depth`, got `{a}`");
-                std::process::exit(2);
-            });
-            take_balance = false;
             continue;
         }
         if take_cache {
@@ -76,8 +57,6 @@ fn main() {
             "--fences" => cfg.allow_fences = true,
             "--rmw" => cfg.allow_rmw = true,
             "--jobs" => take_jobs = true,
-            "--partition-size" => take_partition = true,
-            "--balance" => take_balance = true,
             "--cache" => take_cache = true,
             "--cache-url" => take_cache_url = true,
             "--progress" => cfg.progress = Some(SweepProgress::Human),
@@ -93,14 +72,6 @@ fn main() {
     }
     if take_jobs {
         eprintln!("error: --jobs takes a number");
-        std::process::exit(2);
-    }
-    if take_partition {
-        eprintln!("error: --partition-size takes a number");
-        std::process::exit(2);
-    }
-    if take_balance {
-        eprintln!("error: --balance takes `mass` or `depth`");
         std::process::exit(2);
     }
     if take_cache {
@@ -124,14 +95,13 @@ fn main() {
 
     let mtm = x86t_elt();
     eprintln!(
-        "sweeping bounds {}..={} with a {:?} budget per point (fences: {}, rmw: {}, jobs: {}, balance: {}{})",
+        "sweeping bounds {}..={} with a {:?} budget per point (fences: {}, rmw: {}, jobs: {}{})",
         cfg.min_bound,
         cfg.max_bound,
         cfg.budget,
         cfg.allow_fences,
         cfg.allow_rmw,
         cfg.jobs,
-        cfg.balance.name(),
         match &cfg.cache {
             Some(dir) => format!(
                 ", cache: {}{}",

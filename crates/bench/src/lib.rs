@@ -20,7 +20,6 @@ use transform_par::{
     synthesize_suite_jobs, synthesize_suite_jobs_observed, ProgressSnapshot, ProgressState,
 };
 use transform_store::{HttpTier, Store, TieredCache};
-use transform_synth::programs::Balance;
 use transform_synth::{Suite, SynthOptions};
 
 /// One point of the Fig. 9 sweep.
@@ -115,12 +114,6 @@ pub struct SweepConfig {
     pub allow_rmw: bool,
     /// Worker threads per suite (`transform-par`); 1 = sequential engine.
     pub jobs: usize,
-    /// Examine-batch granularity for the streaming engine (`None`
-    /// autotunes). Pure scheduling — never changes a suite.
-    pub partition_size: Option<usize>,
-    /// How the streaming engine splits the enumeration into work
-    /// partitions. Pure scheduling — never changes a suite.
-    pub balance: Balance,
     /// A persistent suite store (`transform-store`): completed points
     /// are sealed into it and later sweeps stream them back instead of
     /// resynthesizing. `None` = always synthesize.
@@ -144,8 +137,6 @@ impl Default for SweepConfig {
             allow_fences: false,
             allow_rmw: false,
             jobs: 1,
-            partition_size: None,
-            balance: Balance::default(),
             cache: None,
             cache_url: None,
             progress: None,
@@ -179,8 +170,6 @@ pub fn sweep(mtm: &Mtm, cfg: &SweepConfig) -> Vec<SweepPoint> {
             opts.enumeration.allow_fences = cfg.allow_fences;
             opts.enumeration.allow_rmw = cfg.allow_rmw;
             opts.timeout = Some(cfg.budget);
-            opts.partition_size = cfg.partition_size;
-            opts.balance = cfg.balance;
             let suite = match cfg.progress {
                 None => match &cache {
                     Some(cache) => {

@@ -1,9 +1,9 @@
 //! Per-subcommand `--help` text.
 //!
 //! Every subcommand answers `transform <cmd> --help` with its usage,
-//! its flags — cache flags (`--cache`, `--cache-url`,
-//! `--partition-size`) are described in the same words everywhere they
-//! apply — and one worked example.
+//! its flags — shared flags (`--cache`, `--cache-url`, `--progress`)
+//! are described in the same words everywhere they apply — and one
+//! worked example.
 
 /// The shared description of the cache flags, verbatim in every
 /// subcommand that accepts them.
@@ -19,20 +19,6 @@ const CACHE_FLAGS: &str = "\
                          remote (validated byte-for-byte, then installed
                          locally), and freshly sealed suites are pushed back —
                          requires --cache for the local tier";
-
-/// The shared description of `--partition-size`, verbatim wherever it
-/// applies.
-const PARTITION_FLAG: &str = "\
-  --partition-size N|auto  examine-batch granularity for the streaming engine
-                         (`auto` adapts to observed throughput); scheduling
-                         only — it never changes the suite";
-
-/// The shared description of `--balance`, verbatim wherever it applies.
-const BALANCE_FLAG: &str = "\
-  --balance mass|depth   how the enumeration splits into work partitions:
-                         `mass` (default) sizes partitions by estimated
-                         subtree work, `depth` is the fixed-depth baseline;
-                         scheduling only — it never changes the suite";
 
 /// The shared description of `--progress`, verbatim wherever it
 /// applies.
@@ -91,7 +77,6 @@ example:
 usage: transform synthesize --axiom A|--all --bound N [--mtm M]
            [--max-threads T] [--fences] [--rmw] [--timeout-secs S]
            [--quiet] [--jobs N|auto] [--backend explicit|relational]
-           [--partition-size N|auto] [--balance mass|depth]
            [--progress[=human|json]]
            [--cache DIR] [--cache-url URL] [--out FILE]
            [--workers URL[,URL...]] [--lease-ttl-secs S]
@@ -102,7 +87,7 @@ an instruction bound — one axiom, or with --all every axiom of the MTM
 through one fused run (the program space is enumerated once; no shared
 plan is built before workers start, and each axiom's suite is sealed
 into the cache the moment that axiom finishes). Every suite is
-byte-identical for every --jobs, --partition-size, and --balance.
+byte-identical for every --jobs.
 
 flags:
   --axiom A              the MTM axiom to violate
@@ -118,8 +103,6 @@ flags:
   --backend B            `explicit` or `relational` (SAT)
   --quiet                suppress the ELT listing
   --out FILE             write the ELTs to FILE instead of stdout
-{PARTITION_FLAG}
-{BALANCE_FLAG}
 {PROGRESS_FLAG}
 
 fleet (distributed synthesis):
@@ -154,7 +137,6 @@ example:
         "compare" => format!(
             "\
 usage: transform compare [--bound N] [--timeout-secs S] [--jobs N|auto]
-           [--partition-size N|auto] [--balance mass|depth]
            [--progress[=human|json]] [--cache DIR] [--cache-url URL]
 
 The paper's §VI-B comparison: synthesize every x86t_elt per-axiom suite
@@ -167,8 +149,6 @@ flags:
   --timeout-secs S       budget for the whole fused run (default 300);
                          axioms that finished before the cut stay complete
   --jobs N|auto          worker threads (`auto` = all cores)
-{PARTITION_FLAG}
-{BALANCE_FLAG}
 {PROGRESS_FLAG}
 
 caching:

@@ -64,7 +64,7 @@ use transform_store::{
     JobSpec, Store, TieredCache,
 };
 use transform_synth::engine::{Backend, Suite, SynthOptions};
-use transform_synth::programs::{Balance, Program, SlotOp};
+use transform_synth::programs::{Program, SlotOp};
 use transform_synth::SuiteRecord;
 use transform_x86::{compare_suite, synthesized_keys, x86_tso, x86t_elt};
 
@@ -79,13 +79,11 @@ commands:
   synthesize --axiom A|--all --bound N [--mtm M] [--max-threads T]
              [--fences] [--rmw] [--timeout-secs S] [--quiet]
              [--jobs N|auto] [--backend explicit|relational]
-             [--partition-size N|auto] [--balance mass|depth]
              [--progress[=human|json]]
              [--cache DIR] [--cache-url URL] [--out FILE]
              [--workers URL[,URL...]] [--lease-ttl-secs S]
              [--fleet-ranges N]
   compare --bound N [--timeout-secs S] [--jobs N|auto]
-          [--partition-size N|auto] [--balance mass|depth]
           [--progress[=human|json]]
           [--cache DIR] [--cache-url URL]
   simulate FILE|- [--bug invlpg-noop|shootdown|dirty-bit] [--evictions]
@@ -112,12 +110,9 @@ worked example.
 --jobs runs synthesis on N worker threads (`auto` = all cores); the
 suite is byte-identical for every N. `synthesize --all` streams every
 axiom of the MTM through one fused run (the program space is
-enumerated once; no shared plan is built up front). --partition-size
-pins the streaming engine's examine-batch granularity (`auto`, the
-default, adapts it to the observed throughput); --balance picks how
-the enumeration splits into work units (`mass`, the default, sizes
-partitions by estimated subtree work; `depth` is the fixed-depth
-baseline). Neither ever changes the suite.
+enumerated once; no shared plan is built up front). The work units
+are the enumeration's root shapes, and examine batches size
+themselves to the observed throughput.
 --progress streams live per-axiom telemetry (partitions/mass retired,
 programs, ELTs, mass-based ETA) to stderr while synthesis runs —
 `json` emits one object per line; stdout stays byte-identical either
@@ -277,10 +272,6 @@ fn cmd_synthesize(mut opts: Opts) -> Result<String, String> {
     }
     if let Some(b) = opts.value("--backend") {
         sopts.backend = parse_backend(&b)?;
-    }
-    sopts.partition_size = parse_partition_size(opts.value("--partition-size"))?;
-    if let Some(b) = opts.value("--balance") {
-        sopts.balance = parse_balance(&b)?;
     }
     let jobs = opts.jobs()?;
     let quiet = opts.flag("--quiet");
@@ -892,26 +883,6 @@ fn parse_backend(name: &str) -> Result<Backend, String> {
     }
 }
 
-fn parse_balance(name: &str) -> Result<Balance, String> {
-    Balance::parse(name)
-        .ok_or_else(|| format!("unknown --balance `{name}` (expected `mass` or `depth`)"))
-}
-
-fn parse_partition_size(value: Option<String>) -> Result<Option<usize>, String> {
-    match value.as_deref() {
-        None | Some("auto") => Ok(None),
-        Some(n) => {
-            let n: usize = n
-                .parse()
-                .map_err(|_| "--partition-size must be a positive number or `auto`")?;
-            if n == 0 {
-                return Err("--partition-size must be a positive number or `auto`".into());
-            }
-            Ok(Some(n))
-        }
-    }
-}
-
 fn cmd_compare(mut opts: Opts) -> Result<String, String> {
     let bound: usize = opts
         .value("--bound")
@@ -927,10 +898,6 @@ fn cmd_compare(mut opts: Opts) -> Result<String, String> {
     let jobs = opts.jobs()?;
     let mut sopts = SynthOptions::new(bound);
     sopts.timeout = Some(timeout);
-    sopts.partition_size = parse_partition_size(opts.value("--partition-size"))?;
-    if let Some(b) = opts.value("--balance") {
-        sopts.balance = parse_balance(&b)?;
-    }
     let progress_mode = parse_progress(opts.optional_value("--progress"))?;
     let cache = opts.value("--cache");
     let cache_url = opts.value("--cache-url");
@@ -1873,10 +1840,10 @@ mod tests {
     }
 
     /// The acceptance bar for the fused cross-axiom run: `--all` on any
-    /// worker count, partition size, and balance mode prints exactly
-    /// the sequential engine's per-axiom suites.
+    /// worker count prints exactly the sequential engine's per-axiom
+    /// suites.
     #[test]
-    fn synthesize_all_is_jobs_partition_and_balance_invariant() {
+    fn synthesize_all_is_jobs_invariant() {
         let elts = |s: &str| {
             s.lines()
                 .filter(|l| !l.starts_with("suite `"))
@@ -1895,9 +1862,7 @@ mod tests {
         }
         for line in [
             "synthesize --all --bound 4 --jobs 4",
-            "synthesize --all --bound 4 --jobs 3 --partition-size 5",
-            "synthesize --all --bound 4 --jobs 4 --balance depth",
-            "synthesize --all --bound 4 --jobs 4 --balance mass",
+            "synthesize --all --bound 4 --jobs 3",
         ] {
             let out = run_str(line).expect("runs");
             assert_eq!(elts(&base), elts(&out), "{line}");
@@ -1910,25 +1875,17 @@ mod tests {
         assert!(e.contains("mutually exclusive"), "{e}");
         let e = run_str("synthesize --bound 4").unwrap_err();
         assert!(e.contains("--all"), "{e}");
-        let e = run_str("synthesize --axiom invlpg --bound 4 --balance wat").unwrap_err();
-        assert!(e.contains("wat"), "{e}");
     }
 
+    /// Partitioning and batch sizing are not options: the flags that
+    /// once chose them are unknown arguments.
     #[test]
-    fn balance_mode_never_changes_the_suite() {
-        let elts = |s: &str| {
-            s.lines()
-                .filter(|l| !l.starts_with("suite `"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        let base = run_str("synthesize --axiom invlpg --bound 4").expect("runs");
-        for line in [
-            "synthesize --axiom invlpg --bound 4 --jobs 3 --balance mass",
-            "synthesize --axiom invlpg --bound 4 --jobs 3 --balance depth",
-        ] {
-            let out = run_str(line).expect("runs");
-            assert_eq!(elts(&base), elts(&out), "{line}");
+    fn removed_scheduling_flags_are_unknown() {
+        for cmd in ["synthesize --axiom invlpg --bound 4", "compare --bound 4"] {
+            for flag in ["--balance mass", "--partition-size 7"] {
+                let e = run_str(&format!("{cmd} {flag}")).unwrap_err();
+                assert!(e.contains("unrecognized arguments"), "{cmd} {flag}: {e}");
+            }
         }
     }
 
@@ -2164,29 +2121,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_size_never_changes_the_suite() {
-        let base = run_str("synthesize --axiom invlpg --bound 4").expect("runs");
-        for line in [
-            "synthesize --axiom invlpg --bound 4 --jobs 3 --partition-size 1",
-            "synthesize --axiom invlpg --bound 4 --jobs 3 --partition-size 7",
-            "synthesize --axiom invlpg --bound 4 --jobs 3 --partition-size auto",
-        ] {
-            let out = run_str(line).expect("runs");
-            let elts = |s: &str| {
-                s.lines()
-                    .filter(|l| !l.starts_with("suite `"))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            };
-            assert_eq!(elts(&base), elts(&out), "{line}");
-        }
-        let e = run_str("synthesize --axiom invlpg --bound 4 --partition-size zero").unwrap_err();
-        assert!(e.contains("--partition-size"), "{e}");
-        let e = run_str("synthesize --axiom invlpg --bound 4 --partition-size 0").unwrap_err();
-        assert!(e.contains("--partition-size"), "{e}");
-    }
-
-    #[test]
     fn store_verify_reports_and_removes_corruption() {
         let dir = temp_dir("verify");
         let cache = dir.join("store");
@@ -2378,8 +2312,6 @@ mod tests {
         }
         for cmd in ["synthesize", "compare"] {
             let help = run_str(&format!("{cmd} --help")).expect("help");
-            assert!(help.contains("--partition-size N|auto"), "{cmd}:\n{help}");
-            assert!(help.contains("--balance mass|depth"), "{cmd}:\n{help}");
             assert!(help.contains("never changes the suite"), "{cmd}:\n{help}");
         }
         let synth = run_str("synthesize --help").expect("help");

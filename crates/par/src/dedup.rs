@@ -10,9 +10,8 @@
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
-/// FNV-1a over a word stream — the crate's one hash, shared by the
-/// stripe selector here and [`crate::shard::prefix_key`].
-pub(crate) fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+/// FNV-1a over a word stream — the stripe selector's hash.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for x in words {
         h ^= x;

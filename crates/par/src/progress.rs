@@ -434,7 +434,7 @@ pub struct ProgressSnapshot {
     pub partitions_total: usize,
     /// Partitions admitted through the dedup frontier.
     pub partitions_retired: usize,
-    /// Total estimated subtree mass of the space
+    /// Total subtree mass of the space
     /// ([`EnumSpace::total_mass`]).
     ///
     /// [`EnumSpace::total_mass`]: transform_synth::programs::EnumSpace::total_mass

@@ -31,8 +31,8 @@
 //! strictly in ordinal order through the admitter — the same
 //! first-occurrence-per-canonical-key scan the sequential planner runs —
 //! so plan indices, dedup outcomes, and therefore every per-axiom suite
-//! are byte-identical to the sequential engine at every worker count,
-//! batch size, and balance mode.
+//! are byte-identical to the sequential engine at every worker count
+//! and batch size.
 //!
 //! # Deadlines
 //!
@@ -49,13 +49,12 @@
 //!
 //! # Autotuned batch granularity
 //!
-//! Admitted items are chunked into examine batches. With
-//! `SynthOptions::partition_size = None` the chunk size adapts: each
-//! retired batch reports its items/second, and the tuner sizes the next
-//! batches to a fixed wall-clock slice — cheap bounds get large batches
-//! (incremental-solver reuse), expensive ones get small, stealable
-//! batches. A fixed size pins the granularity instead. Neither changes
-//! any result, only scheduling.
+//! Admitted items are chunked into examine batches whose size adapts:
+//! each retired batch reports its items/second, and the tuner sizes the
+//! next batches to a fixed wall-clock slice — cheap bounds get large
+//! batches (incremental-solver reuse), expensive ones get small,
+//! stealable batches. The size never changes any result, only
+//! scheduling.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
@@ -214,10 +213,8 @@ pub(crate) fn item_weight(item: &WorkItem) -> u64 {
 /// aims each batch at the weight filling [`TARGET_BATCH`], so a chunk
 /// of cheap small-bound items becomes one large batch while the same
 /// item count of expensive deep items splits into small, stealable
-/// ones. A fixed `partition_size` still pins the granularity in items
-/// (the documented knob). Neither changes any result, only scheduling.
+/// ones. It never changes any result, only scheduling.
 struct Tuner {
-    fixed: Option<usize>,
     /// Examination weight per second, exponentially smoothed.
     rate: Option<f64>,
     /// Mean static weight of one plan item, exponentially smoothed —
@@ -233,30 +230,23 @@ fn ewma(prev: Option<f64>, sample: f64) -> f64 {
 }
 
 impl Tuner {
-    fn new(fixed: Option<usize>) -> Tuner {
+    fn new() -> Tuner {
         Tuner {
-            fixed,
             rate: None,
             per_item: None,
         }
     }
 
     /// The weight one batch should carry to fill the target slice, or
-    /// `None` before the first measurement / with a fixed item count.
+    /// `None` before the first measurement.
     fn target_weight(&self) -> Option<f64> {
-        if self.fixed.is_some() {
-            return None;
-        }
         self.rate.map(|rate| rate * TARGET_BATCH.as_secs_f64())
     }
 
-    /// The equivalent batch size in items — the fixed size when pinned,
-    /// the measurement-derived estimate otherwise (progress reporting
-    /// and the pre-measurement default).
+    /// The equivalent batch size in items, estimated from the
+    /// measurements (progress reporting and the pre-measurement
+    /// default).
     fn batch_size(&self) -> usize {
-        if let Some(n) = self.fixed {
-            return n.max(1);
-        }
         match (self.target_weight(), self.per_item) {
             (Some(target), Some(per_item)) => {
                 ((target / per_item.max(1e-9)) as usize).clamp(MIN_BATCH, MAX_BATCH)
@@ -268,7 +258,7 @@ impl Tuner {
     /// One retired batch: `weight` is the summed [`item_weight`] of the
     /// `items` actually examined (the prefix, on a deadline cut).
     fn observe(&mut self, items: usize, weight: u64, elapsed: Duration) {
-        if self.fixed.is_some() || items == 0 {
+        if items == 0 {
             return;
         }
         let secs = elapsed.as_secs_f64().max(1e-9);
@@ -366,8 +356,6 @@ impl State {
 struct Pipeline<'s> {
     space: &'s EnumSpace,
     axioms: usize,
-    /// Per-partition estimated mass, by ordinal ([`EnumSpace::masses`]).
-    masses: Vec<u64>,
     /// The run's live telemetry: published (relaxed stores) from inside
     /// every lock-held transition, sampled lock-free by observers. The
     /// final [`StreamMetrics`] is this state's last snapshot.
@@ -405,7 +393,6 @@ impl<'s> Pipeline<'s> {
         progress: Option<&Arc<ProgressState>>,
         deadline: Option<Instant>,
         jobs: usize,
-        fixed_batch: Option<usize>,
         range: Option<(usize, usize)>,
     ) -> Self {
         let range = range.unwrap_or((0, space.partition_count()));
@@ -427,25 +414,20 @@ impl<'s> Pipeline<'s> {
                     .unwrap_or_else(|| panic!("progress state does not track axiom `{name}`"))
             })
             .collect();
-        let masses = space.masses();
         use std::sync::atomic::Ordering::Relaxed;
         progress
             .partitions_total
             .store(space.partition_count(), Relaxed);
-        progress.mass_total.store(
-            masses.iter().fold(0u64, |a, &m| a.saturating_add(m)),
-            Relaxed,
-        );
+        progress.mass_total.store(space.total_mass(), Relaxed);
         progress
             .final_batch_size
-            .store(Tuner::new(fixed_batch).batch_size(), Relaxed);
+            .store(Tuner::new().batch_size(), Relaxed);
         for &slot in &slots {
             progress.set_axiom_state(slot, AxiomState::Running);
         }
         Pipeline {
             space,
             axioms,
-            masses,
             progress,
             slots,
             deadline,
@@ -470,7 +452,7 @@ impl<'s> Pipeline<'s> {
                 live: 0,
                 peak_live: 0,
                 mass_retired: 0,
-                tuner: Tuner::new(fixed_batch),
+                tuner: Tuner::new(),
             }),
             cv: Condvar::new(),
         }
@@ -590,12 +572,13 @@ impl<'s> Pipeline<'s> {
                     let delivered = keyed.len();
                     let mut items = st.admitter.admit(keyed);
                     st.live -= delivered - items.len(); // dropped by dedup
-                    st.mass_retired = st.mass_retired.saturating_add(self.masses[st.frontier]);
+                    let mass = self.space.masses()[st.frontier];
+                    st.mass_retired = st.mass_retired.saturating_add(mass);
                     self.progress.record(
                         JournalEventKind::PartitionRetired,
                         None,
                         st.frontier as u64,
-                        self.masses[st.frontier],
+                        mass,
                         0,
                     );
                     if st.frontier < self.range.0 {
@@ -896,27 +879,23 @@ pub(crate) fn run_fused(
     sinks: &[&dyn SuiteSink],
     progress: Option<&Arc<ProgressState>>,
 ) -> (Vec<SuiteStats>, StreamMetrics) {
-    run_fused_range(mtm, axioms, opts, jobs, jobs, sinks, progress, None)
+    run_fused_range(mtm, axioms, opts, jobs, sinks, progress, None)
 }
 
 /// [`run_fused`] restricted to the partition range `range` (global
-/// ordinals of the plan produced by `plan_jobs`-way partitioning): the
-/// whole prefix `[0, range.1)` is enumerated and admitted so dedup
-/// state and plan indices stay global, but only items admitted inside
-/// `[range.0, range.1)` are examined and emitted, and
+/// ordinals of [`EnumSpace::new`]): the whole prefix `[0, range.1)` is
+/// enumerated and admitted so dedup state and plan indices stay global,
+/// but only items admitted inside `[range.0, range.1)` are examined and
+/// emitted, and
 /// [`SuiteStats::programs`] counts only the programs admitted inside the
 /// range. Ranges that tile the space therefore produce shard results
 /// whose concatenation is exactly the single-machine run — the fleet's
-/// work unit. `plan_jobs` fixes
-/// the partition shape (the coordinator's choice, shared fleet-wide);
-/// `jobs` is only this run's local thread count and never affects the
-/// output.
-#[allow(clippy::too_many_arguments)]
+/// work unit. `jobs` is only this run's local thread count and never
+/// affects the output.
 pub(crate) fn run_fused_range(
     mtm: &Mtm,
     axioms: &[&str],
     opts: &SynthOptions,
-    plan_jobs: usize,
     jobs: usize,
     sinks: &[&dyn SuiteSink],
     progress: Option<&Arc<ProgressState>>,
@@ -933,18 +912,10 @@ pub(crate) fn run_fused_range(
     let jobs = jobs.max(1);
     let start = Instant::now();
     let deadline = opts.timeout.map(|t| start + t);
-    let space = crate::space_for(opts, plan_jobs.max(1));
+    let space = EnumSpace::new(&opts.enumeration);
     let range = range.unwrap_or((0, space.partition_count()));
     let branch_co_pa = branches_co_pa(mtm);
-    let pipeline = Pipeline::new(
-        &space,
-        axioms,
-        progress,
-        deadline,
-        jobs,
-        opts.partition_size,
-        Some(range),
-    );
+    let pipeline = Pipeline::new(&space, axioms, progress, deadline, jobs, Some(range));
     pipeline.progress.record(
         JournalEventKind::RunStart,
         None,
@@ -1083,7 +1054,7 @@ mod tests {
         let m = mtm();
         for symmetry in [true, false] {
             let eo = enum_opts(4, symmetry);
-            let space = EnumSpace::with_target_partitions(&eo, 32);
+            let space = EnumSpace::new(&eo);
             let mut admitter = Admitter::new(symmetry);
             let mut items = Vec::new();
             for p in 0..space.partition_count() {
@@ -1107,39 +1078,14 @@ mod tests {
         }
     }
 
-    /// The admitter is partition-shape-blind: a mass-balanced space
-    /// admits the identical plan.
-    #[test]
-    fn admitter_is_identical_over_balanced_partitions() {
-        let eo = enum_opts(4, true);
-        let depth = EnumSpace::with_target_partitions(&eo, 32);
-        let mass = EnumSpace::balanced(&eo, 3);
-        let admit_all = |space: &EnumSpace| {
-            let mut admitter = Admitter::new(true);
-            let mut items = Vec::new();
-            for p in 0..space.partition_count() {
-                items.extend(admitter.admit(space.enumerate_keyed(p)));
-            }
-            (admitter.programs, items)
-        };
-        let (programs_a, items_a) = admit_all(&depth);
-        let (programs_b, items_b) = admit_all(&mass);
-        assert_eq!(programs_a, programs_b);
-        assert_eq!(items_a.len(), items_b.len());
-        for (a, b) in items_a.iter().zip(&items_b) {
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.program, b.program);
-        }
-    }
-
     /// Out-of-order delivery with a cut partition: the frontier admits
     /// the prefix below the cut and drops everything from it on.
     #[test]
     fn frontier_cuts_reproducibly_on_out_of_order_delivery() {
         let eo = enum_opts(4, true);
-        let space = EnumSpace::with_target_partitions(&eo, 8);
+        let space = EnumSpace::new(&eo);
         assert!(space.partition_count() >= 3, "space too small for the test");
-        let pipeline = Pipeline::new(&space, &["a"], None, None, 2, None, None);
+        let pipeline = Pipeline::new(&space, &["a"], None, None, 2, None);
         // Claim the first three enumeration tasks.
         for expect in 0..3 {
             match pipeline.next_task() {
@@ -1167,7 +1113,7 @@ mod tests {
     #[test]
     fn fused_pipeline_fans_chunks_out_per_axiom() {
         let eo = enum_opts(4, true);
-        let space = EnumSpace::with_target_partitions(&eo, 4);
+        let space = EnumSpace::new(&eo);
         // A window wide enough to claim every partition before any
         // examine batch exists (examination has pop priority).
         let pipeline = Pipeline::new(
@@ -1176,7 +1122,6 @@ mod tests {
             None,
             None,
             space.partition_count(),
-            None,
             None,
         );
         for ordinal in 0..space.partition_count() {
@@ -1212,9 +1157,9 @@ mod tests {
     #[test]
     fn deadline_cut_keeps_live_accounting_exact() {
         let eo = enum_opts(4, true);
-        let space = EnumSpace::with_target_partitions(&eo, 8);
+        let space = EnumSpace::new(&eo);
         assert!(space.partition_count() >= 3, "space too small for the test");
-        let pipeline = Pipeline::new(&space, &["a"], None, None, 3, None, None);
+        let pipeline = Pipeline::new(&space, &["a"], None, None, 3, None);
         for expect in 0..3 {
             match pipeline.next_task() {
                 Some(Task::Enumerate(ord)) => assert_eq!(ord, expect),
@@ -1260,9 +1205,9 @@ mod tests {
     #[test]
     fn progress_mirrors_frontier_advance() {
         let eo = enum_opts(4, true);
-        let space = EnumSpace::with_target_partitions(&eo, 8);
+        let space = EnumSpace::new(&eo);
         let masses = space.masses();
-        let pipeline = Pipeline::new(&space, &["a"], None, None, 2, None, None);
+        let pipeline = Pipeline::new(&space, &["a"], None, None, 2, None);
         assert_eq!(pipeline.progress.snapshot().mass_total, space.total_mass());
         for ordinal in 0..space.partition_count() {
             loop {
@@ -1346,9 +1291,8 @@ mod tests {
     fn range_runs_tile_into_the_full_suite() {
         let m = mtm();
         let opts = synth_opts(4);
+        let n = EnumSpace::new(&opts.enumeration).partition_count();
         for jobs in [1usize, 2, 3] {
-            let space = crate::space_for(&opts, jobs);
-            let n = space.partition_count();
             let (full_records, full_stats) = run_cold(&m, 4, jobs);
             for split in [1, n / 3, n / 2, n - 1] {
                 let split = split.clamp(1, n - 1);
@@ -1364,7 +1308,6 @@ mod tests {
                         &["sc_per_loc"],
                         &opts,
                         jobs,
-                        2,
                         &[&sink],
                         None,
                         Some(range),
@@ -1438,7 +1381,7 @@ mod tests {
 
     #[test]
     fn tuner_targets_the_batch_slice() {
-        let mut tuner = Tuner::new(None);
+        let mut tuner = Tuner::new();
         assert_eq!(tuner.batch_size(), DEFAULT_BATCH);
         assert!(
             tuner.target_weight().is_none(),
@@ -1451,25 +1394,20 @@ mod tests {
         let tw = tuner.target_weight().expect("calibrated");
         assert!((tw - 1600.0).abs() < 1e-6, "50 ms of 32000 weight/sec");
         // Very slow items clamp to the minimum, very fast to the maximum.
-        let mut slow = Tuner::new(None);
+        let mut slow = Tuner::new();
         slow.observe(1, 16, Duration::from_secs(10));
         assert_eq!(slow.batch_size(), MIN_BATCH);
-        let mut fast = Tuner::new(None);
+        let mut fast = Tuner::new();
         fast.observe(10_000_000, 10_000_000, Duration::from_millis(1));
         assert_eq!(fast.batch_size(), MAX_BATCH);
-        // A fixed size ignores observations and disables weight targets.
-        let mut fixed = Tuner::new(Some(5));
-        fixed.observe(1000, 32_000, Duration::from_secs(1));
-        assert_eq!(fixed.batch_size(), 5);
-        assert!(fixed.target_weight().is_none());
     }
 
     /// Heavier programs shrink the batch: after observing a heavy mix,
     /// the same weight target takes fewer items per chunk.
     #[test]
     fn tuner_weights_shrink_batches_for_heavy_items() {
-        let mut light = Tuner::new(None);
-        let mut heavy = Tuner::new(None);
+        let mut light = Tuner::new();
+        let mut heavy = Tuner::new();
         // Same wall-clock rate in weight/sec, but heavy items carry 16×
         // the weight each — so a 50 ms slice holds 16× fewer of them.
         light.observe(16_000, 512_000, Duration::from_secs(1));

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use transform_par::{synthesize_all_jobs, synthesize_suite_jobs};
-use transform_synth::{Backend, Balance, Suite, SynthOptions};
+use transform_synth::{Backend, Suite, SynthOptions};
 use transform_x86::x86t_elt;
 
 /// A byte-exact rendering of everything user-visible in a suite: the
@@ -100,84 +100,19 @@ fn parallel_explicit_and_relational_backends_agree_on_programs() {
 }
 
 #[test]
-fn partition_sizes_never_change_the_suite() {
-    // The streaming pipeline's batch granularity — fixed at any value or
-    // autotuned — is pure scheduling: the suite must stay byte-identical
-    // to the sequential engine.
-    let mtm = x86t_elt();
-    let reference = {
-        let o = opts(4, Backend::Explicit);
-        fingerprint(&synthesize_suite_jobs(&mtm, "sc_per_loc", &o, 1))
-    };
-    for partition_size in [None, Some(1), Some(7), Some(100_000)] {
-        for jobs in [2usize, 8] {
-            let mut o = opts(4, Backend::Explicit);
-            o.partition_size = partition_size;
-            let suite = synthesize_suite_jobs(&mtm, "sc_per_loc", &o, jobs);
-            assert_eq!(
-                reference,
-                fingerprint(&suite),
-                "partition_size={partition_size:?} jobs={jobs}"
-            );
-        }
-    }
-}
-
-#[test]
 fn streamed_bound_5_suite_is_byte_identical_to_sequential() {
     // The acceptance bar for the fused pipeline: an engine-level run at
-    // bound 5 reproduces the sequential suite exactly, under both
-    // balance modes and a pinned partition size.
+    // bound 5 reproduces the sequential suite exactly.
     let mtm = x86t_elt();
     let o = opts(5, Backend::Explicit);
     let sequential = synthesize_suite_jobs(&mtm, "sc_per_loc", &o, 1);
     assert!(!sequential.elts.is_empty());
-    for (balance, partition_size) in [
-        (Balance::Mass, None),
-        (Balance::Depth, None),
-        (Balance::Mass, Some(13)),
-    ] {
-        let mut o = opts(5, Backend::Explicit);
-        o.balance = balance;
-        o.partition_size = partition_size;
-        let streamed = synthesize_suite_jobs(&mtm, "sc_per_loc", &o, 4);
-        let tag = format!("balance={balance:?} partition_size={partition_size:?}");
-        assert_eq!(fingerprint(&sequential), fingerprint(&streamed), "{tag}");
-        assert_eq!(sequential.stats.programs, streamed.stats.programs, "{tag}");
-        assert_eq!(
-            sequential.stats.executions, streamed.stats.executions,
-            "{tag}"
-        );
-        assert_eq!(
-            sequential.stats.forbidden, streamed.stats.forbidden,
-            "{tag}"
-        );
-        assert_eq!(sequential.stats.minimal, streamed.stats.minimal, "{tag}");
-    }
-}
-
-#[test]
-fn balance_modes_are_byte_identical() {
-    // Mass-estimated and depth splitting are pure scheduling: same
-    // suite, byte for byte, as the sequential engine — on both
-    // backends.
-    let mtm = x86t_elt();
-    for backend in [Backend::Explicit, Backend::Relational] {
-        let reference = {
-            let o = opts(4, backend);
-            fingerprint(&synthesize_suite_jobs(&mtm, "invlpg", &o, 1))
-        };
-        for balance in [Balance::Mass, Balance::Depth] {
-            let mut o = opts(4, backend);
-            o.balance = balance;
-            let suite = synthesize_suite_jobs(&mtm, "invlpg", &o, 4);
-            assert_eq!(
-                reference,
-                fingerprint(&suite),
-                "{backend:?} balance={balance:?}"
-            );
-        }
-    }
+    let streamed = synthesize_suite_jobs(&mtm, "sc_per_loc", &o, 4);
+    assert_eq!(fingerprint(&sequential), fingerprint(&streamed));
+    assert_eq!(sequential.stats.programs, streamed.stats.programs);
+    assert_eq!(sequential.stats.executions, streamed.stats.executions);
+    assert_eq!(sequential.stats.forbidden, streamed.stats.forbidden);
+    assert_eq!(sequential.stats.minimal, streamed.stats.minimal);
 }
 
 #[test]
@@ -213,38 +148,6 @@ fn fused_all_axiom_run_matches_per_axiom_sequential_suites() {
     }
 }
 
-#[test]
-fn fused_all_axiom_run_matches_the_eager_shared_plan_baseline() {
-    let mtm = x86t_elt();
-    let o = opts(4, Backend::Explicit);
-    let eager = transform_par::synthesize_all_jobs_eager(&mtm, &o, 4);
-    let fused = synthesize_all_jobs(&mtm, &o, 4);
-    assert_eq!(eager.len(), fused.len());
-    for (axiom, a) in &eager {
-        let b = &fused[axiom];
-        assert_eq!(fingerprint(a), fingerprint(b), "{axiom}");
-        assert_eq!(a.stats.programs, b.stats.programs, "{axiom}");
-        assert_eq!(a.stats.executions, b.stats.executions, "{axiom}");
-    }
-}
-
-#[test]
-fn eager_reference_path_matches_the_fused_pipeline() {
-    let mtm = x86t_elt();
-    for backend in [Backend::Explicit, Backend::Relational] {
-        let o = opts(4, backend);
-        let eager = transform_par::synthesize_suite_jobs_eager(&mtm, "invlpg", &o, 4);
-        let fused = synthesize_suite_jobs(&mtm, "invlpg", &o, 4);
-        assert_eq!(
-            fingerprint(&eager),
-            fingerprint(&fused),
-            "{backend:?}: two-phase and fused pipelines diverge"
-        );
-        assert_eq!(eager.stats.programs, fused.stats.programs);
-        assert_eq!(eager.stats.executions, fused.stats.executions);
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -259,53 +162,21 @@ proptest! {
         prop_assert_eq!(reference, fingerprint(&suite), "jobs={}", jobs);
     }
 
-    /// Jobs × partition size together: still the sequential suite.
+    /// Any job count, through the fused all-axiom run: every
+    /// per-axiom suite stays the sequential one.
     #[test]
-    fn job_and_partition_size_grid_stays_deterministic(
-        jobs in 2usize..12,
-        partition_size in 1usize..64,
-    ) {
+    fn fused_all_axiom_run_stays_deterministic_at_any_job_count(jobs in 2usize..10) {
         let mtm = x86t_elt();
-        let mut o = opts(4, Backend::Explicit);
-        o.partition_size = Some(partition_size);
-        let reference = {
-            let o = opts(4, Backend::Explicit);
-            fingerprint(&synthesize_suite_jobs(&mtm, "invlpg", &o, 1))
-        };
-        let suite = synthesize_suite_jobs(&mtm, "invlpg", &o, jobs);
-        prop_assert_eq!(
-            reference,
-            fingerprint(&suite),
-            "jobs={} partition_size={}",
-            jobs,
-            partition_size
-        );
-    }
-
-    /// Jobs × partition size × balance mode, through the fused
-    /// all-axiom run: every per-axiom suite stays the sequential one.
-    #[test]
-    fn fused_all_jobs_partition_balance_grid_stays_deterministic(
-        jobs in 2usize..10,
-        partition_size in 0usize..48,
-        depth_balance in any::<bool>(),
-    ) {
-        let mtm = x86t_elt();
-        let mut o = opts(4, Backend::Explicit);
-        // 0 stands in for "autotune" (the engine takes None).
-        o.partition_size = (partition_size > 0).then_some(partition_size);
-        o.balance = if depth_balance { Balance::Depth } else { Balance::Mass };
+        let o = opts(4, Backend::Explicit);
         let fused = synthesize_all_jobs(&mtm, &o, jobs);
         for ax in mtm.axioms() {
-            let reference = {
-                let o = opts(4, Backend::Explicit);
-                fingerprint(&synthesize_suite_jobs(&mtm, &ax.name, &o, 1))
-            };
+            let reference = fingerprint(&synthesize_suite_jobs(&mtm, &ax.name, &o, 1));
             prop_assert_eq!(
                 reference,
                 fingerprint(&fused[&ax.name]),
-                "{} jobs={} partition_size={:?} balance={:?}",
-                &ax.name, jobs, partition_size, o.balance
+                "{} jobs={}",
+                &ax.name,
+                jobs
             );
         }
     }

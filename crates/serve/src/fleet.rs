@@ -316,7 +316,6 @@ mod tests {
             allow_identity_remap: false,
             symmetry_reduction: true,
             backend: "explicit".to_string(),
-            mass_balance: true,
             plan_jobs: 2,
             lease_ttl_ms: ttl_ms,
             ranges: vec![(0, 2), (2, 5)],

@@ -1042,7 +1042,7 @@ fn validate_job_spec(spec: &JobSpec) -> Result<(), String> {
             ));
         }
     }
-    let partitions = transform_par::space_for(&opts, spec.plan_jobs as usize).partition_count();
+    let partitions = transform_synth::EnumSpace::new(&opts.enumeration).partition_count();
     let covered = spec.ranges.last().map(|&(_, hi)| hi as usize).unwrap_or(0);
     if covered != partitions {
         return Err(format!(

@@ -158,34 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_size_does_not_split_the_cache() {
-        // Batch granularity is pure scheduling — suites are byte-identical
-        // at every partition size, so entries sealed before the streaming
-        // engine existed stay addressable.
-        let m = mtm();
-        let mut tuned = SynthOptions::new(4);
-        tuned.partition_size = Some(17);
-        assert_eq!(
-            suite_fingerprint(&m, "invlpg", &SynthOptions::new(4)),
-            suite_fingerprint(&m, "invlpg", &tuned)
-        );
-    }
-
-    #[test]
-    fn balance_mode_does_not_split_the_cache() {
-        // Partition balancing is pure scheduling — suites are
-        // byte-identical under every mode, so entries sealed before
-        // mass-estimated splitting existed stay addressable.
-        let m = mtm();
-        let mut depth = SynthOptions::new(4);
-        depth.balance = transform_synth::Balance::Depth;
-        assert_eq!(
-            suite_fingerprint(&m, "invlpg", &SynthOptions::new(4)),
-            suite_fingerprint(&m, "invlpg", &depth)
-        );
-    }
-
-    #[test]
     fn spec_comments_and_whitespace_hash_identically() {
         let tidy = mtm();
         let noisy = parse_mtm(

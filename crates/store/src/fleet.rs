@@ -8,8 +8,8 @@
 //! A **job** is one `synthesize` invocation distributed over workers.
 //! The client encodes a [`JobSpec`] — the MTM's canonical spec text,
 //! the axioms with their store fingerprints, every option that enters
-//! the fingerprint, plus the partition plan (`plan_jobs`, the leased
-//! `ranges`) — and POSTs it to the coordinator. The job id is the
+//! the fingerprint, plus the leased partition `ranges` — and POSTs it
+//! to the coordinator. The job id is the
 //! FNV-1a 64 hash of the encoded spec, so re-POSTing the same work is
 //! idempotent.
 //!
@@ -40,7 +40,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 use transform_par::SuiteSink;
 use transform_synth::{
-    Backend, Balance, EnumOptions, ShardStats, SuiteRecord, SuiteStats, SynthOptions,
+    Backend, EnumOptions, EnumSpace, ShardStats, SuiteRecord, SuiteStats, SynthOptions,
 };
 
 const JOB_MAGIC: &[u8; 8] = b"TFJOBSP\0";
@@ -55,10 +55,14 @@ const MAX_FLEET_LEN: usize = 1 << 24;
 /// run, and everything the coordinator needs to seal it.
 ///
 /// The spec carries the *content* key (MTM canonical text, axioms,
-/// fingerprint-relevant options) and the *plan* key (`plan_jobs`,
-/// which fixes the partition shape fleet-wide, and the leased
-/// `ranges`). It deliberately excludes scheduling-only knobs that
-/// never change output: local thread counts, timeouts, batch sizing.
+/// fingerprint-relevant options) and the leased `ranges` of the
+/// root-shape partitions ([`EnumSpace::new`]). It deliberately excludes
+/// scheduling-only knobs that never change output: local thread counts,
+/// timeouts, batch sizing.
+///
+/// The wire layout keeps two fields that no longer shape the plan: the
+/// old partitioning byte, always written as 1 (its mass-balanced value;
+/// 0, the old depth split, is rejected), and `plan_jobs`.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct JobSpec {
     /// The MTM's name (`mtm <name> { … }`), for [`EntryMeta`].
@@ -84,11 +88,9 @@ pub struct JobSpec {
     pub symmetry_reduction: bool,
     /// The candidate-execution backend tag (`explicit`/`relational`).
     pub backend: String,
-    /// `true` for mass-balanced partitioning, `false` for depth.
-    pub mass_balance: bool,
-    /// The worker count the partition plan was built for — fixes the
-    /// partition shape fleet-wide; every worker must plan with this,
-    /// not its local thread count.
+    /// The worker count the client planned with. It no longer shapes
+    /// the partitions (one per root shape at any worker count) and is
+    /// kept in the wire layout; it must be nonzero.
     pub plan_jobs: u32,
     /// Lease time-to-live; a worker heartbeats faster than this or
     /// its range is reclaimed.
@@ -125,7 +127,7 @@ impl JobSpec {
         e.boolean(self.allow_identity_remap);
         e.boolean(self.symmetry_reduction);
         e.string(&self.backend);
-        e.boolean(self.mass_balance);
+        e.boolean(true); // the old partitioning byte, always 1
         e.u32(self.plan_jobs);
         e.u64(self.lease_ttl_ms);
         e.size(self.ranges.len());
@@ -157,7 +159,11 @@ impl JobSpec {
         let allow_identity_remap = d.boolean()?;
         let symmetry_reduction = d.boolean()?;
         let backend = d.string()?;
-        let mass_balance = d.boolean()?;
+        if !d.boolean()? {
+            return Err(CodecError::new(
+                "job spec asks for depth partitioning, which this build does not support",
+            ));
+        }
         let plan_jobs = d.u32()?;
         let lease_ttl_ms = d.u64()?;
         let num_ranges = d.size_bounded(MAX_FLEET_LEN, "job ranges")?;
@@ -181,7 +187,6 @@ impl JobSpec {
             allow_identity_remap,
             symmetry_reduction,
             backend,
-            mass_balance,
             plan_jobs,
             lease_ttl_ms,
             ranges,
@@ -197,9 +202,10 @@ impl JobSpec {
     }
 
     /// Builds the spec for one `synthesize` run: fingerprints each
-    /// axiom exactly as the local cache would, fixes the partition
-    /// shape at `plan_jobs`, and tiles the plan into up to `chunks`
-    /// mass-balanced contiguous ranges ([`balanced_ranges`]).
+    /// axiom exactly as the local cache would, and tiles the root-shape
+    /// partitions into up to `chunks` mass-balanced contiguous ranges
+    /// ([`balanced_ranges`]). `plan_jobs` is recorded in the spec but
+    /// no longer shapes the partitions.
     ///
     /// # Panics
     ///
@@ -221,8 +227,7 @@ impl JobSpec {
                 mtm.name()
             );
         }
-        let plan_jobs = plan_jobs.max(1);
-        let space = transform_par::space_for(opts, plan_jobs as usize);
+        let space = EnumSpace::new(&opts.enumeration);
         let e = &opts.enumeration;
         JobSpec {
             mtm_name: mtm.name().to_string(),
@@ -243,10 +248,9 @@ impl JobSpec {
             allow_identity_remap: e.allow_identity_remap,
             symmetry_reduction: e.symmetry_reduction,
             backend: crate::fingerprint::backend_tag(opts.backend).to_string(),
-            mass_balance: opts.balance == Balance::Mass,
-            plan_jobs,
+            plan_jobs: plan_jobs.max(1),
             lease_ttl_ms,
-            ranges: balanced_ranges(&space.masses(), chunks),
+            ranges: balanced_ranges(space.masses(), chunks),
         }
     }
 
@@ -298,12 +302,6 @@ impl JobSpec {
             enumeration,
             backend,
             timeout: None,
-            partition_size: None,
-            balance: if self.mass_balance {
-                Balance::Mass
-            } else {
-                Balance::Depth
-            },
         })
     }
 
@@ -748,9 +746,9 @@ impl SuiteSink for CollectShard {
 /// Runs a granted lease's range on `jobs` local threads and packages
 /// the upload — the whole compute step of a fleet worker.
 ///
-/// The spec's `plan_jobs` (not `jobs`) fixes the partition shape, so
-/// every worker reproduces the same global plan regardless of local
-/// thread count; records are sorted by plan index.
+/// The partitions are the root shapes of the spec's enumeration
+/// options, so every worker reproduces the same global plan regardless
+/// of local thread count; records are sorted by plan index.
 ///
 /// # Errors
 ///
@@ -773,7 +771,7 @@ pub fn execute_lease(grant: &LeaseGrant, jobs: usize) -> Result<ShardResult, Sto
             )));
         }
     }
-    let space = transform_par::space_for(&opts, spec.plan_jobs as usize);
+    let space = EnumSpace::new(&opts.enumeration);
     let (lo, hi) = (grant.lo as usize, grant.hi as usize);
     if hi > space.partition_count() || lo >= hi {
         return Err(StoreError::Corrupt(format!(
@@ -787,7 +785,6 @@ pub fn execute_lease(grant: &LeaseGrant, jobs: usize) -> Result<ShardResult, Sto
         &mtm,
         &axioms,
         &opts,
-        spec.plan_jobs as usize,
         jobs.max(1),
         (lo, hi),
         &sink_refs,
@@ -850,7 +847,6 @@ mod tests {
             allow_identity_remap: false,
             symmetry_reduction: true,
             backend: "explicit".to_string(),
-            mass_balance: true,
             plan_jobs: 2,
             lease_ttl_ms: 10_000,
             ranges: vec![(0, 3), (3, 8)],
@@ -888,13 +884,29 @@ mod tests {
     }
 
     #[test]
+    fn job_spec_rejects_a_depth_partitioning_byte() {
+        let mut bytes = spec().encode();
+        let body = bytes.len() - 8;
+        let at = bytes
+            .windows(8)
+            .position(|w| w == b"explicit")
+            .expect("backend tag")
+            + 8;
+        assert_eq!(bytes[at], 1, "the partitioning byte is always written as 1");
+        bytes[at] = 0;
+        let checksum = fnv1a64(&bytes[..body]);
+        bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+        let err = JobSpec::decode(&bytes).expect_err("depth partitioning is rejected");
+        assert!(err.to_string().contains("depth"), "{err}");
+    }
+
+    #[test]
     fn synth_options_round_trip_the_spec_fields() {
         let opts = spec().synth_options().expect("known backend");
         assert_eq!(opts.enumeration.bound, 4);
         assert!(!opts.enumeration.allow_fences);
         assert!(opts.enumeration.symmetry_reduction);
         assert_eq!(opts.backend, Backend::Explicit);
-        assert_eq!(opts.balance, Balance::Mass);
 
         let mut skewed = spec();
         skewed.backend = "quantum".to_string();

@@ -1,7 +1,7 @@
 //! Fleet merge determinism under fault injection.
 //!
 //! The property the coordinator's ordinal merge must hold: for any
-//! partition shape, range tiling, and balance mode — with shards
+//! range tiling and worker thread count — with shards
 //! uploaded out of order, uploaded twice, or recomputed after a lease
 //! expired — the merged suites carry exactly the records and lossless
 //! counters of a single-machine fused run of the same plan.
@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use transform_store::fleet::StageOutcome;
 use transform_store::{execute_lease, merge_fleet_job, read_suite, JobSpec, LeaseGrant, Store};
-use transform_synth::{Balance, SynthOptions};
+use transform_synth::SynthOptions;
 use transform_x86::x86t_elt;
 
 fn temp_store(tag: &str, case: u64) -> (std::path::PathBuf, Store) {
@@ -29,7 +29,6 @@ proptest! {
     fn faulty_fleets_seal_the_single_machine_suite(
         plan_jobs in 1u32..=3,
         chunks in 1usize..=4,
-        mass in any::<bool>(),
         duplicate in any::<bool>(),
         reverse in any::<bool>(),
         case in 0u64..1_000_000,
@@ -44,7 +43,6 @@ proptest! {
         let mut o = SynthOptions::new(4);
         o.enumeration.allow_fences = false;
         o.enumeration.allow_rmw = false;
-        o.balance = if mass { Balance::Mass } else { Balance::Depth };
 
         let spec = JobSpec::for_run(&mtm, &axioms, &o, plan_jobs, chunks, 60_000);
         prop_assert!(spec.validate().is_ok());

@@ -27,7 +27,7 @@
 use crate::canon::canonical_key;
 use crate::execs;
 use crate::minimal::is_minimal;
-use crate::programs::{Balance, EnumOptions, Program};
+use crate::programs::{EnumOptions, Program};
 use crate::satgen;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -58,18 +58,6 @@ pub struct SynthOptions {
     /// Wall-clock budget; synthesis stops cleanly when exceeded (the
     /// paper's one-week timeout, scaled down).
     pub timeout: Option<Duration>,
-    /// Plan items per examine batch in the streaming parallel engine
-    /// (`transform-par`); `None` autotunes batch granularity from the
-    /// observed examination throughput. Purely a scheduling knob — it
-    /// never changes the synthesized suite, and is excluded from store
-    /// fingerprints like `timeout` and the worker count.
-    pub partition_size: Option<usize>,
-    /// How the streaming parallel engine splits the enumeration space
-    /// into work partitions ([`Balance::Mass`] by default). Pure
-    /// scheduling like `partition_size`: every mode yields the
-    /// byte-identical suite, and the knob is excluded from store
-    /// fingerprints.
-    pub balance: Balance,
 }
 
 impl SynthOptions {
@@ -79,8 +67,6 @@ impl SynthOptions {
             enumeration: EnumOptions::new(bound),
             backend: Backend::Explicit,
             timeout: None,
-            partition_size: None,
-            balance: Balance::default(),
         }
     }
 }
@@ -215,14 +201,6 @@ pub struct SynthPlan {
     pub programs: usize,
     /// Whether enumeration itself hit the deadline.
     pub timed_out: bool,
-    /// For a timed-out *partitioned* plan (`transform-par`): the first
-    /// enumeration partition the deadline cut. Every partition below it
-    /// is fully planned and everything from it on is dropped, so the
-    /// plan is a well-defined prefix of the deadline-free plan instead
-    /// of a worker-race-dependent subset. `None` for complete plans and
-    /// for the sequential planner (whose timed-out tail is inherently
-    /// mid-stream).
-    pub cut_at_partition: Option<usize>,
     /// Whether the MTM observes `co_pa`/`fr_pa` (relation-aware
     /// execution branching).
     pub branch_co_pa: bool,
@@ -326,7 +304,6 @@ pub fn plan_from_keyed(
         items,
         programs,
         timed_out,
-        cut_at_partition: None,
         branch_co_pa,
     }
 }

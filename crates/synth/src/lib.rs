@@ -9,7 +9,8 @@
 //! The pipeline mirrors the paper's Fig. 7:
 //!
 //! 1. **Candidate execution synthesis** — [`programs`] enumerates the
-//!    program space under the placement rules; [`execs`] (explicit
+//!    program space under the placement rules, split by root shape into
+//!    the partitions of an [`EnumSpace`]; [`execs`] (explicit
 //!    operational backend) or [`satgen`] (relational model finding over
 //!    the `relational`/`tsat` substrate, the architecture of the paper's
 //!    Alloy/Kodkod/MiniSat stack) enumerates communication choices.
@@ -52,7 +53,5 @@ pub use engine::{
     suite_contains, synthesize_all, synthesize_suite, unique_union, Backend, Examined, Examiner,
     ShardStats, Suite, SuiteRecord, SuiteStats, SynthOptions, SynthPlan, SynthesizedElt, WorkItem,
 };
-pub use programs::{
-    Balance, EnumOptions, EnumSpace, KeyedProgram, PaRef, Program, ProgramStream, SlotOp,
-};
+pub use programs::{EnumOptions, EnumSpace, KeyedProgram, PaRef, Program, ProgramStream, SlotOp};
 pub use relax::Relaxation;

@@ -51,6 +51,12 @@
 //! 4. **PA assignments.** Each PTE write's page is chosen with identity
 //!    remaps pruned as they are generated, and every surviving
 //!    assignment is emitted once per surviving remap, in that order.
+//!
+//! [`EnumSpace`] cuts this order at the root shapes: partition `i` holds
+//! every node whose first thread has shape `i`, and the space counts
+//! each partition's nodes once when it is built ([`EnumSpace::masses`]).
+//! That is the only partitioning; how a pool schedules the partitions
+//! never changes the enumerated sequence.
 
 use crate::canon::canonical_key;
 use serde::{Deserialize, Serialize};
@@ -623,121 +629,11 @@ fn combine(
     }
 }
 
-/// How a partitioned [`EnumSpace`] decides where to split.
-///
-/// Both modes yield the same program sequence (splits are always
-/// order-preserving expansions of the recursion) — only the work-unit
-/// boundaries differ, so the choice is pure scheduling: it never
-/// changes a synthesized suite, and is excluded from store
-/// fingerprints like the worker count.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Balance {
-    /// Split by estimated subtree mass: the exact shape-combination
-    /// node count below each prefix (memoized from the recursion
-    /// itself), so partitions carry roughly equal enumeration work.
-    #[default]
-    Mass,
-    /// Split the cheapest root shapes to a fixed depth of two, blind
-    /// to subtree mass — the pre-mass-estimation behavior, kept as a
-    /// comparison baseline.
-    Depth,
-}
-
-impl Balance {
-    /// Parses the CLI spelling (`mass` | `depth`).
-    pub fn parse(name: &str) -> Option<Balance> {
-        match name {
-            "mass" => Some(Balance::Mass),
-            "depth" => Some(Balance::Depth),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            Balance::Mass => "mass",
-            Balance::Depth => "depth",
-        }
-    }
-}
-
-/// Exact node counts of the shape-combination recursion, memoized.
-///
-/// A *node* is one chosen shape multiset — one [`assign_and_emit`]
-/// call. `descendants(from, budget, threads)` counts the nodes of the
-/// subtree that continues with shape indices `>= from` under the
-/// remaining budget and thread slots: the number of non-empty
-/// non-decreasing index sequences with total cost ≤ `budget` and
-/// length ≤ `threads`. The recurrence mirrors the recursion — skip
-/// shape `from` entirely, or choose it first and continue from it:
-///
-/// `N(f,b,t) = N(f+1,b,t) + [cost_f ≤ b] · (1 + N(f, b−cost_f, t−1))`
-///
-/// The table is `O(shapes × bound × threads)` and each entry is O(1),
-/// so estimating every partition's mass costs far less than
-/// enumerating even one of them.
-struct MassTable {
-    /// `table[(f * (bound+1) + b) * (maxt+1) + t]`.
-    table: Vec<u64>,
-    bound: usize,
-    maxt: usize,
-}
-
-impl MassTable {
-    fn new(shapes: &[Shape], bound: usize, max_threads: usize) -> MassTable {
-        let maxt = max_threads.min(bound); // every shape costs ≥ 1
-        let n = shapes.len();
-        let bdim = bound + 1;
-        let tdim = maxt + 1;
-        let mut table = vec![0u64; (n + 1) * bdim * tdim];
-        let idx = |f: usize, b: usize, t: usize| (f * bdim + b) * tdim + t;
-        for f in (0..n).rev() {
-            let cost = shapes[f].cost;
-            for b in 0..bdim {
-                for t in 1..tdim {
-                    let mut m = table[idx(f + 1, b, t)];
-                    if cost <= b {
-                        m = m
-                            .saturating_add(1)
-                            .saturating_add(table[idx(f, b - cost, t - 1)]);
-                    }
-                    table[idx(f, b, t)] = m;
-                }
-            }
-        }
-        MassTable { table, bound, maxt }
-    }
-
-    /// Nodes strictly below a node that continues from index `from`
-    /// with `budget` cost and `threads` slots left.
-    fn descendants(&self, from: usize, budget: usize, threads: usize) -> u64 {
-        let b = budget.min(self.bound);
-        let t = threads.min(self.maxt);
-        self.table[(from * (self.bound + 1) + b) * (self.maxt + 1) + t]
-    }
-
-    /// Estimated mass of one partition: its own node plus, for subtree
-    /// partitions, everything below the prefix.
-    fn partition_mass(&self, shapes: &[Shape], max_threads: usize, part: &Partition) -> u64 {
-        if !part.subtree {
-            return 1;
-        }
-        let used: usize = part.prefix.iter().map(|&i| shapes[i].cost).sum();
-        let from = *part.prefix.last().expect("prefixes are non-empty");
-        1u64.saturating_add(self.descendants(
-            from,
-            self.bound.saturating_sub(used),
-            max_threads.saturating_sub(part.prefix.len()),
-        ))
-    }
-}
-
 /// Projects time-to-completion from subtree-mass progress: the rate is
 /// `mass_retired / elapsed` and the projection covers the remaining
-/// `mass_total - mass_retired`. Mass is the `MassTable`'s exact
-/// shape-combination node count, so unlike a partition *count* the
-/// projection is not skewed by wildly uneven partition sizes.
+/// `mass_total - mass_retired`. Mass is the exact shape-combination
+/// node count ([`EnumSpace::masses`]), so unlike a partition *count*
+/// the projection is not skewed by wildly uneven partition sizes.
 ///
 /// Returns `None` before any mass has retired (no rate to project
 /// from) or when the space is empty; `Some(Duration::ZERO)` once
@@ -759,12 +655,12 @@ pub fn mass_eta(
     ))
 }
 
-/// The bounded program space split by *skeleton prefix* into
-/// independently enumerable partitions.
+/// The bounded program space split by *root shape* into independently
+/// enumerable partitions.
 ///
-/// A partition is a node of the shape-combination recursion: the chosen
-/// first (and, after a split, second) thread shapes. Partitions are
-/// ordered exactly as the monolithic recursion visits them, so
+/// Partition `i` is the subtree of the shape-combination recursion whose
+/// first thread has shape `i` of the cost-sorted shape list. Partitions
+/// are ordered exactly as the monolithic recursion visits them, so
 /// concatenating their outputs in ordinal order — keeping, under
 /// symmetry reduction, only the first occurrence of each canonical key
 /// across partitions — reproduces [`programs`] element for element.
@@ -775,194 +671,76 @@ pub struct EnumSpace {
     shapes: Vec<Shape>,
     opts: EnumOptions,
     max_threads: usize,
-    partitions: Vec<Partition>,
+    /// Node count of each root shape's subtree, by ordinal.
+    masses: Vec<u64>,
+    total_mass: u64,
 }
 
-/// One node of the shape-combination recursion, as a work unit.
-#[derive(Clone, Debug)]
-struct Partition {
-    /// Chosen-shape prefix: indices into the cost-sorted shape list,
-    /// non-decreasing (the recursion's permutation breaking).
-    prefix: Vec<usize>,
-    /// Enumerate the whole subtree below the prefix, or only the prefix
-    /// node itself (its children were split into their own partitions).
-    subtree: bool,
-}
-
-/// Splits never go deeper than two chosen shapes: depth 2 already yields
-/// O(shapes²) partitions, far more than any realistic worker count.
-const MAX_SPLIT_DEPTH: usize = 2;
-
-/// The order-preserving expansion of one subtree partition: Emit(p)
-/// followed by Subtree(p + [j]) for every feasible continuation j —
-/// exactly the recursion's own visit order. Splicing this in place of
-/// the node keeps global partition order equal to the monolithic
-/// enumeration under any sequence of splits; both split modes (depth
-/// and mass) go through here so they can never drift apart.
-fn expand_partition(
-    node: &Partition,
-    shapes: &[Shape],
-    bound: usize,
-    max_threads: usize,
-) -> Vec<Partition> {
-    let used: usize = node.prefix.iter().map(|&i| shapes[i].cost).sum();
-    let budget_left = bound - used;
-    let from = *node.prefix.last().expect("prefixes are non-empty");
-    let mut expansion = vec![Partition {
-        prefix: node.prefix.clone(),
-        subtree: false,
-    }];
-    if node.prefix.len() < max_threads {
-        for (j, shape) in shapes.iter().enumerate().skip(from) {
-            if shape.cost > budget_left {
-                break; // shapes are sorted by cost
-            }
-            let mut prefix = node.prefix.clone();
-            prefix.push(j);
-            expansion.push(Partition {
-                prefix,
-                subtree: true,
-            });
-        }
+/// The node count of every root shape's subtree, in shape order.
+///
+/// A *node* is one chosen shape multiset — one [`assign_and_emit`]
+/// call. `N(f, b, t)` counts the nodes below a node that continues with
+/// shape indices `>= f` under `b` remaining cost and `t` remaining
+/// thread slots. The recurrence mirrors [`combine`] — skip shape `f`
+/// entirely, or choose it and continue from it:
+///
+/// `N(f,b,t) = N(f+1,b,t) + [cost_f ≤ b] · (1 + N(f, b−cost_f, t−1))`
+///
+/// Sweeping `f` in reverse keeps only one `(bound+1) × (threads+1)` row:
+/// updating `b` in ascending order overwrites `N(f+1, ·, ·)` with
+/// `N(f, ·, ·)` in place, because `N(f, b−cost_f, ·)` (every shape
+/// costs ≥ 1) is already updated when `b` is reached. Root shape `f`'s
+/// partition is its own node plus `N(f, bound−cost_f, threads−1)`.
+fn root_masses(shapes: &[Shape], bound: usize, max_threads: usize) -> Vec<u64> {
+    let maxt = max_threads.min(bound);
+    if maxt == 0 {
+        return Vec::new();
     }
-    expansion
+    let tdim = maxt + 1;
+    let mut row = vec![0u64; (bound + 1) * tdim];
+    let mut masses = vec![0u64; shapes.len()];
+    for (f, shape) in shapes.iter().enumerate().rev() {
+        let cost = shape.cost;
+        for b in cost..=bound {
+            for t in 1..tdim {
+                let chosen = 1u64.saturating_add(row[(b - cost) * tdim + t - 1]);
+                row[b * tdim + t] = row[b * tdim + t].saturating_add(chosen);
+            }
+        }
+        let t = (max_threads - 1).min(maxt);
+        masses[f] = 1u64.saturating_add(row[(bound - cost) * tdim + t]);
+    }
+    masses
 }
 
 impl EnumSpace {
-    /// Builds the space with one partition per first-thread shape.
+    /// Builds the space with one partition per first-thread shape, and
+    /// counts each partition's nodes once.
     pub fn new(opts: &EnumOptions) -> EnumSpace {
-        EnumSpace::with_target_partitions(opts, 0)
-    }
-
-    /// Builds the space, splitting subtrees (cheapest root shape first —
-    /// those own the largest subtrees — and always order-preserving)
-    /// until at least `target` partitions exist or nothing splittable
-    /// remains.
-    pub fn with_target_partitions(opts: &EnumOptions, target: usize) -> EnumSpace {
         let mut shapes = shapes(opts.bound, opts);
         shapes.sort_by_key(|s| s.cost); // identical to the monolithic sort
         let max_threads = opts.max_threads.unwrap_or(opts.bound);
-        let mut partitions: Vec<Partition> = if max_threads == 0 {
-            Vec::new()
-        } else {
-            (0..shapes.len())
-                .map(|i| Partition {
-                    prefix: vec![i],
-                    subtree: true,
-                })
-                .collect()
-        };
-        while partitions.len() < target {
-            // The first still-splittable subtree has the cheapest root.
-            let Some(at) = partitions
-                .iter()
-                .position(|p| p.subtree && p.prefix.len() < MAX_SPLIT_DEPTH)
-            else {
-                break;
-            };
-            let node = partitions[at].clone();
-            let expansion = expand_partition(&node, &shapes, opts.bound, max_threads);
-            partitions.splice(at..=at, expansion);
-        }
+        let masses = root_masses(&shapes, opts.bound, max_threads);
+        let total_mass = masses.iter().fold(0u64, |a, &m| a.saturating_add(m));
         EnumSpace {
             shapes,
             opts: opts.clone(),
             max_threads,
-            partitions,
+            masses,
+            total_mass,
         }
     }
 
-    /// Builds the space split by *estimated subtree mass*: any
-    /// partition whose exact shape-combination node count exceeds
-    /// `target_mass` is split (heaviest first, always
-    /// order-preserving) until every partition fits the target or
-    /// nothing splittable remains. Unlike the depth-2 split of
-    /// [`EnumSpace::with_target_partitions`], this sees *into* the
-    /// recursion: a cheap root shape owning a huge subtree is carved
-    /// up, a costly root owning a sliver is left whole — so a parallel
-    /// pool's work units carry comparable enumeration work.
-    pub fn balanced(opts: &EnumOptions, target_mass: u64) -> EnumSpace {
-        EnumSpace::balanced_impl(opts, Some(target_mass), usize::MAX)
+    /// The mass of every partition, in ordinal order: the exact
+    /// shape-combination node count each work unit covers.
+    pub fn masses(&self) -> &[u64] {
+        &self.masses
     }
 
-    /// Like [`EnumSpace::balanced`], deriving the mass target from a
-    /// partition-count target: `target_mass = total_mass / target`. The
-    /// convenience the parallel orchestrator uses (`jobs × partitions
-    /// per worker` in, balanced work units out).
-    pub fn balanced_for_target(opts: &EnumOptions, target: usize) -> EnumSpace {
-        EnumSpace::balanced_impl(opts, None, target)
-    }
-
-    fn balanced_impl(opts: &EnumOptions, target_mass: Option<u64>, target: usize) -> EnumSpace {
-        /// Far more partitions than any realistic worker count needs;
-        /// bounds per-partition overhead when the mass target is tiny.
-        const MAX_BALANCED_PARTITIONS: usize = 8192;
-        let mut shapes = shapes(opts.bound, opts);
-        shapes.sort_by_key(|s| s.cost); // identical to the monolithic sort
-        let max_threads = opts.max_threads.unwrap_or(opts.bound);
-        let table = MassTable::new(&shapes, opts.bound, max_threads);
-        let mut partitions: Vec<Partition> = if max_threads == 0 {
-            Vec::new()
-        } else {
-            (0..shapes.len())
-                .map(|i| Partition {
-                    prefix: vec![i],
-                    subtree: true,
-                })
-                .collect()
-        };
-        let mut masses: Vec<u64> = partitions
-            .iter()
-            .map(|p| table.partition_mass(&shapes, max_threads, p))
-            .collect();
-        let total: u64 = masses.iter().fold(0u64, |a, &m| a.saturating_add(m));
-        let target_mass = target_mass
-            .unwrap_or_else(|| total / target.max(1) as u64)
-            .max(1);
-        while partitions.len() < MAX_BALANCED_PARTITIONS {
-            // The heaviest partition above the target. A subtree whose
-            // mass exceeds 1 always has children, so splitting strictly
-            // reduces the maximum and the loop terminates.
-            let Some(at) = (0..partitions.len())
-                .filter(|&i| partitions[i].subtree && masses[i] > target_mass)
-                .max_by_key(|&i| masses[i])
-            else {
-                break;
-            };
-            let node = partitions[at].clone();
-            let expansion = expand_partition(&node, &shapes, opts.bound, max_threads);
-            let expansion_masses: Vec<u64> = expansion
-                .iter()
-                .map(|p| table.partition_mass(&shapes, max_threads, p))
-                .collect();
-            partitions.splice(at..=at, expansion);
-            masses.splice(at..=at, expansion_masses);
-        }
-        EnumSpace {
-            shapes,
-            opts: opts.clone(),
-            max_threads,
-            partitions,
-        }
-    }
-
-    /// The estimated mass of every partition, in ordinal order: the
-    /// exact shape-combination node count each work unit covers
-    /// (diagnostics and the `enum_throughput` bench's balance
-    /// comparison — splitting itself reuses the same table).
-    pub fn masses(&self) -> Vec<u64> {
-        let table = MassTable::new(&self.shapes, self.opts.bound, self.max_threads);
-        self.partitions
-            .iter()
-            .map(|p| table.partition_mass(&self.shapes, self.max_threads, p))
-            .collect()
-    }
-
-    /// Total estimated mass of the space: the sum of
-    /// [`EnumSpace::masses`] — the denominator of mass-based progress
-    /// reporting ([`mass_eta`]).
+    /// Total mass of the space: the sum of [`EnumSpace::masses`] — the
+    /// denominator of mass-based progress reporting ([`mass_eta`]).
     pub fn total_mass(&self) -> u64 {
-        self.masses().iter().fold(0u64, |a, &m| a.saturating_add(m))
+        self.total_mass
     }
 
     /// The enumeration options the space was built for.
@@ -972,12 +750,7 @@ impl EnumSpace {
 
     /// Number of partitions.
     pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
-    /// The chosen-shape prefix of partition `ordinal` (diagnostics).
-    pub fn partition_prefix(&self, ordinal: usize) -> &[usize] {
-        &self.partitions[ordinal].prefix
+        self.masses.len()
     }
 
     /// Enumerates one partition, canonical keys included. Symmetry
@@ -994,31 +767,23 @@ impl EnumSpace {
     /// `deadline` passes. An aborted partition's output is *partial* —
     /// callers that need the reproducible-prefix guarantee must check
     /// the deadline after the call and discard the result (treating the
-    /// partition as cut) if it struck, which is what the parallel
-    /// planner and the streaming pipeline do.
+    /// partition as cut) if it struck, which is what the streaming
+    /// pipeline does.
     pub fn enumerate_keyed_within(
         &self,
         ordinal: usize,
         deadline: Option<std::time::Instant>,
     ) -> Vec<KeyedProgram> {
-        let part = &self.partitions[ordinal];
         let mut sink = EmitSink::new(&self.opts, true);
-        let mut chosen = part.prefix.clone();
-        if part.subtree {
-            let used: usize = chosen.iter().map(|&i| self.shapes[i].cost).sum();
-            let from = *chosen.last().expect("prefixes are non-empty");
-            combine(
-                &self.shapes,
-                from,
-                self.opts.bound - used,
-                self.max_threads - chosen.len(),
-                &mut chosen,
-                &deadline,
-                &mut sink,
-            );
-        } else {
-            assign_and_emit(&self.shapes, &chosen, &mut sink);
-        }
+        combine(
+            &self.shapes,
+            ordinal,
+            self.opts.bound - self.shapes[ordinal].cost,
+            self.max_threads - 1,
+            &mut vec![ordinal],
+            &deadline,
+            &mut sink,
+        );
         sink.out
     }
 
@@ -1061,7 +826,7 @@ impl Iterator for ProgramStream<'_> {
                 }
                 return Some(kp.program);
             }
-            if self.next_partition == self.space.partitions.len() {
+            if self.next_partition == self.space.partition_count() {
                 return None;
             }
             self.buffered = self.space.enumerate_keyed(self.next_partition).into_iter();
@@ -1375,20 +1140,11 @@ mod tests {
 
     #[test]
     fn total_mass_sums_the_partition_masses() {
-        let opts = EnumOptions::new(4);
-        for space in [
-            EnumSpace::with_target_partitions(&opts, 16),
-            EnumSpace::balanced_for_target(&opts, 16),
-        ] {
-            let masses = space.masses();
-            assert_eq!(masses.len(), space.partition_count());
-            assert_eq!(space.total_mass(), masses.iter().sum::<u64>());
-            assert!(space.total_mass() > 0);
-        }
-        // Splitting never changes the total mass, only its partitioning.
-        let coarse = EnumSpace::new(&opts);
-        let fine = EnumSpace::balanced_for_target(&opts, 64);
-        assert_eq!(coarse.total_mass(), fine.total_mass());
+        let space = EnumSpace::new(&EnumOptions::new(4));
+        let masses = space.masses();
+        assert_eq!(masses.len(), space.partition_count());
+        assert_eq!(space.total_mass(), masses.iter().sum::<u64>());
+        assert!(space.total_mass() > 0);
     }
 
     #[test]
@@ -1506,7 +1262,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_matches_eager_enumeration_at_any_partition_target() {
+    fn stream_matches_eager_enumeration() {
         for bound in [2usize, 3, 4] {
             for (fences, rmw) in [(false, false), (true, true)] {
                 for symmetry in [true, false] {
@@ -1514,16 +1270,12 @@ mod tests {
                     opts.allow_fences = fences;
                     opts.allow_rmw = rmw;
                     opts.symmetry_reduction = symmetry;
-                    let eager = programs(&opts);
-                    for target in [0usize, 1, 7, 1000] {
-                        let space = EnumSpace::with_target_partitions(&opts, target);
-                        let streamed: Vec<Program> = space.stream().collect();
-                        assert_eq!(
-                            eager, streamed,
-                            "bound {bound} fences {fences} rmw {rmw} \
-                             symmetry {symmetry} target {target}"
-                        );
-                    }
+                    let streamed: Vec<Program> = EnumSpace::new(&opts).stream().collect();
+                    assert_eq!(
+                        programs(&opts),
+                        streamed,
+                        "bound {bound} fences {fences} rmw {rmw} symmetry {symmetry}"
+                    );
                 }
             }
         }
@@ -1531,7 +1283,7 @@ mod tests {
 
     /// Brute-force node count of the shape-combination recursion:
     /// every non-empty chosen multiset is one node, exactly what
-    /// `MassTable` claims to count in O(1).
+    /// `root_masses` claims to count with one rolling row.
     fn count_nodes(shapes: &[Shape], from: usize, budget: usize, threads: usize) -> u64 {
         if threads == 0 {
             return 0;
@@ -1547,108 +1299,32 @@ mod tests {
     }
 
     #[test]
-    fn mass_table_counts_the_recursion_exactly() {
-        for bound in [2usize, 3, 4, 5] {
-            for (fences, rmw) in [(false, false), (true, true)] {
-                let mut opts = EnumOptions::new(bound);
-                opts.allow_fences = fences;
-                opts.allow_rmw = rmw;
-                let mut all = shapes(bound, &opts);
-                all.sort_by_key(|s| s.cost);
-                let table = MassTable::new(&all, bound, bound);
-                for from in [0usize, all.len() / 2, all.len()] {
-                    for threads in 1..=bound {
-                        assert_eq!(
-                            table.descendants(from, bound, threads),
-                            count_nodes(&all, from, bound, threads),
-                            "bound {bound} fences {fences} rmw {rmw} \
-                             from {from} threads {threads}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn balanced_stream_matches_eager_enumeration_at_any_mass_target() {
-        for bound in [3usize, 4] {
-            for symmetry in [true, false] {
-                let mut opts = EnumOptions::new(bound);
-                opts.allow_fences = true;
-                opts.allow_rmw = true;
-                opts.symmetry_reduction = symmetry;
-                let eager = programs(&opts);
-                for target_mass in [0u64, 1, 5, 50, u64::MAX] {
-                    let space = EnumSpace::balanced(&opts, target_mass);
-                    let streamed: Vec<Program> = space.stream().collect();
+    fn root_masses_count_the_recursion_exactly() {
+        for bound in 0usize..=5 {
+            for (fences, rmw) in [(false, false), (true, false), (false, true), (true, true)] {
+                for max_threads in [None, Some(1), Some(2), Some(3)] {
+                    let mut opts = EnumOptions::new(bound);
+                    opts.allow_fences = fences;
+                    opts.allow_rmw = rmw;
+                    opts.max_threads = max_threads;
+                    let space = EnumSpace::new(&opts);
+                    let threads = max_threads.unwrap_or(bound);
+                    let expected: Vec<u64> = space
+                        .shapes
+                        .iter()
+                        .enumerate()
+                        .map(|(i, shape)| {
+                            1 + count_nodes(&space.shapes, i, bound - shape.cost, threads - 1)
+                        })
+                        .collect();
                     assert_eq!(
-                        eager, streamed,
-                        "bound {bound} symmetry {symmetry} target_mass {target_mass}"
-                    );
-                }
-                for target in [0usize, 1, 7, 64] {
-                    let space = EnumSpace::balanced_for_target(&opts, target);
-                    let streamed: Vec<Program> = space.stream().collect();
-                    assert_eq!(
-                        eager, streamed,
-                        "bound {bound} symmetry {symmetry} target {target}"
+                        space.masses(),
+                        expected.as_slice(),
+                        "bound {bound} fences {fences} rmw {rmw} max_threads {max_threads:?}"
                     );
                 }
             }
         }
-    }
-
-    #[test]
-    fn balanced_partitions_respect_the_mass_target() {
-        let mut opts = EnumOptions::new(4);
-        opts.allow_fences = true;
-        opts.allow_rmw = true;
-        for target_mass in [1u64, 3, 10, 100] {
-            let space = EnumSpace::balanced(&opts, target_mass);
-            let masses = space.masses();
-            assert_eq!(masses.len(), space.partition_count());
-            assert!(
-                masses.iter().all(|&m| m <= target_mass),
-                "target {target_mass}: masses {masses:?}"
-            );
-            // Splitting conserves total mass: same recursion, different
-            // work-unit boundaries.
-            let whole: u64 = EnumSpace::balanced(&opts, u64::MAX).masses().iter().sum();
-            assert_eq!(masses.iter().sum::<u64>(), whole);
-        }
-    }
-
-    #[test]
-    fn balanced_split_is_less_lopsided_than_depth_split() {
-        // The tentpole claim, at a measurable scale: for the same
-        // partition-count target, the heaviest mass-balanced partition
-        // carries no more work than the heaviest depth-split one.
-        let mut opts = EnumOptions::new(5);
-        opts.allow_fences = true;
-        opts.allow_rmw = true;
-        let target = 64;
-        let depth = EnumSpace::with_target_partitions(&opts, target);
-        let mass = EnumSpace::balanced_for_target(&opts, target);
-        let max_depth = depth.masses().into_iter().max().unwrap_or(0);
-        let max_mass = mass.masses().into_iter().max().unwrap_or(0);
-        assert!(
-            max_mass <= max_depth,
-            "mass split's heaviest partition ({max_mass}) exceeds depth split's ({max_depth})"
-        );
-    }
-
-    #[test]
-    fn partition_target_grows_the_partition_count() {
-        let opts = EnumOptions::new(4);
-        let shallow = EnumSpace::new(&opts);
-        let deep = EnumSpace::with_target_partitions(&opts, shallow.partition_count() * 4);
-        assert!(deep.partition_count() > shallow.partition_count());
-        // Split partitions stay prefix-labelled and non-empty overall.
-        let total: usize = (0..deep.partition_count())
-            .map(|p| deep.enumerate_keyed(p).len())
-            .sum();
-        assert!(total >= programs(&opts).len());
     }
 
     #[test]
@@ -1676,7 +1352,7 @@ mod tests {
         let mut opts = EnumOptions::new(4);
         opts.max_threads = Some(0);
         assert!(programs(&opts).is_empty());
-        let space = EnumSpace::with_target_partitions(&opts, 16);
+        let space = EnumSpace::new(&opts);
         assert_eq!(space.partition_count(), 0);
         assert_eq!(space.stream().count(), 0);
     }

@@ -1,8 +1,8 @@
-//! The streaming enumeration's core contract: at any partition
-//! granularity, [`EnumSpace::stream`] yields exactly the sequence of
-//! the eager [`programs`] enumeration — same programs, same order, same
-//! symmetry-reduction outcomes — while the partitioned form gives every
-//! program a stable, scheduling-independent position.
+//! The streaming enumeration's core contract: [`EnumSpace::stream`]
+//! yields exactly the sequence of the eager [`programs`] enumeration —
+//! same programs, same order, same symmetry-reduction outcomes — while
+//! the root-shape partitions give every program a stable,
+//! scheduling-independent position.
 
 use proptest::prelude::*;
 use transform_synth::programs::{programs, EnumOptions, EnumSpace, Program};
@@ -16,146 +16,57 @@ fn options(bound: usize, fences: bool, rmw: bool, symmetry: bool) -> EnumOptions
 }
 
 #[test]
-fn bound_5_stream_matches_eager_across_partition_targets() {
+fn bound_5_stream_matches_eager() {
     let opts = options(5, false, false, true);
     let eager = programs(&opts);
     assert!(!eager.is_empty());
-    for target in [0usize, 1, 16, 256] {
-        let space = EnumSpace::with_target_partitions(&opts, target);
-        let streamed: Vec<Program> = space.stream().collect();
-        assert_eq!(
-            eager.len(),
-            streamed.len(),
-            "target {target}: stream yields a different count"
-        );
-        assert_eq!(eager, streamed, "target {target}: sequences diverge");
-    }
+    let streamed: Vec<Program> = EnumSpace::new(&opts).stream().collect();
+    assert_eq!(eager, streamed);
 }
 
 #[test]
 fn bound_5_with_fences_and_rmw_streams_identically() {
-    // The nightly stress configuration, at the partition granularity the
-    // parallel pool actually uses — for both split modes.
+    // The nightly stress configuration, at the partitioning the parallel
+    // pool actually uses.
     let opts = options(5, true, true, true);
     let eager = programs(&opts);
-    let depth = EnumSpace::with_target_partitions(&opts, 64);
-    assert_eq!(eager, depth.stream().collect::<Vec<Program>>());
-    let mass = EnumSpace::balanced_for_target(&opts, 64);
-    assert_eq!(eager, mass.stream().collect::<Vec<Program>>());
-}
-
-#[test]
-fn bound_5_balanced_stream_matches_eager_across_mass_targets() {
-    let opts = options(5, false, false, true);
-    let eager = programs(&opts);
-    assert!(!eager.is_empty());
-    for target_mass in [1u64, 40, u64::MAX] {
-        let space = EnumSpace::balanced(&opts, target_mass);
-        let streamed: Vec<Program> = space.stream().collect();
-        assert_eq!(eager, streamed, "target_mass {target_mass}");
-    }
-}
-
-#[test]
-fn partition_positions_are_stable_under_the_split_depth() {
-    // The same program keeps its (ordinal, offset) meaning: flattening
-    // coarse partitions and fine partitions gives the same sequence.
-    let opts = options(4, true, true, true);
-    let coarse = EnumSpace::new(&opts);
-    let fine = EnumSpace::with_target_partitions(&opts, coarse.partition_count() * 8);
-    assert!(fine.partition_count() > coarse.partition_count());
-    let flatten = |space: &EnumSpace| -> Vec<Program> {
-        (0..space.partition_count())
-            .flat_map(|p| space.enumerate_keyed(p))
-            .map(|kp| kp.program)
-            .collect()
-    };
-    // Without cross-partition dedup the flattened sequences may contain
-    // duplicates, but the dedup-carrying stream must agree exactly.
-    assert!(flatten(&coarse).len() >= programs(&opts).len());
-    let a: Vec<Program> = coarse.stream().collect();
-    let b: Vec<Program> = fine.stream().collect();
-    assert_eq!(a, b);
+    let space = EnumSpace::new(&opts);
+    assert_eq!(space.partition_count(), 3_798);
+    assert_eq!(eager, space.stream().collect::<Vec<Program>>());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any bound ≤ 4, any option mix, any partition target: the stream
-    /// is the eager enumeration.
+    /// Any bound ≤ 4, any option mix: the stream is the eager
+    /// enumeration.
     #[test]
     fn stream_equals_programs(
         bound in 2usize..=4,
         fences in any::<bool>(),
         rmw in any::<bool>(),
         symmetry in any::<bool>(),
-        target in 0usize..48,
     ) {
         let opts = options(bound, fences, rmw, symmetry);
         let eager = programs(&opts);
-        let space = EnumSpace::with_target_partitions(&opts, target);
-        let streamed: Vec<Program> = space.stream().collect();
+        let streamed: Vec<Program> = EnumSpace::new(&opts).stream().collect();
         prop_assert_eq!(
             eager, streamed,
-            "bound={} fences={} rmw={} symmetry={} target={}",
-            bound, fences, rmw, symmetry, target
+            "bound={} fences={} rmw={} symmetry={}",
+            bound, fences, rmw, symmetry
         );
     }
 
     /// A max-threads cap partitions identically too.
     #[test]
     fn stream_respects_max_threads(
-        max_threads in 1usize..=3,
-        target in 0usize..24,
-    ) {
-        let mut opts = options(4, false, false, true);
-        opts.max_threads = Some(max_threads);
-        let eager = programs(&opts);
-        let space = EnumSpace::with_target_partitions(&opts, target);
-        let streamed: Vec<Program> = space.stream().collect();
-        prop_assert_eq!(eager, streamed);
-    }
-
-    /// Mass-balanced splitting: any bound ≤ 4, any option mix, any mass
-    /// target — the stream equals the eager enumeration AND the
-    /// depth-split stream (the two split modes are interchangeable).
-    #[test]
-    fn balanced_stream_equals_programs_and_depth_split(
         bound in 2usize..=4,
-        fences in any::<bool>(),
-        rmw in any::<bool>(),
-        symmetry in any::<bool>(),
-        target_mass in 1u64..200,
-    ) {
-        let opts = options(bound, fences, rmw, symmetry);
-        let eager = programs(&opts);
-        let mass = EnumSpace::balanced(&opts, target_mass);
-        let streamed: Vec<Program> = mass.stream().collect();
-        prop_assert_eq!(
-            &eager, &streamed,
-            "vs eager: bound={} fences={} rmw={} symmetry={} target_mass={}",
-            bound, fences, rmw, symmetry, target_mass
-        );
-        let depth = EnumSpace::with_target_partitions(&opts, 16);
-        let depth_streamed: Vec<Program> = depth.stream().collect();
-        prop_assert_eq!(
-            streamed, depth_streamed,
-            "vs depth split: bound={} target_mass={}",
-            bound, target_mass
-        );
-    }
-
-    /// A max-threads cap balances identically too.
-    #[test]
-    fn balanced_respects_max_threads(
         max_threads in 1usize..=3,
-        target_mass in 1u64..100,
     ) {
-        let mut opts = options(4, false, false, true);
+        let mut opts = options(bound, false, false, true);
         opts.max_threads = Some(max_threads);
         let eager = programs(&opts);
-        let space = EnumSpace::balanced(&opts, target_mass);
-        let streamed: Vec<Program> = space.stream().collect();
+        let streamed: Vec<Program> = EnumSpace::new(&opts).stream().collect();
         prop_assert_eq!(eager, streamed);
     }
 }
