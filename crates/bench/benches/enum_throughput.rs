@@ -13,9 +13,14 @@
 //!   enumeration at once, the streamed pipeline holds at most a few
 //!   partitions (`StreamMetrics::peak_live_candidates`).
 //!
-//! * fused cross-axiom synthesis: the sequential `synthesize_all` vs
-//!   the fused all-axiom stream (`synthesize_all_jobs`), same per-axiom
-//!   suites;
+//! * fused cross-axiom synthesis at bound 6: the sequential
+//!   `synthesize_all` vs the fused all-axiom stream
+//!   (`synthesize_all_jobs`), same per-axiom suites;
+//! * examination on one thread: the bound-6 and bound-7 plans examined
+//!   by five one-axiom `Examiner`s (one candidate walk per axiom) vs one
+//!   all-axiom `Examiner` (one walk per program), median and min/max of
+//!   five alternating rounds, with equal per-axiom counters asserted —
+//!   the `examine` section;
 //! * progress-instrumentation overhead: the fused run with a subscribed
 //!   journaling `ProgressState` (published counters, span-event journal
 //!   recording, plus a polling sampler thread at the coalesced 100 ms
@@ -45,7 +50,7 @@ use transform_par::{
 };
 use transform_store::{execute_lease, read_suite, suite_fingerprint, HttpTier, JobSpec, Store};
 use transform_synth::programs::EnumSpace;
-use transform_synth::{ShardStats, SuiteRecord, SynthOptions};
+use transform_synth::{plan_suite, Examiner, ShardStats, SuiteRecord, SynthOptions};
 use transform_x86::x86t_elt;
 
 const AXIOM: &str = "sc_per_loc";
@@ -288,6 +293,107 @@ fn measure_all_axioms(bound: usize) -> AllAxiomsPoint {
     }
 }
 
+/// Rounds of the one-thread examination comparison.
+const EXAMINE_ROUNDS: usize = 5;
+
+/// One plan examined on one thread, per axiom and shared.
+struct ExaminePoint {
+    bound: usize,
+    axioms: usize,
+    items: usize,
+    /// Seconds per round: one one-axiom examiner per axiom, in turn.
+    per_axiom: Vec<f64>,
+    /// Seconds per round: one all-axiom examiner.
+    shared: Vec<f64>,
+    /// Per-axiom counters, identical both ways.
+    stats: Vec<ShardStats>,
+}
+
+/// (median, min, max) of `xs`.
+fn spread(xs: &[f64]) -> (f64, f64, f64) {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    (
+        sorted[sorted.len() / 2],
+        sorted[0],
+        sorted[sorted.len() - 1],
+    )
+}
+
+fn measure_examine(bound: usize) -> ExaminePoint {
+    let mtm = x86t_elt();
+    let o = opts(bound);
+    let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
+    let plan = plan_suite(&mtm, axioms[0], &o, None);
+    let mut per_axiom = Vec::new();
+    let mut shared = Vec::new();
+    let mut stats = Vec::new();
+    for _ in 0..EXAMINE_ROUNDS {
+        let start = Instant::now();
+        let mut single = vec![ShardStats::new(0); axioms.len()];
+        for (axiom, stats) in axioms.iter().zip(&mut single) {
+            let mut examiner = Examiner::new(&mtm, axiom, o.backend, plan.branch_co_pa);
+            for item in &plan.items {
+                stats.absorb(&examiner.examine(&item.program));
+            }
+        }
+        per_axiom.push(start.elapsed().as_secs_f64());
+
+        let start = Instant::now();
+        let mut all = vec![ShardStats::new(0); axioms.len()];
+        let mut examiner = Examiner::for_axioms(&mtm, &axioms, o.backend, plan.branch_co_pa);
+        for item in &plan.items {
+            for (stats, examined) in all.iter_mut().zip(examiner.examine_axioms(&item.program)) {
+                stats.absorb(&examined);
+            }
+        }
+        shared.push(start.elapsed().as_secs_f64());
+        assert_eq!(
+            single, all,
+            "bound {bound}: the shared examiner's counters diverge"
+        );
+        stats = all;
+    }
+    ExaminePoint {
+        bound,
+        axioms: axioms.len(),
+        items: plan.items.len(),
+        per_axiom,
+        shared,
+        stats,
+    }
+}
+
+fn json_examine(p: &ExaminePoint) -> String {
+    let (pm, plo, phi) = spread(&p.per_axiom);
+    let (sm, slo, shi) = spread(&p.shared);
+    format!(
+        concat!(
+            "{{\"bound\": {}, \"fences\": true, \"rmw\": true, \"axioms\": {}, ",
+            "\"items\": {}, \"rounds\": {}, \"threads\": 1, ",
+            "\"per_axiom_median_secs\": {:.6}, \"per_axiom_min_secs\": {:.6}, ",
+            "\"per_axiom_max_secs\": {:.6}, \"shared_median_secs\": {:.6}, ",
+            "\"shared_min_secs\": {:.6}, \"shared_max_secs\": {:.6}, ",
+            "\"shared_speedup\": {:.3}, \"executions\": {}, \"forbidden\": {}, ",
+            "\"elts\": {}}}"
+        ),
+        p.bound,
+        p.axioms,
+        p.items,
+        p.per_axiom.len(),
+        pm,
+        plo,
+        phi,
+        sm,
+        slo,
+        shi,
+        pm / sm.max(f64::EPSILON),
+        p.stats.iter().map(|s| s.executions).sum::<usize>(),
+        p.stats.iter().map(|s| s.forbidden).sum::<usize>(),
+        p.stats.iter().map(|s| s.minimal).sum::<usize>(),
+    )
+}
+
 /// The distributed headline: an all-axiom run driven through a loopback
 /// coordinator by two leasing workers vs the same fused run in-process.
 /// The fleet pays the HTTP round-trips, shard encode/upload, and the
@@ -400,7 +506,22 @@ fn throughput_summary(_c: &mut Criterion) {
             p.metrics.batches,
         );
     }
-    let all = measure_all_axioms(4);
+    let examine: Vec<ExaminePoint> = [6usize, 7].iter().map(|&b| measure_examine(b)).collect();
+    for p in &examine {
+        let (pm, plo, phi) = spread(&p.per_axiom);
+        let (sm, slo, shi) = spread(&p.shared);
+        println!(
+            "enum_throughput examine: {} axioms @ bound {} --fences --rmw, {} plan items on one \
+             thread, {} rounds: per-axiom examiners {pm:.3}s [{plo:.3}, {phi:.3}] vs one shared \
+             examiner {sm:.3}s [{slo:.3}, {shi:.3}] ({:.2}x), counters identical",
+            p.axioms,
+            p.bound,
+            p.items,
+            p.per_axiom.len(),
+            pm / sm.max(f64::EPSILON),
+        );
+    }
+    let all = measure_all_axioms(6);
     println!(
         "enum_throughput all-axioms: {} axioms @ bound {} --fences --rmw on {} workers: \
          sequential {:.3}s vs fused {:.3}s ({:.2}x), {} ELTs total",
@@ -460,12 +581,19 @@ fn throughput_summary(_c: &mut Criterion) {
         fleet.fleet_secs,
         fleet.fleet_secs / fleet.local_secs.max(f64::EPSILON),
     );
+    let examine_body = examine
+        .iter()
+        .map(json_examine)
+        .collect::<Vec<_>>()
+        .join(",\n    ");
     let json = format!(
         "{{\n  \"bench\": \"enum_throughput\",\n  \"axiom\": \"{AXIOM}\",\n  \
          \"jobs\": {},\n  \"points\": [\n    {}\n  ],\n  \
+         \"examine\": [\n    {}\n  ],\n  \
          \"all_axioms\": {},\n  \"fleet\": {}\n}}\n",
         jobs(),
         body,
+        examine_body,
         all_body,
         fleet_body,
     );

@@ -818,7 +818,7 @@ fn synthesize_maybe_cached(
 /// suite of the MTM through **one fused streamed run** — straight
 /// through the engine, through the persistent suite store when
 /// `--cache` is given (tier hits served per axiom, all misses
-/// synthesized together and sealed per axiom as each finishes), and
+/// synthesized together and each sealed when the run finishes), and
 /// through the tiered local+remote cache when `--cache-url` names a
 /// shared `transform serve` endpoint too.
 fn synthesize_all_maybe_cached(

@@ -396,8 +396,9 @@ pub fn render_run_show(journal: &RunJournal) -> String {
 
 /// One Chrome trace-event JSON document (`about://tracing`,
 /// Perfetto's legacy loader) for a run journal: per-axiom named
-/// threads, an `X` complete event per examine batch, a cumulative
-/// retired-mass counter, and instants for the structural transitions.
+/// threads, an `X` complete event per examine batch (on the run lane
+/// when the batch covers every axiom), a cumulative retired-mass
+/// counter, and instants for the structural transitions.
 pub fn chrome_trace(journal: &RunJournal) -> String {
     let m = &journal.manifest;
     let mut events: Vec<String> = Vec::with_capacity(journal.events.len() + m.axioms.len() + 2);

@@ -22,11 +22,11 @@
 //!    are *admitted* strictly in ordinal order through a dedup frontier
 //!    — the same first-occurrence scan the sequential planner runs — so
 //!    plan indices never depend on scheduling. Each examine batch runs
-//!    on one [`transform_synth::Examiner`]; with the
-//!    [`SynthBackend::Relational`] backend that examiner owns one incremental
-//!    SAT solver (`tsat` solving under assumptions) serving every
-//!    program in the batch, and batch granularity autotunes to the
-//!    observed examination rate. Workers claim emitted ELT keys in a
+//!    on one [`transform_synth::Examiner`] for every axiom of the run;
+//!    with the [`SynthBackend::Relational`] backend that examiner owns
+//!    one incremental SAT solver (`tsat` solving under assumptions) per
+//!    axiom, serving every program in the batch, and batch granularity
+//!    autotunes to the observed examination rate. Workers claim emitted ELT keys in a
 //!    concurrent streaming dedup set ([`dedup::KeySet`]) as results
 //!    stream in.
 //! 2. **Merge** — per-item results are re-ordered by plan index and
@@ -35,11 +35,11 @@
 //!
 //! The cross-axiom driver ([`synthesize_all_jobs`]) is the same fused
 //! pipeline: the synthesis plan is axiom-independent, so one run
-//! enumerates every partition once and fans each admitted chunk out as
-//! one examine batch per axiom — no shared plan is materialized before
-//! workers start, and each axiom's [`SuiteSink::run_done`] fires the
-//! moment its schedule retires (the per-axiom seal + push-on-seal
-//! hook). A partition is one root (first-thread) shape of the
+//! enumerates every partition once and examines each admitted chunk
+//! once for every axiom — no shared plan is materialized before workers
+//! start, and every axiom's [`SuiteSink::run_done`] (the per-axiom
+//! seal + push-on-seal hook) fires when the last batch retires. A
+//! partition is one root (first-thread) shape of the
 //! enumeration recursion; the space counts each partition's subtree
 //! nodes once when it is built ([`EnumSpace::masses`]), and the
 //! pipeline, the progress ETA, the run journal and the fleet's range
@@ -229,12 +229,11 @@ pub fn synthesize_suite_streamed_observed(
 
 /// Synthesizes the per-axiom suites of several axioms in **one fused
 /// streamed run** on `jobs` workers: the program space is enumerated
-/// once (the plan is axiom-independent), every admitted chunk fans out
-/// as one examine batch per axiom, and each axiom's sink receives its
-/// retired shards as they finish — `run_done` fires per axiom the
-/// moment that axiom's schedule retires, so a store-backed sink seals
-/// (and pushes) early suites while later ones are still examining. No
-/// shared plan is materialized before workers start.
+/// once (the plan is axiom-independent), every admitted chunk is one
+/// examine batch covering every axiom, and each axiom's sink receives
+/// its retired shards as they finish. Every axiom's `run_done` fires
+/// when the last batch retires. No shared plan is materialized before
+/// workers start.
 ///
 /// Returns the per-axiom counters in `axioms` order. Each axiom's
 /// records are exactly the members of its [`synthesize_suite_jobs`]
@@ -378,15 +377,12 @@ pub fn synthesize_suite_jobs_observed(
 /// parallel counterpart of [`transform_synth::synthesize_all`].
 ///
 /// One fused streamed run serves all axioms: the program space is
-/// enumerated once (partitions are work items alongside the per-axiom
-/// examine batches — no shared plan is materialized before workers
-/// start), and workers idled by an exhausted axiom immediately pick up
-/// another's batches instead of waiting at a per-axiom barrier. Each
-/// per-axiom suite is byte-identical to its sequential counterpart.
-/// With a timeout, the budget covers the whole run; an axiom whose
-/// schedule fully retired before the expiry stays complete, and each
-/// suite's `elapsed` reports the shared run's wall-clock at its own
-/// completion.
+/// enumerated once (partitions are work items alongside the examine
+/// batches — no shared plan is materialized before workers start), and
+/// each program is examined once for every axiom. Each per-axiom suite
+/// is byte-identical to its sequential counterpart. With a timeout, the
+/// budget covers the whole run, and a cut run marks every axiom timed
+/// out; each suite's `elapsed` reports the shared run's wall-clock.
 pub fn synthesize_all_jobs(mtm: &Mtm, opts: &SynthOptions, jobs: usize) -> BTreeMap<String, Suite> {
     synthesize_all_jobs_with_union(mtm, opts, jobs).0
 }
@@ -670,6 +666,71 @@ mod tests {
             .map(|e| e.b)
             .sum();
         assert_eq!(snap.mass_retired, journaled);
+    }
+
+    /// A fused run's batches cover every axiom at once: the journal
+    /// holds one axiom-less `BatchExamined` event per batch, whose items
+    /// sum to the plan and whose ELT counts sum across the suites.
+    #[test]
+    fn fused_run_journals_one_batch_event_per_chunk_for_all_axioms() {
+        let mtm = small_mtm();
+        let axioms = ["sc_per_loc", "invlpg"];
+        let progress = std::sync::Arc::new(ProgressState::with_journal(&axioms));
+        let suites = synthesize_all_jobs_observed(&mtm, &opts(4), 2, &progress);
+        let snap = progress.snapshot();
+        let events = progress.take_journal();
+        let batches: Vec<&JournalEvent> = events
+            .iter()
+            .filter(|e| e.kind == JournalEventKind::BatchExamined)
+            .collect();
+        assert_eq!(batches.len(), snap.batches);
+        assert!(batches.iter().all(|e| e.axiom.is_none()));
+        let items: u64 = batches.iter().map(|e| e.a).sum();
+        assert_eq!(items as usize, snap.items_planned);
+        let found: u64 = batches.iter().map(|e| e.b).sum();
+        let elts: usize = suites.values().map(|s| s.elts.len()).sum();
+        assert_eq!(found as usize, elts);
+        for ax in &snap.axioms {
+            assert_eq!(ax.state, AxiomState::Complete, "{}", ax.name);
+            assert_eq!(ax.batches_done, snap.batches, "{}", ax.name);
+            assert_eq!(ax.items_examined, snap.items_planned, "{}", ax.name);
+            assert_eq!(ax.elts, suites[&ax.name].elts.len(), "{}", ax.name);
+        }
+    }
+
+    /// All axioms of a fused run share one schedule, so a deadline cut
+    /// marks every one of them cut, and each sink still hears
+    /// `run_done` exactly once, with timed-out counters.
+    #[test]
+    fn deadline_cut_marks_every_axiom_cut() {
+        struct DoneSink(Mutex<Vec<bool>>);
+        impl SuiteSink for DoneSink {
+            fn shard_done(&self, _stats: ShardStats, _records: Vec<SuiteRecord>) {}
+            fn run_done(&self, stats: &SuiteStats) {
+                self.0.lock().unwrap().push(stats.timed_out);
+            }
+        }
+        let mtm = small_mtm();
+        let axioms = ["sc_per_loc", "invlpg"];
+        let mut o = opts(6);
+        o.timeout = Some(std::time::Duration::ZERO);
+        let sinks = [
+            DoneSink(Mutex::new(Vec::new())),
+            DoneSink(Mutex::new(Vec::new())),
+        ];
+        let sink_refs: Vec<&dyn SuiteSink> = sinks.iter().map(|s| s as &dyn SuiteSink).collect();
+        let progress = std::sync::Arc::new(ProgressState::new(&axioms));
+        let (stats, _) =
+            synthesize_axioms_streamed_observed(&mtm, &axioms, &o, 2, &sink_refs, &progress);
+        assert!(stats.iter().all(|s| s.timed_out));
+        for sink in &sinks {
+            assert_eq!(*sink.0.lock().unwrap(), vec![true]);
+        }
+        assert!(progress
+            .snapshot()
+            .axioms
+            .iter()
+            .all(|a| a.state == AxiomState::Cut));
     }
 
     #[test]

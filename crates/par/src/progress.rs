@@ -95,8 +95,9 @@ pub enum JournalEventKind {
     /// The dedup frontier admitted one partition: `a` = its ordinal,
     /// `b` = its subtree mass.
     PartitionRetired,
-    /// One examine batch retired for `axiom`: `a` = plan items
-    /// examined, `b` = suite members found, `c` = batch wall-clock in
+    /// One examine batch retired, for every axiom of the run at once
+    /// (journaled without an axiom): `a` = plan items examined, `b` =
+    /// suite members found across all axioms, `c` = batch wall-clock in
     /// microseconds (so `t_micros - c` is the batch's start).
     BatchExamined,
     /// Out-of-order delivery head-blocked the dedup frontier past the
@@ -444,7 +445,7 @@ pub struct ProgressSnapshot {
     /// Programs admitted (post symmetry reduction).
     pub programs: usize,
     /// Plan items produced by the admitter (write-bearing first
-    /// occurrences — each one examine unit per axiom).
+    /// occurrences — each examined once for every axiom).
     pub items_planned: usize,
     /// Enumerated partitions queued behind the in-order frontier.
     pub frontier_depth: usize,
@@ -453,7 +454,7 @@ pub struct ProgressSnapshot {
     /// Peak of [`ProgressSnapshot::live_candidates`] over the run,
     /// deadline-discarded tails included.
     pub peak_live_candidates: usize,
-    /// Examine batches created, across all axioms.
+    /// Examine batches created (each covers every axiom of the run).
     pub batches: usize,
     /// First partition the deadline cut, if any.
     pub cut_at_partition: Option<usize>,

@@ -7,7 +7,7 @@
 //! Here the enumeration's prefix partitions ([`EnumSpace`]) are
 //! themselves pool tasks: workers alternate between *enumerating* a
 //! partition (materializing its programs with canonical keys, computed
-//! once) and *examining* an `(axiom, batch)` work item, so SAT and
+//! once) and *examining* a batch of admitted plan items, so SAT and
 //! relational solving start while later partitions are still being
 //! generated and peak live candidates stay bounded by partition size.
 //!
@@ -15,13 +15,12 @@
 //!
 //! The synthesis plan is axiom-independent (it keeps write-bearing
 //! canonical first occurrences), so a multi-axiom run enumerates every
-//! partition **once** and fans each admitted chunk out as one examine
-//! batch *per axiom* — no shared plan is materialized before workers
-//! start, and an axiom whose batches all retire is finished
-//! immediately: its [`SuiteSink::run_done`] fires from the pool (the
-//! per-axiom seal + push-on-seal hook), not at the end of the whole
-//! run. Admitted chunks are shared by reference across axioms, so the
-//! multi-axiom run holds each candidate program in memory once.
+//! partition **once**, and each admitted chunk becomes **one** examine
+//! batch covering every axiom: its [`Examiner`] walks each program's
+//! candidates once for all of them. No shared plan is materialized
+//! before workers start. All axioms therefore finish together: when
+//! the last batch retires, every axiom's [`SuiteSink::run_done`] fires
+//! (the per-axiom seal + push-on-seal hook).
 //!
 //! # Determinism
 //!
@@ -42,10 +41,9 @@
 //! fully planned, and everything from it on is dropped — a timed-out
 //! plan is a well-defined prefix of the deadline-free plan, not a
 //! worker-race-dependent subset. The cut is shared by every axiom of a
-//! fused run (they examine the same plan). Examination stays
-//! best-effort after expiry, exactly like the sequential engine's
-//! mid-plan stop — but an axiom that already retired its whole schedule
-//! before the expiry stays complete.
+//! fused run (they examine the same plan and the same batches), so a
+//! cut run marks every axiom cut. Examination stays best-effort after
+//! expiry, exactly like the sequential engine's mid-plan stop.
 //!
 //! # Autotuned batch granularity
 //!
@@ -86,12 +84,12 @@ pub struct StreamMetrics {
     /// First partition cut by the deadline (`None`: enumeration ran to
     /// completion). Everything below it was fully planned.
     pub cut_at_partition: Option<usize>,
-    /// Examine batches created across all axioms (a deadline cut
-    /// abandons queued batches, which stay counted here but produce no
-    /// shard stats).
+    /// Examine batches created, one per admitted chunk and each covering
+    /// every axiom (a deadline cut abandons queued batches, which stay
+    /// counted here but produce no shard stats).
     pub batches: usize,
     /// Peak number of simultaneously materialized candidate programs
-    /// (enumerated but not yet examined by every axiom, or dropped) —
+    /// (enumerated but not yet examined, or dropped) —
     /// bounded by the lookahead window (twice the worker count) times
     /// the largest partition, not by the size of the enumeration.
     ///
@@ -267,15 +265,14 @@ impl Tuner {
     }
 }
 
-/// A batch of plan items examined for one axiom on one [`Examiner`]
-/// (one incremental solver). The item chunk is shared by reference
-/// across the axioms of a fused run; chunks never span partitions, so
-/// every item in a batch shares its first-thread shape — the prefix
-/// affinity that makes solver reuse pay.
+/// A batch of plan items examined for every axiom of the run on one
+/// [`Examiner`] (for the relational backend, one incremental solver per
+/// axiom). Chunks never span partitions, so every item in a batch
+/// shares its first-thread shape — the prefix affinity that makes
+/// solver reuse pay.
 struct Batch {
-    axiom: usize,
     shard: usize,
-    items: Arc<Vec<WorkItem>>,
+    items: Vec<WorkItem>,
 }
 
 enum Task {
@@ -304,18 +301,12 @@ struct State {
     /// which a range run does not report as its own.
     programs_below_range: usize,
     exam: VecDeque<Batch>,
-    /// Next chunk ordinal — the per-axiom shard id.
+    /// Next chunk ordinal — the shard id of its batch.
     next_shard: usize,
-    /// Batches created, across all axioms.
+    /// Batches created.
     batches: usize,
-    /// Outstanding (created, not yet retired) batches per axiom.
-    remaining: Vec<usize>,
-    /// An axiom whose batch was cut mid-way can never complete.
-    axiom_cut: Vec<bool>,
-    /// Axioms whose whole schedule retired cleanly (latched).
-    complete: Vec<bool>,
-    /// Live-candidate refcounts per chunk: (axioms outstanding, items).
-    chunk_refs: BTreeMap<usize, (usize, usize)>,
+    /// Candidates materialized and not yet examined or dropped: a chunk
+    /// leaves when its batch retires or is abandoned.
     live: usize,
     peak_live: usize,
     /// Estimated subtree mass of the partitions admitted so far.
@@ -334,28 +325,10 @@ impl State {
     fn enum_settled(&self, partition_count: usize) -> bool {
         self.frontier == partition_count && self.enumerating == 0
     }
-
-    /// Latches completion for every axiom whose schedule fully retired;
-    /// returns the newly completed ones so the caller can finish them
-    /// (assemble stats, fire `run_done`) outside the lock.
-    fn newly_complete(&mut self, partition_count: usize) -> Vec<usize> {
-        if !self.enum_settled(partition_count) {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        for ai in 0..self.remaining.len() {
-            if !self.complete[ai] && self.remaining[ai] == 0 && !self.axiom_cut[ai] {
-                self.complete[ai] = true;
-                out.push(ai);
-            }
-        }
-        out
-    }
 }
 
 struct Pipeline<'s> {
     space: &'s EnumSpace,
-    axioms: usize,
     /// The run's live telemetry: published (relaxed stores) from inside
     /// every lock-held transition, sampled lock-free by observers. The
     /// final [`StreamMetrics`] is this state's last snapshot.
@@ -401,7 +374,6 @@ impl<'s> Pipeline<'s> {
             "examine range {range:?} must lie within the {}-partition space",
             space.partition_count()
         );
-        let axioms = axiom_names.len();
         let progress = match progress {
             Some(p) => Arc::clone(p),
             None => Arc::new(ProgressState::new(axiom_names)),
@@ -427,7 +399,6 @@ impl<'s> Pipeline<'s> {
         }
         Pipeline {
             space,
-            axioms,
             progress,
             slots,
             deadline,
@@ -445,10 +416,6 @@ impl<'s> Pipeline<'s> {
                 exam: VecDeque::new(),
                 next_shard: 0,
                 batches: 0,
-                remaining: vec![0; axioms],
-                axiom_cut: vec![false; axioms],
-                complete: vec![false; axioms],
-                chunk_refs: BTreeMap::new(),
                 live: 0,
                 peak_live: 0,
                 mass_retired: 0,
@@ -484,16 +451,6 @@ impl<'s> Pipeline<'s> {
         self.deadline.is_some_and(|d| Instant::now() > d)
     }
 
-    /// The count of admitted (post-symmetry-reduction) programs inside
-    /// the examine range — final once enumeration settles, which is a
-    /// precondition of any axiom completing.
-    fn programs(&self) -> usize {
-        self.state
-            .lock()
-            .expect("pipeline lock is never poisoned")
-            .programs_in_range()
-    }
-
     /// The next unit of work, examination first (it frees live
     /// candidates; enumeration creates them). `None` once nothing can
     /// produce further work.
@@ -521,10 +478,8 @@ impl<'s> Pipeline<'s> {
     }
 
     /// One partition's outcome: its programs, or `None` when its worker
-    /// saw the deadline expired before enumerating it. Returns the
-    /// axioms this settles (an empty plan completes every axiom the
-    /// moment the last partition is admitted).
-    fn resolve(&self, ordinal: usize, outcome: Option<Vec<KeyedProgram>>) -> Vec<usize> {
+    /// saw the deadline expired before enumerating it.
+    fn resolve(&self, ordinal: usize, outcome: Option<Vec<KeyedProgram>>) {
         let mut st = self.state.lock().expect("pipeline lock is never poisoned");
         st.enumerating -= 1;
         if let Some(keyed) = &outcome {
@@ -546,7 +501,7 @@ impl<'s> Pipeline<'s> {
             }
             self.publish(&st);
             self.cv.notify_all();
-            return Vec::new();
+            return;
         }
         if let Some(keyed) = &outcome {
             st.live += keyed.len();
@@ -609,21 +564,15 @@ impl<'s> Pipeline<'s> {
                             None => st.tuner.batch_size(),
                         };
                         let rest = items.split_off(take.min(items.len()).max(1));
-                        let chunk = Arc::new(std::mem::replace(&mut items, rest));
+                        let chunk = std::mem::replace(&mut items, rest);
                         let shard = st.next_shard;
                         st.next_shard += 1;
-                        st.chunk_refs.insert(shard, (self.axioms, chunk.len()));
-                        // One batch per axiom, axiom-major within the
-                        // chunk, all sharing the item storage.
-                        for axiom in 0..self.axioms {
-                            st.exam.push_back(Batch {
-                                axiom,
-                                shard,
-                                items: Arc::clone(&chunk),
-                            });
-                            st.batches += 1;
-                            st.remaining[axiom] += 1;
-                        }
+                        // One batch per chunk, covering every axiom.
+                        st.exam.push_back(Batch {
+                            shard,
+                            items: chunk,
+                        });
+                        st.batches += 1;
                     }
                     st.frontier += 1;
                     if st.frontier == self.range.0 {
@@ -643,56 +592,44 @@ impl<'s> Pipeline<'s> {
                 0,
             );
         }
-        let done = st.newly_complete(self.range.1);
         self.publish(&st);
         self.cv.notify_all();
-        done
     }
 
-    /// One batch retired (possibly cut short by the deadline),
-    /// `examined` of its plan items absorbed and `found` suite members
-    /// emitted. Returns the axioms this completes.
-    #[allow(clippy::too_many_arguments)]
+    /// One batch retired (possibly cut short by the deadline):
+    /// `examined` of its plan items absorbed, and `found[i]` suite
+    /// members emitted for the run's axiom `i`.
     fn batch_done(
         &self,
-        axiom: usize,
-        shard: usize,
+        batch: &Batch,
         examined: usize,
         weight: u64,
-        found: usize,
+        found: &[usize],
         elapsed: Duration,
         cut: bool,
-    ) -> Vec<usize> {
+    ) {
         use std::sync::atomic::Ordering::Relaxed;
-        let ax = self.progress.axiom(self.slots[axiom]);
-        ax.batches_done.fetch_add(1, Relaxed);
-        ax.items_examined.fetch_add(examined, Relaxed);
-        ax.elts.fetch_add(found, Relaxed);
-        let mut st = self.state.lock().expect("pipeline lock is never poisoned");
-        st.remaining[axiom] -= 1;
-        // A candidate chunk stays live until its last axiom retires it.
-        if let Some(refs) = st.chunk_refs.get_mut(&shard) {
-            refs.0 -= 1;
-            if refs.0 == 0 {
-                let (_, len) = st.chunk_refs.remove(&shard).expect("present");
-                st.live = st.live.saturating_sub(len);
-            }
+        for (&slot, &found) in self.slots.iter().zip(found) {
+            let ax = self.progress.axiom(slot);
+            ax.batches_done.fetch_add(1, Relaxed);
+            ax.items_examined.fetch_add(examined, Relaxed);
+            ax.elts.fetch_add(found, Relaxed);
         }
+        let mut st = self.state.lock().expect("pipeline lock is never poisoned");
+        st.live = st.live.saturating_sub(batch.items.len());
         st.tuner.observe(examined, weight, elapsed);
         self.progress.record(
             JournalEventKind::BatchExamined,
-            Some(self.slots[axiom] as u32),
+            None,
             examined as u64,
-            found as u64,
+            found.iter().sum::<usize>() as u64,
             elapsed.as_micros() as u64,
         );
         if cut {
-            // Examination hit the deadline: this axiom's suite is
+            // Examination hit the deadline: every axiom's suite is
             // partial, the plan ends at the current frontier (when
             // enumeration was still in flight), and all queued work is
-            // abandoned. Axioms whose schedule already retired stay
-            // complete.
-            st.axiom_cut[axiom] = true;
+            // abandoned.
             if st.cut_at.is_none() && st.frontier < self.range.1 {
                 st.cut_at = Some(st.frontier);
                 self.progress
@@ -700,20 +637,15 @@ impl<'s> Pipeline<'s> {
             }
             Self::expire(&mut st);
         }
-        let done = st.newly_complete(self.range.1);
         self.publish(&st);
         self.cv.notify_all();
-        done
     }
 
     /// The deadline struck: discard all queued work, with exact live
     /// accounting for the discarded tail — enumerated-but-unadmitted
-    /// partitions leave the live count, and queued batches drop their
-    /// chunk references (a chunk whose every remaining reference was
-    /// queued is freed now; in-flight batches still hold theirs and
-    /// release them in [`Pipeline::batch_done`]). Abandoned batches
-    /// stay counted in `remaining`, which (correctly) blocks their
-    /// axioms from ever completing.
+    /// partitions and queued batches leave the live count now; in-flight
+    /// batches leave it in [`Pipeline::batch_done`]. An expired run
+    /// never completes.
     fn expire(st: &mut State) {
         st.expired = true;
         for (_, outcome) in std::mem::take(&mut st.resolved) {
@@ -722,13 +654,7 @@ impl<'s> Pipeline<'s> {
             }
         }
         for batch in std::mem::take(&mut st.exam) {
-            if let Some(refs) = st.chunk_refs.get_mut(&batch.shard) {
-                refs.0 -= 1;
-                if refs.0 == 0 {
-                    let (_, len) = st.chunk_refs.remove(&batch.shard).expect("present");
-                    st.live = st.live.saturating_sub(len);
-                }
-            }
+            st.live = st.live.saturating_sub(batch.items.len());
         }
     }
 }
@@ -739,19 +665,15 @@ struct RunCtx<'r> {
     axioms: &'r [&'r str],
     opts: &'r SynthOptions,
     branch_co_pa: bool,
-    start: Instant,
     /// Per-axiom streaming dedup of emitted ELT keys.
     claimed: &'r [crate::dedup::KeySet],
     /// Per-axiom shard counters, pushed as batches retire.
     shard_stats: &'r [Mutex<Vec<ShardStats>>],
     sinks: &'r [&'r dyn SuiteSink],
-    /// Per-axiom final stats, written by whichever worker completes the
-    /// axiom (the driver fills in timed-out axioms after the join).
-    finished: &'r [Mutex<Option<SuiteStats>>],
 }
 
 /// One pool worker: alternates between enumerating partitions and
-/// examining `(axiom, batch)` items until the pipeline drains.
+/// examining batches until the pipeline drains.
 fn worker(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>) {
     while let Some(task) = pipeline.next_task() {
         match task {
@@ -767,105 +689,76 @@ fn worker(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>) {
                             .enumerate_keyed_within(ordinal, pipeline.deadline)
                     })
                     .filter(|_| !pipeline.past_deadline());
-                for ai in pipeline.resolve(ordinal, outcome) {
-                    finish_axiom(pipeline, ctx, ai);
-                }
+                pipeline.resolve(ordinal, outcome);
             }
-            Task::Examine(batch) => {
-                let ai = batch.axiom;
-                let start = Instant::now();
-                // One examiner — and, for the relational backend, one
-                // incremental SAT solver — per batch.
-                let mut examiner =
-                    Examiner::new(ctx.mtm, ctx.axioms[ai], ctx.opts.backend, ctx.branch_co_pa);
-                let mut stats = ShardStats::new(batch.shard);
-                let mut records = Vec::new();
-                let mut cut = false;
-                let mut weight = 0u64;
-                for item in batch.items.iter() {
-                    if pipeline.past_deadline() {
-                        cut = true;
-                        break;
-                    }
-                    weight += item_weight(item);
-                    let mut examined = examiner.examine(&item.program);
-                    stats.absorb(&examined);
-                    if examined.witness.is_some() && !ctx.claimed[ai].claim(&item.key) {
-                        // The admitter guarantees key uniqueness; dropping
-                        // a duplicate witness (never its counters) keeps
-                        // the merge correct even if a future enumerator
-                        // breaks that invariant.
-                        debug_assert!(false, "duplicate canonical key in admitted plan");
-                        examined.witness = None;
-                    }
-                    if let Some((witness, violated)) = examined.witness {
-                        records.push(SuiteRecord {
-                            index: item.index,
-                            elt: SynthesizedElt {
-                                program: item.program.clone(),
-                                witness,
-                                violated,
-                            },
-                        });
-                    }
-                }
-                ctx.shard_stats[ai]
-                    .lock()
-                    .expect("stats lock is never poisoned")
-                    .push(stats);
-                let found = records.len();
-                ctx.sinks[ai].shard_done(stats, records);
-                for done in pipeline.batch_done(
-                    ai,
-                    batch.shard,
-                    stats.items,
-                    weight,
-                    found,
-                    start.elapsed(),
-                    cut,
-                ) {
-                    finish_axiom(pipeline, ctx, done);
-                }
-            }
+            Task::Examine(batch) => examine_batch(pipeline, ctx, &batch),
         }
     }
 }
 
-/// An axiom's whole schedule retired cleanly: assemble its final stats
-/// and fire its sink's completion hook *now* — a fused run seals (and
-/// pushes) each per-axiom suite as it finishes, not when the whole run
-/// drains.
-fn finish_axiom(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>, ai: usize) {
-    let mut shards = ctx.shard_stats[ai]
-        .lock()
-        .expect("stats lock is never poisoned")
-        .clone();
-    shards.sort_by_key(|s| s.shard);
-    let mut stats = SuiteStats::from_shards(pipeline.programs(), shards);
-    stats.elapsed = ctx.start.elapsed();
-    stats.timed_out = false;
-    pipeline
-        .progress
-        .set_axiom_state(pipeline.slots[ai], AxiomState::Complete);
-    pipeline.progress.record(
-        JournalEventKind::AxiomComplete,
-        Some(pipeline.slots[ai] as u32),
-        stats.shards.iter().map(|s| s.items as u64).sum(),
-        0,
-        0,
-    );
-    ctx.sinks[ai].run_done(&stats);
-    *ctx.finished[ai]
-        .lock()
-        .expect("finished lock is never poisoned") = Some(stats);
+/// Examines one batch for every axiom of the run and streams each
+/// axiom's shard into its sink.
+fn examine_batch(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>, batch: &Batch) {
+    let start = Instant::now();
+    // One examiner — and, for the relational backend, one incremental
+    // SAT solver per axiom — per batch.
+    let mut examiner =
+        Examiner::for_axioms(ctx.mtm, ctx.axioms, ctx.opts.backend, ctx.branch_co_pa);
+    let mut stats = vec![ShardStats::new(batch.shard); ctx.axioms.len()];
+    let mut records: Vec<Vec<SuiteRecord>> = vec![Vec::new(); ctx.axioms.len()];
+    let mut cut = false;
+    let mut examined_items = 0usize;
+    let mut weight = 0u64;
+    for item in &batch.items {
+        if pipeline.past_deadline() {
+            cut = true;
+            break;
+        }
+        examined_items += 1;
+        weight += item_weight(item);
+        for (ai, mut examined) in examiner
+            .examine_axioms(&item.program)
+            .into_iter()
+            .enumerate()
+        {
+            stats[ai].absorb(&examined);
+            if examined.witness.is_some() && !ctx.claimed[ai].claim(&item.key) {
+                // The admitter guarantees key uniqueness; dropping a
+                // duplicate witness (never its counters) keeps the merge
+                // correct even if a future enumerator breaks that
+                // invariant.
+                debug_assert!(false, "duplicate canonical key in admitted plan");
+                examined.witness = None;
+            }
+            if let Some((witness, violated)) = examined.witness {
+                records[ai].push(SuiteRecord {
+                    index: item.index,
+                    elt: SynthesizedElt {
+                        program: item.program.clone(),
+                        witness,
+                        violated,
+                    },
+                });
+            }
+        }
+    }
+    let found: Vec<usize> = records.iter().map(Vec::len).collect();
+    for (ai, (stats, records)) in stats.into_iter().zip(records).enumerate() {
+        ctx.shard_stats[ai]
+            .lock()
+            .expect("stats lock is never poisoned")
+            .push(stats);
+        ctx.sinks[ai].shard_done(stats, records);
+    }
+    pipeline.batch_done(batch, examined_items, weight, &found, start.elapsed(), cut);
 }
 
 /// Runs the fused enumerate-while-examining pipeline for `axioms` (one
 /// or many) on `jobs` workers, streaming retired batches into the
-/// per-axiom sinks. Partitions are enumerated once and their admitted
-/// chunks shared across axioms; each axiom's `run_done` fires the
-/// moment its schedule retires. Returns per-axiom counters (in `axioms`
-/// order) and the run's scheduling metrics.
+/// per-axiom sinks. Partitions are enumerated once and each admitted
+/// chunk is examined once for every axiom; every axiom's `run_done`
+/// fires when the last batch retires. Returns per-axiom counters (in
+/// `axioms` order) and the run's scheduling metrics.
 ///
 /// # Panics
 ///
@@ -927,18 +820,14 @@ pub(crate) fn run_fused_range(
         axioms.iter().map(|_| crate::dedup::KeySet::new()).collect();
     let shard_stats: Vec<Mutex<Vec<ShardStats>>> =
         axioms.iter().map(|_| Mutex::new(Vec::new())).collect();
-    let finished: Vec<Mutex<Option<SuiteStats>>> =
-        axioms.iter().map(|_| Mutex::new(None)).collect();
     let ctx = RunCtx {
         mtm,
         axioms,
         opts,
         branch_co_pa,
-        start,
         claimed: &claimed,
         shard_stats: &shard_stats,
         sinks,
-        finished: &finished,
     };
 
     std::thread::scope(|scope| {
@@ -956,42 +845,36 @@ pub(crate) fn run_fused_range(
         .into_inner()
         .expect("pipeline lock is never poisoned");
     let elapsed = start.elapsed();
-    let all_stats: Vec<SuiteStats> = finished
+    // Every axiom shares one schedule, so all finish here together:
+    // complete when the whole range was admitted and every batch retired
+    // before the deadline (an empty space completes trivially), cut
+    // otherwise. Each run_done fires exactly once — sinks never seal
+    // timed-out runs.
+    let complete = !st.expired && st.enum_settled(range.1);
+    let all_stats: Vec<SuiteStats> = shard_stats
         .into_iter()
-        .enumerate()
-        .zip(&shard_stats)
         .zip(sinks)
-        .map(|(((ai, slot), shards), sink)| {
-            match slot.into_inner().expect("finished lock is never poisoned") {
-                Some(stats) => stats,
-                None => {
-                    // No worker latched completion. Either the deadline
-                    // cut this axiom's plan or examination (timed out,
-                    // best-effort partial counters), or the space was
-                    // empty and no pipeline event ever fired (complete,
-                    // trivially). Its run_done still fires exactly once
-                    // — sinks never seal timed-out runs.
-                    let complete = !st.expired
-                        && st.enum_settled(range.1)
-                        && st.remaining[ai] == 0
-                        && !st.axiom_cut[ai];
-                    progress.set_axiom_state(
-                        slots[ai],
-                        if complete {
-                            AxiomState::Complete
-                        } else {
-                            AxiomState::Cut
-                        },
-                    );
-                    let mut shards = shards.lock().expect("stats lock is never poisoned").clone();
-                    shards.sort_by_key(|s| s.shard);
-                    let mut stats = SuiteStats::from_shards(st.programs_in_range(), shards);
-                    stats.elapsed = elapsed;
-                    stats.timed_out = !complete;
-                    sink.run_done(&stats);
-                    stats
-                }
+        .zip(&slots)
+        .map(|((shards, sink), &slot)| {
+            let mut shards = shards.into_inner().expect("stats lock is never poisoned");
+            shards.sort_by_key(|s| s.shard);
+            let mut stats = SuiteStats::from_shards(st.programs_in_range(), shards);
+            stats.elapsed = elapsed;
+            stats.timed_out = !complete;
+            if complete {
+                progress.set_axiom_state(slot, AxiomState::Complete);
+                progress.record(
+                    JournalEventKind::AxiomComplete,
+                    Some(slot as u32),
+                    stats.shards.iter().map(|s| s.items as u64).sum(),
+                    0,
+                    0,
+                );
+            } else {
+                progress.set_axiom_state(slot, AxiomState::Cut);
             }
+            sink.run_done(&stats);
+            stats
         })
         .collect();
     progress.record(
@@ -1108,10 +991,10 @@ mod tests {
         assert_eq!(queued, expected_items);
     }
 
-    /// A fused two-axiom pipeline fans each admitted chunk out once per
-    /// axiom, sharing the chunk storage.
+    /// A fused three-axiom pipeline makes one batch per admitted chunk:
+    /// the batches tile the plan in order, each item exactly once.
     #[test]
-    fn fused_pipeline_fans_chunks_out_per_axiom() {
+    fn fused_pipeline_makes_one_batch_per_chunk() {
         let eo = enum_opts(4, true);
         let space = EnumSpace::new(&eo);
         // A window wide enough to claim every partition before any
@@ -1134,19 +1017,17 @@ mod tests {
             pipeline.resolve(ordinal, Some(space.enumerate_keyed(ordinal)));
         }
         let st = pipeline.state.into_inner().expect("lock");
-        assert_eq!(st.batches % 3, 0, "every chunk spawns one batch per axiom");
-        assert_eq!(st.remaining, vec![st.batches / 3; 3]);
-        // Each chunk appears three times, as the same shared storage.
-        let mut by_shard: BTreeMap<usize, Vec<&Batch>> = BTreeMap::new();
-        for b in &st.exam {
-            by_shard.entry(b.shard).or_default().push(b);
-        }
-        for (_, batches) in by_shard {
-            assert_eq!(batches.len(), 3);
-            assert!(batches
-                .windows(2)
-                .all(|w| Arc::ptr_eq(&w[0].items, &w[1].items)));
-        }
+        assert!(st.batches > 1, "space too small for the test");
+        assert_eq!(st.exam.len(), st.batches, "one batch per chunk");
+        let shards: Vec<usize> = st.exam.iter().map(|b| b.shard).collect();
+        assert_eq!(shards, (0..st.batches).collect::<Vec<_>>());
+        let indices: Vec<usize> = st
+            .exam
+            .iter()
+            .flat_map(|b| b.items.iter().map(|item| item.index))
+            .collect();
+        assert_eq!(indices, (0..st.admitter.next_index).collect::<Vec<_>>());
+        assert_eq!(st.live, indices.len());
     }
 
     /// Regression for the former "best-effort on timed-out runs" peak
@@ -1179,7 +1060,6 @@ mod tests {
             assert_eq!(st.cut_at, Some(1));
             assert_eq!(st.live, 0, "abandoned queue drained exactly");
             assert!(st.exam.is_empty());
-            assert!(st.chunk_refs.is_empty());
         }
         // Partition 2 lands after expiry: discarded, but its programs
         // were materialized — the peak must include them.
@@ -1218,7 +1098,7 @@ mod tests {
                     }
                     Some(Task::Examine(b)) => {
                         // Examination has pop priority; retire it untouched.
-                        pipeline.batch_done(b.axiom, b.shard, 0, 0, 0, Duration::ZERO, false);
+                        pipeline.batch_done(&b, 0, 0, &[0], Duration::ZERO, false);
                     }
                     None => panic!("pipeline drained early"),
                 }

@@ -111,9 +111,9 @@ pub fn cached_or_synthesize_observed(
 /// Serves **every** per-axiom suite of `mtm` from the store in one
 /// pass: tier hits stream from their sealed entries, and all the
 /// misses are synthesized together in one fused streamed run — the
-/// program space is enumerated once, and each missing axiom's suite is
-/// sealed the moment that axiom finishes, not when the whole run
-/// drains. The local-only counterpart of
+/// program space is enumerated once, each program is examined once for
+/// every missing axiom, and each missing axiom's suite is sealed when
+/// the run finishes. The local-only counterpart of
 /// [`crate::TieredCache::cached_or_synthesize_all`].
 ///
 /// # Errors

@@ -220,10 +220,10 @@ impl TieredCache {
     /// Serves **every** per-axiom suite of `mtm` through the tiers in
     /// one pass: each axiom is looked up locally, then remotely
     /// (read-through), and all the misses are synthesized together in
-    /// one fused streamed run — the program space is enumerated once
-    /// and each missing axiom's suite is sealed (and pushed to the
-    /// remote, best-effort) *as that axiom finishes*, not when the
-    /// whole run drains.
+    /// one fused streamed run — the program space is enumerated once,
+    /// each program is examined once for every missing axiom, and each
+    /// missing axiom's suite is sealed (and pushed to the remote,
+    /// best-effort) when the run finishes.
     ///
     /// # Errors
     ///
@@ -404,9 +404,8 @@ fn lookup_tiers(
 /// [`TieredCache::cached_or_synthesize_all`] and the local-only
 /// [`crate::cached_or_synthesize_all`]: tier hits are served per
 /// axiom, and every miss joins **one fused streamed synthesis** whose
-/// per-axiom sinks seal + push each suite the moment that axiom's
-/// schedule retires ([`SuiteSink::run_done`] fires per axiom, not at
-/// the end of the run).
+/// per-axiom sinks seal + push each suite when the run's last batch
+/// retires ([`SuiteSink::run_done`] fires for every axiom then).
 pub(crate) fn run_tiered_all(
     local: &Store,
     remote: Option<&dyn CacheTier>,
@@ -437,8 +436,8 @@ pub(crate) fn run_tiered_all(
         return Ok(out);
     }
 
-    // One fused run for every miss: enumerate once, examine per axiom,
-    // seal each suite from inside the pool as its axiom finishes.
+    // One fused run for every miss: enumerate once, examine each program
+    // once for every axiom, seal each suite when the run finishes.
     let axiom_refs: Vec<&str> = misses.iter().map(|(a, _, _)| a.as_str()).collect();
     let gates: Vec<SealOnDone<'_>> = misses
         .iter()
@@ -484,11 +483,9 @@ pub(crate) fn run_tiered_all(
 }
 
 /// The per-axiom [`SuiteSink`] of a fused cached run: streams shards
-/// into the axiom's pending store entry and, the moment the axiom's
-/// schedule retires ([`SuiteSink::run_done`] with a completed run),
-/// seals the entry and pushes the sealed bytes to the remote tier
-/// (best-effort) — while other axioms of the same run are still
-/// examining.
+/// into the axiom's pending store entry and, when the run finishes
+/// ([`SuiteSink::run_done`] with a completed run), seals the entry and
+/// pushes the sealed bytes to the remote tier (best-effort).
 struct SealOnDone<'a> {
     local: &'a Store,
     remote: Option<&'a dyn CacheTier>,

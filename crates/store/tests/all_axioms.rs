@@ -1,6 +1,7 @@
 //! The fused all-axiom cache path: one pass serves every per-axiom
 //! suite — tier hits from sealed entries, misses through a single
-//! fused synthesis run that seals each axiom as it finishes — and the
+//! fused synthesis run that examines each program once for every
+//! missing axiom and seals every suite when it finishes — and the
 //! result is indistinguishable from per-axiom lookups.
 
 use transform_store::{

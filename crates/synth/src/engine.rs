@@ -13,9 +13,10 @@
 //!
 //! 1. [`plan_suite`] — enumerate programs, keep the write-bearing first
 //!    occurrence of each canonical key, in enumeration order;
-//! 2. [`Examiner::examine`] — per program, generate candidate executions
-//!    (explicit or relational backend), count, and pick a deterministic
-//!    minimal forbidden witness;
+//! 2. [`Examiner::examine_axioms`] — per program, generate candidate
+//!    executions (explicit or relational backend), count, and pick a
+//!    deterministic minimal forbidden witness for every axiom of the run
+//!    in one walk over the candidates;
 //! 3. [`assemble_suite`] — stitch per-program results back together in
 //!    plan order with losslessly aggregated per-shard counters.
 //!
@@ -224,6 +225,13 @@ pub fn plan_suite(
     opts: &SynthOptions,
     deadline: Option<Instant>,
 ) -> SynthPlan {
+    assert_axiom(mtm, axiom);
+    plan(mtm, opts, deadline)
+}
+
+/// [`plan_suite`] for every axiom at once: the plan does not depend on
+/// the axiom.
+fn plan(mtm: &Mtm, opts: &SynthOptions, deadline: Option<Instant>) -> SynthPlan {
     let progs = crate::programs::programs_with_deadline(&opts.enumeration, deadline);
     let mut timed_out = deadline.is_some_and(|d| Instant::now() > d);
     let mut keyed: Vec<(Program, Option<Vec<u64>>)> = Vec::with_capacity(progs.len());
@@ -243,7 +251,7 @@ pub fn plan_suite(
         let key = plan_key(&prog);
         keyed.push((prog, key));
     }
-    plan_from_keyed(mtm, axiom, keyed, timed_out)
+    dedup_keyed(mtm, keyed, timed_out)
 }
 
 /// The plan-phase key of one program: its canonical key when the program
@@ -280,11 +288,21 @@ pub fn plan_from_keyed(
     keyed: Vec<(Program, Option<Vec<u64>>)>,
     timed_out: bool,
 ) -> SynthPlan {
+    assert_axiom(mtm, axiom);
+    dedup_keyed(mtm, keyed, timed_out)
+}
+
+/// Panics unless `axiom` is part of `mtm`.
+fn assert_axiom(mtm: &Mtm, axiom: &str) {
     assert!(
         mtm.axiom(axiom).is_some(),
         "axiom `{axiom}` is not part of {}",
         mtm.name()
     );
+}
+
+/// [`plan_from_keyed`] without naming an axiom.
+fn dedup_keyed(mtm: &Mtm, keyed: Vec<(Program, Option<Vec<u64>>)>, timed_out: bool) -> SynthPlan {
     let branch_co_pa = branches_co_pa(mtm);
     let programs = keyed.len();
     let mut seen: BTreeSet<Vec<u64>> = BTreeSet::new();
@@ -308,8 +326,8 @@ pub fn plan_from_keyed(
     }
 }
 
-/// The outcome of examining one work item.
-#[derive(Clone, Debug)]
+/// The outcome of examining one work item for one axiom.
+#[derive(Clone, Debug, Default)]
 pub struct Examined {
     /// Candidate executions examined.
     pub executions: usize,
@@ -323,17 +341,21 @@ pub struct Examined {
 }
 
 /// Phase 2 of the pipeline: per-program candidate generation and
-/// spanning-set filtering.
+/// spanning-set filtering, for one axiom or for several at once.
 ///
-/// One `Examiner` serves one shard. With the relational backend it owns a
-/// [`satgen::ShardGen`], so every program it examines shares a single
-/// incremental SAT solver.
+/// One `Examiner` serves one shard. With the explicit backend, each
+/// program's candidates are generated, sorted and walked once for every
+/// axiom the examiner serves. With the relational backend it owns one
+/// [`satgen::ShardGen`] per axiom (the SAT query names the axiom), so
+/// every program it examines for that axiom shares a single incremental
+/// SAT solver.
 pub struct Examiner<'m> {
     mtm: &'m Mtm,
-    axiom: &'m str,
+    axioms: Vec<&'m str>,
     backend: Backend,
     branch_co_pa: bool,
-    shard_gen: Option<satgen::ShardGen>,
+    /// One incremental generator per axiom (relational backend only).
+    shard_gens: Vec<satgen::ShardGen>,
     /// SAT counters from solvers already retired by the periodic refresh,
     /// so [`Examiner::solver_stats`] stays cumulative.
     retired_solver_stats: tsat::SolverStats,
@@ -349,91 +371,152 @@ pub struct Examiner<'m> {
 const SOLVER_REFRESH_EVERY: usize = 64;
 
 impl<'m> Examiner<'m> {
-    /// Creates an examiner for one shard of a run.
+    /// Creates an examiner for one axiom and one shard of a run — the
+    /// one-axiom case of [`Examiner::for_axioms`].
     pub fn new(mtm: &'m Mtm, axiom: &'m str, backend: Backend, branch_co_pa: bool) -> Examiner<'m> {
+        Examiner::for_axioms(mtm, &[axiom], backend, branch_co_pa)
+    }
+
+    /// Creates an examiner for every axiom of `axioms` and one shard of
+    /// a run; [`Examiner::examine_axioms`] answers in this order.
+    pub fn for_axioms(
+        mtm: &'m Mtm,
+        axioms: &[&'m str],
+        backend: Backend,
+        branch_co_pa: bool,
+    ) -> Examiner<'m> {
         Examiner {
             mtm,
-            axiom,
+            axioms: axioms.to_vec(),
             backend,
             branch_co_pa,
-            shard_gen: match backend {
-                Backend::Explicit => None,
-                Backend::Relational => Some(satgen::ShardGen::new()),
+            shard_gens: match backend {
+                Backend::Explicit => Vec::new(),
+                Backend::Relational => axioms.iter().map(|_| satgen::ShardGen::new()).collect(),
             },
             retired_solver_stats: tsat::SolverStats::default(),
         }
     }
 
-    /// Examines one program: generates its candidate executions, counts
-    /// them up to (and including) the first minimal forbidden one in
-    /// canonical order, and takes that execution — the canonically least
-    /// minimal witness — as the program's witness.
+    /// Examines one program for the examiner's single axiom (see
+    /// [`Examiner::examine_axioms`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the examiner serves more than one axiom.
+    pub fn examine(&mut self, program: &Program) -> Examined {
+        assert_eq!(self.axioms.len(), 1, "examine serves one axiom");
+        self.examine_axioms(program)
+            .pop()
+            .expect("one result per axiom")
+    }
+
+    /// Examines one program for every axiom of the examiner, in order:
+    /// generates its candidate executions, counts them for each axiom up
+    /// to (and including) the first minimal forbidden one in canonical
+    /// order, and takes that execution — the canonically least minimal
+    /// witness — as the program's witness for the axiom.
     ///
     /// Candidates are put in a canonical order before examination, so the
     /// result does not depend on backend generation order — in
     /// particular, not on what an incremental SAT solver learnt from
     /// other programs in the shard. That independence is what lets any
     /// shard partition reproduce the sequential suite byte for byte, and
-    /// it makes the early break at the witness safe: the counters are a
-    /// pure per-program function either way.
-    pub fn examine(&mut self, program: &Program) -> Examined {
+    /// it makes the early stop at each axiom's witness safe: the counters
+    /// are a pure per-program function either way, and equal to what a
+    /// one-axiom examiner reports.
+    pub fn examine_axioms(&mut self, program: &Program) -> Vec<Examined> {
         let skeleton = program.to_skeleton();
-        let mut candidates: Vec<Execution> = match self.backend {
-            Backend::Explicit => execs::executions(&skeleton, self.branch_co_pa),
-            Backend::Relational => {
-                let shard_gen = self
-                    .shard_gen
-                    .as_mut()
-                    .expect("relational examiner owns a shard generator");
-                if shard_gen.problems_solved() >= SOLVER_REFRESH_EVERY {
-                    self.retired_solver_stats.absorb(&shard_gen.solver_stats());
-                    *shard_gen = satgen::ShardGen::new();
-                }
-                shard_gen.violating_executions(
-                    &skeleton,
-                    self.mtm,
-                    self.axiom,
-                    self.branch_co_pa,
-                    usize::MAX,
-                )
-            }
-        };
-        candidates.sort_by_cached_key(candidate_order_key);
-        let mut out = Examined {
-            executions: 0,
-            forbidden: 0,
-            minimal: 0,
-            witness: None,
-        };
-        for x in candidates {
-            out.executions += 1;
-            let Ok(analysis) = x.analyze() else { continue };
-            let verdict = self.mtm.evaluate(&analysis);
-            // Spanning-set criterion 2: the outcome violates the axiom
-            // under synthesis.
-            if !verdict.violates(self.axiom) {
-                continue;
-            }
-            out.forbidden += 1;
-            if !is_minimal(&x, self.mtm) {
-                continue;
-            }
-            out.minimal += 1;
-            out.witness = Some((x, verdict.violated));
-            break;
+        match self.backend {
+            Backend::Explicit => walk(
+                self.mtm,
+                execs::executions(&skeleton, self.branch_co_pa),
+                &self.axioms,
+            ),
+            Backend::Relational => (0..self.axioms.len())
+                .map(|ai| {
+                    let candidates = self.violating_executions(ai, &skeleton);
+                    walk(self.mtm, candidates, &self.axioms[ai..=ai])
+                        .pop()
+                        .expect("one result per axiom")
+                })
+                .collect(),
         }
-        out
     }
 
-    /// SAT statistics of the shard's incremental solver (relational
+    /// The relational candidates of `skeleton` violating axiom `ai`,
+    /// from that axiom's incremental generator.
+    fn violating_executions(&mut self, ai: usize, skeleton: &Execution) -> Vec<Execution> {
+        let shard_gen = &mut self.shard_gens[ai];
+        if shard_gen.problems_solved() >= SOLVER_REFRESH_EVERY {
+            self.retired_solver_stats.absorb(&shard_gen.solver_stats());
+            *shard_gen = satgen::ShardGen::new();
+        }
+        shard_gen.violating_executions(
+            skeleton,
+            self.mtm,
+            self.axioms[ai],
+            self.branch_co_pa,
+            usize::MAX,
+        )
+    }
+
+    /// SAT statistics of the shard's incremental solvers (relational
     /// backend only).
     pub fn solver_stats(&self) -> Option<tsat::SolverStats> {
-        self.shard_gen.as_ref().map(|shard_gen| {
+        (self.backend == Backend::Relational).then(|| {
             let mut stats = self.retired_solver_stats;
-            stats.absorb(&shard_gen.solver_stats());
+            for shard_gen in &self.shard_gens {
+                stats.absorb(&shard_gen.solver_stats());
+            }
             stats
         })
     }
+}
+
+/// Walks one program's candidates once, in canonical order, for every
+/// axiom of `axioms`. Each axiom counts candidates until its own
+/// witness; `analyze`, [`Mtm::evaluate`] and [`is_minimal`] run at most
+/// once per candidate, and the walk stops when every axiom has a
+/// witness.
+fn walk(mtm: &Mtm, mut candidates: Vec<Execution>, axioms: &[&str]) -> Vec<Examined> {
+    candidates.sort_by_cached_key(candidate_order_key);
+    let mut out: Vec<Examined> = vec![Examined::default(); axioms.len()];
+    let mut pending = axioms.len();
+    let mut hits = vec![false; axioms.len()];
+    for x in candidates {
+        if pending == 0 {
+            break;
+        }
+        for examined in out.iter_mut().filter(|e| e.witness.is_none()) {
+            examined.executions += 1;
+        }
+        let Ok(analysis) = x.analyze() else { continue };
+        let verdict = mtm.evaluate(&analysis);
+        // Spanning-set criterion 2: the outcome violates an axiom that
+        // has no witness yet.
+        let mut any = false;
+        for ((hit, examined), axiom) in hits.iter_mut().zip(&mut out).zip(axioms) {
+            *hit = examined.witness.is_none() && verdict.violates(axiom);
+            if *hit {
+                examined.forbidden += 1;
+                any = true;
+            }
+        }
+        // Minimality does not depend on the axiom: one answer serves
+        // every axiom this candidate violates.
+        if !any || !is_minimal(&x, mtm) {
+            continue;
+        }
+        for (hit, examined) in hits.iter().zip(&mut out) {
+            if *hit {
+                examined.minimal += 1;
+                examined.witness = Some((x.clone(), verdict.violated.clone()));
+                pending -= 1;
+            }
+        }
+    }
+    out
 }
 
 /// A total, deterministic order on candidate executions of one skeleton:
@@ -484,39 +567,62 @@ pub fn assemble_suite(
 /// the bound) having an execution that violates `axiom`.
 ///
 /// This is the sequential driver — exactly the pipeline `transform-par`
-/// distributes, run as one shard.
+/// distributes, run as one shard — for one axiom.
+///
+/// # Panics
+///
+/// Panics when `axiom` is not part of `mtm`.
 pub fn synthesize_suite(mtm: &Mtm, axiom: &str, opts: &SynthOptions) -> Suite {
+    synthesize_axioms(mtm, &[axiom], opts)
+        .pop()
+        .expect("one suite per axiom")
+}
+
+/// Synthesizes every per-axiom suite of `mtm` (§V-B): one plan, and one
+/// examination pass per plan item serving every axiom. A timeout covers
+/// the whole run.
+pub fn synthesize_all(mtm: &Mtm, opts: &SynthOptions) -> BTreeMap<String, Suite> {
+    let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
+    synthesize_axioms(mtm, &axioms, opts)
+        .into_iter()
+        .map(|suite| (suite.axiom.clone(), suite))
+        .collect()
+}
+
+/// The sequential driver behind [`synthesize_suite`] and
+/// [`synthesize_all`]: plans once and runs one examiner for all
+/// `axioms` over the plan. Returns the suites in `axioms` order.
+fn synthesize_axioms(mtm: &Mtm, axioms: &[&str], opts: &SynthOptions) -> Vec<Suite> {
+    for axiom in axioms {
+        assert_axiom(mtm, axiom);
+    }
     let start = Instant::now();
     let deadline = opts.timeout.map(|t| start + t);
-    let plan = plan_suite(mtm, axiom, opts, deadline);
-    let mut examiner = Examiner::new(mtm, axiom, opts.backend, plan.branch_co_pa);
-    let mut shard = ShardStats::new(0);
-    let mut results = Vec::new();
+    let plan = plan(mtm, opts, deadline);
+    let mut examiner = Examiner::for_axioms(mtm, axioms, opts.backend, plan.branch_co_pa);
+    let mut shards = vec![ShardStats::new(0); axioms.len()];
+    let mut results: Vec<Vec<(usize, Examined)>> = vec![Vec::new(); axioms.len()];
     let mut timed_out = false;
     for item in &plan.items {
         if deadline.is_some_and(|d| Instant::now() > d) {
             timed_out = true;
             break;
         }
-        let examined = examiner.examine(&item.program);
-        shard.absorb(&examined);
-        results.push((item.index, examined));
+        let examined = examiner.examine_axioms(&item.program);
+        for ((examined, shard), results) in examined.into_iter().zip(&mut shards).zip(&mut results)
+        {
+            shard.absorb(&examined);
+            results.push((item.index, examined));
+        }
     }
-    assemble_suite(
-        axiom,
-        &plan,
-        results,
-        vec![shard],
-        start.elapsed(),
-        timed_out,
-    )
-}
-
-/// Synthesizes every per-axiom suite of `mtm` (§V-B).
-pub fn synthesize_all(mtm: &Mtm, opts: &SynthOptions) -> BTreeMap<String, Suite> {
-    mtm.axioms()
+    let elapsed = start.elapsed();
+    axioms
         .iter()
-        .map(|ax| (ax.name.clone(), synthesize_suite(mtm, &ax.name, opts)))
+        .zip(shards)
+        .zip(results)
+        .map(|((axiom, shard), results)| {
+            assemble_suite(axiom, &plan, results, vec![shard], elapsed, timed_out)
+        })
         .collect()
 }
 
