@@ -17,8 +17,10 @@
 //! canonical first occurrences), so a multi-axiom run enumerates every
 //! partition **once**, and each admitted chunk becomes **one** examine
 //! batch covering every axiom: its [`Examiner`] walks each program's
-//! candidates once for all of them. No shared plan is materialized
-//! before workers start. All axioms therefore finish together: when
+//! candidates once for all of them (the relational backend, whose SAT
+//! query names one axiom, makes one pass over the batch per axiom —
+//! see [`Backend::passes`]). No shared plan is materialized before
+//! workers start. All axioms therefore finish together: when
 //! the last batch retires, every axiom's [`SuiteSink::run_done`] fires
 //! (the per-axiom seal + push-on-seal hook).
 //!
@@ -59,6 +61,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use transform_core::axiom::Mtm;
 use transform_synth::programs::{EnumSpace, KeyedProgram};
+#[cfg(doc)]
+use transform_synth::Backend;
 use transform_synth::{
     branches_co_pa, Examiner, ShardStats, SuiteRecord, SuiteStats, SynthOptions, SynthesizedElt,
     WorkItem,
@@ -265,11 +269,11 @@ impl Tuner {
     }
 }
 
-/// A batch of plan items examined for every axiom of the run on one
-/// [`Examiner`] (for the relational backend, one incremental solver per
-/// axiom). Chunks never span partitions, so every item in a batch
-/// shares its first-thread shape — the prefix affinity that makes
-/// solver reuse pay.
+/// A batch of plan items examined for every axiom of the run, in the
+/// backend's [`Backend::passes`] (for the relational backend, one
+/// incremental solver per axiom). Chunks never span partitions, so
+/// every item in a batch shares its first-thread shape — the prefix
+/// affinity that makes solver reuse pay.
 struct Batch {
     shard: usize,
     items: Vec<WorkItem>,
@@ -596,25 +600,27 @@ impl<'s> Pipeline<'s> {
         self.cv.notify_all();
     }
 
-    /// One batch retired (possibly cut short by the deadline):
-    /// `examined` of its plan items absorbed, and `found[i]` suite
-    /// members emitted for the run's axiom `i`.
+    /// One batch retired (possibly cut short by the deadline): the run's
+    /// axiom `i` absorbed `stats[i]` and emitted `found[i]` suite
+    /// members.
     fn batch_done(
         &self,
         batch: &Batch,
-        examined: usize,
-        weight: u64,
+        stats: &[ShardStats],
         found: &[usize],
         elapsed: Duration,
         cut: bool,
     ) {
         use std::sync::atomic::Ordering::Relaxed;
-        for (&slot, &found) in self.slots.iter().zip(found) {
+        for ((&slot, stats), &found) in self.slots.iter().zip(stats).zip(found) {
             let ax = self.progress.axiom(slot);
             ax.batches_done.fetch_add(1, Relaxed);
-            ax.items_examined.fetch_add(examined, Relaxed);
+            ax.items_examined.fetch_add(stats.items, Relaxed);
             ax.elts.fetch_add(found, Relaxed);
         }
+        // Items examined for every axiom (all of them, unless cut).
+        let examined = stats.iter().map(|s| s.items).min().unwrap_or(0);
+        let weight = batch.items[..examined].iter().map(item_weight).sum();
         let mut st = self.state.lock().expect("pipeline lock is never poisoned");
         st.live = st.live.saturating_sub(batch.items.len());
         st.tuner.observe(examined, weight, elapsed);
@@ -700,57 +706,57 @@ fn worker(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>) {
 /// axiom's shard into its sink.
 fn examine_batch(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>, batch: &Batch) {
     let start = Instant::now();
-    // One examiner — and, for the relational backend, one incremental
-    // SAT solver per axiom — per batch.
-    let mut examiner =
-        Examiner::for_axioms(ctx.mtm, ctx.axioms, ctx.opts.backend, ctx.branch_co_pa);
-    let mut stats = vec![ShardStats::new(batch.shard); ctx.axioms.len()];
-    let mut records: Vec<Vec<SuiteRecord>> = vec![Vec::new(); ctx.axioms.len()];
+    let axioms = ctx.axioms.len();
+    let mut stats = vec![ShardStats::new(batch.shard); axioms];
+    let mut records: Vec<Vec<SuiteRecord>> = vec![Vec::new(); axioms];
     let mut cut = false;
-    let mut examined_items = 0usize;
-    let mut weight = 0u64;
-    for item in &batch.items {
-        if pipeline.past_deadline() {
-            cut = true;
-            break;
-        }
-        examined_items += 1;
-        weight += item_weight(item);
-        for (ai, mut examined) in examiner
-            .examine_axioms(&item.program)
-            .into_iter()
-            .enumerate()
-        {
-            stats[ai].absorb(&examined);
-            if examined.witness.is_some() && !ctx.claimed[ai].claim(&item.key) {
-                // The admitter guarantees key uniqueness; dropping a
-                // duplicate witness (never its counters) keeps the merge
-                // correct even if a future enumerator breaks that
-                // invariant.
-                debug_assert!(false, "duplicate canonical key in admitted plan");
-                examined.witness = None;
+    // One examiner per pass — one for the explicit backend; for the
+    // relational backend, one per axiom, each owning one incremental
+    // SAT solver.
+    'passes: for pass in ctx.opts.backend.passes(axioms) {
+        let mut examiner = Examiner::for_axioms(
+            ctx.mtm,
+            &ctx.axioms[pass.clone()],
+            ctx.opts.backend,
+            ctx.branch_co_pa,
+        );
+        for item in &batch.items {
+            if pipeline.past_deadline() {
+                cut = true;
+                break 'passes;
             }
-            if let Some((witness, violated)) = examined.witness {
-                records[ai].push(SuiteRecord {
-                    index: item.index,
-                    elt: SynthesizedElt {
-                        program: item.program.clone(),
-                        witness,
-                        violated,
-                    },
-                });
+            for (ai, mut examined) in pass.clone().zip(examiner.examine_axioms(&item.program)) {
+                stats[ai].absorb(&examined);
+                if examined.witness.is_some() && !ctx.claimed[ai].claim(&item.key) {
+                    // The admitter guarantees key uniqueness; dropping a
+                    // duplicate witness (never its counters) keeps the
+                    // merge correct even if a future enumerator breaks
+                    // that invariant.
+                    debug_assert!(false, "duplicate canonical key in admitted plan");
+                    examined.witness = None;
+                }
+                if let Some((witness, violated)) = examined.witness {
+                    records[ai].push(SuiteRecord {
+                        index: item.index,
+                        elt: SynthesizedElt {
+                            program: item.program.clone(),
+                            witness,
+                            violated,
+                        },
+                    });
+                }
             }
         }
     }
     let found: Vec<usize> = records.iter().map(Vec::len).collect();
-    for (ai, (stats, records)) in stats.into_iter().zip(records).enumerate() {
+    for (ai, records) in records.into_iter().enumerate() {
         ctx.shard_stats[ai]
             .lock()
             .expect("stats lock is never poisoned")
-            .push(stats);
-        ctx.sinks[ai].shard_done(stats, records);
+            .push(stats[ai]);
+        ctx.sinks[ai].shard_done(stats[ai], records);
     }
-    pipeline.batch_done(batch, examined_items, weight, &found, start.elapsed(), cut);
+    pipeline.batch_done(batch, &stats, &found, start.elapsed(), cut);
 }
 
 /// Runs the fused enumerate-while-examining pipeline for `axioms` (one
@@ -1102,7 +1108,8 @@ mod tests {
                     }
                     Some(Task::Examine(b)) => {
                         // Examination has pop priority; retire it untouched.
-                        pipeline.batch_done(&b, 0, 0, &[0], Duration::ZERO, false);
+                        let stats = [ShardStats::new(b.shard)];
+                        pipeline.batch_done(&b, &stats, &[0], Duration::ZERO, false);
                     }
                     None => panic!("pipeline drained early"),
                 }

@@ -117,33 +117,35 @@ fn streamed_bound_5_suite_is_byte_identical_to_sequential() {
 
 #[test]
 fn fused_all_axiom_run_matches_per_axiom_sequential_suites() {
-    // The cross-axiom acceptance bar: one fused run (no shared plan
+    // The cross-axiom acceptance bar: one all-axiom run (no shared plan
     // materialized up front) reproduces every per-axiom sequential
-    // suite, counters included, at several worker counts.
+    // suite, counters included, at several worker counts and on both
+    // backends. `jobs = 1` is the sequential all-axiom engine.
     let mtm = x86t_elt();
-    let o = opts(4, Backend::Explicit);
-    let sequential: Vec<(String, String)> = mtm
-        .axioms()
-        .iter()
-        .map(|ax| {
-            (
-                ax.name.clone(),
-                fingerprint(&synthesize_suite_jobs(&mtm, &ax.name, &o, 1)),
-            )
-        })
-        .collect();
-    for jobs in [2usize, 4, 8] {
-        let fused = synthesize_all_jobs(&mtm, &o, jobs);
-        assert_eq!(fused.len(), sequential.len(), "jobs={jobs}");
-        for (axiom, reference) in &sequential {
-            let suite = &fused[axiom];
-            assert_eq!(reference, &fingerprint(suite), "{axiom} jobs={jobs}");
-            assert!(!suite.stats.timed_out, "{axiom} jobs={jobs}");
-            let solo = synthesize_suite_jobs(&mtm, axiom, &o, 1);
-            assert_eq!(suite.stats.programs, solo.stats.programs, "{axiom}");
-            assert_eq!(suite.stats.executions, solo.stats.executions, "{axiom}");
-            assert_eq!(suite.stats.forbidden, solo.stats.forbidden, "{axiom}");
-            assert_eq!(suite.stats.minimal, solo.stats.minimal, "{axiom}");
+    for (backend, job_counts) in [
+        (Backend::Explicit, &[1usize, 2, 4, 8][..]),
+        (Backend::Relational, &[1, 2][..]),
+    ] {
+        let o = opts(4, backend);
+        let solos: Vec<Suite> = mtm
+            .axioms()
+            .iter()
+            .map(|ax| synthesize_suite_jobs(&mtm, &ax.name, &o, 1))
+            .collect();
+        for &jobs in job_counts {
+            let fused = synthesize_all_jobs(&mtm, &o, jobs);
+            assert_eq!(fused.len(), solos.len(), "jobs={jobs}");
+            for solo in &solos {
+                let axiom = &solo.axiom;
+                let suite = &fused[axiom];
+                let label = format!("{axiom} via {backend:?} jobs={jobs}");
+                assert_eq!(fingerprint(solo), fingerprint(suite), "{label}");
+                assert!(!suite.stats.timed_out, "{label}");
+                assert_eq!(suite.stats.programs, solo.stats.programs, "{label}");
+                assert_eq!(suite.stats.executions, solo.stats.executions, "{label}");
+                assert_eq!(suite.stats.forbidden, solo.stats.forbidden, "{label}");
+                assert_eq!(suite.stats.minimal, solo.stats.minimal, "{label}");
+            }
         }
     }
 }

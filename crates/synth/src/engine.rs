@@ -32,6 +32,7 @@ use crate::programs::{EnumOptions, Program};
 use crate::satgen;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 use transform_core::axiom::Mtm;
 use transform_core::derive::BaseRel;
@@ -47,6 +48,21 @@ pub enum Backend {
     /// ([`crate::satgen`]) — the architecture of the paper's
     /// Alloy/Kodkod/MiniSat pipeline.
     Relational,
+}
+
+impl Backend {
+    /// How a run's `axioms` (by index) split into examination passes
+    /// over a list of programs, one [`Examiner`] per pass. The explicit
+    /// backend walks each program's candidates once for every axiom, so
+    /// it makes one pass. The relational backend's SAT query names one
+    /// axiom, so it makes one pass per axiom: one incremental solver is
+    /// alive at a time, and it sees the programs back to back.
+    pub fn passes(self, axioms: usize) -> Vec<Range<usize>> {
+        match self {
+            Backend::Explicit => std::iter::once(0..axioms).collect(),
+            Backend::Relational => (0..axioms).map(|ai| ai..ai + 1).collect(),
+        }
+    }
 }
 
 /// Options for one synthesis run.
@@ -590,8 +606,9 @@ pub fn synthesize_all(mtm: &Mtm, opts: &SynthOptions) -> BTreeMap<String, Suite>
 }
 
 /// The sequential driver behind [`synthesize_suite`] and
-/// [`synthesize_all`]: plans once and runs one examiner for all
-/// `axioms` over the plan. Returns the suites in `axioms` order.
+/// [`synthesize_all`]: plans once and examines the plan in the
+/// backend's [`Backend::passes`] — for the explicit backend, one
+/// examiner for all `axioms`. Returns the suites in `axioms` order.
 fn synthesize_axioms(mtm: &Mtm, axioms: &[&str], opts: &SynthOptions) -> Vec<Suite> {
     for axiom in axioms {
         assert_axiom(mtm, axiom);
@@ -599,20 +616,21 @@ fn synthesize_axioms(mtm: &Mtm, axioms: &[&str], opts: &SynthOptions) -> Vec<Sui
     let start = Instant::now();
     let deadline = opts.timeout.map(|t| start + t);
     let plan = plan(mtm, opts, deadline);
-    let mut examiner = Examiner::for_axioms(mtm, axioms, opts.backend, plan.branch_co_pa);
     let mut shards = vec![ShardStats::new(0); axioms.len()];
     let mut results: Vec<Vec<(usize, Examined)>> = vec![Vec::new(); axioms.len()];
     let mut timed_out = false;
-    for item in &plan.items {
-        if deadline.is_some_and(|d| Instant::now() > d) {
-            timed_out = true;
-            break;
-        }
-        let examined = examiner.examine_axioms(&item.program);
-        for ((examined, shard), results) in examined.into_iter().zip(&mut shards).zip(&mut results)
-        {
-            shard.absorb(&examined);
-            results.push((item.index, examined));
+    'passes: for pass in opts.backend.passes(axioms.len()) {
+        let mut examiner =
+            Examiner::for_axioms(mtm, &axioms[pass.clone()], opts.backend, plan.branch_co_pa);
+        for item in &plan.items {
+            if deadline.is_some_and(|d| Instant::now() > d) {
+                timed_out = true;
+                break 'passes;
+            }
+            for (ai, examined) in pass.clone().zip(examiner.examine_axioms(&item.program)) {
+                shards[ai].absorb(&examined);
+                results[ai].push((item.index, examined));
+            }
         }
     }
     let elapsed = start.elapsed();
