@@ -851,8 +851,7 @@ pub(crate) fn run_fused_range(
         .into_inner()
         .expect("pipeline lock is never poisoned");
     // Free the space before the sinks seal, so the seals reuse its
-    // memory instead of stacking on top of it (the peak RSS of a
-    // bound-6 run drops by ~2 MB).
+    // memory instead of stacking on top of it.
     drop(space);
     let elapsed = start.elapsed();
     // Every axiom shares one schedule, so all finish here together:
