@@ -21,12 +21,14 @@
 //!    key, and examine programs concurrently ([`stream`]). Partitions
 //!    are *admitted* strictly in ordinal order through a dedup frontier
 //!    — the same first-occurrence scan the sequential planner runs — so
-//!    plan indices never depend on scheduling. Each examine batch runs
-//!    on one [`transform_synth::Examiner`] for every axiom of the run;
-//!    with the [`SynthBackend::Relational`] backend that examiner owns
-//!    one incremental SAT solver (`tsat` solving under assumptions) per
-//!    axiom, serving every program in the batch, and batch granularity
-//!    autotunes to the observed examination rate. Workers claim emitted ELT keys in a
+//!    plan indices never depend on scheduling. Each examine batch
+//!    covers every axiom of the run: on the explicit backend one
+//!    [`transform_synth::Examiner`] walks each program's candidates
+//!    once for all of them; the [`SynthBackend::Relational`] backend
+//!    examines the batch one axiom at a time, each pass's examiner
+//!    owning one incremental SAT solver (`tsat` solving under
+//!    assumptions) that serves every program in the batch. Batch granularity autotunes to the
+//!    observed examination rate. Workers claim emitted ELT keys in a
 //!    concurrent streaming dedup set ([`dedup::KeySet`]) as results
 //!    stream in.
 //! 2. **Merge** — per-item results are re-ordered by plan index and
