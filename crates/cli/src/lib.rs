@@ -38,6 +38,7 @@
 //! The command logic lives in this library crate (returning the output as
 //! a `String`) so it is unit-testable; `main.rs` only prints.
 
+mod heartbeat;
 mod help;
 mod opts;
 mod progress;
@@ -623,35 +624,21 @@ fn work_one_lease(
     grant: &transform_store::LeaseGrant,
     jobs: usize,
 ) -> Result<bool, String> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    let stop = Arc::new(AtomicBool::new(false));
-    let beat = {
-        let stop = Arc::clone(&stop);
+    let mut beat = {
         let client = HttpTier::new(url).map_err(|e| e.to_string())?;
         let lease = grant.lease;
         // Renew at a third of the TTL, floored so tiny TTLs still beat.
         let cadence = Duration::from_millis((grant.ttl_ms / 3).clamp(50, 10_000));
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                // A refused renewal means the lease lapsed and the range
-                // was reassigned. Keep computing anyway — uploads are
-                // idempotent, so a duplicate completion is harmless —
-                // but stop beating a dead lease.
-                if let Ok(false) = client.heartbeat(lease) {
-                    return;
-                }
-                let mut slept = Duration::ZERO;
-                while slept < cadence && !stop.load(Ordering::Relaxed) {
-                    let slice = Duration::from_millis(25).min(cadence - slept);
-                    std::thread::sleep(slice);
-                    slept += slice;
-                }
-            }
+        heartbeat::Heartbeat::start(cadence, move |pulse| {
+            // A refused renewal means the lease lapsed and the range was
+            // reassigned. Keep computing anyway — uploads are
+            // idempotent, so a duplicate completion is harmless — but
+            // stop beating a dead lease.
+            while !matches!(client.heartbeat(lease), Ok(false)) && pulse.wait() {}
         })
     };
     let result = execute_lease(grant, jobs);
-    stop.store(true, Ordering::Relaxed);
-    let _ = beat.join();
+    beat.stop();
     let result = match result {
         Ok(result) => result,
         Err(e) => {

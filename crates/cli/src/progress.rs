@@ -10,8 +10,8 @@
 //! `/v1/metrics` endpoint, parses the Prometheus text exposition, and
 //! renders a live fleet view with delta-based rates.
 
+use crate::heartbeat::{Heartbeat, Pulse};
 use std::io::IsTerminal;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use transform_par::{AxiomState, ProgressSnapshot, ProgressState};
@@ -46,52 +46,35 @@ pub fn parse_progress(flag: Option<Option<String>>) -> Result<Option<ProgressMod
 
 /// Streams a run's progress to stderr until [`Reporter::finish`].
 pub struct Reporter {
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    heartbeat: Heartbeat,
 }
 
 impl Reporter {
     /// Starts the reporter thread over `progress`.
     pub fn start(progress: Arc<ProgressState>, mode: ProgressMode) -> Reporter {
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || report_loop(&progress, mode, &stop))
+        let tty = std::io::stderr().is_terminal();
+        let tick = match (mode, tty) {
+            (ProgressMode::Human, true) => Duration::from_millis(250),
+            (ProgressMode::Human, false) => Duration::from_secs(2),
+            (ProgressMode::Json, _) => Duration::from_millis(500),
         };
         Reporter {
-            stop,
-            thread: Some(thread),
+            heartbeat: Heartbeat::start(tick, move |pulse| {
+                report_loop(&progress, mode, tty, &pulse)
+            }),
         }
     }
 
     /// Stops the thread and emits the final frame (the run's settled
     /// counters — the same numbers its `StreamMetrics` reports).
     pub fn finish(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-impl Drop for Reporter {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
+        self.heartbeat.stop();
     }
 }
 
 /// The reporter thread: tick, render, and on stop render once more so
 /// the last frame always shows the settled counters.
-fn report_loop(progress: &ProgressState, mode: ProgressMode, stop: &AtomicBool) {
-    let tty = std::io::stderr().is_terminal();
-    let tick = match (mode, tty) {
-        (ProgressMode::Human, true) => Duration::from_millis(250),
-        (ProgressMode::Human, false) => Duration::from_secs(2),
-        (ProgressMode::Json, _) => Duration::from_millis(500),
-    };
+fn report_loop(progress: &ProgressState, mode: ProgressMode, tty: bool, pulse: &Pulse) {
     let mut drawn_lines = 0usize;
     let emit = |drawn: &mut usize| {
         let snap = progress.snapshot();
@@ -116,14 +99,10 @@ fn report_loop(progress: &ProgressState, mode: ProgressMode, stop: &AtomicBool) 
             ProgressMode::Human => eprintln!("{}", render_line(&snap)),
         }
     };
-    while !stop.load(Ordering::Relaxed) {
+    loop {
         emit(&mut drawn_lines);
-        // Sleep in small slices so finish() never waits a whole tick.
-        let mut slept = Duration::ZERO;
-        while slept < tick && !stop.load(Ordering::Relaxed) {
-            let slice = Duration::from_millis(25).min(tick - slept);
-            std::thread::sleep(slice);
-            slept += slice;
+        if !pulse.wait() {
+            break;
         }
     }
     // The settled frame. On a TTY the panel was live-redrawn; plain and

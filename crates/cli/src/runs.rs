@@ -12,8 +12,8 @@
 //! sealed suites are byte-identical with and without it (the par and
 //! CLI test suites hold that line).
 
+use crate::heartbeat::Heartbeat;
 use crate::progress::{fmt_secs, json_str};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 use transform_par::{AxiomState, JournalEventKind, ProgressSnapshot, ProgressState};
@@ -62,8 +62,7 @@ impl ManifestHead {
 /// Records one synthesis run into a store (and optionally a remote
 /// `transform serve` tier) while it executes.
 pub struct JournalRecorder {
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    heartbeat: Heartbeat,
     store: Store,
     remote: Option<HttpTier>,
     progress: Arc<ProgressState>,
@@ -109,40 +108,28 @@ impl JournalRecorder {
             jobs,
             started_unix_micros: now_micros(),
         };
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
+        let heartbeat = {
             let (store, remote) = (open()?, connect(url)?);
-            let (stop, head, progress) = (Arc::clone(&stop), head.clone(), Arc::clone(&progress));
-            std::thread::spawn(move || {
-                loop {
-                    let journal = RunJournal {
-                        manifest: head.manifest(RunOutcome::Running, &progress.snapshot()),
-                        events: Vec::new(),
-                    };
-                    // Best-effort on both tiers: a full disk or an
-                    // unreachable remote never disturbs the run.
-                    if store.write_run(&journal).is_ok() {
-                        if let Some(remote) = &remote {
-                            remote.publish_run(head.id, &encode_run(&journal)).ok();
-                        }
+            let (head, progress) = (head.clone(), Arc::clone(&progress));
+            Heartbeat::start(Self::HEARTBEAT, move |pulse| loop {
+                let journal = RunJournal {
+                    manifest: head.manifest(RunOutcome::Running, &progress.snapshot()),
+                    events: Vec::new(),
+                };
+                // Best-effort on both tiers: a full disk or an
+                // unreachable remote never disturbs the run.
+                if store.write_run(&journal).is_ok() {
+                    if let Some(remote) = &remote {
+                        remote.publish_run(head.id, &encode_run(&journal)).ok();
                     }
-                    // Sleep in small slices so finish() never waits a
-                    // whole heartbeat.
-                    let mut slept = Duration::ZERO;
-                    while slept < Self::HEARTBEAT {
-                        if stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        let slice = Duration::from_millis(25).min(Self::HEARTBEAT - slept);
-                        std::thread::sleep(slice);
-                        slept += slice;
-                    }
+                }
+                if !pulse.wait() {
+                    break;
                 }
             })
         };
         Ok(JournalRecorder {
-            stop,
-            thread: Some(thread),
+            heartbeat,
             store,
             remote,
             progress,
@@ -155,10 +142,7 @@ impl JournalRecorder {
     /// otherwise) plus the run's full drained event stream. Returns the
     /// run id.
     pub fn finish(mut self) -> u64 {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
+        self.heartbeat.stop();
         let snap = self.progress.snapshot();
         let outcome = if snap.cut_at_partition.is_some() {
             RunOutcome::Cut
@@ -178,15 +162,6 @@ impl JournalRecorder {
             Err(e) => eprintln!("transform: run journal not recorded: {e}"),
         }
         self.head.id
-    }
-}
-
-impl Drop for JournalRecorder {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
     }
 }
 
@@ -396,9 +371,10 @@ pub fn render_run_show(journal: &RunJournal) -> String {
 
 /// One Chrome trace-event JSON document (`about://tracing`,
 /// Perfetto's legacy loader) for a run journal: per-axiom named
-/// threads, an `X` complete event per examine batch (on the run lane
-/// when the batch covers every axiom), a cumulative retired-mass
-/// counter, and instants for the structural transitions.
+/// threads, an `X` complete event per enumeration task and per examine
+/// batch (on the run lane when the batch covers every axiom), a
+/// cumulative retired-mass counter, and instants for the structural
+/// transitions.
 pub fn chrome_trace(journal: &RunJournal) -> String {
     let m = &journal.manifest;
     let mut events: Vec<String> = Vec::with_capacity(journal.events.len() + m.axioms.len() + 2);
@@ -431,6 +407,18 @@ pub fn chrome_trace(journal: &RunJournal) -> String {
                 events.push(format!(
                     "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{},\
                      \"name\":\"examine_batch\",\"args\":{{\"items\":{},\"found\":{}}}}}",
+                    ev.t_micros.saturating_sub(ev.c),
+                    ev.c.max(1),
+                    ev.a,
+                    ev.b,
+                ));
+            }
+            JournalEventKind::PartitionEnumerated => {
+                // Recorded when the task resolved, with its duration in
+                // `c` (0 in journals written before tasks).
+                events.push(format!(
+                    "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{},\
+                     \"name\":\"enumerate\",\"args\":{{\"first\":{},\"programs\":{}}}}}",
                     ev.t_micros.saturating_sub(ev.c),
                     ev.c.max(1),
                     ev.a,
@@ -663,12 +651,20 @@ mod tests {
                     c: 120,
                 },
                 JournalEvent {
+                    t_micros: 550,
+                    kind: JournalEventKind::PartitionEnumerated,
+                    axiom: None,
+                    a: 0,
+                    b: 7,
+                    c: 200,
+                },
+                JournalEvent {
                     t_micros: 600,
                     kind: JournalEventKind::PartitionRetired,
                     axiom: None,
                     a: 0,
                     b: 25,
-                    c: 0,
+                    c: 3,
                 },
             ],
         };
@@ -679,6 +675,14 @@ mod tests {
         assert!(
             trace.contains("\"ts\":380,\"dur\":120"),
             "batch span misplaced: {trace}"
+        );
+        // So does the enumeration task's, on the run lane.
+        assert!(
+            trace.contains(
+                "\"tid\":0,\"ts\":350,\"dur\":200,\"name\":\"enumerate\",\
+                 \"args\":{\"first\":0,\"programs\":7}"
+            ),
+            "enumerate span misplaced: {trace}"
         );
         assert!(trace.contains("\"mass\":25"), "{trace}");
         assert!(trace.contains("\"outcome\":\"cut\""), "{trace}");

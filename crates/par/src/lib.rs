@@ -16,11 +16,12 @@
 //!
 //! 1. **Plan ∥ Examine** — the program space is split by *root shape*
 //!    into independently enumerable partitions
-//!    ([`transform_synth::programs::EnumSpace`]); partitions are pool
-//!    tasks alongside examine batches, so workers generate, canonically
-//!    key, and examine programs concurrently ([`stream`]). Partitions
-//!    are *admitted* strictly in ordinal order through a dedup frontier
-//!    — the same first-occurrence scan the sequential planner runs — so
+//!    ([`transform_synth::programs::EnumSpace`]); runs of consecutive
+//!    partitions of about 256 subtree-mass nodes are pool tasks
+//!    alongside examine batches, so workers generate, canonically key,
+//!    and examine programs concurrently ([`stream`]). Partitions are
+//!    *admitted* strictly in ordinal order through a dedup frontier —
+//!    the same first-occurrence scan the sequential planner runs — so
 //!    plan indices never depend on scheduling. Each examine batch
 //!    covers every axiom of the run: on the explicit backend one
 //!    [`transform_synth::Examiner`] walks each program's candidates
@@ -44,8 +45,11 @@
 //! partition is one root (first-thread) shape of the
 //! enumeration recursion; the space counts each partition's subtree
 //! nodes once when it is built ([`EnumSpace::masses`]), and the
-//! pipeline, the progress ETA, the run journal and the fleet's range
-//! plan all read those masses. The sequential engine
+//! pipeline's task sizes, the progress ETA, the run journal and the
+//! fleet's range plan all read those masses. Enumeration tasks stay
+//! inside the pool: dedup order, plan indices, deadline cuts and fleet
+//! ranges count partitions, and the run journal records one
+//! enumerated/retired event pair per task. The sequential engine
 //! ([`transform_synth::synthesize_suite`]) is the reference every
 //! parallel run reproduces.
 //!

@@ -1,11 +1,11 @@
 //! Live telemetry for streamed synthesis runs.
 //!
 //! A [`ProgressState`] is a block of atomics the fused pipeline
-//! ([`crate::stream`]) publishes into as partitions retire and examine
-//! batches drain — partitions and subtree mass retired (against the
-//! totals from [`EnumSpace::masses`]), programs admitted through the
-//! dedup frontier, the frontier's depth, live/peak candidate counts,
-//! and per-axiom batch/item/ELT counters. Observers (the CLI's
+//! ([`crate::stream`]) publishes into as enumeration tasks retire and
+//! examine batches drain — partitions and subtree mass retired (against
+//! the totals from [`EnumSpace::masses`]), programs admitted through the
+//! dedup frontier, the frontier's depth in tasks, live/peak candidate
+//! counts, and per-axiom batch/item/ELT counters. Observers (the CLI's
 //! `--progress` reporter) poll [`ProgressState::snapshot`] from any
 //! thread without touching the pipeline's lock; the pipeline itself
 //! writes with relaxed stores from inside lock-held transitions, so
@@ -84,25 +84,36 @@ impl AxiomState {
 ///
 /// The payload fields `a`/`b`/`c` are kind-specific (documented per
 /// variant); unused ones are zero.
+///
+/// The pipeline enumerates and admits root partitions in tasks — runs
+/// of consecutive partitions of about 256 subtree-mass nodes — so the
+/// partition events come one pair per task, and a journal's size
+/// follows the work rather than the number of root shapes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum JournalEventKind {
     /// The fused run bound its space: `a` = partition count, `b` =
     /// total subtree mass, `c` = worker count.
     RunStart,
-    /// One partition was enumerated (materialized): `a` = its ordinal,
-    /// `b` = programs delivered.
+    /// One enumeration task was materialized: `a` = its first
+    /// partition ordinal, `b` = programs delivered, `c` = the task's
+    /// wall-clock in microseconds (so `t_micros - c` is its start;
+    /// journals written before tasks carry `c` = 0).
     PartitionEnumerated,
-    /// The dedup frontier admitted one partition: `a` = its ordinal,
-    /// `b` = its subtree mass.
+    /// The dedup frontier admitted one task's partitions: `a` = its
+    /// first partition ordinal, `b` = their summed subtree mass (the
+    /// `b`s of a run sum to its retired mass), `c` = partitions admitted
+    /// (fewer than the task's when the deadline cut it; 0 in journals
+    /// written before tasks, which admitted one partition per event).
     PartitionRetired,
     /// One examine batch retired, for every axiom of the run at once
     /// (journaled without an axiom): `a` = plan items examined, `b` =
     /// suite members found across all axioms, `c` = batch wall-clock in
     /// microseconds (so `t_micros - c` is the batch's start).
     BatchExamined,
-    /// Out-of-order delivery head-blocked the dedup frontier past the
-    /// lookahead window: `a` = the frontier ordinal being waited on,
-    /// `b` = partitions queued behind it.
+    /// A worker found the lookahead window full behind an unfinished
+    /// frontier task, with nothing to examine, and had to wait: `a` =
+    /// the frontier partition ordinal being waited on, `b` = enumerated
+    /// tasks queued behind it. Recorded once per wait.
     FrontierStall,
     /// `axiom`'s whole schedule retired cleanly.
     AxiomComplete,
@@ -447,7 +458,8 @@ pub struct ProgressSnapshot {
     /// Plan items produced by the admitter (write-bearing first
     /// occurrences — each examined once for every axiom).
     pub items_planned: usize,
-    /// Enumerated partitions queued behind the in-order frontier.
+    /// Enumerated tasks (runs of root partitions) queued behind the
+    /// in-order frontier.
     pub frontier_depth: usize,
     /// Candidate programs currently materialized.
     pub live_candidates: usize,

@@ -4,12 +4,24 @@
 //!
 //! The two-phase orchestrator (plan everything, then examine) keeps the
 //! pool idle behind a single-threaded, memory-hungry enumeration pass.
-//! Here the enumeration's prefix partitions ([`EnumSpace`]) are
-//! themselves pool tasks: workers alternate between *enumerating* a
-//! partition (materializing its programs with canonical keys, computed
-//! once) and *examining* a batch of admitted plan items, so SAT and
-//! relational solving start while later partitions are still being
-//! generated and peak live candidates stay bounded by partition size.
+//! Here the enumeration's root partitions ([`EnumSpace`]) are
+//! enumerated by pool tasks: workers alternate between *enumerating* a
+//! task (materializing its partitions' programs with canonical keys,
+//! computed once) and *examining* a batch of admitted plan items, so
+//! SAT and relational solving start while later partitions are still
+//! being generated and peak live candidates stay bounded by task size.
+//!
+//! # Enumeration tasks
+//!
+//! Most root partitions are tiny and emit nothing, so one enumeration
+//! task is a run of consecutive partitions `[lo, hi)` whose subtree
+//! masses ([`EnumSpace::masses`]) sum to about 256 nodes; a heavier
+//! partition is a task by itself. A task is enumerated by one worker,
+//! admitted in one lock transition and journaled as one event pair.
+//! Tasks are a pure function of the space and never cross either end
+//! of the examine range, so partition ordinals stay the unit everywhere
+//! outside the pool: dedup order, plan indices, deadline cuts, retired
+//! mass and fleet ranges.
 //!
 //! # The fused cross-axiom run
 //!
@@ -28,8 +40,8 @@
 //!
 //! Every enumerated program has a stable position `(partition ordinal,
 //! offset)` that is a pure function of the space — never of scheduling.
-//! Partitions may be *enumerated* out of order, but they are *admitted*
-//! strictly in ordinal order through the admitter — the same
+//! Tasks may be *enumerated* out of order, but their partitions are
+//! *admitted* strictly in ordinal order through the admitter — the same
 //! first-occurrence-per-canonical-key scan the sequential planner runs —
 //! so plan indices, dedup outcomes, and therefore every per-axiom suite
 //! are byte-identical to the sequential engine at every worker count
@@ -37,8 +49,9 @@
 //!
 //! # Deadlines
 //!
-//! A deadline cuts the plan at partition granularity: the first
-//! partition whose worker observed the expiry is recorded
+//! A deadline cuts the plan at partition granularity: a worker stops
+//! its task before the first partition whose enumeration saw the
+//! expiry, that partition is recorded
 //! ([`StreamMetrics::cut_at_partition`]), every partition below it is
 //! fully planned, and everything from it on is dropped — a timed-out
 //! plan is a well-defined prefix of the deadline-free plan, not a
@@ -53,10 +66,11 @@
 //! each retired batch reports its items/second, and the tuner sizes the
 //! next batches to a fixed wall-clock slice — cheap bounds get large
 //! batches (incremental-solver reuse), expensive ones get small,
-//! stealable batches. The size never changes any result, only
-//! scheduling.
+//! stealable batches. Chunks never span partitions. The size never
+//! changes any result, only scheduling.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use transform_core::axiom::Mtm;
@@ -95,10 +109,11 @@ pub struct StreamMetrics {
     /// Peak number of simultaneously materialized candidate programs
     /// (enumerated but not yet examined, or dropped) —
     /// bounded by the lookahead window (twice the worker count) times
-    /// the largest partition, not by the size of the enumeration.
+    /// the largest enumeration task, not by the size of the
+    /// enumeration.
     ///
-    /// Exact on timed-out runs too: a partition that was materialized
-    /// and then discarded by the deadline cut (resolved behind the cut
+    /// Exact on timed-out runs too: a task that was materialized and
+    /// then discarded by the deadline cut (resolved behind the cut
     /// point, or delivered after expiry) is counted at its moment of
     /// materialization, and the discarded tail leaves the live count
     /// the moment it is dropped.
@@ -279,20 +294,56 @@ struct Batch {
     items: Vec<WorkItem>,
 }
 
+/// Subtree mass (shape-combination nodes, [`EnumSpace::masses`]) one
+/// enumeration task gathers: consecutive root partitions join a task
+/// until their masses reach it. Most root partitions are a handful of
+/// nodes and emit nothing; grouping them keeps the pipeline's lock
+/// transitions and journal events proportional to the enumeration's
+/// work rather than to the number of root shapes.
+const TASK_MASS: u64 = 256;
+
+/// The end of the enumeration task that starts at partition `lo`:
+/// partitions join while the task's summed mass is under
+/// [`TASK_MASS`], so a partition heavier than that starts a task of its
+/// own. A task never crosses `range.0` — a range run admits its
+/// prefix in tasks of its own, and records the programs below the
+/// range exactly — nor `range.1`. Tasks are therefore a pure function
+/// of the space and the range, never of scheduling.
+fn task_end(masses: &[u64], lo: usize, range: (usize, usize)) -> usize {
+    let limit = if lo < range.0 { range.0 } else { range.1 };
+    let mut hi = lo;
+    let mut mass = 0u64;
+    while hi < limit && mass < TASK_MASS {
+        mass = mass.saturating_add(masses[hi]);
+        hi += 1;
+    }
+    hi
+}
+
 enum Task {
-    Enumerate(usize),
+    /// Enumerate the partitions of this ordinal range, in order.
+    Enumerate(Range<usize>),
     Examine(Batch),
 }
 
+/// An enumerated task waiting for the frontier: the programs of each
+/// partition its worker finished, in ordinal order from the task's
+/// first. Fewer lists than partitions mean the deadline cut the task
+/// at partition `first + parts.len()`.
+struct Enumerated {
+    end: usize,
+    parts: Vec<Vec<KeyedProgram>>,
+}
+
 struct State {
-    /// Next partition ordinal to hand out.
+    /// First partition of the next task to hand out.
     next_enum: usize,
-    /// Partitions handed out but not yet resolved.
+    /// Tasks handed out but not yet resolved.
     enumerating: usize,
-    /// Enumerated partitions waiting for the frontier (`None` = cut by
-    /// the deadline).
-    resolved: BTreeMap<usize, Option<Vec<KeyedProgram>>>,
-    /// Next ordinal the admitter must process.
+    /// Enumerated tasks waiting for the frontier, by first partition.
+    resolved: BTreeMap<usize, Enumerated>,
+    /// Next partition ordinal the admitter must process (always the
+    /// first partition of a task).
     frontier: usize,
     /// First partition the deadline cut, if any.
     cut_at: Option<usize>,
@@ -341,13 +392,14 @@ struct Pipeline<'s> {
     /// more axioms than this run covers — cache hits, for one).
     slots: Vec<usize>,
     deadline: Option<Instant>,
-    /// Lookahead backpressure: partitions may be *enumerated* at most
-    /// this far beyond the dedup frontier. Without it, one slow head
-    /// partition would let the other workers buffer the entire rest of
-    /// the space ahead of the stalled frontier — peak live candidates
-    /// would degrade to the full enumeration, exactly what streaming is
-    /// meant to avoid. With it, live candidates are bounded by
-    /// `window` × the largest partition, independent of the bound.
+    /// Lookahead backpressure: at most this many tasks, counting the
+    /// frontier's own, may be out (enumerating, or enumerated and
+    /// waiting for the dedup frontier). Without it, one slow head task
+    /// would let the other workers buffer the entire rest of the space
+    /// ahead of the stalled frontier — peak live candidates would
+    /// degrade to the full enumeration, exactly what streaming is meant
+    /// to avoid. With it, live candidates are bounded by `window` × the
+    /// largest task, independent of the bound.
     window: usize,
     /// The partition-ordinal range this run *examines*: items admitted
     /// from partitions below `range.0` are dropped after feeding the
@@ -460,18 +512,32 @@ impl<'s> Pipeline<'s> {
     /// produce further work.
     fn next_task(&self) -> Option<Task> {
         let mut st = self.state.lock().expect("pipeline lock is never poisoned");
+        let mut stalled = false;
         loop {
             if let Some(batch) = st.exam.pop_front() {
                 return Some(Task::Examine(batch));
             }
-            if !st.expired
-                && st.next_enum < self.range.1
-                && st.next_enum < st.frontier + self.window
-            {
-                let ord = st.next_enum;
-                st.next_enum += 1;
-                st.enumerating += 1;
-                return Some(Task::Enumerate(ord));
+            if !st.expired && st.next_enum < self.range.1 {
+                if st.enumerating + st.resolved.len() < self.window {
+                    let lo = st.next_enum;
+                    st.next_enum = task_end(self.space.masses(), lo, self.range);
+                    st.enumerating += 1;
+                    return Some(Task::Enumerate(lo..st.next_enum));
+                }
+                // Head-of-line blocking: the window is full behind an
+                // unfinished frontier task and nothing is left to
+                // examine, so this worker idles. Journaled once per
+                // wait, not per wake-up.
+                if !stalled {
+                    stalled = true;
+                    self.progress.record(
+                        JournalEventKind::FrontierStall,
+                        None,
+                        st.frontier as u64,
+                        st.resolved.len() as u64,
+                        0,
+                    );
+                }
             }
             let enumeration_settled = st.expired || st.enum_settled(self.range.1);
             if enumeration_settled && st.exam.is_empty() {
@@ -481,123 +547,124 @@ impl<'s> Pipeline<'s> {
         }
     }
 
-    /// One partition's outcome: its programs, or `None` when its worker
-    /// saw the deadline expired before enumerating it.
-    fn resolve(&self, ordinal: usize, outcome: Option<Vec<KeyedProgram>>) {
+    /// One task's outcome: the programs of each partition of `task` its
+    /// worker enumerated before seeing the deadline, in order. A short
+    /// list cuts the plan at the first partition left out, once the
+    /// frontier reaches it. `elapsed` is the task's enumeration time.
+    fn resolve(&self, task: Range<usize>, parts: Vec<Vec<KeyedProgram>>, elapsed: Duration) {
         let mut st = self.state.lock().expect("pipeline lock is never poisoned");
         st.enumerating -= 1;
-        if let Some(keyed) = &outcome {
+        let delivered: usize = parts.iter().map(Vec::len).sum();
+        if !parts.is_empty() {
             self.progress.record(
                 JournalEventKind::PartitionEnumerated,
                 None,
-                ordinal as u64,
-                keyed.len() as u64,
-                0,
+                task.start as u64,
+                delivered as u64,
+                elapsed.as_micros() as u64,
             );
         }
         if st.expired {
-            // Everything past the cut is discarded — but this partition
-            // *was* materialized, so it still counts toward the peak
+            // Everything past the cut is discarded — but these programs
+            // *were* materialized, so they still count toward the peak
             // (the whole point of `peak_live_candidates` is memory
             // pressure, and these programs existed).
-            if let Some(keyed) = &outcome {
-                st.peak_live = st.peak_live.max(st.live + keyed.len());
-            }
+            st.peak_live = st.peak_live.max(st.live + delivered);
             self.publish(&st);
             self.cv.notify_all();
             return;
         }
-        if let Some(keyed) = &outcome {
-            st.live += keyed.len();
-            st.peak_live = st.peak_live.max(st.live);
-        }
-        st.resolved.insert(ordinal, outcome);
+        st.live += delivered;
+        st.peak_live = st.peak_live.max(st.live);
+        st.resolved.insert(
+            task.start,
+            Enumerated {
+                end: task.end,
+                parts,
+            },
+        );
         // Advance the frontier: admit in strict ordinal order.
-        while let Some(entry) = {
+        while let Some(Enumerated { end, parts }) = {
             let frontier = st.frontier;
             st.resolved.remove(&frontier)
         } {
-            match entry {
-                None => {
-                    // The deadline's cut reached the frontier: the plan
-                    // ends here, reproducibly — for every axiom at once.
-                    st.cut_at = Some(st.frontier);
-                    self.progress
-                        .record(JournalEventKind::Cut, None, st.frontier as u64, 0, 0);
-                    Self::expire(&mut st);
-                    break;
-                }
-                Some(keyed) => {
-                    let delivered = keyed.len();
-                    let mut items = st.admitter.admit(keyed);
-                    st.live -= delivered - items.len(); // dropped by dedup
-                    let mass = self.space.masses()[st.frontier];
-                    st.mass_retired = st.mass_retired.saturating_add(mass);
-                    self.progress.record(
-                        JournalEventKind::PartitionRetired,
-                        None,
-                        st.frontier as u64,
-                        mass,
-                        0,
-                    );
-                    if st.frontier < self.range.0 {
-                        // Below the leased range: this prefix partition
-                        // only feeds the dedup frontier so plan indices
-                        // stay global; nothing here is examined.
-                        st.live -= items.len();
-                        items.clear();
-                    }
-                    let target = st.tuner.target_weight();
-                    while !items.is_empty() {
-                        let take = match target {
-                            // Greedy mass-weighted split: take items
-                            // until the chunk's examination weight
-                            // reaches the calibrated 50ms target.
-                            Some(tw) => {
-                                let mut weight = 0.0f64;
-                                let mut n = 0usize;
-                                while n < items.len()
-                                    && n < MAX_BATCH
-                                    && (n < MIN_BATCH || weight < tw)
-                                {
-                                    weight += item_weight(&items[n]) as f64;
-                                    n += 1;
-                                }
-                                n
-                            }
-                            None => st.tuner.batch_size(),
-                        };
-                        let rest = items.split_off(take.min(items.len()).max(1));
-                        let chunk = std::mem::replace(&mut items, rest);
-                        let shard = st.next_shard;
-                        st.next_shard += 1;
-                        // One batch per chunk, covering every axiom.
-                        st.exam.push_back(Batch {
-                            shard,
-                            items: chunk,
-                        });
-                        st.batches += 1;
-                    }
-                    st.frontier += 1;
-                    if st.frontier == self.range.0 {
-                        st.programs_below_range = st.admitter.programs;
-                    }
-                }
+            let (first, mass_before) = (st.frontier, st.mass_retired);
+            let complete = first + parts.len() == end;
+            for keyed in parts {
+                self.admit_partition(&mut st, keyed);
             }
-        }
-        // Head-of-line blocking: out-of-order delivery filled the whole
-        // lookahead window behind a straggler frontier partition.
-        if st.resolved.len() >= self.window && !st.expired {
-            self.progress.record(
-                JournalEventKind::FrontierStall,
-                None,
-                st.frontier as u64,
-                st.resolved.len() as u64,
-                0,
-            );
+            if st.frontier > first {
+                self.progress.record(
+                    JournalEventKind::PartitionRetired,
+                    None,
+                    first as u64,
+                    st.mass_retired - mass_before,
+                    (st.frontier - first) as u64,
+                );
+            }
+            if !complete {
+                // The deadline's cut reached the frontier: the plan
+                // ends here, reproducibly — for every axiom at once.
+                st.cut_at = Some(st.frontier);
+                self.progress
+                    .record(JournalEventKind::Cut, None, st.frontier as u64, 0, 0);
+                Self::expire(&mut st);
+                break;
+            }
         }
         self.publish(&st);
         self.cv.notify_all();
+    }
+
+    /// Admits the frontier partition's programs and queues its plan
+    /// items as examine batches. Each partition is chunked on its own,
+    /// so a batch never spans two root shapes (and a task's programs
+    /// never stay live as one run).
+    fn admit_partition(&self, st: &mut State, keyed: Vec<KeyedProgram>) {
+        let delivered = keyed.len();
+        let mut items = st.admitter.admit(keyed);
+        st.live -= delivered - items.len(); // dropped by dedup
+        let mass = self.space.masses()[st.frontier];
+        st.mass_retired = st.mass_retired.saturating_add(mass);
+        if st.frontier < self.range.0 {
+            // Below the leased range: this prefix partition only feeds
+            // the dedup frontier so plan indices stay global; nothing
+            // here is examined.
+            st.live -= items.len();
+            items.clear();
+        }
+        let target = st.tuner.target_weight();
+        while !items.is_empty() {
+            let take = match target {
+                // Greedy mass-weighted split: take items until the
+                // chunk's examination weight reaches the calibrated
+                // 50ms target.
+                Some(tw) => {
+                    let mut weight = 0.0f64;
+                    let mut n = 0usize;
+                    while n < items.len() && n < MAX_BATCH && (n < MIN_BATCH || weight < tw) {
+                        weight += item_weight(&items[n]) as f64;
+                        n += 1;
+                    }
+                    n
+                }
+                None => st.tuner.batch_size(),
+            };
+            let rest = items.split_off(take.min(items.len()).max(1));
+            let chunk = std::mem::replace(&mut items, rest);
+            let shard = st.next_shard;
+            st.next_shard += 1;
+            // One batch per chunk, covering every axiom.
+            st.exam.push_back(Batch {
+                shard,
+                items: chunk,
+            });
+            st.batches += 1;
+        }
+        st.frontier += 1;
+        if st.frontier == self.range.0 {
+            st.programs_below_range = st.admitter.programs;
+        }
     }
 
     /// One batch retired (possibly cut short by the deadline): the run's
@@ -649,13 +716,13 @@ impl<'s> Pipeline<'s> {
 
     /// The deadline struck: discard all queued work, with exact live
     /// accounting for the discarded tail — enumerated-but-unadmitted
-    /// partitions and queued batches leave the live count now; in-flight
+    /// tasks and queued batches leave the live count now; in-flight
     /// batches leave it in [`Pipeline::batch_done`]. An expired run
     /// never completes.
     fn expire(st: &mut State) {
         st.expired = true;
-        for (_, outcome) in std::mem::take(&mut st.resolved) {
-            if let Some(keyed) = outcome {
+        for (_, task) in std::mem::take(&mut st.resolved) {
+            for keyed in task.parts {
                 st.live = st.live.saturating_sub(keyed.len());
             }
         }
@@ -678,24 +745,32 @@ struct RunCtx<'r> {
     sinks: &'r [&'r dyn SuiteSink],
 }
 
-/// One pool worker: alternates between enumerating partitions and
-/// examining batches until the pipeline drains.
+/// One pool worker: alternates between enumerating tasks and examining
+/// batches until the pipeline drains.
 fn worker(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>) {
     while let Some(task) = pipeline.next_task() {
         match task {
-            Task::Enumerate(ordinal) => {
-                // Enumeration honors the deadline inside the partition
-                // too; a partition whose enumeration saw the expiry is
-                // partial, so its output is discarded and the partition
-                // counts as cut — the plan stays a reproducible prefix.
-                let outcome = (!pipeline.past_deadline())
-                    .then(|| {
-                        pipeline
-                            .space
-                            .enumerate_keyed_within(ordinal, pipeline.deadline)
-                    })
-                    .filter(|_| !pipeline.past_deadline());
-                pipeline.resolve(ordinal, outcome);
+            Task::Enumerate(task) => {
+                let start = Instant::now();
+                let mut parts = Vec::with_capacity(task.len());
+                for ordinal in task.clone() {
+                    // Enumeration honors the deadline inside a partition
+                    // too; a partition whose enumeration saw the expiry
+                    // is partial, so the task ends before it and the
+                    // partition counts as cut — the plan stays a
+                    // reproducible prefix.
+                    if pipeline.past_deadline() {
+                        break;
+                    }
+                    let keyed = pipeline
+                        .space
+                        .enumerate_keyed_within(ordinal, pipeline.deadline);
+                    if pipeline.past_deadline() {
+                        break;
+                    }
+                    parts.push(keyed);
+                }
+                pipeline.resolve(task, parts, start.elapsed());
             }
             Task::Examine(batch) => examine_batch(pipeline, ctx, &batch),
         }
@@ -970,34 +1045,122 @@ mod tests {
         }
     }
 
-    /// Out-of-order delivery with a cut partition: the frontier admits
-    /// the prefix below the cut and drops everything from it on.
-    #[test]
-    fn frontier_cuts_reproducibly_on_out_of_order_delivery() {
-        let eo = enum_opts(4, true);
-        let space = EnumSpace::new(&eo);
-        assert!(space.partition_count() >= 3, "space too small for the test");
-        let pipeline = Pipeline::new(&space, &["a"], None, None, 2, None);
-        // Claim the first three enumeration tasks.
-        for expect in 0..3 {
-            match pipeline.next_task() {
-                Some(Task::Enumerate(ord)) => assert_eq!(ord, expect),
+    /// Every task from partition 0 up to `range.1`, as the pipeline
+    /// hands them out.
+    fn tasks_of(space: &EnumSpace, range: (usize, usize)) -> Vec<Range<usize>> {
+        let mut tasks = Vec::new();
+        let mut lo = 0;
+        while lo < range.1 {
+            let hi = task_end(space.masses(), lo, range);
+            tasks.push(lo..hi);
+            lo = hi;
+        }
+        tasks
+    }
+
+    /// Claims the next `n` tasks, which must all be enumeration tasks
+    /// that continue one another.
+    fn claim_tasks(pipeline: &Pipeline<'_>, n: usize) -> Vec<Range<usize>> {
+        let mut next = pipeline.state.lock().expect("lock").next_enum;
+        (0..n)
+            .map(|_| match pipeline.next_task() {
+                Some(Task::Enumerate(task)) => {
+                    assert_eq!(task.start, next, "tasks continue one another");
+                    next = task.end;
+                    task
+                }
                 _ => panic!("expected an enumeration task"),
+            })
+            .collect()
+    }
+
+    /// Every partition of `task`, enumerated.
+    fn enumerate(space: &EnumSpace, task: &Range<usize>) -> Vec<Vec<KeyedProgram>> {
+        task.clone().map(|p| space.enumerate_keyed(p)).collect()
+    }
+
+    /// Resolves `task` with every one of its partitions enumerated.
+    fn deliver(pipeline: &Pipeline<'_>, task: &Range<usize>) {
+        pipeline.resolve(
+            task.clone(),
+            enumerate(pipeline.space, task),
+            Duration::ZERO,
+        );
+    }
+
+    /// Tasks tile every range of the space in order, each gathering at
+    /// least [`TASK_MASS`] unless it ends at either end of the range or
+    /// is one heavier partition, and none crosses the range's start.
+    /// With fences and RMW, bounds 4 / 5 / 6 make 3 / 19 / 147 tasks of
+    /// 483 / 3,798 / 33,044 partitions.
+    #[test]
+    fn tasks_tile_the_space_by_mass() {
+        for (bound, partitions, pinned) in [(4, 483, 3), (5, 3_798, 19), (6, 33_044, 147)] {
+            let space = EnumSpace::new(&EnumOptions::new(bound));
+            let masses = space.masses();
+            let n = space.partition_count();
+            assert_eq!(n, partitions, "bound {bound}");
+            assert_eq!(tasks_of(&space, (0, n)).len(), pinned, "bound {bound}");
+            for range in [
+                (0, n),
+                (n / 3, n),
+                (0, n / 2),
+                (n / 3, 2 * n / 3),
+                (n / 2, n / 2),
+            ] {
+                let mut next = 0;
+                for task in tasks_of(&space, range) {
+                    assert_eq!(task.start, next, "bound {bound} {range:?}: in order");
+                    assert!(task.start < task.end, "bound {bound} {range:?}: empty task");
+                    assert!(
+                        task.end <= range.0 || task.start >= range.0,
+                        "bound {bound} {range:?}: {task:?} crosses the range start"
+                    );
+                    let mass: u64 = masses[task.clone()].iter().sum();
+                    let heavy = task.len() == 1 && masses[task.start] > TASK_MASS;
+                    assert!(
+                        mass >= TASK_MASS || task.end == range.0 || task.end == range.1 || heavy,
+                        "bound {bound} {range:?}: {task:?} holds only {mass}"
+                    );
+                    next = task.end;
+                }
+                assert_eq!(next, range.1, "bound {bound} {range:?}: tiles the range");
             }
         }
-        // Deliver 2 first, cut 1, then deliver 0: only partition 0 may
-        // be admitted, and the cut lands at ordinal 1.
-        pipeline.resolve(2, Some(space.enumerate_keyed(2)));
-        pipeline.resolve(1, None);
-        pipeline.resolve(0, Some(space.enumerate_keyed(0)));
+    }
+
+    /// Out-of-order delivery with a task cut before its first
+    /// partition: the frontier admits the tasks below the cut and drops
+    /// everything from it on.
+    #[test]
+    fn frontier_cuts_reproducibly_on_out_of_order_delivery() {
+        let space = EnumSpace::new(&EnumOptions::new(5));
+        let pipeline = Pipeline::new(&space, &["a"], None, None, 2, None);
+        let tasks = claim_tasks(&pipeline, 4);
+        // Deliver task 3, cut task 2, then deliver tasks 1 and 0: only
+        // tasks 0 and 1 may be admitted, and the cut lands at task 2's
+        // first partition.
+        deliver(&pipeline, &tasks[3]);
+        pipeline.resolve(tasks[2].clone(), Vec::new(), Duration::ZERO);
+        deliver(&pipeline, &tasks[1]);
+        deliver(&pipeline, &tasks[0]);
         let st = pipeline.state.into_inner().expect("lock");
-        assert_eq!(st.cut_at, Some(1));
+        assert_eq!(st.cut_at, Some(tasks[2].start));
+        assert_eq!(st.frontier, tasks[2].start);
         assert!(st.expired);
         let mut reference = Admitter::new(true);
-        let expected_items = reference.admit(space.enumerate_keyed(0)).len();
+        for task in &tasks[..2] {
+            for keyed in enumerate(&space, task) {
+                reference.admit(keyed);
+            }
+        }
+        assert!(reference.programs > 0, "tasks too small for the test");
         assert_eq!(st.admitter.programs, reference.programs);
-        let queued: usize = st.exam.iter().map(|b| b.items.len()).sum();
-        assert_eq!(queued, expected_items);
+        assert_eq!(st.admitter.next_index, reference.next_index);
+        // The cut abandons the queued batches along with their
+        // candidates.
+        assert!(st.exam.is_empty());
+        assert_eq!(st.live, 0);
     }
 
     /// A fused three-axiom pipeline makes one batch per admitted chunk:
@@ -1006,24 +1169,13 @@ mod tests {
     fn fused_pipeline_makes_one_batch_per_chunk() {
         let eo = enum_opts(4, true);
         let space = EnumSpace::new(&eo);
-        // A window wide enough to claim every partition before any
-        // examine batch exists (examination has pop priority).
-        let pipeline = Pipeline::new(
-            &space,
-            &["a", "b", "c"],
-            None,
-            None,
-            space.partition_count(),
-            None,
-        );
-        for ordinal in 0..space.partition_count() {
-            match pipeline.next_task() {
-                Some(Task::Enumerate(ord)) => assert_eq!(ord, ordinal),
-                _ => panic!("expected an enumeration task"),
-            }
-        }
-        for ordinal in 0..space.partition_count() {
-            pipeline.resolve(ordinal, Some(space.enumerate_keyed(ordinal)));
+        let tasks = tasks_of(&space, (0, space.partition_count()));
+        // A window wide enough to claim every task before any examine
+        // batch exists (examination has pop priority).
+        let pipeline = Pipeline::new(&space, &["a", "b", "c"], None, None, tasks.len(), None);
+        assert_eq!(claim_tasks(&pipeline, tasks.len()), tasks);
+        for task in &tasks {
+            deliver(&pipeline, task);
         }
         let st = pipeline.state.into_inner().expect("lock");
         assert!(st.batches > 1, "space too small for the test");
@@ -1040,69 +1192,136 @@ mod tests {
     }
 
     /// Regression for the former "best-effort on timed-out runs" peak
-    /// accounting: a deadline cut now (a) counts discarded partitions
+    /// accounting: a deadline cut now (a) counts discarded tasks
     /// delivered after expiry toward the peak — they were materialized
     /// — and (b) returns every queued-but-abandoned candidate to the
     /// live count, so `live` drains to exactly the in-flight batches.
     #[test]
     fn deadline_cut_keeps_live_accounting_exact() {
-        let eo = enum_opts(4, true);
-        let space = EnumSpace::new(&eo);
-        assert!(space.partition_count() >= 3, "space too small for the test");
+        let space = EnumSpace::new(&EnumOptions::new(5));
         let pipeline = Pipeline::new(&space, &["a"], None, None, 3, None);
-        for expect in 0..3 {
-            match pipeline.next_task() {
-                Some(Task::Enumerate(ord)) => assert_eq!(ord, expect),
-                _ => panic!("expected an enumeration task"),
-            }
+        let tasks = claim_tasks(&pipeline, 5);
+        let delivered =
+            |task: &Range<usize>| -> usize { enumerate(&space, task).iter().map(Vec::len).sum() };
+        let admitted = delivered(&tasks[0]) + delivered(&tasks[1]);
+        let late = delivered(&tasks[4]);
+        assert!(admitted > 0 && late > 0, "tasks too small for the test");
+        // Tasks 0 and 1 admit: their items go live and queue as batches.
+        for task in &tasks[..2] {
+            deliver(&pipeline, task);
         }
-        let n0 = space.enumerate_keyed(0).len();
-        let n2 = space.enumerate_keyed(2).len();
-        // Partition 0 admits: its items go live and queue as batches.
-        pipeline.resolve(0, Some(space.enumerate_keyed(0)));
-        // Partition 1 is cut: expire() discards the queued batches and
+        // Task 2 is cut: expire() discards the queued batches and
         // drains their candidates from the live count on the spot.
-        pipeline.resolve(1, None);
+        pipeline.resolve(tasks[2].clone(), Vec::new(), Duration::ZERO);
         {
             let st = pipeline.state.lock().expect("lock");
             assert!(st.expired);
-            assert_eq!(st.cut_at, Some(1));
+            assert_eq!(st.cut_at, Some(tasks[2].start));
             assert_eq!(st.live, 0, "abandoned queue drained exactly");
             assert!(st.exam.is_empty());
         }
-        // Partition 2 lands after expiry: discarded, but its programs
-        // were materialized — the peak must include them.
-        pipeline.resolve(2, Some(space.enumerate_keyed(2)));
+        // Task 4 lands after expiry: discarded, but its programs were
+        // materialized — the peak must include them.
+        deliver(&pipeline, &tasks[4]);
         let st = pipeline.state.into_inner().expect("lock");
         assert_eq!(st.live, 0);
         assert!(
-            st.peak_live >= n0.max(n2),
-            "peak {} must cover both the admitted ({n0}) and the \
-             discarded ({n2}) materializations",
+            st.peak_live >= admitted.max(late),
+            "peak {} must cover both the admitted ({admitted}) and the \
+             discarded ({late}) materializations",
             st.peak_live
         );
         // The progress mirror agrees with the final state.
         let snap = pipeline.progress.snapshot();
         assert_eq!(snap.peak_live_candidates, st.peak_live);
         assert_eq!(snap.live_candidates, 0);
-        assert_eq!(snap.cut_at_partition, Some(1));
+        assert_eq!(snap.cut_at_partition, Some(tasks[2].start));
+    }
+
+    /// A deadline inside a task: its worker delivers the partitions it
+    /// finished, the plan is cut at the first partition left out, and
+    /// exactly the prefix below it is admitted, with its mass retired,
+    /// one retire event and exact live accounting.
+    #[test]
+    fn deadline_inside_a_task_admits_exactly_its_prefix() {
+        let space = EnumSpace::new(&EnumOptions::new(5));
+        let tasks = tasks_of(&space, (0, space.partition_count()));
+        let at = tasks
+            .iter()
+            .position(|task| task.len() >= 3)
+            .expect("a task of three partitions");
+        let progress = Arc::new(ProgressState::with_journal(&["a"]));
+        let pipeline = Pipeline::new(&space, &["a"], Some(&progress), None, tasks.len(), None);
+        claim_tasks(&pipeline, at + 1);
+        for task in &tasks[..at] {
+            deliver(&pipeline, task);
+        }
+        let task = tasks[at].clone();
+        let cut = task.start + task.len() / 2;
+        let prefix: Vec<Vec<KeyedProgram>> = enumerate(&space, &task)
+            .into_iter()
+            .take(cut - task.start)
+            .collect();
+        let peak_before = pipeline.state.lock().expect("lock").peak_live;
+        let live_before = pipeline.state.lock().expect("lock").live;
+        let delivered: usize = prefix.iter().map(Vec::len).sum();
+        pipeline.resolve(task.clone(), prefix, Duration::ZERO);
+
+        let st = pipeline.state.into_inner().expect("lock");
+        assert!(st.expired);
+        assert_eq!(st.cut_at, Some(cut));
+        assert_eq!(st.frontier, cut);
+        let mut reference = Admitter::new(true);
+        for p in 0..cut {
+            reference.admit(space.enumerate_keyed(p));
+        }
+        assert_eq!(st.admitter.programs, reference.programs);
+        assert_eq!(st.admitter.next_index, reference.next_index);
+        assert_eq!(st.mass_retired, space.masses()[..cut].iter().sum::<u64>());
+        assert_eq!(st.live, 0, "the abandoned queue left the live count");
+        assert!(st.exam.is_empty());
+        assert_eq!(st.peak_live, peak_before.max(live_before + delivered));
+        let snap = progress.snapshot();
+        assert_eq!(snap.partitions_retired, cut);
+        assert_eq!(snap.cut_at_partition, Some(cut));
+        assert_eq!(snap.live_candidates, 0);
+        let journal = progress.take_journal();
+        let retired = journal
+            .iter()
+            .rfind(|e| e.kind == JournalEventKind::PartitionRetired)
+            .expect("the cut task retired its prefix");
+        assert_eq!(
+            (retired.a, retired.b, retired.c),
+            (
+                task.start as u64,
+                space.masses()[task.start..cut].iter().sum::<u64>(),
+                (cut - task.start) as u64
+            )
+        );
+        let cuts: Vec<u64> = journal
+            .iter()
+            .filter(|e| e.kind == JournalEventKind::Cut)
+            .map(|e| e.a)
+            .collect();
+        assert_eq!(cuts, vec![cut as u64]);
     }
 
     /// The progress mirror tracks the frontier: partitions retired,
-    /// mass retired, programs, and plan items all advance with
-    /// admission, and the mass total is the space's.
+    /// mass retired, programs, and plan items all advance with each
+    /// admitted task, and the mass total is the space's.
     #[test]
     fn progress_mirrors_frontier_advance() {
         let eo = enum_opts(4, true);
         let space = EnumSpace::new(&eo);
         let masses = space.masses();
+        let tasks = tasks_of(&space, (0, space.partition_count()));
         let pipeline = Pipeline::new(&space, &["a"], None, None, 2, None);
         assert_eq!(pipeline.progress.snapshot().mass_total, space.total_mass());
-        for ordinal in 0..space.partition_count() {
+        for task in &tasks {
             loop {
                 match pipeline.next_task() {
-                    Some(Task::Enumerate(ord)) => {
-                        assert_eq!(ord, ordinal);
+                    Some(Task::Enumerate(claimed)) => {
+                        assert_eq!(&claimed, task);
                         break;
                     }
                     Some(Task::Examine(b)) => {
@@ -1113,10 +1332,11 @@ mod tests {
                     None => panic!("pipeline drained early"),
                 }
             }
-            pipeline.resolve(ordinal, Some(space.enumerate_keyed(ordinal)));
+            deliver(&pipeline, task);
             let snap = pipeline.progress.snapshot();
-            assert_eq!(snap.partitions_retired, ordinal + 1);
-            assert_eq!(snap.mass_retired, masses[..=ordinal].iter().sum::<u64>());
+            assert_eq!(snap.partitions_retired, task.end);
+            assert_eq!(snap.mass_retired, masses[..task.end].iter().sum::<u64>());
+            assert_eq!(snap.frontier_depth, 0);
         }
         let st = pipeline.state.into_inner().expect("lock");
         let snap = pipeline.progress.snapshot();
@@ -1126,6 +1346,46 @@ mod tests {
         assert_eq!(snap.items_planned, st.admitter.next_index);
         assert_eq!(snap.batches, st.batches);
         assert!(snap.enumeration_eta().is_some());
+    }
+
+    /// Head-of-line blocking is journaled where it happens: with the
+    /// frontier's task held back and the rest of the window resolved, a
+    /// worker asking for work finds nothing to examine and must wait.
+    #[test]
+    fn full_window_behind_a_held_frontier_journals_a_stall() {
+        let space = EnumSpace::new(&EnumOptions::new(5));
+        let progress = Arc::new(ProgressState::with_journal(&["a"]));
+        // One worker: a window of two tasks.
+        let pipeline = Pipeline::new(&space, &["a"], Some(&progress), None, 1, None);
+        let tasks = claim_tasks(&pipeline, 2);
+        deliver(&pipeline, &tasks[1]);
+        let mut journal = Vec::new();
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| pipeline.next_task().is_some());
+            let give_up = Instant::now() + Duration::from_secs(30);
+            while Instant::now() < give_up
+                && !journal
+                    .iter()
+                    .any(|e: &crate::JournalEvent| e.kind == JournalEventKind::FrontierStall)
+            {
+                journal.extend(progress.take_journal());
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // Releasing the frontier task wakes the waiting worker.
+            deliver(&pipeline, &tasks[0]);
+            assert!(waiter.join().expect("waiter joins"), "work after the stall");
+        });
+        journal.extend(progress.take_journal());
+        let stalls: Vec<(u64, u64)> = journal
+            .iter()
+            .filter(|e| e.kind == JournalEventKind::FrontierStall)
+            .map(|e| (e.a, e.b))
+            .collect();
+        assert_eq!(
+            stalls,
+            vec![(tasks[0].start as u64, 1)],
+            "one stall per wait"
+        );
     }
 
     /// A sink retaining every record with its plan index — what the
@@ -1267,6 +1527,46 @@ mod tests {
                 .collect();
             assert_eq!(cuts, vec![cut as u64]);
         }
+    }
+
+    /// A journaled bound-6 run with fences and RMW records one
+    /// `PartitionEnumerated` and one `PartitionRetired` per task (147
+    /// tasks of 33,044 partitions), and the retired masses sum to the
+    /// space's total.
+    #[test]
+    fn journaled_run_records_one_event_pair_per_task() {
+        let m = mtm();
+        let opts = SynthOptions::new(6);
+        let space = EnumSpace::new(&opts.enumeration);
+        let tasks = tasks_of(&space, (0, space.partition_count()));
+        assert_eq!(tasks.len(), 147);
+        let progress = Arc::new(ProgressState::with_journal(&["sc_per_loc"]));
+        let sink = RecordSink::new();
+        let (stats, metrics) = run_fused(&m, &["sc_per_loc"], &opts, 2, &[&sink], Some(&progress));
+        assert!(!stats[0].timed_out);
+        assert_eq!(metrics.partitions, space.partition_count());
+        let journal = progress.take_journal();
+        let of_kind = |kind| journal.iter().filter(move |e| e.kind == kind);
+        let mut enumerated: Vec<u64> = of_kind(JournalEventKind::PartitionEnumerated)
+            .map(|e| e.a)
+            .collect();
+        enumerated.sort_unstable();
+        let starts: Vec<u64> = tasks.iter().map(|t| t.start as u64).collect();
+        assert_eq!(enumerated, starts, "one enumerated event per task");
+        let retired: Vec<(u64, u64, u64)> = of_kind(JournalEventKind::PartitionRetired)
+            .map(|e| (e.a, e.b, e.c))
+            .collect();
+        let expected: Vec<(u64, u64, u64)> = tasks
+            .iter()
+            .map(|t| {
+                let mass = space.masses()[t.clone()].iter().sum();
+                (t.start as u64, mass, t.len() as u64)
+            })
+            .collect();
+        assert_eq!(retired, expected, "one retired event per task, in order");
+        let total: u64 = retired.iter().map(|r| r.1).sum();
+        assert_eq!(total, space.total_mass());
+        assert_eq!(progress.snapshot().mass_retired, total);
     }
 
     #[test]

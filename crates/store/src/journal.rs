@@ -8,17 +8,21 @@
 //!   [`transform_par::ProgressSnapshot`] — enough for `transform runs
 //!   list` and the serve fleet view without touching event data; and
 //! * the **event journal** — every timestamped
-//!   [`transform_par::JournalEvent`] the fused pipeline emitted
-//!   (partition enumerate/retire, batch examine, frontier stalls,
-//!   seal/push), delta-encoded and checksummed, which `transform runs
-//!   export --chrome` turns into an `about://tracing` flamegraph.
+//!   [`transform_par::JournalEvent`] the fused pipeline emitted (one
+//!   enumerate/retire pair per enumeration task, batch examine,
+//!   frontier stalls, seal/push), delta-encoded and checksummed, which
+//!   `transform runs export --chrome` turns into an `about://tracing`
+//!   flamegraph. Its size follows the run's work, not the number of
+//!   root shapes in its space.
 //!
 //! Both live in one `run-<id>.tfr` file per run, written atomically
 //! next to the sealed `.tfs` suites (see the [`crate::store::Store`]
 //! run methods in this module). Like suites, run files are
 //! self-validating: magic, format version, and a trailing FNV-1a 64
 //! checksum; damaged files decode to [`StoreError::Corrupt`] and are
-//! skipped by listings, never served.
+//! skipped by listings, never served. There is no list file to keep in
+//! step: [`Store::runs`], `transform runs list` and `GET /v1/runs` scan
+//! the journals themselves, so a write or a removal touches one file.
 //!
 //! A crashed run is visible by construction: the synthesis driver
 //! heartbeats a [`RunOutcome::Running`] manifest while the pipeline
@@ -43,10 +47,6 @@ use transform_par::{AxiomState, JournalEvent, JournalEventKind, ProgressSnapshot
 const RUN_MAGIC: &[u8; 8] = b"TFRUNJL\0";
 const RUN_LIST_MAGIC: &[u8; 8] = b"TFRUNLS\0";
 const RUN_EXT: &str = "tfr";
-
-/// The advisory run-list file's name inside a store directory —
-/// the runs counterpart of [`crate::index::INDEX_FILE`].
-pub const RUNS_FILE: &str = "runs.tfx";
 
 /// How a journaled run ended (or has not yet).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -420,8 +420,8 @@ pub fn decode_run(bytes: &[u8]) -> Result<RunJournal, StoreError> {
     Ok(RunJournal { manifest, events })
 }
 
-/// Encodes a run-manifest list — the `runs.tfx` advisory file and the
-/// `GET /v1/runs` wire format: magic, format version, the manifests
+/// Encodes a run-manifest list — the `GET /v1/runs` wire format:
+/// magic, format version, the manifests
 /// sorted by start time descending (newest first), and a trailing
 /// FNV-1a 64 checksum.
 pub fn encode_run_list(manifests: &[RunManifest]) -> Vec<u8> {
@@ -506,16 +506,13 @@ impl Store {
     }
 
     /// Atomically writes (or rewrites — the heartbeat path) one run's
-    /// journal, and folds its manifest into the advisory `runs.tfx`
-    /// list, best-effort.
+    /// journal.
     ///
     /// # Errors
     ///
     /// Returns the underlying error when staging or renaming fails.
     pub fn write_run(&self, journal: &RunJournal) -> Result<(), StoreError> {
-        self.stage_run(journal.manifest.id, &encode_run(journal))?;
-        update_runs_list(self);
-        Ok(())
+        self.stage_run(journal.manifest.id, &encode_run(journal))
     }
 
     /// Installs run-journal bytes received from elsewhere (an HTTP
@@ -536,9 +533,7 @@ impl Store {
                 journal.manifest.id
             )));
         }
-        self.stage_run(id, bytes)?;
-        update_runs_list(self);
-        Ok(())
+        self.stage_run(id, bytes)
     }
 
     fn stage_run(&self, id: u64, bytes: &[u8]) -> Result<(), StoreError> {
@@ -626,18 +621,14 @@ impl Store {
         Ok(out)
     }
 
-    /// Deletes the journal for `id`, if present, and refreshes the
-    /// advisory run list.
+    /// Deletes the journal for `id`, if present.
     ///
     /// # Errors
     ///
     /// Returns the underlying error when deletion itself fails.
     pub fn remove_run(&self, id: u64) -> Result<(), StoreError> {
         match fs::remove_file(self.run_path(id)) {
-            Ok(()) => {
-                update_runs_list(self);
-                Ok(())
-            }
+            Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(e.into()),
         }
@@ -653,23 +644,6 @@ impl Store {
     /// metadata is unreadable.
     pub fn run_mtime(&self, id: u64) -> Result<std::time::SystemTime, StoreError> {
         Ok(fs::metadata(self.run_path(id))?.modified()?)
-    }
-}
-
-/// Atomically rewrites the advisory `runs.tfx` manifest list from the
-/// journal files on disk. Best-effort by design, exactly like the suite
-/// index: a failure must never fail the run write, so errors are
-/// swallowed — the worst outcome is a stale list and a full scan.
-fn update_runs_list(store: &Store) {
-    let Ok(manifests) = store.runs() else { return };
-    let bytes = encode_run_list(&manifests);
-    static NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let nonce = NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let staged = store
-        .root()
-        .join(format!("tmp-runs-{}-{nonce}", std::process::id()));
-    if fs::write(&staged, &bytes).is_ok() {
-        let _ = fs::rename(&staged, store.root().join(RUNS_FILE));
     }
 }
 
@@ -818,10 +792,8 @@ mod tests {
             RunOutcome::Cut
         );
 
-        // The advisory list tracks the journals on disk.
-        let listed =
-            decode_run_list(&std::fs::read(store.root().join(RUNS_FILE)).expect("list exists"))
-                .expect("list decodes");
+        // Listings scan the journals on disk.
+        let listed = store.runs().expect("lists");
         assert_eq!(listed.len(), 1);
         assert_eq!(listed[0].outcome, RunOutcome::Cut);
 

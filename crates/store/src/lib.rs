@@ -97,7 +97,7 @@ pub use fleet::{
 pub use index::{IndexEntry, INDEX_FILE};
 pub use journal::{
     decode_run, decode_run_list, encode_run, encode_run_list, fresh_run_id, RunAxiom, RunJournal,
-    RunManifest, RunOutcome, RUNS_FILE,
+    RunManifest, RunOutcome,
 };
 pub use remote::HttpTier;
 pub use store::{read_suite, EntryMeta, PendingSuite, Store, StoreError, SuiteReader};
