@@ -25,8 +25,8 @@
 //!   journaling `ProgressState` (published counters, span-event journal
 //!   recording, plus a polling sampler thread at the coalesced 100 ms
 //!   cadence `--progress` actually samples at) vs the unobserved fused
-//!   run, medians of seven alternating rounds each (the fused timings
-//!   of the point are those medians too), recorded as
+//!   run, medians of fifteen alternating rounds each (the fused
+//!   timings of the point are those medians too), recorded as
 //!   `progress_overhead_pct` per point, next to the
 //!   observed run's `journal_events` (one enumerated/retired pair per
 //!   enumeration task plus one event per batch, so the count follows
@@ -47,7 +47,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use transform_core::axiom::Mtm;
@@ -116,9 +116,10 @@ struct Point {
 }
 
 /// Alternating rounds of the unobserved and the observed fused run per
-/// point. One run is a few milliseconds at bound 5, so the progress
-/// overhead is the ratio of the two medians, not of one run each.
-const OVERHEAD_ROUNDS: usize = 7;
+/// point. One run is about 10 ms at bound 5, where a single pair moved
+/// the ratio by ±30%, so the progress overhead is the ratio of the two
+/// medians.
+const OVERHEAD_ROUNDS: usize = 15;
 
 /// One fused run of [`AXIOM`].
 struct FusedRun {
@@ -138,19 +139,23 @@ struct FusedRun {
 /// reporter coalesces to. The cadence matters on small runs: a 10 ms
 /// hot poll used to charge ~27% to a half-second bound-5 point on a
 /// two-core runner, all of it sampler-thread contention rather than
-/// instrumentation cost.
+/// instrumentation cost. Like the reporter, the sampler waits on a
+/// stop channel, so stopping it leaves no idle gap before the next
+/// round.
 fn fused_run(mtm: &Mtm, o: &SynthOptions, jobs: usize, observed: bool) -> FusedRun {
     let sink = Collect(Mutex::new(Vec::new()));
     let (elapsed, stats, metrics, journal_events) = if observed {
         let progress = Arc::new(ProgressState::with_journal(&[AXIOM]));
-        let stop = Arc::new(AtomicBool::new(false));
+        let (stop, stopped) = channel::<()>();
         let sampler = {
             let progress = Arc::clone(&progress);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    let _ = progress.snapshot();
-                    std::thread::sleep(Duration::from_millis(100));
+            std::thread::spawn(move || loop {
+                let _ = progress.snapshot();
+                if !matches!(
+                    stopped.recv_timeout(Duration::from_millis(100)),
+                    Err(RecvTimeoutError::Timeout)
+                ) {
+                    break;
                 }
             })
         };
@@ -158,7 +163,7 @@ fn fused_run(mtm: &Mtm, o: &SynthOptions, jobs: usize, observed: bool) -> FusedR
         let (stats, metrics) =
             synthesize_suite_streamed_observed(mtm, AXIOM, o, jobs, &sink, &progress);
         let elapsed = start.elapsed();
-        stop.store(true, Ordering::Relaxed);
+        drop(stop);
         sampler.join().expect("sampler joins");
         (elapsed, stats, metrics, progress.take_journal().len())
     } else {
