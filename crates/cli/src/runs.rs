@@ -400,25 +400,18 @@ pub fn chrome_trace(journal: &RunJournal) -> String {
     for ev in &journal.events {
         let tid = ev.axiom.map_or(0, |slot| u64::from(slot) + 1);
         match ev.kind {
-            JournalEventKind::BatchExamined => {
-                // The batch's duration was journaled in `c`; the event
-                // was recorded at batch end, so the span starts at
+            JournalEventKind::BatchExamined | JournalEventKind::PartitionEnumerated => {
+                // The span's duration was journaled in `c` (0 for
+                // enumeration in journals written before tasks); the
+                // event was recorded at its end, so the span starts at
                 // `t - c`.
+                let (name, a, b) = match ev.kind {
+                    JournalEventKind::BatchExamined => ("examine_batch", "items", "found"),
+                    _ => ("enumerate", "first", "programs"),
+                };
                 events.push(format!(
                     "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{},\
-                     \"name\":\"examine_batch\",\"args\":{{\"items\":{},\"found\":{}}}}}",
-                    ev.t_micros.saturating_sub(ev.c),
-                    ev.c.max(1),
-                    ev.a,
-                    ev.b,
-                ));
-            }
-            JournalEventKind::PartitionEnumerated => {
-                // Recorded when the task resolved, with its duration in
-                // `c` (0 in journals written before tasks).
-                events.push(format!(
-                    "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{},\
-                     \"name\":\"enumerate\",\"args\":{{\"first\":{},\"programs\":{}}}}}",
+                     \"name\":\"{name}\",\"args\":{{\"{a}\":{},\"{b}\":{}}}}}",
                     ev.t_micros.saturating_sub(ev.c),
                     ev.c.max(1),
                     ev.a,
