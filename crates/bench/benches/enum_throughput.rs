@@ -15,7 +15,7 @@
 //!
 //! * fused cross-axiom synthesis at bound 6: the sequential
 //!   `synthesize_all` vs the fused all-axiom stream
-//!   (`synthesize_all_jobs`), same per-axiom suites;
+//!   (`transform_par::synthesize`), same per-axiom suites;
 //! * examination on one thread: the bound-6 and bound-7 plans examined
 //!   by five one-axiom `Examiner`s (one candidate walk per axiom) vs one
 //!   all-axiom `Examiner` (one walk per program), median and min/max of
@@ -52,8 +52,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use transform_core::axiom::Mtm;
 use transform_par::{
-    default_jobs, synthesize_all_jobs, synthesize_suite_streamed_metrics,
-    synthesize_suite_streamed_observed, ProgressState, StreamMetrics, SuiteSink,
+    default_jobs, synthesize, synthesize_streamed, ProgressState, StreamMetrics, SuiteSink,
 };
 use transform_store::{execute_lease, read_suite, suite_fingerprint, HttpTier, JobSpec, Store};
 use transform_synth::programs::EnumSpace;
@@ -161,14 +160,14 @@ fn fused_run(mtm: &Mtm, o: &SynthOptions, jobs: usize, observed: bool) -> FusedR
         };
         let start = Instant::now();
         let (stats, metrics) =
-            synthesize_suite_streamed_observed(mtm, AXIOM, o, jobs, &sink, &progress);
+            synthesize_streamed(mtm, &[AXIOM], o, jobs, Some(&progress), None, &[&sink]);
         let elapsed = start.elapsed();
         drop(stop);
         sampler.join().expect("sampler joins");
         (elapsed, stats, metrics, progress.take_journal().len())
     } else {
         let start = Instant::now();
-        let (stats, metrics) = synthesize_suite_streamed_metrics(mtm, AXIOM, o, jobs, &sink);
+        let (stats, metrics) = synthesize_streamed(mtm, &[AXIOM], o, jobs, None, None, &[&sink]);
         (start.elapsed(), stats, metrics, 0)
     };
     let mut records = sink.0.into_inner().expect("collect lock");
@@ -176,7 +175,7 @@ fn fused_run(mtm: &Mtm, o: &SynthOptions, jobs: usize, observed: bool) -> FusedR
     FusedRun {
         elapsed,
         records,
-        programs: stats.programs,
+        programs: stats[0].programs,
         metrics,
         journal_events,
     }
@@ -334,13 +333,15 @@ fn measure_all_axioms(bound: usize) -> AllAxiomsPoint {
     let sequential = transform_synth::synthesize_all(&mtm, &o);
     let sequential_secs = start.elapsed().as_secs_f64();
 
+    let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
     let start = Instant::now();
-    let fused = synthesize_all_jobs(&mtm, &o, jobs);
+    let fused = synthesize(&mtm, &axioms, &o, jobs, None);
     let fused_secs = start.elapsed().as_secs_f64();
 
     assert_eq!(sequential.len(), fused.len());
-    for (axiom, a) in &sequential {
-        let b = &fused[axiom];
+    for b in &fused {
+        let axiom = &b.axiom;
+        let a = &sequential[axiom];
         assert_eq!(
             a.elts.len(),
             b.elts.len(),
@@ -353,7 +354,7 @@ fn measure_all_axioms(bound: usize) -> AllAxiomsPoint {
     AllAxiomsPoint {
         bound,
         axioms: fused.len(),
-        elts_total: fused.values().map(|s| s.elts.len()).sum(),
+        elts_total: fused.iter().map(|s| s.elts.len()).sum(),
         sequential_secs,
         fused_secs,
     }
@@ -484,7 +485,7 @@ fn measure_fleet(bound: usize, workers: usize) -> FleetPoint {
     let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
 
     let start = Instant::now();
-    let local = synthesize_all_jobs(&mtm, &o, jobs);
+    let local = synthesize(&mtm, &axioms, &o, jobs, None);
     let local_secs = start.elapsed().as_secs_f64();
 
     let root = std::env::temp_dir().join(format!(
@@ -525,10 +526,9 @@ fn measure_fleet(bound: usize, workers: usize) -> FleetPoint {
 
     let store = Store::open(&root).expect("opens");
     let mut elts_total = 0usize;
-    for axiom in &axioms {
+    for (axiom, reference) in axioms.iter().zip(&local) {
         let fp = suite_fingerprint(&mtm, axiom, &o);
         let sealed = read_suite(store.open_suite(fp).expect("sealed")).expect("reads");
-        let reference = &local[*axiom];
         assert_eq!(sealed.elts.len(), reference.elts.len(), "{axiom}");
         for (a, b) in sealed.elts.iter().zip(&reference.elts) {
             assert_eq!(a.program, b.program, "{axiom}: fleet diverged from local");

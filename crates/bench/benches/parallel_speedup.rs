@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Instant;
-use transform_par::synthesize_suite_jobs;
+use transform_par::synthesize;
 use transform_synth::{Backend, SynthOptions};
 use transform_x86::x86t_elt;
 
@@ -34,7 +34,7 @@ fn bench_jobs_sweep(c: &mut Criterion) {
                 &jobs,
                 |b, &jobs| {
                     let o = opts(backend);
-                    b.iter(|| synthesize_suite_jobs(&mtm, AXIOM, &o, jobs))
+                    b.iter(|| synthesize(&mtm, &[AXIOM], &o, jobs, None))
                 },
             );
         }
@@ -47,7 +47,7 @@ fn speedup_summary(_c: &mut Criterion) {
     let o = opts(Backend::Explicit);
     let time = |jobs: usize| {
         let start = Instant::now();
-        let suite = synthesize_suite_jobs(&mtm, AXIOM, &o, jobs);
+        let suite = synthesize(&mtm, &[AXIOM], &o, jobs, None).remove(0);
         (start.elapsed(), suite.elts.len())
     };
     let (t1, n1) = time(1);

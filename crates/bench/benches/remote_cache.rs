@@ -49,7 +49,7 @@ fn spawn_server(tag: &str, seeded: bool) -> (ServerHandle, PathBuf) {
     if seeded {
         let store = Store::open(&dir).expect("store opens");
         TieredCache::new(store)
-            .cached_or_synthesize(&x86t_elt(), AXIOM, &opts(), JOBS)
+            .cached_or_synthesize(&x86t_elt(), &[AXIOM], &opts(), JOBS, None)
             .expect("seeds the server store");
     }
     let server = Server::bind(&dir, "127.0.0.1:0", ServeOptions::default()).expect("binds");
@@ -78,8 +78,9 @@ fn bench_cold(c: &mut Criterion) {
             },
             |local| {
                 let (suite, status) = tiered(&local, &url)
-                    .cached_or_synthesize(&mtm, AXIOM, &opts(), JOBS)
-                    .expect("synthesizes");
+                    .cached_or_synthesize(&mtm, &[AXIOM], &opts(), JOBS, None)
+                    .expect("synthesizes")
+                    .remove(0);
                 assert!(!status.is_hit() && !status.is_remote_hit());
                 suite.elts.len()
             },
@@ -103,8 +104,9 @@ fn bench_warm_remote(c: &mut Criterion) {
             || fresh_dir("warmr-local"),
             |local| {
                 let (suite, status) = tiered(&local, &url)
-                    .cached_or_synthesize(&mtm, AXIOM, &opts(), JOBS)
-                    .expect("fetches");
+                    .cached_or_synthesize(&mtm, &[AXIOM], &opts(), JOBS, None)
+                    .expect("fetches")
+                    .remove(0);
                 assert!(status.is_remote_hit());
                 suite.elts.len()
             },
@@ -124,15 +126,16 @@ fn bench_warm_local(c: &mut Criterion) {
     let local = fresh_dir("warml-local");
     let cache = tiered(&local, &url);
     cache
-        .cached_or_synthesize(&mtm, AXIOM, &opts(), JOBS)
+        .cached_or_synthesize(&mtm, &[AXIOM], &opts(), JOBS, None)
         .expect("populates the local tier");
     let mut group = c.benchmark_group("remote_cache");
     group.sample_size(50);
     group.bench_function("warm_local", |b| {
         b.iter(|| {
             let (suite, status) = cache
-                .cached_or_synthesize(&mtm, AXIOM, &opts(), JOBS)
-                .expect("reads");
+                .cached_or_synthesize(&mtm, &[AXIOM], &opts(), JOBS, None)
+                .expect("reads")
+                .remove(0);
             assert!(status.is_hit());
             suite.elts.len()
         })
@@ -155,8 +158,9 @@ fn serve_summary(_c: &mut Criterion) {
     let cold_local = fresh_dir("sum-cold");
     let start = Instant::now();
     let (cold_suite, _) = tiered(&cold_local, &url)
-        .cached_or_synthesize(&mtm, AXIOM, &opts(), JOBS)
-        .expect("cold run");
+        .cached_or_synthesize(&mtm, &[AXIOM], &opts(), JOBS, None)
+        .expect("cold run")
+        .remove(0);
     let cold = start.elapsed();
     let entry_bytes = Store::open(&server_dir)
         .expect("opens")
@@ -177,8 +181,9 @@ fn serve_summary(_c: &mut Criterion) {
         let cache = tiered(&local, &url);
         let start = Instant::now();
         let (suite, status) = cache
-            .cached_or_synthesize(&mtm, AXIOM, &opts(), JOBS)
-            .expect("warm-remote run");
+            .cached_or_synthesize(&mtm, &[AXIOM], &opts(), JOBS, None)
+            .expect("warm-remote run")
+            .remove(0);
         warm_remote_samples.push(start.elapsed());
         assert!(status.is_remote_hit());
         assert_eq!(suite.elts.len(), cold_suite.elts.len());
@@ -192,8 +197,9 @@ fn serve_summary(_c: &mut Criterion) {
     for _ in 0..9 {
         let start = Instant::now();
         let (suite, status) = cache
-            .cached_or_synthesize(&mtm, AXIOM, &opts(), JOBS)
-            .expect("warm-local run");
+            .cached_or_synthesize(&mtm, &[AXIOM], &opts(), JOBS, None)
+            .expect("warm-local run")
+            .remove(0);
         warm_local_samples.push(start.elapsed());
         assert!(status.is_hit());
         assert_eq!(suite.elts.len(), cold_suite.elts.len());

@@ -12,13 +12,12 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 use transform_core::axiom::Mtm;
-use transform_par::{
-    synthesize_suite_jobs, synthesize_suite_jobs_observed, ProgressSnapshot, ProgressState,
-};
+use transform_par::{synthesize, ProgressSnapshot, ProgressState};
 use transform_store::{HttpTier, Store, TieredCache};
 use transform_synth::{Suite, SynthOptions};
 
@@ -99,6 +98,31 @@ fn render_sample(mode: SweepProgress, bound: usize, snap: &ProgressSnapshot, don
     }
 }
 
+/// Prints a sample of `progress` to stderr every 100 ms until the
+/// returned sender is dropped. The sampler waits on that channel, so
+/// dropping the sender wakes it at once — a finished millisecond-scale
+/// point is not held up by the rest of a period.
+fn start_sampler(
+    mode: SweepProgress,
+    bound: usize,
+    progress: Arc<ProgressState>,
+) -> (Sender<()>, JoinHandle<()>) {
+    let (stop, stopped) = channel();
+    let sampler = std::thread::spawn(move || loop {
+        eprintln!(
+            "{}",
+            render_sample(mode, bound, &progress.snapshot(), false)
+        );
+        if !matches!(
+            stopped.recv_timeout(Duration::from_millis(100)),
+            Err(RecvTimeoutError::Timeout)
+        ) {
+            break;
+        }
+    });
+    (stop, sampler)
+}
+
 /// Sweep configuration for the Fig. 9 reproduction.
 #[derive(Clone, Debug)]
 pub struct SweepConfig {
@@ -170,65 +194,33 @@ pub fn sweep(mtm: &Mtm, cfg: &SweepConfig) -> Vec<SweepPoint> {
             opts.enumeration.allow_fences = cfg.allow_fences;
             opts.enumeration.allow_rmw = cfg.allow_rmw;
             opts.timeout = Some(cfg.budget);
-            let suite = match cfg.progress {
-                None => match &cache {
-                    Some(cache) => {
-                        cache
-                            .cached_or_synthesize(mtm, &ax.name, &opts, cfg.jobs)
-                            .unwrap_or_else(|e| panic!("suite cache: {e}"))
-                            .0
-                    }
-                    None => synthesize_suite_jobs(mtm, &ax.name, &opts, cfg.jobs),
-                },
-                Some(mode) => {
-                    // One observed point: a per-point `ProgressState`
-                    // with a single axiom slot, sampled on a side
-                    // thread at the coalesced 100 ms cadence (hot
-                    // polling visibly taxes small runs — see the
-                    // `progress_overhead_pct` points in
-                    // `BENCH_enum.json`).
-                    let progress = Arc::new(ProgressState::new(&[ax.name.as_str()]));
-                    let stop = Arc::new(AtomicBool::new(false));
-                    let sampler = {
-                        let progress = Arc::clone(&progress);
-                        let stop = Arc::clone(&stop);
-                        std::thread::spawn(move || {
-                            while !stop.load(Ordering::Relaxed) {
-                                eprintln!(
-                                    "{}",
-                                    render_sample(mode, bound, &progress.snapshot(), false)
-                                );
-                                // Sleep the cadence in short slices so
-                                // a finished millisecond-scale point
-                                // isn't held hostage by the sampler.
-                                for _ in 0..10 {
-                                    if stop.load(Ordering::Relaxed) {
-                                        break;
-                                    }
-                                    std::thread::sleep(Duration::from_millis(10));
-                                }
-                            }
-                        })
-                    };
-                    let suite = match &cache {
-                        Some(cache) => {
-                            cache
-                                .cached_or_synthesize_observed(
-                                    mtm, &ax.name, &opts, cfg.jobs, &progress,
-                                )
-                                .unwrap_or_else(|e| panic!("suite cache: {e}"))
-                                .0
-                        }
-                        None => synthesize_suite_jobs_observed(
-                            mtm, &ax.name, &opts, cfg.jobs, &progress,
-                        ),
-                    };
-                    stop.store(true, Ordering::Relaxed);
-                    sampler.join().expect("sampler joins");
-                    eprintln!("{}", render_sample(mode, bound, &progress.snapshot(), true));
-                    suite
+            // An observed point gets a per-point `ProgressState` with a
+            // single axiom slot, sampled on a side thread at the
+            // coalesced 100 ms cadence (hot polling visibly taxes small
+            // runs — see the `progress_overhead_pct` points in
+            // `BENCH_enum.json`).
+            let observed = cfg.progress.map(|mode| {
+                let progress = Arc::new(ProgressState::new(&[ax.name.as_str()]));
+                let sampler = start_sampler(mode, bound, Arc::clone(&progress));
+                (mode, progress, sampler)
+            });
+            let progress = observed.as_ref().map(|(_, progress, _)| progress);
+            let axioms = [ax.name.as_str()];
+            let suite = match &cache {
+                Some(cache) => {
+                    cache
+                        .cached_or_synthesize(mtm, &axioms, &opts, cfg.jobs, progress)
+                        .unwrap_or_else(|e| panic!("suite cache: {e}"))
+                        .remove(0)
+                        .0
                 }
+                None => synthesize(mtm, &axioms, &opts, cfg.jobs, progress).remove(0),
             };
+            if let Some((mode, progress, (stop, sampler))) = observed {
+                drop(stop);
+                sampler.join().expect("sampler joins");
+                eprintln!("{}", render_sample(mode, bound, &progress.snapshot(), true));
+            }
             let timed_out = suite.stats.timed_out;
             out.push(SweepPoint {
                 axiom: ax.name.clone(),
@@ -311,7 +303,11 @@ pub fn all_suites(
     opts.enumeration.allow_fences = false;
     opts.enumeration.allow_rmw = false;
     opts.timeout = Some(budget);
-    transform_par::synthesize_all_jobs(mtm, &opts, jobs)
+    let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
+    synthesize(mtm, &axioms, &opts, jobs, None)
+        .into_iter()
+        .map(|suite| (suite.axiom.clone(), suite))
+        .collect()
 }
 
 #[cfg(test)]

@@ -54,15 +54,10 @@ use transform_core::axiom::Mtm;
 use transform_core::spec::parse_mtm;
 use transform_core::{figures, pretty, vocab};
 use transform_litmus::format::{parse_elt, print_elt};
-use transform_par::{
-    synthesize_all_jobs, synthesize_all_jobs_observed, synthesize_suite_jobs,
-    synthesize_suite_jobs_observed, ProgressState,
-};
+use transform_par::{synthesize, ProgressState};
 use transform_sim::{check_conformance, explore, Bugs, SimConfig, SimProgram};
 use transform_store::{
-    cached_or_synthesize, cached_or_synthesize_all, cached_or_synthesize_all_observed,
-    cached_or_synthesize_observed, execute_lease, CacheTier, EntryMeta, Fingerprint, HttpTier,
-    JobSpec, Store, TieredCache,
+    execute_lease, CacheTier, EntryMeta, Fingerprint, HttpTier, JobSpec, Store, TieredCache,
 };
 use transform_synth::engine::{Backend, Suite, SynthOptions};
 use transform_synth::programs::{Program, SlotOp};
@@ -356,30 +351,15 @@ fn cmd_synthesize(mut opts: Opts) -> Result<String, String> {
         &sopts,
         jobs,
     )?;
-    let suites = if all {
-        // One fused run for every axiom: the program space is
-        // enumerated once, and no shared plan is built before workers
-        // start.
-        synthesize_all_maybe_cached(
-            &mtm,
-            &sopts,
-            jobs,
-            cache.as_deref(),
-            cache_url.as_deref(),
-            progress.as_ref(),
-        )?
-    } else {
-        let suite = synthesize_maybe_cached(
-            &mtm,
-            &axioms[0],
-            &sopts,
-            jobs,
-            cache.as_deref(),
-            cache_url.as_deref(),
-            progress.as_ref(),
-        )?;
-        std::iter::once((axioms[0].clone(), suite)).collect()
-    };
+    let suites = synthesize_maybe_cached(
+        &mtm,
+        &axioms,
+        &sopts,
+        jobs,
+        cache.as_deref(),
+        cache_url.as_deref(),
+        progress.as_ref(),
+    )?;
     if let Some(reporter) = reporter {
         reporter.finish();
     }
@@ -528,19 +508,19 @@ fn fleet_synthesize(
         }
         std::thread::sleep(Duration::from_millis(250));
     }
-    // Every suite is sealed on the coordinator: read each through the
-    // tiered cache, so the bytes are validated into the local store and
-    // served exactly like any other remote hit.
+    // Every suite is sealed on the coordinator: read them through the
+    // tiered cache in one request, so the bytes are validated into the
+    // local store and served exactly like any other remote hit.
     let remote = HttpTier::new(urls[0]).map_err(|e| e.to_string())?;
     let tiered = TieredCache::new(store).with_remote(Box::new(remote));
-    let mut suites = BTreeMap::new();
-    for axiom in axioms {
-        let (suite, _status) = tiered
-            .cached_or_synthesize(mtm, axiom, sopts, jobs)
-            .map_err(|e| format!("cache `{dir}` + `{}`: {e}", urls[0]))?;
-        suites.insert(axiom.clone(), suite);
-    }
-    Ok(suites)
+    let served = tiered
+        .cached_or_synthesize(mtm, &names, sopts, jobs, None)
+        .map_err(|e| format!("cache `{dir}` + `{}`: {e}", urls[0]))?;
+    Ok(axioms
+        .iter()
+        .cloned()
+        .zip(served.into_iter().map(|(suite, _status)| suite))
+        .collect())
 }
 
 /// `transform worker`: the fleet worker loop. Leases mass-balanced
@@ -750,104 +730,56 @@ fn start_recorder(
     }
 }
 
-/// The `synthesize`/`compare` synthesis step: straight through the
-/// engine, through the persistent suite store when `--cache` is given,
-/// and through the tiered local+remote cache when `--cache-url` names a
-/// shared `transform serve` endpoint too. Cached and fresh runs print
-/// identically — a warm run (local or remote) serves the sealed
-/// artifact of the cold one, statistics included. A `progress` handle
-/// observes the run (cache hits marked cached, live runs publishing
-/// their counters) without changing any of that.
+/// The `synthesize`/`compare` synthesis step: every suite of `axioms`
+/// from **one fused run** — straight through the engine, through the
+/// persistent suite store when `--cache` is given (tier hits served per
+/// axiom, all misses synthesized together and each sealed when the run
+/// finishes), and through the tiered local+remote cache when
+/// `--cache-url` names a shared `transform serve` endpoint too. Cached
+/// and fresh runs print identically — a warm run (local or remote)
+/// serves the sealed artifact of the cold one, statistics included. A
+/// `progress` handle observes the run (cache hits marked cached, live
+/// runs publishing their counters) without changing any of that.
 fn synthesize_maybe_cached(
     mtm: &Mtm,
-    axiom: &str,
-    sopts: &SynthOptions,
-    jobs: usize,
-    cache: Option<&str>,
-    cache_url: Option<&str>,
-    progress: Option<&Arc<ProgressState>>,
-) -> Result<Suite, String> {
-    match (cache, cache_url) {
-        (None, None) => Ok(match progress {
-            Some(p) => synthesize_suite_jobs_observed(mtm, axiom, sopts, jobs, p),
-            None => synthesize_suite_jobs(mtm, axiom, sopts, jobs),
-        }),
-        (None, Some(_)) => Err(
-            "--cache-url needs --cache DIR for the local tier (remote hits are \
-             validated into it, and fresh suites are sealed there before the push)"
-                .into(),
-        ),
-        (Some(dir), None) => {
-            let store = Store::open(dir).map_err(|e| format!("cannot open cache `{dir}`: {e}"))?;
-            let (suite, _status) = match progress {
-                Some(p) => cached_or_synthesize_observed(&store, mtm, axiom, sopts, jobs, p),
-                None => cached_or_synthesize(&store, mtm, axiom, sopts, jobs),
-            }
-            .map_err(|e| format!("cache `{dir}`: {e}"))?;
-            Ok(suite)
-        }
-        (Some(dir), Some(url)) => {
-            // URL first: a bad URL must not leave an empty store behind.
-            let remote = HttpTier::new(url).map_err(|e| e.to_string())?;
-            let store = Store::open(dir).map_err(|e| format!("cannot open cache `{dir}`: {e}"))?;
-            let tiered = TieredCache::new(store).with_remote(Box::new(remote));
-            let (suite, _status) = match progress {
-                Some(p) => tiered.cached_or_synthesize_observed(mtm, axiom, sopts, jobs, p),
-                None => tiered.cached_or_synthesize(mtm, axiom, sopts, jobs),
-            }
-            .map_err(|e| format!("cache `{dir}` + `{url}`: {e}"))?;
-            Ok(suite)
-        }
-    }
-}
-
-/// The `synthesize --all`/`compare` synthesis step: every per-axiom
-/// suite of the MTM through **one fused streamed run** — straight
-/// through the engine, through the persistent suite store when
-/// `--cache` is given (tier hits served per axiom, all misses
-/// synthesized together and each sealed when the run finishes), and
-/// through the tiered local+remote cache when `--cache-url` names a
-/// shared `transform serve` endpoint too.
-fn synthesize_all_maybe_cached(
-    mtm: &Mtm,
+    axioms: &[String],
     sopts: &SynthOptions,
     jobs: usize,
     cache: Option<&str>,
     cache_url: Option<&str>,
     progress: Option<&Arc<ProgressState>>,
 ) -> Result<BTreeMap<String, Suite>, String> {
-    match (cache, cache_url) {
-        (None, None) => Ok(match progress {
-            Some(p) => synthesize_all_jobs_observed(mtm, sopts, jobs, p),
-            None => synthesize_all_jobs(mtm, sopts, jobs),
-        }),
-        (None, Some(_)) => Err(
-            "--cache-url needs --cache DIR for the local tier (remote hits are \
-             validated into it, and fresh suites are sealed there before the push)"
-                .into(),
-        ),
-        (Some(dir), None) => {
-            let store = Store::open(dir).map_err(|e| format!("cannot open cache `{dir}`: {e}"))?;
-            let all = match progress {
-                Some(p) => cached_or_synthesize_all_observed(&store, mtm, sopts, jobs, p),
-                None => cached_or_synthesize_all(&store, mtm, sopts, jobs),
-            }
-            .map_err(|e| format!("cache `{dir}`: {e}"))?;
-            Ok(all.into_iter().map(|(ax, (s, _))| (ax, s)).collect())
+    let names: Vec<&str> = axioms.iter().map(String::as_str).collect();
+    let suites = match (cache, cache_url) {
+        (None, None) => synthesize(mtm, &names, sopts, jobs, progress),
+        (None, Some(_)) => {
+            return Err(
+                "--cache-url needs --cache DIR for the local tier (remote hits are \
+                 validated into it, and fresh suites are sealed there before the push)"
+                    .into(),
+            )
         }
-        (Some(dir), Some(url)) => {
+        (Some(dir), url) => {
             // URL first: a bad URL must not leave an empty store behind.
-            let remote = HttpTier::new(url).map_err(|e| e.to_string())?;
+            let remote = url
+                .map(HttpTier::new)
+                .transpose()
+                .map_err(|e| e.to_string())?;
             let store = Store::open(dir).map_err(|e| format!("cannot open cache `{dir}`: {e}"))?;
-            let tiered = TieredCache::new(store).with_remote(Box::new(remote));
-            let all = match progress {
-                Some(p) => tiered.cached_or_synthesize_all_observed(mtm, sopts, jobs, p),
-                None => tiered.cached_or_synthesize_all(mtm, sopts, jobs),
+            let mut tiered = TieredCache::new(store);
+            if let Some(remote) = remote {
+                tiered = tiered.with_remote(Box::new(remote));
             }
-            .map_err(|e| format!("cache `{dir}` + `{url}`: {e}"))?;
-            Ok(all.into_iter().map(|(ax, (s, _))| (ax, s)).collect())
+            let served = tiered
+                .cached_or_synthesize(mtm, &names, sopts, jobs, progress)
+                .map_err(|e| match url {
+                    Some(url) => format!("cache `{dir}` + `{url}`: {e}"),
+                    None => format!("cache `{dir}`: {e}"),
+                })?;
+            served.into_iter().map(|(suite, _status)| suite).collect()
         }
-    }
+    };
+    Ok(axioms.iter().cloned().zip(suites).collect())
 }
 
 /// Renders a suite's members exactly as `synthesize` prints them.
@@ -902,8 +834,9 @@ fn cmd_compare(mut opts: Opts) -> Result<String, String> {
     )?;
     // One fused run covers every axiom (the budget spans the whole
     // run); cached axioms stream from their sealed entries.
-    let suites = synthesize_all_maybe_cached(
+    let suites = synthesize_maybe_cached(
         &mtm,
+        &axioms,
         &sopts,
         jobs,
         cache.as_deref(),

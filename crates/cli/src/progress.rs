@@ -1,7 +1,7 @@
 //! The `--progress` reporter and the `transform top` fleet view.
 //!
 //! The reporter side: a background thread samples an
-//! [`Arc<ProgressState>`] while an `_observed` synthesis run executes
+//! [`Arc<ProgressState>`] while an observed synthesis run executes
 //! and renders it to **stderr** (stdout stays byte-identical to an
 //! unobserved run) — a redrawn per-axiom panel on a TTY, periodic
 //! plain lines otherwise, or one JSON object per line for machines.

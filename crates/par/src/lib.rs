@@ -36,8 +36,9 @@
 //!    stitched into the suite; per-batch counters are kept and summed
 //!    losslessly.
 //!
-//! The cross-axiom driver ([`synthesize_all_jobs`]) is the same fused
-//! pipeline: the synthesis plan is axiom-independent, so one run
+//! One run serves any list of axioms ([`synthesize`], or
+//! [`synthesize_streamed`] for callers that stream into their own
+//! sinks): the synthesis plan is axiom-independent, so one run
 //! enumerates every partition once and examines each admitted chunk
 //! once for every axiom — no shared plan is materialized before workers
 //! start, and every axiom's [`SuiteSink::run_done`] (the per-axiom
@@ -62,7 +63,7 @@
 //!
 //! ```
 //! use transform_core::spec::parse_mtm;
-//! use transform_par::synthesize_suite_jobs;
+//! use transform_par::synthesize;
 //! use transform_synth::SynthOptions;
 //!
 //! let mtm = parse_mtm(
@@ -74,8 +75,8 @@
 //! opts.enumeration.allow_fences = false;
 //! opts.enumeration.allow_rmw = false;
 //! let sequential = transform_synth::synthesize_suite(&mtm, "sc_per_loc", &opts);
-//! let parallel = synthesize_suite_jobs(&mtm, "sc_per_loc", &opts, 4);
-//! assert_eq!(sequential.elts.len(), parallel.elts.len());
+//! let parallel = synthesize(&mtm, &["sc_per_loc"], &opts, 4, None);
+//! assert_eq!(sequential.elts.len(), parallel[0].elts.len());
 //! ```
 
 #![deny(missing_docs)]
@@ -84,8 +85,7 @@ pub mod dedup;
 pub mod progress;
 pub mod stream;
 
-use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use transform_core::axiom::Mtm;
 use transform_synth::programs::EnumSpace;
 use transform_synth::{ShardStats, Suite, SuiteRecord, SuiteStats, SynthOptions, SynthesizedElt};
@@ -93,7 +93,7 @@ use transform_synth::{ShardStats, Suite, SuiteRecord, SuiteStats, SynthOptions, 
 pub use progress::{
     AxiomSnapshot, AxiomState, JournalEvent, JournalEventKind, ProgressSnapshot, ProgressState,
 };
-pub use stream::StreamMetrics;
+pub use stream::{synthesize_streamed, StreamMetrics};
 
 /// The machine's available parallelism (the `--jobs` default).
 pub fn default_jobs() -> usize {
@@ -102,7 +102,8 @@ pub fn default_jobs() -> usize {
 
 /// Builds the enumeration space of a run: one partition per root
 /// shape, whatever the worker count. `jobs` no longer shapes the space;
-/// it is kept for callers that still pass it.
+/// the function exists only because the frozen benchmark harness
+/// (`perfbench`) calls it.
 pub fn space_for(opts: &SynthOptions, _jobs: usize) -> EnumSpace {
     EnumSpace::new(&opts.enumeration)
 }
@@ -136,7 +137,7 @@ pub trait SuiteSink: Sync {
 }
 
 /// A [`SuiteSink`] that collects records in memory — the sink behind
-/// [`synthesize_suite_jobs`].
+/// [`synthesize`].
 struct CollectSink {
     records: Mutex<Vec<SuiteRecord>>,
 }
@@ -167,106 +168,55 @@ impl SuiteSink for CollectSink {
     }
 }
 
-/// Synthesizes the per-axiom suite on `jobs` workers through the fused
-/// streaming pipeline (enumeration, canonical keying, dedup, and
-/// examination all inside one work-stealing pool — see [`stream`]),
-/// streaming every retired batch into `sink` instead of collecting
-/// members in memory. Returns the run's work counters; the suite itself
-/// lives wherever the sink put it (for the persistent store: sealed
-/// shard files whose merge reproduces the canonical suite order).
+/// Synthesizes the per-axiom suites of `axioms` on `jobs` workers and
+/// returns them in `axioms` order.
 ///
-/// The records streamed are exactly the members of
-/// [`synthesize_suite_jobs`]'s suite — sorting them by
-/// [`SuiteRecord::index`] recovers the byte-identical sequential suite.
+/// For any `jobs`, each suite (programs, order, witnesses) is
+/// byte-identical to [`transform_synth::synthesize_suite`], and the
+/// `executions`/`forbidden`/`minimal` counters sum to the same totals;
+/// only the per-shard breakdown and wall-clock differ. One run serves
+/// every axiom ([`synthesize_streamed`] into in-memory sinks): the
+/// program space is enumerated once and each program examined once for
+/// all of them. With a timeout, the budget covers the whole run, a cut
+/// run marks every axiom timed out, and each suite's `elapsed` reports
+/// the shared run's wall-clock.
 ///
-/// # Panics
-///
-/// Panics when `axiom` is not part of `mtm`.
-pub fn synthesize_suite_streamed(
-    mtm: &Mtm,
-    axiom: &str,
-    opts: &SynthOptions,
-    jobs: usize,
-    sink: &dyn SuiteSink,
-) -> SuiteStats {
-    synthesize_suite_streamed_metrics(mtm, axiom, opts, jobs, sink).0
-}
-
-/// Like [`synthesize_suite_streamed`], additionally returning the
-/// pipeline's scheduling metrics (partition count, deadline cut point,
-/// batch count, peak live candidates) — the side channel the
-/// `enum_throughput` bench records.
+/// `progress` observes the run as it executes (see
+/// [`synthesize_streamed`]). An unobserved run on one worker takes the
+/// sequential engine ([`transform_synth::engine::synthesize_axioms`]),
+/// which has no pipeline to pay for.
 ///
 /// # Panics
 ///
-/// Panics when `axiom` is not part of `mtm`.
-pub fn synthesize_suite_streamed_metrics(
-    mtm: &Mtm,
-    axiom: &str,
-    opts: &SynthOptions,
-    jobs: usize,
-    sink: &dyn SuiteSink,
-) -> (SuiteStats, StreamMetrics) {
-    stream::run_streamed(mtm, axiom, opts, jobs, sink, None)
-}
-
-/// Like [`synthesize_suite_streamed_metrics`], publishing live counters
-/// into `progress` as the run advances — partitions and subtree mass
-/// retired, programs admitted, per-axiom batch/item/ELT counts
-/// ([`progress`] has the full inventory). The returned
-/// [`StreamMetrics`] is the final snapshot of the same state.
-/// Observation is lock-free sampling; it adds no synchronization to the
-/// pipeline's hot path.
-///
-/// # Panics
-///
-/// Panics when `axiom` is not part of `mtm` or not tracked by
+/// Panics when any axiom is not part of `mtm` or not tracked by
 /// `progress`.
-pub fn synthesize_suite_streamed_observed(
-    mtm: &Mtm,
-    axiom: &str,
-    opts: &SynthOptions,
-    jobs: usize,
-    sink: &dyn SuiteSink,
-    progress: &std::sync::Arc<ProgressState>,
-) -> (SuiteStats, StreamMetrics) {
-    stream::run_streamed(mtm, axiom, opts, jobs, sink, Some(progress))
-}
-
-/// Synthesizes the per-axiom suites of several axioms in **one fused
-/// streamed run** on `jobs` workers: the program space is enumerated
-/// once (the plan is axiom-independent), every admitted chunk is one
-/// examine batch covering every axiom, and each axiom's sink receives
-/// its retired shards as they finish. Every axiom's `run_done` fires
-/// when the last batch retires. No shared plan is materialized before
-/// workers start.
-///
-/// Returns the per-axiom counters in `axioms` order. Each axiom's
-/// records are exactly the members of its [`synthesize_suite_jobs`]
-/// suite — sorting them by [`SuiteRecord::index`] recovers the
-/// byte-identical sequential suite.
-///
-/// # Panics
-///
-/// Panics when any axiom is not part of `mtm` or `axioms` and `sinks`
-/// disagree in length.
-pub fn synthesize_axioms_streamed(
+pub fn synthesize(
     mtm: &Mtm,
     axioms: &[&str],
     opts: &SynthOptions,
     jobs: usize,
-    sinks: &[&dyn SuiteSink],
-) -> Vec<SuiteStats> {
-    synthesize_axioms_streamed_metrics(mtm, axioms, opts, jobs, sinks).0
+    progress: Option<&Arc<ProgressState>>,
+) -> Vec<Suite> {
+    if jobs <= 1 && progress.is_none() {
+        return transform_synth::engine::synthesize_axioms(mtm, axioms, opts);
+    }
+    let sinks: Vec<CollectSink> = axioms.iter().map(|_| CollectSink::new()).collect();
+    let sink_refs: Vec<&dyn SuiteSink> = sinks.iter().map(|s| s as &dyn SuiteSink).collect();
+    let (all_stats, _) = synthesize_streamed(mtm, axioms, opts, jobs, progress, None, &sink_refs);
+    axioms
+        .iter()
+        .zip(sinks)
+        .zip(all_stats)
+        .map(|((axiom, sink), stats)| Suite {
+            axiom: axiom.to_string(),
+            elts: sink.into_elts(),
+            stats,
+        })
+        .collect()
 }
 
-/// Like [`synthesize_axioms_streamed`], additionally returning the
-/// fused run's scheduling metrics.
-///
-/// # Panics
-///
-/// Panics when any axiom is not part of `mtm` or `axioms` and `sinks`
-/// disagree in length.
+/// [`synthesize_streamed`] without observer or range. It exists only
+/// because the frozen benchmark harness (`perfbench`) calls it.
 pub fn synthesize_axioms_streamed_metrics(
     mtm: &Mtm,
     axioms: &[&str],
@@ -274,203 +224,7 @@ pub fn synthesize_axioms_streamed_metrics(
     jobs: usize,
     sinks: &[&dyn SuiteSink],
 ) -> (Vec<SuiteStats>, StreamMetrics) {
-    stream::run_fused(mtm, axioms, opts, jobs, sinks, None)
-}
-
-/// The fleet's per-worker entry: a fused run restricted to the
-/// partition range `[range.0, range.1)` (global ordinals of
-/// [`EnumSpace::new`]). The whole prefix `[0, range.1)` is enumerated and
-/// admitted — dedup state and plan indices stay global — but only items
-/// admitted inside the range are examined and delivered to the sinks,
-/// and [`SuiteStats::programs`] counts only the programs admitted inside
-/// the range. Ranges that tile `[0, partition_count)` therefore yield
-/// records and counters whose ordinal-ordered concatenation (or sum) is
-/// exactly the single-machine fused run, at any worker count.
-///
-/// `jobs` is this worker's local thread count and never affects the
-/// output.
-///
-/// # Panics
-///
-/// Panics when any axiom is not part of `mtm`, `axioms` and `sinks`
-/// disagree in length, or the range is not ordered inside
-/// `[0, partition_count]`.
-pub fn synthesize_axioms_fused_range(
-    mtm: &Mtm,
-    axioms: &[&str],
-    opts: &SynthOptions,
-    jobs: usize,
-    range: (usize, usize),
-    sinks: &[&dyn SuiteSink],
-) -> (Vec<SuiteStats>, StreamMetrics) {
-    stream::run_fused_range(mtm, axioms, opts, jobs, sinks, None, Some(range))
-}
-
-/// Like [`synthesize_axioms_streamed_metrics`], publishing live
-/// counters into `progress` as the fused run advances. `progress` may
-/// track more axioms than this run covers (the tiered store passes its
-/// caller's state, with cache-served axioms already marked
-/// [`AxiomState::Cached`]); the run binds its own axioms by name.
-///
-/// # Panics
-///
-/// Panics when any axiom is not part of `mtm`, not tracked by
-/// `progress`, or `axioms` and `sinks` disagree in length.
-pub fn synthesize_axioms_streamed_observed(
-    mtm: &Mtm,
-    axioms: &[&str],
-    opts: &SynthOptions,
-    jobs: usize,
-    sinks: &[&dyn SuiteSink],
-    progress: &std::sync::Arc<ProgressState>,
-) -> (Vec<SuiteStats>, StreamMetrics) {
-    stream::run_fused(mtm, axioms, opts, jobs, sinks, Some(progress))
-}
-
-/// Synthesizes the per-axiom suite on `jobs` worker threads.
-///
-/// For any `jobs`, the resulting suite (programs, order, witnesses) is
-/// byte-identical to [`transform_synth::synthesize_suite`], and the
-/// `executions`/`forbidden`/`minimal` counters sum to the same totals;
-/// only the per-shard breakdown and wall-clock differ. Runs that hit
-/// `opts.timeout` are best-effort, exactly like the sequential engine.
-///
-/// # Panics
-///
-/// Panics when `axiom` is not part of `mtm`.
-pub fn synthesize_suite_jobs(mtm: &Mtm, axiom: &str, opts: &SynthOptions, jobs: usize) -> Suite {
-    let jobs = jobs.max(1);
-    if jobs == 1 {
-        return transform_synth::synthesize_suite(mtm, axiom, opts);
-    }
-    let sink = CollectSink::new();
-    let stats = synthesize_suite_streamed(mtm, axiom, opts, jobs, &sink);
-    Suite {
-        axiom: axiom.to_string(),
-        elts: sink.into_elts(),
-        stats,
-    }
-}
-
-/// [`synthesize_suite_jobs`] with live telemetry: the run publishes
-/// into `progress` while it executes. Always runs the streamed pipeline
-/// (even at `jobs == 1` — there is nothing to observe in the sequential
-/// engine), whose suite is byte-identical to the sequential one at
-/// every worker count.
-///
-/// # Panics
-///
-/// Panics when `axiom` is not part of `mtm` or not tracked by
-/// `progress`.
-pub fn synthesize_suite_jobs_observed(
-    mtm: &Mtm,
-    axiom: &str,
-    opts: &SynthOptions,
-    jobs: usize,
-    progress: &std::sync::Arc<ProgressState>,
-) -> Suite {
-    let sink = CollectSink::new();
-    let (stats, _) =
-        synthesize_suite_streamed_observed(mtm, axiom, opts, jobs.max(1), &sink, progress);
-    Suite {
-        axiom: axiom.to_string(),
-        elts: sink.into_elts(),
-        stats,
-    }
-}
-
-/// Synthesizes every per-axiom suite of `mtm` on `jobs` workers — the
-/// parallel counterpart of [`transform_synth::synthesize_all`].
-///
-/// One fused streamed run serves all axioms: the program space is
-/// enumerated once (partitions are work items alongside the examine
-/// batches — no shared plan is materialized before workers start), and
-/// each program is examined once for every axiom. Each per-axiom suite
-/// is byte-identical to its sequential counterpart. With a timeout, the
-/// budget covers the whole run, and a cut run marks every axiom timed
-/// out; each suite's `elapsed` reports the shared run's wall-clock.
-pub fn synthesize_all_jobs(mtm: &Mtm, opts: &SynthOptions, jobs: usize) -> BTreeMap<String, Suite> {
-    synthesize_all_jobs_with_union(mtm, opts, jobs).0
-}
-
-/// Like [`synthesize_all_jobs`], additionally claiming every emitted
-/// ELT's canonical key in one cross-suite [`dedup::KeySet`]. The second
-/// component is the number of distinct programs across all per-axiom
-/// suites — the paper's headline unique-union count ("140 unique
-/// ELTs"), available without a second pass over the suites.
-pub fn synthesize_all_jobs_with_union(
-    mtm: &Mtm,
-    opts: &SynthOptions,
-    jobs: usize,
-) -> (BTreeMap<String, Suite>, usize) {
-    let jobs = jobs.max(1);
-    let suites: BTreeMap<String, Suite> = if jobs == 1 {
-        transform_synth::synthesize_all(mtm, opts)
-    } else {
-        let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
-        let sinks: Vec<CollectSink> = axioms.iter().map(|_| CollectSink::new()).collect();
-        let sink_refs: Vec<&dyn SuiteSink> = sinks.iter().map(|s| s as &dyn SuiteSink).collect();
-        let all_stats = synthesize_axioms_streamed(mtm, &axioms, opts, jobs, &sink_refs);
-        axioms
-            .iter()
-            .zip(sinks)
-            .zip(all_stats)
-            .map(|((axiom, sink), stats)| {
-                (
-                    axiom.to_string(),
-                    Suite {
-                        axiom: axiom.to_string(),
-                        elts: sink.into_elts(),
-                        stats,
-                    },
-                )
-            })
-            .collect()
-    };
-    let union = dedup::KeySet::new();
-    for suite in suites.values() {
-        for elt in &suite.elts {
-            union.claim(&transform_synth::canon::canonical_key(&elt.program));
-        }
-    }
-    let distinct = union.len();
-    (suites, distinct)
-}
-
-/// [`synthesize_all_jobs`] with live telemetry: one fused streamed run
-/// over every axiom of `mtm`, publishing into `progress` while it
-/// executes (always streamed, even at `jobs == 1`). Each per-axiom
-/// suite is byte-identical to its sequential counterpart.
-///
-/// # Panics
-///
-/// Panics when `progress` does not track every axiom of `mtm`.
-pub fn synthesize_all_jobs_observed(
-    mtm: &Mtm,
-    opts: &SynthOptions,
-    jobs: usize,
-    progress: &std::sync::Arc<ProgressState>,
-) -> BTreeMap<String, Suite> {
-    let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
-    let sinks: Vec<CollectSink> = axioms.iter().map(|_| CollectSink::new()).collect();
-    let sink_refs: Vec<&dyn SuiteSink> = sinks.iter().map(|s| s as &dyn SuiteSink).collect();
-    let (all_stats, _) =
-        synthesize_axioms_streamed_observed(mtm, &axioms, opts, jobs.max(1), &sink_refs, progress);
-    axioms
-        .iter()
-        .zip(sinks)
-        .zip(all_stats)
-        .map(|((axiom, sink), stats)| {
-            (
-                axiom.to_string(),
-                Suite {
-                    axiom: axiom.to_string(),
-                    elts: sink.into_elts(),
-                    stats,
-                },
-            )
-        })
-        .collect()
+    synthesize_streamed(mtm, axioms, opts, jobs, None, None, sinks)
 }
 
 /// Re-exported so callers of the parallel API can name the backend
@@ -504,7 +258,7 @@ mod tests {
         let mtm = small_mtm();
         let o = opts(4);
         let sequential = transform_synth::synthesize_suite(&mtm, "sc_per_loc", &o);
-        let parallel = synthesize_suite_jobs(&mtm, "sc_per_loc", &o, 4);
+        let parallel = synthesize(&mtm, &["sc_per_loc"], &o, 4, None).remove(0);
         assert_eq!(sequential.elts.len(), parallel.elts.len());
         for (a, b) in sequential.elts.iter().zip(&parallel.elts) {
             assert_eq!(a.program, b.program);
@@ -525,9 +279,11 @@ mod tests {
     fn pooled_all_matches_per_axiom_suites() {
         let mtm = small_mtm();
         let o = opts(4);
-        let pooled = synthesize_all_jobs(&mtm, &o, 4);
-        for (axiom, suite) in &pooled {
-            let solo = synthesize_suite_jobs(&mtm, axiom, &o, 4);
+        let axioms = ["sc_per_loc", "invlpg"];
+        let pooled = synthesize(&mtm, &axioms, &o, 4, None);
+        for (axiom, suite) in axioms.iter().zip(&pooled) {
+            assert_eq!(suite.axiom, *axiom);
+            let solo = synthesize(&mtm, &[axiom], &o, 4, None).remove(0);
             assert_eq!(suite.elts.len(), solo.elts.len(), "{axiom}");
             for (a, b) in suite.elts.iter().zip(&solo.elts) {
                 assert_eq!(a.program, b.program, "{axiom}");
@@ -565,8 +321,10 @@ mod tests {
             shards: Mutex::new(Vec::new()),
             done: Mutex::new(Vec::new()),
         };
-        let stats = synthesize_suite_streamed(&mtm, "sc_per_loc", &o, 4, &sink);
-        let suite = synthesize_suite_jobs(&mtm, "sc_per_loc", &o, 4);
+        let (mut stats, _) =
+            synthesize_streamed(&mtm, &["sc_per_loc"], &o, 4, None, None, &[&sink]);
+        let stats = stats.remove(0);
+        let suite = synthesize(&mtm, &["sc_per_loc"], &o, 4, None).remove(0);
         let mut records = sink.records.into_inner().unwrap();
         records.sort_by_key(|r| r.index);
         assert_eq!(records.len(), suite.elts.len());
@@ -593,7 +351,7 @@ mod tests {
         let mtm = small_mtm();
         let mut o = opts(6);
         o.timeout = Some(std::time::Duration::ZERO);
-        let suite = synthesize_suite_jobs(&mtm, "sc_per_loc", &o, 4);
+        let suite = synthesize(&mtm, &["sc_per_loc"], &o, 4, None).remove(0);
         assert!(suite.stats.timed_out);
         assert!(suite.elts.is_empty());
     }
@@ -608,8 +366,8 @@ mod tests {
         let o = opts(4);
         let reference = transform_synth::synthesize_suite(&mtm, "sc_per_loc", &o);
         for jobs in [1, 2, 4] {
-            let progress = std::sync::Arc::new(ProgressState::with_journal(&["sc_per_loc"]));
-            let suite = synthesize_suite_jobs_observed(&mtm, "sc_per_loc", &o, jobs, &progress);
+            let progress = Arc::new(ProgressState::with_journal(&["sc_per_loc"]));
+            let suite = synthesize(&mtm, &["sc_per_loc"], &o, jobs, Some(&progress)).remove(0);
             assert_eq!(suite.elts.len(), reference.elts.len(), "jobs {jobs}");
             for (a, b) in suite.elts.iter().zip(&reference.elts) {
                 assert_eq!(a.program, b.program, "jobs {jobs}");
@@ -652,8 +410,8 @@ mod tests {
         let mtm = small_mtm();
         let mut o = opts(6);
         o.timeout = Some(std::time::Duration::ZERO);
-        let progress = std::sync::Arc::new(ProgressState::with_journal(&["sc_per_loc"]));
-        let suite = synthesize_suite_jobs_observed(&mtm, "sc_per_loc", &o, 2, &progress);
+        let progress = Arc::new(ProgressState::with_journal(&["sc_per_loc"]));
+        let suite = synthesize(&mtm, &["sc_per_loc"], &o, 2, Some(&progress)).remove(0);
         assert!(suite.stats.timed_out);
         let snap = progress.snapshot();
         assert!(snap.cut_at_partition.is_some());
@@ -681,8 +439,8 @@ mod tests {
     fn fused_run_journals_one_batch_event_per_chunk_for_all_axioms() {
         let mtm = small_mtm();
         let axioms = ["sc_per_loc", "invlpg"];
-        let progress = std::sync::Arc::new(ProgressState::with_journal(&axioms));
-        let suites = synthesize_all_jobs_observed(&mtm, &opts(4), 2, &progress);
+        let progress = Arc::new(ProgressState::with_journal(&axioms));
+        let suites = synthesize(&mtm, &axioms, &opts(4), 2, Some(&progress));
         let snap = progress.snapshot();
         let events = progress.take_journal();
         let batches: Vec<&JournalEvent> = events
@@ -694,13 +452,13 @@ mod tests {
         let items: u64 = batches.iter().map(|e| e.a).sum();
         assert_eq!(items as usize, snap.items_planned);
         let found: u64 = batches.iter().map(|e| e.b).sum();
-        let elts: usize = suites.values().map(|s| s.elts.len()).sum();
+        let elts: usize = suites.iter().map(|s| s.elts.len()).sum();
         assert_eq!(found as usize, elts);
-        for ax in &snap.axioms {
+        for (ax, suite) in snap.axioms.iter().zip(&suites) {
             assert_eq!(ax.state, AxiomState::Complete, "{}", ax.name);
             assert_eq!(ax.batches_done, snap.batches, "{}", ax.name);
             assert_eq!(ax.items_examined, snap.items_planned, "{}", ax.name);
-            assert_eq!(ax.elts, suites[&ax.name].elts.len(), "{}", ax.name);
+            assert_eq!(ax.elts, suite.elts.len(), "{}", ax.name);
         }
     }
 
@@ -725,9 +483,9 @@ mod tests {
             DoneSink(Mutex::new(Vec::new())),
         ];
         let sink_refs: Vec<&dyn SuiteSink> = sinks.iter().map(|s| s as &dyn SuiteSink).collect();
-        let progress = std::sync::Arc::new(ProgressState::new(&axioms));
+        let progress = Arc::new(ProgressState::new(&axioms));
         let (stats, _) =
-            synthesize_axioms_streamed_observed(&mtm, &axioms, &o, 2, &sink_refs, &progress);
+            synthesize_streamed(&mtm, &axioms, &o, 2, Some(&progress), None, &sink_refs);
         assert!(stats.iter().all(|s| s.timed_out));
         for sink in &sinks {
             assert_eq!(*sink.0.lock().unwrap(), vec![true]);
@@ -742,15 +500,12 @@ mod tests {
     #[test]
     fn synthesize_all_jobs_covers_every_axiom() {
         let mtm = small_mtm();
-        let (suites, distinct) = synthesize_all_jobs_with_union(&mtm, &opts(4), 2);
+        let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
+        let suites = synthesize(&mtm, &axioms, &opts(4), 2, None);
         assert_eq!(suites.len(), 2);
-        assert!(suites.values().all(|s| !s.elts.is_empty()));
-        // The streaming cross-suite union equals the batch computation.
-        assert_eq!(
-            distinct,
-            transform_synth::unique_union(suites.values()).len()
-        );
-        let total: usize = suites.values().map(|s| s.elts.len()).sum();
+        assert!(suites.iter().all(|s| !s.elts.is_empty()));
+        let distinct = transform_synth::unique_union(&suites).len();
+        let total: usize = suites.iter().map(|s| s.elts.len()).sum();
         assert!(distinct <= total);
     }
 }

@@ -236,10 +236,11 @@ pub(crate) struct AxiomProgress {
 /// Shared live counters of one (possibly multi-axiom) synthesis run.
 ///
 /// Created by the observer (e.g. the CLI) with the run's axiom names,
-/// wrapped in an [`Arc`](std::sync::Arc), and handed to an `_observed`
-/// entry point ([`crate::synthesize_axioms_streamed_observed`] and
-/// friends, or the store's `cached_or_synthesize*_observed` paths).
-/// Poll [`ProgressState::snapshot`] from any thread.
+/// wrapped in an [`Arc`](std::sync::Arc), and handed to a synthesis
+/// call as its `progress` ([`crate::synthesize`],
+/// [`crate::synthesize_streamed`], or the store's
+/// `TieredCache::cached_or_synthesize`). Poll
+/// [`ProgressState::snapshot`] from any thread.
 pub struct ProgressState {
     started: Instant,
     axioms: Vec<AxiomProgress>,
@@ -308,9 +309,9 @@ impl ProgressState {
         }
     }
 
-    /// The slot index of `axiom`, or `None` when the state was built
-    /// without it.
-    pub(crate) fn slot_of(&self, axiom: &str) -> Option<usize> {
+    /// The slot index of `axiom` (what a journal event's `axiom` field
+    /// holds), or `None` when the state was built without it.
+    pub fn slot_of(&self, axiom: &str) -> Option<usize> {
         self.axioms.iter().position(|a| a.name == axiom)
     }
 
@@ -372,17 +373,6 @@ impl ProgressState {
             }
             None => Vec::new(),
         }
-    }
-
-    /// The number of the state's tracked axioms (the journal's `axiom`
-    /// slots index into this range).
-    pub fn axiom_count(&self) -> usize {
-        self.axioms.len()
-    }
-
-    /// The name of axiom slot `slot`, or `None` out of range.
-    pub fn axiom_name(&self, slot: usize) -> Option<&str> {
-        self.axioms.get(slot).map(|a| a.name.as_str())
     }
 
     /// A consistent-enough point-in-time copy of every counter: each

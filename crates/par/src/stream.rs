@@ -836,44 +836,47 @@ fn examine_batch(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>, batch: &Batch) {
 
 /// Runs the fused enumerate-while-examining pipeline for `axioms` (one
 /// or many) on `jobs` workers, streaming retired batches into the
-/// per-axiom sinks. Partitions are enumerated once and each admitted
-/// chunk is examined once for every axiom; every axiom's `run_done`
-/// fires when the last batch retires. Returns per-axiom counters (in
-/// `axioms` order) and the run's scheduling metrics.
+/// per-axiom `sinks` instead of collecting suite members in memory.
+/// Partitions are enumerated once and each admitted chunk is examined
+/// once for every axiom; every axiom's [`SuiteSink::run_done`] fires
+/// when the last batch retires. Returns per-axiom counters (in `axioms`
+/// order) and the run's scheduling metrics. Sorting an axiom's records
+/// by [`SuiteRecord::index`] recovers its byte-identical sequential
+/// suite.
+///
+/// `progress` receives live counters as the run advances — partitions
+/// and subtree mass retired, programs admitted, per-axiom batch, item
+/// and ELT counts ([`crate::progress`] has the full inventory). It may
+/// track more axioms than the run covers (the tiered store passes its
+/// caller's state, with cache-served axioms already marked
+/// [`AxiomState::Cached`]); the run binds its own axioms by name.
+/// Observation is lock-free sampling and adds no synchronization to
+/// the hot path; the returned [`StreamMetrics`] is the final snapshot of
+/// the same state.
+///
+/// `range` restricts the run to the partitions `[range.0, range.1)`
+/// (global ordinals of [`EnumSpace::new`]) — the fleet's work unit. The
+/// whole prefix `[0, range.1)` is enumerated and admitted so dedup state
+/// and plan indices stay global, but only items admitted inside the
+/// range are examined and emitted, and [`SuiteStats::programs`] counts
+/// only the programs admitted inside it. Ranges that tile the space
+/// therefore produce records and counters whose ordinal-ordered
+/// concatenation (or sum) is exactly the single-machine run. `jobs` is
+/// only this run's local thread count and never affects the output.
 ///
 /// # Panics
 ///
-/// Panics when any axiom is not part of `mtm` or `axioms` and `sinks`
-/// disagree in length.
-pub(crate) fn run_fused(
+/// Panics when any axiom is not part of `mtm` or not tracked by
+/// `progress`, `axioms` and `sinks` disagree in length, or the range is
+/// not ordered inside `[0, partition_count]`.
+pub fn synthesize_streamed(
     mtm: &Mtm,
     axioms: &[&str],
     opts: &SynthOptions,
     jobs: usize,
-    sinks: &[&dyn SuiteSink],
-    progress: Option<&Arc<ProgressState>>,
-) -> (Vec<SuiteStats>, StreamMetrics) {
-    run_fused_range(mtm, axioms, opts, jobs, sinks, progress, None)
-}
-
-/// [`run_fused`] restricted to the partition range `range` (global
-/// ordinals of [`EnumSpace::new`]): the whole prefix `[0, range.1)` is
-/// enumerated and admitted so dedup state and plan indices stay global,
-/// but only items admitted inside `[range.0, range.1)` are examined and
-/// emitted, and
-/// [`SuiteStats::programs`] counts only the programs admitted inside the
-/// range. Ranges that tile the space therefore produce shard results
-/// whose concatenation is exactly the single-machine run — the fleet's
-/// work unit. `jobs` is only this run's local thread count and never
-/// affects the output.
-pub(crate) fn run_fused_range(
-    mtm: &Mtm,
-    axioms: &[&str],
-    opts: &SynthOptions,
-    jobs: usize,
-    sinks: &[&dyn SuiteSink],
     progress: Option<&Arc<ProgressState>>,
     range: Option<(usize, usize)>,
+    sinks: &[&dyn SuiteSink],
 ) -> (Vec<SuiteStats>, StreamMetrics) {
     assert_eq!(axioms.len(), sinks.len(), "one sink per axiom");
     for axiom in axioms {
@@ -973,24 +976,6 @@ pub(crate) fn run_fused_range(
     let mut metrics = StreamMetrics::from_snapshot(&progress.snapshot());
     metrics.axioms = axioms.len();
     (all_stats, metrics)
-}
-
-/// Runs the fused pipeline for one axiom — the single-suite entry the
-/// orchestrator and the store's cold path use.
-///
-/// # Panics
-///
-/// Panics when `axiom` is not part of `mtm`.
-pub(crate) fn run_streamed(
-    mtm: &Mtm,
-    axiom: &str,
-    opts: &SynthOptions,
-    jobs: usize,
-    sink: &dyn SuiteSink,
-    progress: Option<&Arc<ProgressState>>,
-) -> (SuiteStats, StreamMetrics) {
-    let (mut stats, metrics) = run_fused(mtm, &[axiom], opts, jobs, &[sink], progress);
-    (stats.remove(0), metrics)
 }
 
 #[cfg(test)]
@@ -1427,7 +1412,8 @@ mod tests {
     fn run_cold(m: &Mtm, bound: usize, jobs: usize) -> (Vec<SuiteRecord>, SuiteStats) {
         let opts = synth_opts(bound);
         let sink = RecordSink::new();
-        let (mut stats, _) = run_fused(m, &["sc_per_loc"], &opts, jobs, &[&sink], None);
+        let (mut stats, _) =
+            synthesize_streamed(m, &["sc_per_loc"], &opts, jobs, None, None, &[&sink]);
         (sink.take(), stats.remove(0))
     }
 
@@ -1453,14 +1439,14 @@ mod tests {
                 let mut programs = Vec::new();
                 for range in [(0, split), (split, n)] {
                     let sink = RecordSink::new();
-                    let (mut stats, _) = run_fused_range(
+                    let (mut stats, _) = synthesize_streamed(
                         &m,
                         &["sc_per_loc"],
                         &opts,
                         jobs,
-                        &[&sink],
                         None,
                         Some(range),
+                        &[&sink],
                     );
                     let stats = stats.remove(0);
                     assert!(!stats.timed_out, "jobs {jobs} split {split}");
@@ -1509,7 +1495,15 @@ mod tests {
         opts.timeout = Some(Duration::from_millis(1));
         let progress = Arc::new(ProgressState::with_journal(&["sc_per_loc"]));
         let sink = RecordSink::new();
-        let (stats, metrics) = run_fused(&m, &["sc_per_loc"], &opts, 2, &[&sink], Some(&progress));
+        let (stats, metrics) = synthesize_streamed(
+            &m,
+            &["sc_per_loc"],
+            &opts,
+            2,
+            Some(&progress),
+            None,
+            &[&sink],
+        );
         let journal = progress.take_journal();
         let snap = progress.snapshot();
         let retired: u64 = journal
@@ -1542,7 +1536,15 @@ mod tests {
         assert_eq!(tasks.len(), 147);
         let progress = Arc::new(ProgressState::with_journal(&["sc_per_loc"]));
         let sink = RecordSink::new();
-        let (stats, metrics) = run_fused(&m, &["sc_per_loc"], &opts, 2, &[&sink], Some(&progress));
+        let (stats, metrics) = synthesize_streamed(
+            &m,
+            &["sc_per_loc"],
+            &opts,
+            2,
+            Some(&progress),
+            None,
+            &[&sink],
+        );
         assert!(!stats[0].timed_out);
         assert_eq!(metrics.partitions, space.partition_count());
         let journal = progress.take_journal();

@@ -4,9 +4,22 @@
 //! losslessly.
 
 use proptest::prelude::*;
-use transform_par::{synthesize_all_jobs, synthesize_suite_jobs};
+use transform_core::axiom::Mtm;
+use transform_par::synthesize;
 use transform_synth::{Backend, Suite, SynthOptions};
 use transform_x86::x86t_elt;
+
+/// One axiom's suite on `jobs` workers (`jobs = 1` is the sequential
+/// engine).
+fn one_suite(mtm: &Mtm, axiom: &str, o: &SynthOptions, jobs: usize) -> Suite {
+    synthesize(mtm, &[axiom], o, jobs, None).remove(0)
+}
+
+/// Every axiom's suite from one run on `jobs` workers, in model order.
+fn every_suite(mtm: &Mtm, o: &SynthOptions, jobs: usize) -> Vec<Suite> {
+    let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
+    synthesize(mtm, &axioms, o, jobs, None)
+}
 
 /// A byte-exact rendering of everything user-visible in a suite: the
 /// programs in order, each witness's full structure, and the violated
@@ -38,8 +51,8 @@ fn jobs_1_and_8_are_byte_identical_on_both_backends() {
     for backend in [Backend::Explicit, Backend::Relational] {
         for axiom in ["sc_per_loc", "invlpg"] {
             let o = opts(4, backend);
-            let one = synthesize_suite_jobs(&mtm, axiom, &o, 1);
-            let eight = synthesize_suite_jobs(&mtm, axiom, &o, 8);
+            let one = one_suite(&mtm, axiom, &o, 1);
+            let eight = one_suite(&mtm, axiom, &o, 8);
             assert!(
                 !one.elts.is_empty(),
                 "{axiom} via {backend:?}: empty suite makes this test vacuous"
@@ -85,8 +98,8 @@ fn parallel_explicit_and_relational_backends_agree_on_programs() {
     // programs and witnesses must agree.
     let mtm = x86t_elt();
     for axiom in ["sc_per_loc", "invlpg"] {
-        let explicit = synthesize_suite_jobs(&mtm, axiom, &opts(4, Backend::Explicit), 4);
-        let relational = synthesize_suite_jobs(&mtm, axiom, &opts(4, Backend::Relational), 4);
+        let explicit = one_suite(&mtm, axiom, &opts(4, Backend::Explicit), 4);
+        let relational = one_suite(&mtm, axiom, &opts(4, Backend::Relational), 4);
         assert_eq!(
             explicit.elts.len(),
             relational.elts.len(),
@@ -105,9 +118,9 @@ fn streamed_bound_5_suite_is_byte_identical_to_sequential() {
     // bound 5 reproduces the sequential suite exactly.
     let mtm = x86t_elt();
     let o = opts(5, Backend::Explicit);
-    let sequential = synthesize_suite_jobs(&mtm, "sc_per_loc", &o, 1);
+    let sequential = one_suite(&mtm, "sc_per_loc", &o, 1);
     assert!(!sequential.elts.is_empty());
-    let streamed = synthesize_suite_jobs(&mtm, "sc_per_loc", &o, 4);
+    let streamed = one_suite(&mtm, "sc_per_loc", &o, 4);
     assert_eq!(fingerprint(&sequential), fingerprint(&streamed));
     assert_eq!(sequential.stats.programs, streamed.stats.programs);
     assert_eq!(sequential.stats.executions, streamed.stats.executions);
@@ -130,14 +143,13 @@ fn fused_all_axiom_run_matches_per_axiom_sequential_suites() {
         let solos: Vec<Suite> = mtm
             .axioms()
             .iter()
-            .map(|ax| synthesize_suite_jobs(&mtm, &ax.name, &o, 1))
+            .map(|ax| one_suite(&mtm, &ax.name, &o, 1))
             .collect();
         for &jobs in job_counts {
-            let fused = synthesize_all_jobs(&mtm, &o, jobs);
+            let fused = every_suite(&mtm, &o, jobs);
             assert_eq!(fused.len(), solos.len(), "jobs={jobs}");
-            for solo in &solos {
+            for (solo, suite) in solos.iter().zip(&fused) {
                 let axiom = &solo.axiom;
-                let suite = &fused[axiom];
                 let label = format!("{axiom} via {backend:?} jobs={jobs}");
                 assert_eq!(fingerprint(solo), fingerprint(suite), "{label}");
                 assert!(!suite.stats.timed_out, "{label}");
@@ -159,8 +171,8 @@ proptest! {
     fn arbitrary_job_counts_stay_deterministic(jobs in 2usize..24) {
         let mtm = x86t_elt();
         let o = opts(4, Backend::Explicit);
-        let reference = fingerprint(&synthesize_suite_jobs(&mtm, "sc_per_loc", &o, 1));
-        let suite = synthesize_suite_jobs(&mtm, "sc_per_loc", &o, jobs);
+        let reference = fingerprint(&one_suite(&mtm, "sc_per_loc", &o, 1));
+        let suite = one_suite(&mtm, "sc_per_loc", &o, jobs);
         prop_assert_eq!(reference, fingerprint(&suite), "jobs={}", jobs);
     }
 
@@ -170,12 +182,12 @@ proptest! {
     fn fused_all_axiom_run_stays_deterministic_at_any_job_count(jobs in 2usize..10) {
         let mtm = x86t_elt();
         let o = opts(4, Backend::Explicit);
-        let fused = synthesize_all_jobs(&mtm, &o, jobs);
-        for ax in mtm.axioms() {
-            let reference = fingerprint(&synthesize_suite_jobs(&mtm, &ax.name, &o, 1));
+        let fused = every_suite(&mtm, &o, jobs);
+        for (ax, suite) in mtm.axioms().iter().zip(&fused) {
+            let reference = fingerprint(&one_suite(&mtm, &ax.name, &o, 1));
             prop_assert_eq!(
                 reference,
-                fingerprint(&fused[&ax.name]),
+                fingerprint(suite),
                 "{} jobs={}",
                 &ax.name,
                 jobs

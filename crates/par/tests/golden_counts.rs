@@ -5,22 +5,25 @@
 //! the five suites.
 //!
 //! Both the sequential engine (`transform_synth::synthesize_all`) and
-//! the fused two-worker pipeline (`transform_par::synthesize_all_jobs`)
-//! must reproduce the table exactly. The pins were computed before the
-//! examiner learned to walk each program's candidates once for all
-//! axioms, so they hold every optimisation of the examination to the
-//! counters of the one-axiom-at-a-time walk.
+//! the fused two-worker pipeline (`transform_par::synthesize` on two
+//! workers) must reproduce the table exactly. The pins were computed
+//! before the examiner learned to walk each program's candidates once
+//! for all axioms, so they hold every optimisation of the examination to
+//! the counters of the one-axiom-at-a-time walk; the bound-7 rows for
+//! the plain, fences-only and RMW-only mixes were computed before the
+//! synthesis entry points were collapsed into one call per layer.
 //!
 //! Tier-1 covers bounds 4–5 × {plain, fences, rmw, both} and bound 6
-//! with fences and RMW; the other bound-6 mixes and bound 7 (fences +
-//! RMW) are `#[ignore]`d and run in release by the nightly workflow:
+//! with fences and RMW; the other bound-6 mixes and bound 7 (all four
+//! mixes) are `#[ignore]`d and run in release by the nightly workflow:
 //!
 //! ```text
 //! cargo test --release -p transform-par --test golden_counts -- --ignored
 //! ```
 
 use std::collections::BTreeMap;
-use transform_par::synthesize_all_jobs;
+use transform_core::axiom::Mtm;
+use transform_par::synthesize;
 use transform_synth::{exclusive_attribution, unique_union, Suite, SynthOptions};
 use transform_x86::x86t_elt;
 
@@ -70,6 +73,15 @@ fn measured(suites: &BTreeMap<String, Suite>) -> (Vec<MeasuredRow>, usize, Vec<u
     (rows, unique_union(suites.values()).len(), exclusive)
 }
 
+/// Every axiom's suite from one two-worker run, keyed by axiom.
+fn fused(mtm: &Mtm, o: &SynthOptions) -> BTreeMap<String, Suite> {
+    let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
+    synthesize(mtm, &axioms, o, 2, None)
+        .into_iter()
+        .map(|suite| (suite.axiom.clone(), suite))
+        .collect()
+}
+
 fn check(g: &Golden) {
     let mtm = x86t_elt();
     let o = opts(g);
@@ -81,7 +93,7 @@ fn check(g: &Golden) {
         .collect();
     for (engine, suites) in [
         ("sequential", transform_synth::synthesize_all(&mtm, &o)),
-        ("fused --jobs 2", synthesize_all_jobs(&mtm, &o, 2)),
+        ("fused --jobs 2", fused(&mtm, &o)),
     ] {
         assert!(
             suites.values().all(|s| !s.stats.timed_out),
@@ -292,6 +304,51 @@ const B7_BOTH: Golden = Golden {
     exclusive: [46, 1, 0, 14, 0],
 };
 
+const B7_PLAIN: Golden = Golden {
+    bound: 7,
+    fences: false,
+    rmw: false,
+    axioms: [
+        ("sc_per_loc", 6788, 14150, 7479, 95, 95),
+        ("rmw_atomicity", 6788, 14514, 0, 0, 0),
+        ("causality", 6788, 14365, 2802, 28, 28),
+        ("invlpg", 6788, 14435, 2606, 33, 33),
+        ("tlb_causality", 6788, 14467, 1419, 6, 6),
+    ],
+    union: 109,
+    exclusive: [46, 0, 0, 14, 0],
+};
+
+const B7_FENCES: Golden = Golden {
+    bound: 7,
+    fences: true,
+    rmw: false,
+    axioms: [
+        ("sc_per_loc", 16907, 32014, 15366, 95, 95),
+        ("rmw_atomicity", 16907, 32378, 0, 0, 0),
+        ("causality", 16907, 32229, 8999, 28, 28),
+        ("invlpg", 16907, 32299, 3767, 33, 33),
+        ("tlb_causality", 16907, 32331, 1818, 6, 6),
+    ],
+    union: 109,
+    exclusive: [46, 0, 0, 14, 0],
+};
+
+const B7_RMW: Golden = Golden {
+    bound: 7,
+    fences: false,
+    rmw: true,
+    axioms: [
+        ("sc_per_loc", 6940, 15378, 8520, 95, 95),
+        ("rmw_atomicity", 6940, 15707, 69, 1, 1),
+        ("causality", 6940, 15593, 2998, 28, 28),
+        ("invlpg", 6940, 15663, 2694, 33, 33),
+        ("tlb_causality", 6940, 15695, 2097, 6, 6),
+    ],
+    union: 110,
+    exclusive: [46, 1, 0, 14, 0],
+};
+
 #[test]
 fn golden_counts_at_bound_4() {
     for g in [&B4_PLAIN, &B4_FENCES, &B4_RMW, &B4_BOTH] {
@@ -314,7 +371,9 @@ fn golden_counts_at_bound_6_with_fences_and_rmw() {
 #[test]
 #[ignore = "slow in debug (bound 7 alone takes seconds in release); the nightly runs it in release"]
 fn golden_counts_at_bound_6_other_mixes_and_bound_7() {
-    for g in [&B6_PLAIN, &B6_FENCES, &B6_RMW, &B7_BOTH] {
+    for g in [
+        &B6_PLAIN, &B6_FENCES, &B6_RMW, &B7_PLAIN, &B7_FENCES, &B7_RMW, &B7_BOTH,
+    ] {
         check(g);
     }
 }

@@ -6,9 +6,7 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use transform_par::{
-    synthesize_all_jobs, synthesize_all_jobs_observed, synthesize_axioms_streamed_observed,
-    synthesize_suite_jobs, synthesize_suite_jobs_observed, AxiomState, ProgressSnapshot,
-    ProgressState, SuiteSink,
+    synthesize, synthesize_streamed, AxiomState, ProgressSnapshot, ProgressState, SuiteSink,
 };
 use transform_synth::{ShardStats, Suite, SuiteRecord, SynthOptions};
 use transform_x86::x86t_elt;
@@ -81,7 +79,7 @@ fn counters_are_monotone_under_concurrent_sampling() {
     let sinks: Vec<NullSink> = axioms.iter().map(|_| NullSink).collect();
     let sink_refs: Vec<&dyn SuiteSink> = sinks.iter().map(|s| s as &dyn SuiteSink).collect();
     let (stats, metrics) =
-        synthesize_axioms_streamed_observed(&mtm, &axioms, &o, 4, &sink_refs, &progress);
+        synthesize_streamed(&mtm, &axioms, &o, 4, Some(&progress), None, &sink_refs);
     stop.store(true, Ordering::Relaxed);
     sampler.join().expect("sampler thread");
 
@@ -127,15 +125,15 @@ proptest! {
         let o = opts(4);
         let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
         let progress = Arc::new(ProgressState::new(&axioms));
-        let observed = synthesize_all_jobs_observed(&mtm, &o, jobs, &progress);
-        let plain = synthesize_all_jobs(&mtm, &o, jobs);
+        let observed = synthesize(&mtm, &axioms, &o, jobs, Some(&progress));
+        let plain = synthesize(&mtm, &axioms, &o, jobs, None);
         prop_assert_eq!(observed.len(), plain.len());
-        for (axiom, suite) in &observed {
-            prop_assert_eq!(fingerprint(suite), fingerprint(&plain[axiom]), "{}", axiom);
+        for (suite, other) in observed.iter().zip(&plain) {
+            prop_assert_eq!(fingerprint(suite), fingerprint(other), "{}", &suite.axiom);
         }
         let snap = progress.snapshot();
-        for ax in &snap.axioms {
-            prop_assert_eq!(ax.elts, observed[&ax.name].elts.len(), "{}", &ax.name);
+        for (ax, suite) in snap.axioms.iter().zip(&observed) {
+            prop_assert_eq!(ax.elts, suite.elts.len(), "{}", &ax.name);
             prop_assert_eq!(ax.state, AxiomState::Complete, "{}", &ax.name);
         }
     }
@@ -149,8 +147,8 @@ proptest! {
         let o = opts(4);
         let progress = Arc::new(ProgressState::new(&["sc_per_loc"]));
         let observed =
-            synthesize_suite_jobs_observed(&mtm, "sc_per_loc", &o, jobs, &progress);
-        let sequential = synthesize_suite_jobs(&mtm, "sc_per_loc", &o, 1);
+            synthesize(&mtm, &["sc_per_loc"], &o, jobs, Some(&progress)).remove(0);
+        let sequential = synthesize(&mtm, &["sc_per_loc"], &o, 1, None).remove(0);
         prop_assert_eq!(fingerprint(&observed), fingerprint(&sequential));
         prop_assert!(!observed.elts.is_empty());
     }

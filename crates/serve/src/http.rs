@@ -1,5 +1,6 @@
-//! Minimal server-side HTTP/1.1: request parsing and response writing
-//! over a [`TcpStream`], with hard caps on header and body sizes.
+//! Minimal server-side HTTP/1.1: request parsing (from any [`Read`]er)
+//! and response writing over a [`TcpStream`], with hard caps on header
+//! and body sizes.
 //!
 //! Only what the suite-store protocol needs is implemented: one request
 //! per connection (`Connection: close` both ways), `Content-Length`
@@ -50,9 +51,9 @@ impl From<io::Error> for RequestError {
 ///
 /// # Errors
 ///
-/// [`RequestError`] for dead connections, malformed heads, missing
-/// lengths, and oversized bodies.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
+/// [`RequestError`] for dead connections, malformed heads, missing or
+/// conflicting lengths, and oversized bodies.
+pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, RequestError> {
     let mut buf = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
     let head_end = loop {
@@ -95,10 +96,20 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
             return Err(RequestError::Bad(format!("malformed header `{line}`")));
         };
         if name.trim().eq_ignore_ascii_case("content-length") {
-            content_length =
-                Some(value.trim().parse().map_err(|_| {
-                    RequestError::Bad(format!("malformed Content-Length `{value}`"))
-                })?);
+            let len = value
+                .trim()
+                .parse()
+                .map_err(|_| RequestError::Bad(format!("malformed Content-Length `{value}`")))?;
+            // RFC 9112 §6.3: differing lengths leave the framing
+            // undefined, so the request is refused rather than framed by
+            // whichever header came last. A repeated equal value is
+            // harmless (RFC 9110 §8.6).
+            if let Some(earlier) = content_length.filter(|&earlier| earlier != len) {
+                return Err(RequestError::Bad(format!(
+                    "conflicting Content-Length headers ({earlier} and {len})"
+                )));
+            }
+            content_length = Some(len);
         }
     }
 

@@ -81,7 +81,7 @@ fn leased_workers_reproduce_the_single_machine_run() {
         let fp = suite_fingerprint(&mtm, axiom, &o);
         let sealed =
             read_suite(store.open_suite(fp).expect("sealed entry")).expect("suite reads back");
-        let reference = transform_par::synthesize_suite_jobs(&mtm, axiom, &o, 2);
+        let reference = transform_par::synthesize(&mtm, &[axiom], &o, 2, None).remove(0);
         assert_eq!(sealed.elts.len(), reference.elts.len(), "{axiom}");
         for (a, b) in sealed.elts.iter().zip(&reference.elts) {
             assert_eq!(a.program, b.program, "{axiom}");

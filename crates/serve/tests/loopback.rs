@@ -5,11 +5,10 @@
 
 use std::io::{Read, Write};
 use std::net::TcpListener;
+use transform_core::axiom::Mtm;
 use transform_litmus::format::print_elt;
 use transform_serve::{ServeOptions, Server, ServerHandle};
-use transform_store::{
-    cached_or_synthesize, suite_fingerprint, CacheStatus, HttpTier, Store, TieredCache,
-};
+use transform_store::{suite_fingerprint, CacheStatus, HttpTier, Store, StoreError, TieredCache};
 use transform_synth::{Suite, SynthOptions};
 use transform_x86::x86t_elt;
 
@@ -27,6 +26,13 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("mkdir");
     dir
+}
+
+/// `AXIOM` through `cache`: its suite and how it was served.
+fn lookup(cache: &TieredCache, mtm: &Mtm) -> Result<(Suite, CacheStatus), StoreError> {
+    Ok(cache
+        .cached_or_synthesize(mtm, &[AXIOM], &opts(), 2, None)?
+        .remove(0))
 }
 
 /// Renders a suite exactly as `transform synthesize` prints it.
@@ -49,8 +55,8 @@ fn cold_client_reads_through_the_loopback_server() {
     // A server whose store already holds the sealed bound-4 suite.
     let origin = temp_dir("origin");
     {
-        let store = Store::open(&origin).expect("store opens");
-        cached_or_synthesize(&store, &mtm, AXIOM, &opts(), 2).expect("seeds the origin");
+        let seeded = TieredCache::new(Store::open(&origin).expect("store opens"));
+        lookup(&seeded, &mtm).expect("seeds the origin");
     }
     let server = Server::bind(&origin, "127.0.0.1:0", ServeOptions::default()).expect("binds");
     let url = format!("http://{}", server.local_addr());
@@ -60,9 +66,7 @@ fn cold_client_reads_through_the_loopback_server() {
     let local = temp_dir("client");
     let cache = TieredCache::new(Store::open(&local).expect("store opens"))
         .with_remote(Box::new(HttpTier::new(&url).expect("valid URL")));
-    let (suite, status) = cache
-        .cached_or_synthesize(&mtm, AXIOM, &opts(), 2)
-        .expect("tiered read");
+    let (suite, status) = lookup(&cache, &mtm).expect("tiered read");
     assert!(
         status.is_remote_hit(),
         "expected a remote hit, got {status:?}"
@@ -88,9 +92,7 @@ fn cold_client_reads_through_the_loopback_server() {
         .expect("readable")
         .expect("read-through populated the local tier");
     assert_eq!(local_bytes, origin_bytes);
-    let (warm, warm_status) = cache
-        .cached_or_synthesize(&mtm, AXIOM, &opts(), 2)
-        .expect("warm read");
+    let (warm, warm_status) = lookup(&cache, &mtm).expect("warm read");
     assert!(warm_status.is_hit(), "got {warm_status:?}");
     assert_eq!(render(&warm), reference);
 
@@ -107,9 +109,7 @@ fn unreachable_remote_degrades_to_local_synthesis() {
     let cache = TieredCache::new(Store::open(&local).expect("store opens")).with_remote(Box::new(
         HttpTier::new("http://127.0.0.1:1").expect("valid URL"),
     ));
-    let (suite, status) = cache
-        .cached_or_synthesize(&mtm, AXIOM, &opts(), 2)
-        .expect("degrades to synthesis");
+    let (suite, status) = lookup(&cache, &mtm).expect("degrades to synthesis");
     assert_eq!(status, CacheStatus::Miss);
     assert_eq!(
         render(&suite),
@@ -125,7 +125,7 @@ fn unreachable_remote_degrades_to_local_synthesis() {
 /// to synthesis, never be served or survive in the local tier.
 #[test]
 fn wrong_suite_behind_the_right_fingerprint_is_evicted_not_served() {
-    use transform_par::synthesize_suite_streamed;
+    use transform_par::synthesize_streamed;
     use transform_store::EntryMeta;
 
     let mtm = x86t_elt();
@@ -140,8 +140,9 @@ fn wrong_suite_behind_the_right_fingerprint_is_evicted_not_served() {
         let pending = store
             .begin(fp, EntryMeta::describe(&mtm, "sc_per_loc", &opts()))
             .expect("begins");
-        let stats = synthesize_suite_streamed(&mtm, "sc_per_loc", &opts(), 2, &pending);
-        pending.seal(&stats).expect("seals");
+        let (stats, _) =
+            synthesize_streamed(&mtm, &["sc_per_loc"], &opts(), 2, None, None, &[&pending]);
+        pending.seal(&stats[0]).expect("seals");
         store
             .entry_bytes(fp)
             .expect("readable")
@@ -152,9 +153,8 @@ fn wrong_suite_behind_the_right_fingerprint_is_evicted_not_served() {
     let local = temp_dir("forge-client");
     let cache = TieredCache::new(Store::open(&local).expect("store opens"))
         .with_remote(Box::new(HttpTier::new(&url).expect("valid URL")));
-    let (suite, status) = cache
-        .cached_or_synthesize(&mtm, AXIOM, &opts(), 2)
-        .expect("falls through to synthesis, not a hard error");
+    let (suite, status) =
+        lookup(&cache, &mtm).expect("falls through to synthesis, not a hard error");
     assert!(!status.is_remote_hit(), "got {status:?}");
     assert_eq!(render(&suite), reference);
     // The local tier holds the freshly synthesized suite for AXIOM, not
@@ -215,9 +215,10 @@ fn corrupt_remote_bytes_are_detected_and_never_served() {
 
     // Sealed bytes with one bit flipped mid-file.
     let seed = temp_dir("poison-seed");
-    let store = Store::open(&seed).expect("opens");
-    cached_or_synthesize(&store, &mtm, AXIOM, &opts(), 2).expect("seeds");
-    let mut damaged = store
+    let seeded = TieredCache::new(Store::open(&seed).expect("opens"));
+    lookup(&seeded, &mtm).expect("seeds");
+    let mut damaged = seeded
+        .local()
         .entry_bytes(fp)
         .expect("readable")
         .expect("entry sealed");
@@ -228,9 +229,7 @@ fn corrupt_remote_bytes_are_detected_and_never_served() {
     let local = temp_dir("poison-client");
     let cache = TieredCache::new(Store::open(&local).expect("store opens"))
         .with_remote(Box::new(HttpTier::new(&url).expect("valid URL")));
-    let (suite, status) = cache
-        .cached_or_synthesize(&mtm, AXIOM, &opts(), 2)
-        .expect("falls back to synthesis");
+    let (suite, status) = lookup(&cache, &mtm).expect("falls back to synthesis");
     assert!(
         !status.is_remote_hit(),
         "corrupt remote bytes must never count as a remote hit"
@@ -244,9 +243,7 @@ fn corrupt_remote_bytes_are_detected_and_never_served() {
     // — the poisoned payload was never installed (it cannot validate).
     let mut reader = cache.local().open_suite(fp).expect("validates");
     assert!(reader.by_ref().all(|r| r.is_ok()), "local entry is clean");
-    let (warm, warm_status) = cache
-        .cached_or_synthesize(&mtm, AXIOM, &opts(), 2)
-        .expect("warm read");
+    let (warm, warm_status) = lookup(&cache, &mtm).expect("warm read");
     assert!(warm_status.is_hit(), "got {warm_status:?}");
     assert_eq!(render(&warm), reference);
 
@@ -261,9 +258,10 @@ fn truncated_remote_responses_are_detected_and_never_served() {
     let fp = suite_fingerprint(&mtm, AXIOM, &opts());
 
     let seed = temp_dir("trunc-seed");
-    let store = Store::open(&seed).expect("opens");
-    cached_or_synthesize(&store, &mtm, AXIOM, &opts(), 2).expect("seeds");
-    let bytes = store
+    let seeded = TieredCache::new(Store::open(&seed).expect("opens"));
+    lookup(&seeded, &mtm).expect("seeds");
+    let bytes = seeded
+        .local()
         .entry_bytes(fp)
         .expect("readable")
         .expect("entry sealed");
@@ -276,9 +274,7 @@ fn truncated_remote_responses_are_detected_and_never_served() {
             .expect("valid URL")
             .with_timeout(std::time::Duration::from_millis(500)),
     ));
-    let (suite, status) = cache
-        .cached_or_synthesize(&mtm, AXIOM, &opts(), 2)
-        .expect("falls back to synthesis");
+    let (suite, status) = lookup(&cache, &mtm).expect("falls back to synthesis");
     assert!(!status.is_remote_hit());
     assert_eq!(render(&suite), reference);
 
@@ -359,9 +355,10 @@ fn metrics_endpoint_reports_requests_hits_puts_and_bytes() {
     let fp = suite_fingerprint(&mtm, AXIOM, &opts());
     assert!(client.fetch(fp).expect("miss round-trips").is_none());
     let seed = temp_dir("metrics-seed");
-    let store = Store::open(&seed).expect("opens");
-    cached_or_synthesize(&store, &mtm, AXIOM, &opts(), 2).expect("seeds");
-    let bytes = store
+    let seeded = TieredCache::new(Store::open(&seed).expect("opens"));
+    lookup(&seeded, &mtm).expect("seeds");
+    let bytes = seeded
+        .local()
         .entry_bytes(fp)
         .expect("readable")
         .expect("entry sealed");
@@ -422,8 +419,8 @@ fn fused_all_axiom_run_reads_through_and_pushes_per_axiom() {
     // The origin serves one pre-sealed axiom.
     let origin = temp_dir("all-origin");
     {
-        let store = Store::open(&origin).expect("opens");
-        cached_or_synthesize(&store, &mtm, AXIOM, &opts(), 2).expect("seeds the origin");
+        let seeded = TieredCache::new(Store::open(&origin).expect("opens"));
+        lookup(&seeded, &mtm).expect("seeds the origin");
     }
     let server = Server::bind(&origin, "127.0.0.1:0", ServeOptions::default()).expect("binds");
     let url = format!("http://{}", server.local_addr());
@@ -432,12 +429,13 @@ fn fused_all_axiom_run_reads_through_and_pushes_per_axiom() {
     let local = temp_dir("all-client");
     let cache = TieredCache::new(Store::open(&local).expect("store opens"))
         .with_remote(Box::new(HttpTier::new(&url).expect("valid URL")));
+    let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
     let all = cache
-        .cached_or_synthesize_all(&mtm, &opts(), 2)
+        .cached_or_synthesize(&mtm, &axioms, &opts(), 2, None)
         .expect("fused all");
     assert_eq!(all.len(), mtm.axioms().len());
     let origin_store = Store::open(&origin).expect("opens");
-    for (axiom, (suite, status)) in &all {
+    for (&axiom, (suite, status)) in axioms.iter().zip(&all) {
         let reference = transform_synth::synthesize_suite(&mtm, axiom, &opts());
         assert_eq!(render(suite), render(&reference), "{axiom}");
         let fp = suite_fingerprint(&mtm, axiom, &opts());

@@ -8,9 +8,7 @@ use std::sync::OnceLock;
 use transform_core::axiom::Mtm;
 use transform_core::spec::parse_mtm;
 use transform_serve::{ServeOptions, Server, ServerHandle};
-use transform_store::{
-    cached_or_synthesize, suite_fingerprint, Fingerprint, HttpTier, Store, StoreError,
-};
+use transform_store::{suite_fingerprint, Fingerprint, HttpTier, Store, StoreError, TieredCache};
 use transform_synth::SynthOptions;
 
 fn mtm() -> Mtm {
@@ -43,13 +41,17 @@ fn sealed_suites() -> &'static Vec<(String, Fingerprint, Vec<u8>)> {
     static SEALED: OnceLock<Vec<(String, Fingerprint, Vec<u8>)>> = OnceLock::new();
     SEALED.get_or_init(|| {
         let dir = temp_dir("seed");
-        let store = Store::open(&dir).expect("store opens");
+        let cache = TieredCache::new(Store::open(&dir).expect("store opens"));
         let m = mtm();
+        let axioms = ["sc_per_loc", "invlpg"];
+        cache
+            .cached_or_synthesize(&m, &axioms, &opts(), 2, None)
+            .expect("seeds");
         let mut out = Vec::new();
-        for axiom in ["sc_per_loc", "invlpg"] {
-            cached_or_synthesize(&store, &m, axiom, &opts(), 2).expect("seeds");
+        for axiom in axioms {
             let fp = suite_fingerprint(&m, axiom, &opts());
-            let bytes = store
+            let bytes = cache
+                .local()
                 .entry_bytes(fp)
                 .expect("readable")
                 .expect("entry sealed");

@@ -1,20 +1,7 @@
-//! The caching policy over the store: serve sealed suites, stream cold
-//! runs into new entries, and rebuild — never serve — damaged ones.
-//!
-//! Both temperatures serve the suite *from the sealed artifact*: a cold
-//! run synthesizes through the shard-streaming sink, seals, and then
-//! reads its own entry back. A warm run therefore reproduces the cold
-//! run's output byte for byte (statistics included — `elapsed` is the
-//! recorded synthesis time, not the read time), which is what makes
-//! cached results indistinguishable from fresh ones.
-//!
-//! This module is the *local-only* policy; [`crate::tier`] layers an
-//! optional shared remote tier (read-through, push-on-seal) behind the
-//! same contract.
-
-use crate::store::{Store, StoreError};
-use transform_core::axiom::Mtm;
-use transform_synth::{Suite, SynthOptions};
+//! How a cached lookup was satisfied. The caching policy itself —
+//! serve sealed suites, stream cold runs into new entries, rebuild
+//! (never serve) damaged ones, and the optional shared remote tier — is
+//! [`crate::TieredCache::cached_or_synthesize`].
 
 /// How a cached lookup was satisfied.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -55,93 +42,4 @@ impl CacheStatus {
     pub fn is_remote_hit(&self) -> bool {
         matches!(self, CacheStatus::RemoteHit)
     }
-}
-
-/// Serves the per-axiom suite from the store, synthesizing (and
-/// sealing) on a miss. Corrupt, truncated, or version-mismatched
-/// entries are detected by checksums, deleted, and transparently
-/// rebuilt.
-///
-/// This is the local-only path — [`crate::TieredCache`] adds a shared
-/// remote tier between the local store and synthesis.
-///
-/// # Errors
-///
-/// Only genuine i/o failures (unreadable store directory, failed
-/// writes) surface as errors; validation failures are handled by
-/// rebuilding.
-///
-/// # Panics
-///
-/// Panics when `axiom` is not part of `mtm` (as every synthesis entry
-/// point does).
-pub fn cached_or_synthesize(
-    store: &Store,
-    mtm: &Mtm,
-    axiom: &str,
-    opts: &SynthOptions,
-    jobs: usize,
-) -> Result<(Suite, CacheStatus), StoreError> {
-    crate::tier::run_tiered(store, None, mtm, axiom, opts, jobs, None)
-}
-
-/// [`cached_or_synthesize`] with live telemetry: a cache hit marks the
-/// axiom's progress slot cached, a miss publishes the synthesis run's
-/// counters into `progress` as it executes. See
-/// [`transform_par::ProgressState`].
-///
-/// # Errors
-///
-/// Only genuine i/o failures, exactly like [`cached_or_synthesize`].
-///
-/// # Panics
-///
-/// Panics when `axiom` is not part of `mtm`.
-pub fn cached_or_synthesize_observed(
-    store: &Store,
-    mtm: &Mtm,
-    axiom: &str,
-    opts: &SynthOptions,
-    jobs: usize,
-    progress: &std::sync::Arc<transform_par::ProgressState>,
-) -> Result<(Suite, CacheStatus), StoreError> {
-    crate::tier::run_tiered(store, None, mtm, axiom, opts, jobs, Some(progress))
-}
-
-/// Serves **every** per-axiom suite of `mtm` from the store in one
-/// pass: tier hits stream from their sealed entries, and all the
-/// misses are synthesized together in one fused streamed run — the
-/// program space is enumerated once, each program is examined once for
-/// every missing axiom, and each missing axiom's suite is sealed when
-/// the run finishes. The local-only counterpart of
-/// [`crate::TieredCache::cached_or_synthesize_all`].
-///
-/// # Errors
-///
-/// Only genuine i/o failures, exactly like [`cached_or_synthesize`].
-pub fn cached_or_synthesize_all(
-    store: &Store,
-    mtm: &Mtm,
-    opts: &SynthOptions,
-    jobs: usize,
-) -> Result<std::collections::BTreeMap<String, (Suite, CacheStatus)>, StoreError> {
-    crate::tier::run_tiered_all(store, None, mtm, opts, jobs, None)
-}
-
-/// [`cached_or_synthesize_all`] with live telemetry: cache-served
-/// axioms are marked cached in `progress` as their lookups resolve, and
-/// the misses' one fused run publishes its counters while it executes —
-/// so an observer renders cached and live axioms distinctly.
-///
-/// # Errors
-///
-/// Only genuine i/o failures, exactly like [`cached_or_synthesize`].
-pub fn cached_or_synthesize_all_observed(
-    store: &Store,
-    mtm: &Mtm,
-    opts: &SynthOptions,
-    jobs: usize,
-    progress: &std::sync::Arc<transform_par::ProgressState>,
-) -> Result<std::collections::BTreeMap<String, (Suite, CacheStatus)>, StoreError> {
-    crate::tier::run_tiered_all(store, None, mtm, opts, jobs, Some(progress))
 }

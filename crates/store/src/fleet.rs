@@ -781,12 +781,13 @@ pub fn execute_lease(grant: &LeaseGrant, jobs: usize) -> Result<ShardResult, Sto
     }
     let sinks: Vec<CollectShard> = axioms.iter().map(|_| CollectShard::default()).collect();
     let sink_refs: Vec<&dyn SuiteSink> = sinks.iter().map(|s| s as &dyn SuiteSink).collect();
-    let (stats, _) = transform_par::synthesize_axioms_fused_range(
+    let (stats, _) = transform_par::synthesize_streamed(
         &mtm,
         &axioms,
         &opts,
-        jobs.max(1),
-        (lo, hi),
+        jobs,
+        None,
+        Some((lo, hi)),
         &sink_refs,
     );
     // Every axiom shares the range's plan, so any axiom's count is the

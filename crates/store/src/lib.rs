@@ -21,9 +21,7 @@
 //!   [`transform_par::SuiteSink`]), a deterministic merge seals the
 //!   canonical index, and [`store::SuiteReader`] iterates a sealed
 //!   suite record-by-record behind checksum validation.
-//! * [`cache`] — the policy: serve sealed entries, stream cold runs in,
-//!   and rebuild (never serve) corrupt, truncated, or
-//!   version-mismatched files.
+//! * [`cache`] — [`CacheStatus`], how a cached lookup was satisfied.
 //! * [`journal`] — synthesis runs as durable artifacts: a checksummed
 //!   binary journal per run (manifest + timestamped pipeline events)
 //!   written alongside the sealed suites, the substrate for
@@ -32,10 +30,13 @@
 //!   rewritten atomically on every seal, so `query`/`export` filter
 //!   entries without opening each header; a missing or stale index
 //!   falls back to the full scan.
-//! * [`tier`] — cache tiering: a [`CacheTier`] abstraction over "places
-//!   sealed bytes live", and [`TieredCache`] layering a shared remote
-//!   tier behind the local directory (read-through population,
-//!   push-on-seal).
+//! * [`tier`] — the caching policy: a [`CacheTier`] abstraction over
+//!   "places sealed bytes live", and [`TieredCache`], whose one
+//!   synthesis call ([`TieredCache::cached_or_synthesize`]) serves
+//!   sealed entries, streams cold runs in, rebuilds (never serves)
+//!   corrupt, truncated, or version-mismatched files, and layers an
+//!   optional shared remote tier behind the local directory
+//!   (read-through population, push-on-seal).
 //! * [`remote`] — the dependency-free HTTP/1.1 client for a
 //!   `transform serve` endpoint ([`HttpTier`]), the remote half of a
 //!   fleet-wide shared cache.
@@ -48,7 +49,7 @@
 //!
 //! ```
 //! use transform_core::spec::parse_mtm;
-//! use transform_store::{cached_or_synthesize, Store};
+//! use transform_store::{Store, TieredCache};
 //! use transform_synth::SynthOptions;
 //!
 //! let mtm = parse_mtm(
@@ -60,12 +61,15 @@
 //! opts.enumeration.allow_fences = false;
 //! opts.enumeration.allow_rmw = false;
 //! let dir = std::env::temp_dir().join(format!("tfs-doc-{}", std::process::id()));
-//! let store = Store::open(&dir).expect("store opens");
+//! let cache = TieredCache::new(Store::open(&dir).expect("store opens"));
 //!
-//! let (cold, cold_status) =
-//!     cached_or_synthesize(&store, &mtm, "sc_per_loc", &opts, 2).expect("synthesizes");
-//! let (warm, warm_status) =
-//!     cached_or_synthesize(&store, &mtm, "sc_per_loc", &opts, 2).expect("reads");
+//! let cold = cache
+//!     .cached_or_synthesize(&mtm, &["sc_per_loc"], &opts, 2, None)
+//!     .expect("synthesizes");
+//! let warm = cache
+//!     .cached_or_synthesize(&mtm, &["sc_per_loc"], &opts, 2, None)
+//!     .expect("reads");
+//! let ((cold, cold_status), (warm, warm_status)) = (&cold[0], &warm[0]);
 //! assert!(!cold_status.is_hit());
 //! assert!(warm_status.is_hit());
 //! assert_eq!(cold.elts.len(), warm.elts.len());
@@ -84,10 +88,7 @@ pub mod remote;
 pub mod store;
 pub mod tier;
 
-pub use cache::{
-    cached_or_synthesize, cached_or_synthesize_all, cached_or_synthesize_all_observed,
-    cached_or_synthesize_observed, CacheStatus,
-};
+pub use cache::CacheStatus;
 pub use codec::{CodecError, FORMAT_VERSION};
 pub use fingerprint::{suite_fingerprint, Fingerprint};
 pub use fleet::{

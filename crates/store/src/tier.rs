@@ -20,18 +20,20 @@
 //! Remote failures are soft on this read path: an unreachable or
 //! misbehaving remote degrades the tiered cache to the local-only one.
 //! Only genuine local i/o failures surface as errors.
+//!
+//! Every temperature serves the suite *from the sealed artifact*: a
+//! cold run synthesizes through the shard-streaming sink, seals, and
+//! then reads its own entry back. A warm run therefore reproduces the
+//! cold run's output byte for byte (statistics included — `elapsed` is
+//! the recorded synthesis time, not the read time), which is what makes
+//! cached results indistinguishable from fresh ones.
 
 use crate::cache::CacheStatus;
 use crate::fingerprint::{suite_fingerprint, Fingerprint};
 use crate::store::{read_suite, EntryMeta, PendingSuite, Store, StoreError};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use transform_core::axiom::Mtm;
-use transform_par::{
-    synthesize_axioms_streamed, synthesize_axioms_streamed_observed, synthesize_suite_streamed,
-    synthesize_suite_streamed_observed, JournalEventKind, ProgressState, SuiteSink,
-};
+use transform_par::{synthesize_streamed, JournalEventKind, ProgressState, SuiteSink};
 use transform_synth::{ShardStats, Suite, SuiteRecord, SuiteStats, SynthOptions};
 
 /// One tier of a layered suite cache: somewhere sealed-suite bytes can
@@ -115,10 +117,13 @@ impl CacheTier for crate::remote::HttpTier {
 /// // No remote configured: the tiered cache degrades to the local store.
 /// let cache = TieredCache::new(Store::open(&dir).expect("store opens"));
 ///
-/// let (cold, cold_status) =
-///     cache.cached_or_synthesize(&mtm, "sc_per_loc", &opts, 2).expect("synthesizes");
-/// let (warm, warm_status) =
-///     cache.cached_or_synthesize(&mtm, "sc_per_loc", &opts, 2).expect("reads");
+/// let cold = cache
+///     .cached_or_synthesize(&mtm, &["sc_per_loc"], &opts, 2, None)
+///     .expect("synthesizes");
+/// let warm = cache
+///     .cached_or_synthesize(&mtm, &["sc_per_loc"], &opts, 2, None)
+///     .expect("reads");
+/// let ((cold, cold_status), (warm, warm_status)) = (&cold[0], &warm[0]);
 /// assert!(!cold_status.is_hit());
 /// assert!(warm_status.is_hit());
 /// assert_eq!(cold.elts.len(), warm.elts.len());
@@ -155,11 +160,25 @@ impl TieredCache {
         self.remote.as_deref()
     }
 
-    /// Serves the per-axiom suite through the tiers: local, then remote
-    /// (read-through: a remote hit is validated into the local tier and
-    /// served from there), then synthesis (sealed locally and pushed to
-    /// the remote, best-effort). See [`crate::cached_or_synthesize`] for
-    /// the local-only contract this extends.
+    /// Serves the per-axiom suites of `axioms` through the tiers and
+    /// returns them in `axioms` order, each with how it was served.
+    ///
+    /// Each axiom is looked up locally, then remotely (read-through: a
+    /// remote hit is validated into the local tier and served from
+    /// there). All the misses are synthesized together in one fused
+    /// streamed run — the program space is enumerated once, and each
+    /// program is examined once for every missing axiom — and each
+    /// missing axiom's suite is sealed locally and pushed to the remote
+    /// (best-effort) when the run finishes. Damaged local entries are
+    /// deleted and rebuilt, never served; a timed-out run seals
+    /// nothing, and its partial suites come back
+    /// [`CacheStatus::Uncached`].
+    ///
+    /// `progress` observes the request: every tier-served axiom is
+    /// marked cached ([`ProgressState::mark_cached`]) the moment its
+    /// lookup resolves, so observers render it distinctly from live
+    /// synthesis, and the misses' fused run publishes its counters as
+    /// it executes.
     ///
     /// # Errors
     ///
@@ -168,172 +187,85 @@ impl TieredCache {
     ///
     /// # Panics
     ///
-    /// Panics when `axiom` is not part of `mtm` (as every synthesis
-    /// entry point does).
+    /// Panics when any axiom is not part of `mtm`, or when a missing
+    /// axiom is not tracked by `progress` (as every synthesis entry
+    /// point does).
     pub fn cached_or_synthesize(
         &self,
         mtm: &Mtm,
-        axiom: &str,
+        axioms: &[&str],
         opts: &SynthOptions,
         jobs: usize,
-    ) -> Result<(Suite, CacheStatus), StoreError> {
-        run_tiered(
-            &self.local,
-            self.remote.as_deref(),
-            mtm,
-            axiom,
-            opts,
-            jobs,
-            None,
-        )
-    }
-
-    /// [`TieredCache::cached_or_synthesize`] with live telemetry: a
-    /// tier hit marks the axiom's progress slot cached
-    /// ([`ProgressState::mark_cached`] — so observers render it
-    /// distinctly from live synthesis), and a miss publishes the fused
-    /// run's counters into `progress` as it executes.
-    ///
-    /// # Errors
-    ///
-    /// Only genuine local i/o failures, exactly like
-    /// [`TieredCache::cached_or_synthesize`].
-    pub fn cached_or_synthesize_observed(
-        &self,
-        mtm: &Mtm,
-        axiom: &str,
-        opts: &SynthOptions,
-        jobs: usize,
-        progress: &Arc<ProgressState>,
-    ) -> Result<(Suite, CacheStatus), StoreError> {
-        run_tiered(
-            &self.local,
-            self.remote.as_deref(),
-            mtm,
-            axiom,
-            opts,
-            jobs,
-            Some(progress),
-        )
-    }
-
-    /// Serves **every** per-axiom suite of `mtm` through the tiers in
-    /// one pass: each axiom is looked up locally, then remotely
-    /// (read-through), and all the misses are synthesized together in
-    /// one fused streamed run — the program space is enumerated once,
-    /// each program is examined once for every missing axiom, and each
-    /// missing axiom's suite is sealed (and pushed to the remote,
-    /// best-effort) when the run finishes.
-    ///
-    /// # Errors
-    ///
-    /// Only genuine local i/o failures; remote trouble and validation
-    /// failures degrade to the next tier.
-    pub fn cached_or_synthesize_all(
-        &self,
-        mtm: &Mtm,
-        opts: &SynthOptions,
-        jobs: usize,
-    ) -> Result<BTreeMap<String, (Suite, CacheStatus)>, StoreError> {
-        run_tiered_all(&self.local, self.remote.as_deref(), mtm, opts, jobs, None)
-    }
-
-    /// [`TieredCache::cached_or_synthesize_all`] with live telemetry:
-    /// every tier-served axiom is marked cached in `progress` the
-    /// moment its lookup resolves, and the misses' fused run publishes
-    /// its counters as it executes — an observer watches cached axioms
-    /// settle instantly while live ones stream partitions, mass, and
-    /// ETA.
-    ///
-    /// # Errors
-    ///
-    /// Only genuine local i/o failures, exactly like
-    /// [`TieredCache::cached_or_synthesize_all`].
-    pub fn cached_or_synthesize_all_observed(
-        &self,
-        mtm: &Mtm,
-        opts: &SynthOptions,
-        jobs: usize,
-        progress: &Arc<ProgressState>,
-    ) -> Result<BTreeMap<String, (Suite, CacheStatus)>, StoreError> {
-        run_tiered_all(
-            &self.local,
-            self.remote.as_deref(),
-            mtm,
-            opts,
-            jobs,
-            Some(progress),
-        )
-    }
-}
-
-/// The tiered lookup shared by [`TieredCache::cached_or_synthesize`] and
-/// the local-only [`crate::cached_or_synthesize`] (which passes no
-/// remote).
-pub(crate) fn run_tiered(
-    local: &Store,
-    remote: Option<&dyn CacheTier>,
-    mtm: &Mtm,
-    axiom: &str,
-    opts: &SynthOptions,
-    jobs: usize,
-    progress: Option<&Arc<ProgressState>>,
-) -> Result<(Suite, CacheStatus), StoreError> {
-    assert!(
-        mtm.axiom(axiom).is_some(),
-        "axiom `{axiom}` is not part of {}",
-        mtm.name()
-    );
-    let fp = suite_fingerprint(mtm, axiom, opts);
-    let status = match lookup_tiers(local, remote, fp, axiom)? {
-        Lookup::Served(suite, status) => {
-            if let Some(progress) = progress {
-                progress.mark_cached(axiom, suite.elts.len());
-            }
-            return Ok((suite, status));
+        progress: Option<&Arc<ProgressState>>,
+    ) -> Result<Vec<(Suite, CacheStatus)>, StoreError> {
+        for axiom in axioms {
+            assert!(
+                mtm.axiom(axiom).is_some(),
+                "axiom `{axiom}` is not part of {}",
+                mtm.name()
+            );
         }
-        Lookup::Absent(status) => status,
-    };
-
-    // Tier 3: synthesize, seal locally, push the sealed bytes.
-    let pending = local.begin(fp, EntryMeta::describe(mtm, axiom, opts))?;
-    // The gate's scope ends before `pending` is sealed or dismantled —
-    // it only lives for the streaming run it observes.
-    let (stats, completed) = {
-        let gate = PushGate::new(&pending);
-        let stats = match progress {
-            Some(progress) => {
-                synthesize_suite_streamed_observed(mtm, axiom, opts, jobs, &gate, progress).0
-            }
-            None => synthesize_suite_streamed(mtm, axiom, opts, jobs, &gate),
-        };
-        let completed = gate.completed();
-        (stats, completed)
-    };
-    if stats.timed_out {
-        let suite = pending.into_suite(&stats)?;
-        return Ok((
-            suite,
-            CacheStatus::Uncached {
-                reason: "synthesis timed out; partial suites are never cached".into(),
-            },
-        ));
-    }
-    pending.seal(&stats)?;
-    record_seal(progress, axiom, local, fp);
-    if let Some(remote) = remote {
-        if completed {
-            // Best-effort: a failed push costs the fleet a warm entry,
-            // never this run its result.
-            if let Ok(Some(bytes)) = local.entry_bytes(fp) {
-                if remote.publish(fp, &bytes).is_ok() {
-                    record_push(progress, axiom);
+        let (local, remote) = (&self.local, self.remote.as_deref());
+        let mut out: Vec<Option<(Suite, CacheStatus)>> = axioms.iter().map(|_| None).collect();
+        let mut misses: Vec<(usize, Fingerprint, CacheStatus)> = Vec::new();
+        for (i, axiom) in axioms.iter().enumerate() {
+            let fp = suite_fingerprint(mtm, axiom, opts);
+            match lookup_tiers(local, remote, fp, axiom)? {
+                Lookup::Served(suite, status) => {
+                    // Cache-served axioms settle in the progress view the
+                    // moment their lookup resolves — observers render them
+                    // distinctly from the axioms about to synthesize live.
+                    if let Some(progress) = progress {
+                        progress.mark_cached(axiom, suite.elts.len());
+                    }
+                    out[i] = Some((suite, status));
                 }
+                Lookup::Absent(status) => misses.push((i, fp, status)),
             }
         }
+
+        if !misses.is_empty() {
+            // One fused run for every miss: enumerate once, examine each
+            // program once for every axiom, seal each suite when the run
+            // finishes.
+            let miss_axioms: Vec<&str> = misses.iter().map(|&(i, _, _)| axioms[i]).collect();
+            let gates: Vec<SealOnDone<'_>> = misses
+                .iter()
+                .map(|&(i, fp, _)| {
+                    let pending = local.begin(fp, EntryMeta::describe(mtm, axioms[i], opts))?;
+                    Ok(SealOnDone::new(
+                        local, remote, fp, pending, axioms[i], progress,
+                    ))
+                })
+                .collect::<Result<_, StoreError>>()?;
+            let sink_refs: Vec<&dyn SuiteSink> =
+                gates.iter().map(|g| g as &dyn SuiteSink).collect();
+            let (all_stats, _) =
+                synthesize_streamed(mtm, &miss_axioms, opts, jobs, progress, None, &sink_refs);
+
+            for (((i, fp, status), gate), stats) in misses.into_iter().zip(gates).zip(all_stats) {
+                let (pending, seal_outcome) = gate.into_parts();
+                out[i] = Some(if stats.timed_out {
+                    let pending = pending.expect("timed-out runs are never sealed");
+                    let reason = "synthesis timed out; partial suites are never cached".into();
+                    (
+                        pending.into_suite(&stats)?,
+                        CacheStatus::Uncached { reason },
+                    )
+                } else {
+                    // A completed axiom was sealed from the pool; surface
+                    // any seal failure now (local disk trouble is hard, as
+                    // ever).
+                    seal_outcome.expect("run_done seals every completed axiom")?;
+                    (read_entry(local, fp, axioms[i])?, status)
+                });
+            }
+        }
+        Ok(out
+            .into_iter()
+            .map(|served| served.expect("every axiom is served or synthesized"))
+            .collect())
     }
-    let suite = read_entry(local, fp, axiom)?;
-    Ok((suite, status))
 }
 
 /// One axiom's outcome from the local and remote tiers.
@@ -346,12 +278,12 @@ enum Lookup {
     Absent(CacheStatus),
 }
 
-/// Tiers 1 and 2 of the lookup, shared by the single-axiom and the
-/// fused all-axiom paths: serve a sealed local entry; on a local miss
-/// fetch from the remote, validate *into* the local tier, and serve
-/// from there. Every remote failure mode is soft — unreachable remote,
-/// damaged payload, local validation refusing the bytes — and degrades
-/// to synthesis; only genuine local disk trouble is hard.
+/// Tiers 1 and 2 of one axiom's lookup: serve a sealed local entry; on
+/// a local miss fetch from the remote, validate *into* the local tier,
+/// and serve from there. Every remote failure mode is soft —
+/// unreachable remote, damaged payload, local validation refusing the
+/// bytes — and degrades to synthesis; only genuine local disk trouble
+/// is hard.
 fn lookup_tiers(
     local: &Store,
     remote: Option<&dyn CacheTier>,
@@ -398,88 +330,6 @@ fn lookup_tiers(
         }
     }
     Ok(Lookup::Absent(status))
-}
-
-/// The all-axiom tiered lookup behind
-/// [`TieredCache::cached_or_synthesize_all`] and the local-only
-/// [`crate::cached_or_synthesize_all`]: tier hits are served per
-/// axiom, and every miss joins **one fused streamed synthesis** whose
-/// per-axiom sinks seal + push each suite when the run's last batch
-/// retires ([`SuiteSink::run_done`] fires for every axiom then).
-pub(crate) fn run_tiered_all(
-    local: &Store,
-    remote: Option<&dyn CacheTier>,
-    mtm: &Mtm,
-    opts: &SynthOptions,
-    jobs: usize,
-    progress: Option<&Arc<ProgressState>>,
-) -> Result<BTreeMap<String, (Suite, CacheStatus)>, StoreError> {
-    let axioms: Vec<String> = mtm.axioms().iter().map(|a| a.name.clone()).collect();
-    let mut out = BTreeMap::new();
-    let mut misses: Vec<(String, Fingerprint, CacheStatus)> = Vec::new();
-    for axiom in axioms {
-        let fp = suite_fingerprint(mtm, &axiom, opts);
-        match lookup_tiers(local, remote, fp, &axiom)? {
-            Lookup::Served(suite, status) => {
-                // Cache-served axioms settle in the progress view the
-                // moment their lookup resolves — observers render them
-                // distinctly from the axioms about to synthesize live.
-                if let Some(progress) = progress {
-                    progress.mark_cached(&axiom, suite.elts.len());
-                }
-                out.insert(axiom, (suite, status));
-            }
-            Lookup::Absent(status) => misses.push((axiom, fp, status)),
-        }
-    }
-    if misses.is_empty() {
-        return Ok(out);
-    }
-
-    // One fused run for every miss: enumerate once, examine each program
-    // once for every axiom, seal each suite when the run finishes.
-    let axiom_refs: Vec<&str> = misses.iter().map(|(a, _, _)| a.as_str()).collect();
-    let gates: Vec<SealOnDone<'_>> = misses
-        .iter()
-        .map(|(axiom, fp, _)| {
-            let pending = local.begin(*fp, EntryMeta::describe(mtm, axiom, opts))?;
-            Ok(SealOnDone::new(
-                local, remote, *fp, pending, axiom, progress,
-            ))
-        })
-        .collect::<Result<_, StoreError>>()?;
-    let sink_refs: Vec<&dyn SuiteSink> = gates.iter().map(|g| g as &dyn SuiteSink).collect();
-    let all_stats = match progress {
-        Some(progress) => {
-            synthesize_axioms_streamed_observed(mtm, &axiom_refs, opts, jobs, &sink_refs, progress)
-                .0
-        }
-        None => synthesize_axioms_streamed(mtm, &axiom_refs, opts, jobs, &sink_refs),
-    };
-
-    for (((axiom, fp, status), gate), stats) in misses.into_iter().zip(gates).zip(all_stats) {
-        let (pending, seal_outcome) = gate.into_parts();
-        if stats.timed_out {
-            let pending = pending.expect("timed-out runs are never sealed");
-            let suite = pending.into_suite(&stats)?;
-            out.insert(
-                axiom,
-                (
-                    suite,
-                    CacheStatus::Uncached {
-                        reason: "synthesis timed out; partial suites are never cached".into(),
-                    },
-                ),
-            );
-            continue;
-        }
-        // A completed axiom was sealed from the pool; surface any seal
-        // failure now (local disk trouble is hard, as ever).
-        seal_outcome.expect("run_done seals every completed axiom")?;
-        let suite = read_entry(local, fp, &axiom)?;
-        out.insert(axiom, (suite, status));
-    }
-    Ok(out)
 }
 
 /// The per-axiom [`SuiteSink`] of a fused cached run: streams shards
@@ -577,50 +427,6 @@ impl SuiteSink for SealOnDone<'_> {
     }
 }
 
-/// The [`SuiteSink`] adapter behind push-on-seal: forwards every shard
-/// to the local pending entry and, through the [`SuiteSink::run_done`]
-/// hook, records whether the run completed — the gate that lets the
-/// tiered cache push the sealed artifact to the remote tier.
-struct PushGate<'a> {
-    pending: &'a PendingSuite,
-    complete: AtomicBool,
-}
-
-impl<'a> PushGate<'a> {
-    fn new(pending: &'a PendingSuite) -> PushGate<'a> {
-        PushGate {
-            pending,
-            complete: AtomicBool::new(false),
-        }
-    }
-
-    /// Whether `run_done` reported a completed (un-timed-out) run.
-    fn completed(&self) -> bool {
-        self.complete.load(Ordering::Acquire)
-    }
-}
-
-impl SuiteSink for PushGate<'_> {
-    fn shard_done(&self, stats: ShardStats, records: Vec<SuiteRecord>) {
-        self.pending.shard_done(stats, records);
-    }
-
-    fn run_done(&self, stats: &SuiteStats) {
-        if !stats.timed_out {
-            self.complete.store(true, Ordering::Release);
-        }
-    }
-}
-
-/// The progress slot of `axiom`, for axiom-scoped journal events. The
-/// slot table is small (one entry per axiom of the MTM), so a linear
-/// scan is fine on this once-per-seal path.
-fn axiom_slot(progress: &ProgressState, axiom: &str) -> Option<u32> {
-    (0..progress.axiom_count())
-        .find(|&slot| progress.axiom_name(slot) == Some(axiom))
-        .and_then(|slot| u32::try_from(slot).ok())
-}
-
 /// Journals a [`JournalEventKind::Seal`] for `axiom` (`a` = sealed
 /// entry bytes). A no-op when the run is unobserved or unjournaled.
 fn record_seal(progress: Option<&Arc<ProgressState>>, axiom: &str, local: &Store, fp: Fingerprint) {
@@ -630,7 +436,7 @@ fn record_seal(progress: Option<&Arc<ProgressState>>, axiom: &str, local: &Store
         .unwrap_or(0);
     progress.record(
         JournalEventKind::Seal,
-        axiom_slot(progress, axiom),
+        progress.slot_of(axiom).map(|slot| slot as u32),
         sealed_bytes,
         0,
         0,
@@ -641,7 +447,8 @@ fn record_seal(progress: Option<&Arc<ProgressState>>, axiom: &str, local: &Store
 /// run is unobserved or unjournaled.
 fn record_push(progress: Option<&Arc<ProgressState>>, axiom: &str) {
     let Some(progress) = progress else { return };
-    progress.record(JournalEventKind::Push, axiom_slot(progress, axiom), 0, 0, 0);
+    let slot = progress.slot_of(axiom).map(|slot| slot as u32);
+    progress.record(JournalEventKind::Push, slot, 0, 0, 0);
 }
 
 /// Reads and fully validates one sealed local entry, also cross-checking

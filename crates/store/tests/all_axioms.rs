@@ -4,9 +4,9 @@
 //! missing axiom and seals every suite when it finishes — and the
 //! result is indistinguishable from per-axiom lookups.
 
-use transform_store::{
-    cached_or_synthesize, cached_or_synthesize_all, suite_fingerprint, CacheStatus, Store,
-};
+use std::collections::BTreeMap;
+use transform_core::axiom::Mtm;
+use transform_store::{suite_fingerprint, CacheStatus, Store, StoreError, TieredCache};
 use transform_synth::{Suite, SynthOptions};
 use transform_x86::x86t_elt;
 
@@ -17,10 +17,30 @@ fn opts() -> SynthOptions {
     o
 }
 
-fn temp_store(tag: &str) -> (std::path::PathBuf, Store) {
+fn temp_cache(tag: &str) -> (std::path::PathBuf, TieredCache) {
     let dir = std::env::temp_dir().join(format!("tfs-all-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    (dir.clone(), Store::open(&dir).expect("store opens"))
+    let store = Store::open(&dir).expect("store opens");
+    (dir, TieredCache::new(store))
+}
+
+/// Every axiom of `mtm` through one cached request, keyed by axiom.
+fn cached_all(
+    cache: &TieredCache,
+    mtm: &Mtm,
+    o: &SynthOptions,
+) -> Result<BTreeMap<String, (Suite, CacheStatus)>, StoreError> {
+    let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
+    let served = cache.cached_or_synthesize(mtm, &axioms, o, 2, None)?;
+    Ok(served
+        .into_iter()
+        .map(|(suite, status)| (suite.axiom.clone(), (suite, status)))
+        .collect())
+}
+
+/// One axiom's suite straight from the engine on two workers.
+fn solo(mtm: &Mtm, axiom: &str, o: &SynthOptions) -> Suite {
+    transform_par::synthesize(mtm, &[axiom], o, 2, None).remove(0)
 }
 
 fn assert_same_suite(a: &Suite, b: &Suite, axiom: &str) {
@@ -39,10 +59,11 @@ fn assert_same_suite(a: &Suite, b: &Suite, axiom: &str) {
 #[test]
 fn cold_all_seals_every_axiom_and_warm_all_hits() {
     let mtm = x86t_elt();
-    let (dir, store) = temp_store("cold-warm");
+    let (dir, cache) = temp_cache("cold-warm");
+    let store = cache.local();
     let o = opts();
 
-    let cold = cached_or_synthesize_all(&store, &mtm, &o, 2).expect("cold all");
+    let cold = cached_all(&cache, &mtm, &o).expect("cold all");
     assert_eq!(cold.len(), mtm.axioms().len());
     for (axiom, (suite, status)) in &cold {
         assert_eq!(status, &CacheStatus::Miss, "{axiom}");
@@ -52,11 +73,10 @@ fn cold_all_seals_every_axiom_and_warm_all_hits() {
             "{axiom}"
         );
         // And matches the per-axiom engine.
-        let solo = transform_par::synthesize_suite_jobs(&mtm, axiom, &o, 2);
-        assert_same_suite(suite, &solo, axiom);
+        assert_same_suite(suite, &solo(&mtm, axiom, &o), axiom);
     }
 
-    let warm = cached_or_synthesize_all(&store, &mtm, &o, 2).expect("warm all");
+    let warm = cached_all(&cache, &mtm, &o).expect("warm all");
     for (axiom, (suite, status)) in &warm {
         assert!(status.is_hit(), "{axiom}: {status:?}");
         assert_same_suite(suite, &cold[axiom].0, axiom);
@@ -69,15 +89,18 @@ fn cold_all_seals_every_axiom_and_warm_all_hits() {
 #[test]
 fn mixed_temperatures_serve_hits_and_synthesize_only_misses() {
     let mtm = x86t_elt();
-    let (dir, store) = temp_store("mixed");
+    let (dir, cache) = temp_cache("mixed");
+    let store = cache.local();
     let o = opts();
 
-    // Seed exactly one axiom through the single-suite path.
-    let (seeded, status) =
-        cached_or_synthesize(&store, &mtm, "invlpg", &o, 2).expect("seeds invlpg");
+    // Seed exactly one axiom through a one-axiom request.
+    let (seeded, status) = cache
+        .cached_or_synthesize(&mtm, &["invlpg"], &o, 2, None)
+        .expect("seeds invlpg")
+        .remove(0);
     assert_eq!(status, CacheStatus::Miss);
 
-    let all = cached_or_synthesize_all(&store, &mtm, &o, 2).expect("mixed all");
+    let all = cached_all(&cache, &mtm, &o).expect("mixed all");
     for (axiom, (suite, status)) in &all {
         if axiom == "invlpg" {
             assert!(status.is_hit(), "{axiom}: {status:?}");
@@ -96,12 +119,13 @@ fn mixed_temperatures_serve_hits_and_synthesize_only_misses() {
 #[test]
 fn timed_out_all_run_is_returned_but_never_sealed() {
     let mtm = x86t_elt();
-    let (dir, store) = temp_store("timeout");
+    let (dir, cache) = temp_cache("timeout");
+    let store = cache.local();
     let mut o = opts();
     o.enumeration.bound = 6;
     o.timeout = Some(std::time::Duration::ZERO);
 
-    let all = cached_or_synthesize_all(&store, &mtm, &o, 2).expect("timed-out all");
+    let all = cached_all(&cache, &mtm, &o).expect("timed-out all");
     for (axiom, (suite, status)) in &all {
         assert!(
             matches!(status, CacheStatus::Uncached { .. }),
@@ -119,9 +143,10 @@ fn timed_out_all_run_is_returned_but_never_sealed() {
 #[test]
 fn corrupt_entry_is_rebuilt_by_the_all_path() {
     let mtm = x86t_elt();
-    let (dir, store) = temp_store("rebuild");
+    let (dir, cache) = temp_cache("rebuild");
+    let store = cache.local();
     let o = opts();
-    cached_or_synthesize_all(&store, &mtm, &o, 2).expect("cold all");
+    cached_all(&cache, &mtm, &o).expect("cold all");
 
     // Damage one sealed entry behind the cache's back.
     let fp = suite_fingerprint(&mtm, "sc_per_loc", &o);
@@ -131,14 +156,13 @@ fn corrupt_entry_is_rebuilt_by_the_all_path() {
     bytes[mid] ^= 0xff;
     std::fs::write(&path, &bytes).expect("writable");
 
-    let all = cached_or_synthesize_all(&store, &mtm, &o, 2).expect("rebuild all");
+    let all = cached_all(&cache, &mtm, &o).expect("rebuild all");
     let (suite, status) = &all["sc_per_loc"];
     assert!(
         matches!(status, CacheStatus::Rebuilt { .. }),
         "expected a rebuild, got {status:?}"
     );
-    let solo = transform_par::synthesize_suite_jobs(&mtm, "sc_per_loc", &o, 2);
-    assert_same_suite(suite, &solo, "sc_per_loc");
+    assert_same_suite(suite, &solo(&mtm, "sc_per_loc", &o), "sc_per_loc");
     // Everyone else stayed a clean hit.
     for (axiom, (_, status)) in &all {
         if axiom != "sc_per_loc" {

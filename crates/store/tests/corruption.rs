@@ -5,7 +5,7 @@
 use proptest::proptest;
 use transform_core::axiom::Mtm;
 use transform_litmus::format::print_elt;
-use transform_store::{cached_or_synthesize, suite_fingerprint, CacheStatus, Store};
+use transform_store::{suite_fingerprint, CacheStatus, Store, TieredCache};
 use transform_synth::{Suite, SynthOptions};
 use transform_x86::x86t_elt;
 
@@ -27,7 +27,7 @@ fn render(suite: &Suite) -> String {
 
 /// Seeds a fresh store with one sealed entry and returns the harness.
 struct Harness {
-    store: Store,
+    cache: TieredCache,
     dir: std::path::PathBuf,
     mtm: Mtm,
     path: std::path::PathBuf,
@@ -39,29 +39,42 @@ impl Harness {
     fn new(tag: &str) -> Harness {
         let dir = std::env::temp_dir().join(format!("tfs-corrupt-{tag}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let store = Store::open(&dir).expect("store opens");
+        let cache = TieredCache::new(Store::open(&dir).expect("store opens"));
         let mtm = x86t_elt();
-        let (suite, _) =
-            cached_or_synthesize(&store, &mtm, "sc_per_loc", &opts(), 2).expect("seeds");
-        let path = store.entry_path(suite_fingerprint(&mtm, "sc_per_loc", &opts()));
-        let clean_bytes = std::fs::read(&path).expect("sealed entry exists");
-        Harness {
-            store,
+        let path = cache
+            .local()
+            .entry_path(suite_fingerprint(&mtm, "sc_per_loc", &opts()));
+        let mut h = Harness {
+            cache,
             dir,
             mtm,
             path,
-            clean_rendering: render(&suite),
-            clean_bytes,
-        }
+            clean_bytes: Vec::new(),
+            clean_rendering: String::new(),
+        };
+        let (suite, _) = h.lookup().expect("seeds");
+        h.clean_rendering = render(&suite);
+        h.clean_bytes = std::fs::read(&h.path).expect("sealed entry exists");
+        h
+    }
+
+    /// The one-axiom cached request every check goes through.
+    fn lookup(&self) -> Result<(Suite, CacheStatus), transform_store::StoreError> {
+        let mut served =
+            self.cache
+                .cached_or_synthesize(&self.mtm, &["sc_per_loc"], &opts(), 2, None)?;
+        Ok(served.remove(0))
+    }
+
+    fn store(&self) -> &Store {
+        self.cache.local()
     }
 
     /// Overwrites the entry with `bytes`, then asserts the cache layer
     /// detects the damage, rebuilds, and serves the correct suite.
     fn assert_detected_and_rebuilt(&self, bytes: &[u8], what: &str) {
         std::fs::write(&self.path, bytes).expect("plants damage");
-        let (suite, status) =
-            cached_or_synthesize(&self.store, &self.mtm, "sc_per_loc", &opts(), 2)
-                .expect("rebuild succeeds");
+        let (suite, status) = self.lookup().expect("rebuild succeeds");
         assert!(
             matches!(status, CacheStatus::Rebuilt { .. }),
             "{what}: expected a rebuild, got {status:?}"
@@ -72,8 +85,7 @@ impl Harness {
             "{what}: rebuilt suite must match the clean one"
         );
         // The rebuild resealed a valid entry: the next read is a hit.
-        let (_, status) = cached_or_synthesize(&self.store, &self.mtm, "sc_per_loc", &opts(), 2)
-            .expect("post-rebuild read");
+        let (_, status) = self.lookup().expect("post-rebuild read");
         assert!(status.is_hit(), "{what}: reseal must restore the entry");
     }
 }
@@ -96,7 +108,7 @@ fn every_single_flipped_byte_is_detected() {
         let mut bytes = h.clean_bytes.clone();
         bytes[at] ^= 0x40;
         std::fs::write(&h.path, &bytes).expect("plants damage");
-        let outcome = h.store.open_suite(fp).and_then(|r| {
+        let outcome = h.store().open_suite(fp).and_then(|r| {
             for record in r {
                 record?;
             }
@@ -139,7 +151,7 @@ fn stale_format_versions_are_rebuilt_not_served() {
         let mut bytes = h.clean_bytes.clone();
         bytes[8..12].copy_from_slice(&stale.to_le_bytes());
         std::fs::write(&h.path, &bytes).expect("plants version skew");
-        match h.store.open_suite(fp) {
+        match h.store().open_suite(fp) {
             Err(transform_store::StoreError::Version { found }) => assert_eq!(found, stale),
             Err(other) => panic!("expected a version error, got {other}"),
             Ok(_) => panic!("expected a version error, got a reader"),

@@ -94,7 +94,7 @@ proptest! {
         for (axiom, fp) in axioms.iter().zip(&sealed) {
             let suite = read_suite(store.open_suite(*fp).expect("sealed")).expect("reads");
             let reference =
-                transform_par::synthesize_suite_jobs(&mtm, axiom, &o, plan_jobs as usize);
+                transform_par::synthesize(&mtm, &[axiom], &o, plan_jobs as usize, None).remove(0);
             prop_assert_eq!(suite.elts.len(), reference.elts.len());
             for (a, b) in suite.elts.iter().zip(&reference.elts) {
                 prop_assert_eq!(&a.program, &b.program);

@@ -4,7 +4,7 @@
 
 use std::path::PathBuf;
 use transform_core::spec::parse_mtm;
-use transform_store::{cached_or_synthesize, Store, INDEX_FILE};
+use transform_store::{Store, TieredCache, INDEX_FILE};
 use transform_synth::SynthOptions;
 
 fn opts(bound: usize) -> SynthOptions {
@@ -31,19 +31,33 @@ fn temp_store(tag: &str) -> (PathBuf, Store) {
     (dir, store)
 }
 
+/// A local-only cache over a fresh store.
+fn temp_cache(tag: &str) -> (PathBuf, TieredCache) {
+    let (dir, store) = temp_store(tag);
+    (dir, TieredCache::new(store))
+}
+
+/// Seals `axiom`'s bound-4 suite through `cache`.
+fn seal(cache: &TieredCache, m: &transform_core::axiom::Mtm, axiom: &str) {
+    cache
+        .cached_or_synthesize(m, &[axiom], &opts(4), 2, None)
+        .expect("seals");
+}
+
 #[test]
 fn seal_maintains_an_exact_index() {
-    let (dir, store) = temp_store("seal");
+    let (dir, cache) = temp_cache("seal");
+    let store = cache.local();
     let m = mtm();
     assert!(store.read_index().is_none(), "no index before any seal");
 
-    cached_or_synthesize(&store, &m, "sc_per_loc", &opts(4), 2).expect("seals");
+    seal(&cache, &m, "sc_per_loc");
     let index = store.read_index().expect("index after one seal");
     assert_eq!(index.len(), 1);
     assert_eq!(index[0].meta.axiom, "sc_per_loc");
     assert_eq!(index[0].meta.bound, 4);
 
-    cached_or_synthesize(&store, &m, "invlpg", &opts(4), 2).expect("seals");
+    seal(&cache, &m, "invlpg");
     let index = store.read_index().expect("index after two seals");
     assert_eq!(index.len(), 2);
     // Sorted by fingerprint, exactly like Store::entries.
@@ -59,10 +73,11 @@ fn seal_maintains_an_exact_index() {
 
 #[test]
 fn stale_and_corrupt_indexes_are_rejected_and_rebuildable() {
-    let (dir, store) = temp_store("stale");
+    let (dir, cache) = temp_cache("stale");
+    let store = cache.local();
     let m = mtm();
-    cached_or_synthesize(&store, &m, "sc_per_loc", &opts(4), 2).expect("seals");
-    cached_or_synthesize(&store, &m, "invlpg", &opts(4), 2).expect("seals");
+    seal(&cache, &m, "sc_per_loc");
+    seal(&cache, &m, "invlpg");
     assert!(store.read_index().is_some());
 
     // Delete one sealed entry behind the store's back: the index now

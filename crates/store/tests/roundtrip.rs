@@ -3,9 +3,10 @@
 //! the sealed store byte-identically — both as structures and as
 //! `print_elt`/`parse_elt` text.
 
+use transform_core::axiom::Mtm;
 use transform_litmus::format::{parse_elt, print_elt};
 use transform_store::codec::{decode_record, encode_record};
-use transform_store::{cached_or_synthesize, suite_fingerprint, Store};
+use transform_store::{suite_fingerprint, CacheStatus, Store, StoreError, TieredCache};
 use transform_synth::{synthesize_suite, Backend, Suite, SuiteRecord, SynthOptions};
 use transform_x86::x86t_elt;
 
@@ -15,10 +16,26 @@ fn opts(bound: usize, backend: Backend) -> SynthOptions {
     o
 }
 
-fn temp_store(tag: &str) -> (Store, std::path::PathBuf) {
+fn temp_cache(tag: &str) -> (TieredCache, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("tfs-test-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    (Store::open(&dir).expect("store opens"), dir)
+    (
+        TieredCache::new(Store::open(&dir).expect("store opens")),
+        dir,
+    )
+}
+
+/// One axiom through the local-only cache.
+fn cached(
+    cache: &TieredCache,
+    mtm: &Mtm,
+    axiom: &str,
+    o: &SynthOptions,
+    jobs: usize,
+) -> Result<(Suite, CacheStatus), StoreError> {
+    Ok(cache
+        .cached_or_synthesize(mtm, &[axiom], o, jobs, None)?
+        .remove(0))
 }
 
 /// Renders a whole suite exactly as `transform synthesize` prints it.
@@ -75,15 +92,13 @@ fn every_bound_4_suite_round_trips_byte_identically_on_both_backends() {
 #[test]
 fn warm_cache_reads_are_byte_identical_to_cold_runs() {
     let mtm = x86t_elt();
-    let (store, dir) = temp_store("warmcold");
+    let (cache, dir) = temp_cache("warmcold");
     for backend in [Backend::Explicit, Backend::Relational] {
         let o = opts(4, backend);
         for axiom in ["sc_per_loc", "invlpg"] {
-            let (cold, cold_status) =
-                cached_or_synthesize(&store, &mtm, axiom, &o, 4).expect("cold run");
+            let (cold, cold_status) = cached(&cache, &mtm, axiom, &o, 4).expect("cold run");
             assert!(!cold_status.is_hit(), "{axiom} {backend:?}");
-            let (warm, warm_status) =
-                cached_or_synthesize(&store, &mtm, axiom, &o, 4).expect("warm run");
+            let (warm, warm_status) = cached(&cache, &mtm, axiom, &o, 4).expect("warm run");
             assert!(warm_status.is_hit(), "{axiom} {backend:?}");
 
             // The rendered suites — what the CLI prints — are identical
@@ -107,9 +122,10 @@ fn warm_cache_reads_are_byte_identical_to_cold_runs() {
 #[test]
 fn streaming_reader_iterates_without_materializing() {
     let mtm = x86t_elt();
-    let (store, dir) = temp_store("stream");
+    let (cache, dir) = temp_cache("stream");
+    let store = cache.local();
     let o = opts(4, Backend::Explicit);
-    let (suite, _) = cached_or_synthesize(&store, &mtm, "sc_per_loc", &o, 2).expect("seeds");
+    let (suite, _) = cached(&cache, &mtm, "sc_per_loc", &o, 2).expect("seeds");
     let fp = suite_fingerprint(&mtm, "sc_per_loc", &o);
 
     let mut reader = store.open_suite(fp).expect("opens");
@@ -131,14 +147,15 @@ fn streaming_reader_iterates_without_materializing() {
 #[test]
 fn distinct_options_get_distinct_entries() {
     let mtm = x86t_elt();
-    let (store, dir) = temp_store("distinct");
+    let (cache, dir) = temp_cache("distinct");
+    let store = cache.local();
     let base = opts(4, Backend::Explicit);
     let mut no_fences = base.clone();
     no_fences.enumeration.allow_fences = false;
     no_fences.enumeration.allow_rmw = false;
-    cached_or_synthesize(&store, &mtm, "sc_per_loc", &base, 2).expect("runs");
-    cached_or_synthesize(&store, &mtm, "sc_per_loc", &no_fences, 2).expect("runs");
-    cached_or_synthesize(&store, &mtm, "invlpg", &no_fences, 2).expect("runs");
+    cached(&cache, &mtm, "sc_per_loc", &base, 2).expect("runs");
+    cached(&cache, &mtm, "sc_per_loc", &no_fences, 2).expect("runs");
+    cached(&cache, &mtm, "invlpg", &no_fences, 2).expect("runs");
     assert_eq!(store.entries().expect("lists").len(), 3);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -146,10 +163,11 @@ fn distinct_options_get_distinct_entries() {
 #[test]
 fn timed_out_runs_are_returned_but_never_sealed() {
     let mtm = x86t_elt();
-    let (store, dir) = temp_store("timeout");
+    let (cache, dir) = temp_cache("timeout");
+    let store = cache.local();
     let mut o = opts(6, Backend::Explicit);
     o.timeout = Some(std::time::Duration::ZERO);
-    let (suite, status) = cached_or_synthesize(&store, &mtm, "sc_per_loc", &o, 2).expect("runs");
+    let (suite, status) = cached(&cache, &mtm, "sc_per_loc", &o, 2).expect("runs");
     assert!(suite.stats.timed_out);
     assert!(matches!(
         status,

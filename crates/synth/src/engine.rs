@@ -609,7 +609,12 @@ pub fn synthesize_all(mtm: &Mtm, opts: &SynthOptions) -> BTreeMap<String, Suite>
 /// [`synthesize_all`]: plans once and examines the plan in the
 /// backend's [`Backend::passes`] — for the explicit backend, one
 /// examiner for all `axioms`. Returns the suites in `axioms` order.
-fn synthesize_axioms(mtm: &Mtm, axioms: &[&str], opts: &SynthOptions) -> Vec<Suite> {
+/// A timeout covers the whole run.
+///
+/// # Panics
+///
+/// Panics when any axiom is not part of `mtm`.
+pub fn synthesize_axioms(mtm: &Mtm, axioms: &[&str], opts: &SynthOptions) -> Vec<Suite> {
     for axiom in axioms {
         assert_axiom(mtm, axiom);
     }
