@@ -4,9 +4,9 @@
 //!
 //! Measured per configuration:
 //!
-//! * programs/second of the sequential `programs()` enumeration vs the
-//!   partition-streamed `EnumSpace::stream()` (same sequence, proven by
-//!   count);
+//! * programs/second of the sequential `programs()` enumeration vs
+//!   planning the space partition by partition
+//!   (`EnumSpace::plan_partition`; same programs, proven by count);
 //! * wall-clock of the sequential engine (`synthesize_suite`) vs the
 //!   fused streaming pipeline on the pool, same suite;
 //! * peak live candidates: the sequential engine materializes the whole
@@ -55,7 +55,7 @@ use transform_par::{
     default_jobs, synthesize, synthesize_streamed, ProgressState, StreamMetrics, SuiteSink,
 };
 use transform_store::{execute_lease, read_suite, suite_fingerprint, HttpTier, JobSpec, Store};
-use transform_synth::programs::EnumSpace;
+use transform_synth::programs::{EnumOptions, EnumSpace};
 use transform_synth::{plan_suite, Examiner, ShardStats, SuiteRecord, SynthOptions};
 use transform_x86::x86t_elt;
 
@@ -72,6 +72,14 @@ fn jobs() -> usize {
     default_jobs().max(2)
 }
 
+/// The space's program count, planned one root partition at a time.
+fn partitioned_count(opts: &EnumOptions) -> usize {
+    let space = EnumSpace::new(opts);
+    (0..space.partition_count())
+        .map(|p| space.plan_partition(p, None).programs)
+        .sum()
+}
+
 fn bench_enumeration(c: &mut Criterion) {
     let mut group = c.benchmark_group("enum_throughput");
     group.sample_size(10);
@@ -80,7 +88,7 @@ fn bench_enumeration(c: &mut Criterion) {
         b.iter(|| transform_synth::programs::programs(&o.enumeration).len())
     });
     group.bench_function("streamed/bound5", |b| {
-        b.iter(|| EnumSpace::new(&o.enumeration).stream().count())
+        b.iter(|| partitioned_count(&o.enumeration))
     });
     group.finish();
 }
@@ -197,7 +205,7 @@ fn measure(bound: usize) -> Point {
     let peak_live_sequential = all_programs.len();
 
     let start = Instant::now();
-    let streamed_count = EnumSpace::new(&o.enumeration).stream().count();
+    let streamed_count = partitioned_count(&o.enumeration);
     let enum_streamed = start.elapsed();
     assert_eq!(
         peak_live_sequential, streamed_count,

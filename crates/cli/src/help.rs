@@ -25,7 +25,7 @@ const CACHE_FLAGS: &str = "\
 const PROGRESS_FLAG: &str = "\
   --progress[=human|json]  live per-axiom telemetry on stderr while the run
                          executes: partitions and subtree mass retired,
-                         programs admitted, ELTs found, and a mass-based
+                         programs planned, ELTs found, and a mass-based
                          ETA; cache-served axioms render as `cached`.
                          `json` emits one object per line (pipes, CI).
                          Observation never changes the suite — stdout is
@@ -260,8 +260,8 @@ usage: transform worker --url URL [--jobs N|auto] [--poll-secs N]
 
 A synthesis-fleet worker. Polls the coordinator (a `transform serve`
 instance) for leases over POST /v1/lease, runs the fused pipeline over
-each leased partition range (the admission prefix is replayed for
-global dedup, so the shard is byte-identical to the same range of a
+each leased partition range (a range plans only its own partitions,
+numbered from 0; the coordinator renumbers them into the plan of a
 single-machine run), heartbeats while computing, and uploads the
 checksummed shard result over PUT /v1/shard. Uploads are idempotent:
 retries and duplicate completions (for example after this worker's

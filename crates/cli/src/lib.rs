@@ -525,8 +525,8 @@ fn fleet_synthesize(
 
 /// `transform worker`: the fleet worker loop. Leases mass-balanced
 /// partition ranges from a coordinator, runs the fused pipeline over
-/// each leased range (the whole admission prefix is replayed for global
-/// dedup, only the leased range is examined), heartbeats while it
+/// each leased range (only the leased partitions are enumerated and
+/// examined), heartbeats while it
 /// computes, and uploads the content-addressed shard result. Uploads
 /// are idempotent and checksummed, so retries and duplicate completions
 /// are conflict-free.

@@ -155,8 +155,7 @@ fn render_panel(snap: &ProgressSnapshot) -> String {
     let mut out = render_line(snap);
     out.push('\n');
     out.push_str(&format!(
-        "  frontier depth {}  live {} (peak {})  batches {} (size {}){}\n",
-        snap.frontier_depth,
+        "  live {} (peak {})  batches {} (size {}){}\n",
         snap.live_candidates,
         snap.peak_live_candidates,
         snap.batches,
@@ -235,7 +234,7 @@ fn render_json(snap: &ProgressSnapshot) -> String {
     format!(
         "{{\"elapsed_secs\":{:.3},\"partitions_retired\":{},\"partitions_total\":{},\
          \"mass_retired\":{},\"mass_total\":{},\"mass_fraction\":{:.6},\
-         \"programs\":{},\"items_planned\":{},\"frontier_depth\":{},\
+         \"programs\":{},\"items_planned\":{},\
          \"live_candidates\":{},\"peak_live_candidates\":{},\"batches\":{},\
          \"final_batch_size\":{},\"cut_at_partition\":{cut},\"eta_secs\":{eta},\
          \"axioms\":[{}]}}",
@@ -247,7 +246,6 @@ fn render_json(snap: &ProgressSnapshot) -> String {
         snap.mass_fraction(),
         snap.programs,
         snap.items_planned,
-        snap.frontier_depth,
         snap.live_candidates,
         snap.peak_live_candidates,
         snap.batches,

@@ -15,44 +15,43 @@
 //! streaming pool:
 //!
 //! 1. **Plan ∥ Examine** — the program space is split by *root shape*
-//!    into independently enumerable partitions
-//!    ([`transform_synth::programs::EnumSpace`]); runs of consecutive
-//!    partitions of about 256 subtree-mass nodes are pool tasks
-//!    alongside examine batches, so workers generate, canonically key,
-//!    and examine programs concurrently ([`stream`]). Partitions are
-//!    *admitted* strictly in ordinal order through a dedup frontier —
-//!    the same first-occurrence scan the sequential planner runs — so
-//!    plan indices never depend on scheduling. Each examine batch
-//!    covers every axiom of the run: on the explicit backend one
-//!    [`transform_synth::Examiner`] walks each program's candidates
-//!    once for all of them; the [`SynthBackend::Relational`] backend
-//!    examines the batch one axiom at a time, each pass's examiner
-//!    owning one incremental SAT solver (`tsat` solving under
-//!    assumptions) that serves every program in the batch. Batch granularity autotunes to the
-//!    observed examination rate. Workers claim emitted ELT keys in a
-//!    concurrent streaming dedup set ([`dedup::KeySet`]) as results
-//!    stream in.
-//! 2. **Merge** — per-item results are re-ordered by plan index and
-//!    stitched into the suite; per-batch counters are kept and summed
-//!    losslessly.
+//!    into partitions that each plan their own slice of the synthesis
+//!    plan ([`transform_synth::programs::EnumSpace::plan_partition`]):
+//!    no canonical key occurs in two partitions, so no dedup state is
+//!    shared. Runs of consecutive partitions of about 256 subtree-mass
+//!    nodes are pool tasks alongside examine batches, so workers
+//!    generate, canonically key, and examine programs concurrently
+//!    ([`stream`]). Each examine batch covers every axiom of the run:
+//!    on the explicit backend one [`transform_synth::Examiner`] walks
+//!    each program's candidates once for all of them; the
+//!    [`SynthBackend::Relational`] backend examines the batch one axiom
+//!    at a time, each pass's examiner owning one incremental SAT solver
+//!    (`tsat` solving under assumptions) that serves every program in
+//!    the batch. Batch granularity autotunes to the observed
+//!    examination rate.
+//! 2. **Merge** — once the workers join, a prefix sum over the tasks'
+//!    plan-item counts turns every batch's task-local item offsets into
+//!    plan indices, so plan indices never depend on scheduling; the
+//!    renumbered shards go to the sinks in plan order, and per-batch
+//!    counters are kept and summed losslessly.
 //!
 //! One run serves any list of axioms ([`synthesize`], or
 //! [`synthesize_streamed`] for callers that stream into their own
 //! sinks): the synthesis plan is axiom-independent, so one run
-//! enumerates every partition once and examines each admitted chunk
-//! once for every axiom — no shared plan is materialized before workers
-//! start, and every axiom's [`SuiteSink::run_done`] (the per-axiom
-//! seal + push-on-seal hook) fires when the last batch retires. A
-//! partition is one root (first-thread) shape of the
+//! enumerates every partition once and examines each chunk of plan
+//! items once for every axiom — no shared plan is materialized before
+//! workers start, and every axiom's [`SuiteSink::run_done`] (the
+//! per-axiom seal + push-on-seal hook) fires after the last batch
+//! retires. A partition is one root (first-thread) shape of the
 //! enumeration recursion; the space counts each partition's subtree
 //! nodes once when it is built ([`EnumSpace::masses`]), and the
 //! pipeline's task sizes, the progress ETA, the run journal and the
 //! fleet's range plan all read those masses. Enumeration tasks stay
-//! inside the pool: dedup order, plan indices, deadline cuts and fleet
-//! ranges count partitions, and the run journal records one
-//! enumerated/retired event pair per task. The sequential engine
-//! ([`transform_synth::synthesize_suite`]) is the reference every
-//! parallel run reproduces.
+//! inside the pool: plan order, deadline cuts and fleet ranges count
+//! partitions, and the run journal records one enumerated/retired
+//! event pair per task. The sequential engine
+//! ([`transform_synth::synthesize_suite`]) keeps its global dedup and
+//! is the reference every parallel run reproduces.
 //!
 //! Determinism holds because every per-item examination is a pure
 //! function of the item: candidate executions are examined in a canonical
@@ -81,7 +80,6 @@
 
 #![deny(missing_docs)]
 
-pub mod dedup;
 pub mod progress;
 pub mod stream;
 
@@ -108,17 +106,18 @@ pub fn space_for(opts: &SynthOptions, _jobs: usize) -> EnumSpace {
     EnumSpace::new(&opts.enumeration)
 }
 
-/// Receives a suite's members as parallel shards finish, instead of the
+/// Receives a suite's members shard by shard, instead of the
 /// orchestrator collecting them in memory.
 ///
 /// The persistent suite store (`transform-store`) implements this to
-/// append shard files as workers retire shards; a collecting
-/// implementation reproduces the in-memory [`Suite`]. Calls arrive from
-/// worker threads in completion order — implementations must be
-/// thread-safe, and must not assume record indices arrive sorted. Every
-/// shard of a run is reported exactly once, including shards cut short
-/// by the deadline (their counters are partial, and the run's
-/// [`SuiteStats::timed_out`] is set).
+/// stage shard files for its seal; a collecting implementation
+/// reproduces the in-memory [`Suite`]. Shards arrive once the run's
+/// workers have joined — plan indices are only known then — in plan
+/// order, from the thread that called the synthesis; implementations
+/// must still be thread-safe, and must not assume record indices arrive
+/// sorted. Every shard of the delivered plan is reported exactly once,
+/// including shards cut short by the deadline (their counters are
+/// partial, and the run's [`SuiteStats::timed_out`] is set).
 pub trait SuiteSink: Sync {
     /// One shard retired: its work counters and the suite members
     /// (witness-bearing plan items) it produced.

@@ -3,9 +3,9 @@
 //! A [`ProgressState`] is a block of atomics the fused pipeline
 //! ([`crate::stream`]) publishes into as enumeration tasks retire and
 //! examine batches drain — partitions and subtree mass retired (against
-//! the totals from [`EnumSpace::masses`]), programs admitted through the
-//! dedup frontier, the frontier's depth in tasks, live/peak candidate
-//! counts, and per-axiom batch/item/ELT counters. Observers (the CLI's
+//! the totals from [`EnumSpace::masses`]), programs and plan items
+//! planned, live/peak candidate counts, and per-axiom batch/item/ELT
+//! counters. Observers (the CLI's
 //! `--progress` reporter) poll [`ProgressState::snapshot`] from any
 //! thread without touching the pipeline's lock; the pipeline itself
 //! writes with relaxed stores from inside lock-held transitions, so
@@ -85,10 +85,10 @@ impl AxiomState {
 /// The payload fields `a`/`b`/`c` are kind-specific (documented per
 /// variant); unused ones are zero.
 ///
-/// The pipeline enumerates and admits root partitions in tasks — runs
-/// of consecutive partitions of about 256 subtree-mass nodes — so the
-/// partition events come one pair per task, and a journal's size
-/// follows the work rather than the number of root shapes.
+/// The pipeline plans root partitions in tasks — runs of consecutive
+/// partitions of about 256 subtree-mass nodes — so the partition events
+/// come one pair per task, and a journal's size follows the work rather
+/// than the number of root shapes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum JournalEventKind {
     /// The fused run bound its space: `a` = partition count, `b` =
@@ -99,29 +99,31 @@ pub enum JournalEventKind {
     /// wall-clock in microseconds (so `t_micros - c` is its start;
     /// journals written before tasks carry `c` = 0).
     PartitionEnumerated,
-    /// The dedup frontier admitted one task's partitions: `a` = its
-    /// first partition ordinal, `b` = their summed subtree mass (the
-    /// `b`s of a run sum to its retired mass), `c` = partitions admitted
-    /// (fewer than the task's when the deadline cut it; 0 in journals
-    /// written before tasks, which admitted one partition per event).
+    /// One task's partitions were planned and their items queued for
+    /// examination: `a` = its first partition ordinal, `b` = their
+    /// summed subtree mass (the `b`s of a run sum to its retired mass),
+    /// `c` = partitions planned (fewer than the task's when the deadline
+    /// cut it; 0 in journals written before tasks, which retired one
+    /// partition per event). Tasks retire in the order they finish.
     PartitionRetired,
     /// One examine batch retired, for every axiom of the run at once
     /// (journaled without an axiom): `a` = plan items examined, `b` =
     /// suite members found across all axioms, `c` = batch wall-clock in
     /// microseconds (so `t_micros - c` is the batch's start).
     BatchExamined,
-    /// A worker found the lookahead window full behind an unfinished
-    /// frontier task, with nothing to examine, and had to wait: `a` =
-    /// the frontier partition ordinal being waited on, `b` = enumerated
-    /// tasks queued behind it. Recorded once per wait.
+    /// No longer recorded. Journals written while partitions were
+    /// admitted in ordinal order carry it where a worker waited behind
+    /// an unfinished earlier task: `a` = the partition ordinal waited
+    /// on, `b` = enumerated tasks queued behind it. Kept so those
+    /// journals still decode.
     FrontierStall,
     /// `axiom`'s whole schedule retired cleanly.
     AxiomComplete,
     /// The deadline cut the run's shared plan: `a` = the first cut
-    /// partition.
+    /// partition. Recorded once the workers joined.
     Cut,
-    /// The run drained: `a` = programs admitted, `b` = plan items,
-    /// `c` = batches created.
+    /// The run drained: `a` = programs of the delivered plan, `b` = its
+    /// plan items, `c` = batches created.
     RunEnd,
     /// A store tier sealed `axiom`'s suite: `a` = sealed entry bytes.
     Seal,
@@ -250,7 +252,6 @@ pub struct ProgressState {
     pub(crate) mass_retired: AtomicU64,
     pub(crate) programs: AtomicUsize,
     pub(crate) items_planned: AtomicUsize,
-    pub(crate) frontier_depth: AtomicUsize,
     pub(crate) live_candidates: AtomicUsize,
     pub(crate) peak_live_candidates: AtomicUsize,
     pub(crate) batches: AtomicUsize,
@@ -300,7 +301,6 @@ impl ProgressState {
             mass_retired: AtomicU64::new(0),
             programs: AtomicUsize::new(0),
             items_planned: AtomicUsize::new(0),
-            frontier_depth: AtomicUsize::new(0),
             live_candidates: AtomicUsize::new(0),
             peak_live_candidates: AtomicUsize::new(0),
             batches: AtomicUsize::new(0),
@@ -390,7 +390,6 @@ impl ProgressState {
             mass_retired: self.mass_retired.load(ORD),
             programs: self.programs.load(ORD),
             items_planned: self.items_planned.load(ORD),
-            frontier_depth: self.frontier_depth.load(ORD),
             live_candidates: self.live_candidates.load(ORD),
             peak_live_candidates: self.peak_live_candidates.load(ORD),
             batches: self.batches.load(ORD),
@@ -434,24 +433,23 @@ pub struct ProgressSnapshot {
     pub elapsed: Duration,
     /// Enumeration partitions in the space (0 until the run binds).
     pub partitions_total: usize,
-    /// Partitions admitted through the dedup frontier.
+    /// Partitions planned so far, in whatever order their tasks
+    /// finished. On a cut run this includes partitions planned past the
+    /// cut, whose items the suites drop.
     pub partitions_retired: usize,
     /// Total subtree mass of the space
     /// ([`EnumSpace::total_mass`]).
     ///
     /// [`EnumSpace::total_mass`]: transform_synth::programs::EnumSpace::total_mass
     pub mass_total: u64,
-    /// Mass of the partitions admitted so far.
+    /// Mass of the partitions planned so far.
     pub mass_retired: u64,
-    /// Programs admitted (post symmetry reduction).
+    /// Programs of the planned partitions (post symmetry reduction).
     pub programs: usize,
-    /// Plan items produced by the admitter (write-bearing first
+    /// Plan items of the planned partitions (write-bearing first
     /// occurrences — each examined once for every axiom).
     pub items_planned: usize,
-    /// Enumerated tasks (runs of root partitions) queued behind the
-    /// in-order frontier.
-    pub frontier_depth: usize,
-    /// Candidate programs currently materialized.
+    /// Plan items queued for examination and not yet examined.
     pub live_candidates: usize,
     /// Peak of [`ProgressSnapshot::live_candidates`] over the run,
     /// deadline-discarded tails included.

@@ -4,12 +4,12 @@
 //!
 //! The two-phase orchestrator (plan everything, then examine) keeps the
 //! pool idle behind a single-threaded, memory-hungry enumeration pass.
-//! Here the enumeration's root partitions ([`EnumSpace`]) are
-//! enumerated by pool tasks: workers alternate between *enumerating* a
-//! task (materializing its partitions' programs with canonical keys,
-//! computed once) and *examining* a batch of admitted plan items, so
-//! SAT and relational solving start while later partitions are still
-//! being generated and peak live candidates stay bounded by task size.
+//! Here the enumeration's root partitions ([`EnumSpace`]) are planned
+//! by pool tasks: workers alternate between *enumerating* a task
+//! (planning each of its partitions by itself,
+//! [`EnumSpace::plan_partition`]) and *examining* a batch of plan
+//! items, so SAT and relational solving start while later partitions
+//! are still being generated.
 //!
 //! # Enumeration tasks
 //!
@@ -17,64 +17,66 @@
 //! task is a run of consecutive partitions `[lo, hi)` whose subtree
 //! masses ([`EnumSpace::masses`]) sum to about 256 nodes; a heavier
 //! partition is a task by itself. A task is enumerated by one worker,
-//! admitted in one lock transition and journaled as one event pair.
-//! Tasks are a pure function of the space and never cross either end
-//! of the examine range, so partition ordinals stay the unit everywhere
-//! outside the pool: dedup order, plan indices, deadline cuts, retired
-//! mass and fleet ranges.
+//! queued in one lock transition and journaled as one event pair.
+//! Tasks are a pure function of the space and the run's range, so
+//! partition ordinals stay the unit everywhere outside the pool: plan
+//! order, deadline cuts, retired mass and fleet ranges.
 //!
 //! # The fused cross-axiom run
 //!
 //! The synthesis plan is axiom-independent (it keeps write-bearing
 //! canonical first occurrences), so a multi-axiom run enumerates every
-//! partition **once**, and each admitted chunk becomes **one** examine
-//! batch covering every axiom: its [`Examiner`] walks each program's
-//! candidates once for all of them (the relational backend, whose SAT
-//! query names one axiom, makes one pass over the batch per axiom —
-//! see [`Backend::passes`]). No shared plan is materialized before
-//! workers start. All axioms therefore finish together: when
+//! partition **once**, and each chunk of plan items becomes **one**
+//! examine batch covering every axiom: its [`Examiner`] walks each
+//! program's candidates once for all of them (the relational backend,
+//! whose SAT query names one axiom, makes one pass over the batch per
+//! axiom — see [`Backend::passes`]). No shared plan is materialized
+//! before workers start. All axioms therefore finish together: after
 //! the last batch retires, every axiom's [`SuiteSink::run_done`] fires
 //! (the per-axiom seal + push-on-seal hook).
 //!
 //! # Determinism
 //!
-//! Every enumerated program has a stable position `(partition ordinal,
-//! offset)` that is a pure function of the space — never of scheduling.
-//! Tasks may be *enumerated* out of order, but their partitions are
-//! *admitted* strictly in ordinal order through the admitter — the same
-//! first-occurrence-per-canonical-key scan the sequential planner runs —
-//! so plan indices, dedup outcomes, and therefore every per-axiom suite
-//! are byte-identical to the sequential engine at every worker count
-//! and batch size.
+//! No canonical key occurs in two root partitions, so each partition's
+//! own plan is its slice of the sequential plan, and partitions need no
+//! shared dedup state. Workers take tasks in ordinal order and queue a
+//! finished task's items as examine batches at once; every batch
+//! reports its records at *task-local* item offsets. Once the workers
+//! join, one prefix sum over the tasks' item counts gives each task its
+//! plan-index base, the records are renumbered, and the shards are
+//! delivered to the sinks in plan order. Plan indices, and therefore
+//! every per-axiom suite, are byte-identical to the sequential engine
+//! at every worker count and batch size.
 //!
 //! # Deadlines
 //!
 //! A deadline cuts the plan at partition granularity: a worker stops
 //! its task before the first partition whose enumeration saw the
-//! expiry, that partition is recorded
-//! ([`StreamMetrics::cut_at_partition`]), every partition below it is
-//! fully planned, and everything from it on is dropped — a timed-out
+//! expiry. The prefix sum runs up to the first partition that was not
+//! fully planned — the cut ([`StreamMetrics::cut_at_partition`]) — so
+//! every partition below it is in the plan and everything from it on is
+//! dropped, batches already examined past it included. A timed-out
 //! plan is a well-defined prefix of the deadline-free plan, not a
 //! worker-race-dependent subset. The cut is shared by every axiom of a
-//! fused run (they examine the same plan and the same batches), so a
-//! cut run marks every axiom cut. Examination stays best-effort after
-//! expiry, exactly like the sequential engine's mid-plan stop.
+//! fused run, so a cut run marks every axiom cut. Examination stays
+//! best-effort after expiry, exactly like the sequential engine's
+//! mid-plan stop.
 //!
 //! # Autotuned batch granularity
 //!
-//! Admitted items are chunked into examine batches whose size adapts:
+//! Plan items are chunked into examine batches whose size adapts:
 //! each retired batch reports its items/second, and the tuner sizes the
 //! next batches to a fixed wall-clock slice — cheap bounds get large
 //! batches (incremental-solver reuse), expensive ones get small,
 //! stealable batches. Chunks never span partitions. The size never
 //! changes any result, only scheduling.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use transform_core::axiom::Mtm;
-use transform_synth::programs::{EnumSpace, KeyedProgram};
+use transform_synth::programs::{EnumSpace, PartitionPlan, Program};
 #[cfg(doc)]
 use transform_synth::Backend;
 use transform_synth::{
@@ -97,26 +99,24 @@ use crate::SuiteSink;
 pub struct StreamMetrics {
     /// Axioms sharing the run (1 for a single-suite synthesis).
     pub axioms: usize,
-    /// Enumeration partitions in the space.
+    /// Enumeration partitions of the run (its range, for a fleet range
+    /// run).
     pub partitions: usize,
     /// First partition cut by the deadline (`None`: enumeration ran to
     /// completion). Everything below it was fully planned.
     pub cut_at_partition: Option<usize>,
-    /// Examine batches created, one per admitted chunk and each covering
-    /// every axiom (a deadline cut abandons queued batches, which stay
-    /// counted here but produce no shard stats).
+    /// Examine batches created, one per chunk of plan items and each
+    /// covering every axiom (a deadline cut abandons queued batches,
+    /// which stay counted here but produce no shard stats).
     pub batches: usize,
-    /// Peak number of simultaneously materialized candidate programs
-    /// (enumerated but not yet examined, or dropped) —
-    /// bounded by the lookahead window (twice the worker count) times
-    /// the largest enumeration task, not by the size of the
-    /// enumeration.
+    /// Peak number of simultaneously queued plan items (planned but not
+    /// yet examined, or dropped). Examination has pop priority, so this
+    /// stays near the worker count times the largest task's items, not
+    /// the size of the enumeration.
     ///
-    /// Exact on timed-out runs too: a task that was materialized and
-    /// then discarded by the deadline cut (resolved behind the cut
-    /// point, or delivered after expiry) is counted at its moment of
-    /// materialization, and the discarded tail leaves the live count
-    /// the moment it is dropped.
+    /// Exact on timed-out runs too: a task planned after the deadline
+    /// struck is counted at its moment of materialization, and the
+    /// abandoned queue leaves the live count the moment it is dropped.
     pub peak_live_candidates: usize,
     /// The tuner's final batch size.
     pub final_batch_size: usize,
@@ -137,70 +137,6 @@ impl StreamMetrics {
             peak_live_candidates: snap.peak_live_candidates,
             final_batch_size: snap.final_batch_size,
         }
-    }
-}
-
-/// The deterministic dedup frontier: admits partitions in enumeration
-/// order, keeping the first occurrence of each canonical key — exactly
-/// the scan [`transform_synth::plan_from_keyed`] runs over the eager
-/// enumeration, so admitted items carry the sequential plan's indices.
-pub(crate) struct Admitter {
-    symmetry: bool,
-    seen: BTreeSet<Vec<u64>>,
-    /// Programs admitted so far (the post-symmetry-reduction enumeration
-    /// count — [`SuiteStats::programs`]).
-    pub programs: usize,
-    next_index: usize,
-}
-
-impl Admitter {
-    pub fn new(symmetry: bool) -> Admitter {
-        Admitter {
-            symmetry,
-            seen: BTreeSet::new(),
-            programs: 0,
-            next_index: 0,
-        }
-    }
-
-    /// Admits one partition's programs, in order; returns the plan items
-    /// they contribute (write-bearing first occurrences).
-    pub fn admit(&mut self, keyed: Vec<KeyedProgram>) -> Vec<WorkItem> {
-        let mut items = Vec::new();
-        for kp in keyed {
-            if self.symmetry {
-                // Enumeration-level symmetry reduction across partitions:
-                // a later occurrence of a key is not even counted.
-                let key = kp.key.expect("symmetry reduction keys every program");
-                if !self.seen.insert(key.clone()) {
-                    continue;
-                }
-                self.programs += 1;
-                if kp.has_write {
-                    items.push(WorkItem {
-                        index: self.next_index,
-                        program: kp.program,
-                        key,
-                    });
-                    self.next_index += 1;
-                }
-            } else {
-                // No symmetry reduction: every program counts, but the
-                // plan still keeps one item per canonical key.
-                self.programs += 1;
-                let Some(key) = kp.key else { continue };
-                if !self.seen.insert(key.clone()) {
-                    continue;
-                }
-                items.push(WorkItem {
-                    index: self.next_index,
-                    program: kp.program,
-                    key,
-                });
-                self.next_index += 1;
-            }
-        }
-        items
     }
 }
 
@@ -288,10 +224,21 @@ impl Tuner {
 /// backend's [`Backend::passes`] (for the relational backend, one
 /// incremental solver per axiom). Chunks never span partitions, so
 /// every item in a batch shares its first-thread shape — the prefix
-/// affinity that makes solver reuse pay.
+/// affinity that makes solver reuse pay. Item indices are offsets
+/// inside the batch's task.
 struct Batch {
-    shard: usize,
+    task: usize,
     items: Vec<WorkItem>,
+}
+
+/// One retired batch, kept until the workers join: per run axiom, its
+/// counters and its suite members at task-local plan indices.
+struct Outcome {
+    task: usize,
+    /// Task-local index of the batch's first item.
+    first: usize,
+    stats: Vec<ShardStats>,
+    records: Vec<Vec<SuiteRecord>>,
 }
 
 /// Subtree mass (shape-combination nodes, [`EnumSpace::masses`]) one
@@ -302,88 +249,113 @@ struct Batch {
 /// work rather than to the number of root shapes.
 const TASK_MASS: u64 = 256;
 
-/// The end of the enumeration task that starts at partition `lo`:
-/// partitions join while the task's summed mass is under
+/// The run's enumeration tasks: `range` cut into runs of consecutive
+/// partitions that join while the task's summed mass is under
 /// [`TASK_MASS`], so a partition heavier than that starts a task of its
-/// own. A task never crosses `range.0` — a range run admits its
-/// prefix in tasks of its own, and records the programs below the
-/// range exactly — nor `range.1`. Tasks are therefore a pure function
-/// of the space and the range, never of scheduling.
-fn task_end(masses: &[u64], lo: usize, range: (usize, usize)) -> usize {
-    let limit = if lo < range.0 { range.0 } else { range.1 };
-    let mut hi = lo;
-    let mut mass = 0u64;
-    while hi < limit && mass < TASK_MASS {
-        mass = mass.saturating_add(masses[hi]);
-        hi += 1;
+/// own. Tasks are a pure function of the space and the range, never of
+/// scheduling.
+fn tasks(masses: &[u64], range: Range<usize>) -> Vec<Range<usize>> {
+    let mut tasks = Vec::new();
+    let mut lo = range.start;
+    while lo < range.end {
+        let mut hi = lo;
+        let mut mass = 0u64;
+        while hi < range.end && mass < TASK_MASS {
+            mass = mass.saturating_add(masses[hi]);
+            hi += 1;
+        }
+        tasks.push(lo..hi);
+        lo = hi;
     }
-    hi
+    tasks
+}
+
+/// The summed mass of some partitions, saturating like
+/// [`EnumSpace::total_mass`].
+fn mass_of(masses: &[u64]) -> u64 {
+    masses.iter().fold(0u64, |a, &m| a.saturating_add(m))
 }
 
 enum Task {
-    /// Enumerate the partitions of this ordinal range, in order.
-    Enumerate(Range<usize>),
+    /// Plan the partitions of task `n`, in order.
+    Enumerate(usize),
     Examine(Batch),
 }
 
-/// An enumerated task waiting for the frontier: the programs of each
-/// partition its worker finished, in ordinal order from the task's
-/// first. Fewer lists than partitions mean the deadline cut the task
-/// at partition `first + parts.len()`.
-struct Enumerated {
-    end: usize,
-    parts: Vec<Vec<KeyedProgram>>,
+/// What one task planned: the partitions its worker finished before
+/// seeing the deadline (fewer than the task's when it was cut), their
+/// programs and their plan items.
+#[derive(Clone, Copy)]
+struct Planned {
+    partitions: usize,
+    programs: usize,
+    items: usize,
+}
+
+/// The delivered plan: the tasks below the cut, each with its
+/// plan-index base.
+struct Prefix {
+    /// Plan-index base of each task in the plan, by task number.
+    bases: Vec<usize>,
+    programs: usize,
+    items: usize,
+    /// First partition not fully planned, if any.
+    cut_at: Option<usize>,
 }
 
 struct State {
-    /// First partition of the next task to hand out.
-    next_enum: usize,
+    /// Next task to hand out.
+    next_task: usize,
     /// Tasks handed out but not yet resolved.
     enumerating: usize,
-    /// Enumerated tasks waiting for the frontier, by first partition.
-    resolved: BTreeMap<usize, Enumerated>,
-    /// Next partition ordinal the admitter must process (always the
-    /// first partition of a task).
-    frontier: usize,
-    /// First partition the deadline cut, if any.
-    cut_at: Option<usize>,
-    /// The deadline struck (enumeration cut or examination stopped):
-    /// drain everything and let workers exit.
+    /// What each resolved task planned, by task number.
+    planned: Vec<Option<Planned>>,
+    /// The deadline struck (a task came back short or examination
+    /// stopped): hand out nothing more and let workers exit.
     expired: bool,
-    admitter: Admitter,
-    /// The admitter's program count when the frontier reached the
-    /// examine range's start: the programs admitted below the range,
-    /// which a range run does not report as its own.
-    programs_below_range: usize,
     exam: VecDeque<Batch>,
-    /// Next chunk ordinal — the shard id of its batch.
-    next_shard: usize,
     /// Batches created.
     batches: usize,
-    /// Candidates materialized and not yet examined or dropped: a chunk
+    /// Retired batches, in retirement order.
+    outcomes: Vec<Outcome>,
+    /// Plan items queued and not yet examined or dropped: a chunk
     /// leaves when its batch retires or is abandoned.
     live: usize,
     peak_live: usize,
-    /// Estimated subtree mass of the partitions admitted so far.
-    mass_retired: u64,
     tuner: Tuner,
 }
 
 impl State {
-    /// The admitted programs inside the examine range.
-    fn programs_in_range(&self) -> usize {
-        self.admitter.programs - self.programs_below_range
-    }
-
-    /// No further batches will ever be created: every partition was
-    /// admitted and none is still being enumerated.
-    fn enum_settled(&self, partition_count: usize) -> bool {
-        self.frontier == partition_count && self.enumerating == 0
+    /// The plan the run delivers: a prefix sum over the tasks' item
+    /// counts, up to the first partition that was not fully planned.
+    fn prefix(&self, tasks: &[Range<usize>]) -> Prefix {
+        let mut prefix = Prefix {
+            bases: Vec::with_capacity(tasks.len()),
+            programs: 0,
+            items: 0,
+            cut_at: None,
+        };
+        for (task, planned) in tasks.iter().zip(&self.planned) {
+            let Some(planned) = planned else {
+                prefix.cut_at = Some(task.start);
+                break;
+            };
+            prefix.bases.push(prefix.items);
+            prefix.programs += planned.programs;
+            prefix.items += planned.items;
+            if planned.partitions < task.len() {
+                prefix.cut_at = Some(task.start + planned.partitions);
+                break;
+            }
+        }
+        prefix
     }
 }
 
 struct Pipeline<'s> {
     space: &'s EnumSpace,
+    /// The run's enumeration tasks ([`tasks`]).
+    tasks: Vec<Range<usize>>,
     /// The run's live telemetry: published (relaxed stores) from inside
     /// every lock-held transition, sampled lock-free by observers. The
     /// final [`StreamMetrics`] is this state's last snapshot.
@@ -392,41 +364,22 @@ struct Pipeline<'s> {
     /// more axioms than this run covers — cache hits, for one).
     slots: Vec<usize>,
     deadline: Option<Instant>,
-    /// Lookahead backpressure: at most this many tasks, counting the
-    /// frontier's own, may be out (enumerating, or enumerated and
-    /// waiting for the dedup frontier). Without it, one slow head task
-    /// would let the other workers buffer the entire rest of the space
-    /// ahead of the stalled frontier — peak live candidates would
-    /// degrade to the full enumeration, exactly what streaming is meant
-    /// to avoid. With it, live candidates are bounded by `window` × the
-    /// largest task, independent of the bound.
-    window: usize,
-    /// The partition-ordinal range this run *examines*: items admitted
-    /// from partitions below `range.0` are dropped after feeding the
-    /// dedup frontier (their admission state is what keeps plan indices
-    /// global), and enumeration stops at `range.1`. A whole-space run
-    /// is `(0, partition_count)`. This is the fleet's work unit: a
-    /// worker leasing `[lo, hi)` replays the admission prefix `[0, lo)`
-    /// and examines exactly the items planned in `[lo, hi)`, so
-    /// per-range records concatenate into the byte-identical
-    /// whole-space suite.
-    range: (usize, usize),
     state: Mutex<State>,
     cv: Condvar,
 }
 
 impl<'s> Pipeline<'s> {
+    /// A pipeline over the partitions `range` of `space` — a fleet
+    /// range, or the whole space.
     fn new(
         space: &'s EnumSpace,
         axiom_names: &[&str],
         progress: Option<&Arc<ProgressState>>,
         deadline: Option<Instant>,
-        jobs: usize,
-        range: Option<(usize, usize)>,
+        range: Range<usize>,
     ) -> Self {
-        let range = range.unwrap_or((0, space.partition_count()));
         assert!(
-            range.0 <= range.1 && range.1 <= space.partition_count(),
+            range.start <= range.end && range.end <= space.partition_count(),
             "examine range {range:?} must lie within the {}-partition space",
             space.partition_count()
         );
@@ -443,40 +396,35 @@ impl<'s> Pipeline<'s> {
             })
             .collect();
         use std::sync::atomic::Ordering::Relaxed;
+        progress.partitions_total.store(range.len(), Relaxed);
         progress
-            .partitions_total
-            .store(space.partition_count(), Relaxed);
-        progress.mass_total.store(space.total_mass(), Relaxed);
+            .mass_total
+            .store(mass_of(&space.masses()[range.clone()]), Relaxed);
         progress
             .final_batch_size
             .store(Tuner::new().batch_size(), Relaxed);
         for &slot in &slots {
             progress.set_axiom_state(slot, AxiomState::Running);
         }
+        let tasks = tasks(space.masses(), range);
         Pipeline {
             space,
             progress,
             slots,
             deadline,
-            window: (2 * jobs).max(2),
-            range,
             state: Mutex::new(State {
-                next_enum: 0,
+                next_task: 0,
                 enumerating: 0,
-                resolved: BTreeMap::new(),
-                frontier: 0,
-                cut_at: None,
+                planned: vec![None; tasks.len()],
                 expired: false,
-                admitter: Admitter::new(space.options().symmetry_reduction),
-                programs_below_range: 0,
                 exam: VecDeque::new(),
-                next_shard: 0,
                 batches: 0,
+                outcomes: Vec::new(),
                 live: 0,
                 peak_live: 0,
-                mass_retired: 0,
                 tuner: Tuner::new(),
             }),
+            tasks,
             cv: Condvar::new(),
         }
     }
@@ -489,17 +437,9 @@ impl<'s> Pipeline<'s> {
     fn publish(&self, st: &State) {
         use std::sync::atomic::Ordering::Relaxed;
         let p = &self.progress;
-        p.partitions_retired.store(st.frontier, Relaxed);
-        p.mass_retired.store(st.mass_retired, Relaxed);
-        p.programs.store(st.admitter.programs, Relaxed);
-        p.items_planned.store(st.admitter.next_index, Relaxed);
-        p.frontier_depth.store(st.resolved.len(), Relaxed);
         p.live_candidates.store(st.live, Relaxed);
         p.peak_live_candidates.store(st.peak_live, Relaxed);
         p.batches.store(st.batches, Relaxed);
-        if let Some(cut) = st.cut_at {
-            p.cut_at_partition.store(cut, Relaxed);
-        }
         p.final_batch_size.store(st.tuner.batch_size(), Relaxed);
     }
 
@@ -508,131 +448,101 @@ impl<'s> Pipeline<'s> {
     }
 
     /// The next unit of work, examination first (it frees live
-    /// candidates; enumeration creates them). `None` once nothing can
-    /// produce further work.
+    /// candidates; enumeration creates them), then the next task in
+    /// ordinal order. `None` once nothing can produce further work.
     fn next_task(&self) -> Option<Task> {
         let mut st = self.state.lock().expect("pipeline lock is never poisoned");
-        let mut stalled = false;
         loop {
             if let Some(batch) = st.exam.pop_front() {
                 return Some(Task::Examine(batch));
             }
-            if !st.expired && st.next_enum < self.range.1 {
-                if st.enumerating + st.resolved.len() < self.window {
-                    let lo = st.next_enum;
-                    st.next_enum = task_end(self.space.masses(), lo, self.range);
-                    st.enumerating += 1;
-                    return Some(Task::Enumerate(lo..st.next_enum));
-                }
-                // Head-of-line blocking: the window is full behind an
-                // unfinished frontier task and nothing is left to
-                // examine, so this worker idles. Journaled once per
-                // wait, not per wake-up.
-                if !stalled {
-                    stalled = true;
-                    self.progress.record(
-                        JournalEventKind::FrontierStall,
-                        None,
-                        st.frontier as u64,
-                        st.resolved.len() as u64,
-                        0,
-                    );
-                }
+            if !st.expired && st.next_task < self.tasks.len() {
+                st.next_task += 1;
+                st.enumerating += 1;
+                return Some(Task::Enumerate(st.next_task - 1));
             }
-            let enumeration_settled = st.expired || st.enum_settled(self.range.1);
-            if enumeration_settled && st.exam.is_empty() {
+            if st.expired || st.enumerating == 0 {
                 return None;
             }
             st = self.cv.wait(st).expect("pipeline lock is never poisoned");
         }
     }
 
-    /// One task's outcome: the programs of each partition of `task` its
-    /// worker enumerated before seeing the deadline, in order. A short
-    /// list cuts the plan at the first partition left out, once the
-    /// frontier reaches it. `elapsed` is the task's enumeration time.
-    fn resolve(&self, task: Range<usize>, parts: Vec<Vec<KeyedProgram>>, elapsed: Duration) {
+    /// Task `n`'s outcome: the plan of each of its partitions its worker
+    /// finished before seeing the deadline, in order. A short list means
+    /// the deadline struck inside the task. `elapsed` is the task's
+    /// enumeration time.
+    fn resolve(&self, n: usize, parts: Vec<PartitionPlan>, elapsed: Duration) {
+        let task = &self.tasks[n];
         let mut st = self.state.lock().expect("pipeline lock is never poisoned");
         st.enumerating -= 1;
-        let delivered: usize = parts.iter().map(Vec::len).sum();
-        if !parts.is_empty() {
+        let planned = Planned {
+            partitions: parts.len(),
+            programs: parts.iter().map(|p| p.programs).sum(),
+            items: parts.iter().map(|p| p.items.len()).sum(),
+        };
+        st.planned[n] = Some(planned);
+        if planned.partitions > 0 {
+            let mass = mass_of(&self.space.masses()[task.start..task.start + planned.partitions]);
             self.progress.record(
                 JournalEventKind::PartitionEnumerated,
                 None,
                 task.start as u64,
-                delivered as u64,
+                planned.programs as u64,
                 elapsed.as_micros() as u64,
             );
+            self.progress.record(
+                JournalEventKind::PartitionRetired,
+                None,
+                task.start as u64,
+                mass,
+                planned.partitions as u64,
+            );
+            use std::sync::atomic::Ordering::Relaxed;
+            let p = &self.progress;
+            p.partitions_retired.fetch_add(planned.partitions, Relaxed);
+            p.mass_retired.fetch_add(mass, Relaxed);
+            p.programs.fetch_add(planned.programs, Relaxed);
+            p.items_planned.fetch_add(planned.items, Relaxed);
         }
-        if st.expired {
-            // Everything past the cut is discarded — but these programs
-            // *were* materialized, so they still count toward the peak
-            // (the whole point of `peak_live_candidates` is memory
-            // pressure, and these programs existed).
-            st.peak_live = st.peak_live.max(st.live + delivered);
-            self.publish(&st);
-            self.cv.notify_all();
-            return;
-        }
-        st.live += delivered;
-        st.peak_live = st.peak_live.max(st.live);
-        st.resolved.insert(
-            task.start,
-            Enumerated {
-                end: task.end,
-                parts,
-            },
-        );
-        // Advance the frontier: admit in strict ordinal order.
-        while let Some(Enumerated { end, parts }) = {
-            let frontier = st.frontier;
-            st.resolved.remove(&frontier)
-        } {
-            let (first, mass_before) = (st.frontier, st.mass_retired);
-            let complete = first + parts.len() == end;
-            for keyed in parts {
-                self.admit_partition(&mut st, keyed);
-            }
-            if st.frontier > first {
-                self.progress.record(
-                    JournalEventKind::PartitionRetired,
-                    None,
-                    first as u64,
-                    st.mass_retired - mass_before,
-                    (st.frontier - first) as u64,
-                );
-            }
-            if !complete {
-                // The deadline's cut reached the frontier: the plan
-                // ends here, reproducibly — for every axiom at once.
-                st.cut_at = Some(st.frontier);
-                self.progress
-                    .record(JournalEventKind::Cut, None, st.frontier as u64, 0, 0);
-                Self::expire(&mut st);
-                break;
+        if st.expired || planned.partitions < task.len() {
+            // The deadline struck, here or elsewhere: nothing more is
+            // examined. These items *were* materialized, though, so
+            // they still count toward the peak.
+            st.peak_live = st.peak_live.max(st.live + planned.items);
+            Self::expire(&mut st);
+        } else {
+            st.live += planned.items;
+            st.peak_live = st.peak_live.max(st.live);
+            let mut offset = 0;
+            for part in parts {
+                offset = self.queue_partition(&mut st, n, offset, part.items);
             }
         }
         self.publish(&st);
         self.cv.notify_all();
     }
 
-    /// Admits the frontier partition's programs and queues its plan
-    /// items as examine batches. Each partition is chunked on its own,
-    /// so a batch never spans two root shapes (and a task's programs
-    /// never stay live as one run).
-    fn admit_partition(&self, st: &mut State, keyed: Vec<KeyedProgram>) {
-        let delivered = keyed.len();
-        let mut items = st.admitter.admit(keyed);
-        st.live -= delivered - items.len(); // dropped by dedup
-        let mass = self.space.masses()[st.frontier];
-        st.mass_retired = st.mass_retired.saturating_add(mass);
-        if st.frontier < self.range.0 {
-            // Below the leased range: this prefix partition only feeds
-            // the dedup frontier so plan indices stay global; nothing
-            // here is examined.
-            st.live -= items.len();
-            items.clear();
-        }
+    /// Queues one partition's plan items of task `n`, numbered from
+    /// `offset`, as examine batches; returns the next offset. Each
+    /// partition is chunked on its own, so a batch never spans two root
+    /// shapes.
+    fn queue_partition(
+        &self,
+        st: &mut State,
+        n: usize,
+        offset: usize,
+        items: Vec<Program>,
+    ) -> usize {
+        let mut items: Vec<WorkItem> = items
+            .into_iter()
+            .enumerate()
+            .map(|(i, program)| WorkItem {
+                index: offset + i,
+                program,
+            })
+            .collect();
+        let next = offset + items.len();
         let target = st.tuner.target_weight();
         while !items.is_empty() {
             let take = match target {
@@ -652,42 +562,37 @@ impl<'s> Pipeline<'s> {
             };
             let rest = items.split_off(take.min(items.len()).max(1));
             let chunk = std::mem::replace(&mut items, rest);
-            let shard = st.next_shard;
-            st.next_shard += 1;
             // One batch per chunk, covering every axiom.
             st.exam.push_back(Batch {
-                shard,
+                task: n,
                 items: chunk,
             });
             st.batches += 1;
         }
-        st.frontier += 1;
-        if st.frontier == self.range.0 {
-            st.programs_below_range = st.admitter.programs;
-        }
+        next
     }
 
     /// One batch retired (possibly cut short by the deadline): the run's
-    /// axiom `i` absorbed `stats[i]` and emitted `found[i]` suite
-    /// members.
+    /// axiom `i` absorbed `stats[i]` and emitted `records[i]`.
     fn batch_done(
         &self,
         batch: &Batch,
-        stats: &[ShardStats],
-        found: &[usize],
+        stats: Vec<ShardStats>,
+        records: Vec<Vec<SuiteRecord>>,
         elapsed: Duration,
         cut: bool,
     ) {
         use std::sync::atomic::Ordering::Relaxed;
-        for ((&slot, stats), &found) in self.slots.iter().zip(stats).zip(found) {
+        for ((&slot, stats), records) in self.slots.iter().zip(&stats).zip(&records) {
             let ax = self.progress.axiom(slot);
             ax.batches_done.fetch_add(1, Relaxed);
             ax.items_examined.fetch_add(stats.items, Relaxed);
-            ax.elts.fetch_add(found, Relaxed);
+            ax.elts.fetch_add(records.len(), Relaxed);
         }
         // Items examined for every axiom (all of them, unless cut).
         let examined = stats.iter().map(|s| s.items).min().unwrap_or(0);
         let weight = batch.items[..examined].iter().map(item_weight).sum();
+        let found: usize = records.iter().map(Vec::len).sum();
         let mut st = self.state.lock().expect("pipeline lock is never poisoned");
         st.live = st.live.saturating_sub(batch.items.len());
         st.tuner.observe(examined, weight, elapsed);
@@ -695,19 +600,18 @@ impl<'s> Pipeline<'s> {
             JournalEventKind::BatchExamined,
             None,
             examined as u64,
-            found.iter().sum::<usize>() as u64,
+            found as u64,
             elapsed.as_micros() as u64,
         );
+        st.outcomes.push(Outcome {
+            task: batch.task,
+            first: batch.items[0].index,
+            stats,
+            records,
+        });
         if cut {
             // Examination hit the deadline: every axiom's suite is
-            // partial, the plan ends at the current frontier (when
-            // enumeration was still in flight), and all queued work is
-            // abandoned.
-            if st.cut_at.is_none() && st.frontier < self.range.1 {
-                st.cut_at = Some(st.frontier);
-                self.progress
-                    .record(JournalEventKind::Cut, None, st.frontier as u64, 0, 0);
-            }
+            // partial, and all queued work is abandoned.
             Self::expire(&mut st);
         }
         self.publish(&st);
@@ -715,17 +619,11 @@ impl<'s> Pipeline<'s> {
     }
 
     /// The deadline struck: discard all queued work, with exact live
-    /// accounting for the discarded tail — enumerated-but-unadmitted
-    /// tasks and queued batches leave the live count now; in-flight
-    /// batches leave it in [`Pipeline::batch_done`]. An expired run
-    /// never completes.
+    /// accounting for the discarded tail — queued batches leave the
+    /// live count now; in-flight batches leave it in
+    /// [`Pipeline::batch_done`]. An expired run never completes.
     fn expire(st: &mut State) {
         st.expired = true;
-        for (_, task) in std::mem::take(&mut st.resolved) {
-            for keyed in task.parts {
-                st.live = st.live.saturating_sub(keyed.len());
-            }
-        }
         for batch in std::mem::take(&mut st.exam) {
             st.live = st.live.saturating_sub(batch.items.len());
         }
@@ -738,11 +636,6 @@ struct RunCtx<'r> {
     axioms: &'r [&'r str],
     opts: &'r SynthOptions,
     branch_co_pa: bool,
-    /// Per-axiom streaming dedup of emitted ELT keys.
-    claimed: &'r [crate::dedup::KeySet],
-    /// Per-axiom shard counters, pushed as batches retire.
-    shard_stats: &'r [Mutex<Vec<ShardStats>>],
-    sinks: &'r [&'r dyn SuiteSink],
 }
 
 /// One pool worker: alternates between enumerating tasks and examining
@@ -750,10 +643,11 @@ struct RunCtx<'r> {
 fn worker(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>) {
     while let Some(task) = pipeline.next_task() {
         match task {
-            Task::Enumerate(task) => {
+            Task::Enumerate(n) => {
                 let start = Instant::now();
+                let task = pipeline.tasks[n].clone();
                 let mut parts = Vec::with_capacity(task.len());
-                for ordinal in task.clone() {
+                for ordinal in task {
                     // Enumeration honors the deadline inside a partition
                     // too; a partition whose enumeration saw the expiry
                     // is partial, so the task ends before it and the
@@ -762,27 +656,24 @@ fn worker(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>) {
                     if pipeline.past_deadline() {
                         break;
                     }
-                    let keyed = pipeline
-                        .space
-                        .enumerate_keyed_within(ordinal, pipeline.deadline);
+                    let plan = pipeline.space.plan_partition(ordinal, pipeline.deadline);
                     if pipeline.past_deadline() {
                         break;
                     }
-                    parts.push(keyed);
+                    parts.push(plan);
                 }
-                pipeline.resolve(task, parts, start.elapsed());
+                pipeline.resolve(n, parts, start.elapsed());
             }
             Task::Examine(batch) => examine_batch(pipeline, ctx, &batch),
         }
     }
 }
 
-/// Examines one batch for every axiom of the run and streams each
-/// axiom's shard into its sink.
+/// Examines one batch for every axiom of the run.
 fn examine_batch(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>, batch: &Batch) {
     let start = Instant::now();
     let axioms = ctx.axioms.len();
-    let mut stats = vec![ShardStats::new(batch.shard); axioms];
+    let mut stats = vec![ShardStats::new(0); axioms];
     let mut records: Vec<Vec<SuiteRecord>> = vec![Vec::new(); axioms];
     let mut cut = false;
     // One examiner per pass — one for the explicit backend; for the
@@ -800,16 +691,8 @@ fn examine_batch(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>, batch: &Batch) {
                 cut = true;
                 break 'passes;
             }
-            for (ai, mut examined) in pass.clone().zip(examiner.examine_axioms(&item.program)) {
+            for (ai, examined) in pass.clone().zip(examiner.examine_axioms(&item.program)) {
                 stats[ai].absorb(&examined);
-                if examined.witness.is_some() && !ctx.claimed[ai].claim(&item.key) {
-                    // The admitter guarantees key uniqueness; dropping a
-                    // duplicate witness (never its counters) keeps the
-                    // merge correct even if a future enumerator breaks
-                    // that invariant.
-                    debug_assert!(false, "duplicate canonical key in admitted plan");
-                    examined.witness = None;
-                }
                 if let Some((witness, violated)) = examined.witness {
                     records[ai].push(SuiteRecord {
                         index: item.index,
@@ -823,46 +706,64 @@ fn examine_batch(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>, batch: &Batch) {
             }
         }
     }
-    let found: Vec<usize> = records.iter().map(Vec::len).collect();
-    for (ai, records) in records.into_iter().enumerate() {
-        ctx.shard_stats[ai]
-            .lock()
-            .expect("stats lock is never poisoned")
-            .push(stats[ai]);
-        ctx.sinks[ai].shard_done(stats[ai], records);
+    pipeline.batch_done(batch, stats, records, start.elapsed(), cut);
+}
+
+/// Numbers the retired batches into plan indices and hands them to the
+/// sinks in plan order, one shard per batch; batches of tasks past the
+/// cut are dropped. Returns each axiom's shard counters.
+fn deliver(
+    mut outcomes: Vec<Outcome>,
+    prefix: &Prefix,
+    sinks: &[&dyn SuiteSink],
+) -> Vec<Vec<ShardStats>> {
+    outcomes.retain(|o| o.task < prefix.bases.len());
+    outcomes.sort_unstable_by_key(|o| (o.task, o.first));
+    let mut shards = vec![Vec::with_capacity(outcomes.len()); sinks.len()];
+    for (shard, outcome) in outcomes.into_iter().enumerate() {
+        let base = prefix.bases[outcome.task];
+        let per_axiom = outcome.stats.into_iter().zip(outcome.records);
+        for (ai, (mut stats, mut records)) in per_axiom.enumerate() {
+            stats.shard = shard;
+            for record in &mut records {
+                record.index += base;
+            }
+            shards[ai].push(stats);
+            sinks[ai].shard_done(stats, records);
+        }
     }
-    pipeline.batch_done(batch, &stats, &found, start.elapsed(), cut);
+    shards
 }
 
 /// Runs the fused enumerate-while-examining pipeline for `axioms` (one
-/// or many) on `jobs` workers, streaming retired batches into the
-/// per-axiom `sinks` instead of collecting suite members in memory.
-/// Partitions are enumerated once and each admitted chunk is examined
-/// once for every axiom; every axiom's [`SuiteSink::run_done`] fires
-/// when the last batch retires. Returns per-axiom counters (in `axioms`
-/// order) and the run's scheduling metrics. Sorting an axiom's records
-/// by [`SuiteRecord::index`] recovers its byte-identical sequential
-/// suite.
+/// or many) on `jobs` workers and delivers the retired batches to the
+/// per-axiom `sinks`. Partitions are enumerated once and each chunk of
+/// plan items is examined once for every axiom. Once the workers join,
+/// the batches are numbered into plan indices and handed to the sinks
+/// in plan order, one [`SuiteSink::shard_done`] per batch, and then
+/// every axiom's [`SuiteSink::run_done`] fires. Returns per-axiom
+/// counters (in `axioms` order) and the run's scheduling metrics.
+/// Sorting an axiom's records by [`SuiteRecord::index`] recovers its
+/// byte-identical sequential suite.
 ///
 /// `progress` receives live counters as the run advances — partitions
-/// and subtree mass retired, programs admitted, per-axiom batch, item
-/// and ELT counts ([`crate::progress`] has the full inventory). It may
-/// track more axioms than the run covers (the tiered store passes its
-/// caller's state, with cache-served axioms already marked
+/// and subtree mass planned, programs and plan items, per-axiom batch,
+/// item and ELT counts ([`crate::progress`] has the full inventory). It
+/// may track more axioms than the run covers (the tiered store passes
+/// its caller's state, with cache-served axioms already marked
 /// [`AxiomState::Cached`]); the run binds its own axioms by name.
 /// Observation is lock-free sampling and adds no synchronization to
 /// the hot path; the returned [`StreamMetrics`] is the final snapshot of
 /// the same state.
 ///
 /// `range` restricts the run to the partitions `[range.0, range.1)`
-/// (global ordinals of [`EnumSpace::new`]) — the fleet's work unit. The
-/// whole prefix `[0, range.1)` is enumerated and admitted so dedup state
-/// and plan indices stay global, but only items admitted inside the
-/// range are examined and emitted, and [`SuiteStats::programs`] counts
-/// only the programs admitted inside it. Ranges that tile the space
-/// therefore produce records and counters whose ordinal-ordered
-/// concatenation (or sum) is exactly the single-machine run. `jobs` is
-/// only this run's local thread count and never affects the output.
+/// (global ordinals of [`EnumSpace::new`]) — the fleet's work unit.
+/// Only those partitions are enumerated; their plan items are numbered
+/// from 0 and [`SuiteStats::programs`] counts their programs. Ranges
+/// that tile the space therefore produce records whose indices, each
+/// shifted by the plan items of the ranges before it, concatenate into
+/// the single-machine run, and counters that sum to it. `jobs` is only
+/// this run's local thread count and never affects the output.
 ///
 /// # Panics
 ///
@@ -890,9 +791,8 @@ pub fn synthesize_streamed(
     let start = Instant::now();
     let deadline = opts.timeout.map(|t| start + t);
     let space = EnumSpace::new(&opts.enumeration);
-    let range = range.unwrap_or((0, space.partition_count()));
-    let branch_co_pa = branches_co_pa(mtm);
-    let pipeline = Pipeline::new(&space, axioms, progress, deadline, jobs, Some(range));
+    let (lo, hi) = range.unwrap_or((0, space.partition_count()));
+    let pipeline = Pipeline::new(&space, axioms, progress, deadline, lo..hi);
     pipeline.progress.record(
         JournalEventKind::RunStart,
         None,
@@ -900,18 +800,11 @@ pub fn synthesize_streamed(
         space.total_mass(),
         jobs as u64,
     );
-    let claimed: Vec<crate::dedup::KeySet> =
-        axioms.iter().map(|_| crate::dedup::KeySet::new()).collect();
-    let shard_stats: Vec<Mutex<Vec<ShardStats>>> =
-        axioms.iter().map(|_| Mutex::new(Vec::new())).collect();
     let ctx = RunCtx {
         mtm,
         axioms,
         opts,
-        branch_co_pa,
-        claimed: &claimed,
-        shard_stats: &shard_stats,
-        sinks,
+        branch_co_pa: branches_co_pa(mtm),
     };
 
     std::thread::scope(|scope| {
@@ -922,30 +815,37 @@ pub fn synthesize_streamed(
         }
     });
 
-    let progress = Arc::clone(&pipeline.progress);
-    let slots = pipeline.slots.clone();
-    let st = pipeline
-        .state
-        .into_inner()
-        .expect("pipeline lock is never poisoned");
+    let Pipeline {
+        tasks,
+        progress,
+        slots,
+        state,
+        ..
+    } = pipeline;
+    let mut st = state.into_inner().expect("pipeline lock is never poisoned");
     // Free the space before the sinks seal, so the seals reuse its
     // memory instead of stacking on top of it.
     drop(space);
+    let prefix = st.prefix(&tasks);
+    if let Some(cut) = prefix.cut_at {
+        use std::sync::atomic::Ordering::Relaxed;
+        progress.cut_at_partition.store(cut, Relaxed);
+        progress.record(JournalEventKind::Cut, None, cut as u64, 0, 0);
+    }
+    let shards = deliver(std::mem::take(&mut st.outcomes), &prefix, sinks);
     let elapsed = start.elapsed();
     // Every axiom shares one schedule, so all finish here together:
-    // complete when the whole range was admitted and every batch retired
-    // before the deadline (an empty space completes trivially), cut
-    // otherwise. Each run_done fires exactly once — sinks never seal
+    // complete when every task was planned in full and every batch
+    // retired before the deadline (an empty range completes trivially),
+    // cut otherwise. Each run_done fires exactly once — sinks never seal
     // timed-out runs.
-    let complete = !st.expired && st.enum_settled(range.1);
-    let all_stats: Vec<SuiteStats> = shard_stats
+    let complete = !st.expired;
+    let all_stats: Vec<SuiteStats> = shards
         .into_iter()
         .zip(sinks)
         .zip(&slots)
         .map(|((shards, sink), &slot)| {
-            let mut shards = shards.into_inner().expect("stats lock is never poisoned");
-            shards.sort_by_key(|s| s.shard);
-            let mut stats = SuiteStats::from_shards(st.programs_in_range(), shards);
+            let mut stats = SuiteStats::from_shards(prefix.programs, shards);
             stats.elapsed = elapsed;
             stats.timed_out = !complete;
             if complete {
@@ -967,8 +867,8 @@ pub fn synthesize_streamed(
     progress.record(
         JournalEventKind::RunEnd,
         None,
-        st.admitter.programs as u64,
-        st.admitter.next_index as u64,
+        prefix.programs as u64,
+        prefix.items as u64,
         st.batches as u64,
     );
     // The returned metrics ARE the final progress snapshot — one set of
@@ -999,59 +899,46 @@ mod tests {
         .expect("spec parses")
     }
 
-    /// The admitter over in-order partitions equals the sequential
-    /// planner's scan over the eager enumeration.
+    /// The sequential planner's plan of the eager enumeration.
+    fn sequential_plan(eo: &EnumOptions) -> transform_synth::SynthPlan {
+        let keyed = transform_synth::programs::programs(eo)
+            .into_iter()
+            .map(|p| {
+                let key = plan_key(&p);
+                (p, key)
+            })
+            .collect();
+        plan_from_keyed(&mtm(), "sc_per_loc", keyed, false)
+    }
+
+    /// Partition plans in ordinal order are the sequential planner's
+    /// plan, with symmetry reduction on and off.
     #[test]
-    fn admitter_reproduces_the_sequential_plan() {
-        let m = mtm();
+    fn partition_plans_reproduce_the_sequential_plan() {
         for symmetry in [true, false] {
             let eo = enum_opts(4, symmetry);
             let space = EnumSpace::new(&eo);
-            let mut admitter = Admitter::new(symmetry);
-            let mut items = Vec::new();
-            for p in 0..space.partition_count() {
-                items.extend(admitter.admit(space.enumerate_keyed(p)));
-            }
-            let keyed = transform_synth::programs::programs(&eo)
-                .into_iter()
-                .map(|p| {
-                    let key = plan_key(&p);
-                    (p, key)
-                })
+            let plans: Vec<PartitionPlan> = (0..space.partition_count())
+                .map(|p| space.plan_partition(p, None))
                 .collect();
-            let reference = plan_from_keyed(&m, "sc_per_loc", keyed, false);
-            assert_eq!(admitter.programs, reference.programs, "symmetry {symmetry}");
-            assert_eq!(items.len(), reference.items.len(), "symmetry {symmetry}");
-            for (a, b) in items.iter().zip(&reference.items) {
-                assert_eq!(a.index, b.index);
-                assert_eq!(a.key, b.key);
-                assert_eq!(a.program, b.program);
-            }
+            let reference = sequential_plan(&eo);
+            let programs: usize = plans.iter().map(|p| p.programs).sum();
+            assert_eq!(programs, reference.programs, "symmetry {symmetry}");
+            let items: Vec<&Program> = plans.iter().flat_map(|p| &p.items).collect();
+            let expected: Vec<&Program> = reference.items.iter().map(|i| &i.program).collect();
+            assert_eq!(items, expected, "symmetry {symmetry}");
         }
-    }
-
-    /// Every task from partition 0 up to `range.1`, as the pipeline
-    /// hands them out.
-    fn tasks_of(space: &EnumSpace, range: (usize, usize)) -> Vec<Range<usize>> {
-        let mut tasks = Vec::new();
-        let mut lo = 0;
-        while lo < range.1 {
-            let hi = task_end(space.masses(), lo, range);
-            tasks.push(lo..hi);
-            lo = hi;
-        }
-        tasks
     }
 
     /// Claims the next `n` tasks, which must all be enumeration tasks
     /// that continue one another.
-    fn claim_tasks(pipeline: &Pipeline<'_>, n: usize) -> Vec<Range<usize>> {
-        let mut next = pipeline.state.lock().expect("lock").next_enum;
+    fn claim_tasks(pipeline: &Pipeline<'_>, n: usize) -> Vec<usize> {
+        let mut next = pipeline.state.lock().expect("lock").next_task;
         (0..n)
             .map(|_| match pipeline.next_task() {
                 Some(Task::Enumerate(task)) => {
-                    assert_eq!(task.start, next, "tasks continue one another");
-                    next = task.end;
+                    assert_eq!(task, next, "tasks are handed out in order");
+                    next += 1;
                     task
                 }
                 _ => panic!("expected an enumeration task"),
@@ -1059,25 +946,43 @@ mod tests {
             .collect()
     }
 
-    /// Every partition of `task`, enumerated.
-    fn enumerate(space: &EnumSpace, task: &Range<usize>) -> Vec<Vec<KeyedProgram>> {
-        task.clone().map(|p| space.enumerate_keyed(p)).collect()
+    /// Every partition of task `n`, planned.
+    fn plan(pipeline: &Pipeline<'_>, n: usize) -> Vec<PartitionPlan> {
+        pipeline.tasks[n]
+            .clone()
+            .map(|p| pipeline.space.plan_partition(p, None))
+            .collect()
     }
 
-    /// Resolves `task` with every one of its partitions enumerated.
-    fn deliver(pipeline: &Pipeline<'_>, task: &Range<usize>) {
-        pipeline.resolve(
-            task.clone(),
-            enumerate(pipeline.space, task),
-            Duration::ZERO,
-        );
+    /// Resolves task `n` with every one of its partitions planned.
+    fn deliver_task(pipeline: &Pipeline<'_>, n: usize) {
+        pipeline.resolve(n, plan(pipeline, n), Duration::ZERO);
+    }
+
+    fn items_of(pipeline: &Pipeline<'_>, n: usize) -> usize {
+        plan(pipeline, n).iter().map(|p| p.items.len()).sum()
+    }
+
+    /// A deadline-free pipeline over the whole space.
+    fn whole<'s>(
+        space: &'s EnumSpace,
+        axioms: &[&str],
+        progress: Option<&Arc<ProgressState>>,
+    ) -> Pipeline<'s> {
+        Pipeline::new(space, axioms, progress, None, 0..space.partition_count())
+    }
+
+    /// The programs and plan items of the partitions below `cut`.
+    fn planned_below(space: &EnumSpace, cut: usize) -> (usize, usize) {
+        (0..cut)
+            .map(|p| space.plan_partition(p, None))
+            .fold((0, 0), |(n, i), p| (n + p.programs, i + p.items.len()))
     }
 
     /// Tasks tile every range of the space in order, each gathering at
-    /// least [`TASK_MASS`] unless it ends at either end of the range or
-    /// is one heavier partition, and none crosses the range's start.
-    /// With fences and RMW, bounds 4 / 5 / 6 make 3 / 19 / 147 tasks of
-    /// 483 / 3,798 / 33,044 partitions.
+    /// least [`TASK_MASS`] unless it ends the range or is one heavier
+    /// partition. With fences and RMW, bounds 4 / 5 / 6 make 3 / 19 /
+    /// 147 tasks of 483 / 3,798 / 33,044 partitions.
     #[test]
     fn tasks_tile_the_space_by_mass() {
         for (bound, partitions, pinned) in [(4, 483, 3), (5, 3_798, 19), (6, 33_044, 147)] {
@@ -1085,292 +990,23 @@ mod tests {
             let masses = space.masses();
             let n = space.partition_count();
             assert_eq!(n, partitions, "bound {bound}");
-            assert_eq!(tasks_of(&space, (0, n)).len(), pinned, "bound {bound}");
-            for range in [
-                (0, n),
-                (n / 3, n),
-                (0, n / 2),
-                (n / 3, 2 * n / 3),
-                (n / 2, n / 2),
-            ] {
-                let mut next = 0;
-                for task in tasks_of(&space, range) {
+            assert_eq!(tasks(masses, 0..n).len(), pinned, "bound {bound}");
+            for range in [0..n, n / 3..n, 0..n / 2, n / 3..2 * n / 3, n / 2..n / 2] {
+                let mut next = range.start;
+                for task in tasks(masses, range.clone()) {
                     assert_eq!(task.start, next, "bound {bound} {range:?}: in order");
                     assert!(task.start < task.end, "bound {bound} {range:?}: empty task");
-                    assert!(
-                        task.end <= range.0 || task.start >= range.0,
-                        "bound {bound} {range:?}: {task:?} crosses the range start"
-                    );
                     let mass: u64 = masses[task.clone()].iter().sum();
                     let heavy = task.len() == 1 && masses[task.start] > TASK_MASS;
                     assert!(
-                        mass >= TASK_MASS || task.end == range.0 || task.end == range.1 || heavy,
+                        mass >= TASK_MASS || task.end == range.end || heavy,
                         "bound {bound} {range:?}: {task:?} holds only {mass}"
                     );
                     next = task.end;
                 }
-                assert_eq!(next, range.1, "bound {bound} {range:?}: tiles the range");
+                assert_eq!(next, range.end, "bound {bound} {range:?}: tiles the range");
             }
         }
-    }
-
-    /// Out-of-order delivery with a task cut before its first
-    /// partition: the frontier admits the tasks below the cut and drops
-    /// everything from it on.
-    #[test]
-    fn frontier_cuts_reproducibly_on_out_of_order_delivery() {
-        let space = EnumSpace::new(&EnumOptions::new(5));
-        let pipeline = Pipeline::new(&space, &["a"], None, None, 2, None);
-        let tasks = claim_tasks(&pipeline, 4);
-        // Deliver task 3, cut task 2, then deliver tasks 1 and 0: only
-        // tasks 0 and 1 may be admitted, and the cut lands at task 2's
-        // first partition.
-        deliver(&pipeline, &tasks[3]);
-        pipeline.resolve(tasks[2].clone(), Vec::new(), Duration::ZERO);
-        deliver(&pipeline, &tasks[1]);
-        deliver(&pipeline, &tasks[0]);
-        let st = pipeline.state.into_inner().expect("lock");
-        assert_eq!(st.cut_at, Some(tasks[2].start));
-        assert_eq!(st.frontier, tasks[2].start);
-        assert!(st.expired);
-        let mut reference = Admitter::new(true);
-        for task in &tasks[..2] {
-            for keyed in enumerate(&space, task) {
-                reference.admit(keyed);
-            }
-        }
-        assert!(reference.programs > 0, "tasks too small for the test");
-        assert_eq!(st.admitter.programs, reference.programs);
-        assert_eq!(st.admitter.next_index, reference.next_index);
-        // The cut abandons the queued batches along with their
-        // candidates.
-        assert!(st.exam.is_empty());
-        assert_eq!(st.live, 0);
-    }
-
-    /// A fused three-axiom pipeline makes one batch per admitted chunk:
-    /// the batches tile the plan in order, each item exactly once.
-    #[test]
-    fn fused_pipeline_makes_one_batch_per_chunk() {
-        let eo = enum_opts(4, true);
-        let space = EnumSpace::new(&eo);
-        let tasks = tasks_of(&space, (0, space.partition_count()));
-        // A window wide enough to claim every task before any examine
-        // batch exists (examination has pop priority).
-        let pipeline = Pipeline::new(&space, &["a", "b", "c"], None, None, tasks.len(), None);
-        assert_eq!(claim_tasks(&pipeline, tasks.len()), tasks);
-        for task in &tasks {
-            deliver(&pipeline, task);
-        }
-        let st = pipeline.state.into_inner().expect("lock");
-        assert!(st.batches > 1, "space too small for the test");
-        assert_eq!(st.exam.len(), st.batches, "one batch per chunk");
-        let shards: Vec<usize> = st.exam.iter().map(|b| b.shard).collect();
-        assert_eq!(shards, (0..st.batches).collect::<Vec<_>>());
-        let indices: Vec<usize> = st
-            .exam
-            .iter()
-            .flat_map(|b| b.items.iter().map(|item| item.index))
-            .collect();
-        assert_eq!(indices, (0..st.admitter.next_index).collect::<Vec<_>>());
-        assert_eq!(st.live, indices.len());
-    }
-
-    /// Regression for the former "best-effort on timed-out runs" peak
-    /// accounting: a deadline cut now (a) counts discarded tasks
-    /// delivered after expiry toward the peak — they were materialized
-    /// — and (b) returns every queued-but-abandoned candidate to the
-    /// live count, so `live` drains to exactly the in-flight batches.
-    #[test]
-    fn deadline_cut_keeps_live_accounting_exact() {
-        let space = EnumSpace::new(&EnumOptions::new(5));
-        let pipeline = Pipeline::new(&space, &["a"], None, None, 3, None);
-        let tasks = claim_tasks(&pipeline, 5);
-        let delivered =
-            |task: &Range<usize>| -> usize { enumerate(&space, task).iter().map(Vec::len).sum() };
-        let admitted = delivered(&tasks[0]) + delivered(&tasks[1]);
-        let late = delivered(&tasks[4]);
-        assert!(admitted > 0 && late > 0, "tasks too small for the test");
-        // Tasks 0 and 1 admit: their items go live and queue as batches.
-        for task in &tasks[..2] {
-            deliver(&pipeline, task);
-        }
-        // Task 2 is cut: expire() discards the queued batches and
-        // drains their candidates from the live count on the spot.
-        pipeline.resolve(tasks[2].clone(), Vec::new(), Duration::ZERO);
-        {
-            let st = pipeline.state.lock().expect("lock");
-            assert!(st.expired);
-            assert_eq!(st.cut_at, Some(tasks[2].start));
-            assert_eq!(st.live, 0, "abandoned queue drained exactly");
-            assert!(st.exam.is_empty());
-        }
-        // Task 4 lands after expiry: discarded, but its programs were
-        // materialized — the peak must include them.
-        deliver(&pipeline, &tasks[4]);
-        let st = pipeline.state.into_inner().expect("lock");
-        assert_eq!(st.live, 0);
-        assert!(
-            st.peak_live >= admitted.max(late),
-            "peak {} must cover both the admitted ({admitted}) and the \
-             discarded ({late}) materializations",
-            st.peak_live
-        );
-        // The progress mirror agrees with the final state.
-        let snap = pipeline.progress.snapshot();
-        assert_eq!(snap.peak_live_candidates, st.peak_live);
-        assert_eq!(snap.live_candidates, 0);
-        assert_eq!(snap.cut_at_partition, Some(tasks[2].start));
-    }
-
-    /// A deadline inside a task: its worker delivers the partitions it
-    /// finished, the plan is cut at the first partition left out, and
-    /// exactly the prefix below it is admitted, with its mass retired,
-    /// one retire event and exact live accounting.
-    #[test]
-    fn deadline_inside_a_task_admits_exactly_its_prefix() {
-        let space = EnumSpace::new(&EnumOptions::new(5));
-        let tasks = tasks_of(&space, (0, space.partition_count()));
-        let at = tasks
-            .iter()
-            .position(|task| task.len() >= 3)
-            .expect("a task of three partitions");
-        let progress = Arc::new(ProgressState::with_journal(&["a"]));
-        let pipeline = Pipeline::new(&space, &["a"], Some(&progress), None, tasks.len(), None);
-        claim_tasks(&pipeline, at + 1);
-        for task in &tasks[..at] {
-            deliver(&pipeline, task);
-        }
-        let task = tasks[at].clone();
-        let cut = task.start + task.len() / 2;
-        let prefix: Vec<Vec<KeyedProgram>> = enumerate(&space, &task)
-            .into_iter()
-            .take(cut - task.start)
-            .collect();
-        let peak_before = pipeline.state.lock().expect("lock").peak_live;
-        let live_before = pipeline.state.lock().expect("lock").live;
-        let delivered: usize = prefix.iter().map(Vec::len).sum();
-        pipeline.resolve(task.clone(), prefix, Duration::ZERO);
-
-        let st = pipeline.state.into_inner().expect("lock");
-        assert!(st.expired);
-        assert_eq!(st.cut_at, Some(cut));
-        assert_eq!(st.frontier, cut);
-        let mut reference = Admitter::new(true);
-        for p in 0..cut {
-            reference.admit(space.enumerate_keyed(p));
-        }
-        assert_eq!(st.admitter.programs, reference.programs);
-        assert_eq!(st.admitter.next_index, reference.next_index);
-        assert_eq!(st.mass_retired, space.masses()[..cut].iter().sum::<u64>());
-        assert_eq!(st.live, 0, "the abandoned queue left the live count");
-        assert!(st.exam.is_empty());
-        assert_eq!(st.peak_live, peak_before.max(live_before + delivered));
-        let snap = progress.snapshot();
-        assert_eq!(snap.partitions_retired, cut);
-        assert_eq!(snap.cut_at_partition, Some(cut));
-        assert_eq!(snap.live_candidates, 0);
-        let journal = progress.take_journal();
-        let retired = journal
-            .iter()
-            .rfind(|e| e.kind == JournalEventKind::PartitionRetired)
-            .expect("the cut task retired its prefix");
-        assert_eq!(
-            (retired.a, retired.b, retired.c),
-            (
-                task.start as u64,
-                space.masses()[task.start..cut].iter().sum::<u64>(),
-                (cut - task.start) as u64
-            )
-        );
-        let cuts: Vec<u64> = journal
-            .iter()
-            .filter(|e| e.kind == JournalEventKind::Cut)
-            .map(|e| e.a)
-            .collect();
-        assert_eq!(cuts, vec![cut as u64]);
-    }
-
-    /// The progress mirror tracks the frontier: partitions retired,
-    /// mass retired, programs, and plan items all advance with each
-    /// admitted task, and the mass total is the space's.
-    #[test]
-    fn progress_mirrors_frontier_advance() {
-        let eo = enum_opts(4, true);
-        let space = EnumSpace::new(&eo);
-        let masses = space.masses();
-        let tasks = tasks_of(&space, (0, space.partition_count()));
-        let pipeline = Pipeline::new(&space, &["a"], None, None, 2, None);
-        assert_eq!(pipeline.progress.snapshot().mass_total, space.total_mass());
-        for task in &tasks {
-            loop {
-                match pipeline.next_task() {
-                    Some(Task::Enumerate(claimed)) => {
-                        assert_eq!(&claimed, task);
-                        break;
-                    }
-                    Some(Task::Examine(b)) => {
-                        // Examination has pop priority; retire it untouched.
-                        let stats = [ShardStats::new(b.shard)];
-                        pipeline.batch_done(&b, &stats, &[0], Duration::ZERO, false);
-                    }
-                    None => panic!("pipeline drained early"),
-                }
-            }
-            deliver(&pipeline, task);
-            let snap = pipeline.progress.snapshot();
-            assert_eq!(snap.partitions_retired, task.end);
-            assert_eq!(snap.mass_retired, masses[..task.end].iter().sum::<u64>());
-            assert_eq!(snap.frontier_depth, 0);
-        }
-        let st = pipeline.state.into_inner().expect("lock");
-        let snap = pipeline.progress.snapshot();
-        assert_eq!(snap.partitions_retired, space.partition_count());
-        assert_eq!(snap.mass_retired, space.total_mass());
-        assert_eq!(snap.programs, st.admitter.programs);
-        assert_eq!(snap.items_planned, st.admitter.next_index);
-        assert_eq!(snap.batches, st.batches);
-        assert!(snap.enumeration_eta().is_some());
-    }
-
-    /// Head-of-line blocking is journaled where it happens: with the
-    /// frontier's task held back and the rest of the window resolved, a
-    /// worker asking for work finds nothing to examine and must wait.
-    #[test]
-    fn full_window_behind_a_held_frontier_journals_a_stall() {
-        let space = EnumSpace::new(&EnumOptions::new(5));
-        let progress = Arc::new(ProgressState::with_journal(&["a"]));
-        // One worker: a window of two tasks.
-        let pipeline = Pipeline::new(&space, &["a"], Some(&progress), None, 1, None);
-        let tasks = claim_tasks(&pipeline, 2);
-        deliver(&pipeline, &tasks[1]);
-        let mut journal = Vec::new();
-        std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| pipeline.next_task().is_some());
-            let give_up = Instant::now() + Duration::from_secs(30);
-            while Instant::now() < give_up
-                && !journal
-                    .iter()
-                    .any(|e: &crate::JournalEvent| e.kind == JournalEventKind::FrontierStall)
-            {
-                journal.extend(progress.take_journal());
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            // Releasing the frontier task wakes the waiting worker.
-            deliver(&pipeline, &tasks[0]);
-            assert!(waiter.join().expect("waiter joins"), "work after the stall");
-        });
-        journal.extend(progress.take_journal());
-        let stalls: Vec<(u64, u64)> = journal
-            .iter()
-            .filter(|e| e.kind == JournalEventKind::FrontierStall)
-            .map(|e| (e.a, e.b))
-            .collect();
-        assert_eq!(
-            stalls,
-            vec![(tasks[0].start as u64, 1)],
-            "one stall per wait"
-        );
     }
 
     /// A sink retaining every record with its plan index — what the
@@ -1402,6 +1038,250 @@ mod tests {
         }
     }
 
+    /// Out-of-order delivery with a task cut before its first
+    /// partition: the delivered plan is exactly the tasks below the cut,
+    /// numbered by the prefix sum, and the batches already examined past
+    /// the cut are dropped.
+    #[test]
+    fn cuts_keep_the_plan_prefix_on_out_of_order_delivery() {
+        let m = mtm();
+        let eo = enum_opts(5, true);
+        let space = EnumSpace::new(&eo);
+        let pipeline = whole(&space, &["sc_per_loc"], None);
+        assert!(pipeline.tasks.len() >= 4, "space too small for the test");
+        let tasks = claim_tasks(&pipeline, 4);
+        let mut opts = SynthOptions::new(5);
+        opts.enumeration = eo;
+        let ctx = RunCtx {
+            mtm: &m,
+            axioms: &["sc_per_loc"],
+            opts: &opts,
+            branch_co_pa: branches_co_pa(&m),
+        };
+        // Deliver tasks 3, 1 and 0 and examine every batch they queue;
+        // then cut task 2. Only tasks 0 and 1 are in the plan.
+        for &n in &[tasks[3], tasks[1], tasks[0]] {
+            deliver_task(&pipeline, n);
+            loop {
+                let batch = pipeline.state.lock().expect("lock").exam.pop_front();
+                let Some(batch) = batch else { break };
+                examine_batch(&pipeline, &ctx, &batch);
+            }
+        }
+        pipeline.resolve(tasks[2], Vec::new(), Duration::ZERO);
+        let mut st = pipeline.state.into_inner().expect("lock");
+        assert!(st.expired);
+        let prefix = st.prefix(&pipeline.tasks);
+        let cut = pipeline.tasks[tasks[2]].start;
+        assert_eq!(prefix.cut_at, Some(cut));
+        assert_eq!((prefix.programs, prefix.items), planned_below(&space, cut));
+        assert!(prefix.items > 0, "tasks too small for the test");
+        // The cut task keeps a base of its own: a task cut inside keeps
+        // the items of the partitions it finished.
+        let items = |n: usize| st.planned[n].expect("planned").items;
+        assert_eq!(prefix.bases, vec![0, items(0), items(0) + items(1)]);
+        let sink = RecordSink::new();
+        let shards = deliver(std::mem::take(&mut st.outcomes), &prefix, &[&sink]);
+        let examined: usize = shards[0].iter().map(|s| s.items).sum();
+        assert_eq!(examined, prefix.items, "only the prefix's batches");
+        let records = sink.take();
+        assert!(!records.is_empty(), "tasks too small for the test");
+        // The records are the sequential suite's below the prefix, at
+        // its plan indices.
+        let sequential = transform_synth::synthesize_suite(&m, "sc_per_loc", &opts);
+        let plan = sequential_plan(&opts.enumeration);
+        let expected = plan.items[..prefix.items]
+            .iter()
+            .filter(|item| sequential.elts.iter().any(|e| e.program == item.program));
+        assert!(records
+            .iter()
+            .map(|r| (r.index, &r.elt.program))
+            .eq(expected.map(|item| (item.index, &item.program))));
+        assert!(st.exam.is_empty());
+        assert_eq!(st.live, 0);
+    }
+
+    /// A fused three-axiom pipeline makes one batch per chunk: each
+    /// task's batches tile its items in order at task-local offsets, and
+    /// the tasks' items together are the sequential plan.
+    #[test]
+    fn fused_pipeline_makes_one_batch_per_chunk() {
+        let eo = enum_opts(4, true);
+        let space = EnumSpace::new(&eo);
+        let pipeline = whole(&space, &["a", "b", "c"], None);
+        let count = pipeline.tasks.len();
+        // Examination has pop priority, so every task is claimed before
+        // any examine batch exists.
+        assert_eq!(
+            claim_tasks(&pipeline, count),
+            (0..count).collect::<Vec<_>>()
+        );
+        for n in (0..count).rev() {
+            deliver_task(&pipeline, n);
+        }
+        let st = pipeline.state.into_inner().expect("lock");
+        assert!(st.batches > 1, "space too small for the test");
+        assert_eq!(st.exam.len(), st.batches, "one batch per chunk");
+        let mut total = 0;
+        for n in 0..count {
+            let indices: Vec<usize> = st
+                .exam
+                .iter()
+                .filter(|b| b.task == n)
+                .flat_map(|b| b.items.iter().map(|item| item.index))
+                .collect();
+            let items = st.planned[n].expect("planned").items;
+            assert_eq!(indices, (0..items).collect::<Vec<_>>(), "task {n}");
+            total += items;
+        }
+        assert_eq!(total, sequential_plan(&eo).items.len());
+        assert_eq!(st.live, total);
+    }
+
+    /// Regression for the former "best-effort on timed-out runs" peak
+    /// accounting: a deadline cut (a) counts tasks planned after expiry
+    /// toward the peak — they were materialized — and (b) returns every
+    /// queued-but-abandoned item to the live count, so `live` drains to
+    /// exactly the in-flight batches.
+    #[test]
+    fn deadline_cut_keeps_live_accounting_exact() {
+        let space = EnumSpace::new(&EnumOptions::new(5));
+        let pipeline = whole(&space, &["a"], None);
+        let tasks = claim_tasks(&pipeline, 5);
+        let queued = items_of(&pipeline, tasks[0]) + items_of(&pipeline, tasks[1]);
+        let late = items_of(&pipeline, tasks[4]);
+        assert!(queued > 0 && late > 0, "tasks too small for the test");
+        // Tasks 0 and 1 are planned: their items go live and queue as
+        // batches.
+        deliver_task(&pipeline, tasks[0]);
+        deliver_task(&pipeline, tasks[1]);
+        assert_eq!(pipeline.state.lock().expect("lock").live, queued);
+        // Task 2 is cut: expire() discards the queued batches and
+        // drains their items from the live count on the spot.
+        pipeline.resolve(tasks[2], Vec::new(), Duration::ZERO);
+        {
+            let st = pipeline.state.lock().expect("lock");
+            assert!(st.expired);
+            assert_eq!(st.live, 0, "abandoned queue drained exactly");
+            assert!(st.exam.is_empty());
+        }
+        // Task 4 lands after expiry: nothing is queued, but its items
+        // were materialized — the peak must include them.
+        deliver_task(&pipeline, tasks[4]);
+        let st = pipeline.state.into_inner().expect("lock");
+        assert_eq!(st.live, 0);
+        assert!(st.exam.is_empty());
+        assert!(
+            st.peak_live >= queued.max(late),
+            "peak {} must cover both the queued ({queued}) and the \
+             discarded ({late}) materializations",
+            st.peak_live
+        );
+        assert_eq!(
+            st.prefix(&pipeline.tasks).cut_at,
+            Some(pipeline.tasks[tasks[2]].start)
+        );
+        // The progress mirror agrees with the final state.
+        let snap = pipeline.progress.snapshot();
+        assert_eq!(snap.peak_live_candidates, st.peak_live);
+        assert_eq!(snap.live_candidates, 0);
+    }
+
+    /// A deadline inside a task: its worker delivers the partitions it
+    /// finished, the plan is cut at the first partition left out, and
+    /// exactly the prefix below it is planned, with its mass retired,
+    /// one retire event and exact live accounting.
+    #[test]
+    fn deadline_inside_a_task_admits_exactly_its_prefix() {
+        let space = EnumSpace::new(&EnumOptions::new(5));
+        let progress = Arc::new(ProgressState::with_journal(&["a"]));
+        let pipeline = whole(&space, &["a"], Some(&progress));
+        let at = pipeline
+            .tasks
+            .iter()
+            .position(|task| task.len() >= 3)
+            .expect("a task of three partitions");
+        claim_tasks(&pipeline, at + 1);
+        for n in 0..at {
+            deliver_task(&pipeline, n);
+        }
+        let task = pipeline.tasks[at].clone();
+        let cut = task.start + task.len() / 2;
+        let prefix: Vec<PartitionPlan> = plan(&pipeline, at)
+            .into_iter()
+            .take(cut - task.start)
+            .collect();
+        let delivered: usize = prefix.iter().map(|p| p.items.len()).sum();
+        let (peak_before, live_before) = {
+            let st = pipeline.state.lock().expect("lock");
+            (st.peak_live, st.live)
+        };
+        pipeline.resolve(at, prefix, Duration::ZERO);
+
+        let st = pipeline.state.into_inner().expect("lock");
+        assert!(st.expired);
+        let planned = st.prefix(&pipeline.tasks);
+        assert_eq!(planned.cut_at, Some(cut));
+        assert_eq!(
+            (planned.programs, planned.items),
+            planned_below(&space, cut)
+        );
+        assert_eq!(st.live, 0, "the abandoned queue left the live count");
+        assert!(st.exam.is_empty());
+        assert_eq!(st.peak_live, peak_before.max(live_before + delivered));
+        let snap = progress.snapshot();
+        assert_eq!(snap.partitions_retired, cut);
+        assert_eq!(snap.mass_retired, space.masses()[..cut].iter().sum::<u64>());
+        assert_eq!(snap.live_candidates, 0);
+        let journal = progress.take_journal();
+        let retired = journal
+            .iter()
+            .rfind(|e| e.kind == JournalEventKind::PartitionRetired)
+            .expect("the cut task retired its prefix");
+        assert_eq!(
+            (retired.a, retired.b, retired.c),
+            (
+                task.start as u64,
+                space.masses()[task.start..cut].iter().sum::<u64>(),
+                (cut - task.start) as u64
+            )
+        );
+    }
+
+    /// The progress mirror tracks planning: partitions retired, mass
+    /// retired, programs and plan items all advance with each planned
+    /// task, in whatever order tasks finish, and the mass total is the
+    /// space's.
+    #[test]
+    fn progress_mirrors_task_retirement() {
+        let eo = enum_opts(4, true);
+        let space = EnumSpace::new(&eo);
+        let masses = space.masses();
+        let pipeline = whole(&space, &["a"], None);
+        assert_eq!(pipeline.progress.snapshot().mass_total, space.total_mass());
+        let count = pipeline.tasks.len();
+        claim_tasks(&pipeline, count);
+        let (mut partitions, mut mass) = (0, 0);
+        for n in (0..count).rev() {
+            deliver_task(&pipeline, n);
+            let task = &pipeline.tasks[n];
+            partitions += task.len();
+            mass += masses[task.clone()].iter().sum::<u64>();
+            let snap = pipeline.progress.snapshot();
+            assert_eq!(snap.partitions_retired, partitions);
+            assert_eq!(snap.mass_retired, mass);
+        }
+        let st = pipeline.state.into_inner().expect("lock");
+        let snap = pipeline.progress.snapshot();
+        assert_eq!(snap.partitions_retired, space.partition_count());
+        assert_eq!(snap.mass_retired, space.total_mass());
+        let plan = st.prefix(&pipeline.tasks);
+        assert_eq!(snap.programs, plan.programs);
+        assert_eq!(snap.items_planned, plan.items);
+        assert_eq!(snap.batches, st.batches);
+        assert!(snap.enumeration_eta().is_some());
+    }
+
     fn synth_opts(bound: usize) -> SynthOptions {
         let mut o = SynthOptions::new(bound);
         o.enumeration.allow_fences = false;
@@ -1418,11 +1298,11 @@ mod tests {
     }
 
     /// The fleet invariant at the pipeline level: partition ranges that
-    /// tile the space produce shard results whose concatenation is
-    /// exactly the single-machine run — same records at the same global
-    /// plan indices, semantic counters and per-range program counts
-    /// summing to the full totals — at several worker counts and split
-    /// points.
+    /// tile the space produce range-local records which, each shifted by
+    /// the plan items of the ranges before it, concatenate into exactly
+    /// the single-machine run — same records at the same global plan
+    /// indices, semantic counters and per-range program counts summing
+    /// to the full totals — at several worker counts and split points.
     #[test]
     fn range_runs_tile_into_the_full_suite() {
         let m = mtm();
@@ -1436,7 +1316,8 @@ mod tests {
                 let mut executions = 0usize;
                 let mut forbidden = 0usize;
                 let mut minimal = 0usize;
-                let mut programs = Vec::new();
+                let mut programs = 0usize;
+                let mut base = 0usize;
                 for range in [(0, split), (split, n)] {
                     let sink = RecordSink::new();
                     let (mut stats, _) = synthesize_streamed(
@@ -1453,10 +1334,15 @@ mod tests {
                     executions += stats.executions;
                     forbidden += stats.forbidden;
                     minimal += stats.minimal;
-                    programs.push(stats.programs);
-                    records.extend(sink.take());
+                    programs += stats.programs;
+                    let items: usize = stats.shards.iter().map(|s| s.items).sum();
+                    records.extend(sink.take().into_iter().map(|mut r| {
+                        assert!(r.index < items, "jobs {jobs} split {split}: range-local");
+                        r.index += base;
+                        r
+                    }));
+                    base += items;
                 }
-                records.sort_by_key(|r| r.index);
                 assert_eq!(
                     records.len(),
                     full_records.len(),
@@ -1473,15 +1359,58 @@ mod tests {
                 );
                 assert_eq!(forbidden, full_stats.forbidden, "jobs {jobs} split {split}");
                 assert_eq!(minimal, full_stats.minimal, "jobs {jobs} split {split}");
-                // Each range reports only the programs admitted inside
-                // it, so the per-range counts sum to the whole run's.
-                assert_eq!(
-                    programs.iter().sum::<usize>(),
-                    full_stats.programs,
-                    "jobs {jobs} split {split}"
-                );
+                assert_eq!(programs, full_stats.programs, "jobs {jobs} split {split}");
             }
         }
+    }
+
+    /// A deadline that strikes mid-run keeps exactly the plan prefix
+    /// below the cut: the run counts the programs of the partitions
+    /// below it, and every record it delivers is the full run's record
+    /// at the same plan index, inside the prefix.
+    #[test]
+    fn mid_run_deadline_keeps_exactly_the_plan_prefix() {
+        let m = mtm();
+        let opts = SynthOptions::new(6);
+        let full = RecordSink::new();
+        synthesize_streamed(&m, &["sc_per_loc"], &opts, 2, None, None, &[&full]);
+        let full = full.take();
+        let space = EnumSpace::new(&opts.enumeration);
+        // Shrink the budget until it strikes after the first partitions.
+        for millis in [400, 200, 100, 50, 25, 12, 6, 3] {
+            let mut cut_opts = opts.clone();
+            cut_opts.timeout = Some(Duration::from_millis(millis));
+            let sink = RecordSink::new();
+            let (mut stats, metrics) =
+                synthesize_streamed(&m, &["sc_per_loc"], &cut_opts, 2, None, None, &[&sink]);
+            let stats = stats.remove(0);
+            let Some(cut) = metrics.cut_at_partition.filter(|&cut| cut > 0) else {
+                continue;
+            };
+            assert!(stats.timed_out);
+            let (programs, items) = planned_below(&space, cut);
+            assert_eq!(stats.programs, programs);
+            let examined: usize = stats.shards.iter().map(|s| s.items).sum();
+            assert!(
+                examined <= items,
+                "{examined} items examined past the {items}-item prefix"
+            );
+            for record in sink.take() {
+                assert!(
+                    record.index < items,
+                    "record {} past the prefix",
+                    record.index
+                );
+                let reference = full
+                    .iter()
+                    .find(|r| r.index == record.index)
+                    .expect("a record of the full run");
+                assert_eq!(record.elt.program, reference.elt.program);
+                assert_eq!(record.elt.violated, reference.elt.violated);
+            }
+            return;
+        }
+        panic!("no budget cut the run after its first partition");
     }
 
     /// A deadline-cut run keeps its partition-granular journal
@@ -1532,7 +1461,7 @@ mod tests {
         let m = mtm();
         let opts = SynthOptions::new(6);
         let space = EnumSpace::new(&opts.enumeration);
-        let tasks = tasks_of(&space, (0, space.partition_count()));
+        let tasks = tasks(space.masses(), 0..space.partition_count());
         assert_eq!(tasks.len(), 147);
         let progress = Arc::new(ProgressState::with_journal(&["sc_per_loc"]));
         let sink = RecordSink::new();
@@ -1555,9 +1484,10 @@ mod tests {
         enumerated.sort_unstable();
         let starts: Vec<u64> = tasks.iter().map(|t| t.start as u64).collect();
         assert_eq!(enumerated, starts, "one enumerated event per task");
-        let retired: Vec<(u64, u64, u64)> = of_kind(JournalEventKind::PartitionRetired)
+        let mut retired: Vec<(u64, u64, u64)> = of_kind(JournalEventKind::PartitionRetired)
             .map(|e| (e.a, e.b, e.c))
             .collect();
+        retired.sort_unstable();
         let expected: Vec<(u64, u64, u64)> = tasks
             .iter()
             .map(|t| {
@@ -1565,7 +1495,7 @@ mod tests {
                 (t.start as u64, mass, t.len() as u64)
             })
             .collect();
-        assert_eq!(retired, expected, "one retired event per task, in order");
+        assert_eq!(retired, expected, "one retired event per task");
         let total: u64 = retired.iter().map(|r| r.1).sum();
         assert_eq!(total, space.total_mass());
         assert_eq!(progress.snapshot().mass_retired, total);

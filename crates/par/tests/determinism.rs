@@ -162,6 +162,32 @@ fn fused_all_axiom_run_matches_per_axiom_sequential_suites() {
     }
 }
 
+#[test]
+fn symmetry_off_runs_match_the_sequential_engine() {
+    // Without symmetry reduction each partition keeps the first
+    // occurrence of every key among its own write-bearing programs; the
+    // sequential engine dedups over the whole space. Bound 6 is the
+    // first bound with keys repeated inside a partition.
+    let mtm = x86t_elt();
+    for bound in 4..=6 {
+        let mut o = SynthOptions::new(bound);
+        o.enumeration.symmetry_reduction = false;
+        let sequential = every_suite(&mtm, &o, 1);
+        let fused = every_suite(&mtm, &o, 2);
+        for (seq, suite) in sequential.iter().zip(&fused) {
+            let label = format!("{} at bound {bound}", seq.axiom);
+            assert_eq!(fingerprint(seq), fingerprint(suite), "{label}");
+            assert!(!suite.stats.timed_out, "{label}");
+            assert_eq!(suite.stats.programs, seq.stats.programs, "{label}");
+            assert_eq!(suite.stats.executions, seq.stats.executions, "{label}");
+            assert_eq!(suite.stats.forbidden, seq.stats.forbidden, "{label}");
+            assert_eq!(suite.stats.minimal, seq.stats.minimal, "{label}");
+            let items = |s: &Suite| s.stats.shards.iter().map(|s| s.items).sum::<usize>();
+            assert_eq!(items(suite), items(seq), "{label}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -96,10 +96,14 @@ pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, RequestError> {
             return Err(RequestError::Bad(format!("malformed header `{line}`")));
         };
         if name.trim().eq_ignore_ascii_case("content-length") {
-            let len = value
-                .trim()
-                .parse()
-                .map_err(|_| RequestError::Bad(format!("malformed Content-Length `{value}`")))?;
+            // RFC 9110 §8.6: the value is 1*DIGIT, so a sign (which
+            // `u64::from_str` would accept) is malformed too.
+            let digits = value.trim();
+            let malformed = || RequestError::Bad(format!("malformed Content-Length `{value}`"));
+            if !digits.bytes().all(|b| b.is_ascii_digit()) {
+                return Err(malformed());
+            }
+            let len: u64 = digits.parse().map_err(|_| malformed())?;
             // RFC 9112 §6.3: differing lengths leave the framing
             // undefined, so the request is refused rather than framed by
             // whichever header came last. A repeated equal value is

@@ -81,6 +81,19 @@ fn conflicting_content_lengths_are_bad_requests() {
     assert_eq!(parse(repeated).expect("parses").2, b"abc");
 }
 
+#[test]
+fn signed_content_lengths_are_bad_requests() {
+    // `Content-Length` is 1*DIGIT (RFC 9110 §8.6): a sign is not a
+    // digit, even though integer parsing would accept it.
+    for value in ["+5", "+0", "-0", ""] {
+        let request = format!("PUT /v1/suite/x HTTP/1.1\r\nContent-Length: {value}\r\n\r\nabcde");
+        match parse(request.as_bytes()) {
+            Err(RequestError::Bad(m)) => assert!(m.contains("Content-Length"), "{value}: {m}"),
+            other => panic!("`{value}`: expected a 400, got {other:?}"),
+        }
+    }
+}
+
 fn edits() -> impl Strategy<Value = Vec<(usize, u8)>> {
     proptest::collection::vec((0usize..1 << 16, 0u8..=255), 1..6)
 }

@@ -15,17 +15,20 @@
 //!
 //! Workers lease `(lo, hi)` partition ranges ([`LeaseGrant`] embeds
 //! the spec so a worker needs no other state), run the fused pipeline
-//! range-restricted, and upload one [`ShardResult`] per range: the
-//! per-axiom records and counters for exactly the plan items admitted
-//! in `[lo, hi)`, plus the number of programs admitted there. Results
-//! are content-checksummed and staged idempotently
+//! on exactly those partitions, and upload one [`ShardResult`] per
+//! range: the per-axiom records and counters of the range's own plan,
+//! whose items are numbered from 0, plus the range's program count.
+//! Results are content-checksummed and staged idempotently
 //! ([`Store::stage_shard`]): a retried or duplicate upload of the same
 //! range is a no-op, a conflicting one is rejected.
 //!
-//! When every range in the spec is staged, [`merge_fleet_job`] replays
-//! the shards **in range order** through the ordinary
-//! [`PendingSuite`](crate::store::PendingSuite) merge — the same
-//! plan-index sort every local run uses — so the sealed suite is
+//! When every range in the spec is staged, [`merge_fleet_job`] shifts
+//! each range's record indices by the plan items of the ranges before
+//! it — no canonical key occurs in two root partitions, so the ranges'
+//! plans concatenate into the single-machine plan — and replays the
+//! shards **in range order** through the ordinary
+//! [`PendingSuite`](crate::store::PendingSuite) merge, the same
+//! plan-index sort every local run uses. The sealed suite is therefore
 //! byte-identical to a single-machine fused run regardless of worker
 //! count, upload order, retries, or lease reassignment.
 
@@ -44,7 +47,11 @@ use transform_synth::{
 };
 
 const JOB_MAGIC: &[u8; 8] = b"TFJOBSP\0";
-const SHARD_RESULT_MAGIC: &[u8; 8] = b"TFSHRES\0";
+/// Shard results carry range-local plan indices since this magic; the
+/// old `TFSHRES\0` frames numbered them globally, and the two must not
+/// merge into one suite. `FORMAT_VERSION` is shared with sealed stores,
+/// so the frame changes its magic instead.
+const SHARD_RESULT_MAGIC: &[u8; 8] = b"TFSHRL1\0";
 const LEASE_MAGIC: &[u8; 8] = b"TFLEASE\0";
 
 /// Sanity cap on fleet collection lengths (axioms, ranges, records per
@@ -323,7 +330,7 @@ impl JobSpec {
 }
 
 /// One leased range's complete output: per-axiom records and counters
-/// for the plan items admitted in `[lo, hi)`.
+/// of the plan of the partitions `[lo, hi)`, numbered from 0.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ShardResult {
     /// The job this shard belongs to.
@@ -332,21 +339,23 @@ pub struct ShardResult {
     pub lo: u32,
     /// One past the last partition of the leased range.
     pub hi: u32,
-    /// Programs admitted to the plan within `[lo, hi)` — summed across
-    /// ranges this reconstructs the suite's `programs` total.
+    /// Programs of the partitions `[lo, hi)` — summed across ranges
+    /// this reconstructs the suite's `programs` total.
     pub programs: usize,
     /// One entry per run axiom, in run-axiom order.
     pub per_axiom: Vec<AxiomShard>,
 }
 
 /// One axiom's share of a [`ShardResult`]: the worker's summed
-/// counters and its admitted records sorted by plan index.
+/// counters and its records sorted by range-local plan index.
 #[derive(Clone, PartialEq, Debug)]
 pub struct AxiomShard {
     /// Work counters summed over the range (the `shard` ordinal is
-    /// assigned by the coordinator at merge time).
+    /// assigned by the coordinator at merge time). `items` is the
+    /// range's plan size, the same for every axiom.
     pub stats: ShardStats,
-    /// The records admitted in the range, sorted by plan index.
+    /// The range's records, strictly increasing by plan index, each
+    /// below `stats.items`.
     pub records: Vec<SuiteRecord>,
 }
 
@@ -373,7 +382,9 @@ impl ShardResult {
         seal_frame(e)
     }
 
-    /// Decodes and checksum-validates a shard result.
+    /// Decodes and validates a shard result: checksum, and a plan
+    /// every axiom agrees on — the same `stats.items`, and records
+    /// strictly increasing below it.
     pub fn decode(bytes: &[u8]) -> Result<ShardResult, CodecError> {
         let mut d = open_frame(bytes, SHARD_RESULT_MAGIC, "shard result")?;
         let job = d.u64()?;
@@ -384,14 +395,30 @@ impl ShardResult {
         }
         let programs = d.size()?;
         let num_axioms = d.size_bounded(MAX_FLEET_LEN, "shard axioms")?;
-        let mut per_axiom = Vec::with_capacity(num_axioms);
+        let mut per_axiom: Vec<AxiomShard> = Vec::with_capacity(num_axioms);
         for _ in 0..num_axioms {
             let stats = decode_shard_stats(&mut d)?;
             let num_records = d.size_bounded(MAX_FLEET_LEN, "shard records")?;
-            let mut records = Vec::with_capacity(num_records);
+            let mut records: Vec<SuiteRecord> = Vec::with_capacity(num_records);
             for _ in 0..num_records {
                 let len = d.size_bounded(MAX_FLEET_LEN, "shard record")?;
-                records.push(decode_record(d.bytes(len)?)?);
+                let record = decode_record(d.bytes(len)?)?;
+                let after = records.last().map_or(0, |r| r.index + 1);
+                if record.index < after || record.index >= stats.items {
+                    return Err(CodecError::new(format!(
+                        "shard record index {} out of order or past the range's {} plan items",
+                        record.index, stats.items
+                    )));
+                }
+                records.push(record);
+            }
+            if per_axiom
+                .first()
+                .is_some_and(|first| first.stats.items != stats.items)
+            {
+                return Err(CodecError::new(
+                    "shard axioms disagree on the range's plan items",
+                ));
             }
             per_axiom.push(AxiomShard { stats, records });
         }
@@ -640,18 +667,22 @@ impl Store {
 /// Merges a fully staged fleet job into sealed suites — the
 /// coordinator-side ordinal merge.
 ///
-/// For each run axiom, the staged shards are replayed **in range
-/// order** through the ordinary [`PendingSuite`](crate::store::PendingSuite)
-/// shard merge with the range ordinal as the shard index, then sealed
-/// with the exact summed statistics — so the sealed entry is
-/// byte-identical (fingerprint, records, counters; all but wall-clock)
-/// to a single-machine fused run of the same plan.
+/// Each range's records carry range-local plan indices; the merge
+/// shifts them by the plan items of the ranges before it (every
+/// axiom's `stats.items`). For each run axiom, the staged shards are
+/// then replayed **in range order** through the ordinary
+/// [`PendingSuite`](crate::store::PendingSuite) shard merge with the
+/// range ordinal as the shard index, and sealed with the exact summed
+/// statistics — so the sealed entry is byte-identical (fingerprint,
+/// records, counters; all but wall-clock) to a single-machine fused run
+/// of the same plan.
 ///
 /// `elapsed` is the job's wall-clock as observed by the coordinator;
 /// it lands in the sealed [`SuiteStats`] but never in the fingerprint.
 ///
-/// Errors if any range in the spec is not staged, or if a staged shard
-/// fails validation (wrong axiom count, checksum damage).
+/// Errors if any range in the spec is not staged, if a staged shard
+/// fails validation (wrong axiom count, checksum damage), or if the
+/// summed plan sizes or program counts overflow.
 pub fn merge_fleet_job(
     store: &Store,
     spec: &JobSpec,
@@ -672,17 +703,35 @@ pub fn merge_fleet_job(
         }
         results.push(result);
     }
-    let total_programs: usize = results.iter().map(|r| r.programs).sum();
+    let overflow = || StoreError::Corrupt(format!("fleet job {job:016x} overflows its plan"));
+    // Each range's plan-index base: the plan items of the ranges before
+    // it. Decoding checked that every axiom of a range agrees on them.
+    let mut bases = Vec::with_capacity(results.len());
+    let mut items = 0usize;
+    let mut total_programs = 0usize;
+    for result in &results {
+        bases.push(items);
+        items = items
+            .checked_add(result.per_axiom[0].stats.items)
+            .ok_or_else(overflow)?;
+        total_programs = total_programs
+            .checked_add(result.programs)
+            .ok_or_else(overflow)?;
+    }
     let mut sealed = Vec::with_capacity(spec.axioms.len());
     for (ai, &(_, fp)) in spec.axioms.iter().enumerate() {
         let pending = store.begin(fp, spec.entry_meta(ai))?;
         let mut shards = Vec::with_capacity(results.len());
-        for (ordinal, result) in results.iter().enumerate() {
+        for (ordinal, (result, &base)) in results.iter().zip(&bases).enumerate() {
             let ax = &result.per_axiom[ai];
             let mut stats = ax.stats;
             stats.shard = ordinal;
             shards.push(stats);
-            pending.shard_done(stats, ax.records.clone());
+            let mut records = ax.records.clone();
+            for record in &mut records {
+                record.index = record.index.checked_add(base).ok_or_else(overflow)?;
+            }
+            pending.shard_done(stats, records);
         }
         let mut stats = SuiteStats::from_shards(total_programs, shards);
         stats.elapsed = elapsed;
@@ -747,8 +796,9 @@ impl SuiteSink for CollectShard {
 /// the upload — the whole compute step of a fleet worker.
 ///
 /// The partitions are the root shapes of the spec's enumeration
-/// options, so every worker reproduces the same global plan regardless
-/// of local thread count; records are sorted by plan index.
+/// options, and a range enumerates only its own, so every worker
+/// reproduces the same range plan regardless of local thread count;
+/// records are sorted by range-local plan index.
 ///
 /// # Errors
 ///
@@ -791,7 +841,7 @@ pub fn execute_lease(grant: &LeaseGrant, jobs: usize) -> Result<ShardResult, Sto
         &sink_refs,
     );
     // Every axiom shares the range's plan, so any axiom's count is the
-    // range's: the programs admitted inside `[lo, hi)`.
+    // range's: the programs of the partitions `[lo, hi)`.
     let programs = stats.first().map_or(0, |s| s.programs);
     let per_axiom = stats
         .iter()
@@ -973,6 +1023,58 @@ mod tests {
         old.extend_from_slice(&fnv1a64(&old).to_le_bytes());
         let err = ShardResult::decode(&old).expect_err("version skew");
         assert!(err.to_string().contains("format version 1"), "{err}");
+    }
+
+    #[test]
+    fn shard_result_rejects_the_global_numbering_magic() {
+        // A correctly checksummed frame under the magic of the builds
+        // that numbered shard records globally is refused, so mixed
+        // fleets never merge mis-numbered suites.
+        let bytes = shard(42, 0, 3).encode();
+        let mut old = bytes[..bytes.len() - 8].to_vec();
+        old[..8].copy_from_slice(b"TFSHRES\0");
+        old.extend_from_slice(&fnv1a64(&old).to_le_bytes());
+        let err = ShardResult::decode(&old).expect_err("old magic");
+        assert!(err.to_string().contains("magic"), "{err}");
+    }
+
+    #[test]
+    fn shard_result_rejects_plans_its_axioms_disagree_on() {
+        let witness = transform_core::figures::fig10a_ptwalk2();
+        let record = |index| SuiteRecord {
+            index,
+            elt: transform_synth::SynthesizedElt {
+                program: transform_synth::Program::from_execution(&witness),
+                witness: witness.clone(),
+                violated: vec!["invlpg".to_string()],
+            },
+        };
+        let with = |records: Vec<SuiteRecord>| {
+            let mut result = shard(42, 0, 3);
+            result.per_axiom[0].records = records;
+            result
+        };
+        let valid = with(vec![record(0), record(4)]);
+        assert_eq!(
+            ShardResult::decode(&valid.encode()).expect("decodes"),
+            valid
+        );
+        // Repeated, descending, and past the range's five plan items.
+        for bad in [
+            vec![record(1), record(1)],
+            vec![record(3), record(2)],
+            vec![record(5)],
+        ] {
+            let err = ShardResult::decode(&with(bad).encode()).expect_err("bad indices");
+            assert!(err.to_string().contains("plan items"), "{err}");
+        }
+        // A second axiom with a different plan size.
+        let mut split = shard(42, 0, 3);
+        let mut other = split.per_axiom[0].clone();
+        other.stats.items = 6;
+        split.per_axiom.push(other);
+        let err = ShardResult::decode(&split.encode()).expect_err("axioms disagree");
+        assert!(err.to_string().contains("disagree"), "{err}");
     }
 
     #[test]

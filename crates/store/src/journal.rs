@@ -9,8 +9,8 @@
 //!   list` and the serve fleet view without touching event data; and
 //! * the **event journal** — every timestamped
 //!   [`transform_par::JournalEvent`] the fused pipeline emitted (one
-//!   enumerate/retire pair per enumeration task, batch examine,
-//!   frontier stalls, seal/push), delta-encoded and checksummed, which
+//!   enumerate/retire pair per enumeration task, batch examine, cuts,
+//!   seal/push), delta-encoded and checksummed, which
 //!   `transform runs export --chrome` turns into an `about://tracing`
 //!   flamegraph. Its size follows the run's work, not the number of
 //!   root shapes in its space.
@@ -154,16 +154,16 @@ pub struct RunManifest {
     pub outcome: RunOutcome,
     /// Enumeration partitions in the space.
     pub partitions_total: u64,
-    /// Partitions admitted through the dedup frontier.
+    /// Partitions planned by the run.
     pub partitions_retired: u64,
     /// Total estimated subtree mass of the space.
     pub mass_total: u64,
-    /// Mass of the partitions admitted — for a [`RunOutcome::Cut`] run,
+    /// Mass of the partitions planned — for a [`RunOutcome::Cut`] run,
     /// the exact mass retired before the deadline hit.
     pub mass_retired: u64,
-    /// Programs admitted (post symmetry reduction).
+    /// Programs of the planned partitions (post symmetry reduction).
     pub programs: u64,
-    /// Plan items produced by the admitter.
+    /// Plan items of the planned partitions.
     pub items_planned: u64,
     /// Examine batches created across all axioms.
     pub batches: u64,

@@ -16,11 +16,11 @@
 //!   statistics, round-tripping exactly: a decoded witness prints
 //!   byte-identically under [`transform_litmus::format::print_elt`].
 //! * [`fingerprint`] — the content-address of a synthesis run.
-//! * [`store`] — the on-disk format: parallel workers stream shards
-//!   into memory as they retire ([`store::PendingSuite`] implements
-//!   [`transform_par::SuiteSink`]), a deterministic merge seals the
-//!   canonical index, and [`store::SuiteReader`] iterates a sealed
-//!   suite record-by-record behind checksum validation.
+//! * [`store`] — the on-disk format: a synthesis run hands its shards
+//!   over in plan order once its workers join ([`store::PendingSuite`]
+//!   implements [`transform_par::SuiteSink`]), a deterministic merge
+//!   seals the canonical index, and [`store::SuiteReader`] iterates a
+//!   sealed suite record-by-record behind checksum validation.
 //! * [`cache`] — [`CacheStatus`], how a cached lookup was satisfied.
 //! * [`journal`] — synthesis runs as durable artifacts: a checksummed
 //!   binary journal per run (manifest + timestamped pipeline events)

@@ -12,7 +12,7 @@
 //!   tmp-3f9c…e2a1-1234-0     a seal being written (pid + nonce suffixed)
 //! ```
 //!
-//! Workers hand each retired shard to [`PendingSuite`] (its
+//! A synthesis run hands each shard to [`PendingSuite`] (its
 //! [`transform_par::SuiteSink`] implementation), which encodes and
 //! checksums the shard and keeps the bytes in memory.
 //! [`PendingSuite::seal`] validates and merges them — sorting the framed
@@ -436,7 +436,7 @@ impl Store {
         Ok(count)
     }
 
-    /// Starts an in-progress entry: the sink workers stream shards into,
+    /// Starts an in-progress entry: the sink a run hands its shards to,
     /// sealed atomically by [`PendingSuite::seal`]. Shards are staged in
     /// memory, so nothing touches the disk before the seal.
     ///

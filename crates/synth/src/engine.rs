@@ -196,15 +196,13 @@ pub struct Suite {
 }
 
 /// One unit of synthesis work: a candidate program with its position in
-/// the sequential enumeration and its canonical key.
+/// the sequential enumeration.
 #[derive(Clone, Debug)]
 pub struct WorkItem {
     /// Position in the deduplicated enumeration (determines suite order).
     pub index: usize,
     /// The candidate program.
     pub program: Program,
-    /// Canonical key of the program ([`canonical_key`]).
-    pub key: Vec<u64>,
 }
 
 /// The partitionable middle of a suite synthesis: the deduplicated,
@@ -325,13 +323,12 @@ fn dedup_keyed(mtm: &Mtm, keyed: Vec<(Program, Option<Vec<u64>>)>, timed_out: bo
     let mut items = Vec::new();
     for (prog, key) in keyed {
         let Some(key) = key else { continue };
-        if !seen.insert(key.clone()) {
+        if !seen.insert(key) {
             continue;
         }
         items.push(WorkItem {
             index: items.len(),
             program: prog,
-            key,
         });
     }
     SynthPlan {

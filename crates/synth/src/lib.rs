@@ -53,5 +53,5 @@ pub use engine::{
     suite_contains, synthesize_all, synthesize_suite, unique_union, Backend, Examined, Examiner,
     ShardStats, Suite, SuiteRecord, SuiteStats, SynthOptions, SynthPlan, SynthesizedElt, WorkItem,
 };
-pub use programs::{EnumOptions, EnumSpace, KeyedProgram, PaRef, Program, ProgramStream, SlotOp};
+pub use programs::{EnumOptions, EnumSpace, KeyedProgram, PaRef, PartitionPlan, Program, SlotOp};
 pub use relax::Relaxation;

@@ -660,13 +660,17 @@ pub fn mass_eta(
 ///
 /// Partition `i` is the subtree of the shape-combination recursion whose
 /// first thread has shape `i` of the cost-sorted shape list. Partitions
-/// are ordered exactly as the monolithic recursion visits them, so
-/// concatenating their outputs in ordinal order — keeping, under
-/// symmetry reduction, only the first occurrence of each canonical key
-/// across partitions — reproduces [`programs`] element for element.
-/// That makes each partition an independent work unit for a parallel
-/// pool *and* gives every enumerated program a stable position
-/// `(ordinal, offset)` that no scheduling decision can move.
+/// are ordered exactly as the monolithic recursion visits them, and no
+/// canonical key occurs in two of them: isomorphism (thread permutation
+/// plus VA/page renaming) keeps every thread's first-use-numbered shape,
+/// so isomorphic programs come from the same shape multiset — one
+/// `combine` node under one root shape. Concatenating the partitions'
+/// outputs in ordinal order therefore reproduces [`programs`] element
+/// for element, and each partition plans its share of the synthesis
+/// plan by itself ([`EnumSpace::plan_partition`]). That makes each
+/// partition an independent work unit for a parallel pool *and* gives
+/// every enumerated program a stable position `(ordinal, offset)` that
+/// no scheduling decision can move.
 pub struct EnumSpace {
     shapes: Vec<Shape>,
     opts: EnumOptions,
@@ -753,12 +757,10 @@ impl EnumSpace {
         self.masses.len()
     }
 
-    /// Enumerates one partition, canonical keys included. Symmetry
-    /// dedup is partition-local: concatenating all partitions in
-    /// ordinal order and keeping the first occurrence of each key
-    /// reproduces [`programs`] exactly (which [`EnumSpace::stream`]
-    /// does, and the parallel planner's ordered dedup frontier relies
-    /// on).
+    /// Enumerates one partition, canonical keys included, with symmetry
+    /// dedup inside the partition. No key occurs in two partitions, so
+    /// concatenating all partitions in ordinal order reproduces
+    /// [`programs`] exactly.
     pub fn enumerate_keyed(&self, ordinal: usize) -> Vec<KeyedProgram> {
         self.enumerate_keyed_within(ordinal, None)
     }
@@ -787,52 +789,44 @@ impl EnumSpace {
         sink.out
     }
 
-    /// A resumable iterator over the whole program space, one partition
-    /// at a time — yields exactly the sequence of [`programs`] while
-    /// keeping at most one partition's programs materialized.
-    pub fn stream(&self) -> ProgramStream<'_> {
-        ProgramStream {
-            space: self,
-            next_partition: 0,
-            buffered: Vec::new().into_iter(),
-            seen: BTreeSet::new(),
-        }
+    /// Plans one partition by itself: its program count and its plan
+    /// items — the write-bearing programs, keeping the first occurrence
+    /// of each canonical key, in enumeration order. With symmetry
+    /// reduction every key already occurs once; without it, the
+    /// partition keeps every program in its count but only the first of
+    /// each key as an item. Since no key occurs in two partitions,
+    /// concatenating the partitions' items in ordinal order is the
+    /// sequential planner's plan. Partial when `deadline` strikes, like
+    /// [`EnumSpace::enumerate_keyed_within`].
+    pub fn plan_partition(
+        &self,
+        ordinal: usize,
+        deadline: Option<std::time::Instant>,
+    ) -> PartitionPlan {
+        let keyed = self.enumerate_keyed_within(ordinal, deadline);
+        let programs = keyed.len();
+        let symmetry = self.opts.symmetry_reduction;
+        let mut seen = BTreeSet::new();
+        let items = keyed
+            .into_iter()
+            .filter_map(|kp| {
+                let key = kp.key.filter(|_| kp.has_write)?;
+                (symmetry || seen.insert(key)).then_some(kp.program)
+            })
+            .collect();
+        PartitionPlan { programs, items }
     }
 }
 
-/// The streaming counterpart of [`programs`]: iterates the partitions
-/// of an [`EnumSpace`] in order, carrying the cross-partition
-/// first-occurrence dedup, so the yielded sequence is element-for-
-/// element identical to the eager enumeration at any partition
-/// granularity.
-pub struct ProgramStream<'s> {
-    space: &'s EnumSpace,
-    next_partition: usize,
-    buffered: std::vec::IntoIter<KeyedProgram>,
-    seen: BTreeSet<Vec<u64>>,
-}
-
-impl Iterator for ProgramStream<'_> {
-    type Item = Program;
-
-    fn next(&mut self) -> Option<Program> {
-        loop {
-            if let Some(kp) = self.buffered.next() {
-                if self.space.opts.symmetry_reduction {
-                    let key = kp.key.expect("symmetry reduction keys every program");
-                    if !self.seen.insert(key) {
-                        continue; // first occurrence was in an earlier partition
-                    }
-                }
-                return Some(kp.program);
-            }
-            if self.next_partition == self.space.partition_count() {
-                return None;
-            }
-            self.buffered = self.space.enumerate_keyed(self.next_partition).into_iter();
-            self.next_partition += 1;
-        }
-    }
+/// One root partition's share of the synthesis plan
+/// ([`EnumSpace::plan_partition`]).
+#[derive(Clone, Debug)]
+pub struct PartitionPlan {
+    /// Programs the partition enumerates, after symmetry reduction —
+    /// its share of the run's program count.
+    pub programs: usize,
+    /// Its plan items, in enumeration order.
+    pub items: Vec<Program>,
 }
 
 /// Resolves local VA numbers and PA symbols to global meanings, assigns
@@ -1261,6 +1255,14 @@ mod tests {
         assert!(n_with > 0);
     }
 
+    /// Every program of the space, partition after partition.
+    fn concatenated(space: &EnumSpace) -> Vec<Program> {
+        (0..space.partition_count())
+            .flat_map(|p| space.enumerate_keyed(p))
+            .map(|kp| kp.program)
+            .collect()
+    }
+
     #[test]
     fn stream_matches_eager_enumeration() {
         for bound in [2usize, 3, 4] {
@@ -1270,10 +1272,9 @@ mod tests {
                     opts.allow_fences = fences;
                     opts.allow_rmw = rmw;
                     opts.symmetry_reduction = symmetry;
-                    let streamed: Vec<Program> = EnumSpace::new(&opts).stream().collect();
                     assert_eq!(
                         programs(&opts),
-                        streamed,
+                        concatenated(&EnumSpace::new(&opts)),
                         "bound {bound} fences {fences} rmw {rmw} symmetry {symmetry}"
                     );
                 }
@@ -1354,7 +1355,7 @@ mod tests {
         assert!(programs(&opts).is_empty());
         let space = EnumSpace::new(&opts);
         assert_eq!(space.partition_count(), 0);
-        assert_eq!(space.stream().count(), 0);
+        assert!(concatenated(&space).is_empty());
     }
 
     #[test]
