@@ -297,7 +297,7 @@ fn json_point(p: &Point) -> String {
             "\"synth_observed_secs\": {:.6}, \"progress_overhead_pct\": {:.2}, ",
             "\"overhead_rounds\": {}, \"journal_events\": {}, ",
             "\"peak_live_sequential\": {}, \"peak_live_streamed\": {}, ",
-            "\"partitions\": {}, \"batches\": {}, \"final_batch_size\": {}}}"
+            "\"partitions\": {}, \"batches\": {}}}"
         ),
         p.bound,
         p.programs,
@@ -318,7 +318,6 @@ fn json_point(p: &Point) -> String {
         p.metrics.peak_live_candidates,
         p.metrics.partitions,
         p.metrics.batches,
-        p.metrics.final_batch_size,
     )
 }
 

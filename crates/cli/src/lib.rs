@@ -107,8 +107,8 @@ worked example.
 suite is byte-identical for every N. `synthesize --all` streams every
 axiom of the MTM through one fused run (the program space is
 enumerated once; no shared plan is built up front). The work units
-are the enumeration's root shapes, and examine batches size
-themselves to the observed throughput.
+are the enumeration's root shapes: each one's programs are examined
+as one batch.
 --progress streams live per-axiom telemetry (partitions/mass retired,
 programs, ELTs, mass-based ETA) to stderr while synthesis runs —
 `json` emits one object per line; stdout stays byte-identical either
@@ -2784,7 +2784,6 @@ mod tests {
             items_planned: 300,
             batches: 9,
             peak_live_candidates: 50,
-            final_batch_size: 16,
             cut_at_partition: None,
             axioms: vec![transform_store::RunAxiom {
                 name: "sc_per_loc".into(),

@@ -155,11 +155,10 @@ fn render_panel(snap: &ProgressSnapshot) -> String {
     let mut out = render_line(snap);
     out.push('\n');
     out.push_str(&format!(
-        "  live {} (peak {})  batches {} (size {}){}\n",
+        "  live {} (peak {})  batches {}{}\n",
         snap.live_candidates,
         snap.peak_live_candidates,
         snap.batches,
-        snap.final_batch_size,
         match snap.cut_at_partition {
             Some(at) => format!("  CUT at partition {at}"),
             None => String::new(),
@@ -236,8 +235,7 @@ fn render_json(snap: &ProgressSnapshot) -> String {
          \"mass_retired\":{},\"mass_total\":{},\"mass_fraction\":{:.6},\
          \"programs\":{},\"items_planned\":{},\
          \"live_candidates\":{},\"peak_live_candidates\":{},\"batches\":{},\
-         \"final_batch_size\":{},\"cut_at_partition\":{cut},\"eta_secs\":{eta},\
-         \"axioms\":[{}]}}",
+         \"cut_at_partition\":{cut},\"eta_secs\":{eta},\"axioms\":[{}]}}",
         snap.elapsed.as_secs_f64(),
         snap.partitions_retired,
         snap.partitions_total,
@@ -249,7 +247,6 @@ fn render_json(snap: &ProgressSnapshot) -> String {
         snap.live_candidates,
         snap.peak_live_candidates,
         snap.batches,
-        snap.final_batch_size,
         axioms.join(","),
     )
 }

@@ -27,8 +27,8 @@
 //!    [`SynthBackend::Relational`] backend examines the batch one axiom
 //!    at a time, each pass's examiner owning one incremental SAT solver
 //!    (`tsat` solving under assumptions) that serves every program in
-//!    the batch. Batch granularity autotunes to the observed
-//!    examination rate.
+//!    the batch. A batch is one root partition's plan items, so batches
+//!    never depend on scheduling.
 //! 2. **Merge** — once the workers join, a prefix sum over the tasks'
 //!    plan-item counts turns every batch's task-local item offsets into
 //!    plan indices, so plan indices never depend on scheduling; the
@@ -38,7 +38,7 @@
 //! One run serves any list of axioms ([`synthesize`], or
 //! [`synthesize_streamed`] for callers that stream into their own
 //! sinks): the synthesis plan is axiom-independent, so one run
-//! enumerates every partition once and examines each chunk of plan
+//! enumerates every partition once and examines each partition's plan
 //! items once for every axiom — no shared plan is materialized before
 //! workers start, and every axiom's [`SuiteSink::run_done`] (the
 //! per-axiom seal + push-on-seal hook) fires after the last batch

@@ -106,10 +106,11 @@ pub enum JournalEventKind {
     /// cut it; 0 in journals written before tasks, which retired one
     /// partition per event). Tasks retire in the order they finish.
     PartitionRetired,
-    /// One examine batch retired, for every axiom of the run at once
-    /// (journaled without an axiom): `a` = plan items examined, `b` =
-    /// suite members found across all axioms, `c` = batch wall-clock in
-    /// microseconds (so `t_micros - c` is the batch's start).
+    /// One examine batch — one root partition's plan items — retired,
+    /// for every axiom of the run at once (journaled without an axiom):
+    /// `a` = plan items examined, `b` = suite members found across all
+    /// axioms, `c` = batch wall-clock in microseconds (so
+    /// `t_micros - c` is the batch's start).
     BatchExamined,
     /// No longer recorded. Journals written while partitions were
     /// admitted in ordinal order carry it where a worker waited behind
@@ -256,7 +257,6 @@ pub struct ProgressState {
     pub(crate) peak_live_candidates: AtomicUsize,
     pub(crate) batches: AtomicUsize,
     pub(crate) cut_at_partition: AtomicUsize,
-    pub(crate) final_batch_size: AtomicUsize,
     /// The run journal, when enabled ([`ProgressState::with_journal`]):
     /// timestamped span events appended by the pipeline's lock-held
     /// transitions and drained once by [`ProgressState::take_journal`].
@@ -305,7 +305,6 @@ impl ProgressState {
             peak_live_candidates: AtomicUsize::new(0),
             batches: AtomicUsize::new(0),
             cut_at_partition: AtomicUsize::new(NO_CUT),
-            final_batch_size: AtomicUsize::new(0),
         }
     }
 
@@ -394,7 +393,6 @@ impl ProgressState {
             peak_live_candidates: self.peak_live_candidates.load(ORD),
             batches: self.batches.load(ORD),
             cut_at_partition: (cut != NO_CUT).then_some(cut),
-            final_batch_size: self.final_batch_size.load(ORD),
             axioms: self
                 .axioms
                 .iter()
@@ -458,8 +456,6 @@ pub struct ProgressSnapshot {
     pub batches: usize,
     /// First partition the deadline cut, if any.
     pub cut_at_partition: Option<usize>,
-    /// The autotuner's current batch size.
-    pub final_batch_size: usize,
     /// Per-axiom counters, in the order given to [`ProgressState::new`].
     pub axioms: Vec<AxiomSnapshot>,
 }

@@ -26,7 +26,7 @@
 //!
 //! The synthesis plan is axiom-independent (it keeps write-bearing
 //! canonical first occurrences), so a multi-axiom run enumerates every
-//! partition **once**, and each chunk of plan items becomes **one**
+//! partition **once**, and each partition's plan items become **one**
 //! examine batch covering every axiom: its [`Examiner`] walks each
 //! program's candidates once for all of them (the relational backend,
 //! whose SAT query names one axiom, makes one pass over the batch per
@@ -34,6 +34,10 @@
 //! before workers start. All axioms therefore finish together: after
 //! the last batch retires, every axiom's [`SuiteSink::run_done`] fires
 //! (the per-axiom seal + push-on-seal hook).
+//!
+//! Batches are, like tasks, a pure function of the space and the range:
+//! one per root partition with plan items. A sealed entry keeps one
+//! [`ShardStats`] per batch, so it does not depend on scheduling either.
 //!
 //! # Determinism
 //!
@@ -46,7 +50,7 @@
 //! plan-index base, the records are renumbered, and the shards are
 //! delivered to the sinks in plan order. Plan indices, and therefore
 //! every per-axiom suite, are byte-identical to the sequential engine
-//! at every worker count and batch size.
+//! at every worker count.
 //!
 //! # Deadlines
 //!
@@ -61,22 +65,13 @@
 //! fused run, so a cut run marks every axiom cut. Examination stays
 //! best-effort after expiry, exactly like the sequential engine's
 //! mid-plan stop.
-//!
-//! # Autotuned batch granularity
-//!
-//! Plan items are chunked into examine batches whose size adapts:
-//! each retired batch reports its items/second, and the tuner sizes the
-//! next batches to a fixed wall-clock slice — cheap bounds get large
-//! batches (incremental-solver reuse), expensive ones get small,
-//! stealable batches. Chunks never span partitions. The size never
-//! changes any result, only scheduling.
 
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use transform_core::axiom::Mtm;
-use transform_synth::programs::{EnumSpace, PartitionPlan, Program};
+use transform_synth::programs::{EnumSpace, PartitionPlan};
 #[cfg(doc)]
 use transform_synth::Backend;
 use transform_synth::{
@@ -105,9 +100,9 @@ pub struct StreamMetrics {
     /// First partition cut by the deadline (`None`: enumeration ran to
     /// completion). Everything below it was fully planned.
     pub cut_at_partition: Option<usize>,
-    /// Examine batches created, one per chunk of plan items and each
-    /// covering every axiom (a deadline cut abandons queued batches,
-    /// which stay counted here but produce no shard stats).
+    /// Examine batches created, one per root partition with plan items
+    /// and each covering every axiom (a deadline cut abandons queued
+    /// batches, which stay counted here but produce no shard stats).
     pub batches: usize,
     /// Peak number of simultaneously queued plan items (planned but not
     /// yet examined, or dropped). Examination has pop priority, so this
@@ -118,8 +113,6 @@ pub struct StreamMetrics {
     /// struck is counted at its moment of materialization, and the
     /// abandoned queue leaves the live count the moment it is dropped.
     pub peak_live_candidates: usize,
-    /// The tuner's final batch size.
-    pub final_batch_size: usize,
 }
 
 impl StreamMetrics {
@@ -135,97 +128,15 @@ impl StreamMetrics {
             cut_at_partition: snap.cut_at_partition,
             batches: snap.batches,
             peak_live_candidates: snap.peak_live_candidates,
-            final_batch_size: snap.final_batch_size,
         }
     }
 }
 
-/// Wall-clock slice one examine batch should fill.
-const TARGET_BATCH: Duration = Duration::from_millis(50);
-/// Batch-size clamp (in items) and the pre-measurement default.
-const MIN_BATCH: usize = 8;
-const MAX_BATCH: usize = 8192;
-const DEFAULT_BATCH: usize = 64;
-/// EWMA smoothing for the observed examination rate.
-const EWMA_ALPHA: f64 = 0.3;
-
-/// Static examination-cost proxy of one plan item: exponential in the
-/// program's event count, because the candidate-execution count a
-/// [`Examiner`] walks grows with the interleavings of those events —
-/// a bound-6 item is worth many bound-4 items, not one more. The
-/// absolute scale is irrelevant (the tuner calibrates weight/second
-/// from measurements); only the ranking matters.
-pub(crate) fn item_weight(item: &WorkItem) -> u64 {
-    1u64 << item.program.size().min(24)
-}
-
-/// Adapts examine-batch granularity to the measured examination cost.
-///
-/// Batches are sized by *mass* (summed [`item_weight`]), not by item
-/// count: the tuner smooths the observed examination weight/second and
-/// aims each batch at the weight filling [`TARGET_BATCH`], so a chunk
-/// of cheap small-bound items becomes one large batch while the same
-/// item count of expensive deep items splits into small, stealable
-/// ones. It never changes any result, only scheduling.
-struct Tuner {
-    /// Examination weight per second, exponentially smoothed.
-    rate: Option<f64>,
-    /// Mean static weight of one plan item, exponentially smoothed —
-    /// only for rendering the equivalent batch size in items.
-    per_item: Option<f64>,
-}
-
-fn ewma(prev: Option<f64>, sample: f64) -> f64 {
-    match prev {
-        Some(prev) => prev + EWMA_ALPHA * (sample - prev),
-        None => sample,
-    }
-}
-
-impl Tuner {
-    fn new() -> Tuner {
-        Tuner {
-            rate: None,
-            per_item: None,
-        }
-    }
-
-    /// The weight one batch should carry to fill the target slice, or
-    /// `None` before the first measurement.
-    fn target_weight(&self) -> Option<f64> {
-        self.rate.map(|rate| rate * TARGET_BATCH.as_secs_f64())
-    }
-
-    /// The equivalent batch size in items, estimated from the
-    /// measurements (progress reporting and the pre-measurement
-    /// default).
-    fn batch_size(&self) -> usize {
-        match (self.target_weight(), self.per_item) {
-            (Some(target), Some(per_item)) => {
-                ((target / per_item.max(1e-9)) as usize).clamp(MIN_BATCH, MAX_BATCH)
-            }
-            _ => DEFAULT_BATCH,
-        }
-    }
-
-    /// One retired batch: `weight` is the summed [`item_weight`] of the
-    /// `items` actually examined (the prefix, on a deadline cut).
-    fn observe(&mut self, items: usize, weight: u64, elapsed: Duration) {
-        if items == 0 {
-            return;
-        }
-        let secs = elapsed.as_secs_f64().max(1e-9);
-        self.rate = Some(ewma(self.rate, weight as f64 / secs));
-        self.per_item = Some(ewma(self.per_item, weight as f64 / items as f64));
-    }
-}
-
-/// A batch of plan items examined for every axiom of the run, in the
-/// backend's [`Backend::passes`] (for the relational backend, one
-/// incremental solver per axiom). Chunks never span partitions, so
-/// every item in a batch shares its first-thread shape — the prefix
-/// affinity that makes solver reuse pay. Item indices are offsets
-/// inside the batch's task.
+/// One root partition's plan items, examined for every axiom of the
+/// run in the backend's [`Backend::passes`] (for the relational
+/// backend, one incremental solver per axiom). Every item in a batch
+/// shares its first-thread shape — the prefix affinity that makes
+/// solver reuse pay. Item indices are offsets inside the batch's task.
 struct Batch {
     task: usize,
     items: Vec<WorkItem>,
@@ -318,11 +229,10 @@ struct State {
     batches: usize,
     /// Retired batches, in retirement order.
     outcomes: Vec<Outcome>,
-    /// Plan items queued and not yet examined or dropped: a chunk
-    /// leaves when its batch retires or is abandoned.
+    /// Plan items queued and not yet examined or dropped: a batch's
+    /// items leave when it retires or is abandoned.
     live: usize,
     peak_live: usize,
-    tuner: Tuner,
 }
 
 impl State {
@@ -400,9 +310,6 @@ impl<'s> Pipeline<'s> {
         progress
             .mass_total
             .store(mass_of(&space.masses()[range.clone()]), Relaxed);
-        progress
-            .final_batch_size
-            .store(Tuner::new().batch_size(), Relaxed);
         for &slot in &slots {
             progress.set_axiom_state(slot, AxiomState::Running);
         }
@@ -422,7 +329,6 @@ impl<'s> Pipeline<'s> {
                 outcomes: Vec::new(),
                 live: 0,
                 peak_live: 0,
-                tuner: Tuner::new(),
             }),
             tasks,
             cv: Condvar::new(),
@@ -440,7 +346,6 @@ impl<'s> Pipeline<'s> {
         p.live_candidates.store(st.live, Relaxed);
         p.peak_live_candidates.store(st.peak_live, Relaxed);
         p.batches.store(st.batches, Relaxed);
-        p.final_batch_size.store(st.tuner.batch_size(), Relaxed);
     }
 
     fn past_deadline(&self) -> bool {
@@ -514,62 +419,21 @@ impl<'s> Pipeline<'s> {
         } else {
             st.live += planned.items;
             st.peak_live = st.peak_live.max(st.live);
+            // One examine batch per partition with plan items, at
+            // task-local offsets.
             let mut offset = 0;
-            for part in parts {
-                offset = self.queue_partition(&mut st, n, offset, part.items);
+            for part in parts.into_iter().filter(|p| !p.items.is_empty()) {
+                let items: Vec<WorkItem> = (offset..)
+                    .zip(part.items)
+                    .map(|(index, program)| WorkItem { index, program })
+                    .collect();
+                offset += items.len();
+                st.exam.push_back(Batch { task: n, items });
+                st.batches += 1;
             }
         }
         self.publish(&st);
         self.cv.notify_all();
-    }
-
-    /// Queues one partition's plan items of task `n`, numbered from
-    /// `offset`, as examine batches; returns the next offset. Each
-    /// partition is chunked on its own, so a batch never spans two root
-    /// shapes.
-    fn queue_partition(
-        &self,
-        st: &mut State,
-        n: usize,
-        offset: usize,
-        items: Vec<Program>,
-    ) -> usize {
-        let mut items: Vec<WorkItem> = items
-            .into_iter()
-            .enumerate()
-            .map(|(i, program)| WorkItem {
-                index: offset + i,
-                program,
-            })
-            .collect();
-        let next = offset + items.len();
-        let target = st.tuner.target_weight();
-        while !items.is_empty() {
-            let take = match target {
-                // Greedy mass-weighted split: take items until the
-                // chunk's examination weight reaches the calibrated
-                // 50ms target.
-                Some(tw) => {
-                    let mut weight = 0.0f64;
-                    let mut n = 0usize;
-                    while n < items.len() && n < MAX_BATCH && (n < MIN_BATCH || weight < tw) {
-                        weight += item_weight(&items[n]) as f64;
-                        n += 1;
-                    }
-                    n
-                }
-                None => st.tuner.batch_size(),
-            };
-            let rest = items.split_off(take.min(items.len()).max(1));
-            let chunk = std::mem::replace(&mut items, rest);
-            // One batch per chunk, covering every axiom.
-            st.exam.push_back(Batch {
-                task: n,
-                items: chunk,
-            });
-            st.batches += 1;
-        }
-        next
     }
 
     /// One batch retired (possibly cut short by the deadline): the run's
@@ -591,11 +455,9 @@ impl<'s> Pipeline<'s> {
         }
         // Items examined for every axiom (all of them, unless cut).
         let examined = stats.iter().map(|s| s.items).min().unwrap_or(0);
-        let weight = batch.items[..examined].iter().map(item_weight).sum();
         let found: usize = records.iter().map(Vec::len).sum();
         let mut st = self.state.lock().expect("pipeline lock is never poisoned");
         st.live = st.live.saturating_sub(batch.items.len());
-        st.tuner.observe(examined, weight, elapsed);
         self.progress.record(
             JournalEventKind::BatchExamined,
             None,
@@ -737,14 +599,14 @@ fn deliver(
 
 /// Runs the fused enumerate-while-examining pipeline for `axioms` (one
 /// or many) on `jobs` workers and delivers the retired batches to the
-/// per-axiom `sinks`. Partitions are enumerated once and each chunk of
-/// plan items is examined once for every axiom. Once the workers join,
-/// the batches are numbered into plan indices and handed to the sinks
-/// in plan order, one [`SuiteSink::shard_done`] per batch, and then
-/// every axiom's [`SuiteSink::run_done`] fires. Returns per-axiom
-/// counters (in `axioms` order) and the run's scheduling metrics.
-/// Sorting an axiom's records by [`SuiteRecord::index`] recovers its
-/// byte-identical sequential suite.
+/// per-axiom `sinks`. Partitions are enumerated once and each
+/// partition's plan items are examined once for every axiom. Once the
+/// workers join, the batches are numbered into plan indices and handed
+/// to the sinks in plan order, one [`SuiteSink::shard_done`] per batch,
+/// and then every axiom's [`SuiteSink::run_done`] fires. Returns
+/// per-axiom counters (in `axioms` order) and the run's scheduling
+/// metrics. Sorting an axiom's records by [`SuiteRecord::index`]
+/// recovers its byte-identical sequential suite.
 ///
 /// `progress` receives live counters as the run advances — partitions
 /// and subtree mass planned, programs and plan items, per-axiom batch,
@@ -881,7 +743,7 @@ pub fn synthesize_streamed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use transform_synth::programs::EnumOptions;
+    use transform_synth::programs::{EnumOptions, Program};
     use transform_synth::{plan_from_keyed, plan_key};
 
     fn enum_opts(bound: usize, symmetry: bool) -> EnumOptions {
@@ -1101,13 +963,14 @@ mod tests {
         assert_eq!(st.live, 0);
     }
 
-    /// A fused three-axiom pipeline makes one batch per chunk: each
-    /// task's batches tile its items in order at task-local offsets, and
-    /// the tasks' items together are the sequential plan.
+    /// A fused three-axiom pipeline queues each partition's plan items
+    /// as exactly one batch, even before any batch has retired: the
+    /// largest bound-6 partition (92 items, fences and RMW) is delivered
+    /// first, and every task's batches are its non-empty partitions'
+    /// items, in order, at consecutive task-local offsets.
     #[test]
-    fn fused_pipeline_makes_one_batch_per_chunk() {
-        let eo = enum_opts(4, true);
-        let space = EnumSpace::new(&eo);
+    fn fused_pipeline_makes_one_batch_per_partition() {
+        let space = EnumSpace::new(&EnumOptions::new(6));
         let pipeline = whole(&space, &["a", "b", "c"], None);
         let count = pipeline.tasks.len();
         // Examination has pop priority, so every task is claimed before
@@ -1116,25 +979,38 @@ mod tests {
             claim_tasks(&pipeline, count),
             (0..count).collect::<Vec<_>>()
         );
-        for n in (0..count).rev() {
-            deliver_task(&pipeline, n);
+        let plans: Vec<Vec<PartitionPlan>> = (0..count).map(|n| plan(&pipeline, n)).collect();
+        let largest = |n: usize| plans[n].iter().map(|p| p.items.len()).max().unwrap_or(0);
+        let first = (0..count).max_by_key(|&n| largest(n)).expect("tasks");
+        assert_eq!(largest(first), 92, "the largest bound-6 partition");
+        pipeline.resolve(first, plans[first].clone(), Duration::ZERO);
+        for n in (0..count).filter(|&n| n != first) {
+            pipeline.resolve(n, plans[n].clone(), Duration::ZERO);
         }
         let st = pipeline.state.into_inner().expect("lock");
-        assert!(st.batches > 1, "space too small for the test");
-        assert_eq!(st.exam.len(), st.batches, "one batch per chunk");
+        assert_eq!(st.exam.len(), st.batches);
         let mut total = 0;
-        for n in 0..count {
-            let indices: Vec<usize> = st
-                .exam
+        for (n, parts) in plans.iter().enumerate() {
+            let batches: Vec<&Batch> = st.exam.iter().filter(|b| b.task == n).collect();
+            let partitions: Vec<&Vec<Program>> = parts
                 .iter()
-                .filter(|b| b.task == n)
-                .flat_map(|b| b.items.iter().map(|item| item.index))
+                .map(|p| &p.items)
+                .filter(|items| !items.is_empty())
                 .collect();
-            let items = st.planned[n].expect("planned").items;
-            assert_eq!(indices, (0..items).collect::<Vec<_>>(), "task {n}");
-            total += items;
+            assert_eq!(batches.len(), partitions.len(), "task {n}");
+            let mut offset = 0;
+            for (batch, items) in batches.iter().zip(partitions) {
+                let indices: Vec<usize> = batch.items.iter().map(|item| item.index).collect();
+                assert_eq!(indices, (offset..offset + items.len()).collect::<Vec<_>>());
+                assert!(
+                    batch.items.iter().map(|item| &item.program).eq(items),
+                    "task {n}: a batch is one partition's items"
+                );
+                offset += items.len();
+            }
+            assert_eq!(offset, st.planned[n].expect("planned").items, "task {n}");
+            total += offset;
         }
-        assert_eq!(total, sequential_plan(&eo).items.len());
         assert_eq!(st.live, total);
     }
 
@@ -1499,41 +1375,5 @@ mod tests {
         let total: u64 = retired.iter().map(|r| r.1).sum();
         assert_eq!(total, space.total_mass());
         assert_eq!(progress.snapshot().mass_retired, total);
-    }
-
-    #[test]
-    fn tuner_targets_the_batch_slice() {
-        let mut tuner = Tuner::new();
-        assert_eq!(tuner.batch_size(), DEFAULT_BATCH);
-        assert!(
-            tuner.target_weight().is_none(),
-            "uncalibrated until observed"
-        );
-        // 1000 items of uniform weight 32 in one second → rate 32000
-        // weight/sec, 32 weight/item → 50 items per 50 ms slice.
-        tuner.observe(1000, 32_000, Duration::from_secs(1));
-        assert_eq!(tuner.batch_size(), 50);
-        let tw = tuner.target_weight().expect("calibrated");
-        assert!((tw - 1600.0).abs() < 1e-6, "50 ms of 32000 weight/sec");
-        // Very slow items clamp to the minimum, very fast to the maximum.
-        let mut slow = Tuner::new();
-        slow.observe(1, 16, Duration::from_secs(10));
-        assert_eq!(slow.batch_size(), MIN_BATCH);
-        let mut fast = Tuner::new();
-        fast.observe(10_000_000, 10_000_000, Duration::from_millis(1));
-        assert_eq!(fast.batch_size(), MAX_BATCH);
-    }
-
-    /// Heavier programs shrink the batch: after observing a heavy mix,
-    /// the same weight target takes fewer items per chunk.
-    #[test]
-    fn tuner_weights_shrink_batches_for_heavy_items() {
-        let mut light = Tuner::new();
-        let mut heavy = Tuner::new();
-        // Same wall-clock rate in weight/sec, but heavy items carry 16×
-        // the weight each — so a 50 ms slice holds 16× fewer of them.
-        light.observe(16_000, 512_000, Duration::from_secs(1));
-        heavy.observe(1_000, 512_000, Duration::from_secs(1));
-        assert_eq!(light.batch_size(), 16 * heavy.batch_size());
     }
 }

@@ -7,7 +7,10 @@
 //! framing (no chunked encoding), no compression, no TLS. The client
 //! half lives in [`transform_store::remote`]; the two halves are
 //! deliberately independent — each parses what the other produces, so a
-//! framing bug cannot hide by being symmetric.
+//! framing bug cannot hide by being symmetric. The exception is the rule
+//! that decides a body's length
+//! ([`transform_store::remote::content_length`]): both must apply it
+//! identically, so both call it.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -90,32 +93,17 @@ pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, RequestError> {
         )));
     }
 
-    let mut content_length: Option<u64> = None;
+    let mut lengths = Vec::new();
     for line in lines.filter(|l| !l.is_empty()) {
         let Some((name, value)) = line.split_once(':') else {
             return Err(RequestError::Bad(format!("malformed header `{line}`")));
         };
         if name.trim().eq_ignore_ascii_case("content-length") {
-            // RFC 9110 §8.6: the value is 1*DIGIT, so a sign (which
-            // `u64::from_str` would accept) is malformed too.
-            let digits = value.trim();
-            let malformed = || RequestError::Bad(format!("malformed Content-Length `{value}`"));
-            if !digits.bytes().all(|b| b.is_ascii_digit()) {
-                return Err(malformed());
-            }
-            let len: u64 = digits.parse().map_err(|_| malformed())?;
-            // RFC 9112 §6.3: differing lengths leave the framing
-            // undefined, so the request is refused rather than framed by
-            // whichever header came last. A repeated equal value is
-            // harmless (RFC 9110 §8.6).
-            if let Some(earlier) = content_length.filter(|&earlier| earlier != len) {
-                return Err(RequestError::Bad(format!(
-                    "conflicting Content-Length headers ({earlier} and {len})"
-                )));
-            }
-            content_length = Some(len);
+            lengths.push(value);
         }
     }
+    let content_length =
+        transform_store::remote::content_length(lengths).map_err(RequestError::Bad)?;
 
     let mut body = buf[head_end + 4..].to_vec();
     match content_length {

@@ -169,8 +169,6 @@ pub struct RunManifest {
     pub batches: u64,
     /// Peak live candidate programs.
     pub peak_live_candidates: u64,
-    /// The autotuner's final batch size.
-    pub final_batch_size: u64,
     /// First partition the deadline cut, if any.
     pub cut_at_partition: Option<u64>,
     /// Per-axiom final counters.
@@ -211,7 +209,6 @@ impl RunManifest {
             items_planned: snap.items_planned as u64,
             batches: snap.batches as u64,
             peak_live_candidates: snap.peak_live_candidates as u64,
-            final_batch_size: snap.final_batch_size as u64,
             cut_at_partition: snap.cut_at_partition.map(|p| p as u64),
             axioms: snap
                 .axioms
@@ -245,7 +242,10 @@ impl RunManifest {
         e.varint(self.items_planned);
         e.varint(self.batches);
         e.varint(self.peak_live_candidates);
-        e.varint(self.final_batch_size);
+        // Retired `final_batch_size` slot: builds with an examine-batch
+        // autotuner wrote its last size here. It stays on the wire as 0,
+        // so journals from either kind of build decode on the other.
+        e.varint(0);
         match self.cut_at_partition {
             Some(p) => {
                 e.boolean(true);
@@ -284,7 +284,7 @@ impl RunManifest {
         let items_planned = d.varint()?;
         let batches = d.varint()?;
         let peak_live_candidates = d.varint()?;
-        let final_batch_size = d.varint()?;
+        d.varint()?; // the retired slot (see `encode`)
         let cut_at_partition = if d.boolean()? {
             Some(d.varint()?)
         } else {
@@ -319,7 +319,6 @@ impl RunManifest {
             items_planned,
             batches,
             peak_live_candidates,
-            final_batch_size,
             cut_at_partition,
             axioms,
         })
@@ -670,7 +669,6 @@ mod tests {
             items_planned: 9_999,
             batches: 501,
             peak_live_candidates: 127,
-            final_batch_size: 2_174,
             cut_at_partition: match outcome {
                 RunOutcome::Cut => Some(17),
                 _ => None,
@@ -749,6 +747,37 @@ mod tests {
         let journal = sample_journal(0xdead_beef);
         let bytes = encode_run(&journal);
         assert_eq!(decode_run(&bytes).expect("decodes"), journal);
+    }
+
+    /// `encode_run(&sample_journal(0xdead_beef))` as written by a build
+    /// whose manifests carried an examine-batch size (2,174 here) in
+    /// the slot after `peak_live_candidates`. It still decodes to the
+    /// same journal, and re-encoding writes the slot as 0.
+    #[test]
+    fn journals_with_a_batch_size_in_the_retired_slot_still_decode() {
+        const EARLIER: &str = concat!(
+            "544652554e4a4c0002000000efbeadde0000000008783836745f656c74060101",
+            "048080f9c0c1c4820399f0b80e01948202948202c0c407c0c407a5158f4ef503",
+            "7ffe1000020a73635f7065725f6c6f6302368f4ef5030d746c625f6361757361",
+            "6c697479040c0000040a0000948202c0c40704c60f03014003dc0b000200070c",
+            "00b8170700a5158f4ef503b2f3bf58c96c86d1",
+        );
+        let bytes: Vec<u8> = (0..EARLIER.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&EARLIER[i..i + 2], 16).expect("hex"))
+            .collect();
+        let journal = sample_journal(0xdead_beef);
+        assert_eq!(decode_run(&bytes).expect("decodes"), journal);
+        // Peak live 127 (`7f`), then 2,174 (`fe 10`) becomes 0 (`00`);
+        // nothing else moves but the checksum.
+        let payload = &bytes[..bytes.len() - 8];
+        let at = 1 + payload
+            .windows(3)
+            .position(|w| w == [0x7f, 0xfe, 0x10])
+            .expect("the retired slot follows peak live");
+        let expected = [&payload[..at], &[0], &payload[at + 2..]].concat();
+        let reencoded = encode_run(&journal);
+        assert_eq!(&reencoded[..reencoded.len() - 8], expected.as_slice());
     }
 
     #[test]

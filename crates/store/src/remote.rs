@@ -120,7 +120,11 @@ impl HttpTier {
 
         let (status, headers, early_body) = read_head(&mut stream)
             .map_err(|e| StoreError::Remote(format!("{method} {}{path}: {e}", self.url())))?;
-        let declared = content_length(&headers)
+        let lengths = headers
+            .iter()
+            .filter(|(name, _)| name == "content-length")
+            .map(|(_, value)| value.as_str());
+        let declared = content_length(lengths)
             .map_err(|e| StoreError::Remote(format!("{method} {}{path}: {e}", self.url())))?;
         let mut body = early_body;
         if method == "HEAD" {
@@ -609,15 +613,39 @@ fn parse_status_line(line: &str) -> Result<u16, String> {
         .ok_or(format!("malformed status line `{line}`"))
 }
 
-/// The declared `Content-Length`, if any.
-fn content_length(headers: &[(String, String)]) -> Result<Option<u64>, String> {
-    match headers.iter().find(|(name, _)| name == "content-length") {
-        None => Ok(None),
-        Some((_, value)) => value
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("malformed Content-Length `{value}`")),
+/// The body length a message declares, from the values of its
+/// `Content-Length` headers in the order they came (`None` without
+/// one). Both halves of the protocol frame with this rule: the client
+/// here, and `transform-serve`'s request parser.
+///
+/// A value is 1*DIGIT (RFC 9110 §8.6), so a sign, which
+/// `u64::from_str` would accept, is malformed. Differing values leave
+/// the framing undefined (RFC 9112 §6.3), so they are refused rather
+/// than settled by whichever header came first; a repeated equal value
+/// is harmless.
+///
+/// # Errors
+///
+/// A message naming the malformed value or the conflicting pair.
+pub fn content_length<'v>(
+    values: impl IntoIterator<Item = &'v str>,
+) -> Result<Option<u64>, String> {
+    let mut declared: Option<u64> = None;
+    for value in values {
+        let digits = value.trim();
+        let malformed = || format!("malformed Content-Length `{digits}`");
+        if !digits.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(malformed());
+        }
+        let len: u64 = digits.parse().map_err(|_| malformed())?;
+        if let Some(earlier) = declared.filter(|&earlier| earlier != len) {
+            return Err(format!(
+                "conflicting Content-Length headers ({earlier} and {len})"
+            ));
+        }
+        declared = Some(len);
     }
+    Ok(declared)
 }
 
 #[cfg(test)]
@@ -649,11 +677,24 @@ mod tests {
         assert_eq!(parse_status_line("HTTP/1.0 404 Not Found").unwrap(), 404);
         assert!(parse_status_line("ICY 200 OK").is_err());
         assert!(parse_status_line("HTTP/1.1").is_err());
-        let headers = vec![("content-length".to_string(), "42".to_string())];
-        assert_eq!(content_length(&headers).unwrap(), Some(42));
-        assert_eq!(content_length(&[]).unwrap(), None);
-        let bad = vec![("content-length".to_string(), "many".to_string())];
-        assert!(content_length(&bad).is_err());
+        assert_eq!(content_length(["42"]).unwrap(), Some(42));
+        assert_eq!(content_length([]).unwrap(), None);
+        // A repeated equal value frames the body unambiguously.
+        assert_eq!(content_length(["5", " 5 "]).unwrap(), Some(5));
+        // Only 1*DIGIT is a length, and two different lengths are no
+        // length at all, in either order.
+        for bad in [
+            &["many"][..],
+            &["+5"],
+            &["+0"],
+            &["-0"],
+            &[""],
+            &["5", "6"],
+            &["6", "5"],
+            &["5", "5", "6"],
+        ] {
+            assert!(content_length(bad.iter().copied()).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -117,6 +117,48 @@ fn warm_cache_reads_are_byte_identical_to_cold_runs() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+
+    // Cold all-axiom runs seal the same entries at every worker count,
+    // per-shard counters included: a shard is one root partition's
+    // examine batch, whatever the schedule. Only `elapsed` is the run's
+    // own.
+    let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
+    for bound in [5, 6] {
+        let o = opts(bound, Backend::Explicit);
+        let sealed: Vec<_> = [1, 2, 3]
+            .into_iter()
+            .map(|jobs| {
+                let (cache, dir) = temp_cache(&format!("sched-b{bound}-j{jobs}"));
+                cache
+                    .cached_or_synthesize(&mtm, &axioms, &o, jobs, None)
+                    .expect("cold run");
+                let entries: Vec<_> = axioms
+                    .iter()
+                    .map(|axiom| {
+                        let fp = suite_fingerprint(&mtm, axiom, &o);
+                        let reader = cache.local().open_suite(fp).expect("sealed");
+                        let s = reader.stats().clone();
+                        let stats = (
+                            s.programs,
+                            s.executions,
+                            s.forbidden,
+                            s.minimal,
+                            s.timed_out,
+                            s.shards,
+                        );
+                        let records: Vec<SuiteRecord> =
+                            reader.collect::<Result<_, _>>().expect("records validate");
+                        (stats, records)
+                    })
+                    .collect();
+                std::fs::remove_dir_all(&dir).ok();
+                entries
+            })
+            .collect();
+        assert!(sealed[0].iter().all(|((.., shards), _)| shards.len() > 1));
+        assert_eq!(sealed[0], sealed[1], "bound {bound}: jobs 1 vs 2");
+        assert_eq!(sealed[0], sealed[2], "bound {bound}: jobs 1 vs 3");
+    }
 }
 
 #[test]
