@@ -2545,9 +2545,9 @@ mod tests {
         // Sealed content: one cache populated observed at --jobs 3, one
         // plain and sequential — every entry holds the same suite. (Raw
         // entry bytes are *not* comparable across independent cold runs:
-        // the sealed trailer records the run's wall-clock `elapsed` and
-        // per-shard breakdown. Byte-exactness holds for warm re-reads of
-        // the same artifact, covered below and by the store tests.)
+        // the sealed header records the run's wall-clock `elapsed`.
+        // Byte-exactness holds for warm re-reads of the same artifact,
+        // covered below and by the store tests.)
         let dir = temp_dir("progress-bytes");
         let plain = dir.join("plain");
         let observed = dir.join("observed");

@@ -199,15 +199,25 @@ pub fn parse_since(s: &str) -> Result<u64, String> {
              YYYY-MM-DDTHH:MM[:SS], optionally suffixed Z)"
         )
     };
+    // Every field is plain ASCII digits: `u64::from_str` alone would
+    // also take a leading `+`.
+    let fields = |text: &str, sep: char| -> Result<Vec<u64>, String> {
+        text.split(sep)
+            .map(|p| {
+                if p.bytes().all(|b| b.is_ascii_digit()) {
+                    p.parse().map_err(|_| bad())
+                } else {
+                    Err(bad())
+                }
+            })
+            .collect()
+    };
     let text = s.strip_suffix('Z').unwrap_or(s);
     let (date, time) = match text.split_once('T') {
         Some((date, time)) => (date, Some(time)),
         None => (text, None),
     };
-    let date: Vec<u64> = date
-        .split('-')
-        .map(|p| p.parse().map_err(|_| bad()))
-        .collect::<Result<_, _>>()?;
+    let date = fields(date, '-')?;
     let [year, month, day] = date[..] else {
         return Err(bad());
     };
@@ -226,17 +236,18 @@ pub fn parse_since(s: &str) -> Result<u64, String> {
         30,
         31,
     ];
-    if year < 1970 || !(1..=12).contains(&month) || day < 1 || day > month_days[month as usize - 1]
+    // Years stop at 9999, so the day count below stays small.
+    if !(1970..=9999).contains(&year)
+        || !(1..=12).contains(&month)
+        || day < 1
+        || day > month_days[month as usize - 1]
     {
         return Err(bad());
     }
     let (hour, minute, second) = match time {
         None => (0, 0, 0),
         Some(time) => {
-            let parts: Vec<u64> = time
-                .split(':')
-                .map(|p| p.parse().map_err(|_| bad()))
-                .collect::<Result<_, _>>()?;
+            let parts = fields(time, ':')?;
             match parts[..] {
                 [h, m] => (h, m, 0),
                 [h, m, s] => (h, m, s),
@@ -579,9 +590,20 @@ mod tests {
             "2026-08-08T24:00",
             "2026-08-08T12",
             "2026-08",
+            "99999999999-01-01",
+            "600000-01-01",
+            "10000-01-01",
+            "+2026-08-01",
+            "2026-+8-01",
+            "2026-08-01T+1:00",
+            "2026-08-01T12:00:+5",
         ] {
             assert!(parse_since(bad).is_err(), "{bad}");
         }
+        assert_eq!(
+            parse_since("9999-12-31T23:59:59Z"),
+            Ok(253_402_300_799_000_000)
+        );
     }
 
     #[test]

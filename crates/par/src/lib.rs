@@ -32,18 +32,17 @@
 //! 2. **Merge** — once the workers join, a prefix sum over the tasks'
 //!    plan-item counts turns every batch's task-local item offsets into
 //!    plan indices, so plan indices never depend on scheduling; the
-//!    renumbered shards go to the sinks in plan order, and per-batch
-//!    counters are kept and summed losslessly.
+//!    renumbered shards go to the sinks in plan order, and their
+//!    counters sum into one set per axiom.
 //!
 //! One run serves any list of axioms ([`synthesize`], or
 //! [`synthesize_streamed`] for callers that stream into their own
 //! sinks): the synthesis plan is axiom-independent, so one run
 //! enumerates every partition once and examines each partition's plan
 //! items once for every axiom — no shared plan is materialized before
-//! workers start, and every axiom's [`SuiteSink::run_done`] (the
-//! per-axiom seal + push-on-seal hook) fires after the last batch
-//! retires. A partition is one root (first-thread) shape of the
-//! enumeration recursion; the space counts each partition's subtree
+//! workers start, and every axiom's shards reach its sink after the
+//! last batch retires. A partition is one root (first-thread) shape of
+//! the enumeration recursion; the space counts each partition's subtree
 //! nodes once when it is built ([`EnumSpace::masses`]), and the
 //! pipeline's task sizes, the progress ETA, the run journal and the
 //! fleet's range plan all read those masses. Enumeration tasks stay
@@ -110,7 +109,8 @@ pub fn space_for(opts: &SynthOptions, _jobs: usize) -> EnumSpace {
 /// orchestrator collecting them in memory.
 ///
 /// The persistent suite store (`transform-store`) implements this to
-/// stage shard files for its seal; a collecting implementation
+/// stage encoded records for its seal, which its caller runs once the
+/// synthesis returns the run's counters; a collecting implementation
 /// reproduces the in-memory [`Suite`]. Shards arrive once the run's
 /// workers have joined — plan indices are only known then — in plan
 /// order, from the thread that called the synthesis; implementations
@@ -122,17 +122,6 @@ pub trait SuiteSink: Sync {
     /// One shard retired: its work counters and the suite members
     /// (witness-bearing plan items) it produced.
     fn shard_done(&self, stats: ShardStats, records: Vec<SuiteRecord>);
-
-    /// The run finished: called exactly once per synthesis run, after
-    /// the final [`SuiteSink::shard_done`], with the run's aggregated
-    /// counters. The default does nothing.
-    ///
-    /// This is the push-on-seal hook for tiered caches: a sink that
-    /// streams shards into a pending store entry learns here whether the
-    /// run completed (`stats.timed_out == false`) and can arrange for
-    /// the sealed artifact to be published to a remote cache tier —
-    /// timed-out runs are never sealed, hence never pushed.
-    fn run_done(&self, _stats: &SuiteStats) {}
 }
 
 /// A [`SuiteSink`] that collects records in memory — the sink behind
@@ -172,11 +161,11 @@ impl SuiteSink for CollectSink {
 ///
 /// For any `jobs`, each suite (programs, order, witnesses) is
 /// byte-identical to [`transform_synth::synthesize_suite`], and the
-/// `executions`/`forbidden`/`minimal` counters sum to the same totals;
-/// only the per-shard breakdown and wall-clock differ. One run serves
-/// every axiom ([`synthesize_streamed`] into in-memory sinks): the
-/// program space is enumerated once and each program examined once for
-/// all of them. With a timeout, the budget covers the whole run, a cut
+/// `items`/`executions`/`forbidden`/`minimal` counters are the same;
+/// only the wall-clock differs. One run serves every axiom
+/// ([`synthesize_streamed`] into in-memory sinks): the program space is
+/// enumerated once and each program examined once for all of them.
+/// With a timeout, the budget covers the whole run, a cut
 /// run marks every axiom timed out, and each suite's `elapsed` reports
 /// the shared run's wall-clock.
 ///
@@ -268,10 +257,7 @@ mod tests {
         assert_eq!(sequential.stats.forbidden, parallel.stats.forbidden);
         assert_eq!(sequential.stats.minimal, parallel.stats.minimal);
         assert_eq!(sequential.stats.programs, parallel.stats.programs);
-        // The parallel run actually sharded.
-        assert!(parallel.stats.shards.len() > 1);
-        let item_sum: usize = parallel.stats.shards.iter().map(|s| s.items).sum();
-        assert_eq!(item_sum, sequential.stats.shards[0].items);
+        assert_eq!(sequential.stats.items, parallel.stats.items);
     }
 
     #[test]
@@ -302,15 +288,11 @@ mod tests {
         struct TestSink {
             records: Mutex<Vec<SuiteRecord>>,
             shards: Mutex<Vec<ShardStats>>,
-            done: Mutex<Vec<SuiteStats>>,
         }
         impl SuiteSink for TestSink {
             fn shard_done(&self, stats: ShardStats, records: Vec<SuiteRecord>) {
                 self.shards.lock().unwrap().push(stats);
                 self.records.lock().unwrap().extend(records);
-            }
-            fn run_done(&self, stats: &SuiteStats) {
-                self.done.lock().unwrap().push(stats.clone());
             }
         }
         let mtm = small_mtm();
@@ -318,9 +300,8 @@ mod tests {
         let sink = TestSink {
             records: Mutex::new(Vec::new()),
             shards: Mutex::new(Vec::new()),
-            done: Mutex::new(Vec::new()),
         };
-        let (mut stats, _) =
+        let (mut stats, metrics) =
             synthesize_streamed(&mtm, &["sc_per_loc"], &o, 4, None, None, &[&sink]);
         let stats = stats.remove(0);
         let suite = synthesize(&mtm, &["sc_per_loc"], &o, 4, None).remove(0);
@@ -333,16 +314,15 @@ mod tests {
             assert_eq!(r.elt.violated, e.violated);
         }
         // Record indices strictly increase after sorting (plan indices
-        // are unique), and every shard was reported exactly once.
+        // are unique), every batch was reported exactly once, and the
+        // returned counters are the shards' sums.
         assert!(records.windows(2).all(|w| w[0].index < w[1].index));
-        assert_eq!(sink.shards.into_inner().unwrap().len(), stats.shards.len());
+        let shards = sink.shards.into_inner().unwrap();
+        assert_eq!(shards.len(), metrics.batches);
+        let summed = SuiteStats::from_shards(stats.programs, &shards);
+        assert_eq!(summed.totals(), stats.totals());
         assert_eq!(stats.executions, suite.stats.executions);
         assert!(!stats.timed_out);
-        // The completion hook fired exactly once, with the final counters.
-        let done = sink.done.into_inner().unwrap();
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].executions, stats.executions);
-        assert!(!done[0].timed_out);
     }
 
     #[test]
@@ -462,33 +442,21 @@ mod tests {
     }
 
     /// All axioms of a fused run share one schedule, so a deadline cut
-    /// marks every one of them cut, and each sink still hears
-    /// `run_done` exactly once, with timed-out counters.
+    /// marks every one of them cut and returns timed-out counters for
+    /// each.
     #[test]
     fn deadline_cut_marks_every_axiom_cut() {
-        struct DoneSink(Mutex<Vec<bool>>);
-        impl SuiteSink for DoneSink {
-            fn shard_done(&self, _stats: ShardStats, _records: Vec<SuiteRecord>) {}
-            fn run_done(&self, stats: &SuiteStats) {
-                self.0.lock().unwrap().push(stats.timed_out);
-            }
-        }
         let mtm = small_mtm();
         let axioms = ["sc_per_loc", "invlpg"];
         let mut o = opts(6);
         o.timeout = Some(std::time::Duration::ZERO);
-        let sinks = [
-            DoneSink(Mutex::new(Vec::new())),
-            DoneSink(Mutex::new(Vec::new())),
-        ];
+        let sinks = [CollectSink::new(), CollectSink::new()];
         let sink_refs: Vec<&dyn SuiteSink> = sinks.iter().map(|s| s as &dyn SuiteSink).collect();
         let progress = Arc::new(ProgressState::new(&axioms));
         let (stats, _) =
             synthesize_streamed(&mtm, &axioms, &o, 2, Some(&progress), None, &sink_refs);
+        assert_eq!(stats.len(), axioms.len());
         assert!(stats.iter().all(|s| s.timed_out));
-        for sink in &sinks {
-            assert_eq!(*sink.0.lock().unwrap(), vec![true]);
-        }
         assert!(progress
             .snapshot()
             .axioms

@@ -127,8 +127,11 @@ pub enum JournalEventKind {
     /// plan items, `c` = batches created.
     RunEnd,
     /// A store tier sealed `axiom`'s suite: `a` = sealed entry bytes.
+    /// The store seals once the run has returned, so this follows
+    /// [`JournalEventKind::RunEnd`].
     Seal,
-    /// A sealed suite for `axiom` was pushed to a remote tier.
+    /// A sealed suite for `axiom` was pushed to a remote tier, after its
+    /// [`JournalEventKind::Seal`] (and so after `RunEnd`).
     Push,
     /// A fleet coordinator granted a partition-range lease: `a` = the
     /// job id, `b` = the packed range (`lo << 32 | hi`), `c` = the

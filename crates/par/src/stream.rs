@@ -32,12 +32,14 @@
 //! whose SAT query names one axiom, makes one pass over the batch per
 //! axiom — see [`Backend::passes`]). No shared plan is materialized
 //! before workers start. All axioms therefore finish together: after
-//! the last batch retires, every axiom's [`SuiteSink::run_done`] fires
-//! (the per-axiom seal + push-on-seal hook).
+//! the last batch retires, every axiom's sink receives its shards, and
+//! the run returns one set of counters per axiom, which the store seals
+//! with the suite.
 //!
 //! Batches are, like tasks, a pure function of the space and the range:
-//! one per root partition with plan items. A sealed entry keeps one
-//! [`ShardStats`] per batch, so it does not depend on scheduling either.
+//! one per root partition with plan items. Each batch's [`ShardStats`]
+//! reaches the sinks with its records, and the returned counters are
+//! their sums, so they do not depend on scheduling either.
 //!
 //! # Determinism
 //!
@@ -582,11 +584,10 @@ fn deliver(
     outcomes.retain(|o| o.task < prefix.bases.len());
     outcomes.sort_unstable_by_key(|o| (o.task, o.first));
     let mut shards = vec![Vec::with_capacity(outcomes.len()); sinks.len()];
-    for (shard, outcome) in outcomes.into_iter().enumerate() {
+    for outcome in outcomes {
         let base = prefix.bases[outcome.task];
         let per_axiom = outcome.stats.into_iter().zip(outcome.records);
-        for (ai, (mut stats, mut records)) in per_axiom.enumerate() {
-            stats.shard = shard;
+        for (ai, (stats, mut records)) in per_axiom.enumerate() {
             for record in &mut records {
                 record.index += base;
             }
@@ -602,11 +603,11 @@ fn deliver(
 /// per-axiom `sinks`. Partitions are enumerated once and each
 /// partition's plan items are examined once for every axiom. Once the
 /// workers join, the batches are numbered into plan indices and handed
-/// to the sinks in plan order, one [`SuiteSink::shard_done`] per batch,
-/// and then every axiom's [`SuiteSink::run_done`] fires. Returns
-/// per-axiom counters (in `axioms` order) and the run's scheduling
-/// metrics. Sorting an axiom's records by [`SuiteRecord::index`]
-/// recovers its byte-identical sequential suite.
+/// to the sinks in plan order, one [`SuiteSink::shard_done`] per batch.
+/// Returns per-axiom counters (in `axioms` order), each the sum of the
+/// axiom's shards, and the run's scheduling metrics. Sorting an axiom's
+/// records by [`SuiteRecord::index`] recovers its byte-identical
+/// sequential suite.
 ///
 /// `progress` receives live counters as the run advances — partitions
 /// and subtree mass planned, programs and plan items, per-axiom batch,
@@ -685,8 +686,8 @@ pub fn synthesize_streamed(
         ..
     } = pipeline;
     let mut st = state.into_inner().expect("pipeline lock is never poisoned");
-    // Free the space before the sinks seal, so the seals reuse its
-    // memory instead of stacking on top of it.
+    // Free the space before the sinks take their shards, so what they
+    // stage reuses its memory instead of stacking on top of it.
     drop(space);
     let prefix = st.prefix(&tasks);
     if let Some(cut) = prefix.cut_at {
@@ -699,14 +700,12 @@ pub fn synthesize_streamed(
     // Every axiom shares one schedule, so all finish here together:
     // complete when every task was planned in full and every batch
     // retired before the deadline (an empty range completes trivially),
-    // cut otherwise. Each run_done fires exactly once — sinks never seal
-    // timed-out runs.
+    // cut otherwise.
     let complete = !st.expired;
     let all_stats: Vec<SuiteStats> = shards
-        .into_iter()
-        .zip(sinks)
+        .iter()
         .zip(&slots)
-        .map(|((shards, sink), &slot)| {
+        .map(|(shards, &slot)| {
             let mut stats = SuiteStats::from_shards(prefix.programs, shards);
             stats.elapsed = elapsed;
             stats.timed_out = !complete;
@@ -715,14 +714,13 @@ pub fn synthesize_streamed(
                 progress.record(
                     JournalEventKind::AxiomComplete,
                     Some(slot as u32),
-                    stats.shards.iter().map(|s| s.items as u64).sum(),
+                    stats.items as u64,
                     0,
                     0,
                 );
             } else {
                 progress.set_axiom_state(slot, AxiomState::Cut);
             }
-            sink.run_done(&stats);
             stats
         })
         .collect();
@@ -872,7 +870,7 @@ mod tests {
     }
 
     /// A sink retaining every record with its plan index — what the
-    /// store's shard files keep.
+    /// store's pending entries keep.
     struct RecordSink {
         records: Mutex<Vec<SuiteRecord>>,
     }
@@ -1211,7 +1209,7 @@ mod tests {
                     forbidden += stats.forbidden;
                     minimal += stats.minimal;
                     programs += stats.programs;
-                    let items: usize = stats.shards.iter().map(|s| s.items).sum();
+                    let items = stats.items;
                     records.extend(sink.take().into_iter().map(|mut r| {
                         assert!(r.index < items, "jobs {jobs} split {split}: range-local");
                         r.index += base;
@@ -1266,7 +1264,7 @@ mod tests {
             assert!(stats.timed_out);
             let (programs, items) = planned_below(&space, cut);
             assert_eq!(stats.programs, programs);
-            let examined: usize = stats.shards.iter().map(|s| s.items).sum();
+            let examined = stats.items;
             assert!(
                 examined <= items,
                 "{examined} items examined past the {items}-item prefix"

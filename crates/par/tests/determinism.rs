@@ -62,31 +62,14 @@ fn jobs_1_and_8_are_byte_identical_on_both_backends() {
                 fingerprint(&eight),
                 "{axiom} via {backend:?}: suites diverge between jobs=1 and jobs=8"
             );
-            // Lossless counter aggregation: per-shard sums equal the
+            // Lossless counter aggregation: the shards' sums equal the
             // sequential totals exactly.
             assert_eq!(one.stats.programs, eight.stats.programs);
             assert_eq!(one.stats.executions, eight.stats.executions);
             assert_eq!(one.stats.forbidden, eight.stats.forbidden);
             assert_eq!(one.stats.minimal, eight.stats.minimal);
-            for suite in [&one, &eight] {
-                let (items, execs, forb, min) =
-                    suite
-                        .stats
-                        .shards
-                        .iter()
-                        .fold((0, 0, 0, 0), |(i, e, f, m), s| {
-                            (
-                                i + s.items,
-                                e + s.executions,
-                                f + s.forbidden,
-                                m + s.minimal,
-                            )
-                        });
-                assert_eq!(execs, suite.stats.executions);
-                assert_eq!(forb, suite.stats.forbidden);
-                assert_eq!(min, suite.stats.minimal);
-                assert!(items > 0);
-            }
+            assert_eq!(one.stats.items, eight.stats.items);
+            assert!(one.stats.items > 0);
         }
     }
 }
@@ -182,8 +165,7 @@ fn symmetry_off_runs_match_the_sequential_engine() {
             assert_eq!(suite.stats.executions, seq.stats.executions, "{label}");
             assert_eq!(suite.stats.forbidden, seq.stats.forbidden, "{label}");
             assert_eq!(suite.stats.minimal, seq.stats.minimal, "{label}");
-            let items = |s: &Suite| s.stats.shards.iter().map(|s| s.items).sum::<usize>();
-            assert_eq!(items(suite), items(seq), "{label}");
+            assert_eq!(suite.stats.items, seq.stats.items, "{label}");
         }
     }
 }

@@ -623,19 +623,20 @@ pub fn decode_record(bytes: &[u8]) -> Result<SuiteRecord, CodecError> {
     })
 }
 
-/// Encodes one shard's work counters.
+/// Encodes one shard's work counters. The leading varint is the shard
+/// ordinal of earlier builds, always written as 0.
 pub fn encode_shard_stats(e: &mut Enc, s: &ShardStats) {
-    e.size(s.shard);
+    e.size(0);
     e.size(s.items);
     e.size(s.executions);
     e.size(s.forbidden);
     e.size(s.minimal);
 }
 
-/// Decodes one shard's work counters.
+/// Decodes one shard's work counters, skipping the ordinal slot.
 pub fn decode_shard_stats(d: &mut Dec<'_>) -> Result<ShardStats, CodecError> {
+    d.size()?;
     Ok(ShardStats {
-        shard: d.size()?,
         items: d.size()?,
         executions: d.size()?,
         forbidden: d.size()?,
@@ -643,7 +644,9 @@ pub fn decode_shard_stats(d: &mut Dec<'_>) -> Result<ShardStats, CodecError> {
     })
 }
 
-/// Encodes a suite's full statistics, per-shard breakdown included.
+/// Encodes a suite's statistics. The trailing shard list (earlier
+/// builds wrote one shard per examine batch) holds one shard carrying
+/// the totals, so every build reads the entry.
 pub fn encode_suite_stats(e: &mut Enc, s: &SuiteStats) {
     e.size(s.programs);
     e.size(s.executions);
@@ -652,13 +655,12 @@ pub fn encode_suite_stats(e: &mut Enc, s: &SuiteStats) {
     e.varint(s.elapsed.as_secs());
     e.u32(s.elapsed.subsec_nanos());
     e.boolean(s.timed_out);
-    e.size(s.shards.len());
-    for shard in &s.shards {
-        encode_shard_stats(e, shard);
-    }
+    e.size(1);
+    encode_shard_stats(e, &s.totals());
 }
 
-/// Decodes a suite's full statistics.
+/// Decodes a suite's statistics from a shard list of any length,
+/// summing the shards' plan items.
 pub fn decode_suite_stats(d: &mut Dec<'_>) -> Result<SuiteStats, CodecError> {
     let programs = d.size()?;
     let executions = d.size()?;
@@ -670,19 +672,20 @@ pub fn decode_suite_stats(d: &mut Dec<'_>) -> Result<SuiteStats, CodecError> {
         return Err(CodecError::new("subsecond nanos out of range"));
     }
     let timed_out = d.boolean()?;
-    let num_shards = d.size_bounded(MAX_LEN, "shards")?;
-    let mut shards = Vec::with_capacity(num_shards);
-    for _ in 0..num_shards {
-        shards.push(decode_shard_stats(d)?);
+    let mut items = 0usize;
+    for _ in 0..d.varint()? {
+        items = items
+            .checked_add(decode_shard_stats(d)?.items)
+            .ok_or_else(|| CodecError::new("shard plan items overflow"))?;
     }
     Ok(SuiteStats {
         programs,
+        items,
         executions,
         forbidden,
         minimal,
         elapsed: Duration::new(secs, nanos),
         timed_out,
-        shards,
     })
 }
 
@@ -744,38 +747,55 @@ mod tests {
     fn stats_round_trip() {
         let stats = SuiteStats {
             programs: 1234,
+            items: 17,
             executions: 98765,
             forbidden: 432,
             minimal: 87,
             elapsed: Duration::new(3, 141_592_653),
             timed_out: false,
-            shards: vec![
-                ShardStats {
-                    shard: 0,
-                    items: 10,
-                    executions: 100,
-                    forbidden: 5,
-                    minimal: 2,
-                },
-                ShardStats {
-                    shard: 3,
-                    items: 7,
-                    executions: 70,
-                    forbidden: 3,
-                    minimal: 1,
-                },
-            ],
         };
         let mut e = Enc::new();
         encode_suite_stats(&mut e, &stats);
         let bytes = e.into_bytes();
+        // The layout earlier builds decode: a shard count of 1, then the
+        // one shard `(0, items, executions, forbidden, minimal)`.
+        let mut tail = Enc::new();
+        tail.size(1);
+        for v in [0, 17, 98765, 432, 87] {
+            tail.size(v);
+        }
+        assert!(bytes.ends_with(&tail.into_bytes()));
         let mut d = Dec::new(&bytes);
         let decoded = decode_suite_stats(&mut d).expect("decodes");
         assert!(d.at_end());
         assert_eq!(decoded.programs, stats.programs);
+        assert_eq!(decoded.items, stats.items);
         assert_eq!(decoded.executions, stats.executions);
+        assert_eq!(decoded.forbidden, stats.forbidden);
+        assert_eq!(decoded.minimal, stats.minimal);
         assert_eq!(decoded.elapsed, stats.elapsed);
-        assert_eq!(decoded.shards, stats.shards);
+        // Earlier builds' per-batch shard lists decode to the sum of
+        // their plan items; a sum that overflows is corrupt.
+        let with_items = |items: &[usize]| {
+            let mut e = Enc::new();
+            encode_suite_stats(&mut e, &SuiteStats::default());
+            let mut bytes = e.into_bytes();
+            bytes.truncate(bytes.len() - 6); // the count and its one shard
+            let mut e = Enc::new();
+            e.raw(&bytes);
+            e.size(items.len());
+            for &items in items {
+                let shard = ShardStats {
+                    items,
+                    ..ShardStats::default()
+                };
+                encode_shard_stats(&mut e, &shard);
+            }
+            decode_suite_stats(&mut Dec::new(&e.into_bytes())).map(|s| s.items)
+        };
+        assert_eq!(with_items(&[3, 0, 4]), Ok(7));
+        assert_eq!(with_items(&[]), Ok(0));
+        assert!(with_items(&[usize::MAX, 1]).is_err());
     }
 
     #[test]

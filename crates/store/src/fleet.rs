@@ -25,12 +25,13 @@
 //! When every range in the spec is staged, [`merge_fleet_job`] shifts
 //! each range's record indices by the plan items of the ranges before
 //! it — no canonical key occurs in two root partitions, so the ranges'
-//! plans concatenate into the single-machine plan — and replays the
-//! shards **in range order** through the ordinary
-//! [`PendingSuite`](crate::store::PendingSuite) merge, the same
-//! plan-index sort every local run uses. The sealed suite is therefore
-//! byte-identical to a single-machine fused run regardless of worker
-//! count, upload order, retries, or lease reassignment.
+//! plans concatenate into the single-machine plan — and hands the
+//! shards **in range order** to an ordinary
+//! [`PendingSuite`](crate::store::PendingSuite), which seals them with
+//! the same plan-index sort every local run uses and one set of summed
+//! counters. The sealed suite is therefore byte-identical to a
+//! single-machine fused run, apart from its wall-clock, regardless of
+//! worker count, upload order, retries, or lease reassignment.
 
 use crate::codec::{
     decode_record, decode_shard_stats, encode_record, encode_shard_stats, fnv1a64, CodecError, Dec,
@@ -350,9 +351,8 @@ pub struct ShardResult {
 /// counters and its records sorted by range-local plan index.
 #[derive(Clone, PartialEq, Debug)]
 pub struct AxiomShard {
-    /// Work counters summed over the range (the `shard` ordinal is
-    /// assigned by the coordinator at merge time). `items` is the
-    /// range's plan size, the same for every axiom.
+    /// Work counters summed over the range. `items` is the range's plan
+    /// size, the same for every axiom.
     pub stats: ShardStats,
     /// The range's records, strictly increasing by plan index, each
     /// below `stats.items`.
@@ -670,12 +670,11 @@ impl Store {
 /// Each range's records carry range-local plan indices; the merge
 /// shifts them by the plan items of the ranges before it (every
 /// axiom's `stats.items`). For each run axiom, the staged shards are
-/// then replayed **in range order** through the ordinary
-/// [`PendingSuite`](crate::store::PendingSuite) shard merge with the
-/// range ordinal as the shard index, and sealed with the exact summed
-/// statistics — so the sealed entry is byte-identical (fingerprint,
-/// records, counters; all but wall-clock) to a single-machine fused run
-/// of the same plan.
+/// then handed **in range order** to an ordinary
+/// [`PendingSuite`](crate::store::PendingSuite) and sealed with the
+/// ranges' summed statistics — so the sealed entry is byte-identical
+/// (fingerprint, records, counters; all but wall-clock) to a
+/// single-machine fused run of the same plan.
 ///
 /// `elapsed` is the job's wall-clock as observed by the coordinator;
 /// it lands in the sealed [`SuiteStats`] but never in the fingerprint.
@@ -722,18 +721,16 @@ pub fn merge_fleet_job(
     for (ai, &(_, fp)) in spec.axioms.iter().enumerate() {
         let pending = store.begin(fp, spec.entry_meta(ai))?;
         let mut shards = Vec::with_capacity(results.len());
-        for (ordinal, (result, &base)) in results.iter().zip(&bases).enumerate() {
+        for (result, &base) in results.iter().zip(&bases) {
             let ax = &result.per_axiom[ai];
-            let mut stats = ax.stats;
-            stats.shard = ordinal;
-            shards.push(stats);
+            shards.push(ax.stats);
             let mut records = ax.records.clone();
             for record in &mut records {
                 record.index = record.index.checked_add(base).ok_or_else(overflow)?;
             }
-            pending.shard_done(stats, records);
+            pending.shard_done(ax.stats, records);
         }
-        let mut stats = SuiteStats::from_shards(total_programs, shards);
+        let mut stats = SuiteStats::from_shards(total_programs, &shards);
         stats.elapsed = elapsed;
         sealed.push(pending.seal(&stats)?);
     }
@@ -853,13 +850,7 @@ pub fn execute_lease(grant: &LeaseGrant, jobs: usize) -> Result<ShardResult, Sto
                 .expect("record lock is never poisoned");
             records.sort_by_key(|r| r.index);
             AxiomShard {
-                stats: ShardStats {
-                    shard: 0, // the merge assigns the range ordinal
-                    items: stat.shards.iter().map(|s| s.items).sum(),
-                    executions: stat.executions,
-                    forbidden: stat.forbidden,
-                    minimal: stat.minimal,
-                },
+                stats: stat.totals(),
                 records,
             }
         })
@@ -994,7 +985,6 @@ mod tests {
             programs: 5,
             per_axiom: vec![AxiomShard {
                 stats: ShardStats {
-                    shard: usize::try_from(lo).expect("fits"),
                     items: 5,
                     executions: 40,
                     forbidden: 7,

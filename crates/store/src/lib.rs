@@ -18,9 +18,10 @@
 //! * [`fingerprint`] — the content-address of a synthesis run.
 //! * [`store`] — the on-disk format: a synthesis run hands its shards
 //!   over in plan order once its workers join ([`store::PendingSuite`]
-//!   implements [`transform_par::SuiteSink`]), a deterministic merge
-//!   seals the canonical index, and [`store::SuiteReader`] iterates a
-//!   sealed suite record-by-record behind checksum validation.
+//!   implements [`transform_par::SuiteSink`]), the seal writes the
+//!   records in plan order with one set of counters, and
+//!   [`store::SuiteReader`] iterates a sealed suite record-by-record
+//!   behind checksum validation.
 //! * [`cache`] — [`CacheStatus`], how a cached lookup was satisfied.
 //! * [`journal`] — synthesis runs as durable artifacts: a checksummed
 //!   binary journal per run (manifest + timestamped pipeline events)

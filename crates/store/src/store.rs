@@ -13,13 +13,13 @@
 //! ```
 //!
 //! A synthesis run hands each shard to [`PendingSuite`] (its
-//! [`transform_par::SuiteSink`] implementation), which encodes and
-//! checksums the shard and keeps the bytes in memory.
-//! [`PendingSuite::seal`] validates and merges them — sorting the framed
-//! records by plan index *without decoding payloads* — into the suite
-//! file, staged as a `tmp-*` file and atomically renamed into place.
-//! Nothing reaches the disk before the seal, and a crash during it leaves
-//! only a `tmp-*` file, which never shadows a sealed entry.
+//! [`transform_par::SuiteSink`] implementation), which encodes every
+//! record as it arrives and keeps the bytes in memory beside their plan
+//! indices. [`PendingSuite::seal`] sorts the encoded records by plan
+//! index and writes the suite file with one set of counters, staged as a
+//! `tmp-*` file and atomically renamed into place. Nothing reaches the
+//! disk before the seal, and a crash during it leaves only a `tmp-*`
+//! file, which never shadows a sealed entry.
 //!
 //! # Integrity
 //!
@@ -32,8 +32,8 @@
 //! instead of serving damage.
 
 use crate::codec::{
-    self, decode_record, decode_suite_stats, encode_record, encode_shard_stats, encode_suite_stats,
-    fnv1a64, CodecError, Dec, Enc, Fnv64, FORMAT_VERSION,
+    self, decode_record, decode_suite_stats, encode_record, encode_suite_stats, fnv1a64,
+    CodecError, Dec, Enc, Fnv64, FORMAT_VERSION,
 };
 use crate::fingerprint::Fingerprint;
 use std::error::Error;
@@ -47,7 +47,6 @@ use transform_par::SuiteSink;
 use transform_synth::{ShardStats, Suite, SuiteRecord, SuiteStats, SynthOptions};
 
 const SUITE_MAGIC: &[u8; 8] = b"TFSUITE\0";
-const SHARD_MAGIC: &[u8; 8] = b"TFSHARD\0";
 const SUITE_EXT: &str = "tfs";
 /// Extension of the per-entry admission digests (`<fingerprint>.tfd`)
 /// that format-version-1 builds wrote beside every sealed entry.
@@ -437,7 +436,7 @@ impl Store {
     }
 
     /// Starts an in-progress entry: the sink a run hands its shards to,
-    /// sealed atomically by [`PendingSuite::seal`]. Shards are staged in
+    /// sealed atomically by [`PendingSuite::seal`]. Records are staged in
     /// memory, so nothing touches the disk before the seal.
     ///
     /// # Errors
@@ -449,7 +448,7 @@ impl Store {
             root: self.root.clone(),
             fp,
             meta,
-            shards: Mutex::new(Vec::new()),
+            records: Mutex::new(Vec::new()),
         })
     }
 }
@@ -464,98 +463,35 @@ fn header_bytes(fp: Fingerprint, meta: &EntryMeta, stats: &SuiteStats, records: 
     e.into_bytes()
 }
 
-/// An in-progress store entry: the [`SuiteSink`] parallel synthesis
-/// streams into, and the seal step that turns the staged shards into
+/// An in-progress store entry: the [`SuiteSink`] a synthesis run
+/// delivers into, and the seal step that turns the staged records into
 /// the canonical suite file.
 pub struct PendingSuite {
     root: PathBuf,
     fp: Fingerprint,
     meta: EntryMeta,
-    /// Each retired shard, encoded and checksummed, in arrival order.
-    shards: Mutex<Vec<Vec<u8>>>,
+    /// Each delivered record's plan index and encoding, in arrival order.
+    records: Mutex<Vec<(usize, Vec<u8>)>>,
 }
 
 impl SuiteSink for PendingSuite {
-    fn shard_done(&self, stats: ShardStats, records: Vec<SuiteRecord>) {
-        let mut e = Enc::new();
-        e.raw(SHARD_MAGIC);
-        e.u32(FORMAT_VERSION);
-        e.u64((self.fp.0 >> 64) as u64);
-        e.u64(self.fp.0 as u64);
-        for record in &records {
-            let payload = encode_record(record);
-            e.u8(1);
-            e.varint(record.index as u64);
-            e.size(payload.len());
-            let checksum = fnv1a64(&payload);
-            e.raw(&payload);
-            e.u64(checksum);
-        }
-        let mut stats_enc = Enc::new();
-        encode_shard_stats(&mut stats_enc, &stats);
-        let stats_payload = stats_enc.into_bytes();
-        e.u8(0);
-        e.size(stats_payload.len());
-        let checksum = fnv1a64(&stats_payload);
-        e.raw(&stats_payload);
-        e.u64(checksum);
-        let bytes = e.into_bytes();
-        self.shards
+    /// Encodes the shard's records and drops them; the counters are the
+    /// caller's, summed into the [`SuiteStats`] handed to the seal.
+    fn shard_done(&self, _stats: ShardStats, records: Vec<SuiteRecord>) {
+        let encoded = records.iter().map(|r| (r.index, encode_record(r)));
+        self.records
             .lock()
-            .expect("shard lock never poisoned")
-            .push(bytes);
+            .expect("record lock never poisoned")
+            .extend(encoded);
     }
 }
 
 impl PendingSuite {
-    /// Validates the staged shards and returns their framed record
-    /// payloads, still encoded, sorted by plan index.
-    fn merge(&mut self) -> Result<Vec<(u64, Vec<u8>)>, StoreError> {
-        let shards = std::mem::take(self.shards.get_mut().expect("shard lock never poisoned"));
-        let mut records: Vec<(u64, Vec<u8>)> = Vec::new();
-        for (n, bytes) in shards.iter().enumerate() {
-            let corrupt = |what: &str| StoreError::Corrupt(format!("staged shard {n}: {what}"));
-            let mut d = Dec::new(bytes);
-            let magic = d.bytes(8).map_err(StoreError::from)?;
-            if magic != SHARD_MAGIC.as_slice() {
-                return Err(corrupt("bad shard magic"));
-            }
-            let version = d.u32().map_err(StoreError::from)?;
-            if version != FORMAT_VERSION {
-                return Err(StoreError::Version { found: version });
-            }
-            let hi = d.u64().map_err(StoreError::from)?;
-            let lo = d.u64().map_err(StoreError::from)?;
-            if Fingerprint((u128::from(hi) << 64) | u128::from(lo)) != self.fp {
-                return Err(corrupt("shard belongs to a different suite"));
-            }
-            loop {
-                match d.u8().map_err(StoreError::from)? {
-                    1 => {
-                        let index = d.varint().map_err(StoreError::from)?;
-                        let (payload, checksum) = read_framed(&mut d)?;
-                        if fnv1a64(&payload) != checksum {
-                            return Err(corrupt("shard record checksum mismatch"));
-                        }
-                        records.push((index, payload));
-                    }
-                    0 => {
-                        let (payload, checksum) = read_framed(&mut d)?;
-                        if fnv1a64(&payload) != checksum {
-                            return Err(corrupt("shard stats checksum mismatch"));
-                        }
-                        let mut sd = Dec::new(&payload);
-                        codec::decode_shard_stats(&mut sd).map_err(StoreError::from)?;
-                        if !d.at_end() {
-                            return Err(corrupt("bytes after shard trailer"));
-                        }
-                        break;
-                    }
-                    t => return Err(corrupt(&format!("invalid shard frame tag {t}"))),
-                }
-            }
-        }
-        records.sort_by_key(|&(index, _)| index);
+    /// The staged records' encodings, sorted by plan index.
+    fn sorted(&mut self) -> Result<Vec<(usize, Vec<u8>)>, StoreError> {
+        let mut records =
+            std::mem::take(self.records.get_mut().expect("record lock never poisoned"));
+        records.sort_unstable_by_key(|&(index, _)| index);
         if records.windows(2).any(|w| w[0].0 == w[1].0) {
             return Err(StoreError::Corrupt("duplicate plan index in shards".into()));
         }
@@ -586,24 +522,24 @@ impl PendingSuite {
         Ok(self.fp)
     }
 
-    /// Merges the staged shards into the sealed canonical suite file and
-    /// atomically publishes it. `stats` are the run's counters, as
-    /// returned by [`transform_par::synthesize_streamed`].
+    /// Writes the staged records, in plan order, into the sealed
+    /// canonical suite file and atomically publishes it. `stats` are the
+    /// run's counters, as returned by
+    /// [`transform_par::synthesize_streamed`].
     ///
     /// Timed-out (partial) runs must never be sealed — a cache hit on a
     /// partial suite would silently drop members forever.
     ///
     /// # Errors
     ///
-    /// Surfaces shards that fail validation and final write/rename
-    /// failures.
+    /// A plan index delivered twice, and final write/rename failures.
     ///
     /// # Panics
     ///
     /// Panics when `stats.timed_out` is set.
     pub fn seal(mut self, stats: &SuiteStats) -> Result<Fingerprint, StoreError> {
         assert!(!stats.timed_out, "refusing to seal a partial suite");
-        let records = self.merge()?;
+        let records = self.sorted()?;
         let mut e = Enc::new();
         e.raw(SUITE_MAGIC);
         e.u32(FORMAT_VERSION);
@@ -627,15 +563,15 @@ impl PendingSuite {
         self.publish(&e.into_bytes())
     }
 
-    /// Assembles the in-memory suite from the staged shards *without*
+    /// Assembles the in-memory suite from the staged records *without*
     /// sealing — the path for timed-out (partial) runs, which are
     /// returned to the caller but never persisted.
     ///
     /// # Errors
     ///
-    /// Surfaces shards that fail validation and undecodable records.
+    /// A plan index delivered twice.
     pub fn into_suite(mut self, stats: &SuiteStats) -> Result<Suite, StoreError> {
-        let records = self.merge()?;
+        let records = self.sorted()?;
         let elts = records
             .into_iter()
             .map(|(_, payload)| decode_record(&payload).map(|r| r.elt))
@@ -647,15 +583,6 @@ impl PendingSuite {
             stats: stats.clone(),
         })
     }
-}
-
-fn read_framed(d: &mut Dec<'_>) -> Result<(Vec<u8>, u64), StoreError> {
-    let len = d
-        .size_bounded(1 << 28, "frame payload")
-        .map_err(StoreError::from)?;
-    let payload = d.bytes(len).map_err(StoreError::from)?.to_vec();
-    let checksum = d.u64().map_err(StoreError::from)?;
-    Ok((payload, checksum))
 }
 
 fn read_exact_or_corrupt(r: &mut impl Read, buf: &mut [u8], what: &str) -> Result<(), StoreError> {

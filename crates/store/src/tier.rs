@@ -11,18 +11,17 @@
 //!    publishing), then served from there — so the next lookup is a
 //!    local hit, and corrupt remote bytes can never be served.
 //! 3. **Synthesis** — on a miss everywhere, the suite is synthesized,
-//!    sealed locally, and the sealed bytes are *pushed* to the remote
-//!    tier (best-effort), turning this run's work into a fleet-wide
-//!    asset. The push is gated on [`transform_par::SuiteSink::run_done`]
-//!    reporting a completed (un-timed-out) run — partial suites are
-//!    never sealed, hence never pushed.
+//!    sealed locally once the run returns, and the sealed bytes are
+//!    *pushed* to the remote tier (best-effort), turning this run's work
+//!    into a fleet-wide asset. Only a completed (un-timed-out) run is
+//!    sealed — partial suites are never sealed, hence never pushed.
 //!
 //! Remote failures are soft on this read path: an unreachable or
 //! misbehaving remote degrades the tiered cache to the local-only one.
 //! Only genuine local i/o failures surface as errors.
 //!
 //! Every temperature serves the suite *from the sealed artifact*: a
-//! cold run synthesizes through the shard-streaming sink, seals, and
+//! cold run synthesizes into pending store entries, seals them, and
 //! then reads its own entry back. A warm run therefore reproduces the
 //! cold run's output byte for byte (statistics included — `elapsed` is
 //! the recorded synthesis time, not the read time), which is what makes
@@ -31,10 +30,10 @@
 use crate::cache::CacheStatus;
 use crate::fingerprint::{suite_fingerprint, Fingerprint};
 use crate::store::{read_suite, EntryMeta, PendingSuite, Store, StoreError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use transform_core::axiom::Mtm;
 use transform_par::{synthesize_streamed, JournalEventKind, ProgressState, SuiteSink};
-use transform_synth::{ShardStats, Suite, SuiteRecord, SuiteStats, SynthOptions};
+use transform_synth::{Suite, SuiteStats, SynthOptions};
 
 /// One tier of a layered suite cache: somewhere sealed-suite bytes can
 /// be fetched from and published to, keyed by [`Fingerprint`].
@@ -167,9 +166,9 @@ impl TieredCache {
     /// remote hit is validated into the local tier and served from
     /// there). All the misses are synthesized together in one fused
     /// streamed run — the program space is enumerated once, and each
-    /// program is examined once for every missing axiom — and each
-    /// missing axiom's suite is sealed locally and pushed to the remote
-    /// (best-effort) when the run finishes. Damaged local entries are
+    /// program is examined once for every missing axiom — and once it
+    /// returns, each missing axiom's suite is sealed locally and pushed
+    /// to the remote (best-effort). Damaged local entries are
     /// deleted and rebuilt, never served; a timed-out run seals
     /// nothing, and its partial suites come back
     /// [`CacheStatus::Uncached`].
@@ -226,38 +225,31 @@ impl TieredCache {
 
         if !misses.is_empty() {
             // One fused run for every miss: enumerate once, examine each
-            // program once for every axiom, seal each suite when the run
-            // finishes.
+            // program once for every axiom, then seal each completed
+            // suite and push it (best-effort).
             let miss_axioms: Vec<&str> = misses.iter().map(|&(i, _, _)| axioms[i]).collect();
-            let gates: Vec<SealOnDone<'_>> = misses
+            let pending: Vec<PendingSuite> = misses
                 .iter()
-                .map(|&(i, fp, _)| {
-                    let pending = local.begin(fp, EntryMeta::describe(mtm, axioms[i], opts))?;
-                    Ok(SealOnDone::new(
-                        local, remote, fp, pending, axioms[i], progress,
-                    ))
-                })
-                .collect::<Result<_, StoreError>>()?;
+                .map(|&(i, fp, _)| local.begin(fp, EntryMeta::describe(mtm, axioms[i], opts)))
+                .collect::<Result<_, _>>()?;
             let sink_refs: Vec<&dyn SuiteSink> =
-                gates.iter().map(|g| g as &dyn SuiteSink).collect();
+                pending.iter().map(|p| p as &dyn SuiteSink).collect();
             let (all_stats, _) =
                 synthesize_streamed(mtm, &miss_axioms, opts, jobs, progress, None, &sink_refs);
 
-            for (((i, fp, status), gate), stats) in misses.into_iter().zip(gates).zip(all_stats) {
-                let (pending, seal_outcome) = gate.into_parts();
+            for (((i, fp, status), pending), stats) in
+                misses.into_iter().zip(pending).zip(all_stats)
+            {
+                let axiom = axioms[i];
                 out[i] = Some(if stats.timed_out {
-                    let pending = pending.expect("timed-out runs are never sealed");
                     let reason = "synthesis timed out; partial suites are never cached".into();
                     (
                         pending.into_suite(&stats)?,
                         CacheStatus::Uncached { reason },
                     )
                 } else {
-                    // A completed axiom was sealed from the pool; surface
-                    // any seal failure now (local disk trouble is hard, as
-                    // ever).
-                    seal_outcome.expect("run_done seals every completed axiom")?;
-                    (read_entry(local, fp, axioms[i])?, status)
+                    seal_and_push(local, remote, pending, &stats, axiom, progress)?;
+                    (read_entry(local, fp, axiom)?, status)
                 });
             }
         }
@@ -332,123 +324,39 @@ fn lookup_tiers(
     Ok(Lookup::Absent(status))
 }
 
-/// The per-axiom [`SuiteSink`] of a fused cached run: streams shards
-/// into the axiom's pending store entry and, when the run finishes
-/// ([`SuiteSink::run_done`] with a completed run), seals the entry and
-/// pushes the sealed bytes to the remote tier (best-effort).
-struct SealOnDone<'a> {
-    local: &'a Store,
-    remote: Option<&'a dyn CacheTier>,
-    fp: Fingerprint,
-    /// Consumed by the seal; kept for [`PendingSuite::into_suite`] on
-    /// timed-out runs.
-    pending: Mutex<Option<PendingSuite>>,
-    /// The seal's outcome, surfaced to the driver after the run.
-    sealed: Mutex<Option<Result<(), StoreError>>>,
-    /// The axiom this gate seals, for journal events.
-    axiom: String,
-    /// The run's journal target, when the run is observed.
-    progress: Option<&'a Arc<ProgressState>>,
-}
-
-impl<'a> SealOnDone<'a> {
-    fn new(
-        local: &'a Store,
-        remote: Option<&'a dyn CacheTier>,
-        fp: Fingerprint,
-        pending: PendingSuite,
-        axiom: &str,
-        progress: Option<&'a Arc<ProgressState>>,
-    ) -> SealOnDone<'a> {
-        SealOnDone {
-            local,
-            remote,
-            fp,
-            pending: Mutex::new(Some(pending)),
-            sealed: Mutex::new(None),
-            axiom: axiom.to_string(),
-            progress,
+/// Seals a completed axiom's pending entry and pushes the sealed bytes
+/// to the remote tier (best-effort). A journaled run records both: a
+/// [`JournalEventKind::Seal`] (`a` = sealed entry bytes), then a
+/// [`JournalEventKind::Push`] when the push succeeded.
+fn seal_and_push(
+    local: &Store,
+    remote: Option<&dyn CacheTier>,
+    pending: PendingSuite,
+    stats: &SuiteStats,
+    axiom: &str,
+    progress: Option<&Arc<ProgressState>>,
+) -> Result<(), StoreError> {
+    let fp = pending.seal(stats)?;
+    let slot = progress.and_then(|p| p.slot_of(axiom)).map(|s| s as u32);
+    let journal = |kind, a| {
+        if let Some(progress) = progress {
+            progress.record(kind, slot, a, 0, 0);
         }
-    }
-
-    /// Dismantles the gate: the still-pending entry (present only when
-    /// the run never sealed) and the seal outcome (present only when it
-    /// did).
-    fn into_parts(self) -> (Option<PendingSuite>, Option<Result<(), StoreError>>) {
-        (
-            self.pending
-                .into_inner()
-                .expect("pending lock is never poisoned"),
-            self.sealed
-                .into_inner()
-                .expect("sealed lock is never poisoned"),
-        )
-    }
-}
-
-impl SuiteSink for SealOnDone<'_> {
-    fn shard_done(&self, stats: ShardStats, records: Vec<SuiteRecord>) {
-        if let Some(pending) = self
-            .pending
-            .lock()
-            .expect("pending lock is never poisoned")
-            .as_ref()
-        {
-            pending.shard_done(stats, records);
-        }
-    }
-
-    fn run_done(&self, stats: &SuiteStats) {
-        if stats.timed_out {
-            return; // never sealed; the driver assembles the partial suite
-        }
-        let Some(pending) = self
-            .pending
-            .lock()
-            .expect("pending lock is never poisoned")
-            .take()
-        else {
-            return;
-        };
-        let result = pending.seal(stats).map(|_| ());
-        if result.is_ok() {
-            record_seal(self.progress, &self.axiom, self.local, self.fp);
-            if let Some(remote) = self.remote {
-                // Best-effort: a failed push costs the fleet a warm
-                // entry, never this run its result.
-                if let Ok(Some(bytes)) = self.local.entry_bytes(self.fp) {
-                    if remote.publish(self.fp, &bytes).is_ok() {
-                        record_push(self.progress, &self.axiom);
-                    }
-                }
+    };
+    journal(
+        JournalEventKind::Seal,
+        std::fs::metadata(local.entry_path(fp)).map_or(0, |m| m.len()),
+    );
+    if let Some(remote) = remote {
+        // Best-effort: a failed push costs the fleet a warm entry, never
+        // this run its result.
+        if let Ok(Some(bytes)) = local.entry_bytes(fp) {
+            if remote.publish(fp, &bytes).is_ok() {
+                journal(JournalEventKind::Push, 0);
             }
         }
-        *self.sealed.lock().expect("sealed lock is never poisoned") = Some(result);
     }
-}
-
-/// Journals a [`JournalEventKind::Seal`] for `axiom` (`a` = sealed
-/// entry bytes). A no-op when the run is unobserved or unjournaled.
-fn record_seal(progress: Option<&Arc<ProgressState>>, axiom: &str, local: &Store, fp: Fingerprint) {
-    let Some(progress) = progress else { return };
-    let sealed_bytes = std::fs::metadata(local.entry_path(fp))
-        .map(|m| m.len())
-        .unwrap_or(0);
-    progress.record(
-        JournalEventKind::Seal,
-        progress.slot_of(axiom).map(|slot| slot as u32),
-        sealed_bytes,
-        0,
-        0,
-    );
-}
-
-/// Journals a [`JournalEventKind::Push`] for `axiom`. A no-op when the
-/// run is unobserved or unjournaled.
-fn record_push(progress: Option<&Arc<ProgressState>>, axiom: &str) {
-    let Some(progress) = progress else { return };
-    let slot = progress.slot_of(axiom).map(|slot| slot as u32);
-    progress.record(JournalEventKind::Push, slot, 0, 0, 0);
+    Ok(())
 }
 
 /// Reads and fully validates one sealed local entry, also cross-checking

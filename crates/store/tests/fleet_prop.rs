@@ -4,11 +4,17 @@
 //! range tiling and worker thread count — with shards
 //! uploaded out of order, uploaded twice, or recomputed after a lease
 //! expired — the merged suites carry exactly the records and lossless
-//! counters of a single-machine fused run of the same plan.
+//! counters of a single-machine fused run of the same plan, and seal
+//! the same bytes as that run's store entries.
 
 use proptest::prelude::*;
+use std::time::Duration;
+use transform_par::SuiteSink;
 use transform_store::fleet::StageOutcome;
-use transform_store::{execute_lease, merge_fleet_job, read_suite, JobSpec, LeaseGrant, Store};
+use transform_store::{
+    execute_lease, merge_fleet_job, read_suite, suite_fingerprint, EntryMeta, JobSpec, LeaseGrant,
+    PendingSuite, Store,
+};
 use transform_synth::SynthOptions;
 use transform_x86::x86t_elt;
 
@@ -88,8 +94,7 @@ proptest! {
             }
         }
 
-        let sealed =
-            merge_fleet_job(&store, &spec, std::time::Duration::ZERO).expect("merges");
+        let sealed = merge_fleet_job(&store, &spec, Duration::ZERO).expect("merges");
         prop_assert_eq!(sealed.len(), axioms.len());
         for (axiom, fp) in axioms.iter().zip(&sealed) {
             let suite = read_suite(store.open_suite(*fp).expect("sealed")).expect("reads");
@@ -109,6 +114,29 @@ proptest! {
         // The merge seals suites and nothing else beside them.
         prop_assert!(store.legacy_digests().expect("lists").is_empty());
 
+        // A single-machine cached run of the same axioms, sealed with the
+        // merge's zero `elapsed`, writes the fleet's entries byte for byte.
+        let (local_dir, local) = temp_store("local", case);
+        let pending: Vec<PendingSuite> = axioms
+            .iter()
+            .map(|axiom| {
+                let fp = suite_fingerprint(&mtm, axiom, &o);
+                local.begin(fp, EntryMeta::describe(&mtm, axiom, &o)).expect("begins")
+            })
+            .collect();
+        let sinks: Vec<&dyn SuiteSink> = pending.iter().map(|p| p as &dyn SuiteSink).collect();
+        let (stats, _) = transform_par::synthesize_streamed(
+            &mtm, &axioms, &o, plan_jobs as usize, None, None, &sinks,
+        );
+        for ((pending, mut stats), &fp) in pending.into_iter().zip(stats).zip(&sealed) {
+            stats.elapsed = Duration::ZERO;
+            prop_assert_eq!(pending.seal(&stats).expect("seals"), fp);
+            let fleet_bytes = store.entry_bytes(fp).expect("reads").expect("sealed");
+            let local_bytes = local.entry_bytes(fp).expect("reads").expect("sealed");
+            prop_assert!(fleet_bytes == local_bytes, "fleet and local entries differ");
+        }
+
         std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&local_dir).ok();
     }
 }

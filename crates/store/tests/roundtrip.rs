@@ -109,7 +109,7 @@ fn warm_cache_reads_are_byte_identical_to_cold_runs() {
             assert_eq!(cold.stats.forbidden, warm.stats.forbidden);
             assert_eq!(cold.stats.minimal, warm.stats.minimal);
             assert_eq!(cold.stats.elapsed, warm.stats.elapsed);
-            assert_eq!(cold.stats.shards, warm.stats.shards);
+            assert_eq!(cold.stats.items, warm.stats.items);
 
             // And both equal the uncached engine's suite.
             let direct = synthesize_suite(&mtm, axiom, &o);
@@ -118,10 +118,9 @@ fn warm_cache_reads_are_byte_identical_to_cold_runs() {
     }
     std::fs::remove_dir_all(&dir).ok();
 
-    // Cold all-axiom runs seal the same entries at every worker count,
-    // per-shard counters included: a shard is one root partition's
-    // examine batch, whatever the schedule. Only `elapsed` is the run's
-    // own.
+    // Cold all-axiom runs seal the same entries at every worker count:
+    // the same records and counters, in the same number of bytes. Only
+    // `elapsed` is the run's own.
     let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
     for bound in [5, 6] {
         let o = opts(bound, Backend::Explicit);
@@ -136,15 +135,21 @@ fn warm_cache_reads_are_byte_identical_to_cold_runs() {
                     .iter()
                     .map(|axiom| {
                         let fp = suite_fingerprint(&mtm, axiom, &o);
+                        let size = cache
+                            .local()
+                            .entry_bytes(fp)
+                            .expect("reads")
+                            .map(|b| b.len());
                         let reader = cache.local().open_suite(fp).expect("sealed");
                         let s = reader.stats().clone();
                         let stats = (
+                            size,
                             s.programs,
+                            s.items,
                             s.executions,
                             s.forbidden,
                             s.minimal,
                             s.timed_out,
-                            s.shards,
                         );
                         let records: Vec<SuiteRecord> =
                             reader.collect::<Result<_, _>>().expect("records validate");
@@ -155,10 +160,64 @@ fn warm_cache_reads_are_byte_identical_to_cold_runs() {
                 entries
             })
             .collect();
-        assert!(sealed[0].iter().all(|((.., shards), _)| shards.len() > 1));
+        assert!(sealed[0].iter().all(|((_, _, items, ..), _)| *items > 0));
         assert_eq!(sealed[0], sealed[1], "bound {bound}: jobs 1 vs 2");
         assert_eq!(sealed[0], sealed[2], "bound {bound}: jobs 1 vs 3");
     }
+}
+
+/// A bound-4 `invlpg` entry (no fences, no RMW) sealed by a build that
+/// listed one shard per examine batch in its header: 338 bytes, 17
+/// shards whose plan items sum to 37, sealed after 2.346531 ms.
+const PER_BATCH_ENTRY: &str = include_str!("fixtures/invlpg-b4-per-batch.tfs.hex");
+
+#[test]
+fn entries_listing_per_batch_shards_still_serve() {
+    let hex: Vec<u8> = PER_BATCH_ENTRY
+        .bytes()
+        .filter(|b| !b.is_ascii_whitespace())
+        .collect();
+    let bytes: Vec<u8> = hex
+        .chunks(2)
+        .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).expect("ascii"), 16).expect("hex"))
+        .collect();
+    assert_eq!(bytes.len(), 338);
+    let mtm = x86t_elt();
+    let mut o = opts(4, Backend::Explicit);
+    o.enumeration.allow_fences = false;
+    o.enumeration.allow_rmw = false;
+    let fp = suite_fingerprint(&mtm, "invlpg", &o);
+
+    let (cache, dir) = temp_cache("perbatch");
+    cache
+        .local()
+        .install_bytes(fp, &bytes)
+        .expect("the per-batch layout validates");
+    let (served, status) = cached(&cache, &mtm, "invlpg", &o, 2).expect("serves");
+    assert!(matches!(status, CacheStatus::Hit), "{status:?}");
+    assert_eq!(served.stats.items, 37, "the sum of the shards' plan items");
+    assert_eq!(
+        served.stats.elapsed,
+        std::time::Duration::from_nanos(2_346_531)
+    );
+    let direct = synthesize_suite(&mtm, "invlpg", &o);
+    assert_eq!(render(&served), render(&direct));
+    assert_eq!(served.stats.items, direct.stats.items);
+    assert_eq!(served.stats.executions, direct.stats.executions);
+    std::fs::remove_dir_all(&dir).ok();
+
+    // This build seals the same suite with one shard of five one-byte
+    // counters instead of 17, so its header is 80 bytes shorter and its
+    // length varint one byte shorter.
+    let (cache, dir) = temp_cache("onebatch");
+    cached(&cache, &mtm, "invlpg", &o, 2).expect("synthesizes");
+    let sealed = cache
+        .local()
+        .entry_bytes(fp)
+        .expect("reads")
+        .expect("sealed");
+    assert_eq!(sealed.len(), bytes.len() - 16 * 5 - 1);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -18,7 +18,7 @@
 //!    deterministic minimal forbidden witness for every axiom of the run
 //!    in one walk over the candidates;
 //! 3. [`assemble_suite`] — stitch per-program results back together in
-//!    plan order with losslessly aggregated per-shard counters.
+//!    plan order, with the shards' counters summed into one set.
 //!
 //! Every per-program step is independent and deterministic (candidates
 //! are examined in a canonical order, not generation order), so any
@@ -112,15 +112,14 @@ pub struct SuiteRecord {
     pub elt: SynthesizedElt,
 }
 
-/// Work counters for one shard of a suite synthesis.
+/// Work counters for one shard of a suite synthesis: one examine batch,
+/// one fleet range, or a whole sequential run.
 ///
 /// Per-program examination is deterministic, so these counters are a pure
 /// function of which plan items the shard processed — any partition of
 /// the plan sums to the same totals (see [`SuiteStats::from_shards`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ShardStats {
-    /// Shard index within the run (0 for a sequential run).
-    pub shard: usize,
     /// Plan items (deduplicated candidate programs) examined.
     pub items: usize,
     /// Candidate executions examined.
@@ -132,12 +131,10 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
-    /// Empty counters for shard `shard`.
-    pub fn new(shard: usize) -> ShardStats {
-        ShardStats {
-            shard,
-            ..ShardStats::default()
-        }
+    /// Empty counters. The argument is ignored; it is kept because the
+    /// frozen benchmark harness (`perfbench`) calls `ShardStats::new(0)`.
+    pub fn new(_shard: usize) -> ShardStats {
+        ShardStats::default()
     }
 
     /// Adds one examined program's counters.
@@ -149,11 +146,14 @@ impl ShardStats {
     }
 }
 
-/// Counters for one suite synthesis.
+/// Counters for one suite synthesis: one set per suite, however many
+/// shards examined its plan.
 #[derive(Clone, Debug, Default)]
 pub struct SuiteStats {
     /// Programs enumerated at the bound.
     pub programs: usize,
+    /// Plan items (deduplicated candidate programs) examined.
+    pub items: usize,
     /// Candidate executions examined.
     pub executions: usize,
     /// Executions with a forbidden outcome for the target axiom.
@@ -164,22 +164,30 @@ pub struct SuiteStats {
     pub elapsed: Duration,
     /// `true` when the run stopped on the timeout instead of completing.
     pub timed_out: bool,
-    /// Per-shard counters; the totals above are their exact sums.
-    pub shards: Vec<ShardStats>,
 }
 
 impl SuiteStats {
-    /// Aggregates per-shard counters losslessly: every total is the exact
-    /// sum of its per-shard contributions, independent of the partition.
-    pub fn from_shards(programs: usize, shards: Vec<ShardStats>) -> SuiteStats {
+    /// Sums per-shard counters: every total is the exact sum of its
+    /// per-shard contributions, independent of the partition.
+    pub fn from_shards(programs: usize, shards: &[ShardStats]) -> SuiteStats {
         SuiteStats {
             programs,
+            items: shards.iter().map(|s| s.items).sum(),
             executions: shards.iter().map(|s| s.executions).sum(),
             forbidden: shards.iter().map(|s| s.forbidden).sum(),
             minimal: shards.iter().map(|s| s.minimal).sum(),
             elapsed: Duration::ZERO,
             timed_out: false,
-            shards,
+        }
+    }
+
+    /// The suite's work counters as one shard covering its whole plan.
+    pub fn totals(&self) -> ShardStats {
+        ShardStats {
+            items: self.items,
+            executions: self.executions,
+            forbidden: self.forbidden,
+            minimal: self.minimal,
         }
     }
 }
@@ -545,7 +553,7 @@ fn candidate_order_key(x: &Execution) -> impl Ord {
 }
 
 /// Phase 3 of the pipeline: reassembles per-item results (in plan order)
-/// into a [`Suite`] with lossless per-shard counters.
+/// into a [`Suite`] whose counters are the sum of `shards`.
 pub fn assemble_suite(
     axiom: &str,
     plan: &SynthPlan,
@@ -566,7 +574,7 @@ pub fn assemble_suite(
             })
         })
         .collect();
-    let mut stats = SuiteStats::from_shards(plan.programs, shards);
+    let mut stats = SuiteStats::from_shards(plan.programs, &shards);
     stats.elapsed = elapsed;
     stats.timed_out = timed_out || plan.timed_out;
     Suite {

@@ -65,7 +65,7 @@ fn seeds() -> &'static Seeds {
             hi,
             programs: suite.stats.programs,
             per_axiom: vec![AxiomShard {
-                stats: suite.stats.shards[0],
+                stats: suite.stats.totals(),
                 records: records.clone(),
             }],
         };
