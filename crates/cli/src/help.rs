@@ -224,8 +224,9 @@ usage: transform serve --root DIR [--addr HOST:PORT] [--threads N]
 Serve a suite store over HTTP as a fleet-wide shared cache. Clients
 point `--cache-url` at it: GET/HEAD /v1/suite/<fingerprint> serves
 sealed entries, PUT uploads them (validated byte-for-byte before
-sealing, idempotent), GET /v1/index serves the entry index,
-GET /healthz reports liveness, and GET /v1/metrics exposes the request
+sealing, idempotent), GET /v1/index lists every readable entry's key
+(read from the entry headers on each request), GET /healthz reports
+liveness, and GET /v1/metrics exposes the request
 counters (requests, hits, puts, bytes, per-route request counts and
 latency histograms, in-flight connections) in the Prometheus text
 format — scrape it, or watch it live with `transform top`. Run
@@ -360,7 +361,8 @@ usage: transform store verify --cache DIR [--remove-corrupt]
 Re-checksum every sealed suite of a local store offline: header, every
 record, and the trailer — and every recorded run journal end to end.
 Reports (and with --remove-corrupt deletes) entries and journals that
-fail.
+fail. Each entry's header is its only key record, so there is no
+separate index to check.
 
 flags:
   --remove-corrupt       delete entries and journals that fail validation
@@ -377,9 +379,10 @@ usage: transform store gc --cache DIR [--older-than-days N]
            [--keep-list FILE] [--dry-run]
 
 Age out cached suites by mtime and/or a keep-list of fingerprints,
-sweep leftover tmp-* shard directories and the admission digests
-(*.tfd) older builds wrote beside their entries, and (with
---older-than-days) age out run journals by the same cutoff.
+sweep leftover tmp-* shard directories and the legacy files older
+builds wrote beside their entries (the admission digests *.tfd and
+the entry index, index.tfx), and (with --older-than-days) age out run
+journals by the same cutoff.
 
 flags:
   --older-than-days N    remove entries and run journals older than N days

@@ -338,34 +338,15 @@ fn cmd_synthesize(mut opts: Opts) -> Result<String, String> {
         )?;
         return render_synthesize_output(&axioms, bound, jobs, &suites, quiet, out_file.as_deref());
     }
-    // --progress: a shared atomics block the run publishes into and a
-    // reporter thread renders from (stderr only — stdout is identical
-    // to an unobserved run). Cached runs observe unconditionally so the
-    // run journal records them; observation never changes the suite.
-    let (progress, reporter) = start_progress(progress_mode, &axioms, cache.is_some());
-    let recorder = start_recorder(
-        progress.as_ref(),
-        cache.as_deref(),
-        cache_url.as_deref(),
-        &mtm,
-        &sopts,
-        jobs,
-    )?;
-    let suites = synthesize_maybe_cached(
+    let suites = synthesize_observed(
         &mtm,
         &axioms,
         &sopts,
         jobs,
         cache.as_deref(),
         cache_url.as_deref(),
-        progress.as_ref(),
+        progress_mode,
     )?;
-    if let Some(reporter) = reporter {
-        reporter.finish();
-    }
-    if let Some(recorder) = recorder {
-        recorder.finish();
-    }
     render_synthesize_output(&axioms, bound, jobs, &suites, quiet, out_file.as_deref())
 }
 
@@ -680,42 +661,34 @@ fn suite_summary(axiom: &str, bound: usize, suite: &Suite, jobs: usize) -> Strin
     )
 }
 
-/// Builds the progress state + reporter pair behind `--progress` and
-/// the run journal. No mode and no journal means no observation at all
-/// — the run takes the plain, un-instrumented entry points; a
-/// journaled run allocates the event buffer even without a reporter.
-fn start_progress(
-    mode: Option<ProgressMode>,
-    axioms: &[String],
-    journal: bool,
-) -> (Option<Arc<ProgressState>>, Option<Reporter>) {
-    if mode.is_none() && !journal {
-        return (None, None);
-    }
-    let state = Arc::new(if journal {
-        ProgressState::with_journal(axioms)
-    } else {
-        ProgressState::new(axioms)
-    });
-    let reporter = mode.map(|mode| Reporter::start(Arc::clone(&state), mode));
-    (Some(state), reporter)
-}
-
-/// Starts the run-journal recorder for a cached synthesis run: a
-/// heartbeat keeps a `Running` manifest in the store (and on the
-/// remote tier) while the run executes, and `finish` seals the full
-/// journal. `None` when the run is uncached — journals live in the
-/// store, so there is nowhere to record one.
-fn start_recorder(
-    progress: Option<&Arc<ProgressState>>,
-    cache: Option<&str>,
-    cache_url: Option<&str>,
+/// [`synthesize_maybe_cached`] under observation. `--progress` gets a
+/// shared atomics block the run publishes into and a reporter thread
+/// that renders it (stderr only — stdout is identical to an unobserved
+/// run). A cached run always observes, for its journal: a heartbeat
+/// keeps a `Running` manifest in the store (and on the remote tier)
+/// while the run executes, and the full journal is sealed at the end.
+/// With neither, the run takes the plain, un-instrumented entry points.
+/// Observation never changes the suite.
+fn synthesize_observed(
     mtm: &Mtm,
+    axioms: &[String],
     sopts: &SynthOptions,
     jobs: usize,
-) -> Result<Option<runs::JournalRecorder>, String> {
-    match (progress, cache) {
-        (Some(progress), Some(dir)) => runs::JournalRecorder::start(
+    cache: Option<&str>,
+    cache_url: Option<&str>,
+    progress_mode: Option<ProgressMode>,
+) -> Result<BTreeMap<String, Suite>, String> {
+    let progress = (progress_mode.is_some() || cache.is_some()).then(|| {
+        Arc::new(match cache {
+            Some(_) => ProgressState::with_journal(axioms),
+            None => ProgressState::new(axioms),
+        })
+    });
+    let reporter = progress_mode
+        .zip(progress.as_ref())
+        .map(|(mode, state)| Reporter::start(Arc::clone(state), mode));
+    let recorder = match (&progress, cache) {
+        (Some(progress), Some(dir)) => Some(runs::JournalRecorder::start(
             dir,
             cache_url,
             mtm.name(),
@@ -724,10 +697,25 @@ fn start_recorder(
             sopts.enumeration.allow_rmw,
             jobs,
             Arc::clone(progress),
-        )
-        .map(Some),
-        _ => Ok(None),
+        )?),
+        _ => None,
+    };
+    let suites = synthesize_maybe_cached(
+        mtm,
+        axioms,
+        sopts,
+        jobs,
+        cache,
+        cache_url,
+        progress.as_ref(),
+    )?;
+    if let Some(reporter) = reporter {
+        reporter.finish();
     }
+    if let Some(recorder) = recorder {
+        recorder.finish();
+    }
+    Ok(suites)
 }
 
 /// The `synthesize`/`compare` synthesis step: every suite of `axioms`
@@ -823,32 +811,17 @@ fn cmd_compare(mut opts: Opts) -> Result<String, String> {
     opts.finish()?;
     let mtm = x86t_elt();
     let axioms: Vec<String> = mtm.axioms().iter().map(|a| a.name.clone()).collect();
-    let (progress, reporter) = start_progress(progress_mode, &axioms, cache.is_some());
-    let recorder = start_recorder(
-        progress.as_ref(),
-        cache.as_deref(),
-        cache_url.as_deref(),
-        &mtm,
-        &sopts,
-        jobs,
-    )?;
     // One fused run covers every axiom (the budget spans the whole
     // run); cached axioms stream from their sealed entries.
-    let suites = synthesize_maybe_cached(
+    let suites = synthesize_observed(
         &mtm,
         &axioms,
         &sopts,
         jobs,
         cache.as_deref(),
         cache_url.as_deref(),
-        progress.as_ref(),
+        progress_mode,
     )?;
-    if let Some(reporter) = reporter {
-        reporter.finish();
-    }
-    if let Some(recorder) = recorder {
-        recorder.finish();
-    }
     let keys = synthesized_keys(suites.values());
     let cmp = compare_suite(&transform_x86::coatcheck::suite(), &keys);
     Ok(transform_x86::compare::render(&cmp))
@@ -1115,32 +1088,11 @@ fn scan_cache(
     warnings: &mut String,
 ) -> Result<(usize, usize, usize), String> {
     let store = Store::open(dir).map_err(|e| format!("cannot open cache `{dir}`: {e}"))?;
-    // The advisory index lets non-matching entries be skipped without
-    // opening their headers; a missing or stale index degrades to the
-    // header scan (indexed metadata is re-checked against the opened
-    // header either way, so the index can only prune, never mis-serve).
-    let entries: Vec<(transform_store::Fingerprint, Option<EntryMeta>)> = match store.read_index() {
-        Some(index) => index
-            .into_iter()
-            .map(|e| (e.fingerprint, Some(e.meta)))
-            .collect(),
-        None => store
-            .entries()
-            .map_err(|e| format!("cache `{dir}`: {e}"))?
-            .into_iter()
-            .map(|fp| (fp, None))
-            .collect(),
-    };
-    let mut scanned = 0usize;
+    let entries = store.entries().map_err(|e| format!("cache `{dir}`: {e}"))?;
+    let scanned = entries.len();
     let mut entries_matched = 0usize;
     let mut records_matched = 0usize;
-    for (fp, indexed_meta) in entries {
-        scanned += 1;
-        if let Some(meta) = &indexed_meta {
-            if !filter.admits_entry(meta) {
-                continue;
-            }
-        }
+    for fp in entries {
         let reader = match store.open_suite(fp) {
             Ok(reader) => reader,
             Err(e) => {
@@ -1454,18 +1406,12 @@ fn cmd_store_verify(mut opts: Opts) -> Result<String, String> {
                 .map_err(|e| format!("cannot remove run {id:016x}: {e}"))?;
         }
     }
-    out.push_str(match store.read_index() {
-        Some(_) => "index: ok\n",
-        None => "index: missing or stale (scans fall back to entry headers)\n",
-    });
-    if remove && !corrupt.is_empty() {
+    if remove {
         for &fp in &corrupt {
             store
                 .remove(fp)
                 .map_err(|e| format!("cannot remove {fp}: {e}"))?;
         }
-        // Best-effort: a failed rebuild only costs scans their fast path.
-        store.rebuild_index().ok();
     }
     out.push_str(&format!(
         "{} ok, {} corrupt of {} sealed entr{}{}\n",
@@ -1538,14 +1484,15 @@ fn cmd_store_gc(mut opts: Opts) -> Result<String, String> {
             out.push_str(&format!("removed {fp}\n"));
         }
     }
-    // Admission digests (`*.tfd`) older builds wrote beside their
-    // entries: nothing reads them, so every one is a leftover.
+    // Admission digests (`*.tfd`) and the entry index (`index.tfx`)
+    // that older builds wrote: nothing reads them, so every one is a
+    // leftover.
     let legacy = store
-        .legacy_digests()
+        .legacy_files()
         .map_err(|e| format!("cache `{dir}`: {e}"))?;
     for path in &legacy {
         if dry {
-            out.push_str(&format!("would sweep legacy digest {}\n", path.display()));
+            out.push_str(&format!("would sweep legacy file {}\n", path.display()));
         } else {
             std::fs::remove_file(path)
                 .map_err(|e| format!("cannot sweep {}: {e}", path.display()))?;
@@ -1586,11 +1533,8 @@ fn cmd_store_gc(mut opts: Opts) -> Result<String, String> {
             .sweep_tmp()
             .map_err(|e| format!("cache `{dir}`: {e}"))?
     };
-    if removed > 0 && !dry {
-        store.rebuild_index().ok();
-    }
     out.push_str(&format!(
-        "{}{} entr{} removed, {} kept, {} tmp dir{} swept, {} legacy digest{} swept, {} run journal{} removed\n",
+        "{}{} entr{} removed, {} kept, {} tmp dir{} swept, {} legacy file{} swept, {} run journal{} removed\n",
         if dry { "[dry-run] " } else { "" },
         removed,
         if removed == 1 { "y" } else { "ies" },
@@ -2059,7 +2003,7 @@ mod tests {
             clean.contains("2 ok, 0 corrupt of 2 sealed entries"),
             "{clean}"
         );
-        assert!(clean.contains("index: ok"), "{clean}");
+        assert!(!clean.contains("index"), "no index to report:\n{clean}");
 
         // Damage one entry mid-file.
         let entry = std::fs::read_dir(&cache)
@@ -2088,7 +2032,7 @@ mod tests {
             after.contains("1 ok, 0 corrupt of 1 sealed entry"),
             "{after}"
         );
-        assert!(after.contains("index: ok"), "{after}");
+        assert!(!cache.join("index.tfx").exists(), "removal writes no index");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2117,10 +2061,10 @@ mod tests {
         ))
         .expect("dry-runs");
         assert!(dry.contains("would remove"), "{dry}");
-        assert!(dry.contains("would sweep legacy digest"), "{dry}");
+        assert!(dry.contains("would sweep legacy file"), "{dry}");
         assert!(
             dry.contains(
-                "[dry-run] 2 entries removed, 0 kept, 1 tmp dir swept, 1 legacy digest swept"
+                "[dry-run] 2 entries removed, 0 kept, 1 tmp dir swept, 1 legacy file swept"
             ),
             "{dry}"
         );
@@ -2139,7 +2083,7 @@ mod tests {
         .expect("gcs");
         assert!(
             out.contains(
-                "1 entry removed, 1 kept, 1 tmp dir swept, 1 legacy digest swept, \
+                "1 entry removed, 1 kept, 1 tmp dir swept, 1 legacy file swept, \
                  2 run journals removed"
             ),
             "{out}"
@@ -2148,8 +2092,7 @@ mod tests {
         assert!(!legacy.exists(), "gc sweeps every legacy digest");
         assert!(store.run_ids().expect("listable").is_empty());
         assert_eq!(store.entries().expect("listable"), vec![protected]);
-        // The index was rebuilt to match.
-        assert_eq!(store.read_index().expect("fresh index").len(), 1);
+        assert!(!cache.join("index.tfx").exists(), "gc writes no index");
 
         // Keep-list alone: unlisted entries go regardless of age.
         run_str(&format!(
@@ -2165,24 +2108,68 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Stores sealed by earlier builds hold an `index.tfx` beside their
+    /// entries. Nothing reads it: `query`, `export` and `GET /v1/index`
+    /// answer the same with a fresh one, a stale one, or none, and
+    /// `store gc` sweeps it.
     #[test]
-    fn query_is_identical_with_and_without_the_index() {
-        let dir = temp_dir("index-query");
+    fn leftover_index_files_change_no_output_and_gc_sweeps_them() {
+        use transform_serve::{ServeOptions, Server};
+        use transform_store::index::{self, IndexEntry};
+        let dir = temp_dir("leftover-index");
         let cache = dir.join("store");
         let c = cache.display();
-        run_str(&format!(
-            "synthesize --axiom invlpg --bound 4 --quiet --cache {c}"
-        ))
-        .expect("seeds invlpg");
-        run_str(&format!(
-            "synthesize --axiom sc_per_loc --bound 4 --quiet --cache {c}"
-        ))
-        .expect("seeds sc_per_loc");
-        assert!(cache.join(transform_store::INDEX_FILE).exists());
-        let indexed = run_str(&format!("query --cache {c} --axiom invlpg")).expect("queries");
-        std::fs::remove_file(cache.join(transform_store::INDEX_FILE)).expect("removable");
-        let scanned = run_str(&format!("query --cache {c} --axiom invlpg")).expect("queries");
-        assert_eq!(indexed, scanned, "index must only prune, never reorder");
+        for axiom in ["invlpg", "sc_per_loc"] {
+            run_str(&format!(
+                "synthesize --axiom {axiom} --bound 4 --quiet --cache {c}"
+            ))
+            .expect("seeds");
+        }
+        let store = Store::open(&cache).expect("opens");
+        let server = Server::bind(&cache, "127.0.0.1:0", ServeOptions::default()).expect("binds");
+        let url = format!("http://{}", server.local_addr());
+        let handle = server.spawn();
+        let client = HttpTier::new(&url).expect("valid URL");
+        let outputs = || {
+            let wire = index::encode(&client.index().expect("index serves"));
+            [
+                run_str(&format!("query --cache {c}")).expect("queries"),
+                run_str(&format!("query --cache {c} --axiom invlpg")).expect("queries"),
+                run_str(&format!("export --cache {c}")).expect("exports"),
+                String::from_utf8_lossy(&wire).into_owned(),
+            ]
+        };
+        assert!(!cache.join("index.tfx").exists(), "no command writes one");
+        let without = outputs();
+        assert!(
+            without[0].contains("(2 cached suites scanned)"),
+            "{}",
+            without[0]
+        );
+
+        // An index that matches the store, as an earlier build left it.
+        let listed = index::scan(&store).expect("scans");
+        assert_eq!(listed.len(), 2);
+        std::fs::write(cache.join("index.tfx"), index::encode(&listed)).expect("plants");
+        assert_eq!(outputs(), without, "a fresh leftover index changes nothing");
+
+        // A stale one: an entry missing, a phantom listed in its place.
+        let phantom = IndexEntry {
+            fingerprint: Fingerprint(7),
+            meta: listed[0].meta.clone(),
+        };
+        let stale = index::encode(&[listed[1].clone(), phantom]);
+        std::fs::write(cache.join("index.tfx"), stale).expect("plants");
+        assert_eq!(outputs(), without, "a stale leftover index changes nothing");
+        handle.shutdown();
+
+        let out = run_str(&format!("store gc --cache {c}")).expect("gcs");
+        assert!(
+            out.contains("0 entries removed, 2 kept, 0 tmp dirs swept, 1 legacy file swept"),
+            "{out}"
+        );
+        assert!(!cache.join("index.tfx").exists(), "gc sweeps the leftover");
+        assert_eq!(store.entries().expect("listable").len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -302,20 +302,22 @@ impl FleetState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use transform_store::Fingerprint;
+    use transform_store::{Fingerprint, KeyOptions};
 
     fn spec(ttl_ms: u64) -> JobSpec {
         JobSpec {
             mtm_name: "demo".to_string(),
             model: "mtm demo { axiom a: acyclic(po) }".to_string(),
             axioms: vec![("a".to_string(), Fingerprint(7))],
-            bound: 4,
-            max_threads: None,
-            allow_fences: false,
-            allow_rmw: false,
-            allow_identity_remap: false,
-            symmetry_reduction: true,
-            backend: "explicit".to_string(),
+            key: KeyOptions {
+                bound: 4,
+                max_threads: None,
+                allow_fences: false,
+                allow_rmw: false,
+                allow_identity_remap: false,
+                symmetry_reduction: true,
+                backend: "explicit".to_string(),
+            },
             plan_jobs: 2,
             lease_ttl_ms: ttl_ms,
             ranges: vec![(0, 2), (2, 5)],

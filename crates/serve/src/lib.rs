@@ -17,7 +17,7 @@
 //! |---|---|
 //! | `GET /healthz` | liveness, entry count, request counters |
 //! | `GET /v1/metrics` | the counters in Prometheus text format 0.0.4 (requests, hits/misses, puts, bytes, per-route request/latency breakdowns, in-flight gauge) |
-//! | `GET /v1/index` | the entry index (`transform_store::index::encode` bytes) |
+//! | `GET /v1/index` | every readable entry's fingerprint and key, read from the entry headers (`transform_store::index::encode` bytes) |
 //! | `HEAD /v1/suite/<fingerprint>` | `200` when sealed, `404` otherwise |
 //! | `GET /v1/suite/<fingerprint>` | the sealed entry's bytes, streamed |
 //! | `PUT /v1/suite/<fingerprint>` | validate **every byte**, seal atomically; idempotent |

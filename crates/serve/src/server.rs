@@ -615,27 +615,20 @@ fn route(
             }
             Ok(200)
         }
-        ("GET", "/v1/index") => {
-            // Prefer the advisory index; rebuild it when missing or
-            // stale so the response always reflects the sealed entries.
-            let entries = store
-                .read_index()
-                .or_else(|| store.rebuild_index().ok().and_then(|_| store.read_index()));
-            match entries {
-                Some(entries) => {
-                    let bytes = transform_store::index::encode(&entries);
-                    respond(stream, 200, &bytes, "application/octet-stream")?;
-                    metrics
-                        .bytes_served
-                        .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                    Ok(200)
-                }
-                None => {
-                    respond_text(stream, 500, "index unavailable\n")?;
-                    Ok(500)
-                }
+        ("GET", "/v1/index") => match transform_store::index::scan(store) {
+            Ok(entries) => {
+                let bytes = transform_store::index::encode(&entries);
+                respond(stream, 200, &bytes, "application/octet-stream")?;
+                metrics
+                    .bytes_served
+                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+                Ok(200)
             }
-        }
+            Err(e) => {
+                respond_text(stream, 500, &format!("{e}\n"))?;
+                Ok(500)
+            }
+        },
         (method @ ("GET" | "HEAD"), path) if path.starts_with("/v1/suite/") => {
             let Some(fp) = parse_suite_path(path) else {
                 respond_text(stream, 400, "malformed fingerprint\n")?;
@@ -1033,7 +1026,7 @@ fn validate_job_spec(spec: &JobSpec) -> Result<(), String> {
             mtm.name()
         ));
     }
-    let opts = spec.synth_options().map_err(|e| e.to_string())?;
+    let opts = spec.key.synth_options().map_err(|e| e.to_string())?;
     for (axiom, fp) in &spec.axioms {
         let expected = suite_fingerprint(&mtm, axiom, &opts);
         if expected != *fp {

@@ -94,7 +94,7 @@ fn leased_workers_reproduce_the_single_machine_run() {
         assert_eq!(sealed.stats.minimal, reference.stats.minimal);
     }
     // The merge seals suites and writes nothing beside them.
-    assert!(store.legacy_digests().expect("lists").is_empty());
+    assert!(store.legacy_files().expect("lists").is_empty());
 
     // Idempotent re-upload: the identical bytes are a duplicate, not a
     // conflict, even after the job sealed.

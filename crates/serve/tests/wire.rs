@@ -97,6 +97,31 @@ fn reupload_is_idempotent_and_indexed() {
     assert_eq!(index[0].meta.axiom, "invlpg");
     assert_eq!(index[0].meta.bound, 4);
 
+    // The index is read from the entry headers on each request: no
+    // index file is kept, a corrupt entry is skipped, and an entry
+    // removed out of band is gone from the next answer.
+    let (_, other_fp, other_bytes) = &sealed_suites()[0];
+    client.publish(*other_fp, other_bytes).expect("PUT accepts");
+    let listed: Vec<Fingerprint> = client
+        .index()
+        .expect("index serves")
+        .iter()
+        .map(|e| e.fingerprint)
+        .collect();
+    let mut both = vec![*fp, *other_fp];
+    both.sort();
+    assert_eq!(listed, both);
+    assert!(!dir.join("index.tfx").exists(), "no index file is written");
+    let store = Store::open(&dir).expect("opens");
+    let mut damaged = other_bytes.clone();
+    damaged[16] ^= 0xff; // inside the header, under its checksum
+    std::fs::write(store.entry_path(*other_fp), &damaged).expect("damages");
+    let index = client.index().expect("index serves");
+    assert_eq!(index.len(), 1, "the corrupt entry is skipped");
+    assert_eq!(index[0].fingerprint, *fp);
+    std::fs::remove_file(store.entry_path(*fp)).expect("removes");
+    assert!(client.index().expect("index serves").is_empty());
+
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

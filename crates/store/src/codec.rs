@@ -28,17 +28,22 @@ use transform_synth::{ShardStats, SuiteRecord, SuiteStats, SynthesizedElt};
 /// readers reject other versions and the cache resynthesizes.
 pub const FORMAT_VERSION: u32 = 2;
 
-/// A decoding failure: malformed, truncated, or out-of-range bytes.
+/// A decoding failure: malformed, truncated, or out-of-range bytes, or
+/// a frame written by another format version.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CodecError {
     /// What went wrong.
     pub message: String,
+    /// The format version of a frame another build wrote, which the
+    /// store reports as [`StoreError::Version`](crate::StoreError::Version).
+    pub(crate) found_version: Option<u32>,
 }
 
 impl CodecError {
     pub(crate) fn new(message: impl Into<String>) -> CodecError {
         CodecError {
             message: message.into(),
+            found_version: None,
         }
     }
 }
@@ -92,6 +97,53 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = Fnv64::new();
     h.update(bytes);
     h.finish()
+}
+
+/// Encodes a self-checking frame: `magic`, [`FORMAT_VERSION`], the
+/// payload `body` writes, and an FNV-1a 64 trailer over all of it. Run
+/// journals, run lists, the `/v1/index` body and the fleet messages
+/// are frames.
+pub(crate) fn seal_frame(magic: &[u8; 8], body: impl FnOnce(&mut Enc)) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.raw(magic);
+    e.u32(FORMAT_VERSION);
+    body(&mut e);
+    let mut bytes = e.into_bytes();
+    let checksum = fnv1a64(&bytes);
+    bytes.extend_from_slice(&checksum.to_le_bytes());
+    bytes
+}
+
+/// Opens a [`seal_frame`] frame: checks the trailer, the magic and the
+/// version, and returns a cursor over the payload. A version mismatch
+/// records the version found in the error.
+pub(crate) fn open_frame<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 8],
+    what: &str,
+) -> Result<Dec<'a>, CodecError> {
+    if bytes.len() < magic.len() + 4 + 8 {
+        return Err(CodecError::new(format!("{what} truncated")));
+    }
+    let (body, tail) = bytes.split_at(bytes.len() - 8);
+    let stored = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
+    if fnv1a64(body) != stored {
+        return Err(CodecError::new(format!("{what} checksum mismatch")));
+    }
+    let mut d = Dec::new(body);
+    if d.bytes(magic.len())? != magic {
+        return Err(CodecError::new(format!("bad {what} magic")));
+    }
+    let version = d.u32()?;
+    if version != FORMAT_VERSION {
+        return Err(CodecError {
+            found_version: Some(version),
+            ..CodecError::new(format!(
+                "{what} format version {version}, expected {FORMAT_VERSION}"
+            ))
+        });
+    }
+    Ok(d)
 }
 
 /// The one LEB128 decoder: pulls bytes from `next_byte` until the

@@ -34,18 +34,16 @@
 //! worker count, upload order, retries, or lease reassignment.
 
 use crate::codec::{
-    decode_record, decode_shard_stats, encode_record, encode_shard_stats, fnv1a64, CodecError, Dec,
-    Enc, FORMAT_VERSION,
+    decode_record, decode_shard_stats, encode_record, encode_shard_stats, fnv1a64, open_frame,
+    seal_frame, CodecError,
 };
 use crate::fingerprint::Fingerprint;
-use crate::store::{EntryMeta, Store, StoreError};
+use crate::store::{write_staged, EntryMeta, KeyOptions, Store, StoreError};
 use std::fs;
 use std::path::PathBuf;
 use std::time::Duration;
 use transform_par::SuiteSink;
-use transform_synth::{
-    Backend, EnumOptions, EnumSpace, ShardStats, SuiteRecord, SuiteStats, SynthOptions,
-};
+use transform_synth::{EnumSpace, ShardStats, SuiteRecord, SuiteStats, SynthOptions};
 
 const JOB_MAGIC: &[u8; 8] = b"TFJOBSP\0";
 /// Shard results carry range-local plan indices since this magic; the
@@ -82,20 +80,9 @@ pub struct JobSpec {
     /// The run axioms in run order, each with its precomputed store
     /// fingerprint (the coordinator never parses the MTM).
     pub axioms: Vec<(String, Fingerprint)>,
-    /// The instruction bound.
-    pub bound: usize,
-    /// The enumeration thread cap, if any.
-    pub max_threads: Option<usize>,
-    /// Whether `MFENCE` is in the program space.
-    pub allow_fences: bool,
-    /// Whether RMW pairs are in the program space.
-    pub allow_rmw: bool,
-    /// Whether identity remaps are in the program space.
-    pub allow_identity_remap: bool,
-    /// Whether symmetry reduction is applied.
-    pub symmetry_reduction: bool,
-    /// The candidate-execution backend tag (`explicit`/`relational`).
-    pub backend: String,
+    /// The options the run synthesizes with; they read as the spec's
+    /// own fields (`spec.bound`).
+    pub key: KeyOptions,
     /// The worker count the client planned with. It no longer shapes
     /// the partitions (one per root shape at any worker count) and is
     /// kept in the wire layout; it must be nonzero.
@@ -111,39 +98,25 @@ pub struct JobSpec {
 impl JobSpec {
     /// Encodes the spec (magic, version, fields, trailing checksum).
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.raw(JOB_MAGIC);
-        e.u32(FORMAT_VERSION);
-        e.string(&self.mtm_name);
-        e.string(&self.model);
-        e.size(self.axioms.len());
-        for (name, fp) in &self.axioms {
-            e.string(name);
-            e.u64((fp.0 >> 64) as u64);
-            e.u64(fp.0 as u64);
-        }
-        e.size(self.bound);
-        match self.max_threads {
-            Some(t) => {
-                e.boolean(true);
-                e.size(t);
+        seal_frame(JOB_MAGIC, |e| {
+            e.string(&self.mtm_name);
+            e.string(&self.model);
+            e.size(self.axioms.len());
+            for (name, fp) in &self.axioms {
+                e.string(name);
+                e.u64((fp.0 >> 64) as u64);
+                e.u64(fp.0 as u64);
             }
-            None => e.boolean(false),
-        }
-        e.boolean(self.allow_fences);
-        e.boolean(self.allow_rmw);
-        e.boolean(self.allow_identity_remap);
-        e.boolean(self.symmetry_reduction);
-        e.string(&self.backend);
-        e.boolean(true); // the old partitioning byte, always 1
-        e.u32(self.plan_jobs);
-        e.u64(self.lease_ttl_ms);
-        e.size(self.ranges.len());
-        for &(lo, hi) in &self.ranges {
-            e.u32(lo);
-            e.u32(hi);
-        }
-        seal_frame(e)
+            self.key.encode(e);
+            e.boolean(true); // the old partitioning byte, always 1
+            e.u32(self.plan_jobs);
+            e.u64(self.lease_ttl_ms);
+            e.size(self.ranges.len());
+            for &(lo, hi) in &self.ranges {
+                e.u32(lo);
+                e.u32(hi);
+            }
+        })
     }
 
     /// Decodes and validates a spec: magic, version, checksum, range
@@ -160,13 +133,7 @@ impl JobSpec {
             let lo = d.u64()?;
             axioms.push((name, Fingerprint((u128::from(hi) << 64) | u128::from(lo))));
         }
-        let bound = d.size()?;
-        let max_threads = if d.boolean()? { Some(d.size()?) } else { None };
-        let allow_fences = d.boolean()?;
-        let allow_rmw = d.boolean()?;
-        let allow_identity_remap = d.boolean()?;
-        let symmetry_reduction = d.boolean()?;
-        let backend = d.string()?;
+        let key = KeyOptions::decode(&mut d)?;
         if !d.boolean()? {
             return Err(CodecError::new(
                 "job spec asks for depth partitioning, which this build does not support",
@@ -188,13 +155,7 @@ impl JobSpec {
             mtm_name,
             model,
             axioms,
-            bound,
-            max_threads,
-            allow_fences,
-            allow_rmw,
-            allow_identity_remap,
-            symmetry_reduction,
-            backend,
+            key,
             plan_jobs,
             lease_ttl_ms,
             ranges,
@@ -236,7 +197,6 @@ impl JobSpec {
             );
         }
         let space = EnumSpace::new(&opts.enumeration);
-        let e = &opts.enumeration;
         JobSpec {
             mtm_name: mtm.name().to_string(),
             model: mtm.to_string(),
@@ -249,13 +209,7 @@ impl JobSpec {
                     )
                 })
                 .collect(),
-            bound: e.bound,
-            max_threads: e.max_threads,
-            allow_fences: e.allow_fences,
-            allow_rmw: e.allow_rmw,
-            allow_identity_remap: e.allow_identity_remap,
-            symmetry_reduction: e.symmetry_reduction,
-            backend: crate::fingerprint::backend_tag(opts.backend).to_string(),
+            key: KeyOptions::of(opts),
             plan_jobs: plan_jobs.max(1),
             lease_ttl_ms,
             ranges: balanced_ranges(space.masses(), chunks),
@@ -290,43 +244,22 @@ impl JobSpec {
         Ok(())
     }
 
-    /// Reconstructs the [`SynthOptions`] a worker runs with. Errors on
-    /// an unknown backend tag (version-skewed coordinator).
-    pub fn synth_options(&self) -> Result<SynthOptions, CodecError> {
-        let backend = match self.backend.as_str() {
-            "explicit" => Backend::Explicit,
-            "relational" => Backend::Relational,
-            other => {
-                return Err(CodecError::new(format!("unknown backend tag `{other}`")));
-            }
-        };
-        let mut enumeration = EnumOptions::new(self.bound);
-        enumeration.max_threads = self.max_threads;
-        enumeration.allow_fences = self.allow_fences;
-        enumeration.allow_rmw = self.allow_rmw;
-        enumeration.allow_identity_remap = self.allow_identity_remap;
-        enumeration.symmetry_reduction = self.symmetry_reduction;
-        Ok(SynthOptions {
-            enumeration,
-            backend,
-            timeout: None,
-        })
-    }
-
     /// The store metadata for run axiom `axiom_index`, identical to
     /// what a local run would have written.
     pub fn entry_meta(&self, axiom_index: usize) -> EntryMeta {
         EntryMeta {
             mtm: self.mtm_name.clone(),
             axiom: self.axioms[axiom_index].0.clone(),
-            bound: self.bound,
-            max_threads: self.max_threads,
-            allow_fences: self.allow_fences,
-            allow_rmw: self.allow_rmw,
-            allow_identity_remap: self.allow_identity_remap,
-            symmetry_reduction: self.symmetry_reduction,
-            backend: self.backend.clone(),
+            key: self.key.clone(),
         }
+    }
+}
+
+impl std::ops::Deref for JobSpec {
+    type Target = KeyOptions;
+
+    fn deref(&self) -> &KeyOptions {
+        &self.key
     }
 }
 
@@ -362,24 +295,22 @@ pub struct AxiomShard {
 impl ShardResult {
     /// Encodes the result (magic, version, payload, trailing checksum).
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.raw(SHARD_RESULT_MAGIC);
-        e.u32(FORMAT_VERSION);
-        e.u64(self.job);
-        e.u32(self.lo);
-        e.u32(self.hi);
-        e.size(self.programs);
-        e.size(self.per_axiom.len());
-        for ax in &self.per_axiom {
-            encode_shard_stats(&mut e, &ax.stats);
-            e.size(ax.records.len());
-            for record in &ax.records {
-                let payload = encode_record(record);
-                e.size(payload.len());
-                e.raw(&payload);
+        seal_frame(SHARD_RESULT_MAGIC, |e| {
+            e.u64(self.job);
+            e.u32(self.lo);
+            e.u32(self.hi);
+            e.size(self.programs);
+            e.size(self.per_axiom.len());
+            for ax in &self.per_axiom {
+                encode_shard_stats(e, &ax.stats);
+                e.size(ax.records.len());
+                for record in &ax.records {
+                    let payload = encode_record(record);
+                    e.size(payload.len());
+                    e.raw(&payload);
+                }
             }
-        }
-        seal_frame(e)
+        })
     }
 
     /// Decodes and validates a shard result: checksum, and a plan
@@ -458,18 +389,16 @@ impl LeaseGrant {
     /// Encodes the grant (magic, version, fields, embedded spec,
     /// trailing checksum).
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.raw(LEASE_MAGIC);
-        e.u32(FORMAT_VERSION);
-        e.u64(self.lease);
-        e.u64(self.job);
-        e.u32(self.lo);
-        e.u32(self.hi);
-        e.u64(self.ttl_ms);
-        let spec = self.spec.encode();
-        e.size(spec.len());
-        e.raw(&spec);
-        seal_frame(e)
+        seal_frame(LEASE_MAGIC, |e| {
+            e.u64(self.lease);
+            e.u64(self.job);
+            e.u32(self.lo);
+            e.u32(self.hi);
+            e.u64(self.ttl_ms);
+            let spec = self.spec.encode();
+            e.size(spec.len());
+            e.raw(&spec);
+        })
     }
 
     /// Decodes a grant, validating the checksum and that the embedded
@@ -505,38 +434,6 @@ impl LeaseGrant {
             spec,
         })
     }
-}
-
-/// Appends the frame checksum (FNV-1a 64 of everything so far).
-fn seal_frame(e: Enc) -> Vec<u8> {
-    let mut bytes = e.into_bytes();
-    let checksum = fnv1a64(&bytes);
-    bytes.extend_from_slice(&checksum.to_le_bytes());
-    bytes
-}
-
-/// Validates magic, version, and trailing checksum; returns a cursor
-/// over the payload between them.
-fn open_frame<'a>(bytes: &'a [u8], magic: &[u8; 8], what: &str) -> Result<Dec<'a>, CodecError> {
-    if bytes.len() < magic.len() + 4 + 8 {
-        return Err(CodecError::new(format!("{what} truncated")));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
-    if fnv1a64(body) != stored {
-        return Err(CodecError::new(format!("{what} checksum mismatch")));
-    }
-    let mut d = Dec::new(body);
-    if d.bytes(magic.len())? != magic {
-        return Err(CodecError::new(format!("bad {what} magic")));
-    }
-    let version = d.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(CodecError::new(format!(
-            "{what} format version {version}, expected {FORMAT_VERSION}"
-        )));
-    }
-    Ok(d)
 }
 
 /// The outcome of staging one shard upload.
@@ -596,19 +493,11 @@ impl Store {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(e.into()),
         }
-        let dir = self.fleet_dir(job);
-        fs::create_dir_all(&dir)?;
-        static NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let nonce = NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let staged = dir.join(format!(
-            "incoming-{lo:08}-{hi:08}-{}-{nonce}",
-            std::process::id()
-        ));
-        fs::write(&staged, bytes)?;
+        fs::create_dir_all(self.fleet_dir(job))?;
         // Concurrent duplicate uploads race the rename; both carry the
         // deterministic pipeline's identical bytes, so last-wins is
         // indistinguishable from first-wins.
-        fs::rename(&staged, &path)?;
+        write_staged(&path, &format!("shard-{lo:08}-{hi:08}"), bytes, |_| Ok(()))?;
         Ok(StageOutcome::New)
     }
 
@@ -807,6 +696,7 @@ pub fn execute_lease(grant: &LeaseGrant, jobs: usize) -> Result<ShardResult, Sto
     let mtm = transform_core::spec::parse_mtm(&spec.model)
         .map_err(|e| StoreError::Corrupt(format!("leased model does not parse: {e}")))?;
     let opts = spec
+        .key
         .synth_options()
         .map_err(|e| StoreError::Corrupt(format!("leased job spec: {e}")))?;
     let axioms: Vec<&str> = spec.axioms.iter().map(|(name, _)| name.as_str()).collect();
@@ -882,13 +772,15 @@ mod tests {
             mtm_name: "demo".to_string(),
             model: "mtm demo {\n  axiom sc_per_loc: acyclic(rf | co | fr | po_loc)\n}".to_string(),
             axioms: vec![("sc_per_loc".to_string(), Fingerprint(0x1234_5678_9abc))],
-            bound: 4,
-            max_threads: None,
-            allow_fences: false,
-            allow_rmw: false,
-            allow_identity_remap: false,
-            symmetry_reduction: true,
-            backend: "explicit".to_string(),
+            key: KeyOptions {
+                bound: 4,
+                max_threads: None,
+                allow_fences: false,
+                allow_rmw: false,
+                allow_identity_remap: false,
+                symmetry_reduction: true,
+                backend: "explicit".to_string(),
+            },
             plan_jobs: 2,
             lease_ttl_ms: 10_000,
             ranges: vec![(0, 3), (3, 8)],
@@ -903,7 +795,7 @@ mod tests {
         assert_eq!(decoded.id(), a.id());
 
         let mut b = spec();
-        b.bound = 5;
+        b.key.bound = 5;
         assert_ne!(a.id(), b.id());
     }
 
@@ -944,15 +836,15 @@ mod tests {
 
     #[test]
     fn synth_options_round_trip_the_spec_fields() {
-        let opts = spec().synth_options().expect("known backend");
+        let opts = spec().key.synth_options().expect("known backend");
         assert_eq!(opts.enumeration.bound, 4);
         assert!(!opts.enumeration.allow_fences);
         assert!(opts.enumeration.symmetry_reduction);
-        assert_eq!(opts.backend, Backend::Explicit);
+        assert_eq!(opts.backend, transform_synth::Backend::Explicit);
 
         let mut skewed = spec();
-        skewed.backend = "quantum".to_string();
-        assert!(skewed.synth_options().is_err());
+        skewed.key.backend = "quantum".to_string();
+        assert!(skewed.key.synth_options().is_err());
     }
 
     #[test]
@@ -993,6 +885,25 @@ mod tests {
                 records: Vec::new(),
             }],
         }
+    }
+
+    /// The encodings are wire formats that workers and coordinators of
+    /// different builds exchange, and a job's id is the hash of its
+    /// spec's bytes: a changed checksum here breaks mixed fleets.
+    #[test]
+    fn fleet_frames_keep_their_bytes() {
+        let spec = spec();
+        let grant = LeaseGrant {
+            lease: 77,
+            job: spec.id(),
+            lo: 3,
+            hi: 8,
+            ttl_ms: spec.lease_ttl_ms,
+            spec: spec.clone(),
+        };
+        assert_eq!(fnv1a64(&spec.encode()), 0xc38f_0ae6_8248_04c0);
+        assert_eq!(fnv1a64(&grant.encode()), 0x0e2b_6020_8f11_f98f);
+        assert_eq!(fnv1a64(&shard(42, 0, 3).encode()), 0x22c6_7e3a_33b1_2635);
     }
 
     #[test]

@@ -1,30 +1,15 @@
-//! The store's entry index: fingerprint → key metadata, so `query` and
-//! `export` can filter entries on (axiom, bound, …) without opening
-//! every entry header.
-//!
-//! The index is strictly advisory. It is rewritten atomically on every
-//! seal, validated against the directory listing on read, and a
-//! missing, corrupt, or stale index simply falls back to the full
-//! header scan — correctness never depends on it, and record-level
-//! checksum validation still happens whenever an entry is opened.
-//! Concurrent sealers may clobber each other's index rewrite; the loser
-//! leaves a stale index, the next read falls back to scanning, and the
-//! next seal repairs it (each rewrite folds in every sealed entry it
-//! can see, reading headers for fingerprints the previous index missed).
+//! The `GET /v1/index` listing: every readable sealed entry's
+//! fingerprint and key metadata, read from the entry headers on each
+//! request. The headers are the store's one record of each entry's key,
+//! so the listing cannot go stale.
 
-use crate::codec::{fnv1a64, Dec, Enc, FORMAT_VERSION};
+use crate::codec::{open_frame, seal_frame};
 use crate::fingerprint::Fingerprint;
 use crate::store::{EntryMeta, Store, StoreError};
-use std::collections::BTreeMap;
-use std::fs;
-use std::path::Path;
-
-/// The index file's name inside a store directory.
-pub const INDEX_FILE: &str = "index.tfx";
 
 const INDEX_MAGIC: &[u8; 8] = b"TFINDEX\0";
 
-/// One indexed entry: a sealed fingerprint and its key metadata.
+/// One listed entry: a sealed fingerprint and its key metadata.
 #[derive(Clone, Debug)]
 pub struct IndexEntry {
     /// The sealed entry's fingerprint (its file name stem).
@@ -33,133 +18,57 @@ pub struct IndexEntry {
     pub meta: EntryMeta,
 }
 
-/// Decodes the index file without any staleness judgement. `None` when
-/// the file is missing, unreadable, or fails validation.
-fn read_raw(root: &Path) -> Option<Vec<IndexEntry>> {
-    let bytes = fs::read(root.join(INDEX_FILE)).ok()?;
-    decode(&bytes).ok()
+/// Every sealed entry whose header reads, sorted by fingerprint.
+/// Unreadable entries are left out; `store verify` reports them.
+///
+/// # Errors
+///
+/// Returns the underlying error when the directory is unreadable.
+pub fn scan(store: &Store) -> Result<Vec<IndexEntry>, StoreError> {
+    Ok(store
+        .entries()?
+        .into_iter()
+        .filter_map(|fingerprint| {
+            let meta = store.open_suite(fingerprint).ok()?.meta().clone();
+            Some(IndexEntry { fingerprint, meta })
+        })
+        .collect())
 }
 
-/// Reads the index and validates it against the sealed entries actually
-/// on disk: it must list exactly `sealed` (both sides sorted). `None`
-/// means "fall back to the full scan".
-pub(crate) fn read_valid(root: &Path, sealed: &[Fingerprint]) -> Option<Vec<IndexEntry>> {
-    let entries = read_raw(root)?;
-    let listed: Vec<Fingerprint> = entries.iter().map(|e| e.fingerprint).collect();
-    (listed == sealed).then_some(entries)
-}
-
-/// Encodes an index to its on-disk (and on-wire — `GET /v1/index`
-/// serves exactly these bytes) form: magic, format version, the entries
-/// sorted by fingerprint, and a trailing FNV-1a 64 checksum.
+/// Encodes a listing to its wire form (`GET /v1/index`): a frame whose
+/// payload is the entries sorted by fingerprint.
 pub fn encode(entries: &[IndexEntry]) -> Vec<u8> {
     let mut sorted: Vec<&IndexEntry> = entries.iter().collect();
     sorted.sort_by_key(|e| e.fingerprint);
-    let mut e = Enc::new();
-    e.raw(INDEX_MAGIC);
-    e.u32(FORMAT_VERSION);
-    e.size(sorted.len());
-    for entry in sorted {
-        e.u64((entry.fingerprint.0 >> 64) as u64);
-        e.u64(entry.fingerprint.0 as u64);
-        entry.meta.encode(&mut e);
-    }
-    let mut bytes = e.into_bytes();
-    let checksum = fnv1a64(&bytes);
-    bytes.extend_from_slice(&checksum.to_le_bytes());
-    bytes
+    seal_frame(INDEX_MAGIC, |e| {
+        e.size(sorted.len());
+        for entry in sorted {
+            e.u64((entry.fingerprint.0 >> 64) as u64);
+            e.u64(entry.fingerprint.0 as u64);
+            entry.meta.encode(e);
+        }
+    })
 }
 
-/// Atomically (re)writes the index: entries are sorted by fingerprint,
-/// encoded with the store's codec, checksummed, written to a temporary
-/// file, and renamed into place.
-pub(crate) fn write(root: &Path, entries: &[IndexEntry]) -> Result<(), StoreError> {
-    let bytes = encode(entries);
-    // pid + nonce so concurrent sealers stage to disjoint files; the
-    // last rename wins and later seals fold in anything it missed.
-    static NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let nonce = NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let staged = root.join(format!("tmp-index-{}-{nonce}", std::process::id()));
-    fs::write(&staged, &bytes)?;
-    fs::rename(&staged, root.join(INDEX_FILE))?;
-    Ok(())
-}
-
-/// Decodes index bytes — the [`encode`] form — validating the trailing
-/// checksum, magic, and format version.
+/// Decodes a listing — the [`encode`] form.
 ///
 /// # Errors
 ///
 /// [`StoreError::Corrupt`] on damaged bytes, [`StoreError::Version`] on
 /// format skew.
 pub fn decode(bytes: &[u8]) -> Result<Vec<IndexEntry>, StoreError> {
-    if bytes.len() < 8 {
-        return Err(StoreError::Corrupt("index truncated".into()));
-    }
-    let (payload, stored) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(stored.try_into().expect("eight checksum bytes"));
-    if fnv1a64(payload) != stored {
-        return Err(StoreError::Corrupt("index checksum mismatch".into()));
-    }
-    let mut d = Dec::new(payload);
-    if d.bytes(8).map_err(StoreError::from)? != INDEX_MAGIC.as_slice() {
-        return Err(StoreError::Corrupt("bad index magic".into()));
-    }
-    let version = d.u32().map_err(StoreError::from)?;
-    if version != FORMAT_VERSION {
-        return Err(StoreError::Version { found: version });
-    }
-    let count = d
-        .size_bounded(1 << 24, "index entries")
-        .map_err(StoreError::from)?;
-    let mut entries = Vec::with_capacity(count);
+    let mut d = open_frame(bytes, INDEX_MAGIC, "index")?;
+    let count = d.size_bounded(1 << 24, "index entries")?;
+    let mut entries = Vec::with_capacity(count.min(1 << 16));
     for _ in 0..count {
-        let hi = d.u64().map_err(StoreError::from)?;
-        let lo = d.u64().map_err(StoreError::from)?;
+        let hi = d.u64()?;
+        let lo = d.u64()?;
         let fingerprint = Fingerprint((u128::from(hi) << 64) | u128::from(lo));
-        let meta = EntryMeta::decode(&mut d).map_err(StoreError::from)?;
+        let meta = EntryMeta::decode(&mut d)?;
         entries.push(IndexEntry { fingerprint, meta });
     }
     if !d.at_end() {
         return Err(StoreError::Corrupt("trailing bytes in index".into()));
     }
     Ok(entries)
-}
-
-/// Folds a freshly sealed entry into the index, atomically. Best-effort
-/// by design: an index failure must never fail a seal, so errors are
-/// swallowed — the worst outcome is a stale index and a full scan.
-pub(crate) fn update_on_seal(root: &Path, fp: Fingerprint, meta: &EntryMeta) {
-    let _ = try_update(root, fp, meta);
-}
-
-fn try_update(root: &Path, fp: Fingerprint, meta: &EntryMeta) -> Result<(), StoreError> {
-    let store = Store::open(root)?;
-    let sealed = store.entries()?;
-    let mut known: BTreeMap<Fingerprint, EntryMeta> = read_raw(root)
-        .map(|entries| {
-            entries
-                .into_iter()
-                .map(|e| (e.fingerprint, e.meta))
-                .collect()
-        })
-        .unwrap_or_default();
-    known.insert(fp, meta.clone());
-    let mut entries = Vec::with_capacity(sealed.len());
-    for fingerprint in sealed {
-        let meta = match known.remove(&fingerprint) {
-            Some(meta) => meta,
-            // A sealed entry the old index missed (e.g. a concurrent
-            // sealer lost the rewrite race): recover its metadata from
-            // the header. Unreadable entries are left out, which keeps
-            // the index stale-by-construction — scans keep reporting
-            // the damage until `store verify`/`gc` deal with it.
-            None => match store.open_suite(fingerprint) {
-                Ok(reader) => reader.meta().clone(),
-                Err(_) => continue,
-            },
-        };
-        entries.push(IndexEntry { fingerprint, meta });
-    }
-    write(root, &entries)
 }

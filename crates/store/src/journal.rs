@@ -38,8 +38,8 @@
 //! sweep. Deleting a journal never invalidates a suite — the two are
 //! independent artifacts.
 
-use crate::codec::{fnv1a64, Dec, Enc, FORMAT_VERSION};
-use crate::store::{Store, StoreError};
+use crate::codec::{open_frame, seal_frame, Dec, Enc};
+use crate::store::{write_staged, Store, StoreError};
 use std::fs;
 use std::path::PathBuf;
 use transform_par::{AxiomState, JournalEvent, JournalEventKind, ProgressSnapshot};
@@ -339,31 +339,27 @@ pub struct RunJournal {
 /// version, the manifest, the delta-timestamped events, and a trailing
 /// FNV-1a 64 checksum.
 pub fn encode_run(journal: &RunJournal) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.raw(RUN_MAGIC);
-    e.u32(FORMAT_VERSION);
-    journal.manifest.encode(&mut e);
-    e.size(journal.events.len());
-    let mut prev_t = 0u64;
-    for event in &journal.events {
-        // Timestamps are non-decreasing (one clock, lock-held emission),
-        // so delta encoding keeps hot batch events to a few bytes each.
-        e.varint(event.t_micros.saturating_sub(prev_t));
-        prev_t = event.t_micros;
-        e.u8(event.kind.as_u8());
-        // Axiom slot, biased by one so `0` means "not axiom-scoped".
-        e.varint(match event.axiom {
-            Some(slot) => u64::from(slot) + 1,
-            None => 0,
-        });
-        e.varint(event.a);
-        e.varint(event.b);
-        e.varint(event.c);
-    }
-    let mut bytes = e.into_bytes();
-    let checksum = fnv1a64(&bytes);
-    bytes.extend_from_slice(&checksum.to_le_bytes());
-    bytes
+    seal_frame(RUN_MAGIC, |e| {
+        journal.manifest.encode(e);
+        e.size(journal.events.len());
+        let mut prev_t = 0u64;
+        for event in &journal.events {
+            // Timestamps are non-decreasing (one clock, lock-held
+            // emission), so delta encoding keeps hot batch events to a
+            // few bytes each.
+            e.varint(event.t_micros.saturating_sub(prev_t));
+            prev_t = event.t_micros;
+            e.u8(event.kind.as_u8());
+            // Axiom slot, biased by one so `0` means "not axiom-scoped".
+            e.varint(match event.axiom {
+                Some(slot) => u64::from(slot) + 1,
+                None => 0,
+            });
+            e.varint(event.a);
+            e.varint(event.b);
+            e.varint(event.c);
+        }
+    })
 }
 
 /// Decodes run-journal bytes — the [`encode_run`] form — validating the
@@ -374,28 +370,18 @@ pub fn encode_run(journal: &RunJournal) -> Vec<u8> {
 /// [`StoreError::Corrupt`] on damaged bytes, [`StoreError::Version`] on
 /// format skew.
 pub fn decode_run(bytes: &[u8]) -> Result<RunJournal, StoreError> {
-    let payload = checked_payload(bytes, "run journal")?;
-    let mut d = Dec::new(payload);
-    if d.bytes(8).map_err(StoreError::from)? != RUN_MAGIC.as_slice() {
-        return Err(StoreError::Corrupt("bad run journal magic".into()));
-    }
-    let version = d.u32().map_err(StoreError::from)?;
-    if version != FORMAT_VERSION {
-        return Err(StoreError::Version { found: version });
-    }
+    let mut d = open_frame(bytes, RUN_MAGIC, "run journal")?;
     let manifest = RunManifest::decode(&mut d)?;
-    let event_count = d
-        .size_bounded(1 << 26, "journal events")
-        .map_err(StoreError::from)?;
+    let event_count = d.size_bounded(1 << 26, "journal events")?;
     let mut events = Vec::with_capacity(event_count.min(1 << 16));
     let mut t = 0u64;
     for _ in 0..event_count {
-        t = t.saturating_add(d.varint().map_err(StoreError::from)?);
-        let kind_byte = d.u8().map_err(StoreError::from)?;
+        t = t.saturating_add(d.varint()?);
+        let kind_byte = d.u8()?;
         let kind = JournalEventKind::from_u8(kind_byte).ok_or_else(|| {
             StoreError::Corrupt(format!("invalid journal event kind byte {kind_byte}"))
         })?;
-        let axiom_biased = d.varint().map_err(StoreError::from)?;
+        let axiom_biased = d.varint()?;
         let axiom = if axiom_biased == 0 {
             None
         } else {
@@ -408,9 +394,9 @@ pub fn decode_run(bytes: &[u8]) -> Result<RunJournal, StoreError> {
             t_micros: t,
             kind,
             axiom,
-            a: d.varint().map_err(StoreError::from)?,
-            b: d.varint().map_err(StoreError::from)?,
-            c: d.varint().map_err(StoreError::from)?,
+            a: d.varint()?,
+            b: d.varint()?,
+            c: d.varint()?,
         });
     }
     if !d.at_end() {
@@ -419,24 +405,18 @@ pub fn decode_run(bytes: &[u8]) -> Result<RunJournal, StoreError> {
     Ok(RunJournal { manifest, events })
 }
 
-/// Encodes a run-manifest list — the `GET /v1/runs` wire format:
-/// magic, format version, the manifests
-/// sorted by start time descending (newest first), and a trailing
-/// FNV-1a 64 checksum.
+/// Encodes a run-manifest list — the `GET /v1/runs` wire format: a
+/// frame whose payload is the manifests sorted by start time descending
+/// (newest first).
 pub fn encode_run_list(manifests: &[RunManifest]) -> Vec<u8> {
     let mut sorted: Vec<&RunManifest> = manifests.iter().collect();
     sorted.sort_by_key(|m| std::cmp::Reverse((m.started_unix_micros, m.id)));
-    let mut e = Enc::new();
-    e.raw(RUN_LIST_MAGIC);
-    e.u32(FORMAT_VERSION);
-    e.size(sorted.len());
-    for manifest in sorted {
-        manifest.encode(&mut e);
-    }
-    let mut bytes = e.into_bytes();
-    let checksum = fnv1a64(&bytes);
-    bytes.extend_from_slice(&checksum.to_le_bytes());
-    bytes
+    seal_frame(RUN_LIST_MAGIC, |e| {
+        e.size(sorted.len());
+        for manifest in sorted {
+            manifest.encode(e);
+        }
+    })
 }
 
 /// Decodes a run-manifest list — the [`encode_run_list`] form.
@@ -446,18 +426,8 @@ pub fn encode_run_list(manifests: &[RunManifest]) -> Vec<u8> {
 /// [`StoreError::Corrupt`] on damaged bytes, [`StoreError::Version`] on
 /// format skew.
 pub fn decode_run_list(bytes: &[u8]) -> Result<Vec<RunManifest>, StoreError> {
-    let payload = checked_payload(bytes, "run list")?;
-    let mut d = Dec::new(payload);
-    if d.bytes(8).map_err(StoreError::from)? != RUN_LIST_MAGIC.as_slice() {
-        return Err(StoreError::Corrupt("bad run list magic".into()));
-    }
-    let version = d.u32().map_err(StoreError::from)?;
-    if version != FORMAT_VERSION {
-        return Err(StoreError::Version { found: version });
-    }
-    let count = d
-        .size_bounded(1 << 20, "run list entries")
-        .map_err(StoreError::from)?;
+    let mut d = open_frame(bytes, RUN_LIST_MAGIC, "run list")?;
+    let count = d.size_bounded(1 << 20, "run list entries")?;
     let mut manifests = Vec::with_capacity(count.min(1 << 12));
     for _ in 0..count {
         manifests.push(RunManifest::decode(&mut d)?);
@@ -466,19 +436,6 @@ pub fn decode_run_list(bytes: &[u8]) -> Result<Vec<RunManifest>, StoreError> {
         return Err(StoreError::Corrupt("trailing bytes in run list".into()));
     }
     Ok(manifests)
-}
-
-/// Splits off and verifies the trailing checksum.
-fn checked_payload<'a>(bytes: &'a [u8], what: &str) -> Result<&'a [u8], StoreError> {
-    if bytes.len() < 8 {
-        return Err(StoreError::Corrupt(format!("{what} truncated")));
-    }
-    let (payload, stored) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(stored.try_into().expect("eight checksum bytes"));
-    if fnv1a64(payload) != stored {
-        return Err(StoreError::Corrupt(format!("{what} checksum mismatch")));
-    }
-    Ok(payload)
 }
 
 /// A fresh, process-unique run identity: wall-clock microseconds folded
@@ -536,17 +493,8 @@ impl Store {
     }
 
     fn stage_run(&self, id: u64, bytes: &[u8]) -> Result<(), StoreError> {
-        // pid + nonce: concurrent writers (heartbeat vs. final write
-        // never race in-process, but two processes might) stage to
-        // disjoint files; the last rename wins.
-        static NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let nonce = NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let staged = self
-            .root()
-            .join(format!("tmp-run-{id:016x}-{}-{nonce}", std::process::id()));
-        fs::write(&staged, bytes)?;
-        fs::rename(&staged, self.run_path(id))?;
-        Ok(())
+        let tag = format!("run-{id:016x}");
+        write_staged(&self.run_path(id), &tag, bytes, |_| Ok(()))
     }
 
     /// The raw journal bytes of a run, or `None` when no journal exists
@@ -792,6 +740,32 @@ mod tests {
         let mut flipped = bytes.clone();
         flipped[bytes.len() / 2] ^= 0x40;
         assert!(decode_run(&flipped).is_err(), "bit flip must error");
+    }
+
+    #[test]
+    fn frames_of_another_format_version_read_as_skew() {
+        let skewed = |frame: Vec<u8>| {
+            let mut body = frame[..frame.len() - 8].to_vec();
+            body[8..12].copy_from_slice(&1u32.to_le_bytes());
+            let checksum = crate::codec::fnv1a64(&body);
+            body.extend_from_slice(&checksum.to_le_bytes());
+            body
+        };
+        let journal = skewed(encode_run(&sample_journal(1)));
+        assert!(matches!(
+            decode_run(&journal),
+            Err(StoreError::Version { found: 1 })
+        ));
+        let list = skewed(encode_run_list(&[sample_manifest(1, RunOutcome::Cut)]));
+        assert!(matches!(
+            decode_run_list(&list),
+            Err(StoreError::Version { found: 1 })
+        ));
+        let index = skewed(crate::index::encode(&[]));
+        assert!(matches!(
+            crate::index::decode(&index),
+            Err(StoreError::Version { found: 1 })
+        ));
     }
 
     #[test]

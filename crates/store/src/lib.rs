@@ -14,7 +14,9 @@
 //! * [`codec`] — a versioned binary encoding for suite records
 //!   (program + witness execution + violated axioms) and work
 //!   statistics, round-tripping exactly: a decoded witness prints
-//!   byte-identically under [`transform_litmus::format::print_elt`].
+//!   byte-identically under [`transform_litmus::format::print_elt`];
+//!   and the checksummed frame that run journals, the `/v1/index` body
+//!   and the fleet messages share.
 //! * [`fingerprint`] — the content-address of a synthesis run.
 //! * [`store`] — the on-disk format: a synthesis run hands its shards
 //!   over in plan order once its workers join ([`store::PendingSuite`]
@@ -27,10 +29,8 @@
 //!   binary journal per run (manifest + timestamped pipeline events)
 //!   written alongside the sealed suites, the substrate for
 //!   `transform runs` and the serve fleet view.
-//! * [`index`] — the advisory entry index (fingerprint → key metadata),
-//!   rewritten atomically on every seal, so `query`/`export` filter
-//!   entries without opening each header; a missing or stale index
-//!   falls back to the full scan.
+//! * [`index`] — the `GET /v1/index` listing (fingerprint → key
+//!   metadata), built from the entry headers on each request.
 //! * [`tier`] — the caching policy: a [`CacheTier`] abstraction over
 //!   "places sealed bytes live", and [`TieredCache`], whose one
 //!   synthesis call ([`TieredCache::cached_or_synthesize`]) serves
@@ -96,11 +96,11 @@ pub use fleet::{
     balanced_ranges, execute_lease, merge_fleet_job, AxiomShard, JobSpec, LeaseGrant, ShardResult,
     StageOutcome,
 };
-pub use index::{IndexEntry, INDEX_FILE};
+pub use index::IndexEntry;
 pub use journal::{
     decode_run, decode_run_list, encode_run, encode_run_list, fresh_run_id, RunAxiom, RunJournal,
     RunManifest, RunOutcome,
 };
 pub use remote::HttpTier;
-pub use store::{read_suite, EntryMeta, PendingSuite, Store, StoreError, SuiteReader};
+pub use store::{read_suite, EntryMeta, KeyOptions, PendingSuite, Store, StoreError, SuiteReader};
 pub use tier::{CacheTier, TieredCache};

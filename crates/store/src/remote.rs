@@ -5,7 +5,7 @@
 //! | request | meaning |
 //! |---|---|
 //! | `GET /healthz` | liveness + entry count |
-//! | `GET /v1/index` | the store's entry index ([`crate::index::encode`] bytes) |
+//! | `GET /v1/index` | every readable entry's key, from its header ([`crate::index::encode`] bytes) |
 //! | `HEAD /v1/suite/<fingerprint>` | does a sealed entry exist? |
 //! | `GET /v1/suite/<fingerprint>` | the sealed entry's bytes |
 //! | `PUT /v1/suite/<fingerprint>` | upload a sealed entry (idempotent) |
@@ -19,8 +19,8 @@
 //! | `POST /v1/lease/<id>/heartbeat` | renew a lease |
 //! | `PUT /v1/shard/<job>/<lo>-<hi>` | upload a shard result (idempotent) |
 //!
-//! Every payload is already self-validating (the sealed suite format and
-//! the index encoding both carry checksums), so the transport adds no
+//! Every payload is already self-validating (sealed suites and every
+//! other payload frame carry checksums), so the transport adds no
 //! integrity layer of its own: receivers validate what they got, exactly
 //! as they would for local files. Requests are one-shot
 //! (`Connection: close`) — suite transfers dominate any keep-alive
@@ -219,8 +219,8 @@ impl HttpTier {
         }
     }
 
-    /// `GET /v1/index`: the remote store's entry index, checksum-valid —
-    /// what `store pull` enumerates.
+    /// `GET /v1/index`: the remote store's readable entries with their
+    /// keys, checksum-valid — what `store pull` enumerates.
     ///
     /// # Errors
     ///

@@ -41,10 +41,13 @@ use std::fmt;
 use std::fs::{self, File};
 use std::io::{BufReader, Read};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use transform_core::axiom::Mtm;
 use transform_par::SuiteSink;
-use transform_synth::{ShardStats, Suite, SuiteRecord, SuiteStats, SynthOptions};
+use transform_synth::{
+    Backend, EnumOptions, ShardStats, Suite, SuiteRecord, SuiteStats, SynthOptions,
+};
 
 const SUITE_MAGIC: &[u8; 8] = b"TFSUITE\0";
 const SUITE_EXT: &str = "tfs";
@@ -52,6 +55,9 @@ const SUITE_EXT: &str = "tfs";
 /// that format-version-1 builds wrote beside every sealed entry.
 /// Nothing reads them; `store gc` sweeps them.
 const LEGACY_DIGEST_EXT: &str = "tfd";
+/// The entry index earlier builds rewrote on every seal. Entry headers
+/// carry the same keys; `store gc` sweeps it.
+const LEGACY_INDEX_FILE: &str = "index.tfx";
 
 /// A store failure.
 #[derive(Debug)]
@@ -97,41 +103,39 @@ impl From<std::io::Error> for StoreError {
 
 impl From<CodecError> for StoreError {
     fn from(e: CodecError) -> StoreError {
-        StoreError::Corrupt(e.to_string())
+        match e.found_version {
+            Some(found) => StoreError::Version { found },
+            None => StoreError::Corrupt(e.to_string()),
+        }
     }
 }
 
-/// The human-readable key of a sealed entry, stored alongside the
-/// fingerprint so `query`/`export` can filter without recomputing keys.
+/// The synthesis options that key a suite besides its MTM and axiom:
+/// the one encoding of them that sealed headers and fleet job specs
+/// share.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct EntryMeta {
-    /// The MTM's name (`mtm <name> { … }`).
-    pub mtm: String,
-    /// The axiom the suite violates.
-    pub axiom: String,
+pub struct KeyOptions {
     /// The instruction bound.
     pub bound: usize,
     /// The enumeration thread cap, if any.
     pub max_threads: Option<usize>,
-    /// Whether `MFENCE` was in the program space.
+    /// Whether `MFENCE` is in the program space.
     pub allow_fences: bool,
-    /// Whether RMW pairs were in the program space.
+    /// Whether RMW pairs are in the program space.
     pub allow_rmw: bool,
-    /// Whether identity remaps were in the program space.
+    /// Whether identity remaps are in the program space.
     pub allow_identity_remap: bool,
-    /// Whether symmetry reduction was applied.
+    /// Whether symmetry reduction is applied.
     pub symmetry_reduction: bool,
-    /// The candidate-execution backend tag.
+    /// The candidate-execution backend tag (`explicit`/`relational`).
     pub backend: String,
 }
 
-impl EntryMeta {
-    /// Describes one synthesis run's key parameters.
-    pub fn describe(mtm: &Mtm, axiom: &str, opts: &SynthOptions) -> EntryMeta {
+impl KeyOptions {
+    /// The key options of one synthesis run.
+    pub fn of(opts: &SynthOptions) -> KeyOptions {
         let e = &opts.enumeration;
-        EntryMeta {
-            mtm: mtm.name().to_string(),
-            axiom: axiom.to_string(),
+        KeyOptions {
             bound: e.bound,
             max_threads: e.max_threads,
             allow_fences: e.allow_fences,
@@ -142,9 +146,34 @@ impl EntryMeta {
         }
     }
 
+    /// The [`SynthOptions`] these key options describe, with no
+    /// timeout.
+    ///
+    /// # Errors
+    ///
+    /// An unknown backend tag (a version-skewed peer).
+    pub fn synth_options(&self) -> Result<SynthOptions, CodecError> {
+        let backend = match self.backend.as_str() {
+            "explicit" => Backend::Explicit,
+            "relational" => Backend::Relational,
+            other => {
+                return Err(CodecError::new(format!("unknown backend tag `{other}`")));
+            }
+        };
+        let mut enumeration = EnumOptions::new(self.bound);
+        enumeration.max_threads = self.max_threads;
+        enumeration.allow_fences = self.allow_fences;
+        enumeration.allow_rmw = self.allow_rmw;
+        enumeration.allow_identity_remap = self.allow_identity_remap;
+        enumeration.symmetry_reduction = self.symmetry_reduction;
+        Ok(SynthOptions {
+            enumeration,
+            backend,
+            timeout: None,
+        })
+    }
+
     pub(crate) fn encode(&self, e: &mut Enc) {
-        e.string(&self.mtm);
-        e.string(&self.axiom);
         e.size(self.bound);
         match self.max_threads {
             Some(t) => {
@@ -160,10 +189,8 @@ impl EntryMeta {
         e.string(&self.backend);
     }
 
-    pub(crate) fn decode(d: &mut Dec<'_>) -> Result<EntryMeta, CodecError> {
-        Ok(EntryMeta {
-            mtm: d.string()?,
-            axiom: d.string()?,
+    pub(crate) fn decode(d: &mut Dec<'_>) -> Result<KeyOptions, CodecError> {
+        Ok(KeyOptions {
             bound: d.size()?,
             max_threads: if d.boolean()? { Some(d.size()?) } else { None },
             allow_fences: d.boolean()?,
@@ -173,6 +200,77 @@ impl EntryMeta {
             backend: d.string()?,
         })
     }
+}
+
+/// The human-readable key of a sealed entry, stored alongside the
+/// fingerprint so `query`/`export` can filter without recomputing keys.
+/// Its [`KeyOptions`] read as its own fields (`meta.bound`).
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct EntryMeta {
+    /// The MTM's name (`mtm <name> { … }`).
+    pub mtm: String,
+    /// The axiom the suite violates.
+    pub axiom: String,
+    /// The options the suite was synthesized with.
+    pub key: KeyOptions,
+}
+
+impl std::ops::Deref for EntryMeta {
+    type Target = KeyOptions;
+
+    fn deref(&self) -> &KeyOptions {
+        &self.key
+    }
+}
+
+impl EntryMeta {
+    /// Describes one synthesis run's key parameters.
+    pub fn describe(mtm: &Mtm, axiom: &str, opts: &SynthOptions) -> EntryMeta {
+        EntryMeta {
+            mtm: mtm.name().to_string(),
+            axiom: axiom.to_string(),
+            key: KeyOptions::of(opts),
+        }
+    }
+
+    pub(crate) fn encode(&self, e: &mut Enc) {
+        e.string(&self.mtm);
+        e.string(&self.axiom);
+        self.key.encode(e);
+    }
+
+    pub(crate) fn decode(d: &mut Dec<'_>) -> Result<EntryMeta, CodecError> {
+        Ok(EntryMeta {
+            mtm: d.string()?,
+            axiom: d.string()?,
+            key: KeyOptions::decode(d)?,
+        })
+    }
+}
+
+/// Writes `bytes` to `target` atomically: they are staged beside it as
+/// `tmp-{tag}-{pid}-{nonce}`, `check`ed there, and renamed into place,
+/// so readers never see a torn file. Concurrent writers stage to
+/// disjoint files and the last rename wins. The staged file is removed
+/// on any failure, and `store gc` sweeps one a crash leaves behind.
+pub(crate) fn write_staged(
+    target: &Path,
+    tag: &str,
+    bytes: &[u8],
+    check: impl FnOnce(&Path) -> Result<(), StoreError>,
+) -> Result<(), StoreError> {
+    static NONCE: AtomicU64 = AtomicU64::new(0);
+    let nonce = NONCE.fetch_add(1, Ordering::Relaxed);
+    let dir = target.parent().expect("a store file lives in a directory");
+    let staged = dir.join(format!("tmp-{tag}-{}-{nonce}", std::process::id()));
+    let written = fs::write(&staged, bytes)
+        .map_err(StoreError::from)
+        .and_then(|()| check(&staged))
+        .and_then(|()| fs::rename(&staged, target).map_err(StoreError::from));
+    if written.is_err() {
+        let _ = fs::remove_file(&staged);
+    }
+    written
 }
 
 /// The persistent suite store rooted at one directory.
@@ -235,17 +333,20 @@ impl Store {
         }
     }
 
-    /// Every admission-digest file (`*.tfd`) an older build left in the
-    /// store, sorted — leftovers `store gc` sweeps.
+    /// Files older builds left in the store that nothing reads any
+    /// more, sorted: admission digests (`*.tfd`) and the entry index
+    /// (`index.tfx`). `store gc` sweeps them.
     ///
     /// # Errors
     ///
     /// Returns the underlying error when the directory is unreadable.
-    pub fn legacy_digests(&self) -> Result<Vec<PathBuf>, StoreError> {
+    pub fn legacy_files(&self) -> Result<Vec<PathBuf>, StoreError> {
         let mut out = Vec::new();
         for entry in fs::read_dir(&self.root)? {
             let path = entry?.path();
-            if path.extension().and_then(|e| e.to_str()) == Some(LEGACY_DIGEST_EXT) {
+            if path.extension().and_then(|e| e.to_str()) == Some(LEGACY_DIGEST_EXT)
+                || path.file_name().and_then(|n| n.to_str()) == Some(LEGACY_INDEX_FILE)
+            {
                 out.push(path);
             }
         }
@@ -277,41 +378,6 @@ impl Store {
         }
         out.sort();
         Ok(out)
-    }
-
-    /// The store's advisory entry index, when present and exactly in
-    /// sync with the sealed entries on disk (sorted by fingerprint, like
-    /// [`Store::entries`]). `None` — missing, corrupt, version-skewed,
-    /// or stale — means "scan entry headers instead"; serving decisions
-    /// never rest on the index alone.
-    ///
-    /// The index is rewritten atomically on every seal and by
-    /// [`Store::rebuild_index`].
-    pub fn read_index(&self) -> Option<Vec<crate::index::IndexEntry>> {
-        let sealed = self.entries().ok()?;
-        crate::index::read_valid(&self.root, &sealed)
-    }
-
-    /// Rebuilds the index from the sealed entries' headers, atomically.
-    /// Unreadable entries are skipped (scans will keep surfacing them).
-    /// Returns the number of entries indexed.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying error when the directory listing or the
-    /// index write fails.
-    pub fn rebuild_index(&self) -> Result<usize, StoreError> {
-        let mut entries = Vec::new();
-        for fp in self.entries()? {
-            if let Ok(reader) = self.open_suite(fp) {
-                entries.push(crate::index::IndexEntry {
-                    fingerprint: fp,
-                    meta: reader.meta().clone(),
-                });
-            }
-        }
-        crate::index::write(&self.root, &entries)?;
-        Ok(entries.len())
     }
 
     /// The raw bytes of a sealed entry, or `None` when no entry exists
@@ -350,35 +416,10 @@ impl Store {
     /// fail validation; [`StoreError::Io`] when staging or renaming
     /// fails.
     pub fn install_bytes(&self, fp: Fingerprint, bytes: &[u8]) -> Result<(), StoreError> {
-        // pid + nonce: concurrent installers of the same entry stage to
-        // disjoint files; every rename publishes identical content.
-        static NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let nonce = NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let staged = self.root.join(format!(
-            "tmp-install-{}-{}-{nonce}",
-            fp.hex(),
-            std::process::id()
-        ));
-        fs::write(&staged, bytes)?;
-        let validated = (|| -> Result<EntryMeta, StoreError> {
-            let mut reader = SuiteReader::open(&staged, Some(fp))?;
-            let meta = reader.meta().clone();
-            for record in reader.by_ref() {
-                record?;
-            }
-            Ok(meta)
-        })();
-        match validated {
-            Ok(meta) => {
-                fs::rename(&staged, self.entry_path(fp))?;
-                crate::index::update_on_seal(&self.root, fp, &meta);
-                Ok(())
-            }
-            Err(e) => {
-                let _ = fs::remove_file(&staged);
-                Err(e)
-            }
-        }
+        let tag = format!("install-{}", fp.hex());
+        write_staged(&self.entry_path(fp), &tag, bytes, |staged| {
+            SuiteReader::open(staged, Some(fp))?.try_for_each(|record| record.map(drop))
+        })
     }
 
     /// The last-modified time of a sealed entry — the age `store gc`
@@ -393,9 +434,9 @@ impl Store {
     }
 
     /// Leftover `tmp-*` entries from crashed or in-flight runs: staged
-    /// seals, installs, journals and index rewrites. `store gc` removes them;
-    /// callers must ensure no synthesis is currently streaming into the
-    /// store.
+    /// seals, installs and journals (and the index rewrites of earlier
+    /// builds). `store gc` removes them; callers must ensure no
+    /// synthesis is currently streaming into the store.
     ///
     /// # Errors
     ///
@@ -498,30 +539,6 @@ impl PendingSuite {
         Ok(records)
     }
 
-    /// Writes `bytes` to a `tmp-*` staging file beside the entry and
-    /// renames it into place, so readers never see a torn entry, then
-    /// folds the entry into the store's advisory index (best-effort —
-    /// query/export fall back to scanning headers when the index is
-    /// missing or stale).
-    fn publish(&self, bytes: &[u8]) -> Result<Fingerprint, StoreError> {
-        // pid + nonce: concurrent seals of the same key stage to disjoint
-        // files; the last rename wins with identical content.
-        static NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let nonce = NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let staged = self.root.join(format!(
-            "tmp-{}-{}-{nonce}",
-            self.fp.hex(),
-            std::process::id()
-        ));
-        let target = self.root.join(format!("{}.{SUITE_EXT}", self.fp.hex()));
-        if let Err(e) = fs::write(&staged, bytes).and_then(|()| fs::rename(&staged, &target)) {
-            let _ = fs::remove_file(&staged);
-            return Err(e.into());
-        }
-        crate::index::update_on_seal(&self.root, self.fp, &self.meta);
-        Ok(self.fp)
-    }
-
     /// Writes the staged records, in plan order, into the sealed
     /// canonical suite file and atomically publishes it. `stats` are the
     /// run's counters, as returned by
@@ -560,7 +577,9 @@ impl PendingSuite {
             trailer.update(&record_checksum.to_le_bytes());
         }
         e.u64(trailer.finish());
-        self.publish(&e.into_bytes())
+        let target = self.root.join(format!("{}.{SUITE_EXT}", self.fp.hex()));
+        write_staged(&target, &self.fp.hex(), &e.into_bytes(), |_| Ok(()))?;
+        Ok(self.fp)
     }
 
     /// Assembles the in-memory suite from the staged records *without*

@@ -1,6 +1,7 @@
 //! Corruption injection: flipped bytes, truncation, and version skew in
 //! a sealed entry must be *detected* (checksums/version field) and the
-//! suite transparently *rebuilt* — damaged bytes are never served.
+//! suite transparently *rebuilt* — damaged bytes are never served — and
+//! the `tmp-*` leftovers of a crashed write must be swept.
 
 use proptest::proptest;
 use transform_core::axiom::Mtm;
@@ -169,4 +170,21 @@ fn garbage_files_are_rebuilt_not_served() {
     let mut legacy_delta = b"TFDELTA\0".to_vec();
     legacy_delta.extend_from_slice(&h.clean_bytes[8..]);
     h.assert_detected_and_rebuilt(&legacy_delta, "legacy delta entry");
+}
+
+#[test]
+fn tmp_entries_are_listed_and_swept() {
+    let dir = std::env::temp_dir().join(format!("tfs-corrupt-tmp-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = Store::open(&dir).expect("store opens");
+    // A crashed synthesis leaves a shard directory; a crashed index
+    // rewrite of an earlier build leaves a staging file. Both must be
+    // swept.
+    std::fs::create_dir_all(dir.join("tmp-deadbeef-123-0")).expect("mkdir");
+    std::fs::write(dir.join("tmp-deadbeef-123-0/shard-0000.bin"), b"junk").expect("write");
+    std::fs::write(dir.join("tmp-index-123-0"), b"junk").expect("write");
+    assert_eq!(store.stale_tmp_entries().expect("listable").len(), 2);
+    assert_eq!(store.sweep_tmp().expect("sweeps"), 2);
+    assert!(store.stale_tmp_entries().expect("listable").is_empty());
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -112,7 +112,7 @@ proptest! {
             prop_assert_eq!(suite.stats.minimal, reference.stats.minimal);
         }
         // The merge seals suites and nothing else beside them.
-        prop_assert!(store.legacy_digests().expect("lists").is_empty());
+        prop_assert!(store.legacy_files().expect("lists").is_empty());
 
         // A single-machine cached run of the same axioms, sealed with the
         // merge's zero `elapsed`, writes the fleet's entries byte for byte.

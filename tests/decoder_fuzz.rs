@@ -2,8 +2,9 @@
 //! panics.
 //!
 //! Each property damages a valid encoding — flips bytes, truncates it,
-//! or appends junk — and feeds the mutant to its decoder. Binary fleet
-//! frames are re-sealed with `fnv1a64` after the damage, so the mutant
+//! or appends junk — and feeds the mutant to its decoder. Binary frames
+//! (fleet messages, the `/v1/index` body, run journals and run lists)
+//! are re-sealed with `fnv1a64` after the damage, so the mutant
 //! reaches the field decoders instead of stopping at the checksum. A
 //! truncated or extended frame or record must be rejected; a flipped one
 //! may still decode, but must not panic.
@@ -12,8 +13,13 @@ use proptest::prelude::*;
 use std::sync::OnceLock;
 use transform_core::spec::parse_mtm;
 use transform_litmus::format::{parse_elt, print_elt};
+use transform_par::{AxiomState, JournalEvent, JournalEventKind};
 use transform_store::codec::{decode_record, encode_record, fnv1a64};
-use transform_store::{AxiomShard, JobSpec, LeaseGrant, ShardResult};
+use transform_store::index::{self, IndexEntry};
+use transform_store::{
+    decode_run, decode_run_list, encode_run, encode_run_list, suite_fingerprint, AxiomShard,
+    EntryMeta, JobSpec, LeaseGrant, RunAxiom, RunJournal, RunManifest, RunOutcome, ShardResult,
+};
 use transform_synth::{synthesize_suite, SuiteRecord, SynthOptions};
 use transform_x86::x86t_elt;
 
@@ -27,6 +33,9 @@ struct Seeds {
     spec: Vec<u8>,
     grant: Vec<u8>,
     shard: Vec<u8>,
+    index: Vec<u8>,
+    run: Vec<u8>,
+    runs: Vec<u8>,
     record: Vec<u8>,
     model: String,
     elt: String,
@@ -69,10 +78,64 @@ fn seeds() -> &'static Seeds {
                 records: records.clone(),
             }],
         };
+        let listed: Vec<IndexEntry> = ["sc_per_loc", "invlpg"]
+            .iter()
+            .map(|axiom| IndexEntry {
+                fingerprint: suite_fingerprint(&mtm, axiom, &opts),
+                meta: EntryMeta::describe(&mtm, axiom, &opts),
+            })
+            .collect();
+        let manifest = |id, outcome| RunManifest {
+            id,
+            mtm: mtm.name().to_string(),
+            bound: 4,
+            allow_fences: false,
+            allow_rmw: false,
+            jobs: 2,
+            started_unix_micros: 1_700_000_000_000_000 + id,
+            elapsed_micros: 4_321,
+            outcome,
+            partitions_total: 12,
+            partitions_retired: 12,
+            mass_total: 345,
+            mass_retired: 345,
+            programs: suite.stats.programs as u64,
+            items_planned: 40,
+            batches: 9,
+            peak_live_candidates: 17,
+            cut_at_partition: (outcome == RunOutcome::Cut).then_some(5),
+            axioms: vec![RunAxiom {
+                name: "invlpg".to_string(),
+                state: AxiomState::Complete,
+                elts: suite.elts.len() as u64,
+                items_examined: 40,
+                batches_done: 9,
+            }],
+        };
+        let event = |t_micros, kind, axiom, a| JournalEvent {
+            t_micros,
+            kind,
+            axiom,
+            a,
+            b: 3,
+            c: 200,
+        };
+        let journal = RunJournal {
+            manifest: manifest(1, RunOutcome::Complete),
+            events: vec![
+                event(0, JournalEventKind::RunStart, None, 12),
+                event(150, JournalEventKind::PartitionEnumerated, None, 0),
+                event(180, JournalEventKind::BatchExamined, None, 40),
+                event(900, JournalEventKind::AxiomComplete, Some(0), 0),
+            ],
+        };
         Seeds {
             spec: spec.encode(),
             grant: grant.encode(),
             shard: shard.encode(),
+            index: index::encode(&listed),
+            run: encode_run(&journal),
+            runs: encode_run_list(&[journal.manifest.clone(), manifest(2, RunOutcome::Cut)]),
             record: encode_record(&records[0]),
             model: mtm.to_string(),
             elt: print_elt("seed", &records[0].elt.witness),
@@ -150,6 +213,27 @@ proptest! {
     fn shard_result_decode_rejects_damage(kind in 0u8..=EXTEND, edits in edits()) {
         let mutant = damage_frame(&seeds().shard, kind, &edits);
         let decoded = ShardResult::decode(&mutant);
+        prop_assert!(kind == FLIP || decoded.is_err(), "kind {} accepted", kind);
+    }
+
+    #[test]
+    fn index_decode_rejects_damage(kind in 0u8..=EXTEND, edits in edits()) {
+        let mutant = damage_frame(&seeds().index, kind, &edits);
+        let decoded = index::decode(&mutant);
+        prop_assert!(kind == FLIP || decoded.is_err(), "kind {} accepted", kind);
+    }
+
+    #[test]
+    fn decode_run_rejects_damage(kind in 0u8..=EXTEND, edits in edits()) {
+        let mutant = damage_frame(&seeds().run, kind, &edits);
+        let decoded = decode_run(&mutant);
+        prop_assert!(kind == FLIP || decoded.is_err(), "kind {} accepted", kind);
+    }
+
+    #[test]
+    fn decode_run_list_rejects_damage(kind in 0u8..=EXTEND, edits in edits()) {
+        let mutant = damage_frame(&seeds().runs, kind, &edits);
+        let decoded = decode_run_list(&mutant);
         prop_assert!(kind == FLIP || decoded.is_err(), "kind {} accepted", kind);
     }
 
