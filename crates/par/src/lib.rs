@@ -21,14 +21,13 @@
 //!    shared. Runs of consecutive partitions of about 256 subtree-mass
 //!    nodes are pool tasks alongside examine batches, so workers
 //!    generate, canonically key, and examine programs concurrently
-//!    ([`stream`]). Each examine batch covers every axiom of the run:
-//!    on the explicit backend one [`transform_synth::Examiner`] walks
-//!    each program's candidates once for all of them; the
-//!    [`SynthBackend::Relational`] backend examines the batch one axiom
-//!    at a time, each pass's examiner owning one incremental SAT solver
-//!    (`tsat` solving under assumptions) that serves every program in
-//!    the batch. A batch is one root partition's plan items, so batches
-//!    never depend on scheduling.
+//!    ([`stream`]). Each examine batch covers every axiom of the run in
+//!    one pass, with one [`transform_synth::Examiner`]: on the explicit
+//!    backend it walks each program's candidates once for all of them;
+//!    on the [`SynthBackend::Relational`] backend it makes one SAT query
+//!    per (program, axiom), each on a solver of its own. A batch is one
+//!    root partition's plan items, so batches never depend on
+//!    scheduling.
 //! 2. **Merge** — once the workers join, a prefix sum over the tasks'
 //!    plan-item counts turns every batch's task-local item offsets into
 //!    plan indices, so plan indices never depend on scheduling; the
@@ -54,8 +53,9 @@
 //!
 //! Determinism holds because every per-item examination is a pure
 //! function of the item: candidate executions are examined in a canonical
-//! order rather than backend generation order, so not even shared-solver
-//! learning can change which witness a program contributes.
+//! order rather than backend generation order, so the order in which a
+//! SAT solver finds its models cannot change which witness a program
+//! contributes.
 //!
 //! # Examples
 //!

@@ -27,11 +27,11 @@
 //! The synthesis plan is axiom-independent (it keeps write-bearing
 //! canonical first occurrences), so a multi-axiom run enumerates every
 //! partition **once**, and each partition's plan items become **one**
-//! examine batch covering every axiom: its [`Examiner`] walks each
-//! program's candidates once for all of them (the relational backend,
-//! whose SAT query names one axiom, makes one pass over the batch per
-//! axiom — see [`Backend::passes`]). No shared plan is materialized
-//! before workers start. All axioms therefore finish together: after
+//! examine batch covering every axiom: its [`Examiner`] examines each
+//! program once for all of them (the explicit backend walks the
+//! program's candidates once; the relational backend makes one SAT
+//! query per axiom, each on a solver of its own). No shared plan is
+//! materialized before workers start. All axioms therefore finish together: after
 //! the last batch retires, every axiom's sink receives its shards, and
 //! the run returns one set of counters per axiom, which the store seals
 //! with the suite.
@@ -74,8 +74,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use transform_core::axiom::Mtm;
 use transform_synth::programs::{EnumSpace, PartitionPlan};
-#[cfg(doc)]
-use transform_synth::Backend;
 use transform_synth::{
     branches_co_pa, Examiner, ShardStats, SuiteRecord, SuiteStats, SynthOptions, SynthesizedElt,
     WorkItem,
@@ -134,11 +132,8 @@ impl StreamMetrics {
     }
 }
 
-/// One root partition's plan items, examined for every axiom of the
-/// run in the backend's [`Backend::passes`] (for the relational
-/// backend, one incremental solver per axiom). Every item in a batch
-/// shares its first-thread shape — the prefix affinity that makes
-/// solver reuse pay. Item indices are offsets inside the batch's task.
+/// One root partition's plan items, examined once for every axiom of
+/// the run. Item indices are offsets inside the batch's task.
 struct Batch {
     task: usize,
     items: Vec<WorkItem>,
@@ -540,33 +535,28 @@ fn examine_batch(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>, batch: &Batch) {
     let mut stats = vec![ShardStats::new(0); axioms];
     let mut records: Vec<Vec<SuiteRecord>> = vec![Vec::new(); axioms];
     let mut cut = false;
-    // One examiner per pass — one for the explicit backend; for the
-    // relational backend, one per axiom, each owning one incremental
-    // SAT solver.
-    'passes: for pass in ctx.opts.backend.passes(axioms) {
-        let mut examiner = Examiner::for_axioms(
-            ctx.mtm,
-            &ctx.axioms[pass.clone()],
-            ctx.opts.backend,
-            ctx.branch_co_pa,
-        );
-        for item in &batch.items {
-            if pipeline.past_deadline() {
-                cut = true;
-                break 'passes;
-            }
-            for (ai, examined) in pass.clone().zip(examiner.examine_axioms(&item.program)) {
-                stats[ai].absorb(&examined);
-                if let Some((witness, violated)) = examined.witness {
-                    records[ai].push(SuiteRecord {
-                        index: item.index,
-                        elt: SynthesizedElt {
-                            program: item.program.clone(),
-                            witness,
-                            violated,
-                        },
-                    });
-                }
+    let mut examiner =
+        Examiner::for_axioms(ctx.mtm, ctx.axioms, ctx.opts.backend, ctx.branch_co_pa);
+    for item in &batch.items {
+        if pipeline.past_deadline() {
+            cut = true;
+            break;
+        }
+        for (ai, examined) in examiner
+            .examine_axioms(&item.program)
+            .into_iter()
+            .enumerate()
+        {
+            stats[ai].absorb(&examined);
+            if let Some((witness, violated)) = examined.witness {
+                records[ai].push(SuiteRecord {
+                    index: item.index,
+                    elt: SynthesizedElt {
+                        program: item.program.clone(),
+                        witness,
+                        violated,
+                    },
+                });
             }
         }
     }

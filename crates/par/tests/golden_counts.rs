@@ -25,7 +25,9 @@
 //! RMW in tier-1, bound 5 ignored). Its SAT query returns only the
 //! candidates that violate the axiom, so its `executions` equal its
 //! `forbidden`; programs, minimal executions, ELTs, the union and the
-//! attribution match the explicit rows.
+//! attribution match the explicit rows. They were computed while each
+//! axiom's queries shared one incremental solver, so they hold today's
+//! solver-per-query examination to that build's counters.
 
 use std::collections::BTreeMap;
 use transform_core::axiom::Mtm;

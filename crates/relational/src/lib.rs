@@ -5,6 +5,9 @@
 //! reproduces that substrate: you declare relations over a finite
 //! [`Universe`] with lower/upper [`TupleSet`] bounds, constrain them with
 //! relational [`Formula`]s, and enumerate satisfying [`Instance`]s.
+//! Like one Kodkod query, each [`Problem`] is translated into a SAT
+//! solver of its own, which [`Problem::solutions`] enumerates with
+//! blocking clauses; nothing is shared between problems.
 //!
 //! Quantifiers are grounded by the host program (exactly what Kodkod does
 //! internally before hitting SAT): build conjunctions/disjunctions over
@@ -37,14 +40,12 @@ mod circuit;
 mod eval;
 mod expr;
 mod problem;
-mod session;
 mod translate;
 mod tuples;
 mod universe;
 
 pub use expr::{Expr, Formula};
 pub use problem::{Instance, Problem, RelDecl, RelId, Solutions};
-pub use session::Session;
 pub use tuples::{Tuple, TupleSet};
 pub use universe::Universe;
 

@@ -116,7 +116,8 @@ impl Problem {
     /// Enumerates all satisfying instances.
     ///
     /// Two instances are distinct when any declared relation differs. The
-    /// iterator is lazy; each `next` is one incremental SAT call.
+    /// problem is translated into a SAT solver of its own; the iterator is
+    /// lazy, and each `next` is one call on that solver.
     pub fn solutions(&self) -> Solutions<'_> {
         Solutions {
             translation: Translation::build(self),
@@ -207,6 +208,13 @@ pub struct Solutions<'p> {
     translation: Translation,
     problem: &'p Problem,
     done: bool,
+}
+
+impl Solutions<'_> {
+    /// The work counters of the problem's solver so far.
+    pub fn solver_stats(&self) -> tsat::SolverStats {
+        self.translation.solver_stats()
+    }
 }
 
 impl Iterator for Solutions<'_> {

@@ -300,105 +300,4 @@ proptest! {
         prop_assert_eq!(c.join(&c).union(&c), c.clone());
         prop_assert_eq!(r.transpose().transpose(), r);
     }
-
-    /// A shared-solver session enumerates exactly the model sets that
-    /// fresh per-problem solvers do, for an arbitrary problem sequence.
-    #[test]
-    fn session_matches_fresh_solvers(
-        exprs in proptest::collection::vec(rand_expr(), 1..5),
-        nonempty in any::<bool>(),
-    ) {
-        let u = Universe::new(["a", "b"]);
-        let mut session = crate::Session::new();
-        for e in exprs {
-            let e = legalize(e);
-            let mut p = Problem::new(u.clone());
-            let r0 = p.declare_free("r0", 2);
-            let r1 = p.declare_exact("r1", TupleSet::from_pairs([(0, 1)]));
-            let s0 = p.declare_exact("s0", TupleSet::from_atoms([0]));
-            let expr = e.to_expr(&[r0, r1, s0]);
-            p.require(if nonempty {
-                Formula::some(expr)
-            } else {
-                Formula::no(expr)
-            });
-
-            let fresh: std::collections::BTreeSet<Vec<Vec<usize>>> = p
-                .solutions()
-                .map(|i| i.get(r0).iter().cloned().collect())
-                .collect();
-            let shared: std::collections::BTreeSet<Vec<Vec<usize>>> = session
-                .solve_all(&p, usize::MAX)
-                .iter()
-                .map(|i| i.get(r0).iter().cloned().collect())
-                .collect();
-            prop_assert_eq!(fresh, shared);
-        }
-    }
-}
-
-#[test]
-fn session_retires_problems_and_retains_learning() {
-    // Solving the same factorial-count problem repeatedly on one session
-    // must keep producing exactly n! models — retired activation groups
-    // may not leak constraints into later problems.
-    let names: Vec<String> = (0..4).map(|i| format!("a{i}")).collect();
-    let u = Universe::new(names);
-    let mut session = crate::Session::new();
-    for round in 0..3 {
-        let mut p = Problem::new(u.clone());
-        let r = p.declare_free("lt", 2);
-        let lt = Expr::rel(r);
-        p.require(Formula::acyclic(lt.clone()));
-        p.require(Formula::subset(
-            Expr::univ(1).product(Expr::univ(1)).diff(Expr::iden()),
-            lt.clone().union(lt.transpose()),
-        ));
-        assert_eq!(session.solve_all(&p, usize::MAX).len(), 24, "round {round}");
-    }
-    assert_eq!(session.problems_solved(), 3);
-    // One solver served every call.
-    assert!(session.solver_stats().solve_calls >= 3 * 24);
-}
-
-#[test]
-fn session_respects_limits_and_unsat() {
-    let u = u3();
-    let mut session = crate::Session::new();
-    let mut p = Problem::new(u.clone());
-    p.declare_free("r", 2);
-    assert_eq!(session.solve_all(&p, 5).len(), 5);
-
-    let mut contradictory = Problem::new(u);
-    let r = contradictory.declare_free("r", 1);
-    contradictory.require(Formula::some(Expr::rel(r)));
-    contradictory.require(Formula::no(Expr::rel(r)));
-    assert!(session.solve_all(&contradictory, usize::MAX).is_empty());
-    // The session survives an unsat problem.
-    let mut p2 = Problem::new(u3());
-    p2.declare_free("r", 1);
-    assert_eq!(session.solve_all(&p2, usize::MAX).len(), 8);
-}
-
-#[test]
-fn session_survives_tautological_constraints() {
-    // Regression: a tautology that is not structurally folded to true
-    // (r ⊆ r ∪ s) forces its Tseitin root true in every model. Retiring
-    // that problem must not unsatisfy the shared solver for good.
-    let u = u3();
-    let mut session = crate::Session::new();
-    let mut taut = Problem::new(u.clone());
-    let r = taut.declare_free("r", 2);
-    let s = taut.declare_free("s", 2);
-    taut.require(Formula::subset(
-        Expr::rel(r),
-        Expr::rel(r).union(Expr::rel(s)),
-    ));
-    // 2^9 subsets for each of r and s over 3 atoms, capped by the limit.
-    assert_eq!(session.solve_all(&taut, 600).len(), 600);
-
-    // The next problem on the same session must still enumerate fully.
-    let mut p = Problem::new(u);
-    p.declare_free("r", 1);
-    assert_eq!(session.solve_all(&p, usize::MAX).len(), 8);
 }

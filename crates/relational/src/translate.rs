@@ -9,7 +9,7 @@ use crate::circuit::{Circuit, B};
 use crate::expr::{Expr, Formula};
 use crate::problem::{Instance, Problem, RelId};
 use crate::tuples::TupleSet;
-use tsat::{Lit, Var};
+use tsat::Var;
 
 /// A grid of circuit nodes representing a relation's characteristic
 /// function: length `n` for unary, `n * n` (row-major) for binary.
@@ -51,56 +51,20 @@ impl Grid {
     }
 }
 
+/// One problem translated into a solver of its own.
 pub(crate) struct Translation {
     circuit: Circuit,
     /// Per relation: the grid and the list of (cell index, var) choices.
     grids: Vec<Grid>,
     free_vars: Vec<Var>,
     n: usize,
-    sat_known_unsat: bool,
-    /// In shared-solver mode, the problem's root formula literal: assumed
-    /// (not asserted) on each solve, so the shared solver's clause store
-    /// stays valid for later problems. `None` in one-shot mode, where the
-    /// root is asserted as a unit clause at build time.
-    root: Option<Lit>,
 }
 
 impl Translation {
-    /// One-shot mode: a fresh solver per problem, root asserted.
+    /// Translates `problem` into a fresh solver and asserts its
+    /// constraints.
     pub(crate) fn build(problem: &Problem) -> Translation {
-        let mut tr = Translation::layout(Circuit::new(), problem);
-        let root = tr.formula(&problem.formula(), problem);
-        tr.circuit.assert_true(root);
-        tr
-    }
-
-    /// Shared-solver (incremental) mode: translates `problem` into an
-    /// existing circuit and keeps the root formula as an *assumption*
-    /// literal. Tseitin definitions are valid regardless of the root, so
-    /// nothing asserted here constrains other problems sharing the
-    /// solver; see [`Translation::retire`].
-    pub(crate) fn build_shared(circuit: Circuit, problem: &Problem) -> Translation {
-        let mut tr = Translation::layout(circuit, problem);
-        let root = tr.formula(&problem.formula(), problem);
-        match root {
-            B::T => tr.root = Some(tr.circuit.fresh()),
-            B::F => tr.sat_known_unsat = true,
-            // The root literal itself must never be retired with a hard
-            // unit: a tautological formula's Tseitin structure can force
-            // it true in every model, so `¬root` would unsatisfy the
-            // shared solver at the root level for good. A fresh
-            // activation literal implying the root is always free to go
-            // false instead.
-            B::L(l) => {
-                let act = tr.circuit.fresh();
-                tr.circuit.solver.add_clause([!act, l]);
-                tr.root = Some(act);
-            }
-        }
-        tr
-    }
-
-    fn layout(mut circuit: Circuit, problem: &Problem) -> Translation {
+        let mut circuit = Circuit::new();
         let n = problem.universe().size();
         let mut grids = Vec::new();
         let mut free_vars = Vec::new();
@@ -122,53 +86,28 @@ impl Translation {
             }
             grids.push(grid);
         }
-        Translation {
+        let mut tr = Translation {
             circuit,
             grids,
             free_vars,
             n,
-            sat_known_unsat: false,
-            root: None,
-        }
+        };
+        let root = tr.formula(&problem.formula(), problem);
+        tr.circuit.assert_true(root);
+        tr
     }
 
     pub(crate) fn solve(&mut self) -> bool {
-        if self.sat_known_unsat {
-            return false;
-        }
-        match self.root {
-            None => self.circuit.solver.solve().is_sat(),
-            Some(l) => self.circuit.solver.solve_with(&[l]).is_sat(),
-        }
+        self.circuit.solver.solve().is_sat()
     }
 
+    /// Forbids the current model; `false` when no model is left.
     pub(crate) fn block_current(&mut self) -> bool {
-        if self.free_vars.is_empty() {
-            self.sat_known_unsat = true;
-            return false;
-        }
-        let guard = self.root.map(|l| !l);
-        if !self
-            .circuit
-            .solver
-            .block_model_under(&self.free_vars, guard)
-        {
-            self.sat_known_unsat = true;
-            return false;
-        }
-        true
+        self.circuit.solver.block_model(&self.free_vars)
     }
 
-    /// Ends a shared-mode problem: permanently deactivates its root (and
-    /// with it all its gated blocking clauses) and hands the circuit back
-    /// for the next problem. Clauses learnt while solving this problem
-    /// stay in the solver — that retention is what makes a shard of
-    /// related problems cheaper than fresh solvers.
-    pub(crate) fn retire(mut self) -> Circuit {
-        if let Some(l) = self.root {
-            self.circuit.solver.add_clause([!l]);
-        }
-        self.circuit
+    pub(crate) fn solver_stats(&self) -> tsat::SolverStats {
+        self.circuit.solver.stats()
     }
 
     pub(crate) fn extract(&self, problem: &Problem) -> Instance {

@@ -16,7 +16,8 @@
 //! 2. [`Examiner::examine_axioms`] — per program, generate candidate
 //!    executions (explicit or relational backend), count, and pick a
 //!    deterministic minimal forbidden witness for every axiom of the run
-//!    in one walk over the candidates;
+//!    in one walk over the candidates (the relational backend makes one
+//!    SAT query per axiom);
 //! 3. [`assemble_suite`] — stitch per-program results back together in
 //!    plan order, with the shards' counters summed into one set.
 //!
@@ -32,7 +33,6 @@ use crate::programs::{EnumOptions, Program};
 use crate::satgen;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Range;
 use std::time::{Duration, Instant};
 use transform_core::axiom::Mtm;
 use transform_core::derive::BaseRel;
@@ -48,21 +48,6 @@ pub enum Backend {
     /// ([`crate::satgen`]) — the architecture of the paper's
     /// Alloy/Kodkod/MiniSat pipeline.
     Relational,
-}
-
-impl Backend {
-    /// How a run's `axioms` (by index) split into examination passes
-    /// over a list of programs, one [`Examiner`] per pass. The explicit
-    /// backend walks each program's candidates once for every axiom, so
-    /// it makes one pass. The relational backend's SAT query names one
-    /// axiom, so it makes one pass per axiom: one incremental solver is
-    /// alive at a time, and it sees the programs back to back.
-    pub fn passes(self, axioms: usize) -> Vec<Range<usize>> {
-        match self {
-            Backend::Explicit => std::iter::once(0..axioms).collect(),
-            Backend::Relational => (0..axioms).map(|ai| ai..ai + 1).collect(),
-        }
-    }
 }
 
 /// Options for one synthesis run.
@@ -366,30 +351,18 @@ pub struct Examined {
 ///
 /// One `Examiner` serves one shard. With the explicit backend, each
 /// program's candidates are generated, sorted and walked once for every
-/// axiom the examiner serves. With the relational backend it owns one
-/// [`satgen::ShardGen`] per axiom (the SAT query names the axiom), so
-/// every program it examines for that axiom shares a single incremental
-/// SAT solver.
+/// axiom the examiner serves. With the relational backend, the SAT query
+/// names the axiom, so each (program, axiom) pair is one query, solved
+/// on a solver of its own ([`satgen::violating_executions`]).
 pub struct Examiner<'m> {
     mtm: &'m Mtm,
     axioms: Vec<&'m str>,
     backend: Backend,
     branch_co_pa: bool,
-    /// One incremental generator per axiom (relational backend only).
-    shard_gens: Vec<satgen::ShardGen>,
-    /// SAT counters from solvers already retired by the periodic refresh,
-    /// so [`Examiner::solver_stats`] stays cumulative.
-    retired_solver_stats: tsat::SolverStats,
+    /// The summed counters of every SAT query answered so far
+    /// (relational backend only).
+    solver_stats: tsat::SolverStats,
 }
-
-/// Problems served by one incremental solver before the examiner swaps
-/// in a fresh one. Retired activation groups keep their variables and
-/// Tseitin clauses in the shared solver (only learnt clauses are ever
-/// deleted), so an unbounded run on one solver grows without limit; a
-/// periodic refresh caps memory at shard scale while keeping the
-/// learning-transfer benefit within each window. Results are unaffected —
-/// per-program examination is order-canonical regardless of solver state.
-const SOLVER_REFRESH_EVERY: usize = 64;
 
 impl<'m> Examiner<'m> {
     /// Creates an examiner for one axiom and one shard of a run — the
@@ -411,11 +384,7 @@ impl<'m> Examiner<'m> {
             axioms: axioms.to_vec(),
             backend,
             branch_co_pa,
-            shard_gens: match backend {
-                Backend::Explicit => Vec::new(),
-                Backend::Relational => axioms.iter().map(|_| satgen::ShardGen::new()).collect(),
-            },
-            retired_solver_stats: tsat::SolverStats::default(),
+            solver_stats: tsat::SolverStats::default(),
         }
     }
 
@@ -440,12 +409,10 @@ impl<'m> Examiner<'m> {
     ///
     /// Candidates are put in a canonical order before examination, so the
     /// result does not depend on backend generation order — in
-    /// particular, not on what an incremental SAT solver learnt from
-    /// other programs in the shard. That independence is what lets any
-    /// shard partition reproduce the sequential suite byte for byte, and
-    /// it makes the early stop at each axiom's witness safe: the counters
-    /// are a pure per-program function either way, and equal to what a
-    /// one-axiom examiner reports.
+    /// particular, not on the order a SAT solver finds its models in.
+    /// The counters are therefore a pure per-program function, equal to
+    /// what a one-axiom examiner reports, and the early stop at each
+    /// axiom's witness is safe.
     pub fn examine_axioms(&mut self, program: &Program) -> Vec<Examined> {
         let skeleton = program.to_skeleton();
         match self.backend {
@@ -454,10 +421,19 @@ impl<'m> Examiner<'m> {
                 execs::executions(&skeleton, self.branch_co_pa),
                 &self.axioms,
             ),
-            Backend::Relational => (0..self.axioms.len())
-                .map(|ai| {
-                    let candidates = self.violating_executions(ai, &skeleton);
-                    walk(self.mtm, candidates, &self.axioms[ai..=ai])
+            Backend::Relational => self
+                .axioms
+                .iter()
+                .map(|&axiom| {
+                    let (candidates, stats) = satgen::violating_executions_with_stats(
+                        &skeleton,
+                        self.mtm,
+                        axiom,
+                        self.branch_co_pa,
+                        usize::MAX,
+                    );
+                    self.solver_stats.absorb(&stats);
+                    walk(self.mtm, candidates, &[axiom])
                         .pop()
                         .expect("one result per axiom")
                 })
@@ -465,33 +441,10 @@ impl<'m> Examiner<'m> {
         }
     }
 
-    /// The relational candidates of `skeleton` violating axiom `ai`,
-    /// from that axiom's incremental generator.
-    fn violating_executions(&mut self, ai: usize, skeleton: &Execution) -> Vec<Execution> {
-        let shard_gen = &mut self.shard_gens[ai];
-        if shard_gen.problems_solved() >= SOLVER_REFRESH_EVERY {
-            self.retired_solver_stats.absorb(&shard_gen.solver_stats());
-            *shard_gen = satgen::ShardGen::new();
-        }
-        shard_gen.violating_executions(
-            skeleton,
-            self.mtm,
-            self.axioms[ai],
-            self.branch_co_pa,
-            usize::MAX,
-        )
-    }
-
-    /// SAT statistics of the shard's incremental solvers (relational
-    /// backend only).
+    /// The summed SAT counters of every query this examiner has answered
+    /// (relational backend only).
     pub fn solver_stats(&self) -> Option<tsat::SolverStats> {
-        (self.backend == Backend::Relational).then(|| {
-            let mut stats = self.retired_solver_stats;
-            for shard_gen in &self.shard_gens {
-                stats.absorb(&shard_gen.solver_stats());
-            }
-            stats
-        })
+        (self.backend == Backend::Relational).then_some(self.solver_stats)
     }
 }
 
@@ -611,8 +564,7 @@ pub fn synthesize_all(mtm: &Mtm, opts: &SynthOptions) -> BTreeMap<String, Suite>
 }
 
 /// The sequential driver behind [`synthesize_suite`] and
-/// [`synthesize_all`]: plans once and examines the plan in the
-/// backend's [`Backend::passes`] — for the explicit backend, one
+/// [`synthesize_all`]: plans once and examines the plan with one
 /// examiner for all `axioms`. Returns the suites in `axioms` order.
 /// A timeout covers the whole run.
 ///
@@ -629,18 +581,19 @@ pub fn synthesize_axioms(mtm: &Mtm, axioms: &[&str], opts: &SynthOptions) -> Vec
     let mut shards = vec![ShardStats::new(0); axioms.len()];
     let mut results: Vec<Vec<(usize, Examined)>> = vec![Vec::new(); axioms.len()];
     let mut timed_out = false;
-    'passes: for pass in opts.backend.passes(axioms.len()) {
-        let mut examiner =
-            Examiner::for_axioms(mtm, &axioms[pass.clone()], opts.backend, plan.branch_co_pa);
-        for item in &plan.items {
-            if deadline.is_some_and(|d| Instant::now() > d) {
-                timed_out = true;
-                break 'passes;
-            }
-            for (ai, examined) in pass.clone().zip(examiner.examine_axioms(&item.program)) {
-                shards[ai].absorb(&examined);
-                results[ai].push((item.index, examined));
-            }
+    let mut examiner = Examiner::for_axioms(mtm, axioms, opts.backend, plan.branch_co_pa);
+    for item in &plan.items {
+        if deadline.is_some_and(|d| Instant::now() > d) {
+            timed_out = true;
+            break;
+        }
+        for (ai, examined) in examiner
+            .examine_axioms(&item.program)
+            .into_iter()
+            .enumerate()
+        {
+            shards[ai].absorb(&examined);
+            results[ai].push((item.index, examined));
         }
     }
     let elapsed = start.elapsed();

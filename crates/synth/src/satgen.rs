@@ -9,12 +9,16 @@
 //! negated acyclicity/emptiness formula. Each SAT model is one candidate
 //! execution.
 //!
+//! Every (program, axiom) query is a model-finding problem of its own,
+//! solved on a fresh solver, as each Alloy command is in the paper's
+//! flow.
+//!
 //! Address-mapping provenance is encoded relationally: a walk's loaded
 //! mapping is the transitive chain through `rf_pte` and the static
 //! dirty-bit-to-walk edges, terminating at a PTE write (or at the initial
 //! mapping when the chain never meets one).
 
-use relational::{Expr, Formula, Instance, Problem, RelId, Session, TupleSet, Universe};
+use relational::{Expr, Formula, Instance, Problem, RelId, TupleSet, Universe};
 use std::collections::BTreeMap;
 use transform_core::axiom::{Axiom, Mtm, RelExpr};
 use transform_core::derive::{static_tlb_sources, BaseRel};
@@ -31,8 +35,20 @@ pub fn violating_executions(
     branch_co_pa: bool,
     limit: usize,
 ) -> Vec<Execution> {
+    violating_executions_with_stats(skeleton, mtm, axiom, branch_co_pa, limit).0
+}
+
+/// [`violating_executions`], with the work counters of the query's SAT
+/// solver.
+pub(crate) fn violating_executions_with_stats(
+    skeleton: &Execution,
+    mtm: &Mtm,
+    axiom: &str,
+    branch_co_pa: bool,
+    limit: usize,
+) -> (Vec<Execution>, tsat::SolverStats) {
     let Some(named) = mtm.axiom(axiom) else {
-        return Vec::new();
+        return (Vec::new(), tsat::SolverStats::default());
     };
     generate(skeleton, Some(&named.axiom), branch_co_pa, limit)
 }
@@ -41,7 +57,7 @@ pub fn violating_executions(
 /// relational model finding (no violation constraint) — used to cross-check
 /// the explicit enumerator.
 pub fn all_executions(skeleton: &Execution, branch_co_pa: bool) -> Vec<Execution> {
-    generate(skeleton, None, branch_co_pa, usize::MAX)
+    generate(skeleton, None, branch_co_pa, usize::MAX).0
 }
 
 struct Encoding {
@@ -57,15 +73,17 @@ fn generate(
     violate: Option<&Axiom>,
     branch_co_pa: bool,
     limit: usize,
-) -> Vec<Execution> {
+) -> (Vec<Execution>, tsat::SolverStats) {
     let Some(enc) = encode(skeleton, violate, branch_co_pa) else {
-        return Vec::new();
+        return (Vec::new(), tsat::SolverStats::default());
     };
-    enc.problem
-        .solutions()
+    let mut solutions = enc.problem.solutions();
+    let executions = solutions
+        .by_ref()
         .take(limit)
         .map(|inst| decode(skeleton, &enc, &inst))
-        .collect()
+        .collect();
+    (executions, solutions.solver_stats())
 }
 
 /// Reads one SAT model back into a candidate execution.
@@ -90,84 +108,6 @@ fn decode(skeleton: &Execution, enc: &Encoding, inst: &Instance) -> Execution {
             .collect::<PairSet>()
     });
     Execution::from_parts(parts)
-}
-
-/// A shard-scoped incremental generator: one SAT solver serving every
-/// program of a shard.
-///
-/// The free functions above rebuild a solver (and its CNF) per skeleton —
-/// the architecture of the paper's batch pipeline, where every candidate
-/// pays full translation and search from scratch. A `ShardGen` instead
-/// keeps a [`relational::Session`] alive across calls: each skeleton's
-/// constraints live under an activation literal, and the CDCL core
-/// retains learnt clauses, variable activities, and saved phases between
-/// skeletons. Within a shard of structurally similar programs (see
-/// `transform-par`'s prefix sharding) that knowledge transfers, making
-/// the relational backend profitable per shard instead of per call.
-pub struct ShardGen {
-    session: Session,
-}
-
-impl ShardGen {
-    /// Creates a generator with a fresh shared solver.
-    pub fn new() -> ShardGen {
-        ShardGen {
-            session: Session::new(),
-        }
-    }
-
-    /// Incremental equivalent of [`violating_executions`].
-    pub fn violating_executions(
-        &mut self,
-        skeleton: &Execution,
-        mtm: &Mtm,
-        axiom: &str,
-        branch_co_pa: bool,
-        limit: usize,
-    ) -> Vec<Execution> {
-        let Some(named) = mtm.axiom(axiom) else {
-            return Vec::new();
-        };
-        self.generate(skeleton, Some(&named.axiom), branch_co_pa, limit)
-    }
-
-    /// Incremental equivalent of [`all_executions`].
-    pub fn all_executions(&mut self, skeleton: &Execution, branch_co_pa: bool) -> Vec<Execution> {
-        self.generate(skeleton, None, branch_co_pa, usize::MAX)
-    }
-
-    fn generate(
-        &mut self,
-        skeleton: &Execution,
-        violate: Option<&Axiom>,
-        branch_co_pa: bool,
-        limit: usize,
-    ) -> Vec<Execution> {
-        let Some(enc) = encode(skeleton, violate, branch_co_pa) else {
-            return Vec::new();
-        };
-        self.session
-            .solve_all(&enc.problem, limit)
-            .iter()
-            .map(|inst| decode(skeleton, &enc, inst))
-            .collect()
-    }
-
-    /// The number of skeletons solved on this shard's solver.
-    pub fn problems_solved(&self) -> usize {
-        self.session.problems_solved()
-    }
-
-    /// Cumulative SAT statistics for the shard's solver.
-    pub fn solver_stats(&self) -> tsat::SolverStats {
-        self.session.solver_stats()
-    }
-}
-
-impl Default for ShardGen {
-    fn default() -> ShardGen {
-        ShardGen::new()
-    }
 }
 
 #[allow(clippy::too_many_lines)]
@@ -707,51 +647,6 @@ mod tests {
             .filter(|x| mtm.permits(x).violates("invlpg"))
             .collect();
         assert_eq!(explicit.len(), bad.len());
-    }
-
-    #[test]
-    fn shard_gen_matches_one_shot_generation() {
-        // One incremental solver across several structurally different
-        // skeletons must produce exactly the per-skeleton model sets of
-        // fresh solvers.
-        let mtm = x86t_elt_like();
-        let mut shard = ShardGen::new();
-        let skeletons = [skeleton_wr(), skeleton_remap_read(), skeleton_wr()];
-        for (i, skel) in skeletons.iter().enumerate() {
-            let fresh: BTreeSet<_> = all_executions(skel, false).iter().map(signature).collect();
-            let shared: BTreeSet<_> = shard
-                .all_executions(skel, false)
-                .iter()
-                .map(signature)
-                .collect();
-            assert_eq!(fresh, shared, "skeleton {i}: all-executions sets differ");
-
-            for axiom in ["sc_per_loc", "invlpg"] {
-                let fresh: BTreeSet<_> = violating_executions(skel, &mtm, axiom, false, usize::MAX)
-                    .iter()
-                    .map(signature)
-                    .collect();
-                let shared: BTreeSet<_> = shard
-                    .violating_executions(skel, &mtm, axiom, false, usize::MAX)
-                    .iter()
-                    .map(signature)
-                    .collect();
-                assert_eq!(fresh, shared, "skeleton {i}, axiom {axiom}");
-            }
-        }
-        assert_eq!(shard.problems_solved(), skeletons.len() * 3);
-        assert!(shard.solver_stats().solve_calls > 0);
-    }
-
-    #[test]
-    fn shard_gen_respects_limits() {
-        let mut shard = ShardGen::new();
-        let skel = skeleton_wr();
-        let total = shard.all_executions(&skel, false).len();
-        assert_eq!(total, 2);
-        let mtm = x86t_elt_like();
-        let limited = shard.violating_executions(&skel, &mtm, "sc_per_loc", false, 1);
-        assert_eq!(limited.len(), 1);
     }
 
     #[test]

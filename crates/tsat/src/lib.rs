@@ -8,9 +8,11 @@
 //! * two-watched-literal unit propagation,
 //! * first-UIP conflict analysis with clause minimization,
 //! * VSIDS-style variable activities with phase saving,
-//! * Luby-sequence restarts and learnt-clause database reduction,
-//! * solving under assumptions, and
+//! * Luby-sequence restarts and learnt-clause database reduction, and
 //! * model enumeration through blocking clauses.
+//!
+//! Each query of the relational layer runs on a solver of its own, so
+//! there is no interface for solving under assumptions.
 //!
 //! # Examples
 //!

@@ -7,7 +7,7 @@ use crate::lit::{LBool, Lit, Var};
 pub enum SolveResult {
     /// A satisfying assignment was found; read it with [`Solver::value`].
     Sat,
-    /// The formula (under the given assumptions) is unsatisfiable.
+    /// The formula is unsatisfiable.
     Unsat,
 }
 
@@ -31,9 +31,8 @@ pub struct SolverStats {
     pub restarts: u64,
     /// Number of learnt clauses currently in the database.
     pub learnt: u64,
-    /// Number of `solve`/`solve_with` calls answered. Incremental callers
-    /// (see [`Solver::solve_with`]) amortize clause learning across many
-    /// calls; this counter exposes how many calls one solver served.
+    /// Number of [`Solver::solve`] calls answered. Model enumeration
+    /// makes one call per model plus the final unsatisfiable one.
     pub solve_calls: u64,
 }
 
@@ -618,24 +617,10 @@ impl Solver {
         None
     }
 
-    /// Solves the formula with no assumptions.
+    /// Solves the formula. Clauses learnt, variable activities and saved
+    /// phases carry over to the next call, which model enumeration
+    /// ([`Solver::block_model`]) makes after adding a blocking clause.
     pub fn solve(&mut self) -> SolveResult {
-        self.solve_with(&[])
-    }
-
-    /// Solves under the given assumption literals.
-    ///
-    /// Assumptions are temporary: they constrain only this call. This is
-    /// the solver's *incremental* interface: everything else — problem
-    /// clauses, clauses learnt during earlier calls, variable activities,
-    /// and saved phases — is retained across calls, so a sequence of
-    /// related queries against one solver shares all derived knowledge.
-    /// The standard activation-literal pattern gates per-query constraint
-    /// groups: add each group's clauses with an extra `¬sᵢ` literal,
-    /// assume `sᵢ` while the group is live, and retire the group for good
-    /// with a unit `¬sᵢ` clause (which satisfies, and effectively
-    /// removes, every clause of the group).
-    pub fn solve_with(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.stats.solve_calls += 1;
         if !self.ok {
             return SolveResult::Unsat;
@@ -644,7 +629,7 @@ impl Solver {
         let mut restart_num: u64 = 0;
         loop {
             let budget = luby(restart_num) * RESTART_BASE;
-            match self.search(assumptions, budget) {
+            match self.search(budget) {
                 Some(res) => {
                     if res == SolveResult::Unsat {
                         self.cancel_until(0);
@@ -662,7 +647,7 @@ impl Solver {
 
     /// Runs the CDCL loop for at most `budget` conflicts.
     /// Returns `None` when the budget is exhausted (restart).
-    fn search(&mut self, assumptions: &[Lit], budget: u64) -> Option<SolveResult> {
+    fn search(&mut self, budget: u64) -> Option<SolveResult> {
         let mut conflicts = 0u64;
         loop {
             if let Some(confl) = self.propagate() {
@@ -688,27 +673,10 @@ impl Solver {
                     self.max_learnts *= 1.5;
                     self.reduce_db();
                 }
-                if conflicts >= budget && self.decision_level() > assumptions.len() {
+                if conflicts >= budget && self.decision_level() > 0 {
                     return None;
                 }
             } else {
-                // Establish assumptions, then decide.
-                if self.decision_level() < assumptions.len() {
-                    let p = assumptions[self.decision_level()];
-                    match self.lit_value(p) {
-                        LBool::True => {
-                            self.trail_lim.push(self.trail.len());
-                        }
-                        LBool::False => {
-                            return Some(SolveResult::Unsat);
-                        }
-                        LBool::Undef => {
-                            self.trail_lim.push(self.trail.len());
-                            self.unchecked_enqueue(p, None);
-                        }
-                    }
-                    continue;
-                }
                 match self.pick_branch() {
                     None => return Some(SolveResult::Sat),
                     Some(lit) => {
@@ -727,34 +695,14 @@ impl Solver {
     /// Returns `false` when the blocking clause is empty (no variables) or
     /// makes the formula unsatisfiable.
     pub fn block_model(&mut self, vars: &[Var]) -> bool {
-        self.block_model_under(vars, None)
-    }
-
-    /// Like [`Solver::block_model`], with the blocking clause gated by an
-    /// optional `unless` literal: the clause only bites while `unless` is
-    /// false. Incremental enumeration (model counting per activation
-    /// group) passes the group's negated activation literal here, so a
-    /// later unit `¬sᵢ` retires the group's blocking clauses along with
-    /// its constraints instead of poisoning the shared solver.
-    pub fn block_model_under(&mut self, vars: &[Var], unless: Option<Lit>) -> bool {
-        let mut lits: Vec<Lit> = vars
+        let lits: Vec<Lit> = vars
             .iter()
             .filter_map(|&v| self.value(v).map(|b| Lit::new(v, !b)))
             .collect();
         if lits.is_empty() {
-            match unless {
-                // No way back under this activation group: retire it.
-                Some(u) => {
-                    self.add_clause([u]);
-                    return false;
-                }
-                None => {
-                    self.ok = false;
-                    return false;
-                }
-            }
+            self.ok = false;
+            return false;
         }
-        lits.extend(unless);
         self.add_clause(lits)
     }
 }

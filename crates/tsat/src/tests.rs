@@ -149,84 +149,6 @@ fn pigeonhole_sat_when_enough_holes() {
 }
 
 #[test]
-fn solve_under_assumptions() {
-    let mut s = Solver::new();
-    let v = s.new_vars(3);
-    s.add_clause([Lit::neg(v[0]), Lit::pos(v[1])]);
-    s.add_clause([Lit::neg(v[1]), Lit::pos(v[2])]);
-    assert!(s.solve_with(&[Lit::pos(v[0])]).is_sat());
-    assert_eq!(s.value(v[2]), Some(true));
-    // Assumptions do not persist.
-    assert!(s.solve_with(&[Lit::neg(v[2])]).is_sat());
-    assert_eq!(s.value(v[2]), Some(false));
-    // Contradictory assumptions.
-    assert_eq!(
-        s.solve_with(&[Lit::pos(v[0]), Lit::neg(v[2])]),
-        SolveResult::Unsat
-    );
-    // The solver is still usable afterwards.
-    assert!(s.solve().is_sat());
-}
-
-#[test]
-fn activation_literals_gate_incremental_groups() {
-    // The incremental pattern: per-query constraint groups gated by
-    // activation literals, solved under assumptions, retired with units.
-    let mut s = Solver::new();
-    let x = s.new_var();
-    let y = s.new_var();
-    let s1 = s.new_var();
-    let s2 = s.new_var();
-    // Group 1: s1 → x ∧ ¬y. Group 2: s2 → y.
-    s.add_clause([Lit::neg(s1), Lit::pos(x)]);
-    s.add_clause([Lit::neg(s1), Lit::neg(y)]);
-    s.add_clause([Lit::neg(s2), Lit::pos(y)]);
-    assert!(s.solve_with(&[Lit::pos(s1)]).is_sat());
-    assert_eq!(s.value(x), Some(true));
-    assert_eq!(s.value(y), Some(false));
-    // The groups conflict when both are active.
-    assert_eq!(
-        s.solve_with(&[Lit::pos(s1), Lit::pos(s2)]),
-        SolveResult::Unsat
-    );
-    // Retiring group 1 leaves group 2 solvable, on the same solver.
-    s.add_clause([Lit::neg(s1)]);
-    assert!(s.solve_with(&[Lit::pos(s2)]).is_sat());
-    assert_eq!(s.value(y), Some(true));
-    assert!(s.stats().solve_calls >= 3);
-}
-
-#[test]
-fn gated_model_enumeration_does_not_poison_the_solver() {
-    let mut s = Solver::new();
-    let v = s.new_vars(2);
-    let g = s.new_var();
-    // g → (v0 ∨ v1): 3 models over {v0, v1} while g is assumed.
-    s.add_clause([Lit::neg(g), Lit::pos(v[0]), Lit::pos(v[1])]);
-    let mut count = 0;
-    while s.solve_with(&[Lit::pos(g)]).is_sat() {
-        count += 1;
-        assert!(count <= 3, "enumerated too many gated models");
-        if !s.block_model_under(&v, Some(Lit::neg(g))) {
-            break;
-        }
-    }
-    assert_eq!(count, 3);
-    // Retire the group: its constraint and blocking clauses all die, and
-    // the same solver enumerates the full 4-model space.
-    s.add_clause([Lit::neg(g)]);
-    let mut count2 = 0;
-    while s.solve().is_sat() {
-        count2 += 1;
-        assert!(count2 <= 4);
-        if !s.block_model(&v) {
-            break;
-        }
-    }
-    assert_eq!(count2, 4);
-}
-
-#[test]
 fn model_enumeration_counts_exactly() {
     // (a ∨ b) ∧ (¬a ∨ ¬b) has exactly 2 models over {a, b}.
     let mut s = Solver::new();
@@ -325,18 +247,6 @@ proptest! {
             }
         }
         prop_assert_eq!(count, expected);
-    }
-
-    #[test]
-    fn assumptions_agree_with_added_units((n, cnf) in cnf_strategy(), polarity in any::<bool>()) {
-        let (mut s1, vars1) = build(n, &cnf);
-        let assumption = Lit::new(vars1[0], polarity);
-        let r1 = s1.solve_with(&[assumption]).is_sat();
-
-        let mut cnf2 = cnf.clone();
-        cnf2.push(vec![(0, polarity)]);
-        let expected = brute_force_sat(n, &cnf2);
-        prop_assert_eq!(r1, expected);
     }
 }
 

@@ -26,10 +26,10 @@
 //! * [`store`] — the persistent content-addressed suite store: a
 //!   versioned binary codec, shard-streaming writes, checksum-validated
 //!   streaming reads, and the warm/cold cache policy.
-//! * [`relational`] — a Kodkod-style bounded relational model finder,
-//!   with incremental shared-solver sessions.
-//! * [`tsat`] — the CDCL SAT solver underneath it, solving under
-//!   assumptions with clause retention across calls.
+//! * [`relational`] — a Kodkod-style bounded relational model finder
+//!   that solves each problem on a SAT solver of its own.
+//! * [`tsat`] — the CDCL SAT solver underneath it, with model
+//!   enumeration through blocking clauses.
 //!
 //! # Quickstart
 //!

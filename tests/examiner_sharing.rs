@@ -97,9 +97,9 @@ fn shared_examiner_reports_solver_stats_for_every_axiom() {
     for item in &plan.items {
         shared.examine_axioms(&item.program);
     }
-    // Each axiom keeps its own solver, fed the same problems in the same
-    // order, so the shared examiner makes exactly the SAT calls of the
-    // five one-axiom examiners together.
+    // Every (program, axiom) query runs on a solver of its own, so the
+    // shared examiner makes exactly the SAT calls of the five one-axiom
+    // examiners together.
     assert_eq!(
         shared.solver_stats().expect("relational").solve_calls,
         single_calls
