@@ -423,7 +423,10 @@ usage: transform store pull --cache DIR --url URL [--fingerprint FP]
 
 Download sealed entries from a shared `transform serve` cache into a
 local store. Every fetched entry is validated byte-for-byte before it
-is installed; entries already present locally are skipped.
+is installed; entries already present locally are skipped. An entry
+that fails validation is reported and not installed, the rest are
+still pulled, and the command then exits nonzero with the number
+refused.
 
 flags:
   --fingerprint FP       pull one entry instead of the remote's index

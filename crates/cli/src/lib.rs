@@ -57,7 +57,8 @@ use transform_litmus::format::{parse_elt, print_elt};
 use transform_par::{synthesize, ProgressState};
 use transform_sim::{check_conformance, explore, Bugs, SimConfig, SimProgram};
 use transform_store::{
-    execute_lease, CacheTier, EntryMeta, Fingerprint, HttpTier, JobSpec, Store, TieredCache,
+    execute_lease, CacheTier, EntryMeta, Fingerprint, HttpTier, JobSpec, Store, StoreError,
+    TieredCache,
 };
 use transform_synth::engine::{Backend, Suite, SynthOptions};
 use transform_synth::programs::{Program, SlotOp};
@@ -1322,36 +1323,49 @@ fn cmd_store_pull(mut opts: Opts) -> Result<String, String> {
             .collect(),
     };
     let mut out = String::new();
-    let (mut pulled, mut skipped) = (0usize, 0usize);
+    let (mut pulled, mut skipped, mut refused) = (0usize, 0usize, 0usize);
     for fp in wanted {
         if store.contains(fp) {
             skipped += 1;
             continue;
         }
-        let bytes = CacheTier::fetch(&remote, fp)
-            .map_err(|e| e.to_string())?
-            .ok_or(format!("remote {} has no entry {fp}", remote.url()))?;
-        // Full byte-for-byte validation before anything is published.
-        store
-            .install_bytes(fp, &bytes)
-            .map_err(|e| format!("{fp}: {e}"))?;
-        out.push_str(&format!("pulled {fp} ({} bytes)\n", bytes.len()));
-        pulled += 1;
+        let Some(bytes) = CacheTier::fetch(&remote, fp).map_err(|e| e.to_string())? else {
+            out.push_str(&format!("refused {fp}: the remote has no such entry\n"));
+            refused += 1;
+            continue;
+        };
+        // Full byte-for-byte validation before anything is published. A
+        // damaged entry is reported and skipped, so it cannot hold back
+        // the entries listed after it.
+        match store.install_bytes(fp, &bytes) {
+            Ok(()) => {
+                out.push_str(&format!("pulled {fp} ({} bytes)\n", bytes.len()));
+                pulled += 1;
+            }
+            Err(e @ (StoreError::Corrupt(_) | StoreError::Version { .. })) => {
+                out.push_str(&format!("refused {fp}: {e}\n"));
+                refused += 1;
+            }
+            Err(e) => return Err(format!("{fp}: {e}")),
+        }
     }
     out.push_str(&format!(
         "{pulled} entr{} pulled from {}, {skipped} already present\n",
         if pulled == 1 { "y" } else { "ies" },
         remote.url(),
     ));
+    if refused > 0 {
+        return Err(format!(
+            "store pull refused {refused} entr{}\n{out}",
+            if refused == 1 { "y" } else { "ies" },
+        ));
+    }
     Ok(out)
 }
 
 /// Fully re-validates one sealed entry: header, every record checksum,
 /// and the trailer.
-fn validate_entry(
-    store: &Store,
-    fp: Fingerprint,
-) -> Result<(u64, EntryMeta), transform_store::StoreError> {
+fn validate_entry(store: &Store, fp: Fingerprint) -> Result<(u64, EntryMeta), StoreError> {
     let mut reader = store.open_suite(fp)?;
     let meta = reader.meta().clone();
     let mut records = 0u64;
@@ -2365,6 +2379,74 @@ mod tests {
             assert_eq!(
                 a.entry_bytes(fp).expect("readable"),
                 b.entry_bytes(fp).expect("readable"),
+                "{fp}"
+            );
+        }
+        handle.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One damaged entry on the server (its header intact, so the server
+    /// lists and serves it) is refused and reported, and every intact
+    /// entry listed around it still arrives byte-identical; the pull then
+    /// fails with the number refused.
+    #[test]
+    fn store_pull_skips_a_damaged_entry_and_pulls_the_rest() {
+        use transform_serve::{ServeOptions, Server};
+        let dir = temp_dir("pull-damaged");
+        let served = dir.join("served");
+        let mirror = dir.join("mirror");
+        for axiom in ["invlpg", "sc_per_loc", "causality"] {
+            run_str(&format!(
+                "synthesize --axiom {axiom} --bound 4 --quiet --cache {}",
+                served.display()
+            ))
+            .expect("seeds the served store");
+        }
+        let server = Server::bind(&served, "127.0.0.1:0", ServeOptions::default()).expect("binds");
+        let url = format!("http://{}", server.local_addr());
+        let handle = server.spawn();
+
+        // Damage the entry the pull reaches first: flip the last byte
+        // of its last record, just before the 8-byte trailer.
+        let listed: Vec<Fingerprint> = HttpTier::new(&url)
+            .expect("valid URL")
+            .index()
+            .expect("lists")
+            .into_iter()
+            .map(|e| e.fingerprint)
+            .collect();
+        assert_eq!(listed.len(), 3);
+        let damaged = listed[0];
+        let origin = Store::open(&served).expect("opens");
+        let path = origin.entry_path(damaged);
+        let mut bytes = std::fs::read(&path).expect("readable");
+        let at = bytes.len() - 9;
+        bytes[at] ^= 0x40;
+        std::fs::write(&path, &bytes).expect("writable");
+        assert!(
+            origin.open_suite(damaged).is_ok(),
+            "the header stays intact"
+        );
+        assert!(
+            validate_entry(&origin, damaged).is_err(),
+            "a record is damaged"
+        );
+
+        let e = run_str(&format!(
+            "store pull --cache {} --url {url}",
+            mirror.display()
+        ))
+        .expect_err("a refused entry fails the pull");
+        assert!(e.starts_with("store pull refused 1 entry\n"), "{e}");
+        assert!(e.contains(&format!("refused {damaged}: ")), "{e}");
+        assert!(e.contains("2 entries pulled"), "{e}");
+        let local = Store::open(&mirror).expect("opens");
+        assert_eq!(local.entries().expect("lists"), listed[1..].to_vec());
+        for &fp in &listed[1..] {
+            assert_eq!(
+                local.entry_bytes(fp).expect("readable"),
+                origin.entry_bytes(fp).expect("readable"),
                 "{fp}"
             );
         }
