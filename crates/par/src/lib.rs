@@ -90,7 +90,7 @@ use transform_synth::{ShardStats, Suite, SuiteRecord, SuiteStats, SynthOptions, 
 pub use progress::{
     AxiomSnapshot, AxiomState, JournalEvent, JournalEventKind, ProgressSnapshot, ProgressState,
 };
-pub use stream::{synthesize_streamed, StreamMetrics};
+pub use stream::{synthesize_range, synthesize_streamed, StreamMetrics};
 
 /// The machine's available parallelism (the `--jobs` default).
 pub fn default_jobs() -> usize {

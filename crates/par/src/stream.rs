@@ -497,6 +497,17 @@ struct RunCtx<'r> {
     branch_co_pa: bool,
 }
 
+impl<'r> RunCtx<'r> {
+    fn new(mtm: &'r Mtm, axioms: &'r [&'r str], opts: &'r SynthOptions) -> Self {
+        RunCtx {
+            mtm,
+            axioms,
+            opts,
+            branch_co_pa: branches_co_pa(mtm),
+        }
+    }
+}
+
 /// One pool worker: alternates between enumerating tasks and examining
 /// batches until the pipeline drains.
 fn worker(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>) {
@@ -632,20 +643,57 @@ pub fn synthesize_streamed(
     range: Option<(usize, usize)>,
     sinks: &[&dyn SuiteSink],
 ) -> (Vec<SuiteStats>, StreamMetrics) {
+    let start = Instant::now();
+    let space = EnumSpace::new(&opts.enumeration);
+    let range = range.map_or(0..space.partition_count(), |(lo, hi)| lo..hi);
+    let ctx = RunCtx::new(mtm, axioms, opts);
+    run(&ctx, jobs, progress, space, range, sinks, start)
+}
+
+/// [`synthesize_streamed`] without an observer, over the partitions
+/// `range` of a `space` the caller has already built: a fleet lease
+/// builds its space once, checks the leased range against it, and runs
+/// here.
+///
+/// # Panics
+///
+/// As [`synthesize_streamed`].
+pub fn synthesize_range(
+    space: EnumSpace,
+    range: Range<usize>,
+    mtm: &Mtm,
+    axioms: &[&str],
+    opts: &SynthOptions,
+    jobs: usize,
+    sinks: &[&dyn SuiteSink],
+) -> (Vec<SuiteStats>, StreamMetrics) {
+    let ctx = RunCtx::new(mtm, axioms, opts);
+    run(&ctx, jobs, None, space, range, sinks, Instant::now())
+}
+
+/// The run behind [`synthesize_streamed`] and [`synthesize_range`]; its
+/// deadline counts from `start`.
+fn run(
+    ctx: &RunCtx<'_>,
+    jobs: usize,
+    progress: Option<&Arc<ProgressState>>,
+    space: EnumSpace,
+    range: Range<usize>,
+    sinks: &[&dyn SuiteSink],
+    start: Instant,
+) -> (Vec<SuiteStats>, StreamMetrics) {
+    let axioms = ctx.axioms;
     assert_eq!(axioms.len(), sinks.len(), "one sink per axiom");
     for axiom in axioms {
         assert!(
-            mtm.axiom(axiom).is_some(),
+            ctx.mtm.axiom(axiom).is_some(),
             "axiom `{axiom}` is not part of {}",
-            mtm.name()
+            ctx.mtm.name()
         );
     }
     let jobs = jobs.max(1);
-    let start = Instant::now();
-    let deadline = opts.timeout.map(|t| start + t);
-    let space = EnumSpace::new(&opts.enumeration);
-    let (lo, hi) = range.unwrap_or((0, space.partition_count()));
-    let pipeline = Pipeline::new(&space, axioms, progress, deadline, lo..hi);
+    let deadline = ctx.opts.timeout.map(|t| start + t);
+    let pipeline = Pipeline::new(&space, axioms, progress, deadline, range);
     pipeline.progress.record(
         JournalEventKind::RunStart,
         None,
@@ -653,17 +701,10 @@ pub fn synthesize_streamed(
         space.total_mass(),
         jobs as u64,
     );
-    let ctx = RunCtx {
-        mtm,
-        axioms,
-        opts,
-        branch_co_pa: branches_co_pa(mtm),
-    };
 
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             let pipeline = &pipeline;
-            let ctx = &ctx;
             scope.spawn(move || worker(pipeline, ctx));
         }
     });

@@ -684,7 +684,8 @@ impl SuiteSink for CollectShard {
 /// The partitions are the root shapes of the spec's enumeration
 /// options, and a range enumerates only its own, so every worker
 /// reproduces the same range plan regardless of local thread count;
-/// records are sorted by range-local plan index.
+/// records are sorted by range-local plan index. The space is built
+/// once, both to check the leased range and to run it.
 ///
 /// # Errors
 ///
@@ -718,15 +719,8 @@ pub fn execute_lease(grant: &LeaseGrant, jobs: usize) -> Result<ShardResult, Sto
     }
     let sinks: Vec<CollectShard> = axioms.iter().map(|_| CollectShard::default()).collect();
     let sink_refs: Vec<&dyn SuiteSink> = sinks.iter().map(|s| s as &dyn SuiteSink).collect();
-    let (stats, _) = transform_par::synthesize_streamed(
-        &mtm,
-        &axioms,
-        &opts,
-        jobs,
-        None,
-        Some((lo, hi)),
-        &sink_refs,
-    );
+    let (stats, _) =
+        transform_par::synthesize_range(space, lo..hi, &mtm, &axioms, &opts, jobs, &sink_refs);
     // Every axiom shares the range's plan, so any axiom's count is the
     // range's: the programs of the partitions `[lo, hi)`.
     let programs = stats.first().map_or(0, |s| s.programs);
@@ -867,6 +861,35 @@ mod tests {
         let mut off_plan = grant;
         off_plan.lo = 1;
         assert!(LeaseGrant::decode(&off_plan.encode()).is_err());
+    }
+
+    /// A lease whose range runs past the worker's partition count (a
+    /// coordinator and worker that enumerate differently) is a corrupt
+    /// lease, not a panic inside the pipeline; the whole space runs.
+    #[test]
+    fn lease_past_the_partition_count_is_corrupt() {
+        let spec = spec();
+        let opts = spec.key.synth_options().expect("known backend");
+        let partitions = EnumSpace::new(&opts.enumeration).partition_count() as u32;
+        let grant = |lo, hi| LeaseGrant {
+            lease: 1,
+            job: spec.id(),
+            lo,
+            hi,
+            ttl_ms: spec.lease_ttl_ms,
+            spec: spec.clone(),
+        };
+        for (lo, hi) in [(0, partitions + 1), (partitions, partitions + 2), (2, 2)] {
+            match execute_lease(&grant(lo, hi), 1) {
+                Err(StoreError::Corrupt(msg)) => {
+                    assert!(msg.contains("outside"), "{lo}..{hi}: {msg}");
+                }
+                Err(e) => panic!("{lo}..{hi}: {e}"),
+                Ok(_) => panic!("{lo}..{hi} ran"),
+            }
+        }
+        let whole = execute_lease(&grant(0, partitions), 1).expect("the whole space runs");
+        assert_eq!((whole.lo, whole.hi), (0, partitions));
     }
 
     fn shard(job: u64, lo: u32, hi: u32) -> ShardResult {
