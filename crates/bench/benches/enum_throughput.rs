@@ -168,14 +168,14 @@ fn fused_run(mtm: &Mtm, o: &SynthOptions, jobs: usize, observed: bool) -> FusedR
         };
         let start = Instant::now();
         let (stats, metrics) =
-            synthesize_streamed(mtm, &[AXIOM], o, jobs, Some(&progress), None, &[&sink]);
+            synthesize_streamed(mtm, &[AXIOM], o, jobs, Some(&progress), &[&sink]);
         let elapsed = start.elapsed();
         drop(stop);
         sampler.join().expect("sampler joins");
         (elapsed, stats, metrics, progress.take_journal().len())
     } else {
         let start = Instant::now();
-        let (stats, metrics) = synthesize_streamed(mtm, &[AXIOM], o, jobs, None, None, &[&sink]);
+        let (stats, metrics) = synthesize_streamed(mtm, &[AXIOM], o, jobs, None, &[&sink]);
         (start.elapsed(), stats, metrics, 0)
     };
     let mut records = sink.0.into_inner().expect("collect lock");

@@ -190,7 +190,7 @@ pub fn synthesize(
     }
     let sinks: Vec<CollectSink> = axioms.iter().map(|_| CollectSink::new()).collect();
     let sink_refs: Vec<&dyn SuiteSink> = sinks.iter().map(|s| s as &dyn SuiteSink).collect();
-    let (all_stats, _) = synthesize_streamed(mtm, axioms, opts, jobs, progress, None, &sink_refs);
+    let (all_stats, _) = synthesize_streamed(mtm, axioms, opts, jobs, progress, &sink_refs);
     axioms
         .iter()
         .zip(sinks)
@@ -203,7 +203,7 @@ pub fn synthesize(
         .collect()
 }
 
-/// [`synthesize_streamed`] without observer or range. It exists only
+/// [`synthesize_streamed`] without an observer. It exists only
 /// because the frozen benchmark harness (`perfbench`) calls it.
 pub fn synthesize_axioms_streamed_metrics(
     mtm: &Mtm,
@@ -212,7 +212,7 @@ pub fn synthesize_axioms_streamed_metrics(
     jobs: usize,
     sinks: &[&dyn SuiteSink],
 ) -> (Vec<SuiteStats>, StreamMetrics) {
-    synthesize_streamed(mtm, axioms, opts, jobs, None, None, sinks)
+    synthesize_streamed(mtm, axioms, opts, jobs, None, sinks)
 }
 
 /// Re-exported so callers of the parallel API can name the backend
@@ -302,7 +302,7 @@ mod tests {
             shards: Mutex::new(Vec::new()),
         };
         let (mut stats, metrics) =
-            synthesize_streamed(&mtm, &["sc_per_loc"], &o, 4, None, None, &[&sink]);
+            synthesize_streamed(&mtm, &["sc_per_loc"], &o, 4, None, &[&sink]);
         let stats = stats.remove(0);
         let suite = synthesize(&mtm, &["sc_per_loc"], &o, 4, None).remove(0);
         let mut records = sink.records.into_inner().unwrap();
@@ -453,8 +453,7 @@ mod tests {
         let sinks = [CollectSink::new(), CollectSink::new()];
         let sink_refs: Vec<&dyn SuiteSink> = sinks.iter().map(|s| s as &dyn SuiteSink).collect();
         let progress = Arc::new(ProgressState::new(&axioms));
-        let (stats, _) =
-            synthesize_streamed(&mtm, &axioms, &o, 2, Some(&progress), None, &sink_refs);
+        let (stats, _) = synthesize_streamed(&mtm, &axioms, &o, 2, Some(&progress), &sink_refs);
         assert_eq!(stats.len(), axioms.len());
         assert!(stats.iter().all(|s| s.timed_out));
         assert!(progress

@@ -618,46 +618,43 @@ fn deliver(
 /// [`AxiomState::Cached`]); the run binds its own axioms by name.
 /// Observation is lock-free sampling and adds no synchronization to
 /// the hot path; the returned [`StreamMetrics`] is the final snapshot of
-/// the same state.
-///
-/// `range` restricts the run to the partitions `[range.0, range.1)`
-/// (global ordinals of [`EnumSpace::new`]) — the fleet's work unit.
-/// Only those partitions are enumerated; their plan items are numbered
-/// from 0 and [`SuiteStats::programs`] counts their programs. Ranges
-/// that tile the space therefore produce records whose indices, each
-/// shifted by the plan items of the ranges before it, concatenate into
-/// the single-machine run, and counters that sum to it. `jobs` is only
-/// this run's local thread count and never affects the output.
+/// the same state. `jobs` is only this run's local thread count and
+/// never affects the output.
 ///
 /// # Panics
 ///
 /// Panics when any axiom is not part of `mtm` or not tracked by
-/// `progress`, `axioms` and `sinks` disagree in length, or the range is
-/// not ordered inside `[0, partition_count]`.
+/// `progress`, or `axioms` and `sinks` disagree in length.
 pub fn synthesize_streamed(
     mtm: &Mtm,
     axioms: &[&str],
     opts: &SynthOptions,
     jobs: usize,
     progress: Option<&Arc<ProgressState>>,
-    range: Option<(usize, usize)>,
     sinks: &[&dyn SuiteSink],
 ) -> (Vec<SuiteStats>, StreamMetrics) {
     let start = Instant::now();
     let space = EnumSpace::new(&opts.enumeration);
-    let range = range.map_or(0..space.partition_count(), |(lo, hi)| lo..hi);
+    let range = 0..space.partition_count();
     let ctx = RunCtx::new(mtm, axioms, opts);
     run(&ctx, jobs, progress, space, range, sinks, start)
 }
 
-/// [`synthesize_streamed`] without an observer, over the partitions
-/// `range` of a `space` the caller has already built: a fleet lease
-/// builds its space once, checks the leased range against it, and runs
-/// here.
+/// [`synthesize_streamed`] without an observer, restricted to the
+/// partitions `range` (ordinals of `space`) — the fleet's work unit. A
+/// fleet lease builds its `space` once, checks the leased range against
+/// it, and runs here.
+///
+/// Only the range's partitions are enumerated; their plan items are
+/// numbered from 0 and [`SuiteStats::programs`] counts their programs.
+/// Ranges that tile the space therefore produce records whose indices,
+/// each shifted by the plan items of the ranges before it, concatenate
+/// into the single-machine run, and counters that sum to it.
 ///
 /// # Panics
 ///
-/// As [`synthesize_streamed`].
+/// As [`synthesize_streamed`], and when the range is not ordered inside
+/// `[0, space.partition_count()]`.
 pub fn synthesize_range(
     space: EnumSpace,
     range: Range<usize>,
@@ -1197,8 +1194,7 @@ mod tests {
     fn run_cold(m: &Mtm, bound: usize, jobs: usize) -> (Vec<SuiteRecord>, SuiteStats) {
         let opts = synth_opts(bound);
         let sink = RecordSink::new();
-        let (mut stats, _) =
-            synthesize_streamed(m, &["sc_per_loc"], &opts, jobs, None, None, &[&sink]);
+        let (mut stats, _) = synthesize_streamed(m, &["sc_per_loc"], &opts, jobs, None, &[&sink]);
         (sink.take(), stats.remove(0))
     }
 
@@ -1223,15 +1219,15 @@ mod tests {
                 let mut minimal = 0usize;
                 let mut programs = 0usize;
                 let mut base = 0usize;
-                for range in [(0, split), (split, n)] {
+                for range in [0..split, split..n] {
                     let sink = RecordSink::new();
-                    let (mut stats, _) = synthesize_streamed(
+                    let (mut stats, _) = synthesize_range(
+                        EnumSpace::new(&opts.enumeration),
+                        range,
                         &m,
                         &["sc_per_loc"],
                         &opts,
                         jobs,
-                        None,
-                        Some(range),
                         &[&sink],
                     );
                     let stats = stats.remove(0);
@@ -1278,7 +1274,7 @@ mod tests {
         let m = mtm();
         let opts = SynthOptions::new(6);
         let full = RecordSink::new();
-        synthesize_streamed(&m, &["sc_per_loc"], &opts, 2, None, None, &[&full]);
+        synthesize_streamed(&m, &["sc_per_loc"], &opts, 2, None, &[&full]);
         let full = full.take();
         let space = EnumSpace::new(&opts.enumeration);
         // Shrink the budget until it strikes after the first partitions.
@@ -1287,7 +1283,7 @@ mod tests {
             cut_opts.timeout = Some(Duration::from_millis(millis));
             let sink = RecordSink::new();
             let (mut stats, metrics) =
-                synthesize_streamed(&m, &["sc_per_loc"], &cut_opts, 2, None, None, &[&sink]);
+                synthesize_streamed(&m, &["sc_per_loc"], &cut_opts, 2, None, &[&sink]);
             let stats = stats.remove(0);
             let Some(cut) = metrics.cut_at_partition.filter(|&cut| cut > 0) else {
                 continue;
@@ -1329,15 +1325,8 @@ mod tests {
         opts.timeout = Some(Duration::from_millis(1));
         let progress = Arc::new(ProgressState::with_journal(&["sc_per_loc"]));
         let sink = RecordSink::new();
-        let (stats, metrics) = synthesize_streamed(
-            &m,
-            &["sc_per_loc"],
-            &opts,
-            2,
-            Some(&progress),
-            None,
-            &[&sink],
-        );
+        let (stats, metrics) =
+            synthesize_streamed(&m, &["sc_per_loc"], &opts, 2, Some(&progress), &[&sink]);
         let journal = progress.take_journal();
         let snap = progress.snapshot();
         let retired: u64 = journal
@@ -1370,15 +1359,8 @@ mod tests {
         assert_eq!(tasks.len(), 147);
         let progress = Arc::new(ProgressState::with_journal(&["sc_per_loc"]));
         let sink = RecordSink::new();
-        let (stats, metrics) = synthesize_streamed(
-            &m,
-            &["sc_per_loc"],
-            &opts,
-            2,
-            Some(&progress),
-            None,
-            &[&sink],
-        );
+        let (stats, metrics) =
+            synthesize_streamed(&m, &["sc_per_loc"], &opts, 2, Some(&progress), &[&sink]);
         assert!(!stats[0].timed_out);
         assert_eq!(metrics.partitions, space.partition_count());
         let journal = progress.take_journal();

@@ -78,8 +78,7 @@ fn counters_are_monotone_under_concurrent_sampling() {
     };
     let sinks: Vec<NullSink> = axioms.iter().map(|_| NullSink).collect();
     let sink_refs: Vec<&dyn SuiteSink> = sinks.iter().map(|s| s as &dyn SuiteSink).collect();
-    let (stats, metrics) =
-        synthesize_streamed(&mtm, &axioms, &o, 4, Some(&progress), None, &sink_refs);
+    let (stats, metrics) = synthesize_streamed(&mtm, &axioms, &o, 4, Some(&progress), &sink_refs);
     stop.store(true, Ordering::Relaxed);
     sampler.join().expect("sampler thread");
 

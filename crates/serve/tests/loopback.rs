@@ -140,8 +140,7 @@ fn wrong_suite_behind_the_right_fingerprint_is_evicted_not_served() {
         let pending = store
             .begin(fp, EntryMeta::describe(&mtm, "sc_per_loc", &opts()))
             .expect("begins");
-        let (stats, _) =
-            synthesize_streamed(&mtm, &["sc_per_loc"], &opts(), 2, None, None, &[&pending]);
+        let (stats, _) = synthesize_streamed(&mtm, &["sc_per_loc"], &opts(), 2, None, &[&pending]);
         pending.seal(&stats[0]).expect("seals");
         store
             .entry_bytes(fp)

@@ -235,7 +235,7 @@ impl TieredCache {
             let sink_refs: Vec<&dyn SuiteSink> =
                 pending.iter().map(|p| p as &dyn SuiteSink).collect();
             let (all_stats, _) =
-                synthesize_streamed(mtm, &miss_axioms, opts, jobs, progress, None, &sink_refs);
+                synthesize_streamed(mtm, &miss_axioms, opts, jobs, progress, &sink_refs);
 
             for (((i, fp, status), pending), stats) in
                 misses.into_iter().zip(pending).zip(all_stats)

@@ -126,7 +126,7 @@ proptest! {
             .collect();
         let sinks: Vec<&dyn SuiteSink> = pending.iter().map(|p| p as &dyn SuiteSink).collect();
         let (stats, _) = transform_par::synthesize_streamed(
-            &mtm, &axioms, &o, plan_jobs as usize, None, None, &sinks,
+            &mtm, &axioms, &o, plan_jobs as usize, None, &sinks,
         );
         for ((pending, mut stats), &fp) in pending.into_iter().zip(stats).zip(&sealed) {
             stats.elapsed = Duration::ZERO;
