@@ -31,10 +31,10 @@
 //! program once for all of them (the explicit backend walks the
 //! program's candidates once; the relational backend makes one SAT
 //! query per axiom, each on a solver of its own). No shared plan is
-//! materialized before workers start. All axioms therefore finish together: after
-//! the last batch retires, every axiom's sink receives its shards, and
-//! the run returns one set of counters per axiom, which the store seals
-//! with the suite.
+//! materialized before workers start. All axioms therefore finish
+//! together: after the last batch retires, every axiom's sink receives
+//! its shards, and the run returns one set of counters per axiom, which
+//! the store seals with the suite.
 //!
 //! Batches are, like tasks, a pure function of the space and the range:
 //! one per root partition with plan items. Each batch's [`ShardStats`]

@@ -39,8 +39,9 @@ pub struct SolverStats {
 impl SolverStats {
     /// Adds another solver's counters into these, for callers that
     /// aggregate work across several solver instances. `learnt` (clauses
-    /// *currently* in a database) is summed like the rest; across live
-    /// solvers it reads as their combined database size.
+    /// *currently* in a database) is summed like the rest, so across
+    /// solvers it reads as the sum of their database sizes when each was
+    /// read.
     pub fn absorb(&mut self, other: &SolverStats) {
         self.conflicts += other.conflicts;
         self.decisions += other.decisions;
