@@ -5,8 +5,9 @@
 //! *transistency predicate* against a candidate execution classifies the
 //! execution as **permitted** (all axioms hold) or **forbidden** (§II-B).
 
-use crate::derive::{is_acyclic, Analysis, BaseRel};
-use crate::exec::{Execution, PairSet};
+use crate::derive::{Analysis, BaseRel};
+use crate::exec::Execution;
+use crate::rel::Rel;
 use crate::wellformed::WellformedError;
 use std::fmt;
 use std::sync::Arc;
@@ -77,45 +78,25 @@ impl RelExpr {
         it.fold(first, RelExpr::union)
     }
 
-    /// Evaluates to the concrete pair set under `a`.
-    pub fn eval(&self, a: &Analysis<'_>) -> PairSet {
+    /// Evaluates to the relation's bit matrix under `a`.
+    pub fn eval(&self, a: &Analysis<'_>) -> Rel {
         match self {
-            RelExpr::Base(r) => a.relation(*r).clone(),
-            RelExpr::Union(l, r) => l.eval(a).union(&r.eval(a)).copied().collect(),
-            RelExpr::Inter(l, r) => l.eval(a).intersection(&r.eval(a)).copied().collect(),
-            RelExpr::Diff(l, r) => l.eval(a).difference(&r.eval(a)).copied().collect(),
-            RelExpr::Seq(l, r) => {
-                let lv = l.eval(a);
-                let rv = r.eval(a);
-                let mut out = PairSet::new();
-                for &(x, y) in &lv {
-                    for &(y2, z) in &rv {
-                        if y == y2 {
-                            out.insert((x, z));
-                        }
-                    }
-                }
-                out
-            }
-            RelExpr::Inverse(e) => e.eval(a).iter().map(|&(x, y)| (y, x)).collect(),
-            RelExpr::Closure(e) => {
-                let mut out = e.eval(a);
-                loop {
-                    let mut step = PairSet::new();
-                    for &(x, y) in &out {
-                        for &(y2, z) in &out {
-                            if y == y2 {
-                                step.insert((x, z));
-                            }
-                        }
-                    }
-                    let before = out.len();
-                    out.extend(step);
-                    if out.len() == before {
-                        return out;
-                    }
-                }
-            }
+            RelExpr::Base(r) => a.matrix(*r).clone(),
+            RelExpr::Union(l, r) => r.with(a, |rv| l.eval(a).union(rv)),
+            RelExpr::Inter(l, r) => r.with(a, |rv| l.eval(a).inter(rv)),
+            RelExpr::Diff(l, r) => r.with(a, |rv| l.eval(a).diff(rv)),
+            RelExpr::Seq(l, r) => l.with(a, |lv| r.with(a, |rv| lv.seq(rv))),
+            RelExpr::Inverse(e) => e.with(a, Rel::inverse),
+            RelExpr::Closure(e) => e.eval(a).closure(),
+        }
+    }
+
+    /// Hands `f` the value of the expression under `a`, borrowing a base
+    /// relation instead of copying it.
+    fn with<T>(&self, a: &Analysis<'_>, f: impl FnOnce(&Rel) -> T) -> T {
+        match self {
+            RelExpr::Base(r) => f(a.matrix(*r)),
+            e => f(&e.eval(a)),
         }
     }
 
@@ -165,9 +146,9 @@ impl Axiom {
     /// Whether the axiom holds in the analyzed execution.
     pub fn holds(&self, a: &Analysis<'_>) -> bool {
         match self {
-            Axiom::Acyclic(e) => is_acyclic(&e.eval(a)),
-            Axiom::Irreflexive(e) => e.eval(a).iter().all(|&(x, y)| x != y),
-            Axiom::Empty(e) => e.eval(a).is_empty(),
+            Axiom::Acyclic(e) => e.eval(a).is_acyclic(),
+            Axiom::Irreflexive(e) => e.with(a, Rel::is_irreflexive),
+            Axiom::Empty(e) => e.with(a, Rel::is_empty),
         }
     }
 
@@ -383,7 +364,7 @@ mod tests {
         assert_eq!(po.clone().closure().eval(&a), po.eval(&a));
         // rf ; ~rf relates the write to itself.
         let roundtrip = RelExpr::base(BaseRel::Rf).seq(RelExpr::base(BaseRel::Rf).inverse());
-        assert!(roundtrip.eval(&a).contains(&(w, w)));
+        assert!(roundtrip.eval(&a).contains(w, w));
     }
 
     #[test]

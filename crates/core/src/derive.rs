@@ -2,12 +2,14 @@
 //!
 //! [`Execution::analyze`] validates the placement rules of §III–§IV and
 //! materializes every relation of the paper's Table I (plus the auxiliary
-//! relations used by the `x86t_elt` axioms). The result, an [`Analysis`],
-//! is what MTM predicates are evaluated against.
+//! relations used by the `x86t_elt` axioms) as a bit matrix of
+//! [`crate::rel`], one row per event. The result, an [`Analysis`], is what
+//! MTM predicates are evaluated against.
 
-use crate::event::EventKind;
+use crate::event::{Event, EventKind};
 use crate::exec::{Execution, PairSet};
 use crate::ids::{EventId, Location, Mapping, ThreadId};
+use crate::rel::{bits, Rel, MAX_EVENTS};
 use crate::wellformed::WellformedError;
 use std::collections::BTreeMap;
 
@@ -58,13 +60,18 @@ pub enum BaseRel {
 }
 
 impl BaseRel {
-    /// All base relations.
-    pub fn all() -> &'static [BaseRel] {
+    /// All base relations, in declaration order: `ALL[r as usize] == r`.
+    const ALL: [BaseRel; 19] = {
         use BaseRel::*;
-        &[
+        [
             Po, Apo, PoLoc, Ppo, Fence, Rf, Rfe, Co, Fr, Com, Ghost, RfPtw, RfPa, CoPa, FrPa, FrVa,
             Remap, Rmw, PtwSource,
         ]
+    };
+
+    /// All base relations.
+    pub fn all() -> &'static [BaseRel] {
+        &BaseRel::ALL
     }
 
     /// The spelling used by the MTM spec DSL and the paper.
@@ -113,7 +120,8 @@ pub struct Analysis<'x> {
     location: Vec<Option<Location>>,
     /// The walk whose TLB entry each user memory event reads.
     tlb_src: Vec<Option<EventId>>,
-    rels: BTreeMap<BaseRel, PairSet>,
+    /// Every base relation as a bit matrix, indexed by `BaseRel as usize`.
+    rels: [Rel; BaseRel::ALL.len()],
 }
 
 impl Execution {
@@ -140,9 +148,15 @@ impl<'x> Analysis<'x> {
         self.exec
     }
 
-    /// The concrete pairs of a base relation.
-    pub fn relation(&self, r: BaseRel) -> &PairSet {
-        &self.rels[&r]
+    /// The concrete pairs of a base relation, for printing and tests
+    /// (axioms evaluate the bit matrices directly).
+    pub fn relation(&self, r: BaseRel) -> PairSet {
+        self.rels[r as usize].pairs()
+    }
+
+    /// A base relation as a bit matrix.
+    pub(crate) fn matrix(&self, r: BaseRel) -> &Rel {
+        &self.rels[r as usize]
     }
 
     /// The mapping used by (or written by) a memory event.
@@ -174,6 +188,9 @@ impl<'x> Analysis<'x> {
     fn build(x: &'x Execution) -> Result<Analysis<'x>, WellformedError> {
         let n = x.events.len();
         // --- structural checks ---
+        if n > MAX_EVENTS {
+            return Err(WellformedError::TooManyEvents(n));
+        }
         for (i, e) in x.events.iter().enumerate() {
             if e.id.index() != i {
                 return Err(WellformedError::CorruptEventTable);
@@ -234,6 +251,9 @@ impl<'x> Analysis<'x> {
                 (true, None) | (false, Some(_)) => return Err(WellformedError::OrphanGhost(e.id)),
                 (false, None) => {}
             }
+        }
+        if let Some(&g) = x.ghost_invoker.keys().find(|g| g.index() >= n) {
+            return Err(WellformedError::OrphanGhost(g));
         }
         // Every write has exactly one dirty-bit update; ≤ 1 walk per access.
         for e in &x.events {
@@ -385,9 +405,11 @@ impl<'x> Analysis<'x> {
                             None,
                         ),
                         Some(&w) => {
-                            let wk = x.events[w.index()].kind;
-                            if !matches!(wk, EventKind::PteWrite { .. } | EventKind::DirtyBitWrite)
-                            {
+                            let wk = x.events.get(w.index()).map(|w| w.kind);
+                            if !matches!(
+                                wk,
+                                Some(EventKind::PteWrite { .. } | EventKind::DirtyBitWrite)
+                            ) {
                                 return Err(WellformedError::RfKindMismatch(w, e));
                             }
                             resolve(x, tlb_src, mapping, origin, mark, w)?;
@@ -463,6 +485,7 @@ impl<'x> Analysis<'x> {
                 return Err(WellformedError::BadCoPair(a, b));
             }
         }
+        let co = Rel::from_pairs(n, &x.co);
         let writes: Vec<EventId> = x
             .events
             .iter()
@@ -472,7 +495,7 @@ impl<'x> Analysis<'x> {
         check_total_order_per_group(
             &writes,
             |e| location[e.index()],
-            &x.co,
+            &co,
             WellformedError::CoNotTotalOrder,
         )?;
 
@@ -483,11 +506,11 @@ impl<'x> Analysis<'x> {
             .filter(|e| matches!(e.kind, EventKind::PteWrite { .. }))
             .map(|e| e.id)
             .collect();
-        let target_pa = |e: EventId| match x.events[e.index()].kind {
+        let target_pa = |e: EventId| match x.events.get(e.index())?.kind {
             EventKind::PteWrite { new_pa } => Some(new_pa),
             _ => None,
         };
-        let co_pa: PairSet = match &x.co_pa {
+        let co_pa = match &x.co_pa {
             Some(explicit) => {
                 for &(a, b) in explicit {
                     let ok = a != b && target_pa(a).is_some() && target_pa(a) == target_pa(b);
@@ -495,21 +518,22 @@ impl<'x> Analysis<'x> {
                         return Err(WellformedError::BadCoPaPair(a, b));
                     }
                 }
+                let co_pa = Rel::from_pairs(n, explicit);
                 check_total_order_per_group(
                     &pte_writes,
                     target_pa,
-                    explicit,
+                    &co_pa,
                     WellformedError::CoPaNotTotalOrder,
                 )?;
-                explicit.clone()
+                co_pa
             }
             None => {
                 // Default linearization: event-creation order.
-                let mut out = PairSet::new();
+                let mut out = Rel::empty(n);
                 for (i, &a) in pte_writes.iter().enumerate() {
                     for &b in &pte_writes[i + 1..] {
                         if target_pa(a) == target_pa(b) {
-                            out.insert((a, b));
+                            out.insert(a, b);
                         }
                     }
                 }
@@ -555,184 +579,139 @@ impl<'x> Analysis<'x> {
             }
         }
 
-        // --- relation materialization ---
-        let mut rels: BTreeMap<BaseRel, PairSet> = BTreeMap::new();
-        let same_thread =
-            |a: EventId, b: EventId| x.events[a.index()].thread == x.events[b.index()].thread;
-
-        // po: transitive order on non-ghost events per thread.
-        let mut po = PairSet::new();
-        for list in &x.po {
-            for i in 0..list.len() {
-                for j in (i + 1)..list.len() {
-                    po.insert((list[i], list[j]));
-                }
-            }
-        }
-
-        // apo: anchored program order over all events.
-        let mut apo = PairSet::new();
-        for a in &x.events {
-            for b in &x.events {
-                if a.id != b.id
-                    && a.thread == b.thread
-                    && anchor[a.id.index()] < anchor[b.id.index()]
-                {
-                    apo.insert((a.id, b.id));
-                }
-            }
-        }
-
-        let mem = |e: EventId| x.events[e.index()].kind.is_memory();
+        // --- relation materialization, one row per event ---
+        let bit = |e: EventId| 1u64 << e.index();
+        let mask = |pred: &dyn Fn(&Event) -> bool| {
+            x.events
+                .iter()
+                .filter(|e| pred(e))
+                .fold(0u64, |m, e| m | bit(e.id))
+        };
         // Ghost instructions are never fetched or issued (§III-A), so the
         // architecture promises them no program-order guarantees: they are
         // excluded from ppo and fence. (Hardware page walkers may read
         // stale PTEs — that is exactly what the invlpg axiom polices.)
         // They do participate in po_loc: coherence is per location,
         // whatever the stratum of the access.
-        let issued_mem = |e: EventId| mem(e) && !x.events[e.index()].kind.is_ghost();
-        let mut po_loc = PairSet::new();
-        let mut ppo = PairSet::new();
-        for &(a, b) in &apo {
-            if mem(a) && mem(b) && location[a.index()] == location[b.index()] {
-                po_loc.insert((a, b));
+        let issued_mem = mask(&|e| e.kind.is_memory() && !e.kind.is_ghost());
+        let reads = mask(&|e| e.kind.is_read());
+        let write_mask = mask(&|e| e.kind.is_write());
+        let ptes = mask(&|e| matches!(e.kind, EventKind::PteWrite { .. }));
+        let on_thread: Vec<u64> = (0..x.num_threads)
+            .map(|t| mask(&|e| e.thread.0 == t))
+            .collect();
+        // Memory events at each event's physical location.
+        let same_loc: Vec<u64> = location
+            .iter()
+            .map(|l| match l {
+                Some(_) => mask(&|e| location[e.id.index()] == *l),
+                None => 0,
+            })
+            .collect();
+        let mut rels: [Rel; BaseRel::ALL.len()] = std::array::from_fn(|_| Rel::empty(n));
+        let [po, apo, po_loc, ppo, fence, rf, rfe, co_rel, fr, com, ghost, rf_ptw, rf_pa, co_pa_rel, fr_pa, fr_va, remap, rmw, ptw_source] =
+            &mut rels;
+
+        // po: transitive order on non-ghost events per thread.
+        for list in &x.po {
+            let mut later = 0u64;
+            for &e in list.iter().rev() {
+                *po.row_mut(e.index()) = later;
+                later |= bit(e);
             }
-            if issued_mem(a) && issued_mem(b) {
-                let wr = x.events[a.index()].kind.is_write() && x.events[b.index()].kind.is_read();
-                if !wr {
-                    ppo.insert((a, b));
-                }
+        }
+
+        // apo: anchored program order over all events.
+        for a in 0..n {
+            *apo.row_mut(a) = (0..n)
+                .filter(|&b| anchor[a].0 == anchor[b].0 && anchor[a] < anchor[b])
+                .fold(0, |m, b| m | 1 << b);
+        }
+
+        for (a, ev) in x.events.iter().enumerate() {
+            let row = apo.row(a);
+            *po_loc.row_mut(a) = row & same_loc[a];
+            if issued_mem >> a & 1 == 1 {
+                // TSO relaxes write → read order (store buffering).
+                let relaxed = if ev.kind.is_write() { reads } else { 0 };
+                *ppo.row_mut(a) = row & issued_mem & !relaxed;
             }
         }
 
         // fence: issued memory events separated by an MFENCE in apo.
-        let mut fence = PairSet::new();
         for f in x.events.iter().filter(|e| e.kind == EventKind::Fence) {
-            for &(a, fb) in apo.iter().filter(|&&(_, t)| t == f.id) {
-                debug_assert_eq!(fb, f.id);
-                if !issued_mem(a) {
-                    continue;
-                }
-                for &(fa, b) in apo.iter().filter(|&&(s, _)| s == f.id) {
-                    debug_assert_eq!(fa, f.id);
-                    if issued_mem(b) {
-                        fence.insert((a, b));
-                    }
-                }
+            let after = apo.row(f.id.index()) & issued_mem;
+            for a in bits(issued_mem).filter(|&a| apo.row(a) & bit(f.id) != 0) {
+                *fence.row_mut(a) |= after;
             }
         }
 
-        let rf: PairSet = x.rf.iter().map(|(&r, &w)| (w, r)).collect();
-        let rfe: PairSet = rf
-            .iter()
-            .copied()
-            .filter(|&(w, r)| !same_thread(w, r))
-            .collect();
-        let co = x.co.clone();
+        for (&r, &w) in &x.rf {
+            *rf.row_mut(w.index()) |= bit(r);
+        }
+        for w in 0..n {
+            *rfe.row_mut(w) = rf.row(w) & !on_thread[x.events[w].thread.0];
+        }
+        *co_rel = co;
 
         // fr: reads before the writes that overwrite what they read.
-        let mut fr = PairSet::new();
         for r in x.events.iter().filter(|e| e.kind.is_read()) {
-            match x.rf.get(&r.id) {
-                Some(&w0) => {
-                    for &(a, b) in &co {
-                        if a == w0 {
-                            fr.insert((r.id, b));
-                        }
-                    }
-                }
-                None => {
-                    // Reads the initial state: before every write there.
-                    for &w in &writes {
-                        if location[w.index()] == location[r.id.index()] {
-                            fr.insert((r.id, w));
-                        }
-                    }
-                }
+            *fr.row_mut(r.id.index()) = match x.rf.get(&r.id) {
+                Some(&w0) => co_rel.row(w0.index()),
+                // Reads the initial state: before every write there.
+                None => write_mask & same_loc[r.id.index()],
+            };
+        }
+
+        for a in 0..n {
+            *com.row_mut(a) = rf.row(a) | co_rel.row(a) | fr.row(a);
+        }
+
+        for (&g, &i) in &x.ghost_invoker {
+            *ghost.row_mut(i.index()) |= bit(g);
+        }
+        for (e, src) in tlb_src.iter().enumerate() {
+            if let Some(p) = src {
+                *rf_ptw.row_mut(p.index()) |= 1 << e;
             }
         }
 
-        let mut com = PairSet::new();
-        com.extend(rf.iter().copied());
-        com.extend(co.iter().copied());
-        com.extend(fr.iter().copied());
-
-        let ghost: PairSet = x.ghost_invoker.iter().map(|(&g, &i)| (i, g)).collect();
-        let rf_ptw: PairSet = x
-            .events
-            .iter()
-            .filter_map(|e| tlb_src[e.id.index()].map(|p| (p, e.id)))
-            .collect();
-
         // rf_pa / fr_pa / fr_va over user-facing memory events.
-        let mut rf_pa = PairSet::new();
-        let mut fr_pa = PairSet::new();
-        let mut fr_va = PairSet::new();
+        *co_pa_rel = co_pa;
         for e in x.events.iter().filter(|e| e.kind.is_user_memory()) {
-            let m = mapping[e.id.index()].expect("user access is mapped");
-            match origin[e.id.index()] {
+            let i = e.id.index();
+            let m = mapping[i].expect("user access is mapped");
+            match origin[i] {
                 Some(w0) => {
-                    rf_pa.insert((w0, e.id));
-                    for &(a, b) in &co_pa {
-                        if a == w0 {
-                            fr_pa.insert((e.id, b));
-                        }
-                    }
-                    for &(a, b) in &co {
-                        if a == w0 && matches!(x.events[b.index()].kind, EventKind::PteWrite { .. })
-                        {
-                            fr_va.insert((e.id, b));
-                        }
-                    }
+                    *rf_pa.row_mut(w0.index()) |= bit(e.id);
+                    *fr_pa.row_mut(i) = co_pa_rel.row(w0.index());
+                    *fr_va.row_mut(i) = co_rel.row(w0.index()) & ptes;
                 }
                 None => {
                     for &w in &pte_writes {
                         if target_pa(w) == Some(m.pa) {
-                            fr_pa.insert((e.id, w));
+                            *fr_pa.row_mut(i) |= bit(w);
                         }
                         if x.events[w.index()].va == e.va {
-                            fr_va.insert((e.id, w));
+                            *fr_va.row_mut(i) |= bit(w);
                         }
                     }
                 }
             }
         }
 
+        *remap = Rel::from_pairs(n, &x.remap);
+        *rmw = Rel::from_pairs(n, &x.rmw);
+
         // ptw_source: walk invoker → other accesses using that walk.
-        let mut ptw_source = PairSet::new();
         for e in x.events.iter().filter(|e| e.kind.is_user_memory()) {
             let Some(p) = tlb_src[e.id.index()] else {
                 continue;
             };
-            if x.ghost_invoker[&p] != e.id {
-                continue;
-            }
-            for e2 in x.events.iter().filter(|e2| e2.kind.is_user_memory()) {
-                if e2.id != e.id && tlb_src[e2.id.index()] == Some(p) {
-                    ptw_source.insert((e.id, e2.id));
-                }
+            if x.ghost_invoker[&p] == e.id {
+                *ptw_source.row_mut(e.id.index()) = rf_ptw.row(p.index()) & !bit(e.id);
             }
         }
-
-        rels.insert(BaseRel::Po, po);
-        rels.insert(BaseRel::Apo, apo);
-        rels.insert(BaseRel::PoLoc, po_loc);
-        rels.insert(BaseRel::Ppo, ppo);
-        rels.insert(BaseRel::Fence, fence);
-        rels.insert(BaseRel::Rf, rf);
-        rels.insert(BaseRel::Rfe, rfe);
-        rels.insert(BaseRel::Co, co);
-        rels.insert(BaseRel::Fr, fr);
-        rels.insert(BaseRel::Com, com);
-        rels.insert(BaseRel::Ghost, ghost);
-        rels.insert(BaseRel::RfPtw, rf_ptw);
-        rels.insert(BaseRel::RfPa, rf_pa);
-        rels.insert(BaseRel::CoPa, co_pa);
-        rels.insert(BaseRel::FrPa, fr_pa);
-        rels.insert(BaseRel::FrVa, fr_va);
-        rels.insert(BaseRel::Remap, x.remap.clone());
-        rels.insert(BaseRel::Rmw, x.rmw.clone());
-        rels.insert(BaseRel::PtwSource, ptw_source);
 
         Ok(Analysis {
             exec: x,
@@ -746,12 +725,12 @@ impl<'x> Analysis<'x> {
     }
 }
 
-/// Checks that `pairs` restricted to each group (events with equal non-None
-/// keys) forms a strict total order covering every pair.
+/// Checks that `order` restricted to each group (events with equal
+/// non-None keys) forms a strict total order covering every pair.
 fn check_total_order_per_group<K: PartialEq + Copy>(
     events: &[EventId],
     key: impl Fn(EventId) -> Option<K>,
-    pairs: &PairSet,
+    order: &Rel,
     err: impl Fn(EventId, EventId) -> WellformedError,
 ) -> Result<(), WellformedError> {
     for (i, &a) in events.iter().enumerate() {
@@ -761,19 +740,19 @@ fn check_total_order_per_group<K: PartialEq + Copy>(
             if ka != kb {
                 continue;
             }
-            let fwd = pairs.contains(&(a, b));
-            let bwd = pairs.contains(&(b, a));
-            if fwd == bwd {
+            if order.contains(a, b) == order.contains(b, a) {
                 return Err(err(a, b));
             }
         }
     }
     // Totality plus asymmetry on a finite set guarantees a tournament; we
-    // additionally demand transitivity so the order is linear.
-    for &(a, b) in pairs {
-        for &(c, d) in pairs {
-            if b == c && a != d && !pairs.contains(&(a, d)) {
-                return Err(err(a, d));
+    // additionally demand transitivity so the order is linear. The first
+    // missing pair in `(a, b, d)` order is reported.
+    for a in 0..order.events() {
+        for b in bits(order.row(a)) {
+            let missing = order.row(b) & !order.row(a) & !(1 << a);
+            if let Some(d) = bits(missing).next() {
+                return Err(err(EventId(a as u32), EventId(d as u32)));
             }
         }
     }
@@ -848,39 +827,6 @@ pub fn static_tlb_sources(x: &Execution) -> Result<Vec<Option<EventId>>, Wellfor
         out[e.id.index()] = Some(src);
     }
     Ok(out)
-}
-
-/// Acyclicity of a pair set (used by axiom evaluation and tests).
-pub fn is_acyclic(pairs: &PairSet) -> bool {
-    // Kahn-style cycle detection over the event graph.
-    use std::collections::{BTreeMap, BTreeSet};
-    let mut succs: BTreeMap<EventId, Vec<EventId>> = BTreeMap::new();
-    let mut indeg: BTreeMap<EventId, usize> = BTreeMap::new();
-    let mut nodes: BTreeSet<EventId> = BTreeSet::new();
-    for &(a, b) in pairs {
-        succs.entry(a).or_default().push(b);
-        *indeg.entry(b).or_insert(0) += 1;
-        nodes.insert(a);
-        nodes.insert(b);
-    }
-    let mut queue: Vec<EventId> = nodes
-        .iter()
-        .copied()
-        .filter(|e| !indeg.contains_key(e))
-        .collect();
-    let mut seen = 0usize;
-    while let Some(e) = queue.pop() {
-        seen += 1;
-        for &s in succs.get(&e).into_iter().flatten() {
-            let d = indeg.get_mut(&s).expect("edge target has indegree");
-            *d -= 1;
-            if *d == 0 {
-                indeg.remove(&s);
-                queue.push(s);
-            }
-        }
-    }
-    seen == nodes.len()
 }
 
 #[cfg(test)]
@@ -1040,12 +986,31 @@ mod tests {
 
     #[test]
     fn acyclicity_helper() {
-        let mut s = PairSet::new();
-        s.insert((EventId(0), EventId(1)));
-        s.insert((EventId(1), EventId(2)));
-        assert!(is_acyclic(&s));
-        s.insert((EventId(2), EventId(0)));
-        assert!(!is_acyclic(&s));
+        let mut s = Rel::empty(3);
+        s.insert(EventId(0), EventId(1));
+        s.insert(EventId(1), EventId(2));
+        assert!(s.clone().is_acyclic());
+        s.insert(EventId(2), EventId(0));
+        assert!(!s.is_acyclic());
+    }
+
+    #[test]
+    fn more_events_than_a_row_is_an_error() {
+        let mut b = EltBuilder::new();
+        let t = b.thread();
+        b.write_walk(t, Va(0));
+        while b.clone().build().size() < MAX_EVENTS {
+            b.read(t, Va(0));
+        }
+        let full = b.clone().build();
+        let a = full.analyze().expect("a full row is fine");
+        let last = EventId(MAX_EVENTS as u32 - 1);
+        assert!(a.relation(BaseRel::Po).contains(&(EventId(0), last)));
+        b.read(t, Va(0));
+        assert_eq!(
+            b.build().analyze().unwrap_err(),
+            WellformedError::TooManyEvents(MAX_EVENTS + 1)
+        );
     }
 
     #[test]

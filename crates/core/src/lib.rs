@@ -14,6 +14,7 @@
 //! * [`derive`](mod@derive) — placement-rule validation and every derived relation of
 //!   the paper's Table I (`po_loc`, `rf_ptw`, `rf_pa`, `co_pa`, `fr_pa`,
 //!   `fr_va`, `remap`, `ptw_source`, …).
+//! * [`rel`] — relations as bit matrices, one `u64` row per event.
 //! * [`axiom`] — MTM specifications (`acyclic` / `irreflexive` / `empty`
 //!   axioms over relational expressions) and verdicts.
 //! * [`spec`] — a textual DSL for MTMs (the Alloy-equivalent surface
@@ -51,6 +52,7 @@ pub mod exec;
 pub mod figures;
 pub mod ids;
 pub mod pretty;
+pub mod rel;
 pub mod spec;
 pub mod vocab;
 pub mod wellformed;

@@ -181,7 +181,7 @@ pub fn dot(a: &Analysis<'_>) -> String {
     ];
     for (rel, color, dashed) in styled {
         let style = if dashed { ", style=dashed" } else { "" };
-        for &(p, q) in a.relation(rel) {
+        for (p, q) in a.relation(rel) {
             out.push_str(&format!(
                 "  {} -> {} [label=\"{}\", color={color}, fontcolor={color}{style}];\n",
                 node(p),
@@ -193,7 +193,7 @@ pub fn dot(a: &Analysis<'_>) -> String {
     // co / co_pa as covering chains.
     for (rel, color) in [(BaseRel::Co, "blue"), (BaseRel::CoPa, "cyan4")] {
         let pairs = a.relation(rel);
-        for &(p, q) in pairs {
+        for &(p, q) in &pairs {
             // Covering edge: no intermediate element.
             let covered = pairs
                 .iter()

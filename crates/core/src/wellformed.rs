@@ -13,6 +13,9 @@ use std::fmt;
 /// Why a candidate execution is not a legal ELT.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum WellformedError {
+    /// The execution has more events (the count given) than a relation
+    /// row holds ([`crate::rel::MAX_EVENTS`]).
+    TooManyEvents(usize),
     /// Event ids are not dense/consistent with their position.
     CorruptEventTable,
     /// A fence carries a VA, or a non-fence lacks one.
@@ -84,6 +87,11 @@ impl fmt::Display for WellformedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         use WellformedError::*;
         match self {
+            TooManyEvents(n) => write!(
+                f,
+                "the execution has {n} events; at most {} are supported",
+                crate::rel::MAX_EVENTS
+            ),
             CorruptEventTable => write!(f, "event ids are not dense"),
             BadVa(e) => write!(f, "event {} has a malformed VA field", e.0),
             CorruptProgramOrder(t) => write!(f, "program order of {t} is corrupt"),

@@ -20,13 +20,13 @@ fn space(bound: usize) -> Vec<Execution> {
 
 fn check_invariants(x: &Execution) {
     let a = x.analyze().expect("enumerated executions are well-formed");
-    let rf = a.relation(BaseRel::Rf);
-    let co = a.relation(BaseRel::Co);
-    let fr = a.relation(BaseRel::Fr);
-    let apo = a.relation(BaseRel::Apo);
-    let po = a.relation(BaseRel::Po);
-    let po_loc = a.relation(BaseRel::PoLoc);
-    let ppo = a.relation(BaseRel::Ppo);
+    let rf = &a.relation(BaseRel::Rf);
+    let co = &a.relation(BaseRel::Co);
+    let fr = &a.relation(BaseRel::Fr);
+    let apo = &a.relation(BaseRel::Apo);
+    let po = &a.relation(BaseRel::Po);
+    let po_loc = &a.relation(BaseRel::PoLoc);
+    let ppo = &a.relation(BaseRel::Ppo);
 
     // Communication edges never mix locations.
     for &(p, q) in rf.iter().chain(co).chain(fr) {
@@ -71,11 +71,11 @@ fn check_invariants(x: &Execution) {
         }
     }
     // rf_pa sources are PTE writes; fr_va targets are PTE writes.
-    for &(w, e) in a.relation(BaseRel::RfPa) {
+    for &(w, e) in &a.relation(BaseRel::RfPa) {
         assert!(matches!(x.event(w).kind, EventKind::PteWrite { .. }));
         assert!(x.event(e).kind.is_user_memory());
     }
-    for &(e, w) in a.relation(BaseRel::FrVa) {
+    for &(e, w) in &a.relation(BaseRel::FrVa) {
         assert!(matches!(x.event(w).kind, EventKind::PteWrite { .. }));
         assert!(x.event(e).kind.is_user_memory());
     }
