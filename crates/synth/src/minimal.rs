@@ -6,7 +6,7 @@
 //! after removing the unrelated write `W4`) are excluded from the spanning
 //! set.
 
-use crate::relax::{apply, relaxations};
+use crate::relax::{apply_analyzed, relaxations, Relaxation};
 use transform_core::axiom::Mtm;
 use transform_core::exec::Execution;
 
@@ -15,32 +15,17 @@ use transform_core::exec::Execution;
 /// The caller is expected to have established that `x` itself is forbidden;
 /// this function only checks the relaxations.
 pub fn is_minimal(x: &Execution, mtm: &Mtm) -> bool {
-    for r in relaxations(x) {
-        if let Some(relaxed) = apply(x, &r) {
-            if let Ok(a) = relaxed.analyze() {
-                if !mtm.evaluate(&a).is_permitted() {
-                    return false;
-                }
-            }
-        }
-    }
-    true
+    non_minimality_witness(x, mtm).is_none()
 }
 
 /// Classifies a forbidden execution: `Some(r)` is a witness relaxation
 /// under which it stays forbidden (hence non-minimal), `None` means
-/// minimal.
-pub fn non_minimality_witness(x: &Execution, mtm: &Mtm) -> Option<crate::relax::Relaxation> {
-    relaxations(x).into_iter().find(|r| {
-        apply(x, r)
-            .and_then(|relaxed| {
-                relaxed
-                    .analyze()
-                    .ok()
-                    .map(|a| !mtm.evaluate(&a).is_permitted())
-            })
-            .unwrap_or(false)
-    })
+/// minimal. Each relaxed execution is evaluated on the analysis its
+/// repair built.
+pub fn non_minimality_witness(x: &Execution, mtm: &Mtm) -> Option<Relaxation> {
+    relaxations(x)
+        .into_iter()
+        .find(|r| apply_analyzed(x, r, |a| !mtm.evaluate(a).is_permitted()).unwrap_or(false))
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 //! count against minimality.
 
 use std::collections::{BTreeMap, BTreeSet};
+use transform_core::derive::Analysis;
 use transform_core::event::EventKind;
 use transform_core::exec::{Execution, PairSet};
 use transform_core::ids::EventId;
@@ -58,6 +59,23 @@ pub fn relaxations(x: &Execution) -> Vec<Relaxation> {
 /// Applies a relaxation, repairing the result. `None` when no well-formed
 /// ELT can result.
 pub fn apply(x: &Execution, r: &Relaxation) -> Option<Execution> {
+    repair(rebuild(x, r), |_| ()).map(|(relaxed, ())| relaxed)
+}
+
+/// [`apply`], handing `f` the analysis that showed the repaired execution
+/// well-formed instead of the execution, so callers that evaluate the
+/// relaxed ELT do not analyze it a second time.
+pub(crate) fn apply_analyzed<T>(
+    x: &Execution,
+    r: &Relaxation,
+    f: impl FnOnce(&Analysis<'_>) -> T,
+) -> Option<T> {
+    repair(rebuild(x, r), f).map(|(_, t)| t)
+}
+
+/// The execution without the relaxed events or dependency, not yet
+/// repaired.
+fn rebuild(x: &Execution, r: &Relaxation) -> Execution {
     let mut removed: BTreeSet<EventId> = BTreeSet::new();
     let mut parts = x.to_parts();
     match *r {
@@ -79,8 +97,7 @@ pub fn apply(x: &Execution, r: &Relaxation) -> Option<Execution> {
         }
         Relaxation::DropRmw(r, w) => {
             parts.rmw.remove(&(r, w));
-            let rebuilt = Execution::from_parts(parts);
-            return repair(rebuilt);
+            return Execution::from_parts(parts);
         }
     }
 
@@ -140,7 +157,7 @@ pub fn apply(x: &Execution, r: &Relaxation) -> Option<Execution> {
             .collect()
     };
 
-    let rebuilt = Execution::from_parts(transform_core::exec::ExecParts {
+    Execution::from_parts(transform_core::exec::ExecParts {
         events,
         num_threads: parts.num_threads,
         num_vas: new_num_vas,
@@ -164,17 +181,20 @@ pub fn apply(x: &Execution, r: &Relaxation) -> Option<Execution> {
         rmw: map_pairs(&parts.rmw),
         remap: map_pairs(&parts.remap),
         co_pa: parts.co_pa.as_ref().map(map_pairs),
-    });
-    repair(rebuilt)
+    })
 }
 
 /// Drives the execution to well-formedness by dropping now-invalid
-/// communication edges and completing coherence where locations merged.
-/// Structural failures (a use without a walk) are unrepairable.
-fn repair(mut x: Execution) -> Option<Execution> {
+/// communication edges and completing coherence where locations merged,
+/// and returns it with `f` of its analysis. Structural failures (a use
+/// without a walk) are unrepairable.
+fn repair<T>(mut x: Execution, f: impl FnOnce(&Analysis<'_>) -> T) -> Option<(Execution, T)> {
     for _ in 0..128 {
         let err = match x.analyze() {
-            Ok(_) => return Some(x),
+            Ok(a) => {
+                let t = f(&a);
+                return Some((x, t));
+            }
             Err(e) => e,
         };
         let mut parts = x.to_parts();
