@@ -92,7 +92,7 @@ the run finishes). Every suite is byte-identical for every --jobs.
 flags:
   --axiom A              the MTM axiom to violate
   --all                  every axiom of the MTM, in one fused run
-  --bound N              instruction bound (required)
+  --bound N              instruction bound, at most 64 (required)
   --mtm M                `x86t_elt` (default), `x86tso`, or a spec file path
   --max-threads T        cap threads in enumerated programs
   --fences               include MFENCE in the program space
@@ -145,7 +145,7 @@ and compare the synthesized programs against the reconstructed
 COATCheck suite.
 
 flags:
-  --bound N              instruction bound (default 7)
+  --bound N              instruction bound, at most 64 (default 7)
   --timeout-secs S       budget for the whole fused run (default 300);
                          axioms that finished before the cut stay complete
   --jobs N|auto          worker threads (`auto` = all cores)

@@ -51,6 +51,7 @@ use std::io::Read;
 use std::sync::Arc;
 use std::time::Duration;
 use transform_core::axiom::Mtm;
+use transform_core::rel::MAX_EVENTS;
 use transform_core::spec::parse_mtm;
 use transform_core::{figures, pretty, vocab};
 use transform_litmus::format::{parse_elt, print_elt};
@@ -65,7 +66,7 @@ use transform_synth::programs::{Program, SlotOp};
 use transform_synth::SuiteRecord;
 use transform_x86::{compare_suite, synthesized_keys, x86_tso, x86t_elt};
 
-/// The usage banner printed on errors.
+/// The usage banner `transform --help` prints.
 pub const USAGE: &str = "\
 usage: transform <command> [options]
 
@@ -140,7 +141,12 @@ worker count, including under worker death and lease expiry.";
 /// unreadable files, and parse failures.
 pub fn run(args: &[String]) -> Result<String, String> {
     let mut opts = Opts::new(args);
-    let cmd = opts.positional().ok_or("missing command")?;
+    let Some(cmd) = opts.positional() else {
+        if opts.flag("--help") {
+            return Ok(format!("{USAGE}\n"));
+        }
+        return Err("missing command".into());
+    };
     // `store` resolves --help against its subcommand inside cmd_store.
     if cmd != "store" && opts.flag("--help") {
         return help::help_for(&cmd, None).ok_or(format!("unknown command `{cmd}`"));
@@ -249,11 +255,11 @@ fn malformed_elt(name: &str, e: impl std::fmt::Display) -> String {
 fn cmd_synthesize(mut opts: Opts) -> Result<String, String> {
     let axiom = opts.value("--axiom");
     let all = opts.flag("--all");
-    let bound: usize = opts
-        .value("--bound")
-        .ok_or("synthesize needs --bound <events>")?
-        .parse()
-        .map_err(|_| "--bound must be a number")?;
+    let bound = parse_bound(
+        &opts
+            .value("--bound")
+            .ok_or("synthesize needs --bound <events>")?,
+    )?;
     let mtm = load_mtm(opts.value("--mtm"))?;
     let mut sopts = SynthOptions::new(bound);
     if let Some(t) = opts.value("--max-threads") {
@@ -791,12 +797,21 @@ fn parse_backend(name: &str) -> Result<Backend, String> {
     }
 }
 
+/// Parses a synthesis `--bound`. An execution's events must fit one
+/// relation row, so a larger bound is refused up front rather than
+/// leaving every wider candidate unexamined.
+fn parse_bound(value: &str) -> Result<usize, String> {
+    let bound: usize = value.parse().map_err(|_| "--bound must be a number")?;
+    if bound > MAX_EVENTS {
+        return Err(format!(
+            "--bound must be at most {MAX_EVENTS} (the events one relation row holds)"
+        ));
+    }
+    Ok(bound)
+}
+
 fn cmd_compare(mut opts: Opts) -> Result<String, String> {
-    let bound: usize = opts
-        .value("--bound")
-        .unwrap_or_else(|| "7".into())
-        .parse()
-        .map_err(|_| "--bound must be a number")?;
+    let bound = parse_bound(&opts.value("--bound").unwrap_or_else(|| "7".into()))?;
     let timeout = Duration::from_secs(
         opts.value("--timeout-secs")
             .unwrap_or_else(|| "300".into())
@@ -1779,6 +1794,25 @@ mod tests {
     fn synthesize_rejects_unknown_axiom() {
         let e = run_str("synthesize --axiom nope --bound 4").unwrap_err();
         assert!(e.contains("nope"), "{e}");
+    }
+
+    #[test]
+    fn a_bound_wider_than_a_relation_row_is_a_usage_error() {
+        for line in [
+            "synthesize --all --bound 65",
+            "synthesize --axiom invlpg --bound 1000",
+            "compare --bound 65",
+        ] {
+            let e = run_str(line).unwrap_err();
+            assert!(e.contains("--bound must be at most 64"), "{line}: {e}");
+        }
+        assert!(run_str("synthesize --axiom invlpg --bound 3 --quiet").is_ok());
+    }
+
+    #[test]
+    fn top_level_help_prints_the_usage_banner() {
+        assert_eq!(run_str("--help").expect("help"), format!("{USAGE}\n"));
+        assert_eq!(run_str("").unwrap_err(), "missing command");
     }
 
     #[test]

@@ -9,7 +9,7 @@ fn main() -> ExitCode {
         }
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("{}", transform_cli::USAGE);
+            eprintln!("run `transform --help` for usage");
             ExitCode::FAILURE
         }
     }
