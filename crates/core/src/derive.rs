@@ -597,8 +597,11 @@ impl<'x> Analysis<'x> {
         let reads = mask(&|e| e.kind.is_read());
         let write_mask = mask(&|e| e.kind.is_write());
         let ptes = mask(&|e| matches!(e.kind, EventKind::PteWrite { .. }));
-        let on_thread: Vec<u64> = (0..x.num_threads)
-            .map(|t| mask(&|e| e.thread.0 == t))
+        // Events on each event's thread.
+        let same_thread: Vec<u64> = x
+            .events
+            .iter()
+            .map(|a| mask(&|e| e.thread == a.thread))
             .collect();
         // Memory events at each event's physical location.
         let same_loc: Vec<u64> = location
@@ -649,8 +652,8 @@ impl<'x> Analysis<'x> {
         for (&r, &w) in &x.rf {
             *rf.row_mut(w.index()) |= bit(r);
         }
-        for w in 0..n {
-            *rfe.row_mut(w) = rf.row(w) & !on_thread[x.events[w].thread.0];
+        for (w, &local) in same_thread.iter().enumerate() {
+            *rfe.row_mut(w) = rf.row(w) & !local;
         }
         *co_rel = co;
 
@@ -992,6 +995,18 @@ mod tests {
         assert!(s.clone().is_acyclic());
         s.insert(EventId(2), EventId(0));
         assert!(!s.is_acyclic());
+    }
+
+    #[test]
+    fn a_decoded_thread_count_costs_no_memory() {
+        // Decoders take the thread count from their input; analysis
+        // sizes its tables by events, never by that count.
+        let mut b = EltBuilder::new();
+        let t = b.thread();
+        b.write_walk(t, Va(0));
+        let mut parts = b.build().to_parts();
+        parts.num_threads = usize::MAX;
+        assert!(Execution::from_parts(parts).analyze().is_ok());
     }
 
     #[test]
