@@ -13,10 +13,11 @@
 //!
 //! # Enumeration tasks
 //!
-//! Most root partitions are tiny and emit nothing, so one enumeration
-//! task is a run of consecutive partitions `[lo, hi)` whose subtree
-//! masses ([`EnumSpace::masses`]) sum to about 256 nodes; a heavier
-//! partition is a task by itself. A task is enumerated by one worker,
+//! Root partitions are small: bound 8 has 18,238 of them, of two
+//! nodes each on average. So one enumeration task is a run of
+//! consecutive partitions `[lo, hi)` whose subtree masses
+//! ([`EnumSpace::masses`]) sum to about 256 nodes; a heavier partition
+//! is a task by itself. A task is enumerated by one worker,
 //! queued in one lock transition and journaled as one event pair.
 //! Tasks are a pure function of the space and the run's range, so
 //! partition ordinals stay the unit everywhere outside the pool: plan
@@ -151,10 +152,10 @@ struct Outcome {
 
 /// Subtree mass (shape-combination nodes, [`EnumSpace::masses`]) one
 /// enumeration task gathers: consecutive root partitions join a task
-/// until their masses reach it. Most root partitions are a handful of
-/// nodes and emit nothing; grouping them keeps the pipeline's lock
-/// transitions and journal events proportional to the enumeration's
-/// work rather than to the number of root shapes.
+/// until their masses reach it. Most root partitions are a node or two;
+/// grouping them keeps the pipeline's lock transitions and journal
+/// events proportional to the enumeration's work rather than to the
+/// number of root shapes.
 const TASK_MASS: u64 = 256;
 
 /// The run's enumeration tasks: `range` cut into runs of consecutive
@@ -869,11 +870,11 @@ mod tests {
 
     /// Tasks tile every range of the space in order, each gathering at
     /// least [`TASK_MASS`] unless it ends the range or is one heavier
-    /// partition. With fences and RMW, bounds 4 / 5 / 6 make 3 / 19 /
-    /// 147 tasks of 483 / 3,798 / 33,044 partitions.
+    /// partition. With fences and RMW, bounds 4 / 5 / 6 make 1 / 1 / 5
+    /// tasks of 29 / 125 / 624 partitions.
     #[test]
     fn tasks_tile_the_space_by_mass() {
-        for (bound, partitions, pinned) in [(4, 483, 3), (5, 3_798, 19), (6, 33_044, 147)] {
+        for (bound, partitions, pinned) in [(4, 29, 1), (5, 125, 1), (6, 624, 5)] {
             let space = EnumSpace::new(&EnumOptions::new(bound));
             let masses = space.masses();
             let n = space.partition_count();
@@ -933,12 +934,12 @@ mod tests {
     #[test]
     fn cuts_keep_the_plan_prefix_on_out_of_order_delivery() {
         let m = mtm();
-        let eo = enum_opts(5, true);
+        let eo = enum_opts(6, true);
         let space = EnumSpace::new(&eo);
         let pipeline = whole(&space, &["sc_per_loc"], None);
         assert!(pipeline.tasks.len() >= 4, "space too small for the test");
         let tasks = claim_tasks(&pipeline, 4);
-        let mut opts = SynthOptions::new(5);
+        let mut opts = SynthOptions::new(6);
         opts.enumeration = eo;
         let ctx = RunCtx {
             mtm: &m,
@@ -1047,7 +1048,7 @@ mod tests {
     /// exactly the in-flight batches.
     #[test]
     fn deadline_cut_keeps_live_accounting_exact() {
-        let space = EnumSpace::new(&EnumOptions::new(5));
+        let space = EnumSpace::new(&EnumOptions::new(6));
         let pipeline = whole(&space, &["a"], None);
         let tasks = claim_tasks(&pipeline, 5);
         let queued = items_of(&pipeline, tasks[0]) + items_of(&pipeline, tasks[1]);
@@ -1095,7 +1096,7 @@ mod tests {
     /// one retire event and exact live accounting.
     #[test]
     fn deadline_inside_a_task_admits_exactly_its_prefix() {
-        let space = EnumSpace::new(&EnumOptions::new(5));
+        let space = EnumSpace::new(&EnumOptions::new(6));
         let progress = Arc::new(ProgressState::with_journal(&["a"]));
         let pipeline = whole(&space, &["a"], Some(&progress));
         let at = pipeline
@@ -1347,8 +1348,8 @@ mod tests {
     }
 
     /// A journaled bound-6 run with fences and RMW records one
-    /// `PartitionEnumerated` and one `PartitionRetired` per task (147
-    /// tasks of 33,044 partitions), and the retired masses sum to the
+    /// `PartitionEnumerated` and one `PartitionRetired` per task (5
+    /// tasks of 624 partitions), and the retired masses sum to the
     /// space's total.
     #[test]
     fn journaled_run_records_one_event_pair_per_task() {
@@ -1356,7 +1357,7 @@ mod tests {
         let opts = SynthOptions::new(6);
         let space = EnumSpace::new(&opts.enumeration);
         let tasks = tasks(space.masses(), 0..space.partition_count());
-        assert_eq!(tasks.len(), 147);
+        assert_eq!(tasks.len(), 5);
         let progress = Arc::new(ProgressState::with_journal(&["sc_per_loc"]));
         let sink = RecordSink::new();
         let (stats, metrics) =

@@ -5,9 +5,12 @@
 //! single-machine fused run — including under duplicate uploads,
 //! conflicting uploads, and dead-lease reclamation.
 
+use std::time::Duration;
 use transform_serve::{ServeOptions, Server};
 use transform_store::fleet::StageOutcome;
-use transform_store::{execute_lease, read_suite, suite_fingerprint, HttpTier, JobSpec, Store};
+use transform_store::{
+    execute_lease, read_suite, suite_fingerprint, HttpTier, JobSpec, KeyOptions, Store,
+};
 use transform_synth::SynthOptions;
 use transform_x86::x86t_elt;
 
@@ -220,6 +223,41 @@ fn bad_job_specs_are_refused_at_submission() {
     // Unknown jobs answer 404 everywhere.
     assert!(client.job_status(0xdead).expect("status call").is_none());
 
+    handle.shutdown();
+    std::fs::remove_dir_all(&origin).ok();
+}
+
+#[test]
+fn job_specs_above_a_relation_row_answer_400() {
+    // A spec whose bound no relation row holds, with fingerprints that
+    // match it, is refused before the coordinator builds its space: that
+    // build would not finish, so the client would hit its timeout.
+    let mtm = x86t_elt();
+    let mut o = opts();
+    o.enumeration.bound = transform_core::rel::MAX_EVENTS + 1;
+    let spec = JobSpec {
+        mtm_name: mtm.name().to_string(),
+        model: mtm.to_string(),
+        axioms: vec![(
+            "sc_per_loc".to_string(),
+            suite_fingerprint(&mtm, "sc_per_loc", &o),
+        )],
+        key: KeyOptions::of(&o),
+        plan_jobs: 1,
+        lease_ttl_ms: 60_000,
+        ranges: vec![(0, 1)],
+    };
+    let origin = temp_dir("widebound");
+    let server = Server::bind(&origin, "127.0.0.1:0", ServeOptions::default()).expect("binds");
+    let url = format!("http://{}", server.local_addr());
+    let handle = server.spawn();
+    let client = HttpTier::new(&url)
+        .expect("valid URL")
+        .with_timeout(Duration::from_secs(10));
+    let err = client.create_job(&spec.encode()).expect_err("refused");
+    let msg = err.to_string();
+    assert!(msg.contains("status 400"), "{msg}");
+    assert!(msg.contains("relation row"), "{msg}");
     handle.shutdown();
     std::fs::remove_dir_all(&origin).ok();
 }

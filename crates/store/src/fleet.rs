@@ -45,13 +45,18 @@ use std::time::Duration;
 use transform_par::SuiteSink;
 use transform_synth::{EnumSpace, ShardStats, SuiteRecord, SuiteStats, SynthOptions};
 
-const JOB_MAGIC: &[u8; 8] = b"TFJOBSP\0";
+/// Job specs and lease grants number the partitions of a space that
+/// keeps only the root shapes that can emit since these magics. The old
+/// `TFJOBSP\0` and `TFLEASE\0` frames numbered every root shape, so a
+/// worker of either kind would run the wrong partitions of the other's
+/// lease without noticing.
+const JOB_MAGIC: &[u8; 8] = b"TFJOBS2\0";
+const LEASE_MAGIC: &[u8; 8] = b"TFLEAS2\0";
 /// Shard results carry range-local plan indices since this magic; the
 /// old `TFSHRES\0` frames numbered them globally, and the two must not
 /// merge into one suite. `FORMAT_VERSION` is shared with sealed stores,
 /// so the frame changes its magic instead.
 const SHARD_RESULT_MAGIC: &[u8; 8] = b"TFSHRL1\0";
-const LEASE_MAGIC: &[u8; 8] = b"TFLEASE\0";
 
 /// Sanity cap on fleet collection lengths (axioms, ranges, records per
 /// shard); a real synthesis job is far below this.
@@ -842,6 +847,34 @@ mod tests {
     }
 
     #[test]
+    fn synth_options_refuse_bounds_wider_than_a_relation_row() {
+        use transform_core::rel::MAX_EVENTS;
+        let mut spec = spec();
+        spec.key.bound = MAX_EVENTS;
+        let opts = spec.key.synth_options().expect("a full row");
+        assert_eq!(opts.enumeration.bound, MAX_EVENTS);
+        for bound in [MAX_EVENTS + 1, usize::MAX] {
+            spec.key.bound = bound;
+            let err = spec.key.synth_options().expect_err("wider than a row");
+            assert!(err.to_string().contains(&bound.to_string()), "{err}");
+            // A lease of such a spec is refused before any space is built.
+            let grant = LeaseGrant {
+                lease: 1,
+                job: spec.id(),
+                lo: 0,
+                hi: 1,
+                ttl_ms: spec.lease_ttl_ms,
+                spec: spec.clone(),
+            };
+            match execute_lease(&grant, 1) {
+                Err(StoreError::Corrupt(msg)) => assert!(msg.contains("relation row"), "{msg}"),
+                Err(e) => panic!("bound {bound}: {e}"),
+                Ok(_) => panic!("bound {bound} ran"),
+            }
+        }
+    }
+
+    #[test]
     fn lease_grant_round_trips_and_checks_its_spec() {
         let spec = spec();
         let grant = LeaseGrant {
@@ -924,8 +957,8 @@ mod tests {
             ttl_ms: spec.lease_ttl_ms,
             spec: spec.clone(),
         };
-        assert_eq!(fnv1a64(&spec.encode()), 0xc38f_0ae6_8248_04c0);
-        assert_eq!(fnv1a64(&grant.encode()), 0x0e2b_6020_8f11_f98f);
+        assert_eq!(fnv1a64(&spec.encode()), 0x9a53_2c5b_45a9_41ce);
+        assert_eq!(fnv1a64(&grant.encode()), 0xac12_a02c_d9cb_99d9);
         assert_eq!(fnv1a64(&shard(42, 0, 3).encode()), 0x22c6_7e3a_33b1_2635);
     }
 
@@ -954,11 +987,37 @@ mod tests {
         // A correctly checksummed frame under the magic of the builds
         // that numbered shard records globally is refused, so mixed
         // fleets never merge mis-numbered suites.
-        let bytes = shard(42, 0, 3).encode();
-        let mut old = bytes[..bytes.len() - 8].to_vec();
-        old[..8].copy_from_slice(b"TFSHRES\0");
-        old.extend_from_slice(&fnv1a64(&old).to_le_bytes());
+        let old = resealed(&shard(42, 0, 3).encode(), b"TFSHRES\0");
         let err = ShardResult::decode(&old).expect_err("old magic");
+        assert!(err.to_string().contains("magic"), "{err}");
+    }
+
+    /// `bytes` resealed under `magic`: a correctly checksummed frame of
+    /// another build.
+    fn resealed(bytes: &[u8], magic: &[u8; 8]) -> Vec<u8> {
+        let mut old = bytes[..bytes.len() - 8].to_vec();
+        old[..8].copy_from_slice(magic);
+        old.extend_from_slice(&fnv1a64(&old).to_le_bytes());
+        old
+    }
+
+    #[test]
+    fn job_spec_and_lease_reject_the_every_root_shape_magics() {
+        // Frames of the builds that numbered every root shape, dead ones
+        // included, name other partitions: they are refused.
+        let spec = spec();
+        let err = JobSpec::decode(&resealed(&spec.encode(), b"TFJOBSP\0")).expect_err("old magic");
+        assert!(err.to_string().contains("magic"), "{err}");
+        let grant = LeaseGrant {
+            lease: 77,
+            job: spec.id(),
+            lo: 3,
+            hi: 8,
+            ttl_ms: spec.lease_ttl_ms,
+            spec,
+        };
+        let err =
+            LeaseGrant::decode(&resealed(&grant.encode(), b"TFLEASE\0")).expect_err("old magic");
         assert!(err.to_string().contains("magic"), "{err}");
     }
 

@@ -44,6 +44,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use transform_core::axiom::Mtm;
+use transform_core::rel::MAX_EVENTS;
 use transform_par::SuiteSink;
 use transform_synth::{
     Backend, EnumOptions, ShardStats, Suite, SuiteRecord, SuiteStats, SynthOptions,
@@ -151,8 +152,17 @@ impl KeyOptions {
     ///
     /// # Errors
     ///
-    /// An unknown backend tag (a version-skewed peer).
+    /// An unknown backend tag (a version-skewed peer), or a bound above
+    /// [`MAX_EVENTS`], the events one relation row holds: no program of
+    /// such a bound can be examined, and building its enumeration space
+    /// would not finish.
     pub fn synth_options(&self) -> Result<SynthOptions, CodecError> {
+        if self.bound > MAX_EVENTS {
+            return Err(CodecError::new(format!(
+                "bound {} is above {MAX_EVENTS}, the events one relation row holds",
+                self.bound
+            )));
+        }
         let backend = match self.backend.as_str() {
             "explicit" => Backend::Explicit,
             "relational" => Backend::Relational,

@@ -18,6 +18,11 @@
 //!   identity remap) needs [`EnumOptions::allow_identity_remap`];
 //! * spurious `INVLPG`s appear only where they can affect the thread's
 //!   execution (a later same-VA user read or write on the same core);
+//! * the two rules above, read on one thread, decide which thread shapes
+//!   can occur at all: every PTE write of a shape needs its own later
+//!   same-VA `INVLPG` on its thread, and `u` `INVLPG`s left unclaimed
+//!   with no later same-VA access need `u` PTE writes on another thread,
+//!   which the bound must afford ([`EnumSpace`] keeps no other shape);
 //! * fences appear only between two instructions of their thread, and
 //!   never directly after another fence;
 //! * an RMW is a read immediately followed by a write of the same VA on
@@ -33,15 +38,16 @@
 //! # Enumeration order
 //!
 //! Per-thread *shapes* (the TLB, fence and RMW rules, with thread-local
-//! VA and PA names) are built first. `combine` then visits every
-//! non-decreasing multiset of shapes, one *node* per multiset, and each
-//! node is labelled in this order, cheapest filter first:
+//! VA and PA names) are built first, and only shapes that meet their own
+//! remap obligations are kept: a prefix is dropped as soon as its PTE
+//! writes still waiting for an `INVLPG` outnumber the events left in the
+//! bound. `combine` then visits every non-decreasing multiset of kept
+//! shapes, one *node* per multiset, and each node is labelled in this
+//! order, cheapest filter first:
 //!
 //! 1. **INVLPG feasibility.** Every PTE write needs its own `INVLPG` on
 //!    every core, so a node where some shape has fewer `INVLPG`s than
-//!    the node has PTE writes emits nothing and stops here. The node is
-//!    still visited and counted (node masses and run journals count
-//!    nodes, not programs).
+//!    the node has PTE writes emits nothing and stops here.
 //! 2. **VA maps.** Each thread's local VAs map injectively to global
 //!    VAs, numbered by first use.
 //! 3. **Remaps, per VA map.** The remap assignments and the
@@ -314,180 +320,195 @@ struct Shape {
     rmw: Vec<usize>,
 }
 
-/// Enumerates all thread shapes of cost ≤ `budget`.
-fn shapes(budget: usize, opts: &EnumOptions) -> Vec<Shape> {
-    let mut out = Vec::new();
-    let mut cur = Shape {
-        ops: Vec::new(),
-        cost: 0,
-        num_vas: 0,
-        num_pa_syms: 0,
-        rmw: Vec::new(),
+/// Enumerates every thread shape of cost ≤ `opts.bound` that can occur
+/// in an emitted program.
+///
+/// A shape's own PTE writes and `INVLPG`s decide most of its remap
+/// obligations, so [`ShapeBuilder`] checks them while it grows the shape
+/// and keeps only shapes that can meet them: exactly the shapes that
+/// occur in some emitted program.
+fn shapes(opts: &EnumOptions) -> Vec<Shape> {
+    let mut builder = ShapeBuilder {
+        opts,
+        cur: Shape {
+            ops: Vec::new(),
+            cost: 0,
+            num_vas: 0,
+            num_pa_syms: 0,
+            rmw: Vec::new(),
+        },
+        vas: Vec::new(),
+        unmatched: 0,
+        out: Vec::new(),
     };
-    // TLB validity per local VA.
-    let mut tlb: Vec<bool> = Vec::new();
-    extend(&mut cur, &mut tlb, budget, opts, &mut out);
-    out
+    builder.extend();
+    builder.out
 }
 
-fn extend(
-    cur: &mut Shape,
-    tlb: &mut Vec<bool>,
-    budget: usize,
-    opts: &EnumOptions,
-    out: &mut Vec<Shape>,
-) {
-    if !cur.ops.is_empty() {
+/// What the shape builder tracks per local VA.
+#[derive(Clone, Copy, Default)]
+struct VaState {
+    /// The core's TLB holds the VA's translation.
+    cached: bool,
+    /// PTE writes of the VA not yet matched, greedily, to a later
+    /// same-VA `INVLPG`.
+    pending: usize,
+}
+
+/// The depth-first shape generator: the TLB, fence and RMW rules build
+/// each shape, and the remap rules prune it.
+struct ShapeBuilder<'a> {
+    opts: &'a EnumOptions,
+    cur: Shape,
+    /// Per local VA, in first-use order.
+    vas: Vec<VaState>,
+    /// PTE writes still waiting for their own `INVLPG`, over all VAs.
+    unmatched: usize,
+    out: Vec<Shape>,
+}
+
+impl ShapeBuilder<'_> {
+    /// Keeps the current shape if it can emit, then tries every next
+    /// instruction, in a fixed order.
+    fn extend(&mut self) {
         // A trailing fence orders nothing: skip such shapes.
-        if cur.ops.last() != Some(&SlotOp::Fence) {
-            out.push(cur.clone());
+        let last = self.cur.ops.last().copied();
+        if last.is_some_and(|op| op != SlotOp::Fence)
+            && self.unmatched == 0
+            && can_emit(&self.cur, self.opts)
+        {
+            self.out.push(self.cur.clone());
         }
-    }
-    let remaining = budget.saturating_sub(cur.cost);
-    if remaining == 0 {
-        return;
-    }
-    let max_va = cur.num_vas; // may introduce one fresh VA
-    for va in 0..=max_va {
-        let fresh_va = va == cur.num_vas;
-        let had_entry = !fresh_va && tlb[va];
-
-        // Reads and writes, with forced walk on a cold TLB.
-        for (write, base_cost) in [(false, 1usize), (true, 2usize)] {
-            let walk_options: &[bool] = if had_entry { &[false, true] } else { &[true] };
-            for &walk in walk_options {
-                let cost = base_cost + usize::from(walk);
-                if cost > remaining {
-                    continue;
-                }
-                let op = if write {
-                    SlotOp::Write { va, walk }
-                } else {
-                    SlotOp::Read { va, walk }
-                };
-                with_op(cur, tlb, op, fresh_va, walk || had_entry, |cur, tlb| {
-                    extend(cur, tlb, budget, opts, out)
-                });
-            }
+        if self.cur.cost == self.opts.bound {
+            return;
         }
-
-        // RMW: adjacent read+write to one VA; the write reuses the read's
-        // translation and adds the dirty-bit update.
-        if opts.allow_rmw {
-            let walk_options: &[bool] = if had_entry { &[false, true] } else { &[true] };
-            for &walk in walk_options {
-                let cost = 1 + usize::from(walk) + 2;
-                if cost > remaining {
-                    continue;
-                }
-                let read_slot = cur.ops.len();
-                cur.ops.push(SlotOp::Read { va, walk });
-                cur.ops.push(SlotOp::Write { va, walk: false });
-                cur.rmw.push(read_slot);
-                cur.cost += cost;
-                let saved_vas = cur.num_vas;
-                if fresh_va {
-                    cur.num_vas += 1;
-                    tlb.push(true);
-                } else {
-                    tlb[va] = true;
-                }
-                let saved_entry = had_entry;
-                extend(cur, tlb, budget, opts, out);
-                cur.ops.pop();
-                cur.ops.pop();
-                cur.rmw.pop();
-                cur.cost -= cost;
-                if fresh_va {
-                    tlb.pop();
-                } else {
-                    tlb[va] = saved_entry;
-                }
-                cur.num_vas = saved_vas;
-            }
-        }
-
-        // PTE write: PA meaning (alias vs fresh page) is resolved when
-        // threads are combined; locally we only number the symbols.
-        if 1 <= remaining {
-            let op = SlotOp::PteWrite {
-                va,
-                pa: PaRef::Fresh(cur.num_pa_syms),
+        for va in 0..=self.cur.num_vas {
+            // Reads and writes, with forced walk on a cold TLB.
+            let walks: &[bool] = if self.vas.get(va).is_some_and(|s| s.cached) {
+                &[false, true]
+            } else {
+                &[true]
             };
-            cur.num_pa_syms += 1;
-            with_op(cur, tlb, op, fresh_va, had_entry, |cur, tlb| {
-                extend(cur, tlb, budget, opts, out)
-            });
-            cur.num_pa_syms -= 1;
+            for &walk in walks {
+                self.descend(&[SlotOp::Read { va, walk }]);
+            }
+            for &walk in walks {
+                self.descend(&[SlotOp::Write { va, walk }]);
+            }
+            // RMW: adjacent read+write to one VA; the write reuses the
+            // read's translation and adds the dirty-bit update.
+            if self.opts.allow_rmw {
+                for &walk in walks {
+                    let pair = [SlotOp::Read { va, walk }, SlotOp::Write { va, walk: false }];
+                    self.descend(&pair);
+                }
+            }
+            // PTE write: PA meaning (alias vs fresh page) is resolved when
+            // threads are combined; locally we only number the symbols.
+            let pa = PaRef::Fresh(self.cur.num_pa_syms);
+            self.descend(&[SlotOp::PteWrite { va, pa }]);
+            // INVLPG: evicts the TLB entry.
+            self.descend(&[SlotOp::Invlpg { va }]);
         }
-
-        // INVLPG: evicts the TLB entry.
-        if 1 <= remaining {
-            let op = SlotOp::Invlpg { va };
-            cur.ops.push(op);
-            cur.cost += 1;
-            let saved_vas = cur.num_vas;
-            if fresh_va {
-                cur.num_vas += 1;
-                tlb.push(false);
-            } else {
-                tlb[va] = false;
-            }
-            extend(cur, tlb, budget, opts, out);
-            cur.ops.pop();
-            cur.cost -= 1;
-            if fresh_va {
-                tlb.pop();
-            } else {
-                tlb[va] = had_entry;
-            }
-            cur.num_vas = saved_vas;
+        // Fence, only after a non-fence instruction.
+        if self.opts.allow_fences && last.is_some_and(|op| op != SlotOp::Fence) {
+            self.descend(&[SlotOp::Fence]);
         }
     }
 
-    // Fence, only after a non-fence instruction.
-    if opts.allow_fences
-        && 1 <= remaining
-        && !cur.ops.is_empty()
-        && cur.ops.last() != Some(&SlotOp::Fence)
-    {
-        cur.ops.push(SlotOp::Fence);
-        cur.cost += 1;
-        extend(cur, tlb, budget, opts, out);
-        cur.ops.pop();
-        cur.cost -= 1;
+    /// Appends `ops` (one instruction, or an RMW pair), extends the
+    /// shape from there, and takes them off again. A prefix is dropped
+    /// when its PTE writes still waiting for an `INVLPG` outnumber the
+    /// events left in the bound: each needs one of its own.
+    fn descend(&mut self, ops: &[SlotOp]) {
+        let rmw = ops.len() == 2;
+        let cost: usize = ops.iter().map(|op| op.cost()).sum();
+        if self.cur.cost + cost > self.opts.bound {
+            return;
+        }
+        let saved = (self.cur.num_vas, self.cur.num_pa_syms, self.unmatched);
+        let va = ops[0].va();
+        let saved_va = va.and_then(|v| self.vas.get(v).copied());
+        if rmw {
+            self.cur.rmw.push(self.cur.ops.len());
+        }
+        for &op in ops {
+            self.push(op);
+        }
+        self.cur.cost += cost;
+        if self.unmatched <= self.opts.bound - self.cur.cost {
+            self.extend();
+        }
+        self.cur.cost -= cost;
+        self.cur.ops.truncate(self.cur.ops.len() - ops.len());
+        if rmw {
+            self.cur.rmw.pop();
+        }
+        (self.cur.num_vas, self.cur.num_pa_syms, self.unmatched) = saved;
+        self.vas.truncate(saved.0);
+        if let (Some(v), Some(state)) = (va, saved_va) {
+            self.vas[v] = state;
+        }
+    }
+
+    fn push(&mut self, op: SlotOp) {
+        self.cur.ops.push(op);
+        let Some(va) = op.va() else { return };
+        if va == self.vas.len() {
+            self.vas.push(VaState::default());
+            self.cur.num_vas += 1;
+        }
+        let state = &mut self.vas[va];
+        match op {
+            SlotOp::Read { .. } | SlotOp::Write { .. } => state.cached = true,
+            SlotOp::PteWrite { .. } => {
+                state.pending += 1;
+                self.unmatched += 1;
+                self.cur.num_pa_syms += 1;
+            }
+            SlotOp::Invlpg { .. } => {
+                state.cached = false;
+                if state.pending > 0 {
+                    state.pending -= 1;
+                    self.unmatched -= 1;
+                }
+            }
+            SlotOp::Fence | SlotOp::TlbFlush => {}
+        }
     }
 }
 
-fn with_op(
-    cur: &mut Shape,
-    tlb: &mut Vec<bool>,
-    op: SlotOp,
-    fresh_va: bool,
-    entry_after: bool,
-    f: impl FnOnce(&mut Shape, &mut Vec<bool>),
-) {
-    let va = op.va().expect("memory-ish op has a VA");
-    cur.ops.push(op);
-    cur.cost += op.cost();
-    let saved_entry = if fresh_va {
-        cur.num_vas += 1;
-        tlb.push(entry_after);
-        false
-    } else {
-        let s = tlb[va];
-        tlb[va] = entry_after;
-        s
-    };
-    f(cur, tlb);
-    cur.ops.pop();
-    cur.cost -= op.cost();
-    if fresh_va {
-        cur.num_vas -= 1;
-        tlb.pop();
-    } else {
-        tlb[va] = saved_entry;
+/// Whether a shape whose every PTE write has its own later `INVLPG`
+/// ([`ShapeBuilder`]'s greedy match) can occur in an emitted program.
+///
+/// An `INVLPG` must be claimed by a PTE write or be followed by a
+/// same-VA access on its thread ([`spurious_invlpgs_useful`]). Matching
+/// each VA's PTE writes to its latest `INVLPG`s claims the most of those
+/// with no later access, and leaves `u` of them unclaimed. If `u > 0`,
+/// other threads must hold at least `u` PTE writes, and each of them
+/// then needs one `INVLPG` for every PTE write of the program: at least
+/// `own + 2u` events beyond this shape, where `own` counts the shape's
+/// PTE writes. Two threads meet that exactly, so the rule loses no
+/// shape.
+fn can_emit(shape: &Shape, opts: &EnumOptions) -> bool {
+    // Per VA: PTE writes, INVLPGs with no later same-VA access, and
+    // whether the reverse scan has passed an access yet.
+    let mut per_va = vec![(0usize, 0usize, false); shape.num_vas];
+    for op in shape.ops.iter().rev() {
+        match *op {
+            SlotOp::Read { va, .. } | SlotOp::Write { va, .. } => per_va[va].2 = true,
+            SlotOp::PteWrite { va, .. } => per_va[va].0 += 1,
+            SlotOp::Invlpg { va } if !per_va[va].2 => per_va[va].1 += 1,
+            _ => {}
+        }
     }
+    let u: usize = per_va
+        .iter()
+        .map(|&(writes, useless, _)| useless.saturating_sub(writes))
+        .sum();
+    u == 0
+        || (opts.max_threads.unwrap_or(opts.bound) >= 2
+            && shape.cost + shape.num_pa_syms + 2 * u <= opts.bound)
 }
 
 /// A program together with the facts the planner reuses: its canonical
@@ -571,7 +592,7 @@ pub fn programs_with_deadline(
     opts: &EnumOptions,
     deadline: Option<std::time::Instant>,
 ) -> Vec<Program> {
-    let mut all_shapes = shapes(opts.bound, opts);
+    let mut all_shapes = shapes(opts);
     all_shapes.sort_by_key(|s| s.cost); // enables early cut-off in combine
     let max_threads = opts.max_threads.unwrap_or(opts.bound);
     let mut sink = EmitSink::new(opts, false);
@@ -721,7 +742,7 @@ impl EnumSpace {
     /// Builds the space with one partition per first-thread shape, and
     /// counts each partition's nodes once.
     pub fn new(opts: &EnumOptions) -> EnumSpace {
-        let mut shapes = shapes(opts.bound, opts);
+        let mut shapes = shapes(opts);
         shapes.sort_by_key(|s| s.cost); // identical to the monolithic sort
         let max_threads = opts.max_threads.unwrap_or(opts.bound);
         let masses = root_masses(&shapes, opts.bound, max_threads);
@@ -1325,6 +1346,87 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The shape a program thread was built from: VAs renumbered by
+    /// first use and PTE-write pages by occurrence, as the shape builder
+    /// numbers them, with the thread's RMW read slots.
+    fn shape_of(program: &Program, t: usize) -> (Vec<SlotOp>, Vec<usize>) {
+        let mut vas: Vec<usize> = Vec::new();
+        let mut local = |va: usize| match vas.iter().position(|&v| v == va) {
+            Some(i) => i,
+            None => {
+                vas.push(va);
+                vas.len() - 1
+            }
+        };
+        let mut syms = 0;
+        let ops = program.threads[t]
+            .iter()
+            .map(|&op| match op {
+                SlotOp::Read { va, walk } => SlotOp::Read {
+                    va: local(va),
+                    walk,
+                },
+                SlotOp::Write { va, walk } => SlotOp::Write {
+                    va: local(va),
+                    walk,
+                },
+                SlotOp::Invlpg { va } => SlotOp::Invlpg { va: local(va) },
+                SlotOp::PteWrite { va, .. } => {
+                    syms += 1;
+                    SlotOp::PteWrite {
+                        va: local(va),
+                        pa: PaRef::Fresh(syms - 1),
+                    }
+                }
+                op => op,
+            })
+            .collect();
+        let rmw = program
+            .rmw
+            .iter()
+            .filter(|&&(rt, _)| rt == t)
+            .map(|&(_, slot)| slot)
+            .collect();
+        (ops, rmw)
+    }
+
+    /// The space keeps exactly the shapes that occur in an emitted
+    /// program: the shape rules drop no shape a program uses, and keep
+    /// none that no program uses. Bounds 2–5 cover every fence/RMW mix
+    /// with and without identity remaps under several thread caps;
+    /// bound 6 runs with fences and RMW.
+    #[test]
+    fn every_kept_shape_occurs_in_an_emitted_program() {
+        let mut cases = Vec::new();
+        for bound in 2usize..=5 {
+            for (fences, rmw) in [(false, false), (true, false), (false, true), (true, true)] {
+                for identity in [false, true] {
+                    for max_threads in [None, Some(1), Some(2)] {
+                        let mut opts = EnumOptions::new(bound);
+                        opts.allow_fences = fences;
+                        opts.allow_rmw = rmw;
+                        opts.allow_identity_remap = identity;
+                        opts.max_threads = max_threads;
+                        cases.push(opts);
+                    }
+                }
+            }
+        }
+        cases.push(EnumOptions::new(6));
+        for opts in cases {
+            let kept: BTreeSet<(Vec<SlotOp>, Vec<usize>)> = shapes(&opts)
+                .into_iter()
+                .map(|shape| (shape.ops, shape.rmw))
+                .collect();
+            let used: BTreeSet<(Vec<SlotOp>, Vec<usize>)> = programs(&opts)
+                .iter()
+                .flat_map(|p| (0..p.threads.len()).map(move |t| shape_of(p, t)))
+                .collect();
+            assert!(!kept.is_empty(), "{opts:?}");
+            assert_eq!(kept, used, "{opts:?}");
         }
     }
 

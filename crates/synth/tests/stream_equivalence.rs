@@ -41,7 +41,7 @@ fn bound_5_with_fences_and_rmw_streams_identically() {
     // pool actually uses.
     let opts = options(5, true, true, true);
     let eager = programs(&opts);
-    assert_eq!(EnumSpace::new(&opts).partition_count(), 3_798);
+    assert_eq!(EnumSpace::new(&opts).partition_count(), 125);
     assert_eq!(eager, concatenated(&opts));
 }
 
