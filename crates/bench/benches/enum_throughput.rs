@@ -4,14 +4,13 @@
 //!
 //! Measured per configuration:
 //!
-//! * programs/second of the sequential `programs()` enumeration vs
-//!   planning the space partition by partition
-//!   (`EnumSpace::plan_partition`; same programs, proven by count);
+//! * programs/second of planning the space partition by partition
+//!   (`EnumSpace::plan_partition`; the engine's program count, checked);
 //! * wall-clock of the sequential engine (`synthesize_suite`) vs the
 //!   fused streaming pipeline on the pool, same suite;
-//! * peak live candidates: the sequential engine materializes the whole
-//!   enumeration at once, the streamed pipeline holds at most a few
-//!   partitions (`StreamMetrics::peak_live_candidates`).
+//! * peak live candidates: the whole enumeration's program count vs
+//!   the most the streamed pipeline holds at once, a few partitions
+//!   (`StreamMetrics::peak_live_candidates`).
 //!
 //! * fused cross-axiom synthesis at bound 6: the sequential
 //!   `synthesize_all` vs the fused all-axiom stream
@@ -84,9 +83,6 @@ fn bench_enumeration(c: &mut Criterion) {
     let mut group = c.benchmark_group("enum_throughput");
     group.sample_size(10);
     let o = opts(5);
-    group.bench_function("sequential/bound5", |b| {
-        b.iter(|| transform_synth::programs::programs(&o.enumeration).len())
-    });
     group.bench_function("streamed/bound5", |b| {
         b.iter(|| partitioned_count(&o.enumeration))
     });
@@ -109,7 +105,6 @@ struct Point {
     bound: usize,
     programs: usize,
     elts: usize,
-    enum_sequential: Duration,
     enum_streamed: Duration,
     synth_sequential: Duration,
     /// Median of [`OVERHEAD_ROUNDS`] unobserved fused runs.
@@ -118,6 +113,7 @@ struct Point {
     synth_observed: Duration,
     /// Events the observed run journaled.
     journal_events: usize,
+    /// The whole enumeration's program count.
     peak_live_sequential: usize,
     metrics: StreamMetrics,
 }
@@ -200,21 +196,17 @@ fn measure(bound: usize) -> Point {
     let jobs = jobs();
 
     let start = Instant::now();
-    let all_programs = transform_synth::programs::programs(&o.enumeration);
-    let enum_sequential = start.elapsed();
-    let peak_live_sequential = all_programs.len();
-
-    let start = Instant::now();
     let streamed_count = partitioned_count(&o.enumeration);
     let enum_streamed = start.elapsed();
-    assert_eq!(
-        peak_live_sequential, streamed_count,
-        "stream diverged from the sequential enumeration"
-    );
 
     let start = Instant::now();
     let sequential = transform_synth::synthesize_suite(&mtm, AXIOM, &o);
     let synth_sequential = start.elapsed();
+    let peak_live_sequential = sequential.stats.programs;
+    assert_eq!(
+        peak_live_sequential, streamed_count,
+        "partition plans diverged from the sequential engine's program count"
+    );
 
     // The delta between the observed and the unobserved fused runs is
     // the instrumentation overhead (acceptance bar: ≤ 5% at bound 5,
@@ -273,7 +265,6 @@ fn measure(bound: usize) -> Point {
         bound,
         programs: sequential.stats.programs,
         elts: sequential.elts.len(),
-        enum_sequential,
         enum_streamed,
         synth_sequential,
         synth_fused: median(fused),
@@ -289,8 +280,7 @@ fn json_point(p: &Point) -> String {
         concat!(
             "{{\"bound\": {}, \"fences\": true, \"rmw\": true, ",
             "\"programs\": {}, \"elts\": {}, ",
-            "\"enum_sequential_secs\": {:.6}, \"enum_streamed_secs\": {:.6}, ",
-            "\"enum_sequential_programs_per_sec\": {:.1}, ",
+            "\"enum_streamed_secs\": {:.6}, ",
             "\"enum_streamed_programs_per_sec\": {:.1}, ",
             "\"synth_sequential_secs\": {:.6}, \"synth_fused_secs\": {:.6}, ",
             "\"fused_speedup\": {:.3}, ",
@@ -302,9 +292,7 @@ fn json_point(p: &Point) -> String {
         p.bound,
         p.programs,
         p.elts,
-        p.enum_sequential.as_secs_f64(),
         p.enum_streamed.as_secs_f64(),
-        p.programs as f64 / p.enum_sequential.as_secs_f64().max(f64::EPSILON),
         p.programs as f64 / p.enum_streamed.as_secs_f64().max(f64::EPSILON),
         p.synth_sequential.as_secs_f64(),
         p.synth_fused.as_secs_f64(),
@@ -559,12 +547,11 @@ fn throughput_summary(_c: &mut Criterion) {
     for p in &points {
         println!(
             "enum_throughput summary: `{AXIOM}` @ bound {} --fences --rmw on {} workers: \
-             enum sequential {:?} vs streamed {:?}; synth sequential {:?} vs fused {:?} \
+             enum streamed {:?}; synth sequential {:?} vs fused {:?} \
              ({:.2}x); observed fused {:?} ({:+.2}% progress overhead, {} journal events); \
              peak live {} -> {} (of {} programs, {} partitions, {} batches)",
             p.bound,
             jobs(),
-            p.enum_sequential,
             p.enum_streamed,
             p.synth_sequential,
             p.synth_fused,

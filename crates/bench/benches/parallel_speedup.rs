@@ -52,7 +52,7 @@ fn speedup_summary(_c: &mut Criterion) {
     };
     let (t1, n1) = time(1);
     let (t8, n8) = time(8);
-    assert_eq!(n1, n8, "parallel suite diverged from sequential");
+    assert_eq!(n1, n8, "the jobs=8 suite diverged from jobs=1");
     println!(
         "parallel_speedup summary: `{AXIOM}` @ bound {BOUND}: jobs=1 {t1:?}, jobs=8 {t8:?} \
          => {:.2}x on {} core(s)",

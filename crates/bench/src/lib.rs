@@ -136,7 +136,8 @@ pub struct SweepConfig {
     pub allow_fences: bool,
     /// Include RMW pairs in the program space.
     pub allow_rmw: bool,
-    /// Worker threads per suite (`transform-par`); 1 = sequential engine.
+    /// Worker threads per suite (`transform-par`); the suites are the
+    /// same at every count.
     pub jobs: usize,
     /// A persistent suite store (`transform-store`): completed points
     /// are sealed into it and later sweeps stream them back instead of
@@ -332,6 +333,8 @@ mod tests {
         assert!(table.contains("Fig. 9b"));
     }
 
+    /// Sweeps on one and on four workers find the sequential engine's
+    /// suite sizes.
     #[test]
     fn sweep_is_jobs_invariant() {
         let mtm = x86t_elt();
@@ -341,13 +344,23 @@ mod tests {
             budget: Duration::from_secs(60),
             ..SweepConfig::default()
         };
-        let sequential = sweep(&mtm, &cfg);
-        cfg.jobs = 4;
-        let parallel = sweep(&mtm, &cfg);
-        for (a, b) in sequential.iter().zip(&parallel) {
-            assert_eq!(a.axiom, b.axiom);
-            assert_eq!(a.bound, b.bound);
-            assert_eq!(a.elts, b.elts, "{}: suite size diverged", a.axiom);
+        let mut opts = SynthOptions::new(4);
+        opts.enumeration.allow_fences = false;
+        opts.enumeration.allow_rmw = false;
+        let reference = transform_synth::synthesize_all(&mtm, &opts);
+        for jobs in [1, 4] {
+            cfg.jobs = jobs;
+            let points = sweep(&mtm, &cfg);
+            assert_eq!(points.len(), reference.len(), "jobs {jobs}");
+            for point in &points {
+                assert_eq!(point.bound, 4);
+                assert_eq!(
+                    point.elts,
+                    reference[&point.axiom].elts.len(),
+                    "{} on {jobs} workers: suite size diverged",
+                    point.axiom
+                );
+            }
         }
     }
 

@@ -1743,22 +1743,28 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        // --jobs defaults to 1: the sequential reference.
-        let base = run_str("synthesize --all --bound 4").expect("runs");
+        let mtm = x86t_elt();
+        let mut sopts = SynthOptions::new(4);
+        sopts.enumeration.allow_fences = false;
+        sopts.enumeration.allow_rmw = false;
+        let mut reference = transform_synth::synthesize_all(&mtm, &sopts);
+        let expected: String = mtm
+            .axioms()
+            .iter()
+            .map(|a| render_suite(&reference.remove(&a.name).expect("one suite per axiom")))
+            .collect();
+        assert!(!expected.is_empty());
+        for jobs in [1, 3, 4] {
+            let out = run_str(&format!("synthesize --all --bound 4 --jobs {jobs}")).expect("runs");
+            assert_eq!(elts(&out), elts(&expected), "--jobs {jobs}");
+        }
         // Every axiom's suite appears, identical to its solo run.
         for axiom in ["sc_per_loc", "invlpg", "tlb_causality"] {
             let solo = run_str(&format!("synthesize --axiom {axiom} --bound 4")).expect("runs");
             assert!(
-                base.contains(&elts(&solo)),
+                expected.contains(&elts(&solo)),
                 "{axiom} suite missing from --all"
             );
-        }
-        for line in [
-            "synthesize --all --bound 4 --jobs 4",
-            "synthesize --all --bound 4 --jobs 3",
-        ] {
-            let out = run_str(line).expect("runs");
-            assert_eq!(elts(&base), elts(&out), "{line}");
         }
     }
 
@@ -2319,9 +2325,16 @@ mod tests {
         let e = run_str("synthesize --axiom invlpg --bound 4 --cache-url http://127.0.0.1:7171")
             .unwrap_err();
         assert!(e.contains("--cache"), "{e}");
-        let e = run_str("synthesize --axiom invlpg --bound 4 --cache x --cache-url nonsense")
-            .unwrap_err();
-        assert!(e.contains("http://"), "{e}");
+        // A malformed URL is refused before anything creates the store.
+        let dir = temp_dir("bad-cache-url");
+        let cache = dir.join("store");
+        for cmd in ["synthesize --axiom invlpg --bound 4", "compare --bound 4"] {
+            let line = format!("{cmd} --cache {} --cache-url nonsense", cache.display());
+            let e = run_str(&line).unwrap_err();
+            assert!(e.contains("http://"), "{cmd}: {e}");
+            assert!(!cache.exists(), "{cmd} created {}", cache.display());
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2646,7 +2659,7 @@ mod tests {
         assert_eq!(elts(&all), elts(&observed));
 
         // Sealed content: one cache populated observed at --jobs 3, one
-        // plain and sequential — every entry holds the same suite. (Raw
+        // plain on one worker — every entry holds the same suite. (Raw
         // entry bytes are *not* comparable across independent cold runs:
         // the sealed header records the run's wall-clock `elapsed`.
         // Byte-exactness holds for warm re-reads of the same artifact,

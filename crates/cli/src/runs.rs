@@ -97,8 +97,9 @@ impl JournalRecorder {
                 .transpose()
                 .map_err(|e| e.to_string())
         };
-        let store = open()?;
+        // URL first: a bad URL must not leave an empty store behind.
         let remote = connect(url)?;
+        let store = open()?;
         let head = ManifestHead {
             id: fresh_run_id(),
             mtm: mtm.to_string(),

@@ -4,9 +4,10 @@
 //! timeout on the Alloy/Kodkod/MiniSat stack; the sequential engine in
 //! [`transform_synth`] is the same single-threaded architecture. This
 //! crate distributes that engine across worker threads while reproducing
-//! its output *exactly*: for any worker count, the synthesized suite is
-//! byte-identical to the sequential one, and every work counter aggregates
-//! losslessly.
+//! its output *exactly*: for any worker count, one included, the
+//! synthesized suite is byte-identical to the sequential one, and every
+//! work counter aggregates losslessly. Every run of this crate is the
+//! pipeline below; the sequential engine is only the reference.
 //!
 //! # Pipeline
 //!
@@ -48,8 +49,9 @@
 //! inside the pool: plan order, deadline cuts and fleet ranges count
 //! partitions, and the run journal records one enumerated/retired
 //! event pair per task. The sequential engine
-//! ([`transform_synth::synthesize_suite`]) keeps its global dedup and
-//! is the reference every parallel run reproduces.
+//! ([`transform_synth::synthesize_suite`]) plans the same partitions in
+//! ordinal order before it examines anything, and is the reference
+//! every pipeline run reproduces.
 //!
 //! Determinism holds because every per-item examination is a pure
 //! function of the item: candidate executions are examined in a canonical
@@ -170,9 +172,8 @@ impl SuiteSink for CollectSink {
 /// the shared run's wall-clock.
 ///
 /// `progress` observes the run as it executes (see
-/// [`synthesize_streamed`]). An unobserved run on one worker takes the
-/// sequential engine ([`transform_synth::engine::synthesize_axioms`]),
-/// which has no pipeline to pay for.
+/// [`synthesize_streamed`]); observed or not, on one worker or many,
+/// the run is the same pipeline.
 ///
 /// # Panics
 ///
@@ -185,9 +186,6 @@ pub fn synthesize(
     jobs: usize,
     progress: Option<&Arc<ProgressState>>,
 ) -> Vec<Suite> {
-    if jobs <= 1 && progress.is_none() {
-        return transform_synth::engine::synthesize_axioms(mtm, axioms, opts);
-    }
     let sinks: Vec<CollectSink> = axioms.iter().map(|_| CollectSink::new()).collect();
     let sink_refs: Vec<&dyn SuiteSink> = sinks.iter().map(|s| s as &dyn SuiteSink).collect();
     let (all_stats, _) = synthesize_streamed(mtm, axioms, opts, jobs, progress, &sink_refs);
@@ -241,23 +239,28 @@ mod tests {
         o
     }
 
+    /// Unobserved runs, on one worker too, reproduce the sequential
+    /// engine's suite and counters.
     #[test]
     fn parallel_suite_matches_sequential_engine() {
         let mtm = small_mtm();
         let o = opts(4);
         let sequential = transform_synth::synthesize_suite(&mtm, "sc_per_loc", &o);
-        let parallel = synthesize(&mtm, &["sc_per_loc"], &o, 4, None).remove(0);
-        assert_eq!(sequential.elts.len(), parallel.elts.len());
-        for (a, b) in sequential.elts.iter().zip(&parallel.elts) {
-            assert_eq!(a.program, b.program);
-            assert_eq!(a.witness, b.witness);
-            assert_eq!(a.violated, b.violated);
+        for jobs in [1, 2, 4] {
+            let parallel = synthesize(&mtm, &["sc_per_loc"], &o, jobs, None).remove(0);
+            assert_eq!(sequential.elts.len(), parallel.elts.len(), "jobs {jobs}");
+            for (a, b) in sequential.elts.iter().zip(&parallel.elts) {
+                assert_eq!(a.program, b.program, "jobs {jobs}");
+                assert_eq!(a.witness, b.witness, "jobs {jobs}");
+                assert_eq!(a.violated, b.violated, "jobs {jobs}");
+            }
+            let (s, p) = (&sequential.stats, &parallel.stats);
+            assert_eq!(s.executions, p.executions, "jobs {jobs}");
+            assert_eq!(s.forbidden, p.forbidden, "jobs {jobs}");
+            assert_eq!(s.minimal, p.minimal, "jobs {jobs}");
+            assert_eq!(s.programs, p.programs, "jobs {jobs}");
+            assert_eq!(s.items, p.items, "jobs {jobs}");
         }
-        assert_eq!(sequential.stats.executions, parallel.stats.executions);
-        assert_eq!(sequential.stats.forbidden, parallel.stats.forbidden);
-        assert_eq!(sequential.stats.minimal, parallel.stats.minimal);
-        assert_eq!(sequential.stats.programs, parallel.stats.programs);
-        assert_eq!(sequential.stats.items, parallel.stats.items);
     }
 
     #[test]

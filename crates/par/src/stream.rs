@@ -788,7 +788,8 @@ mod tests {
         .expect("spec parses")
     }
 
-    /// The sequential planner's plan of the eager enumeration.
+    /// The whole enumeration planned in one piece: one dedup over every
+    /// program of the space ([`plan_from_keyed`]).
     fn sequential_plan(eo: &EnumOptions) -> transform_synth::SynthPlan {
         let keyed = transform_synth::programs::programs(eo)
             .into_iter()
@@ -800,22 +801,34 @@ mod tests {
         plan_from_keyed(&mtm(), "sc_per_loc", keyed, false)
     }
 
-    /// Partition plans in ordinal order are the sequential planner's
-    /// plan, with symmetry reduction on and off.
+    /// Partition plans in ordinal order are what one dedup over the
+    /// whole enumeration keeps, with symmetry reduction on and off, at
+    /// bounds 4–6 without and with fences and RMW. Bound 6 is the first
+    /// bound where, without symmetry reduction, keys repeat inside a
+    /// partition.
     #[test]
     fn partition_plans_reproduce_the_sequential_plan() {
-        for symmetry in [true, false] {
-            let eo = enum_opts(4, symmetry);
-            let space = EnumSpace::new(&eo);
-            let plans: Vec<PartitionPlan> = (0..space.partition_count())
-                .map(|p| space.plan_partition(p, None))
-                .collect();
-            let reference = sequential_plan(&eo);
-            let programs: usize = plans.iter().map(|p| p.programs).sum();
-            assert_eq!(programs, reference.programs, "symmetry {symmetry}");
-            let items: Vec<&Program> = plans.iter().flat_map(|p| &p.items).collect();
-            let expected: Vec<&Program> = reference.items.iter().map(|i| &i.program).collect();
-            assert_eq!(items, expected, "symmetry {symmetry}");
+        for bound in 4..=6 {
+            for fences_rmw in [false, true] {
+                for symmetry in [true, false] {
+                    let mut eo = enum_opts(bound, symmetry);
+                    eo.allow_fences = fences_rmw;
+                    eo.allow_rmw = fences_rmw;
+                    let label =
+                        format!("bound {bound} fences+rmw {fences_rmw} symmetry {symmetry}");
+                    let space = EnumSpace::new(&eo);
+                    let plans: Vec<PartitionPlan> = (0..space.partition_count())
+                        .map(|p| space.plan_partition(p, None))
+                        .collect();
+                    let reference = sequential_plan(&eo);
+                    let programs: usize = plans.iter().map(|p| p.programs).sum();
+                    assert_eq!(programs, reference.programs, "{label}");
+                    let items: Vec<&Program> = plans.iter().flat_map(|p| &p.items).collect();
+                    let expected: Vec<&Program> =
+                        reference.items.iter().map(|i| &i.program).collect();
+                    assert_eq!(items, expected, "{label}");
+                }
+            }
         }
     }
 

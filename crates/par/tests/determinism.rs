@@ -1,24 +1,34 @@
-//! The parallel orchestrator's core contract: for any worker count, the
-//! synthesized suite is byte-identical to the sequential engine's, on
+//! The parallel orchestrator's core contract: for any worker count, one
+//! included, the synthesized suite is byte-identical to the sequential
+//! engine's (`transform_synth::synthesize_suite` / `synthesize_all`), on
 //! both candidate-execution backends, and every counter aggregates
 //! losslessly.
 
 use proptest::prelude::*;
 use transform_core::axiom::Mtm;
 use transform_par::synthesize;
-use transform_synth::{Backend, Suite, SynthOptions};
+use transform_synth::{synthesize_all, synthesize_suite, Backend, Suite, SynthOptions};
 use transform_x86::x86t_elt;
 
-/// One axiom's suite on `jobs` workers (`jobs = 1` is the sequential
-/// engine).
+/// One axiom's suite from the pipeline on `jobs` workers.
 fn one_suite(mtm: &Mtm, axiom: &str, o: &SynthOptions, jobs: usize) -> Suite {
     synthesize(mtm, &[axiom], o, jobs, None).remove(0)
 }
 
-/// Every axiom's suite from one run on `jobs` workers, in model order.
+/// Every axiom's suite from one pipeline run on `jobs` workers, in
+/// model order.
 fn every_suite(mtm: &Mtm, o: &SynthOptions, jobs: usize) -> Vec<Suite> {
     let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
     synthesize(mtm, &axioms, o, jobs, None)
+}
+
+/// Every axiom's suite from the sequential engine, in model order.
+fn reference_suites(mtm: &Mtm, o: &SynthOptions) -> Vec<Suite> {
+    let mut suites = synthesize_all(mtm, o);
+    mtm.axioms()
+        .iter()
+        .map(|a| suites.remove(&a.name).expect("one suite per axiom"))
+        .collect()
 }
 
 /// A byte-exact rendering of everything user-visible in a suite: the
@@ -51,25 +61,27 @@ fn jobs_1_and_8_are_byte_identical_on_both_backends() {
     for backend in [Backend::Explicit, Backend::Relational] {
         for axiom in ["sc_per_loc", "invlpg"] {
             let o = opts(4, backend);
-            let one = one_suite(&mtm, axiom, &o, 1);
-            let eight = one_suite(&mtm, axiom, &o, 8);
+            let reference = synthesize_suite(&mtm, axiom, &o);
             assert!(
-                !one.elts.is_empty(),
+                !reference.elts.is_empty(),
                 "{axiom} via {backend:?}: empty suite makes this test vacuous"
             );
-            assert_eq!(
-                fingerprint(&one),
-                fingerprint(&eight),
-                "{axiom} via {backend:?}: suites diverge between jobs=1 and jobs=8"
-            );
-            // Lossless counter aggregation: the shards' sums equal the
-            // sequential totals exactly.
-            assert_eq!(one.stats.programs, eight.stats.programs);
-            assert_eq!(one.stats.executions, eight.stats.executions);
-            assert_eq!(one.stats.forbidden, eight.stats.forbidden);
-            assert_eq!(one.stats.minimal, eight.stats.minimal);
-            assert_eq!(one.stats.items, eight.stats.items);
-            assert!(one.stats.items > 0);
+            assert!(reference.stats.items > 0);
+            for jobs in [1, 8] {
+                let suite = one_suite(&mtm, axiom, &o, jobs);
+                assert_eq!(
+                    fingerprint(&reference),
+                    fingerprint(&suite),
+                    "{axiom} via {backend:?}: jobs={jobs} diverges from the sequential engine"
+                );
+                // Lossless counter aggregation: the shards' sums equal
+                // the sequential totals exactly.
+                assert_eq!(reference.stats.programs, suite.stats.programs);
+                assert_eq!(reference.stats.executions, suite.stats.executions);
+                assert_eq!(reference.stats.forbidden, suite.stats.forbidden);
+                assert_eq!(reference.stats.minimal, suite.stats.minimal);
+                assert_eq!(reference.stats.items, suite.stats.items);
+            }
         }
     }
 }
@@ -101,7 +113,7 @@ fn streamed_bound_5_suite_is_byte_identical_to_sequential() {
     // bound 5 reproduces the sequential suite exactly.
     let mtm = x86t_elt();
     let o = opts(5, Backend::Explicit);
-    let sequential = one_suite(&mtm, "sc_per_loc", &o, 1);
+    let sequential = synthesize_suite(&mtm, "sc_per_loc", &o);
     assert!(!sequential.elts.is_empty());
     let streamed = one_suite(&mtm, "sc_per_loc", &o, 4);
     assert_eq!(fingerprint(&sequential), fingerprint(&streamed));
@@ -116,7 +128,7 @@ fn fused_all_axiom_run_matches_per_axiom_sequential_suites() {
     // The cross-axiom acceptance bar: one all-axiom run (no shared plan
     // materialized up front) reproduces every per-axiom sequential
     // suite, counters included, at several worker counts and on both
-    // backends. `jobs = 1` is the sequential all-axiom engine.
+    // backends.
     let mtm = x86t_elt();
     for (backend, job_counts) in [
         (Backend::Explicit, &[1usize, 2, 4, 8][..]),
@@ -126,7 +138,7 @@ fn fused_all_axiom_run_matches_per_axiom_sequential_suites() {
         let solos: Vec<Suite> = mtm
             .axioms()
             .iter()
-            .map(|ax| one_suite(&mtm, &ax.name, &o, 1))
+            .map(|ax| synthesize_suite(&mtm, &ax.name, &o))
             .collect();
         for &jobs in job_counts {
             let fused = every_suite(&mtm, &o, jobs);
@@ -148,24 +160,28 @@ fn fused_all_axiom_run_matches_per_axiom_sequential_suites() {
 #[test]
 fn symmetry_off_runs_match_the_sequential_engine() {
     // Without symmetry reduction each partition keeps the first
-    // occurrence of every key among its own write-bearing programs; the
-    // sequential engine dedups over the whole space. Bound 6 is the
-    // first bound with keys repeated inside a partition.
+    // occurrence of every key among its own write-bearing programs, in
+    // the pipeline and in the sequential engine alike; that this equals
+    // one dedup over the whole space is checked at the plan level
+    // (`par::stream`'s `partition_plans_reproduce_the_sequential_plan`).
+    // Bound 6 is the first bound with keys repeated inside a partition.
     let mtm = x86t_elt();
     for bound in 4..=6 {
         let mut o = SynthOptions::new(bound);
         o.enumeration.symmetry_reduction = false;
-        let sequential = every_suite(&mtm, &o, 1);
-        let fused = every_suite(&mtm, &o, 2);
-        for (seq, suite) in sequential.iter().zip(&fused) {
-            let label = format!("{} at bound {bound}", seq.axiom);
-            assert_eq!(fingerprint(seq), fingerprint(suite), "{label}");
-            assert!(!suite.stats.timed_out, "{label}");
-            assert_eq!(suite.stats.programs, seq.stats.programs, "{label}");
-            assert_eq!(suite.stats.executions, seq.stats.executions, "{label}");
-            assert_eq!(suite.stats.forbidden, seq.stats.forbidden, "{label}");
-            assert_eq!(suite.stats.minimal, seq.stats.minimal, "{label}");
-            assert_eq!(suite.stats.items, seq.stats.items, "{label}");
+        let sequential = reference_suites(&mtm, &o);
+        for jobs in [1, 2] {
+            let fused = every_suite(&mtm, &o, jobs);
+            for (seq, suite) in sequential.iter().zip(&fused) {
+                let label = format!("{} at bound {bound} jobs={jobs}", seq.axiom);
+                assert_eq!(fingerprint(seq), fingerprint(suite), "{label}");
+                assert!(!suite.stats.timed_out, "{label}");
+                assert_eq!(suite.stats.programs, seq.stats.programs, "{label}");
+                assert_eq!(suite.stats.executions, seq.stats.executions, "{label}");
+                assert_eq!(suite.stats.forbidden, seq.stats.forbidden, "{label}");
+                assert_eq!(suite.stats.minimal, seq.stats.minimal, "{label}");
+                assert_eq!(suite.stats.items, seq.stats.items, "{label}");
+            }
         }
     }
 }
@@ -173,13 +189,13 @@ fn symmetry_off_runs_match_the_sequential_engine() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Any job count — odd, even, oversubscribed far past the core
+    /// Any job count — one, odd, even, oversubscribed far past the core
     /// count — reproduces the sequential suite.
     #[test]
-    fn arbitrary_job_counts_stay_deterministic(jobs in 2usize..24) {
+    fn arbitrary_job_counts_stay_deterministic(jobs in 1usize..24) {
         let mtm = x86t_elt();
         let o = opts(4, Backend::Explicit);
-        let reference = fingerprint(&one_suite(&mtm, "sc_per_loc", &o, 1));
+        let reference = fingerprint(&synthesize_suite(&mtm, "sc_per_loc", &o));
         let suite = one_suite(&mtm, "sc_per_loc", &o, jobs);
         prop_assert_eq!(reference, fingerprint(&suite), "jobs={}", jobs);
     }
@@ -187,17 +203,16 @@ proptest! {
     /// Any job count, through the fused all-axiom run: every
     /// per-axiom suite stays the sequential one.
     #[test]
-    fn fused_all_axiom_run_stays_deterministic_at_any_job_count(jobs in 2usize..10) {
+    fn fused_all_axiom_run_stays_deterministic_at_any_job_count(jobs in 1usize..10) {
         let mtm = x86t_elt();
         let o = opts(4, Backend::Explicit);
         let fused = every_suite(&mtm, &o, jobs);
-        for (ax, suite) in mtm.axioms().iter().zip(&fused) {
-            let reference = fingerprint(&one_suite(&mtm, &ax.name, &o, 1));
+        for (reference, suite) in reference_suites(&mtm, &o).iter().zip(&fused) {
             prop_assert_eq!(
-                reference,
+                fingerprint(reference),
                 fingerprint(suite),
                 "{} jobs={}",
-                &ax.name,
+                &reference.axiom,
                 jobs
             );
         }

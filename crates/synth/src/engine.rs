@@ -11,8 +11,9 @@
 //! orchestrator can distribute the middle one across worker threads while
 //! reproducing this sequential pipeline exactly:
 //!
-//! 1. [`plan_suite`] — enumerate programs, keep the write-bearing first
-//!    occurrence of each canonical key, in enumeration order;
+//! 1. [`plan_suite`] — enumerate programs partition by partition and
+//!    keep the write-bearing first occurrence of each canonical key, in
+//!    enumeration order;
 //! 2. [`Examiner::examine_axioms`] — per program, generate candidate
 //!    executions (explicit or relational backend), count, and pick a
 //!    deterministic minimal forbidden witness for every axiom of the run
@@ -29,7 +30,7 @@
 use crate::canon::canonical_key;
 use crate::execs;
 use crate::minimal::is_minimal;
-use crate::programs::{EnumOptions, Program};
+use crate::programs::{EnumOptions, EnumSpace, Program};
 use crate::satgen;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -237,35 +238,43 @@ pub fn plan_suite(
 }
 
 /// [`plan_suite`] for every axiom at once: the plan does not depend on
-/// the axiom.
+/// the axiom. Each root partition plans itself
+/// ([`EnumSpace::plan_partition`]), in ordinal order; a deadline stops
+/// the plan before the first partition whose planning saw it, the cut
+/// rule of the parallel pipeline, so a timed-out plan is a prefix of
+/// the full one.
 fn plan(mtm: &Mtm, opts: &SynthOptions, deadline: Option<Instant>) -> SynthPlan {
-    let progs = crate::programs::programs_with_deadline(&opts.enumeration, deadline);
-    let mut timed_out = deadline.is_some_and(|d| Instant::now() > d);
-    let mut keyed: Vec<(Program, Option<Vec<u64>>)> = Vec::with_capacity(progs.len());
-    for prog in progs {
-        // Keying is the expensive half of planning; it honors the
-        // deadline too. Unkeyed programs drop out of the plan, exactly
-        // like programs the old driver never reached before its timeout.
-        if timed_out {
-            keyed.push((prog, None));
-            continue;
+    let space = EnumSpace::new(&opts.enumeration);
+    let past_deadline = || deadline.is_some_and(|d| Instant::now() > d);
+    let mut plan = SynthPlan {
+        items: Vec::new(),
+        programs: 0,
+        timed_out: false,
+        branch_co_pa: branches_co_pa(mtm),
+    };
+    for ordinal in 0..space.partition_count() {
+        if past_deadline() {
+            plan.timed_out = true;
+            break;
         }
-        if deadline.is_some_and(|d| Instant::now() > d) {
-            timed_out = true;
-            keyed.push((prog, None));
-            continue;
+        let part = space.plan_partition(ordinal, deadline);
+        if past_deadline() {
+            plan.timed_out = true;
+            break;
         }
-        let key = plan_key(&prog);
-        keyed.push((prog, key));
+        plan.programs += part.programs;
+        for program in part.items {
+            let index = plan.items.len();
+            plan.items.push(WorkItem { index, program });
+        }
     }
-    dedup_keyed(mtm, keyed, timed_out)
+    plan
 }
 
 /// The plan-phase key of one program: its canonical key when the program
 /// can appear in a spanning set (it contains a write), `None` otherwise.
 /// Key computation is the expensive part of planning and is independent
-/// per program — `transform-par` fans it out across workers and feeds the
-/// results to [`plan_from_keyed`].
+/// per program; [`plan_from_keyed`] plans a list keyed this way.
 pub fn plan_key(program: &Program) -> Option<Vec<u64>> {
     // Spanning-set criterion 1: a write exists. User writes, PTE writes,
     // and the dirty-bit ghosts user writes carry are all writes; reads,
@@ -275,16 +284,18 @@ pub fn plan_key(program: &Program) -> Option<Vec<u64>> {
 
 /// Whether examination must branch candidate generation on `co_pa`/
 /// `fr_pa` (the MTM observes physical-address coherence). One shared
-/// predicate for the sequential planner and the parallel orchestrator,
+/// predicate for the reference planner and the parallel orchestrator,
 /// so the two can never drift.
 pub fn branches_co_pa(mtm: &Mtm) -> bool {
     mtm.mentions(BaseRel::CoPa) || mtm.mentions(BaseRel::FrPa)
 }
 
-/// Deterministic final step of planning: keeps the first occurrence of
-/// each canonical key, in enumeration order. Isomorphic programs have
-/// isomorphic candidate executions, so later occurrences of a key can
-/// never contribute a suite member the first occurrence does not.
+/// Plans a keyed program list in one piece: keeps the first occurrence
+/// of each canonical key over the whole list, in list order. Isomorphic
+/// programs have isomorphic candidate executions, so later occurrences
+/// of a key can never contribute a suite member the first occurrence
+/// does not. Fed the whole enumeration, it is the global dedup the
+/// per-partition plans ([`EnumSpace::plan_partition`]) must reproduce.
 ///
 /// # Panics
 ///
@@ -296,7 +307,21 @@ pub fn plan_from_keyed(
     timed_out: bool,
 ) -> SynthPlan {
     assert_axiom(mtm, axiom);
-    dedup_keyed(mtm, keyed, timed_out)
+    let programs = keyed.len();
+    let mut seen: BTreeSet<Vec<u64>> = BTreeSet::new();
+    let mut items = Vec::new();
+    for (program, key) in keyed {
+        if key.is_some_and(|key| seen.insert(key)) {
+            let index = items.len();
+            items.push(WorkItem { index, program });
+        }
+    }
+    SynthPlan {
+        items,
+        programs,
+        timed_out,
+        branch_co_pa: branches_co_pa(mtm),
+    }
 }
 
 /// Panics unless `axiom` is part of `mtm`.
@@ -306,30 +331,6 @@ fn assert_axiom(mtm: &Mtm, axiom: &str) {
         "axiom `{axiom}` is not part of {}",
         mtm.name()
     );
-}
-
-/// [`plan_from_keyed`] without naming an axiom.
-fn dedup_keyed(mtm: &Mtm, keyed: Vec<(Program, Option<Vec<u64>>)>, timed_out: bool) -> SynthPlan {
-    let branch_co_pa = branches_co_pa(mtm);
-    let programs = keyed.len();
-    let mut seen: BTreeSet<Vec<u64>> = BTreeSet::new();
-    let mut items = Vec::new();
-    for (prog, key) in keyed {
-        let Some(key) = key else { continue };
-        if !seen.insert(key) {
-            continue;
-        }
-        items.push(WorkItem {
-            index: items.len(),
-            program: prog,
-        });
-    }
-    SynthPlan {
-        items,
-        programs,
-        timed_out,
-        branch_co_pa,
-    }
 }
 
 /// The outcome of examining one work item for one axiom.
@@ -564,9 +565,11 @@ pub fn synthesize_all(mtm: &Mtm, opts: &SynthOptions) -> BTreeMap<String, Suite>
 }
 
 /// The sequential driver behind [`synthesize_suite`] and
-/// [`synthesize_all`]: plans once and examines the plan with one
-/// examiner for all `axioms`. Returns the suites in `axioms` order.
-/// A timeout covers the whole run.
+/// [`synthesize_all`]: plans the whole space, then examines the plan
+/// with one examiner for all `axioms`. Returns the suites in `axioms`
+/// order. A timeout covers the whole run. It is the reference that the
+/// parallel pipeline (`transform-par`, behind every CLI run)
+/// reproduces.
 ///
 /// # Panics
 ///

@@ -528,24 +528,19 @@ pub struct KeyedProgram {
     pub has_write: bool,
 }
 
-/// Where enumerated programs land: applies symmetry-reduction dedup
-/// (scoped to the whole run for the monolithic recursion, or to one
-/// partition for [`EnumSpace::enumerate_keyed`]) and decides which
-/// canonical keys are worth keeping.
+/// Where one partition's programs land: applies symmetry-reduction
+/// dedup inside the partition, and keys every program the dedup or
+/// the planner needs a key for.
 struct EmitSink<'a> {
     opts: &'a EnumOptions,
-    /// Keep keys for write-bearing programs even without symmetry
-    /// reduction — the partitioned planner reuses them as plan keys.
-    keep_keys: bool,
     seen: BTreeSet<Vec<u64>>,
     out: Vec<KeyedProgram>,
 }
 
 impl<'a> EmitSink<'a> {
-    fn new(opts: &'a EnumOptions, keep_keys: bool) -> EmitSink<'a> {
+    fn new(opts: &'a EnumOptions) -> EmitSink<'a> {
         EmitSink {
             opts,
-            keep_keys,
             seen: BTreeSet::new(),
             out: Vec::new(),
         }
@@ -553,24 +548,16 @@ impl<'a> EmitSink<'a> {
 
     fn emit(&mut self, program: Program) {
         let has_write = program.has_write();
-        let needs_key = self.opts.symmetry_reduction || (self.keep_keys && has_write);
-        let mut key = needs_key.then(|| canonical_key(&program));
+        // Write-bearing programs keep their key even without symmetry
+        // reduction: the planner reuses it as the plan key.
+        let needs_key = self.opts.symmetry_reduction || has_write;
+        let key = needs_key.then(|| canonical_key(&program));
         if self.opts.symmetry_reduction {
             let k = key.as_ref().expect("symmetry reduction keys every program");
             if self.seen.contains(k) {
                 return;
             }
-            if self.keep_keys {
-                self.seen.insert(k.clone());
-            } else {
-                // The eager path discards per-program keys, so move the
-                // key into the dedup set instead of retaining a second
-                // copy per emitted program.
-                key = {
-                    self.seen.insert(key.expect("checked above"));
-                    None
-                };
-            }
+            self.seen.insert(k.clone());
         }
         self.out.push(KeyedProgram {
             program,
@@ -580,36 +567,15 @@ impl<'a> EmitSink<'a> {
     }
 }
 
-/// Enumerates all programs of size ≤ `opts.bound`, canonically deduplicated
-/// when `opts.symmetry_reduction` is on.
+/// Enumerates all programs of size ≤ `opts.bound`, canonically
+/// deduplicated when `opts.symmetry_reduction` is on: the partitions of
+/// an [`EnumSpace`], concatenated in ordinal order.
 pub fn programs(opts: &EnumOptions) -> Vec<Program> {
-    programs_with_deadline(opts, None)
-}
-
-/// Like [`programs`], stopping early (with a partial result) once
-/// `deadline` passes — the paper's synthesis timeout.
-pub fn programs_with_deadline(
-    opts: &EnumOptions,
-    deadline: Option<std::time::Instant>,
-) -> Vec<Program> {
-    let mut all_shapes = shapes(opts);
-    all_shapes.sort_by_key(|s| s.cost); // enables early cut-off in combine
-    let max_threads = opts.max_threads.unwrap_or(opts.bound);
-    let mut sink = EmitSink::new(opts, false);
-
-    // Choose up to `max_threads` shapes (non-decreasing indices for
-    // symmetry breaking across identical shape multisets).
-    let mut chosen: Vec<usize> = Vec::new();
-    combine(
-        &all_shapes,
-        0,
-        opts.bound,
-        max_threads,
-        &mut chosen,
-        &deadline,
-        &mut sink,
-    );
-    sink.out.into_iter().map(|kp| kp.program).collect()
+    let space = EnumSpace::new(opts);
+    (0..space.partition_count())
+        .flat_map(|p| space.enumerate_keyed(p))
+        .map(|kp| kp.program)
+        .collect()
 }
 
 fn combine(
@@ -680,18 +646,18 @@ pub fn mass_eta(
 /// enumerable partitions.
 ///
 /// Partition `i` is the subtree of the shape-combination recursion whose
-/// first thread has shape `i` of the cost-sorted shape list. Partitions
-/// are ordered exactly as the monolithic recursion visits them, and no
-/// canonical key occurs in two of them: isomorphism (thread permutation
-/// plus VA/page renaming) keeps every thread's first-use-numbered shape,
-/// so isomorphic programs come from the same shape multiset — one
-/// `combine` node under one root shape. Concatenating the partitions'
-/// outputs in ordinal order therefore reproduces [`programs`] element
-/// for element, and each partition plans its share of the synthesis
-/// plan by itself ([`EnumSpace::plan_partition`]). That makes each
-/// partition an independent work unit for a parallel pool *and* gives
-/// every enumerated program a stable position `(ordinal, offset)` that
-/// no scheduling decision can move.
+/// first thread has shape `i` of the cost-sorted shape list, and no
+/// canonical key occurs in two partitions: isomorphism (thread
+/// permutation plus VA/page renaming) keeps every thread's
+/// first-use-numbered shape, so isomorphic programs come from the same
+/// shape multiset — one `combine` node under one root shape. Each
+/// partition therefore applies symmetry reduction by itself,
+/// [`programs`] is the partitions' outputs concatenated in ordinal
+/// order, and each partition plans its share of the synthesis plan by
+/// itself ([`EnumSpace::plan_partition`]). That makes each partition an
+/// independent work unit for a parallel pool *and* gives every
+/// enumerated program a stable position `(ordinal, offset)` that no
+/// scheduling decision can move.
 pub struct EnumSpace {
     shapes: Vec<Shape>,
     opts: EnumOptions,
@@ -743,7 +709,7 @@ impl EnumSpace {
     /// counts each partition's nodes once.
     pub fn new(opts: &EnumOptions) -> EnumSpace {
         let mut shapes = shapes(opts);
-        shapes.sort_by_key(|s| s.cost); // identical to the monolithic sort
+        shapes.sort_by_key(|s| s.cost); // enables early cut-off in combine
         let max_threads = opts.max_threads.unwrap_or(opts.bound);
         let masses = root_masses(&shapes, opts.bound, max_threads);
         let total_mass = masses.iter().fold(0u64, |a, &m| a.saturating_add(m));
@@ -780,8 +746,8 @@ impl EnumSpace {
 
     /// Enumerates one partition, canonical keys included, with symmetry
     /// dedup inside the partition. No key occurs in two partitions, so
-    /// concatenating all partitions in ordinal order reproduces
-    /// [`programs`] exactly.
+    /// that is the dedup of the whole space; [`programs`] concatenates
+    /// all partitions in ordinal order.
     pub fn enumerate_keyed(&self, ordinal: usize) -> Vec<KeyedProgram> {
         self.enumerate_keyed_within(ordinal, None)
     }
@@ -797,7 +763,7 @@ impl EnumSpace {
         ordinal: usize,
         deadline: Option<std::time::Instant>,
     ) -> Vec<KeyedProgram> {
-        let mut sink = EmitSink::new(&self.opts, true);
+        let mut sink = EmitSink::new(&self.opts);
         combine(
             &self.shapes,
             ordinal,
@@ -815,9 +781,10 @@ impl EnumSpace {
     /// of each canonical key, in enumeration order. With symmetry
     /// reduction every key already occurs once; without it, the
     /// partition keeps every program in its count but only the first of
-    /// each key as an item. Since no key occurs in two partitions,
-    /// concatenating the partitions' items in ordinal order is the
-    /// sequential planner's plan. Partial when `deadline` strikes, like
+    /// each key as an item. Since no key occurs in two partitions, the
+    /// partitions' items in ordinal order are what a dedup over the
+    /// whole enumeration keeps ([`crate::engine::plan_from_keyed`]).
+    /// Partial when `deadline` strikes, like
     /// [`EnumSpace::enumerate_keyed_within`].
     pub fn plan_partition(
         &self,
@@ -1276,33 +1243,6 @@ mod tests {
         assert!(n_with > 0);
     }
 
-    /// Every program of the space, partition after partition.
-    fn concatenated(space: &EnumSpace) -> Vec<Program> {
-        (0..space.partition_count())
-            .flat_map(|p| space.enumerate_keyed(p))
-            .map(|kp| kp.program)
-            .collect()
-    }
-
-    #[test]
-    fn stream_matches_eager_enumeration() {
-        for bound in [2usize, 3, 4] {
-            for (fences, rmw) in [(false, false), (true, true)] {
-                for symmetry in [true, false] {
-                    let mut opts = EnumOptions::new(bound);
-                    opts.allow_fences = fences;
-                    opts.allow_rmw = rmw;
-                    opts.symmetry_reduction = symmetry;
-                    assert_eq!(
-                        programs(&opts),
-                        concatenated(&EnumSpace::new(&opts)),
-                        "bound {bound} fences {fences} rmw {rmw} symmetry {symmetry}"
-                    );
-                }
-            }
-        }
-    }
-
     /// Brute-force node count of the shape-combination recursion:
     /// every non-empty chosen multiset is one node, exactly what
     /// `root_masses` claims to count with one rolling row.
@@ -1455,9 +1395,7 @@ mod tests {
         let mut opts = EnumOptions::new(4);
         opts.max_threads = Some(0);
         assert!(programs(&opts).is_empty());
-        let space = EnumSpace::new(&opts);
-        assert_eq!(space.partition_count(), 0);
-        assert!(concatenated(&space).is_empty());
+        assert_eq!(EnumSpace::new(&opts).partition_count(), 0);
     }
 
     #[test]

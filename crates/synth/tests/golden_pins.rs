@@ -1,8 +1,8 @@
-//! Golden pins for the ordered eager enumeration: for each bound and
-//! option mix, the program count and an FNV-1a-64 hash of the `Debug`
-//! rendering of the whole [`programs`] list. Any change to which
-//! programs are enumerated, or to their order, moves a pin — unlike the
-//! stream-vs-eager tests, which compare the enumerator with itself.
+//! Golden pins for the ordered enumeration: for each bound and option
+//! mix, the program count and an FNV-1a-64 hash of the `Debug`
+//! rendering of the whole [`programs`] list (every root partition, in
+//! ordinal order). Any change to which programs are enumerated, or to
+//! their order, moves a pin.
 
 use transform_synth::programs::{programs, EnumOptions};
 
