@@ -113,8 +113,6 @@ struct Point {
     synth_observed: Duration,
     /// Events the observed run journaled.
     journal_events: usize,
-    /// The whole enumeration's program count.
-    peak_live_sequential: usize,
     metrics: StreamMetrics,
 }
 
@@ -202,9 +200,9 @@ fn measure(bound: usize) -> Point {
     let start = Instant::now();
     let sequential = transform_synth::synthesize_suite(&mtm, AXIOM, &o);
     let synth_sequential = start.elapsed();
-    let peak_live_sequential = sequential.stats.programs;
+    let programs = sequential.stats.programs;
     assert_eq!(
-        peak_live_sequential, streamed_count,
+        programs, streamed_count,
         "partition plans diverged from the sequential engine's program count"
     );
 
@@ -252,25 +250,24 @@ fn measure(bound: usize) -> Point {
     }
     // The whole point: the pipeline never materializes the full
     // enumeration at once.
-    if peak_live_sequential > 100 {
+    if programs > 100 {
         assert!(
-            metrics.peak_live_candidates < peak_live_sequential,
+            metrics.peak_live_candidates < programs,
             "peak live {} should stay below the full enumeration {}",
             metrics.peak_live_candidates,
-            peak_live_sequential
+            programs
         );
     }
 
     Point {
         bound,
-        programs: sequential.stats.programs,
+        programs,
         elts: sequential.elts.len(),
         enum_streamed,
         synth_sequential,
         synth_fused: median(fused),
         synth_observed: median(observed),
         journal_events,
-        peak_live_sequential,
         metrics,
     }
 }
@@ -302,7 +299,7 @@ fn json_point(p: &Point) -> String {
             * 100.0,
         OVERHEAD_ROUNDS,
         p.journal_events,
-        p.peak_live_sequential,
+        p.programs,
         p.metrics.peak_live_candidates,
         p.metrics.partitions,
         p.metrics.batches,
@@ -549,7 +546,7 @@ fn throughput_summary(_c: &mut Criterion) {
             "enum_throughput summary: `{AXIOM}` @ bound {} --fences --rmw on {} workers: \
              enum streamed {:?}; synth sequential {:?} vs fused {:?} \
              ({:.2}x); observed fused {:?} ({:+.2}% progress overhead, {} journal events); \
-             peak live {} -> {} (of {} programs, {} partitions, {} batches)",
+             peak live {} (of {} programs, {} partitions, {} batches)",
             p.bound,
             jobs(),
             p.enum_streamed,
@@ -560,7 +557,6 @@ fn throughput_summary(_c: &mut Criterion) {
             (p.synth_observed.as_secs_f64() / p.synth_fused.as_secs_f64().max(f64::EPSILON) - 1.0)
                 * 100.0,
             p.journal_events,
-            p.peak_live_sequential,
             p.metrics.peak_live_candidates,
             p.programs,
             p.metrics.partitions,
