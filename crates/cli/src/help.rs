@@ -25,8 +25,9 @@ const CACHE_FLAGS: &str = "\
 const PROGRESS_FLAG: &str = "\
   --progress[=human|json]  live per-axiom telemetry on stderr while the run
                          executes: partitions and subtree mass retired,
-                         programs planned, ELTs found, and a mass-based
-                         ETA; cache-served axioms render as `cached`.
+                         programs planned, ELTs found, and an ETA from
+                         the partitions retired; cache-served axioms
+                         render as `cached`.
                          `json` emits one object per line (pipes, CI).
                          Observation never changes the suite — stdout is
                          byte-identical with and without it";

@@ -16,20 +16,13 @@ impl Opts {
         }
     }
 
-    /// Takes the next unconsumed positional (non-`--`) argument.
+    /// Takes the next unconsumed positional (non-`--`) argument. Flags
+    /// may appear anywhere, so the scan skips over them.
     pub fn positional(&mut self) -> Option<String> {
-        for slot in &mut self.args {
-            if slot.as_deref().is_some_and(|s| !s.starts_with("--")) {
-                return slot.take();
-            }
-            if slot.is_some() {
-                // A flag (and possibly its value) lies between positionals;
-                // stop so commands keep a predictable argument order? No —
-                // flags may appear anywhere, keep scanning.
-                continue;
-            }
-        }
-        None
+        self.args
+            .iter_mut()
+            .find(|slot| slot.as_deref().is_some_and(|s| !s.starts_with("--")))?
+            .take()
     }
 
     /// Takes `--name value`, if present.
@@ -76,7 +69,7 @@ impl Opts {
 
     /// Takes `--jobs N|auto` and normalizes it to a concrete worker
     /// count **here, once** — not at each call site: absent means 1
-    /// (the sequential engine), and both `auto` and `0` mean the
+    /// (the pipeline on one worker), and both `auto` and `0` mean the
     /// machine's detected parallelism. Every subcommand that accepts
     /// `--jobs` goes through this, so no caller can hand a zero worker
     /// count to the engine or diverge on what `auto` means.

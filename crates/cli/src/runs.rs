@@ -382,10 +382,9 @@ pub fn render_run_show(journal: &RunJournal) -> String {
 
 /// One Chrome trace-event JSON document (`about://tracing`,
 /// Perfetto's legacy loader) for a run journal: per-axiom named
-/// threads, an `X` complete event per enumeration task and per examine
-/// batch (on the run lane when the batch covers every axiom), a
-/// cumulative retired-mass counter, and instants for the structural
-/// transitions.
+/// threads, an `X` complete event per examine batch (on the run lane
+/// when the batch covers every axiom), and instants for the structural
+/// transitions and for the kinds that are no longer recorded.
 pub fn chrome_trace(journal: &RunJournal) -> String {
     let m = &journal.manifest;
     let mut events: Vec<String> = Vec::with_capacity(journal.events.len() + m.axioms.len() + 2);
@@ -407,34 +406,19 @@ pub fn chrome_trace(journal: &RunJournal) -> String {
             json_str(&format!("axiom {}", ax.name)),
         ));
     }
-    let mut mass_retired = 0u64;
     for ev in &journal.events {
         let tid = ev.axiom.map_or(0, |slot| u64::from(slot) + 1);
         match ev.kind {
-            JournalEventKind::BatchExamined | JournalEventKind::PartitionEnumerated => {
-                // The span's duration was journaled in `c` (0 for
-                // enumeration in journals written before tasks); the
-                // event was recorded at its end, so the span starts at
-                // `t - c`.
-                let (name, a, b) = match ev.kind {
-                    JournalEventKind::BatchExamined => ("examine_batch", "items", "found"),
-                    _ => ("enumerate", "first", "programs"),
-                };
+            JournalEventKind::BatchExamined => {
+                // The span's duration was journaled in `c`; the event was
+                // recorded at its end, so the span starts at `t - c`.
                 events.push(format!(
                     "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{},\
-                     \"name\":\"{name}\",\"args\":{{\"{a}\":{},\"{b}\":{}}}}}",
+                     \"name\":\"examine_batch\",\"args\":{{\"items\":{},\"found\":{}}}}}",
                     ev.t_micros.saturating_sub(ev.c),
                     ev.c.max(1),
                     ev.a,
                     ev.b,
-                ));
-            }
-            JournalEventKind::PartitionRetired => {
-                mass_retired += ev.b;
-                events.push(format!(
-                    "{{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":{},\
-                     \"name\":\"mass_retired\",\"args\":{{\"mass\":{mass_retired}}}}}",
-                    ev.t_micros,
                 ));
             }
             kind => {
@@ -690,15 +674,15 @@ mod tests {
             trace.contains("\"ts\":380,\"dur\":120"),
             "batch span misplaced: {trace}"
         );
-        // So does the enumeration task's, on the run lane.
+        // Kinds no longer recorded render as instants on the run lane.
         assert!(
             trace.contains(
-                "\"tid\":0,\"ts\":350,\"dur\":200,\"name\":\"enumerate\",\
-                 \"args\":{\"first\":0,\"programs\":7}"
+                "\"tid\":0,\"ts\":550,\"s\":\"g\",\"name\":\"partition_enumerated\",\
+                 \"args\":{\"a\":0,\"b\":7,\"c\":200}"
             ),
-            "enumerate span misplaced: {trace}"
+            "old enumeration event misplaced: {trace}"
         );
-        assert!(trace.contains("\"mass\":25"), "{trace}");
+        assert!(trace.contains("\"name\":\"partition_retired\""), "{trace}");
         assert!(trace.contains("\"outcome\":\"cut\""), "{trace}");
         assert_eq!(trace.matches('{').count(), trace.matches('}').count());
         assert_eq!(trace.matches('[').count(), trace.matches(']').count());

@@ -19,21 +19,21 @@
 //!    into partitions that each plan their own slice of the synthesis
 //!    plan ([`transform_synth::programs::EnumSpace::plan_partition`]):
 //!    no canonical key occurs in two partitions, so no dedup state is
-//!    shared. Runs of consecutive partitions of about 256 subtree-mass
-//!    nodes are pool tasks alongside examine batches, so workers
-//!    generate, canonically key, and examine programs concurrently
-//!    ([`stream`]). Each examine batch covers every axiom of the run in
-//!    one pass, with one [`transform_synth::Examiner`]: on the explicit
-//!    backend it walks each program's candidates once for all of them;
-//!    on the [`SynthBackend::Relational`] backend it makes one SAT query
-//!    per (program, axiom), each on a solver of its own. A batch is one
-//!    root partition's plan items, so batches never depend on
-//!    scheduling.
-//! 2. **Merge** — once the workers join, a prefix sum over the tasks'
-//!    plan-item counts turns every batch's task-local item offsets into
-//!    plan indices, so plan indices never depend on scheduling; the
-//!    renumbered shards go to the sinks in plan order, and their
-//!    counters sum into one set per axiom.
+//!    shared. A worker claims the next partition, plans it, examines its
+//!    plan items and retires it, so workers generate, canonically key,
+//!    and examine programs concurrently ([`stream`]). Each partition's
+//!    plan items are one examine batch covering every axiom of the run
+//!    in one pass, with one [`transform_synth::Examiner`]: on the
+//!    explicit backend it walks each program's candidates once for all
+//!    of them; on the [`SynthBackend::Relational`] backend it makes one
+//!    SAT query per (program, axiom), each on a solver of its own.
+//!    Batches therefore never depend on scheduling.
+//! 2. **Merge** — once the workers join, a prefix sum over the retired
+//!    partitions' plan-item counts, in ordinal order, turns every
+//!    batch's partition-local item offsets into plan indices, so plan
+//!    indices never depend on scheduling; the renumbered shards go to
+//!    the sinks in plan order, and their counters sum into one set per
+//!    axiom.
 //!
 //! One run serves any list of axioms ([`synthesize`], or
 //! [`synthesize_streamed`] for callers that stream into their own
@@ -43,12 +43,12 @@
 //! workers start, and every axiom's shards reach its sink after the
 //! last batch retires. A partition is one root (first-thread) shape of
 //! the enumeration recursion; the space counts each partition's subtree
-//! nodes once when it is built ([`EnumSpace::masses`]), and the
-//! pipeline's task sizes, the progress ETA, the run journal and the
-//! fleet's range plan all read those masses. Enumeration tasks stay
-//! inside the pool: plan order, deadline cuts and fleet ranges count
-//! partitions, and the run journal records one enumerated/retired
-//! event pair per task. The sequential engine
+//! nodes once when it is built ([`EnumSpace::masses`]). Those masses
+//! size the fleet's range plan and the progress display's retired-mass
+//! share, and schedule nothing: plan order, deadline cuts, fleet
+//! ranges and the progress ETA count partitions, and the run journal
+//! records one batch event per partition with plan items. The
+//! sequential engine
 //! ([`transform_synth::synthesize_suite`]) plans the same partitions in
 //! ordinal order before it examines anything, and is the reference
 //! every pipeline run reproduces.
@@ -368,12 +368,13 @@ mod tests {
                 Some(progress::JournalEventKind::RunEnd),
                 "jobs {jobs}"
             );
-            // Every retired partition and batch left a span, and
-            // timestamps never run backwards within... emission order is
-            // per-lock-transition, so they are monotone overall.
-            assert!(events
-                .iter()
-                .any(|e| e.kind == progress::JournalEventKind::PartitionRetired));
+            // Every batch left a span, no partition event is written any
+            // more, and timestamps never run backwards: emission order
+            // is per lock transition, so they are monotone overall.
+            assert!(!events.iter().any(|e| matches!(
+                e.kind,
+                JournalEventKind::PartitionEnumerated | JournalEventKind::PartitionRetired
+            )));
             assert!(events
                 .iter()
                 .any(|e| e.kind == progress::JournalEventKind::BatchExamined));
@@ -386,7 +387,8 @@ mod tests {
 
     /// A deadline-cut journaled run records the cut event, and the
     /// progress mirror carries the exact retired mass the manifest
-    /// persists.
+    /// persists: a zero budget cuts the run before its first partition
+    /// retires, so none is retired.
     #[test]
     fn journaled_deadline_cut_records_the_cut_event() {
         let mtm = small_mtm();
@@ -404,14 +406,11 @@ mod tests {
                 .any(|e| e.kind == progress::JournalEventKind::Cut),
             "cut runs journal their cut point"
         );
-        // The retired mass in the snapshot is the sum of the retired
-        // partitions' journaled masses — exact, not estimated.
-        let journaled: u64 = events
+        assert_eq!(snap.cut_at_partition, Some(0));
+        assert_eq!((snap.partitions_retired, snap.mass_retired), (0, 0));
+        assert!(!events
             .iter()
-            .filter(|e| e.kind == progress::JournalEventKind::PartitionRetired)
-            .map(|e| e.b)
-            .sum();
-        assert_eq!(snap.mass_retired, journaled);
+            .any(|e| e.kind == progress::JournalEventKind::BatchExamined));
     }
 
     /// A fused run's batches cover every axiom at once: the journal

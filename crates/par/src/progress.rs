@@ -1,15 +1,15 @@
 //! Live telemetry for streamed synthesis runs.
 //!
 //! A [`ProgressState`] is a block of atomics the fused pipeline
-//! ([`crate::stream`]) publishes into as enumeration tasks retire and
-//! examine batches drain — partitions and subtree mass retired (against
-//! the totals from [`EnumSpace::masses`]), programs and plan items
-//! planned, live/peak candidate counts, and per-axiom batch/item/ELT
-//! counters. Observers (the CLI's
-//! `--progress` reporter) poll [`ProgressState::snapshot`] from any
-//! thread without touching the pipeline's lock; the pipeline itself
-//! writes with relaxed stores from inside lock-held transitions, so
-//! observation adds no synchronization to the hot path.
+//! ([`crate::stream`]) publishes into as root partitions retire —
+//! partitions and subtree mass retired (against the totals from
+//! [`EnumSpace::masses`]), programs and plan items planned, live/peak
+//! candidate counts, and per-axiom batch/item/ELT counters. Observers
+//! (the CLI's `--progress` reporter) poll [`ProgressState::snapshot`]
+//! from any thread without touching the pipeline's lock; the pipeline
+//! itself writes with relaxed stores from inside lock-held
+//! transitions, so observation adds no synchronization to the hot
+//! path.
 //!
 //! The same state is the run's final record: the returned
 //! [`StreamMetrics`] *is* the last snapshot (see
@@ -85,32 +85,32 @@ impl AxiomState {
 /// The payload fields `a`/`b`/`c` are kind-specific (documented per
 /// variant); unused ones are zero.
 ///
-/// The pipeline plans root partitions in tasks — runs of consecutive
-/// partitions of about 256 subtree-mass nodes — so the partition events
-/// come one pair per task, and a journal's size follows the work rather
-/// than the number of root shapes.
+/// The pipeline journals one event per root partition with plan items
+/// ([`JournalEventKind::BatchExamined`]) and none for the others, so a
+/// journal's size follows the work rather than the number of root
+/// shapes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum JournalEventKind {
     /// The fused run bound its space: `a` = partition count, `b` =
     /// total subtree mass, `c` = worker count.
     RunStart,
-    /// One enumeration task was materialized: `a` = its first
-    /// partition ordinal, `b` = programs delivered, `c` = the task's
-    /// wall-clock in microseconds (so `t_micros - c` is its start;
-    /// journals written before tasks carry `c` = 0).
+    /// No longer recorded. Journals written while the pipeline planned
+    /// runs of partitions as enumeration tasks carry one per task: `a` =
+    /// its first partition ordinal, `b` = programs delivered, `c` = the
+    /// task's wall-clock in microseconds (0 in still older journals).
+    /// Kept so those journals still decode.
     PartitionEnumerated,
-    /// One task's partitions were planned and their items queued for
-    /// examination: `a` = its first partition ordinal, `b` = their
-    /// summed subtree mass (the `b`s of a run sum to its retired mass),
-    /// `c` = partitions planned (fewer than the task's when the deadline
-    /// cut it; 0 in journals written before tasks, which retired one
-    /// partition per event). Tasks retire in the order they finish.
+    /// No longer recorded. Journals written while the pipeline planned
+    /// enumeration tasks carry one per task: `a` = its first partition
+    /// ordinal, `b` = the planned partitions' summed subtree mass, `c` =
+    /// partitions planned (0 in still older journals, which retired one
+    /// partition per event). Kept so those journals still decode.
     PartitionRetired,
     /// One examine batch — one root partition's plan items — retired,
     /// for every axiom of the run at once (journaled without an axiom):
     /// `a` = plan items examined, `b` = suite members found across all
-    /// axioms, `c` = batch wall-clock in microseconds (so
-    /// `t_micros - c` is the batch's start).
+    /// axioms, `c` = the partition's wall-clock in microseconds,
+    /// planning and examination (so `t_micros - c` is its start).
     BatchExamined,
     /// No longer recorded. Journals written while partitions were
     /// admitted in ordinal order carry it where a worker waited behind
@@ -434,8 +434,8 @@ pub struct ProgressSnapshot {
     pub elapsed: Duration,
     /// Enumeration partitions in the space (0 until the run binds).
     pub partitions_total: usize,
-    /// Partitions planned so far, in whatever order their tasks
-    /// finished. On a cut run this includes partitions planned past the
+    /// Partitions planned and examined so far, in whatever order they
+    /// finished. On a cut run this includes partitions retired past the
     /// cut, whose items the suites drop.
     pub partitions_retired: usize,
     /// Total subtree mass of the space
@@ -443,19 +443,19 @@ pub struct ProgressSnapshot {
     ///
     /// [`EnumSpace::total_mass`]: transform_synth::programs::EnumSpace::total_mass
     pub mass_total: u64,
-    /// Mass of the partitions planned so far.
+    /// Mass of the partitions retired so far.
     pub mass_retired: u64,
-    /// Programs of the planned partitions (post symmetry reduction).
+    /// Programs of the retired partitions (post symmetry reduction).
     pub programs: usize,
-    /// Plan items of the planned partitions (write-bearing first
+    /// Plan items of the retired partitions (write-bearing first
     /// occurrences — each examined once for every axiom).
     pub items_planned: usize,
-    /// Plan items queued for examination and not yet examined.
+    /// Plan items planned and not yet examined.
     pub live_candidates: usize,
     /// Peak of [`ProgressSnapshot::live_candidates`] over the run,
     /// deadline-discarded tails included.
     pub peak_live_candidates: usize,
-    /// Examine batches created (each covers every axiom of the run).
+    /// Examine batches retired (each covers every axiom of the run).
     pub batches: usize,
     /// First partition the deadline cut, if any.
     pub cut_at_partition: Option<usize>,
@@ -472,24 +472,31 @@ impl ProgressSnapshot {
         (self.mass_retired as f64 / self.mass_total as f64).min(1.0)
     }
 
-    /// Projected time until *enumeration* completes, from the observed
-    /// mass-retirement rate ([`transform_synth::programs::mass_eta`]).
-    /// `None` before any mass retired.
+    /// Projected time until every partition of the run is retired
+    /// (planned and examined), from the observed partition-retirement
+    /// rate. `None` before any partition retired; zero once all did.
     pub fn enumeration_eta(&self) -> Option<Duration> {
-        transform_synth::programs::mass_eta(self.mass_retired, self.mass_total, self.elapsed)
+        if self.partitions_retired == 0 {
+            return None;
+        }
+        let remaining = self
+            .partitions_total
+            .saturating_sub(self.partitions_retired);
+        let rate = self.partitions_retired as f64 / self.elapsed.as_secs_f64().max(1e-9);
+        Some(Duration::from_secs_f64(remaining as f64 / rate))
     }
 
     /// Projected final plan-item count: the items planned so far scaled
-    /// by the inverse retired-mass fraction (exact once enumeration
-    /// finishes). `None` before any mass retired.
+    /// by the inverse retired-partition fraction (exact once every
+    /// partition retired). `None` before any partition retired.
     pub fn estimated_plan_items(&self) -> Option<usize> {
         if self.partitions_retired >= self.partitions_total {
             return Some(self.items_planned);
         }
-        if self.mass_retired == 0 {
+        if self.partitions_retired == 0 {
             return None;
         }
-        let scale = self.mass_total as f64 / self.mass_retired as f64;
+        let scale = self.partitions_total as f64 / self.partitions_retired as f64;
         Some((self.items_planned as f64 * scale).ceil() as usize)
     }
 
@@ -545,20 +552,25 @@ mod tests {
     fn etas_project_from_retired_fractions() {
         let state = ProgressState::new(&["a"]);
         state.partitions_total.store(10, ORD);
+        state.partitions_retired.store(5, ORD);
         state.mass_total.store(100, ORD);
-        state.mass_retired.store(50, ORD);
+        state.mass_retired.store(80, ORD);
         state.items_planned.store(40, ORD);
         state.set_axiom_state(0, AxiomState::Running);
         state.axiom(0).items_examined.store(20, ORD);
         let snap = state.snapshot();
-        assert!((snap.mass_fraction() - 0.5).abs() < 1e-9);
-        // Half the mass planned 40 items → ~80 projected.
+        assert!((snap.mass_fraction() - 0.8).abs() < 1e-9);
+        // Half the partitions planned 40 items → ~80 projected; the
+        // retired mass fraction does not enter.
         assert_eq!(snap.estimated_plan_items(), Some(80));
         let eta = snap.axiom_eta(&snap.axioms[0]).expect("rate exists");
         // 20 items examined, 60 projected remaining → ETA ≈ 3 × elapsed.
         let ratio = eta.as_secs_f64() / snap.elapsed.as_secs_f64();
         assert!((ratio - 3.0).abs() < 0.2, "ratio {ratio}");
-        assert!(snap.enumeration_eta().is_some());
+        // Half the partitions retired → the other half takes as long.
+        let eta = snap.enumeration_eta().expect("rate exists");
+        let ratio = eta.as_secs_f64() / snap.elapsed.as_secs_f64();
+        assert!((ratio - 1.0).abs() < 0.2, "ratio {ratio}");
     }
 
     #[test]

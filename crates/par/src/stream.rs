@@ -1,55 +1,43 @@
 //! The fused streaming pipeline: program *generation* runs inside the
-//! work-stealing pool, not in front of it — for one axiom or for every
-//! axiom of an MTM at once.
+//! worker pool, not in front of it — for one axiom or for every axiom
+//! of an MTM at once.
 //!
-//! The two-phase orchestrator (plan everything, then examine) keeps the
-//! pool idle behind a single-threaded, memory-hungry enumeration pass.
-//! Here the enumeration's root partitions ([`EnumSpace`]) are planned
-//! by pool tasks: workers alternate between *enumerating* a task
-//! (planning each of its partitions by itself,
-//! [`EnumSpace::plan_partition`]) and *examining* a batch of plan
-//! items, so SAT and relational solving start while later partitions
-//! are still being generated.
-//!
-//! # Enumeration tasks
-//!
-//! Root partitions are small: bound 8 has 18,238 of them, of two
-//! nodes each on average. So one enumeration task is a run of
-//! consecutive partitions `[lo, hi)` whose subtree masses
-//! ([`EnumSpace::masses`]) sum to about 256 nodes; a heavier partition
-//! is a task by itself. A task is enumerated by one worker,
-//! queued in one lock transition and journaled as one event pair.
-//! Tasks are a pure function of the space and the run's range, so
-//! partition ordinals stay the unit everywhere outside the pool: plan
-//! order, deadline cuts, retired mass and fleet ranges.
+//! The enumeration's root partitions ([`EnumSpace`]) are the pipeline's
+//! only unit of work. A worker's task is one partition: it claims the
+//! next partition of the run's range, plans it by itself
+//! ([`EnumSpace::plan_partition`]), examines its plan items for every
+//! axiom with one [`Examiner`], and retires it. Nothing is queued
+//! between workers, so at most one partition's plan items per worker are
+//! alive at once, and SAT and relational solving start while later
+//! partitions are still to be generated.
 //!
 //! # The fused cross-axiom run
 //!
 //! The synthesis plan is axiom-independent (it keeps write-bearing
 //! canonical first occurrences), so a multi-axiom run enumerates every
-//! partition **once**, and each partition's plan items become **one**
+//! partition **once**, and each partition's plan items are **one**
 //! examine batch covering every axiom: its [`Examiner`] examines each
 //! program once for all of them (the explicit backend walks the
 //! program's candidates once; the relational backend makes one SAT
 //! query per axiom, each on a solver of its own). No shared plan is
 //! materialized before workers start. All axioms therefore finish
-//! together: after the last batch retires, every axiom's sink receives
-//! its shards, and the run returns one set of counters per axiom, which
-//! the store seals with the suite.
+//! together: after the last partition retires, every axiom's sink
+//! receives its shards, and the run returns one set of counters per
+//! axiom, which the store seals with the suite.
 //!
-//! Batches are, like tasks, a pure function of the space and the range:
-//! one per root partition with plan items. Each batch's [`ShardStats`]
-//! reaches the sinks with its records, and the returned counters are
-//! their sums, so they do not depend on scheduling either.
+//! Batches are a pure function of the space and the range: one per root
+//! partition with plan items. Each batch's [`ShardStats`] reaches the
+//! sinks with its records, and the returned counters are their sums, so
+//! they do not depend on scheduling either.
 //!
 //! # Determinism
 //!
 //! No canonical key occurs in two root partitions, so each partition's
 //! own plan is its slice of the sequential plan, and partitions need no
-//! shared dedup state. Workers take tasks in ordinal order and queue a
-//! finished task's items as examine batches at once; every batch
-//! reports its records at *task-local* item offsets. Once the workers
-//! join, one prefix sum over the tasks' item counts gives each task its
+//! shared dedup state. Workers claim partitions in ordinal order and
+//! retire them in whatever order they finish, with their records at
+//! *partition-local* item offsets. Once the workers join, one prefix sum
+//! over the retired partitions in ordinal order gives each its
 //! plan-index base, the records are renumbered, and the shards are
 //! delivered to the sinks in plan order. Plan indices, and therefore
 //! every per-axiom suite, are byte-identical to the sequential engine
@@ -57,27 +45,25 @@
 //!
 //! # Deadlines
 //!
-//! A deadline cuts the plan at partition granularity: a worker stops
-//! its task before the first partition whose enumeration saw the
-//! expiry. The prefix sum runs up to the first partition that was not
-//! fully planned — the cut ([`StreamMetrics::cut_at_partition`]) — so
-//! every partition below it is in the plan and everything from it on is
-//! dropped, batches already examined past it included. A timed-out
-//! plan is a well-defined prefix of the deadline-free plan, not a
+//! A deadline cuts the plan at partition granularity: a partition whose
+//! planning saw the expiry is dropped, and no worker claims another. The
+//! prefix sum runs up to the first partition that was not fully planned
+//! — the cut ([`StreamMetrics::cut_at_partition`]) — so every partition
+//! below it is in the plan and everything from it on is dropped, batches
+//! already examined past it included. A timed-out plan is a
+//! well-defined prefix of the deadline-free plan, not a
 //! worker-race-dependent subset. The cut is shared by every axiom of a
 //! fused run, so a cut run marks every axiom cut. Examination stays
 //! best-effort after expiry, exactly like the sequential engine's
 //! mid-plan stop.
 
-use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use transform_core::axiom::Mtm;
 use transform_synth::programs::{EnumSpace, PartitionPlan};
 use transform_synth::{
     branches_co_pa, Examiner, ShardStats, SuiteRecord, SuiteStats, SynthOptions, SynthesizedElt,
-    WorkItem,
 };
 
 use crate::progress::{AxiomState, JournalEventKind, ProgressSnapshot, ProgressState};
@@ -101,18 +87,17 @@ pub struct StreamMetrics {
     /// First partition cut by the deadline (`None`: enumeration ran to
     /// completion). Everything below it was fully planned.
     pub cut_at_partition: Option<usize>,
-    /// Examine batches created, one per root partition with plan items
-    /// and each covering every axiom (a deadline cut abandons queued
-    /// batches, which stay counted here but produce no shard stats).
+    /// Examine batches, one per retired root partition with plan items,
+    /// each covering every axiom (a batch retired past a deadline cut
+    /// stays counted here but produces no shard stats).
     pub batches: usize,
-    /// Peak number of simultaneously queued plan items (planned but not
-    /// yet examined, or dropped). Examination has pop priority, so this
-    /// stays near the worker count times the largest task's items, not
-    /// the size of the enumeration.
+    /// Peak number of simultaneously live plan items (planned but not
+    /// yet examined, or dropped). Each worker holds one partition's
+    /// items at a time, so this stays within the worker count times the
+    /// largest partition's plan items, not the size of the enumeration.
     ///
-    /// Exact on timed-out runs too: a task planned after the deadline
-    /// struck is counted at its moment of materialization, and the
-    /// abandoned queue leaves the live count the moment it is dropped.
+    /// Exact on timed-out runs too: a partition planned after the
+    /// deadline struck counts at its moment of materialization.
     pub peak_live_candidates: usize,
 }
 
@@ -133,137 +118,63 @@ impl StreamMetrics {
     }
 }
 
-/// One root partition's plan items, examined once for every axiom of
-/// the run. Item indices are offsets inside the batch's task.
-struct Batch {
-    task: usize,
-    items: Vec<WorkItem>,
-}
-
-/// One retired batch, kept until the workers join: per run axiom, its
-/// counters and its suite members at task-local plan indices.
-struct Outcome {
-    task: usize,
-    /// Task-local index of the batch's first item.
-    first: usize,
+/// One fully planned partition, kept until the workers join: its plan
+/// counts and, per run axiom, its batch's counters and suite members at
+/// partition-local plan indices (no batch when it has no plan items).
+struct Retired {
+    ordinal: usize,
+    programs: usize,
+    items: usize,
     stats: Vec<ShardStats>,
     records: Vec<Vec<SuiteRecord>>,
 }
 
-/// Subtree mass (shape-combination nodes, [`EnumSpace::masses`]) one
-/// enumeration task gathers: consecutive root partitions join a task
-/// until their masses reach it. Most root partitions are a node or two;
-/// grouping them keeps the pipeline's lock transitions and journal
-/// events proportional to the enumeration's work rather than to the
-/// number of root shapes.
-const TASK_MASS: u64 = 256;
-
-/// The run's enumeration tasks: `range` cut into runs of consecutive
-/// partitions that join while the task's summed mass is under
-/// [`TASK_MASS`], so a partition heavier than that starts a task of its
-/// own. Tasks are a pure function of the space and the range, never of
-/// scheduling.
-fn tasks(masses: &[u64], range: Range<usize>) -> Vec<Range<usize>> {
-    let mut tasks = Vec::new();
-    let mut lo = range.start;
-    while lo < range.end {
-        let mut hi = lo;
-        let mut mass = 0u64;
-        while hi < range.end && mass < TASK_MASS {
-            mass = mass.saturating_add(masses[hi]);
-            hi += 1;
-        }
-        tasks.push(lo..hi);
-        lo = hi;
-    }
-    tasks
-}
-
-/// The summed mass of some partitions, saturating like
-/// [`EnumSpace::total_mass`].
-fn mass_of(masses: &[u64]) -> u64 {
-    masses.iter().fold(0u64, |a, &m| a.saturating_add(m))
-}
-
-enum Task {
-    /// Plan the partitions of task `n`, in order.
-    Enumerate(usize),
-    Examine(Batch),
-}
-
-/// What one task planned: the partitions its worker finished before
-/// seeing the deadline (fewer than the task's when it was cut), their
-/// programs and their plan items.
-#[derive(Clone, Copy)]
-struct Planned {
-    partitions: usize,
-    programs: usize,
-    items: usize,
-}
-
-/// The delivered plan: the tasks below the cut, each with its
-/// plan-index base.
+/// The delivered plan's totals.
 struct Prefix {
-    /// Plan-index base of each task in the plan, by task number.
-    bases: Vec<usize>,
     programs: usize,
     items: usize,
     /// First partition not fully planned, if any.
     cut_at: Option<usize>,
 }
 
+/// The plan the run delivers: sorts `retired` into ordinal order and
+/// keeps the partitions below the first one of `range` that was not
+/// fully planned (the cut).
+fn prefix(retired: &mut Vec<Retired>, range: Range<usize>) -> Prefix {
+    retired.sort_unstable_by_key(|r| r.ordinal);
+    let kept = retired
+        .iter()
+        .zip(range.clone())
+        .take_while(|(r, ordinal)| r.ordinal == *ordinal)
+        .count();
+    retired.truncate(kept);
+    let cut = range.start + kept;
+    Prefix {
+        programs: retired.iter().map(|r| r.programs).sum(),
+        items: retired.iter().map(|r| r.items).sum(),
+        cut_at: (cut < range.end).then_some(cut),
+    }
+}
+
 struct State {
-    /// Next task to hand out.
-    next_task: usize,
-    /// Tasks handed out but not yet resolved.
-    enumerating: usize,
-    /// What each resolved task planned, by task number.
-    planned: Vec<Option<Planned>>,
-    /// The deadline struck (a task came back short or examination
-    /// stopped): hand out nothing more and let workers exit.
+    /// Next partition to hand out.
+    next: usize,
+    /// The deadline struck (a partition's planning or examination saw
+    /// it): hand out nothing more.
     expired: bool,
-    exam: VecDeque<Batch>,
-    /// Batches created.
+    /// Retired partitions, in retirement order.
+    retired: Vec<Retired>,
+    /// Batches retired.
     batches: usize,
-    /// Retired batches, in retirement order.
-    outcomes: Vec<Outcome>,
-    /// Plan items queued and not yet examined or dropped: a batch's
-    /// items leave when it retires or is abandoned.
+    /// Plan items planned and not yet examined or dropped.
     live: usize,
     peak_live: usize,
 }
 
-impl State {
-    /// The plan the run delivers: a prefix sum over the tasks' item
-    /// counts, up to the first partition that was not fully planned.
-    fn prefix(&self, tasks: &[Range<usize>]) -> Prefix {
-        let mut prefix = Prefix {
-            bases: Vec::with_capacity(tasks.len()),
-            programs: 0,
-            items: 0,
-            cut_at: None,
-        };
-        for (task, planned) in tasks.iter().zip(&self.planned) {
-            let Some(planned) = planned else {
-                prefix.cut_at = Some(task.start);
-                break;
-            };
-            prefix.bases.push(prefix.items);
-            prefix.programs += planned.programs;
-            prefix.items += planned.items;
-            if planned.partitions < task.len() {
-                prefix.cut_at = Some(task.start + planned.partitions);
-                break;
-            }
-        }
-        prefix
-    }
-}
-
 struct Pipeline<'s> {
     space: &'s EnumSpace,
-    /// The run's enumeration tasks ([`tasks`]).
-    tasks: Vec<Range<usize>>,
+    /// The run's partitions: a fleet range, or the whole space.
+    range: Range<usize>,
     /// The run's live telemetry: published (relaxed stores) from inside
     /// every lock-held transition, sampled lock-free by observers. The
     /// final [`StreamMetrics`] is this state's last snapshot.
@@ -273,7 +184,6 @@ struct Pipeline<'s> {
     slots: Vec<usize>,
     deadline: Option<Instant>,
     state: Mutex<State>,
-    cv: Condvar,
 }
 
 impl<'s> Pipeline<'s> {
@@ -305,32 +215,32 @@ impl<'s> Pipeline<'s> {
             .collect();
         use std::sync::atomic::Ordering::Relaxed;
         progress.partitions_total.store(range.len(), Relaxed);
-        progress
-            .mass_total
-            .store(mass_of(&space.masses()[range.clone()]), Relaxed);
+        let mass = space.masses()[range.clone()]
+            .iter()
+            .fold(0u64, |a, &m| a.saturating_add(m));
+        progress.mass_total.store(mass, Relaxed);
         for &slot in &slots {
             progress.set_axiom_state(slot, AxiomState::Running);
         }
-        let tasks = tasks(space.masses(), range);
         Pipeline {
             space,
             progress,
             slots,
             deadline,
             state: Mutex::new(State {
-                next_task: 0,
-                enumerating: 0,
-                planned: vec![None; tasks.len()],
+                next: range.start,
                 expired: false,
-                exam: VecDeque::new(),
+                retired: Vec::new(),
                 batches: 0,
-                outcomes: Vec::new(),
                 live: 0,
                 peak_live: 0,
             }),
-            tasks,
-            cv: Condvar::new(),
+            range,
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("pipeline lock is never poisoned")
     }
 
     /// Mirrors the lock-held state into the progress atomics — called
@@ -350,143 +260,71 @@ impl<'s> Pipeline<'s> {
         self.deadline.is_some_and(|d| Instant::now() > d)
     }
 
-    /// The next unit of work, examination first (it frees live
-    /// candidates; enumeration creates them), then the next task in
-    /// ordinal order. `None` once nothing can produce further work.
-    fn next_task(&self) -> Option<Task> {
-        let mut st = self.state.lock().expect("pipeline lock is never poisoned");
-        loop {
-            if let Some(batch) = st.exam.pop_front() {
-                return Some(Task::Examine(batch));
-            }
-            if !st.expired && st.next_task < self.tasks.len() {
-                st.next_task += 1;
-                st.enumerating += 1;
-                return Some(Task::Enumerate(st.next_task - 1));
-            }
-            if st.expired || st.enumerating == 0 {
-                return None;
-            }
-            st = self.cv.wait(st).expect("pipeline lock is never poisoned");
+    /// The next partition to plan, in ordinal order; `None` once the
+    /// range is exhausted or the deadline struck.
+    fn claim(&self) -> Option<usize> {
+        let mut st = self.lock();
+        if st.expired || st.next == self.range.end {
+            return None;
         }
+        st.next += 1;
+        Some(st.next - 1)
     }
 
-    /// Task `n`'s outcome: the plan of each of its partitions its worker
-    /// finished before seeing the deadline, in order. A short list means
-    /// the deadline struck inside the task. `elapsed` is the task's
-    /// enumeration time.
-    fn resolve(&self, n: usize, parts: Vec<PartitionPlan>, elapsed: Duration) {
-        let task = &self.tasks[n];
-        let mut st = self.state.lock().expect("pipeline lock is never poisoned");
-        st.enumerating -= 1;
-        let planned = Planned {
-            partitions: parts.len(),
-            programs: parts.iter().map(|p| p.programs).sum(),
-            items: parts.iter().map(|p| p.items.len()).sum(),
-        };
-        st.planned[n] = Some(planned);
-        if planned.partitions > 0 {
-            let mass = mass_of(&self.space.masses()[task.start..task.start + planned.partitions]);
-            self.progress.record(
-                JournalEventKind::PartitionEnumerated,
-                None,
-                task.start as u64,
-                planned.programs as u64,
-                elapsed.as_micros() as u64,
-            );
-            self.progress.record(
-                JournalEventKind::PartitionRetired,
-                None,
-                task.start as u64,
-                mass,
-                planned.partitions as u64,
-            );
-            use std::sync::atomic::Ordering::Relaxed;
-            let p = &self.progress;
-            p.partitions_retired.fetch_add(planned.partitions, Relaxed);
-            p.mass_retired.fetch_add(mass, Relaxed);
-            p.programs.fetch_add(planned.programs, Relaxed);
-            p.items_planned.fetch_add(planned.items, Relaxed);
-        }
-        if st.expired || planned.partitions < task.len() {
-            // The deadline struck, here or elsewhere: nothing more is
-            // examined. These items *were* materialized, though, so
-            // they still count toward the peak.
-            st.peak_live = st.peak_live.max(st.live + planned.items);
-            Self::expire(&mut st);
-        } else {
-            st.live += planned.items;
-            st.peak_live = st.peak_live.max(st.live);
-            // One examine batch per partition with plan items, at
-            // task-local offsets.
-            let mut offset = 0;
-            for part in parts.into_iter().filter(|p| !p.items.is_empty()) {
-                let items: Vec<WorkItem> = (offset..)
-                    .zip(part.items)
-                    .map(|(index, program)| WorkItem { index, program })
-                    .collect();
-                offset += items.len();
-                st.exam.push_back(Batch { task: n, items });
-                st.batches += 1;
-            }
+    /// A claimed partition was planned: its `items` go live. When its
+    /// planning saw the deadline (`cut`), the partial plan is dropped on
+    /// the spot — it still counts toward the peak, since it was
+    /// materialized — and the run expires. Returns whether to examine
+    /// the items.
+    fn planned(&self, items: usize, cut: bool) -> bool {
+        let mut st = self.lock();
+        st.live += items;
+        st.peak_live = st.peak_live.max(st.live);
+        if cut {
+            st.live -= items;
+            st.expired = true;
         }
         self.publish(&st);
-        self.cv.notify_all();
+        !cut
     }
 
-    /// One batch retired (possibly cut short by the deadline): the run's
-    /// axiom `i` absorbed `stats[i]` and emitted `records[i]`.
-    fn batch_done(
-        &self,
-        batch: &Batch,
-        stats: Vec<ShardStats>,
-        records: Vec<Vec<SuiteRecord>>,
-        elapsed: Duration,
-        cut: bool,
-    ) {
+    /// A partition retired: its batch (possibly cut short by the
+    /// deadline, `cut`) was examined in `elapsed`, planning included,
+    /// and its items leave the live count.
+    fn retire(&self, retired: Retired, elapsed: Duration, cut: bool) {
         use std::sync::atomic::Ordering::Relaxed;
-        for ((&slot, stats), records) in self.slots.iter().zip(&stats).zip(&records) {
+        for ((&slot, stats), records) in self.slots.iter().zip(&retired.stats).zip(&retired.records)
+        {
             let ax = self.progress.axiom(slot);
             ax.batches_done.fetch_add(1, Relaxed);
             ax.items_examined.fetch_add(stats.items, Relaxed);
             ax.elts.fetch_add(records.len(), Relaxed);
         }
-        // Items examined for every axiom (all of them, unless cut).
-        let examined = stats.iter().map(|s| s.items).min().unwrap_or(0);
-        let found: usize = records.iter().map(Vec::len).sum();
-        let mut st = self.state.lock().expect("pipeline lock is never poisoned");
-        st.live = st.live.saturating_sub(batch.items.len());
-        self.progress.record(
-            JournalEventKind::BatchExamined,
-            None,
-            examined as u64,
-            found as u64,
-            elapsed.as_micros() as u64,
-        );
-        st.outcomes.push(Outcome {
-            task: batch.task,
-            first: batch.items[0].index,
-            stats,
-            records,
-        });
-        if cut {
-            // Examination hit the deadline: every axiom's suite is
-            // partial, and all queued work is abandoned.
-            Self::expire(&mut st);
+        let mut st = self.lock();
+        st.live -= retired.items;
+        if retired.items > 0 {
+            st.batches += 1;
+            // Items examined for every axiom (all of them, unless cut).
+            let examined = retired.stats.iter().map(|s| s.items).min().unwrap_or(0);
+            let found: usize = retired.records.iter().map(Vec::len).sum();
+            self.progress.record(
+                JournalEventKind::BatchExamined,
+                None,
+                examined as u64,
+                found as u64,
+                elapsed.as_micros() as u64,
+            );
         }
+        let p = &self.progress;
+        p.partitions_retired.fetch_add(1, Relaxed);
+        p.mass_retired
+            .fetch_add(self.space.masses()[retired.ordinal], Relaxed);
+        p.programs.fetch_add(retired.programs, Relaxed);
+        p.items_planned.fetch_add(retired.items, Relaxed);
+        // Examination hit the deadline: every axiom's suite is partial.
+        st.expired |= cut;
+        st.retired.push(retired);
         self.publish(&st);
-        self.cv.notify_all();
-    }
-
-    /// The deadline struck: discard all queued work, with exact live
-    /// accounting for the discarded tail — queued batches leave the
-    /// live count now; in-flight batches leave it in
-    /// [`Pipeline::batch_done`]. An expired run never completes.
-    fn expire(st: &mut State) {
-        st.expired = true;
-        for batch in std::mem::take(&mut st.exam) {
-            st.live = st.live.saturating_sub(batch.items.len());
-        }
     }
 }
 
@@ -509,62 +347,57 @@ impl<'r> RunCtx<'r> {
     }
 }
 
-/// One pool worker: alternates between enumerating tasks and examining
-/// batches until the pipeline drains.
+/// One pool worker: claims, plans, examines and retires partitions, one
+/// at a time, until the range is exhausted or the deadline struck.
 fn worker(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>) {
-    while let Some(task) = pipeline.next_task() {
-        match task {
-            Task::Enumerate(n) => {
-                let start = Instant::now();
-                let task = pipeline.tasks[n].clone();
-                let mut parts = Vec::with_capacity(task.len());
-                for ordinal in task {
-                    // Enumeration honors the deadline inside a partition
-                    // too; a partition whose enumeration saw the expiry
-                    // is partial, so the task ends before it and the
-                    // partition counts as cut — the plan stays a
-                    // reproducible prefix.
-                    if pipeline.past_deadline() {
-                        break;
-                    }
-                    let plan = pipeline.space.plan_partition(ordinal, pipeline.deadline);
-                    if pipeline.past_deadline() {
-                        break;
-                    }
-                    parts.push(plan);
-                }
-                pipeline.resolve(n, parts, start.elapsed());
-            }
-            Task::Examine(batch) => examine_batch(pipeline, ctx, &batch),
+    while let Some(ordinal) = pipeline.claim() {
+        let start = Instant::now();
+        let plan = pipeline.space.plan_partition(ordinal, pipeline.deadline);
+        // A partition whose planning saw the expiry is partial, so it is
+        // dropped and counts as cut — the plan stays a reproducible
+        // prefix.
+        if !pipeline.planned(plan.items.len(), pipeline.past_deadline()) {
+            return;
         }
+        let (retired, cut) = examine(pipeline, ctx, ordinal, plan);
+        pipeline.retire(retired, start.elapsed(), cut);
     }
 }
 
-/// Examines one batch for every axiom of the run.
-fn examine_batch(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>, batch: &Batch) {
-    let start = Instant::now();
+/// Examines one planned partition's items for every axiom of the run;
+/// returns it retired, and whether the deadline cut its examination.
+fn examine(
+    pipeline: &Pipeline<'_>,
+    ctx: &RunCtx<'_>,
+    ordinal: usize,
+    plan: PartitionPlan,
+) -> (Retired, bool) {
+    let mut retired = Retired {
+        ordinal,
+        programs: plan.programs,
+        items: plan.items.len(),
+        stats: Vec::new(),
+        records: Vec::new(),
+    };
+    if plan.items.is_empty() {
+        return (retired, false);
+    }
     let axioms = ctx.axioms.len();
-    let mut stats = vec![ShardStats::new(0); axioms];
-    let mut records: Vec<Vec<SuiteRecord>> = vec![Vec::new(); axioms];
-    let mut cut = false;
+    retired.stats = vec![ShardStats::new(0); axioms];
+    retired.records = vec![Vec::new(); axioms];
     let mut examiner =
         Examiner::for_axioms(ctx.mtm, ctx.axioms, ctx.opts.backend, ctx.branch_co_pa);
-    for item in &batch.items {
+    for (index, program) in plan.items.into_iter().enumerate() {
         if pipeline.past_deadline() {
-            cut = true;
-            break;
+            return (retired, true);
         }
-        for (ai, examined) in examiner
-            .examine_axioms(&item.program)
-            .into_iter()
-            .enumerate()
-        {
-            stats[ai].absorb(&examined);
+        for (ai, examined) in examiner.examine_axioms(&program).into_iter().enumerate() {
+            retired.stats[ai].absorb(&examined);
             if let Some((witness, violated)) = examined.witness {
-                records[ai].push(SuiteRecord {
-                    index: item.index,
+                retired.records[ai].push(SuiteRecord {
+                    index,
                     elt: SynthesizedElt {
-                        program: item.program.clone(),
+                        program: program.clone(),
                         witness,
                         violated,
                     },
@@ -572,23 +405,17 @@ fn examine_batch(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>, batch: &Batch) {
             }
         }
     }
-    pipeline.batch_done(batch, stats, records, start.elapsed(), cut);
+    (retired, false)
 }
 
-/// Numbers the retired batches into plan indices and hands them to the
-/// sinks in plan order, one shard per batch; batches of tasks past the
-/// cut are dropped. Returns each axiom's shard counters.
-fn deliver(
-    mut outcomes: Vec<Outcome>,
-    prefix: &Prefix,
-    sinks: &[&dyn SuiteSink],
-) -> Vec<Vec<ShardStats>> {
-    outcomes.retain(|o| o.task < prefix.bases.len());
-    outcomes.sort_unstable_by_key(|o| (o.task, o.first));
-    let mut shards = vec![Vec::with_capacity(outcomes.len()); sinks.len()];
-    for outcome in outcomes {
-        let base = prefix.bases[outcome.task];
-        let per_axiom = outcome.stats.into_iter().zip(outcome.records);
+/// Numbers the plan's retired partitions (in ordinal order) into plan
+/// indices and hands their batches to the sinks in plan order, one
+/// shard per batch. Returns each axiom's shard counters.
+fn deliver(retired: Vec<Retired>, sinks: &[&dyn SuiteSink]) -> Vec<Vec<ShardStats>> {
+    let mut shards = vec![Vec::new(); sinks.len()];
+    let mut base = 0;
+    for partition in retired {
+        let per_axiom = partition.stats.into_iter().zip(partition.records);
         for (ai, (stats, mut records)) in per_axiom.enumerate() {
             for record in &mut records {
                 record.index += base;
@@ -596,23 +423,24 @@ fn deliver(
             shards[ai].push(stats);
             sinks[ai].shard_done(stats, records);
         }
+        base += partition.items;
     }
     shards
 }
 
 /// Runs the fused enumerate-while-examining pipeline for `axioms` (one
 /// or many) on `jobs` workers and delivers the retired batches to the
-/// per-axiom `sinks`. Partitions are enumerated once and each
-/// partition's plan items are examined once for every axiom. Once the
-/// workers join, the batches are numbered into plan indices and handed
-/// to the sinks in plan order, one [`SuiteSink::shard_done`] per batch.
+/// per-axiom `sinks`. Each worker plans one partition at a time and
+/// examines its plan items once for every axiom. Once the workers join,
+/// the batches are numbered into plan indices and handed to the sinks
+/// in plan order, one [`SuiteSink::shard_done`] per batch.
 /// Returns per-axiom counters (in `axioms` order), each the sum of the
 /// axiom's shards, and the run's scheduling metrics. Sorting an axiom's
 /// records by [`SuiteRecord::index`] recovers its byte-identical
 /// sequential suite.
 ///
 /// `progress` receives live counters as the run advances — partitions
-/// and subtree mass planned, programs and plan items, per-axiom batch,
+/// and subtree mass retired, programs and plan items, per-axiom batch,
 /// item and ELT counts ([`crate::progress`] has the full inventory). It
 /// may track more axioms than the run covers (the tiered store passes
 /// its caller's state, with cache-served axioms already marked
@@ -708,7 +536,7 @@ fn run(
     });
 
     let Pipeline {
-        tasks,
+        range,
         progress,
         slots,
         state,
@@ -718,18 +546,18 @@ fn run(
     // Free the space before the sinks take their shards, so what they
     // stage reuses its memory instead of stacking on top of it.
     drop(space);
-    let prefix = st.prefix(&tasks);
+    let prefix = prefix(&mut st.retired, range);
     if let Some(cut) = prefix.cut_at {
         use std::sync::atomic::Ordering::Relaxed;
         progress.cut_at_partition.store(cut, Relaxed);
         progress.record(JournalEventKind::Cut, None, cut as u64, 0, 0);
     }
-    let shards = deliver(std::mem::take(&mut st.outcomes), &prefix, sinks);
+    let shards = deliver(std::mem::take(&mut st.retired), sinks);
     let elapsed = start.elapsed();
     // Every axiom shares one schedule, so all finish here together:
-    // complete when every task was planned in full and every batch
-    // retired before the deadline (an empty range completes trivially),
-    // cut otherwise.
+    // complete when every partition was planned in full and examined
+    // before the deadline (an empty range completes trivially), cut
+    // otherwise.
     let complete = !st.expired;
     let all_stats: Vec<SuiteStats> = shards
         .iter()
@@ -832,37 +660,32 @@ mod tests {
         }
     }
 
-    /// Claims the next `n` tasks, which must all be enumeration tasks
-    /// that continue one another.
-    fn claim_tasks(pipeline: &Pipeline<'_>, n: usize) -> Vec<usize> {
-        let mut next = pipeline.state.lock().expect("lock").next_task;
-        (0..n)
-            .map(|_| match pipeline.next_task() {
-                Some(Task::Enumerate(task)) => {
-                    assert_eq!(task, next, "tasks are handed out in order");
-                    next += 1;
-                    task
-                }
-                _ => panic!("expected an enumeration task"),
-            })
-            .collect()
+    /// Claims the next `n` partitions, which must continue one another.
+    fn claim(pipeline: &Pipeline<'_>, n: usize) -> Vec<usize> {
+        let next = pipeline.lock().next;
+        let claimed: Vec<usize> = (0..n)
+            .map(|_| pipeline.claim().expect("a partition to claim"))
+            .collect();
+        assert_eq!(
+            claimed,
+            (next..next + n).collect::<Vec<_>>(),
+            "partitions are handed out in order"
+        );
+        claimed
     }
 
-    /// Every partition of task `n`, planned.
-    fn plan(pipeline: &Pipeline<'_>, n: usize) -> Vec<PartitionPlan> {
-        pipeline.tasks[n]
-            .clone()
-            .map(|p| pipeline.space.plan_partition(p, None))
-            .collect()
+    fn items_of(space: &EnumSpace, ordinal: usize) -> usize {
+        space.plan_partition(ordinal, None).items.len()
     }
 
-    /// Resolves task `n` with every one of its partitions planned.
-    fn deliver_task(pipeline: &Pipeline<'_>, n: usize) {
-        pipeline.resolve(n, plan(pipeline, n), Duration::ZERO);
-    }
-
-    fn items_of(pipeline: &Pipeline<'_>, n: usize) -> usize {
-        plan(pipeline, n).iter().map(|p| p.items.len()).sum()
+    /// Plans, examines and retires partition `ordinal` the way a worker
+    /// does, without a deadline.
+    fn run_partition(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>, ordinal: usize) {
+        let plan = pipeline.space.plan_partition(ordinal, None);
+        assert!(pipeline.planned(plan.items.len(), false));
+        let (retired, cut) = examine(pipeline, ctx, ordinal, plan);
+        assert!(!cut);
+        pipeline.retire(retired, Duration::ZERO, cut);
     }
 
     /// A deadline-free pipeline over the whole space.
@@ -881,46 +704,19 @@ mod tests {
             .fold((0, 0), |(n, i), p| (n + p.programs, i + p.items.len()))
     }
 
-    /// Tasks tile every range of the space in order, each gathering at
-    /// least [`TASK_MASS`] unless it ends the range or is one heavier
-    /// partition. With fences and RMW, bounds 4 / 5 / 6 make 1 / 1 / 5
-    /// tasks of 29 / 125 / 624 partitions.
-    #[test]
-    fn tasks_tile_the_space_by_mass() {
-        for (bound, partitions, pinned) in [(4, 29, 1), (5, 125, 1), (6, 624, 5)] {
-            let space = EnumSpace::new(&EnumOptions::new(bound));
-            let masses = space.masses();
-            let n = space.partition_count();
-            assert_eq!(n, partitions, "bound {bound}");
-            assert_eq!(tasks(masses, 0..n).len(), pinned, "bound {bound}");
-            for range in [0..n, n / 3..n, 0..n / 2, n / 3..2 * n / 3, n / 2..n / 2] {
-                let mut next = range.start;
-                for task in tasks(masses, range.clone()) {
-                    assert_eq!(task.start, next, "bound {bound} {range:?}: in order");
-                    assert!(task.start < task.end, "bound {bound} {range:?}: empty task");
-                    let mass: u64 = masses[task.clone()].iter().sum();
-                    let heavy = task.len() == 1 && masses[task.start] > TASK_MASS;
-                    assert!(
-                        mass >= TASK_MASS || task.end == range.end || heavy,
-                        "bound {bound} {range:?}: {task:?} holds only {mass}"
-                    );
-                    next = task.end;
-                }
-                assert_eq!(next, range.end, "bound {bound} {range:?}: tiles the range");
-            }
-        }
-    }
-
     /// A sink retaining every record with its plan index — what the
-    /// store's pending entries keep.
+    /// store's pending entries keep — and every shard's counters, in
+    /// delivery order.
     struct RecordSink {
         records: Mutex<Vec<SuiteRecord>>,
+        shards: Mutex<Vec<ShardStats>>,
     }
 
     impl RecordSink {
         fn new() -> RecordSink {
             RecordSink {
                 records: Mutex::new(Vec::new()),
+                shards: Mutex::new(Vec::new()),
             }
         }
 
@@ -932,7 +728,8 @@ mod tests {
     }
 
     impl SuiteSink for RecordSink {
-        fn shard_done(&self, _stats: ShardStats, records: Vec<SuiteRecord>) {
+        fn shard_done(&self, stats: ShardStats, records: Vec<SuiteRecord>) {
+            self.shards.lock().expect("sink lock").push(stats);
             self.records
                 .lock()
                 .expect("sink lock is never poisoned")
@@ -940,8 +737,8 @@ mod tests {
         }
     }
 
-    /// Out-of-order delivery with a task cut before its first
-    /// partition: the delivered plan is exactly the tasks below the cut,
+    /// Out-of-order retirement with a partition cut in its planning:
+    /// the delivered plan is exactly the partitions below the cut,
     /// numbered by the prefix sum, and the batches already examined past
     /// the cut are dropped.
     #[test]
@@ -950,44 +747,40 @@ mod tests {
         let eo = enum_opts(6, true);
         let space = EnumSpace::new(&eo);
         let pipeline = whole(&space, &["sc_per_loc"], None);
-        assert!(pipeline.tasks.len() >= 4, "space too small for the test");
-        let tasks = claim_tasks(&pipeline, 4);
         let mut opts = SynthOptions::new(6);
         opts.enumeration = eo;
-        let ctx = RunCtx {
-            mtm: &m,
-            axioms: &["sc_per_loc"],
-            opts: &opts,
-            branch_co_pa: branches_co_pa(&m),
-        };
-        // Deliver tasks 3, 1 and 0 and examine every batch they queue;
-        // then cut task 2. Only tasks 0 and 1 are in the plan.
-        for &n in &[tasks[3], tasks[1], tasks[0]] {
-            deliver_task(&pipeline, n);
-            loop {
-                let batch = pipeline.state.lock().expect("lock").exam.pop_front();
-                let Some(batch) = batch else { break };
-                examine_batch(&pipeline, &ctx, &batch);
-            }
+        let ctx = RunCtx::new(&m, &["sc_per_loc"], &opts);
+        // Cut at the fourth partition with plan items, and retire one
+        // partition past it.
+        let cut = (0..space.partition_count())
+            .filter(|&p| items_of(&space, p) > 0)
+            .nth(3)
+            .expect("space too small for the test");
+        let claimed = claim(&pipeline, cut + 2);
+        // Retire the partitions around the cut from the last to the
+        // first; then the cut partition's planning sees the deadline.
+        // Only the partitions below it are in the plan.
+        for &p in claimed.iter().rev().filter(|&&p| p != cut) {
+            run_partition(&pipeline, &ctx, p);
         }
-        pipeline.resolve(tasks[2], Vec::new(), Duration::ZERO);
+        assert!(!pipeline.planned(items_of(&space, cut), true));
+        assert_eq!(pipeline.claim(), None, "nothing is handed out after expiry");
         let mut st = pipeline.state.into_inner().expect("lock");
         assert!(st.expired);
-        let prefix = st.prefix(&pipeline.tasks);
-        let cut = pipeline.tasks[tasks[2]].start;
+        let prefix = prefix(&mut st.retired, pipeline.range.clone());
         assert_eq!(prefix.cut_at, Some(cut));
         assert_eq!((prefix.programs, prefix.items), planned_below(&space, cut));
-        assert!(prefix.items > 0, "tasks too small for the test");
-        // The cut task keeps a base of its own: a task cut inside keeps
-        // the items of the partitions it finished.
-        let items = |n: usize| st.planned[n].expect("planned").items;
-        assert_eq!(prefix.bases, vec![0, items(0), items(0) + items(1)]);
+        assert!(prefix.items > 0, "partitions too small for the test");
+        // The plan keeps exactly the partitions below the cut, in
+        // ordinal order, so the prefix sum gives each its base.
+        let kept: Vec<usize> = st.retired.iter().map(|r| r.ordinal).collect();
+        assert_eq!(kept, (0..cut).collect::<Vec<_>>());
         let sink = RecordSink::new();
-        let shards = deliver(std::mem::take(&mut st.outcomes), &prefix, &[&sink]);
+        let shards = deliver(std::mem::take(&mut st.retired), &[&sink]);
         let examined: usize = shards[0].iter().map(|s| s.items).sum();
         assert_eq!(examined, prefix.items, "only the prefix's batches");
         let records = sink.take();
-        assert!(!records.is_empty(), "tasks too small for the test");
+        assert!(!records.is_empty(), "partitions too small for the test");
         // The records are the sequential suite's below the prefix, at
         // its plan indices.
         let sequential = transform_synth::synthesize_suite(&m, "sc_per_loc", &opts);
@@ -999,103 +792,126 @@ mod tests {
             .iter()
             .map(|r| (r.index, &r.elt.program))
             .eq(expected.map(|item| (item.index, &item.program))));
-        assert!(st.exam.is_empty());
         assert_eq!(st.live, 0);
     }
 
-    /// A fused three-axiom pipeline queues each partition's plan items
-    /// as exactly one batch, even before any batch has retired: the
-    /// largest bound-6 partition (92 items, fences and RMW) is delivered
-    /// first, and every task's batches are its non-empty partitions'
-    /// items, in order, at consecutive task-local offsets.
+    /// One batch per root partition with plan items, covering every
+    /// axiom and delivered in plan order: with fences and RMW, bounds
+    /// 4 / 5 / 6 have 29 / 125 / 624 partitions, of which 19 / 91 / 500
+    /// have plan items, and every sink of a two-axiom run receives one
+    /// shard per such partition, in ordinal order, holding its items.
     #[test]
     fn fused_pipeline_makes_one_batch_per_partition() {
-        let space = EnumSpace::new(&EnumOptions::new(6));
-        let pipeline = whole(&space, &["a", "b", "c"], None);
-        let count = pipeline.tasks.len();
-        // Examination has pop priority, so every task is claimed before
-        // any examine batch exists.
-        assert_eq!(
-            claim_tasks(&pipeline, count),
-            (0..count).collect::<Vec<_>>()
-        );
-        let plans: Vec<Vec<PartitionPlan>> = (0..count).map(|n| plan(&pipeline, n)).collect();
-        let largest = |n: usize| plans[n].iter().map(|p| p.items.len()).max().unwrap_or(0);
-        let first = (0..count).max_by_key(|&n| largest(n)).expect("tasks");
-        assert_eq!(largest(first), 92, "the largest bound-6 partition");
-        pipeline.resolve(first, plans[first].clone(), Duration::ZERO);
-        for n in (0..count).filter(|&n| n != first) {
-            pipeline.resolve(n, plans[n].clone(), Duration::ZERO);
-        }
-        let st = pipeline.state.into_inner().expect("lock");
-        assert_eq!(st.exam.len(), st.batches);
-        let mut total = 0;
-        for (n, parts) in plans.iter().enumerate() {
-            let batches: Vec<&Batch> = st.exam.iter().filter(|b| b.task == n).collect();
-            let partitions: Vec<&Vec<Program>> = parts
-                .iter()
-                .map(|p| &p.items)
-                .filter(|items| !items.is_empty())
+        let m = transform_core::spec::parse_mtm(
+            "mtm m {
+               axiom sc_per_loc: acyclic(rf | co | fr | po_loc)
+               axiom invlpg:     acyclic(fr_va | ^po | remap)
+             }",
+        )
+        .expect("spec parses");
+        let axioms = ["sc_per_loc", "invlpg"];
+        for (bound, partitions, batches) in [(4, 29, 19), (5, 125, 91), (6, 624, 500)] {
+            let opts = SynthOptions::new(bound);
+            let space = EnumSpace::new(&opts.enumeration);
+            assert_eq!(space.partition_count(), partitions, "bound {bound}");
+            let items: Vec<usize> = (0..partitions)
+                .map(|p| items_of(&space, p))
+                .filter(|&n| n > 0)
                 .collect();
-            assert_eq!(batches.len(), partitions.len(), "task {n}");
-            let mut offset = 0;
-            for (batch, items) in batches.iter().zip(partitions) {
-                let indices: Vec<usize> = batch.items.iter().map(|item| item.index).collect();
-                assert_eq!(indices, (offset..offset + items.len()).collect::<Vec<_>>());
-                assert!(
-                    batch.items.iter().map(|item| &item.program).eq(items),
-                    "task {n}: a batch is one partition's items"
-                );
-                offset += items.len();
+            assert_eq!(items.len(), batches, "bound {bound}");
+            let sinks = [RecordSink::new(), RecordSink::new()];
+            let sink_refs: Vec<&dyn SuiteSink> =
+                sinks.iter().map(|s| s as &dyn SuiteSink).collect();
+            let (_, metrics) = synthesize_streamed(&m, &axioms, &opts, 2, None, &sink_refs);
+            assert_eq!(metrics.partitions, partitions, "bound {bound}");
+            assert_eq!(metrics.batches, batches, "bound {bound}");
+            for (axiom, sink) in axioms.iter().zip(sinks) {
+                let shards = sink.shards.into_inner().expect("sink lock");
+                let delivered: Vec<usize> = shards.iter().map(|s| s.items).collect();
+                assert_eq!(delivered, items, "bound {bound} {axiom}");
             }
-            assert_eq!(offset, st.planned[n].expect("planned").items, "task {n}");
-            total += offset;
         }
-        assert_eq!(st.live, total);
     }
 
-    /// Regression for the former "best-effort on timed-out runs" peak
-    /// accounting: a deadline cut (a) counts tasks planned after expiry
-    /// toward the peak — they were materialized — and (b) returns every
-    /// queued-but-abandoned item to the live count, so `live` drains to
-    /// exactly the in-flight batches.
+    /// Each worker holds one partition's plan items at a time: at bound
+    /// 6 with fences and RMW, whose largest partition has 92 plan items,
+    /// peak live candidates stay within the worker count times 92.
+    #[test]
+    fn peak_live_candidates_stay_within_one_partition_per_worker() {
+        let m = mtm();
+        let opts = SynthOptions::new(6);
+        let space = EnumSpace::new(&opts.enumeration);
+        let largest = (0..space.partition_count())
+            .map(|p| items_of(&space, p))
+            .max();
+        assert_eq!(largest, Some(92), "the largest bound-6 partition");
+        for jobs in [1, 2, 4] {
+            let sink = RecordSink::new();
+            let (_, metrics) =
+                synthesize_streamed(&m, &["sc_per_loc"], &opts, jobs, None, &[&sink]);
+            let peak = metrics.peak_live_candidates;
+            assert!(
+                (92..=jobs * 92).contains(&peak),
+                "jobs {jobs}: peak live {peak} outside [92, {}]",
+                jobs * 92
+            );
+        }
+    }
+
+    /// Exact live accounting around a deadline cut: (a) a partition
+    /// planned after expiry counts toward the peak — it was
+    /// materialized — but is dropped on the spot, and (b) no further
+    /// partition is handed out, while the partitions in flight leave the
+    /// live count as they retire, so `live` drains to exactly zero.
     #[test]
     fn deadline_cut_keeps_live_accounting_exact() {
-        let space = EnumSpace::new(&EnumOptions::new(6));
-        let pipeline = whole(&space, &["a"], None);
-        let tasks = claim_tasks(&pipeline, 5);
-        let queued = items_of(&pipeline, tasks[0]) + items_of(&pipeline, tasks[1]);
-        let late = items_of(&pipeline, tasks[4]);
-        assert!(queued > 0 && late > 0, "tasks too small for the test");
-        // Tasks 0 and 1 are planned: their items go live and queue as
-        // batches.
-        deliver_task(&pipeline, tasks[0]);
-        deliver_task(&pipeline, tasks[1]);
-        assert_eq!(pipeline.state.lock().expect("lock").live, queued);
-        // Task 2 is cut: expire() discards the queued batches and
-        // drains their items from the live count on the spot.
-        pipeline.resolve(tasks[2], Vec::new(), Duration::ZERO);
+        let m = mtm();
+        let opts = SynthOptions::new(6);
+        let space = EnumSpace::new(&opts.enumeration);
+        let pipeline = whole(&space, &["sc_per_loc"], None);
+        let ctx = RunCtx::new(&m, &["sc_per_loc"], &opts);
+        let claimed = claim(&pipeline, 5);
+        let plans: Vec<PartitionPlan> = claimed
+            .iter()
+            .map(|&p| space.plan_partition(p, None))
+            .collect();
+        let queued = plans[0].items.len() + plans[1].items.len();
+        let late = plans[4].items.len();
+        assert!(queued > 0 && late > 0, "partitions too small for the test");
+        // Partitions 0 and 1 are planned: their items go live while
+        // their workers examine them.
+        assert!(pipeline.planned(plans[0].items.len(), false));
+        assert!(pipeline.planned(plans[1].items.len(), false));
+        assert_eq!(pipeline.lock().live, queued);
+        // Partition 2's planning sees the deadline: its partial plan is
+        // dropped on the spot, and nothing more is handed out.
+        assert!(!pipeline.planned(plans[2].items.len(), true));
         {
-            let st = pipeline.state.lock().expect("lock");
+            let st = pipeline.lock();
             assert!(st.expired);
-            assert_eq!(st.live, 0, "abandoned queue drained exactly");
-            assert!(st.exam.is_empty());
+            assert_eq!(st.live, queued, "only the partitions in flight stay live");
         }
-        // Task 4 lands after expiry: nothing is queued, but its items
-        // were materialized — the peak must include them.
-        deliver_task(&pipeline, tasks[4]);
-        let st = pipeline.state.into_inner().expect("lock");
+        assert_eq!(pipeline.claim(), None, "nothing is handed out after expiry");
+        // Partition 4 lands after expiry: its items are dropped, but
+        // they were materialized — the peak must include them.
+        assert!(!pipeline.planned(late, true));
+        // The partitions in flight retire; their items leave the live
+        // count.
+        for (&ordinal, plan) in claimed.iter().zip(plans).take(2) {
+            let (retired, cut) = examine(&pipeline, &ctx, ordinal, plan);
+            pipeline.retire(retired, Duration::ZERO, cut);
+        }
+        let mut st = pipeline.state.into_inner().expect("lock");
         assert_eq!(st.live, 0);
-        assert!(st.exam.is_empty());
         assert!(
             st.peak_live >= queued.max(late),
-            "peak {} must cover both the queued ({queued}) and the \
+            "peak {} must cover both the in-flight ({queued}) and the \
              discarded ({late}) materializations",
             st.peak_live
         );
         assert_eq!(
-            st.prefix(&pipeline.tasks).cut_at,
-            Some(pipeline.tasks[tasks[2]].start)
+            prefix(&mut st.retired, pipeline.range.clone()).cut_at,
+            Some(claimed[2])
         );
         // The progress mirror agrees with the final state.
         let snap = pipeline.progress.snapshot();
@@ -1103,99 +919,92 @@ mod tests {
         assert_eq!(snap.live_candidates, 0);
     }
 
-    /// A deadline inside a task: its worker delivers the partitions it
-    /// finished, the plan is cut at the first partition left out, and
-    /// exactly the prefix below it is planned, with its mass retired,
-    /// one retire event and exact live accounting.
+    /// A deadline inside a worker's task, while it plans one partition:
+    /// the plan is cut at that partition, and exactly the prefix below
+    /// it is planned, with its mass retired, one batch event per batch
+    /// and exact live accounting.
     #[test]
     fn deadline_inside_a_task_admits_exactly_its_prefix() {
-        let space = EnumSpace::new(&EnumOptions::new(6));
-        let progress = Arc::new(ProgressState::with_journal(&["a"]));
-        let pipeline = whole(&space, &["a"], Some(&progress));
-        let at = pipeline
-            .tasks
-            .iter()
-            .position(|task| task.len() >= 3)
-            .expect("a task of three partitions");
-        claim_tasks(&pipeline, at + 1);
-        for n in 0..at {
-            deliver_task(&pipeline, n);
+        let m = mtm();
+        let opts = SynthOptions::new(6);
+        let space = EnumSpace::new(&opts.enumeration);
+        let progress = Arc::new(ProgressState::with_journal(&["sc_per_loc"]));
+        let pipeline = whole(&space, &["sc_per_loc"], Some(&progress));
+        let ctx = RunCtx::new(&m, &["sc_per_loc"], &opts);
+        let cut = (space.partition_count() / 2..)
+            .find(|&p| items_of(&space, p) > 1)
+            .expect("a partition of two plan items");
+        claim(&pipeline, cut + 1);
+        for p in 0..cut {
+            run_partition(&pipeline, &ctx, p);
         }
-        let task = pipeline.tasks[at].clone();
-        let cut = task.start + task.len() / 2;
-        let prefix: Vec<PartitionPlan> = plan(&pipeline, at)
-            .into_iter()
-            .take(cut - task.start)
-            .collect();
-        let delivered: usize = prefix.iter().map(|p| p.items.len()).sum();
+        // The cut partition's worker planned half its items before the
+        // deadline struck.
+        let partial = items_of(&space, cut) / 2;
         let (peak_before, live_before) = {
-            let st = pipeline.state.lock().expect("lock");
+            let st = pipeline.lock();
             (st.peak_live, st.live)
         };
-        pipeline.resolve(at, prefix, Duration::ZERO);
+        assert!(!pipeline.planned(partial, true));
 
-        let st = pipeline.state.into_inner().expect("lock");
+        let mut st = pipeline.state.into_inner().expect("lock");
         assert!(st.expired);
-        let planned = st.prefix(&pipeline.tasks);
+        let planned = prefix(&mut st.retired, pipeline.range.clone());
         assert_eq!(planned.cut_at, Some(cut));
         assert_eq!(
             (planned.programs, planned.items),
             planned_below(&space, cut)
         );
-        assert_eq!(st.live, 0, "the abandoned queue left the live count");
-        assert!(st.exam.is_empty());
-        assert_eq!(st.peak_live, peak_before.max(live_before + delivered));
+        assert_eq!(st.live, 0, "the dropped plan left the live count");
+        assert_eq!(st.peak_live, peak_before.max(live_before + partial));
         let snap = progress.snapshot();
         assert_eq!(snap.partitions_retired, cut);
         assert_eq!(snap.mass_retired, space.masses()[..cut].iter().sum::<u64>());
         assert_eq!(snap.live_candidates, 0);
         let journal = progress.take_journal();
-        let retired = journal
+        let batches = journal
             .iter()
-            .rfind(|e| e.kind == JournalEventKind::PartitionRetired)
-            .expect("the cut task retired its prefix");
-        assert_eq!(
-            (retired.a, retired.b, retired.c),
-            (
-                task.start as u64,
-                space.masses()[task.start..cut].iter().sum::<u64>(),
-                (cut - task.start) as u64
-            )
-        );
+            .filter(|e| e.kind == JournalEventKind::BatchExamined)
+            .count();
+        let with_items = (0..cut).filter(|&p| items_of(&space, p) > 0).count();
+        assert_eq!((batches, snap.batches), (with_items, with_items));
     }
 
-    /// The progress mirror tracks planning: partitions retired, mass
-    /// retired, programs and plan items all advance with each planned
-    /// task, in whatever order tasks finish, and the mass total is the
-    /// space's.
+    /// The progress mirror tracks each worker's task: partitions
+    /// retired, mass retired, programs and plan items all advance with
+    /// each retired partition, in whatever order partitions finish, and
+    /// the mass total is the space's.
     #[test]
     fn progress_mirrors_task_retirement() {
+        let m = mtm();
         let eo = enum_opts(4, true);
         let space = EnumSpace::new(&eo);
         let masses = space.masses();
-        let pipeline = whole(&space, &["a"], None);
+        let mut opts = SynthOptions::new(4);
+        opts.enumeration = eo;
+        let pipeline = whole(&space, &["sc_per_loc"], None);
+        let ctx = RunCtx::new(&m, &["sc_per_loc"], &opts);
         assert_eq!(pipeline.progress.snapshot().mass_total, space.total_mass());
-        let count = pipeline.tasks.len();
-        claim_tasks(&pipeline, count);
+        let count = space.partition_count();
+        claim(&pipeline, count);
         let (mut partitions, mut mass) = (0, 0);
-        for n in (0..count).rev() {
-            deliver_task(&pipeline, n);
-            let task = &pipeline.tasks[n];
-            partitions += task.len();
-            mass += masses[task.clone()].iter().sum::<u64>();
+        for p in (0..count).rev() {
+            run_partition(&pipeline, &ctx, p);
+            partitions += 1;
+            mass += masses[p];
             let snap = pipeline.progress.snapshot();
             assert_eq!(snap.partitions_retired, partitions);
             assert_eq!(snap.mass_retired, mass);
         }
-        let st = pipeline.state.into_inner().expect("lock");
+        let mut st = pipeline.state.into_inner().expect("lock");
         let snap = pipeline.progress.snapshot();
         assert_eq!(snap.partitions_retired, space.partition_count());
         assert_eq!(snap.mass_retired, space.total_mass());
-        let plan = st.prefix(&pipeline.tasks);
+        let plan = prefix(&mut st.retired, pipeline.range.clone());
         assert_eq!(snap.programs, plan.programs);
         assert_eq!(snap.items_planned, plan.items);
         assert_eq!(snap.batches, st.batches);
-        assert!(snap.enumeration_eta().is_some());
+        assert_eq!(snap.enumeration_eta(), Some(Duration::ZERO));
     }
 
     fn synth_opts(bound: usize) -> SynthOptions {
@@ -1328,10 +1137,9 @@ mod tests {
         panic!("no budget cut the run after its first partition");
     }
 
-    /// A deadline-cut run keeps its partition-granular journal
-    /// invariants: retired mass in the progress mirror equals the sum of
-    /// `PartitionRetired` journal events, and a recorded cut matches
-    /// `cut_at_partition`.
+    /// A deadline-cut run keeps its journal invariants: one
+    /// `BatchExamined` event per batch the progress mirror counts, and a
+    /// recorded cut matches `cut_at_partition`.
     #[test]
     fn deadline_cut_run_keeps_journal_invariants() {
         let m = mtm();
@@ -1343,12 +1151,11 @@ mod tests {
             synthesize_streamed(&m, &["sc_per_loc"], &opts, 2, Some(&progress), &[&sink]);
         let journal = progress.take_journal();
         let snap = progress.snapshot();
-        let retired: u64 = journal
+        let batches = journal
             .iter()
-            .filter(|e| e.kind == JournalEventKind::PartitionRetired)
-            .map(|e| e.b)
-            .sum();
-        assert_eq!(snap.mass_retired, retired);
+            .filter(|e| e.kind == JournalEventKind::BatchExamined)
+            .count();
+        assert_eq!(snap.batches, batches);
         if let Some(cut) = metrics.cut_at_partition {
             assert!(stats[0].timed_out);
             let cuts: Vec<u64> = journal
@@ -1361,44 +1168,29 @@ mod tests {
     }
 
     /// A journaled bound-6 run with fences and RMW records one
-    /// `PartitionEnumerated` and one `PartitionRetired` per task (5
-    /// tasks of 624 partitions), and the retired masses sum to the
+    /// `BatchExamined` event per batch (500, of 624 partitions) and no
+    /// `PartitionEnumerated` or `PartitionRetired` event; the batch
+    /// events' items sum to the plan, and the retired mass is the
     /// space's total.
     #[test]
-    fn journaled_run_records_one_event_pair_per_task() {
+    fn journaled_run_records_one_batch_event_per_batch() {
         let m = mtm();
         let opts = SynthOptions::new(6);
         let space = EnumSpace::new(&opts.enumeration);
-        let tasks = tasks(space.masses(), 0..space.partition_count());
-        assert_eq!(tasks.len(), 5);
         let progress = Arc::new(ProgressState::with_journal(&["sc_per_loc"]));
         let sink = RecordSink::new();
         let (stats, metrics) =
             synthesize_streamed(&m, &["sc_per_loc"], &opts, 2, Some(&progress), &[&sink]);
         assert!(!stats[0].timed_out);
         assert_eq!(metrics.partitions, space.partition_count());
+        assert_eq!(metrics.batches, 500);
         let journal = progress.take_journal();
         let of_kind = |kind| journal.iter().filter(move |e| e.kind == kind);
-        let mut enumerated: Vec<u64> = of_kind(JournalEventKind::PartitionEnumerated)
-            .map(|e| e.a)
-            .collect();
-        enumerated.sort_unstable();
-        let starts: Vec<u64> = tasks.iter().map(|t| t.start as u64).collect();
-        assert_eq!(enumerated, starts, "one enumerated event per task");
-        let mut retired: Vec<(u64, u64, u64)> = of_kind(JournalEventKind::PartitionRetired)
-            .map(|e| (e.a, e.b, e.c))
-            .collect();
-        retired.sort_unstable();
-        let expected: Vec<(u64, u64, u64)> = tasks
-            .iter()
-            .map(|t| {
-                let mass = space.masses()[t.clone()].iter().sum();
-                (t.start as u64, mass, t.len() as u64)
-            })
-            .collect();
-        assert_eq!(retired, expected, "one retired event per task");
-        let total: u64 = retired.iter().map(|r| r.1).sum();
-        assert_eq!(total, space.total_mass());
-        assert_eq!(progress.snapshot().mass_retired, total);
+        assert_eq!(of_kind(JournalEventKind::BatchExamined).count(), 500);
+        assert_eq!(of_kind(JournalEventKind::PartitionEnumerated).count(), 0);
+        assert_eq!(of_kind(JournalEventKind::PartitionRetired).count(), 0);
+        let items: u64 = of_kind(JournalEventKind::BatchExamined).map(|e| e.a).sum();
+        assert_eq!(items as usize, stats[0].items);
+        assert_eq!(progress.snapshot().mass_retired, space.total_mass());
     }
 }

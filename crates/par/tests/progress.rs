@@ -134,9 +134,9 @@ proptest! {
         }
     }
 
-    /// Single-axiom observed synthesis equals the sequential engine —
-    /// including at jobs = 1, where the observed path still runs the
-    /// streamed pipeline.
+    /// Single-axiom observed synthesis equals the sequential engine
+    /// (`synthesize_suite`, which plans the whole space before it
+    /// examines anything) at every worker count, one included.
     #[test]
     fn observed_single_suite_matches_sequential(jobs in 1usize..5) {
         let mtm = x86t_elt();
@@ -144,7 +144,7 @@ proptest! {
         let progress = Arc::new(ProgressState::new(&["sc_per_loc"]));
         let observed =
             synthesize(&mtm, &["sc_per_loc"], &o, jobs, Some(&progress)).remove(0);
-        let sequential = synthesize(&mtm, &["sc_per_loc"], &o, 1, None).remove(0);
+        let sequential = transform_synth::synthesize_suite(&mtm, "sc_per_loc", &o);
         prop_assert_eq!(fingerprint(&observed), fingerprint(&sequential));
         prop_assert!(!observed.elts.is_empty());
     }

@@ -9,7 +9,7 @@
 //!   list` and the serve fleet view without touching event data; and
 //! * the **event journal** — every timestamped
 //!   [`transform_par::JournalEvent`] the fused pipeline emitted (one
-//!   enumerate/retire pair per enumeration task, batch examine, cuts,
+//!   batch examine per root partition with plan items, cuts,
 //!   seal/push), delta-encoded and checksummed, which
 //!   `transform runs export --chrome` turns into an `about://tracing`
 //!   flamegraph. Its size follows the run's work, not the number of
@@ -154,18 +154,18 @@ pub struct RunManifest {
     pub outcome: RunOutcome,
     /// Enumeration partitions in the space.
     pub partitions_total: u64,
-    /// Partitions planned by the run.
+    /// Partitions planned and examined by the run.
     pub partitions_retired: u64,
-    /// Total estimated subtree mass of the space.
+    /// Total subtree mass of the space.
     pub mass_total: u64,
-    /// Mass of the partitions planned — for a [`RunOutcome::Cut`] run,
+    /// Mass of the retired partitions — for a [`RunOutcome::Cut`] run,
     /// the exact mass retired before the deadline hit.
     pub mass_retired: u64,
-    /// Programs of the planned partitions (post symmetry reduction).
+    /// Programs of the retired partitions (post symmetry reduction).
     pub programs: u64,
-    /// Plan items of the planned partitions.
+    /// Plan items of the retired partitions.
     pub items_planned: u64,
-    /// Examine batches created across all axioms.
+    /// Examine batches retired, each covering every axiom.
     pub batches: u64,
     /// Peak live candidate programs.
     pub peak_live_candidates: u64,

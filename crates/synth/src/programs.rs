@@ -616,32 +616,6 @@ fn combine(
     }
 }
 
-/// Projects time-to-completion from subtree-mass progress: the rate is
-/// `mass_retired / elapsed` and the projection covers the remaining
-/// `mass_total - mass_retired`. Mass is the exact shape-combination
-/// node count ([`EnumSpace::masses`]), so unlike a partition *count*
-/// the projection is not skewed by wildly uneven partition sizes.
-///
-/// Returns `None` before any mass has retired (no rate to project
-/// from) or when the space is empty; `Some(Duration::ZERO)` once
-/// everything retired.
-pub fn mass_eta(
-    mass_retired: u64,
-    mass_total: u64,
-    elapsed: std::time::Duration,
-) -> Option<std::time::Duration> {
-    if mass_total == 0 || mass_retired == 0 {
-        return None;
-    }
-    if mass_retired >= mass_total {
-        return Some(std::time::Duration::ZERO);
-    }
-    let rate = mass_retired as f64 / elapsed.as_secs_f64().max(1e-9);
-    Some(std::time::Duration::from_secs_f64(
-        (mass_total - mass_retired) as f64 / rate,
-    ))
-}
-
 /// The bounded program space split by *root shape* into independently
 /// enumerable partitions.
 ///
@@ -729,7 +703,7 @@ impl EnumSpace {
     }
 
     /// Total mass of the space: the sum of [`EnumSpace::masses`] — the
-    /// denominator of mass-based progress reporting ([`mass_eta`]).
+    /// denominator of the retired-mass share that progress reports.
     pub fn total_mass(&self) -> u64 {
         self.total_mass
     }
@@ -1106,19 +1080,6 @@ fn spurious_invlpgs_useful(threads: &[Vec<SlotOp>], remap: &[RemapPair]) -> bool
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mass_eta_projects_linearly_from_the_retired_rate() {
-        use std::time::Duration;
-        // Half the mass in 10 s → the other half in another 10 s.
-        let eta = mass_eta(50, 100, Duration::from_secs(10)).expect("rate exists");
-        assert!((eta.as_secs_f64() - 10.0).abs() < 1e-6, "{eta:?}");
-        // No retired mass → no rate to project from; empty space likewise.
-        assert_eq!(mass_eta(0, 100, Duration::from_secs(1)), None);
-        assert_eq!(mass_eta(0, 0, Duration::from_secs(1)), None);
-        // Fully retired → done, even if the clock reads zero.
-        assert_eq!(mass_eta(100, 100, Duration::ZERO), Some(Duration::ZERO));
-    }
 
     #[test]
     fn total_mass_sums_the_partition_masses() {
