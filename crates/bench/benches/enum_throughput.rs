@@ -9,8 +9,8 @@
 //! * wall-clock of the sequential engine (`synthesize_suite`) vs the
 //!   fused streaming pipeline on the pool, same suite;
 //! * peak live candidates: the whole enumeration's program count vs
-//!   the most the streamed pipeline holds at once, a few partitions
-//!   (`StreamMetrics::peak_live_candidates`).
+//!   the most the streamed pipeline holds at once, one partition's plan
+//!   items per worker (`StreamMetrics::peak_live_candidates`).
 //!
 //! * fused cross-axiom synthesis at bound 6: the sequential
 //!   `synthesize_all` vs the fused all-axiom stream
@@ -24,14 +24,17 @@
 //!   journaling `ProgressState` (published counters, span-event journal
 //!   recording, plus a polling sampler thread at the coalesced 100 ms
 //!   cadence `--progress` actually samples at) vs the unobserved fused
-//!   run, medians of fifteen alternating rounds each (the fused
-//!   timings of the point are those medians too), recorded as
-//!   `progress_overhead_pct` per point, next to the
-//!   observed run's `journal_events` (one enumerated/retired pair per
-//!   enumeration task plus one event per batch, so the count follows
-//!   the work, not the number of root partitions). Acceptance bar: ≤ 5%
-//!   even at the short bound-5 point, where a hot-polling sampler used
-//!   to steal a visible slice of a two-core budget.
+//!   run, in fifteen alternating rounds. A round's sample of either
+//!   kind is enough back-to-back runs to last at least
+//!   `SAMPLE_SECS`, so a ~3 ms bound-5 run no longer decides a
+//!   sample by itself. Recorded per point: `progress_overhead_pct`, the
+//!   median over rounds of the observed/unobserved sample ratio, with
+//!   its quartiles next to it, and the observed run's `journal_events`
+//!   (one event per batch, so the count follows the work, not the
+//!   number of root partitions); the fused timings of the point are
+//!   the per-run medians. Acceptance bar: ≤ 5% even at the short
+//!   bound-5 point, where a hot-polling sampler used to steal a visible
+//!   slice of a two-core budget.
 //!
 //! * fleet wire tax: the all-axiom bound-5 run driven through a
 //!   loopback coordinator by two leasing workers (`JobSpec` →
@@ -107,20 +110,29 @@ struct Point {
     elts: usize,
     enum_streamed: Duration,
     synth_sequential: Duration,
-    /// Median of [`OVERHEAD_ROUNDS`] unobserved fused runs.
+    /// Median per-run time of the unobserved fused samples.
     synth_fused: Duration,
-    /// Median of [`OVERHEAD_ROUNDS`] observed fused runs.
+    /// Median per-run time of the observed fused samples.
     synth_observed: Duration,
+    /// Per round, the observed sample's time over the unobserved one's,
+    /// less one, in percent: (first quartile, median, third quartile).
+    overhead_pct: (f64, f64, f64),
+    /// Back-to-back runs in one sample.
+    runs_per_sample: usize,
     /// Events the observed run journaled.
     journal_events: usize,
     metrics: StreamMetrics,
 }
 
-/// Alternating rounds of the unobserved and the observed fused run per
-/// point. One run is about 10 ms at bound 5, where a single pair moved
-/// the ratio by ±30%, so the progress overhead is the ratio of the two
-/// medians.
+/// Alternating rounds of the unobserved and the observed fused sample
+/// per point.
 const OVERHEAD_ROUNDS: usize = 15;
+
+/// Least duration of one sample: a sample is as many back-to-back runs
+/// as that takes. Single ~3 ms bound-5 runs put two overhead readings
+/// of one build at +21.89% and +0.89%; 50 ms samples still left an
+/// interquartile range of 19 points.
+const SAMPLE_SECS: f64 = 0.2;
 
 /// One fused run of [`AXIOM`].
 struct FusedRun {
@@ -188,6 +200,14 @@ fn median(mut xs: Vec<Duration>) -> Duration {
     xs[xs.len() / 2]
 }
 
+/// (first quartile, median, third quartile) of `xs`.
+fn quartiles(xs: &[f64]) -> (f64, f64, f64) {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let n = sorted.len();
+    (sorted[n / 4], sorted[n / 2], sorted[3 * n / 4])
+}
+
 fn measure(bound: usize) -> Point {
     let mtm = x86t_elt();
     let o = opts(bound);
@@ -206,47 +226,58 @@ fn measure(bound: usize) -> Point {
         "partition plans diverged from the sequential engine's program count"
     );
 
-    // The delta between the observed and the unobserved fused runs is
-    // the instrumentation overhead (acceptance bar: ≤ 5% at bound 5,
+    // The delta between the observed and the unobserved fused samples
+    // is the instrumentation overhead (acceptance bar: ≤ 5% at bound 5,
     // < 2% at bound 6).
+    let probe = fused_run(&mtm, &o, jobs, false).elapsed.as_secs_f64();
+    let runs_per_sample = ((SAMPLE_SECS / probe.max(1e-6)).ceil() as usize).max(1);
     let mut fused = Vec::new();
     let mut observed = Vec::new();
+    let mut overheads = Vec::new();
     let mut metrics = StreamMetrics::default();
     let mut journal_events = 0;
     for round in 0..OVERHEAD_ROUNDS {
-        // Alternate which run goes first, so warm-up and host drift
+        // Unobserved and observed sample time of this round.
+        let mut sample = [Duration::ZERO; 2];
+        // Alternate which sample goes first, so warm-up and host drift
         // favour neither.
         for observe in [round % 2 == 1, round % 2 == 0] {
-            let run = fused_run(&mtm, &o, jobs, observe);
-            assert_eq!(
-                run.records.len(),
-                sequential.elts.len(),
-                "suite sizes diverge"
-            );
-            for (r, e) in run.records.iter().zip(&sequential.elts) {
+            for _ in 0..runs_per_sample {
+                let run = fused_run(&mtm, &o, jobs, observe);
                 assert_eq!(
-                    r.elt.program, e.program,
-                    "fused suite diverged from sequential"
+                    run.records.len(),
+                    sequential.elts.len(),
+                    "suite sizes diverge"
                 );
-            }
-            assert_eq!(run.programs, sequential.stats.programs);
-            if observe {
-                // The overhead number must cover a *recording* run: the
-                // journal has to have actually captured the run's span
-                // events.
-                assert!(
-                    run.journal_events > run.metrics.batches,
-                    "journal captured only {} events across {} batches",
-                    run.journal_events,
-                    run.metrics.batches
-                );
-                journal_events = run.journal_events;
-                observed.push(run.elapsed);
-            } else {
-                metrics = run.metrics;
-                fused.push(run.elapsed);
+                for (r, e) in run.records.iter().zip(&sequential.elts) {
+                    assert_eq!(
+                        r.elt.program, e.program,
+                        "fused suite diverged from sequential"
+                    );
+                }
+                assert_eq!(run.programs, sequential.stats.programs);
+                if observe {
+                    // The overhead number must cover a *recording* run:
+                    // the journal has to have actually captured the
+                    // run's span events.
+                    assert!(
+                        run.journal_events > run.metrics.batches,
+                        "journal captured only {} events across {} batches",
+                        run.journal_events,
+                        run.metrics.batches
+                    );
+                    journal_events = run.journal_events;
+                } else {
+                    metrics = run.metrics;
+                }
+                sample[usize::from(observe)] += run.elapsed;
             }
         }
+        let [plain, watched] = sample;
+        fused.push(plain / runs_per_sample as u32);
+        observed.push(watched / runs_per_sample as u32);
+        overheads
+            .push((watched.as_secs_f64() / plain.as_secs_f64().max(f64::EPSILON) - 1.0) * 100.0);
     }
     // The whole point: the pipeline never materializes the full
     // enumeration at once.
@@ -267,6 +298,8 @@ fn measure(bound: usize) -> Point {
         synth_sequential,
         synth_fused: median(fused),
         synth_observed: median(observed),
+        overhead_pct: quartiles(&overheads),
+        runs_per_sample,
         journal_events,
         metrics,
     }
@@ -282,7 +315,9 @@ fn json_point(p: &Point) -> String {
             "\"synth_sequential_secs\": {:.6}, \"synth_fused_secs\": {:.6}, ",
             "\"fused_speedup\": {:.3}, ",
             "\"synth_observed_secs\": {:.6}, \"progress_overhead_pct\": {:.2}, ",
-            "\"overhead_rounds\": {}, \"journal_events\": {}, ",
+            "\"progress_overhead_q1_pct\": {:.2}, \"progress_overhead_q3_pct\": {:.2}, ",
+            "\"overhead_rounds\": {}, \"overhead_runs_per_sample\": {}, ",
+            "\"journal_events\": {}, ",
             "\"peak_live_sequential\": {}, \"peak_live_streamed\": {}, ",
             "\"partitions\": {}, \"batches\": {}}}"
         ),
@@ -295,9 +330,11 @@ fn json_point(p: &Point) -> String {
         p.synth_fused.as_secs_f64(),
         p.synth_sequential.as_secs_f64() / p.synth_fused.as_secs_f64().max(f64::EPSILON),
         p.synth_observed.as_secs_f64(),
-        (p.synth_observed.as_secs_f64() / p.synth_fused.as_secs_f64().max(f64::EPSILON) - 1.0)
-            * 100.0,
+        p.overhead_pct.1,
+        p.overhead_pct.0,
+        p.overhead_pct.2,
         OVERHEAD_ROUNDS,
+        p.runs_per_sample,
         p.journal_events,
         p.programs,
         p.metrics.peak_live_candidates,
@@ -545,7 +582,8 @@ fn throughput_summary(_c: &mut Criterion) {
         println!(
             "enum_throughput summary: `{AXIOM}` @ bound {} --fences --rmw on {} workers: \
              enum streamed {:?}; synth sequential {:?} vs fused {:?} \
-             ({:.2}x); observed fused {:?} ({:+.2}% progress overhead, {} journal events); \
+             ({:.2}x); observed fused {:?} ({:+.2}% progress overhead, quartiles \
+             [{:+.2}%, {:+.2}%] over {} rounds of {} runs, {} journal events); \
              peak live {} (of {} programs, {} partitions, {} batches)",
             p.bound,
             jobs(),
@@ -554,8 +592,11 @@ fn throughput_summary(_c: &mut Criterion) {
             p.synth_fused,
             p.synth_sequential.as_secs_f64() / p.synth_fused.as_secs_f64().max(f64::EPSILON),
             p.synth_observed,
-            (p.synth_observed.as_secs_f64() / p.synth_fused.as_secs_f64().max(f64::EPSILON) - 1.0)
-                * 100.0,
+            p.overhead_pct.1,
+            p.overhead_pct.0,
+            p.overhead_pct.2,
+            OVERHEAD_ROUNDS,
+            p.runs_per_sample,
             p.journal_events,
             p.metrics.peak_live_candidates,
             p.programs,
