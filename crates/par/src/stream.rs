@@ -833,6 +833,68 @@ mod tests {
         }
     }
 
+    /// A worker's task is one root partition: with fences and RMW,
+    /// bounds 4 / 5 / 6 have 29 / 125 / 624 partitions, and the tasks of
+    /// a run over any range are its partitions, claimed one at a time in
+    /// ordinal order. Retired in any order, they retire exactly the
+    /// range's subtree mass — the total its progress display shows —
+    /// and plan it without a cut; ranges that tile the space tile its
+    /// mass.
+    #[test]
+    fn tasks_tile_the_space_by_mass() {
+        for (bound, partitions) in [(4, 29), (5, 125), (6, 624)] {
+            let space = EnumSpace::new(&EnumOptions::new(bound));
+            let masses = space.masses();
+            let n = space.partition_count();
+            assert_eq!(n, partitions, "bound {bound}");
+            let plans: Vec<(usize, usize)> = (0..n)
+                .map(|p| space.plan_partition(p, None))
+                .map(|plan| (plan.programs, plan.items.len()))
+                .collect();
+            for range in [0..n, n / 3..n, 0..n / 2, n / 3..2 * n / 3, n / 2..n / 2] {
+                let label = format!("bound {bound} {range:?}");
+                let mass: u64 = masses[range.clone()].iter().sum();
+                let pipeline = Pipeline::new(&space, &[], None, None, range.clone());
+                assert_eq!(pipeline.progress.snapshot().mass_total, mass, "{label}");
+                let tasks: Vec<usize> = std::iter::from_fn(|| pipeline.claim()).collect();
+                assert_eq!(
+                    tasks,
+                    range.clone().collect::<Vec<_>>(),
+                    "{label}: in order"
+                );
+                for &ordinal in tasks.iter().rev() {
+                    let (programs, items) = plans[ordinal];
+                    assert!(pipeline.planned(items, false), "{label}");
+                    let retired = Retired {
+                        ordinal,
+                        programs,
+                        items,
+                        stats: Vec::new(),
+                        records: Vec::new(),
+                    };
+                    pipeline.retire(retired, Duration::ZERO, false);
+                }
+                let snap = pipeline.progress.snapshot();
+                assert_eq!(snap.partitions_retired, range.len(), "{label}");
+                assert_eq!(snap.mass_retired, mass, "{label}: tiles the range's mass");
+                let mut st = pipeline.state.into_inner().expect("lock");
+                assert_eq!(st.live, 0, "{label}");
+                let planned = prefix(&mut st.retired, range.clone());
+                assert_eq!(planned.cut_at, None, "{label}");
+                let expected = plans[range.clone()]
+                    .iter()
+                    .fold((0, 0), |(n, i), &(p, k)| (n + p, i + k));
+                assert_eq!((planned.programs, planned.items), expected, "{label}");
+            }
+            let cuts = [0, n / 3, 2 * n / 3, n];
+            let tiled: u64 = cuts
+                .windows(2)
+                .map(|w| masses[w[0]..w[1]].iter().sum::<u64>())
+                .sum();
+            assert_eq!(tiled, space.total_mass(), "bound {bound}");
+        }
+    }
+
     /// Each worker holds one partition's plan items at a time: at bound
     /// 6 with fences and RMW, whose largest partition has 92 plan items,
     /// peak live candidates stay within the worker count times 92.
