@@ -67,10 +67,11 @@ fn render_sample(mode: SweepProgress, bound: usize, snap: &ProgressSnapshot, don
     let ax = &snap.axioms[0];
     match mode {
         SweepProgress::Human => format!(
-            "fig9 {}@{}: {:>5.1}% mass, {} elts, {} items, {} batches{}",
+            "fig9 {}@{}: partitions {}/{}, {} elts, {} items, {} batches{}",
             ax.name,
             bound,
-            snap.mass_fraction() * 100.0,
+            snap.partitions_retired,
+            snap.partitions_total,
             ax.elts,
             ax.items_examined,
             ax.batches_done,
@@ -79,14 +80,13 @@ fn render_sample(mode: SweepProgress, bound: usize, snap: &ProgressSnapshot, don
         SweepProgress::Json => format!(
             concat!(
                 "{{\"axiom\": \"{}\", \"bound\": {}, \"elapsed_secs\": {:.6}, ",
-                "\"mass_fraction\": {:.6}, \"partitions_retired\": {}, ",
+                "\"partitions_retired\": {}, ",
                 "\"partitions_total\": {}, \"programs\": {}, \"items_examined\": {}, ",
                 "\"elts\": {}, \"batches\": {}, \"done\": {}}}"
             ),
             ax.name,
             bound,
             snap.elapsed.as_secs_f64(),
-            snap.mass_fraction(),
             snap.partitions_retired,
             snap.partitions_total,
             snap.programs,

@@ -24,9 +24,9 @@ const CACHE_FLAGS: &str = "\
 /// applies.
 const PROGRESS_FLAG: &str = "\
   --progress[=human|json]  live per-axiom telemetry on stderr while the run
-                         executes: partitions and subtree mass retired,
-                         programs planned, ELTs found, and an ETA from
-                         the partitions retired; cache-served axioms
+                         executes: partitions retired of the run's
+                         total, programs planned, ELTs found, and an ETA
+                         from the partitions retired; cache-served axioms
                          render as `cached`.
                          `json` emits one object per line (pipes, CI).
                          Observation never changes the suite — stdout is
@@ -318,14 +318,16 @@ usage: transform runs list [--outcome O] [--since ISO8601]
 Every `--cache` synthesis run records a checksummed run journal — a
 manifest (spec, bound, options, outcome, final counters) plus
 timestamped span events — into the store, heartbeating a `running`
-manifest while it executes. `list` prints the recorded manifests
-newest first, `show` renders one run's manifest, per-axiom table, and
-event counts, and `export --chrome` turns its journal into a Chrome
-trace-event JSON file (load it in about://tracing or Perfetto).
+manifest while it executes; a run that died leaves its last `running`
+manifest behind. `list` prints the recorded manifests newest first,
+each with its partitions retired/total, `show` renders one run's
+manifest, per-axiom table, and event counts, and `export --chrome`
+turns its journal into a Chrome trace-event JSON file (load it in
+about://tracing or Perfetto).
 
 flags:
   --outcome O            keep `list` rows with one outcome: `running`,
-                         `complete`, `cut`, or `crashed`
+                         `complete`, or `cut`
   --since ISO8601        keep `list` rows started at or after a UTC
                          instant (`2026-08-01` or
                          `2026-08-01T12:30:00`; trailing `Z` optional)

@@ -111,7 +111,7 @@ axiom of the MTM through one fused run (the program space is
 enumerated once; no shared plan is built up front). The work units
 are the enumeration's root shapes: each one's programs are examined
 as one batch.
---progress streams live per-axiom telemetry (partitions/mass retired,
+--progress streams live per-axiom telemetry (partitions retired,
 programs, ELTs, an ETA from the partitions retired) to stderr while
 synthesis runs — `json` emits one object per line; stdout stays
 byte-identical either way. `top` polls a serve instance's /v1/metrics and /v1/runs for a
@@ -255,24 +255,16 @@ fn malformed_elt(name: &str, e: impl std::fmt::Display) -> String {
 fn cmd_synthesize(mut opts: Opts) -> Result<String, String> {
     let axiom = opts.value("--axiom");
     let all = opts.flag("--all");
-    let bound = parse_bound(
-        &opts
-            .value("--bound")
+    let bound = check_bound(
+        opts.number("--bound")?
             .ok_or("synthesize needs --bound <events>")?,
     )?;
     let mtm = load_mtm(opts.value("--mtm"))?;
     let mut sopts = SynthOptions::new(bound);
-    if let Some(t) = opts.value("--max-threads") {
-        sopts.enumeration.max_threads =
-            Some(t.parse().map_err(|_| "--max-threads must be a number")?);
-    }
+    sopts.enumeration.max_threads = opts.number("--max-threads")?;
     sopts.enumeration.allow_fences = opts.flag("--fences");
     sopts.enumeration.allow_rmw = opts.flag("--rmw");
-    if let Some(s) = opts.value("--timeout-secs") {
-        sopts.timeout = Some(Duration::from_secs(
-            s.parse().map_err(|_| "--timeout-secs must be a number")?,
-        ));
-    }
+    sopts.timeout = opts.number("--timeout-secs")?.map(Duration::from_secs);
     if let Some(b) = opts.value("--backend") {
         sopts.backend = parse_backend(&b)?;
     }
@@ -283,17 +275,9 @@ fn cmd_synthesize(mut opts: Opts) -> Result<String, String> {
     let cache_url = opts.value("--cache-url");
     let out_file = opts.value("--out");
     let workers = opts.value("--workers");
-    let lease_ttl = Duration::from_secs(
-        opts.value("--lease-ttl-secs")
-            .map(|s| s.parse().map_err(|_| "--lease-ttl-secs must be a number"))
-            .transpose()?
-            .unwrap_or(30)
-            .max(1),
-    );
+    let lease_ttl = Duration::from_secs(opts.number("--lease-ttl-secs")?.unwrap_or(30).max(1));
     let fleet_ranges: usize = opts
-        .value("--fleet-ranges")
-        .map(|s| s.parse().map_err(|_| "--fleet-ranges must be a number"))
-        .transpose()?
+        .number("--fleet-ranges")?
         .unwrap_or_else(|| (jobs * 2).max(4))
         .max(1);
     opts.finish()?;
@@ -523,21 +507,9 @@ fn cmd_worker(mut opts: Opts) -> Result<String, String> {
         .value("--url")
         .ok_or("worker needs --url http://host:port (the coordinator)")?;
     let jobs = opts.jobs()?;
-    let poll = Duration::from_secs(
-        opts.value("--poll-secs")
-            .map(|s| s.parse().map_err(|_| "--poll-secs must be a number"))
-            .transpose()?
-            .unwrap_or(1)
-            .max(1),
-    );
+    let poll = Duration::from_secs(opts.number("--poll-secs")?.unwrap_or(1).max(1));
     let drain = opts.flag("--drain");
-    let idle = Duration::from_secs(
-        opts.value("--idle-secs")
-            .map(|s| s.parse().map_err(|_| "--idle-secs must be a number"))
-            .transpose()?
-            .unwrap_or(5)
-            .max(1),
-    );
+    let idle = Duration::from_secs(opts.number("--idle-secs")?.unwrap_or(5).max(1));
     let name = opts
         .value("--name")
         .unwrap_or_else(|| format!("worker-{}", std::process::id()));
@@ -797,11 +769,10 @@ fn parse_backend(name: &str) -> Result<Backend, String> {
     }
 }
 
-/// Parses a synthesis `--bound`. An execution's events must fit one
+/// Checks a synthesis `--bound`. An execution's events must fit one
 /// relation row, so a larger bound is refused up front rather than
 /// leaving every wider candidate unexamined.
-fn parse_bound(value: &str) -> Result<usize, String> {
-    let bound: usize = value.parse().map_err(|_| "--bound must be a number")?;
+fn check_bound(bound: usize) -> Result<usize, String> {
     if bound > MAX_EVENTS {
         return Err(format!(
             "--bound must be at most {MAX_EVENTS} (the events one relation row holds)"
@@ -811,13 +782,8 @@ fn parse_bound(value: &str) -> Result<usize, String> {
 }
 
 fn cmd_compare(mut opts: Opts) -> Result<String, String> {
-    let bound = parse_bound(&opts.value("--bound").unwrap_or_else(|| "7".into()))?;
-    let timeout = Duration::from_secs(
-        opts.value("--timeout-secs")
-            .unwrap_or_else(|| "300".into())
-            .parse()
-            .map_err(|_| "--timeout-secs must be a number")?,
-    );
+    let bound = check_bound(opts.number("--bound")?.unwrap_or(7))?;
+    let timeout = Duration::from_secs(opts.number("--timeout-secs")?.unwrap_or(300));
     let jobs = opts.jobs()?;
     let mut sopts = SynthOptions::new(bound);
     sopts.timeout = Some(timeout);
@@ -850,12 +816,7 @@ fn cmd_top(mut opts: Opts) -> Result<String, String> {
     let url = opts
         .value("--url")
         .ok_or("top needs --url http://host:port")?;
-    let interval: u64 = opts
-        .value("--interval-secs")
-        .map(|s| s.parse().map_err(|_| "--interval-secs must be a number"))
-        .transpose()?
-        .unwrap_or(2)
-        .max(1);
+    let interval: u64 = opts.number("--interval-secs")?.unwrap_or(2).max(1);
     let once = opts.flag("--once");
     opts.finish()?;
     let remote = HttpTier::new(&url).map_err(|e| e.to_string())?;
@@ -1052,10 +1013,7 @@ impl CacheFilter {
         Ok(CacheFilter {
             mtm: opts.value("--mtm-name"),
             axiom: opts.value("--axiom"),
-            bound: opts
-                .value("--bound")
-                .map(|b| b.parse().map_err(|_| "--bound must be a number"))
-                .transpose()?,
+            bound: opts.number("--bound")?,
             backend: opts.value("--backend"),
             shape: opts.value("--shape"),
             fences: opts.flag("--fences"),
@@ -1222,12 +1180,7 @@ fn cmd_serve(mut opts: Opts) -> Result<String, String> {
     let addr = opts
         .value("--addr")
         .unwrap_or_else(|| "127.0.0.1:7171".into());
-    let threads: usize = opts
-        .value("--threads")
-        .map(|t| t.parse().map_err(|_| "--threads must be a number"))
-        .transpose()?
-        .unwrap_or(4)
-        .max(1);
+    let threads: usize = opts.number("--threads")?.unwrap_or(4).max(1);
     let verbose = opts.flag("--verbose");
     opts.finish()?;
     let server = transform_serve::Server::bind(
@@ -1459,10 +1412,7 @@ fn cmd_store_verify(mut opts: Opts) -> Result<String, String> {
 
 fn cmd_store_gc(mut opts: Opts) -> Result<String, String> {
     let dir = opts.value("--cache").ok_or("store gc needs --cache DIR")?;
-    let days: Option<u64> = opts
-        .value("--older-than-days")
-        .map(|d| d.parse().map_err(|_| "--older-than-days must be a number"))
-        .transpose()?;
+    let days: Option<u64> = opts.number("--older-than-days")?;
     let keep_path = opts.value("--keep-list");
     let dry = opts.flag("--dry-run");
     opts.finish()?;
@@ -2818,11 +2768,11 @@ mod tests {
     }
 
     /// A deadline-cut run's manifest records outcome `cut` with the
-    /// *exact* retired mass, not an estimate: a zero budget cuts the run
-    /// before its first partition retires, so the manifest retires no
-    /// mass and the journal holds no batch.
+    /// *exact* retired counts, not an estimate: a zero budget cuts the
+    /// run before its first partition retires, so the manifest retires
+    /// no partition and no program, and the journal holds no batch.
     #[test]
-    fn deadline_cut_runs_record_outcome_cut_with_exact_retired_mass() {
+    fn deadline_cut_runs_record_outcome_cut_with_exact_retired_counts() {
         let dir = temp_dir("runs-cut");
         let cache = dir.join("store");
         run_str(&format!(
@@ -2836,12 +2786,49 @@ mod tests {
         let m = &manifests[0];
         assert_eq!(m.outcome, transform_store::RunOutcome::Cut, "{m:?}");
         assert_eq!(m.cut_at_partition, Some(0), "{m:?}");
-        assert_eq!((m.partitions_retired, m.mass_retired), (0, 0), "{m:?}");
+        assert_eq!((m.partitions_retired, m.programs), (0, 0), "{m:?}");
         let journal = store.read_run(m.id).expect("reads");
         assert!(!journal
             .events
             .iter()
             .any(|e| e.kind == transform_par::JournalEventKind::BatchExamined));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A journal of the earlier run format — a recorded run's bytes
+    /// under that format's magic, re-checksummed — is listed by no one:
+    /// `store verify` reports it corrupt and `--remove-corrupt` deletes
+    /// it.
+    #[test]
+    fn store_verify_reports_and_removes_journals_of_the_earlier_format() {
+        let dir = temp_dir("runs-earlier");
+        let cache = dir.join("store");
+        let c = cache.display();
+        run_str(&format!(
+            "synthesize --axiom invlpg --bound 4 --quiet --cache {c}"
+        ))
+        .expect("seeds");
+        let store = Store::open(&cache).expect("opens");
+        let id = store.run_ids().expect("ids")[0];
+        let path = store.run_path(id);
+        let bytes = std::fs::read(&path).expect("reads");
+        let mut body = bytes[..bytes.len() - 8].to_vec();
+        body[..8].copy_from_slice(b"TFRUNJL\0");
+        let checksum = transform_store::codec::fnv1a64(&body);
+        body.extend_from_slice(&checksum.to_le_bytes());
+        std::fs::write(&path, &body).expect("rewrites");
+        assert!(store.runs().expect("lists").is_empty(), "listings skip it");
+
+        let report = run_str(&format!("store verify --cache {c}")).expect("verifies");
+        assert!(
+            report.contains(&format!("run {id:016x} CORRUPT")),
+            "{report}"
+        );
+        assert!(report.contains("run journals: 0 ok, 1 corrupt"), "{report}");
+        run_str(&format!("store verify --cache {c} --remove-corrupt")).expect("removes");
+        assert!(!path.exists(), "the journal is removed");
+        let after = run_str(&format!("store verify --cache {c}")).expect("verifies");
+        assert!(after.contains("run journals: 0 ok, 0 corrupt"), "{after}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2893,14 +2880,12 @@ mod tests {
             outcome: transform_store::RunOutcome::Running,
             partitions_total: 100,
             partitions_retired: 42,
-            mass_total: 1000,
-            mass_retired: 421,
             programs: 77,
             items_planned: 300,
             batches: 9,
             peak_live_candidates: 50,
             cut_at_partition: None,
-            axioms: vec![transform_store::RunAxiom {
+            axioms: vec![transform_par::AxiomSnapshot {
                 name: "sc_per_loc".into(),
                 state: transform_par::AxiomState::Running,
                 elts: 3,

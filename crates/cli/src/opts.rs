@@ -56,6 +56,17 @@ impl Opts {
         None
     }
 
+    /// Takes `--name N` as a number, if present.
+    ///
+    /// # Errors
+    ///
+    /// A value that does not parse: `--name must be a number`.
+    pub fn number<T: std::str::FromStr>(&mut self, name: &str) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|v| v.parse().map_err(|_| format!("{name} must be a number")))
+            .transpose()
+    }
+
     /// Takes the boolean flag `--name`, returning whether it was present.
     pub fn flag(&mut self, name: &str) -> bool {
         match self.args.iter().position(|s| s.as_deref() == Some(name)) {
@@ -144,6 +155,17 @@ mod tests {
         let mut o = opts("synthesize --bound");
         assert_eq!(o.positional().as_deref(), Some("synthesize"));
         assert_eq!(o.value("--bound"), None);
+    }
+
+    #[test]
+    fn numbers_parse_once_or_name_their_flag() {
+        let mut o = opts("synthesize --bound 5 --threads many");
+        assert_eq!(o.number::<usize>("--bound"), Ok(Some(5)));
+        assert_eq!(o.number::<usize>("--bound"), Ok(None), "consumed once");
+        assert_eq!(
+            o.number::<usize>("--threads"),
+            Err("--threads must be a number".to_string())
+        );
     }
 
     #[test]

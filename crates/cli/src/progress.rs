@@ -134,11 +134,10 @@ fn render_line(snap: &ProgressSnapshot) -> String {
         .filter(|a| !matches!(a.state, AxiomState::Pending | AxiomState::Running))
         .count();
     format!(
-        "progress: {} partitions {}/{} mass {:.1}% programs {} axioms {}/{} done{}",
+        "progress: {} partitions {}/{} programs {} axioms {}/{} done{}",
         fmt_secs(snap.elapsed),
         snap.partitions_retired,
         snap.partitions_total,
-        snap.mass_fraction() * 100.0,
         snap.programs,
         done,
         snap.axioms.len(),
@@ -232,16 +231,12 @@ fn render_json(snap: &ProgressSnapshot) -> String {
         .collect();
     format!(
         "{{\"elapsed_secs\":{:.3},\"partitions_retired\":{},\"partitions_total\":{},\
-         \"mass_retired\":{},\"mass_total\":{},\"mass_fraction\":{:.6},\
          \"programs\":{},\"items_planned\":{},\
          \"live_candidates\":{},\"peak_live_candidates\":{},\"batches\":{},\
          \"cut_at_partition\":{cut},\"eta_secs\":{eta},\"axioms\":[{}]}}",
         snap.elapsed.as_secs_f64(),
         snap.partitions_retired,
         snap.partitions_total,
-        snap.mass_retired,
-        snap.mass_total,
-        snap.mass_fraction(),
         snap.programs,
         snap.items_planned,
         snap.live_candidates,

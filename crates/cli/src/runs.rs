@@ -182,9 +182,8 @@ pub fn parse_outcome(s: &str) -> Result<RunOutcome, String> {
         "running" => Ok(RunOutcome::Running),
         "complete" => Ok(RunOutcome::Complete),
         "cut" => Ok(RunOutcome::Cut),
-        "crashed" => Ok(RunOutcome::Crashed),
         other => Err(format!(
-            "unknown --outcome `{other}` (expected `running`, `complete`, `cut`, or `crashed`)"
+            "unknown --outcome `{other}` (expected `running`, `complete`, or `cut`)"
         )),
     }
 }
@@ -272,36 +271,31 @@ pub fn parse_since(s: &str) -> Result<u64, String> {
     Ok((days * 86_400 + hour * 3_600 + minute * 60 + second) * 1_000_000)
 }
 
-/// `mass_retired / mass_total` as a percentage, `100.0` for an empty
-/// space.
-fn mass_pct(m: &RunManifest) -> f64 {
-    if m.mass_total == 0 {
-        100.0
-    } else {
-        m.mass_retired as f64 / m.mass_total as f64 * 100.0
-    }
+/// `retired/total` partitions — a run's progress figure.
+fn partitions(m: &RunManifest) -> String {
+    format!("{}/{}", m.partitions_retired, m.partitions_total)
 }
 
-fn total_elts(m: &RunManifest) -> u64 {
+fn total_elts(m: &RunManifest) -> usize {
     m.axioms.iter().map(|a| a.elts).sum()
 }
 
 /// The `transform runs list` table, newest first.
 pub fn render_runs_list(manifests: &[RunManifest]) -> String {
     let mut out = format!(
-        "{:<16}  {:<8}  {:<14}  {:>4}  {:>8}  {:>9}  {:>6}  {:>5}\n",
-        "run", "outcome", "mtm@bound", "jobs", "elapsed", "programs", "mass", "elts"
+        "{:<16}  {:<8}  {:<14}  {:>4}  {:>8}  {:>9}  {:>11}  {:>5}\n",
+        "run", "outcome", "mtm@bound", "jobs", "elapsed", "programs", "partitions", "elts"
     );
     for m in manifests {
         out.push_str(&format!(
-            "{:016x}  {:<8}  {:<14}  {:>4}  {:>8}  {:>9}  {:>5.1}%  {:>5}\n",
+            "{:016x}  {:<8}  {:<14}  {:>4}  {:>8}  {:>9}  {:>11}  {:>5}\n",
             m.id,
             m.outcome.name(),
             format!("{}@{}", m.mtm, m.bound),
             m.jobs,
             fmt_secs(Duration::from_micros(m.elapsed_micros)),
             m.programs,
-            mass_pct(m),
+            partitions(m),
             total_elts(m),
         ));
     }
@@ -334,12 +328,8 @@ pub fn render_run_show(journal: &RunJournal) -> String {
         m.outcome.name(),
     ));
     out.push_str(&format!(
-        "  partitions {}/{}  mass {:.1}% ({}/{})  programs {}  plan items {}\n",
-        m.partitions_retired,
-        m.partitions_total,
-        mass_pct(m),
-        m.mass_retired,
-        m.mass_total,
+        "  partitions {}  programs {}  plan items {}\n",
+        partitions(m),
         m.programs,
         m.items_planned,
     ));
@@ -384,7 +374,7 @@ pub fn render_run_show(journal: &RunJournal) -> String {
 /// Perfetto's legacy loader) for a run journal: per-axiom named
 /// threads, an `X` complete event per examine batch (on the run lane
 /// when the batch covers every axiom), and instants for the structural
-/// transitions and for the kinds that are no longer recorded.
+/// transitions.
 pub fn chrome_trace(journal: &RunJournal) -> String {
     let m = &journal.manifest;
     let mut events: Vec<String> = Vec::with_capacity(journal.events.len() + m.axioms.len() + 2);
@@ -470,13 +460,13 @@ pub fn render_runs_section(manifests: &[RunManifest]) -> String {
     );
     for m in manifests.iter().take(SHOWN) {
         out.push_str(&format!(
-            "  {:016x}  {:<8}  {:<14}  jobs {:<3}  {:>8}  mass {:>5.1}%  {:>5} elts\n",
+            "  {:016x}  {:<8}  {:<14}  jobs {:<3}  {:>8}  partitions {:>11}  {:>5} elts\n",
             m.id,
             m.outcome.name(),
             format!("{}@{}", m.mtm, m.bound),
             m.jobs,
             fmt_secs(Duration::from_micros(m.elapsed_micros)),
-            mass_pct(m),
+            partitions(m),
             total_elts(m),
         ));
         // A live run's per-axiom progress, straight from its latest
@@ -503,8 +493,7 @@ pub fn render_runs_section(manifests: &[RunManifest]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use transform_par::JournalEvent;
-    use transform_store::RunAxiom;
+    use transform_par::{AxiomSnapshot, JournalEvent};
 
     fn manifest(outcome: RunOutcome) -> RunManifest {
         RunManifest {
@@ -519,22 +508,20 @@ mod tests {
             outcome,
             partitions_total: 10,
             partitions_retired: 4,
-            mass_total: 100,
-            mass_retired: 40,
             programs: 7,
             items_planned: 21,
             batches: 3,
             peak_live_candidates: 5,
             cut_at_partition: None,
             axioms: vec![
-                RunAxiom {
+                AxiomSnapshot {
                     name: "sc_per_loc".into(),
                     state: AxiomState::Running,
                     elts: 2,
                     items_examined: 14,
                     batches_done: 2,
                 },
-                RunAxiom {
+                AxiomSnapshot {
                     name: "invlpg".into(),
                     state: AxiomState::Pending,
                     elts: 0,
@@ -550,7 +537,7 @@ mod tests {
         assert_eq!(parse_outcome("running"), Ok(RunOutcome::Running));
         assert_eq!(parse_outcome("complete"), Ok(RunOutcome::Complete));
         assert_eq!(parse_outcome("cut"), Ok(RunOutcome::Cut));
-        assert_eq!(parse_outcome("crashed"), Ok(RunOutcome::Crashed));
+        assert!(parse_outcome("crashed").is_err());
         assert!(parse_outcome("done").is_err());
     }
 
@@ -606,7 +593,7 @@ mod tests {
         assert!(list.contains("deadbeef00000001"), "{list}");
         assert!(list.contains("complete"), "{list}");
         assert!(list.contains("x86t_elt@4"), "{list}");
-        assert!(list.contains("40.0%"), "{list}");
+        assert!(list.contains(" 4/10 "), "{list}");
         assert!(list.contains("1 run\n"), "{list}");
 
         let journal = RunJournal {
@@ -616,7 +603,7 @@ mod tests {
                 kind: JournalEventKind::RunStart,
                 axiom: None,
                 a: 10,
-                b: 100,
+                b: 0,
                 c: 2,
             }],
         };
@@ -637,7 +624,7 @@ mod tests {
                     kind: JournalEventKind::RunStart,
                     axiom: None,
                     a: 10,
-                    b: 100,
+                    b: 0,
                     c: 2,
                 },
                 JournalEvent {
@@ -650,19 +637,19 @@ mod tests {
                 },
                 JournalEvent {
                     t_micros: 550,
-                    kind: JournalEventKind::PartitionEnumerated,
+                    kind: JournalEventKind::Cut,
                     axiom: None,
-                    a: 0,
-                    b: 7,
-                    c: 200,
+                    a: 4,
+                    b: 0,
+                    c: 0,
                 },
                 JournalEvent {
                     t_micros: 600,
-                    kind: JournalEventKind::PartitionRetired,
-                    axiom: None,
-                    a: 0,
-                    b: 25,
-                    c: 3,
+                    kind: JournalEventKind::AxiomComplete,
+                    axiom: Some(0),
+                    a: 8,
+                    b: 0,
+                    c: 0,
                 },
             ],
         };
@@ -674,15 +661,19 @@ mod tests {
             trace.contains("\"ts\":380,\"dur\":120"),
             "batch span misplaced: {trace}"
         );
-        // Kinds no longer recorded render as instants on the run lane.
+        // Run-wide transitions are global instants on the run lane;
+        // axiom-scoped ones are thread instants on the axiom's lane.
         assert!(
             trace.contains(
-                "\"tid\":0,\"ts\":550,\"s\":\"g\",\"name\":\"partition_enumerated\",\
-                 \"args\":{\"a\":0,\"b\":7,\"c\":200}"
+                "\"tid\":0,\"ts\":550,\"s\":\"g\",\"name\":\"cut\",\
+                 \"args\":{\"a\":4,\"b\":0,\"c\":0}"
             ),
-            "old enumeration event misplaced: {trace}"
+            "cut instant misplaced: {trace}"
         );
-        assert!(trace.contains("\"name\":\"partition_retired\""), "{trace}");
+        assert!(
+            trace.contains("\"tid\":1,\"ts\":600,\"s\":\"t\",\"name\":\"axiom_complete\""),
+            "{trace}"
+        );
         assert!(trace.contains("\"outcome\":\"cut\""), "{trace}");
         assert_eq!(trace.matches('{').count(), trace.matches('}').count());
         assert_eq!(trace.matches('[').count(), trace.matches(']').count());

@@ -42,13 +42,11 @@
 //! items once for every axiom — no shared plan is materialized before
 //! workers start, and every axiom's shards reach its sink after the
 //! last batch retires. A partition is one root (first-thread) shape of
-//! the enumeration recursion; the space counts each partition's subtree
-//! nodes once when it is built ([`EnumSpace::masses`]). Those masses
-//! size the fleet's range plan and the progress display's retired-mass
-//! share, and schedule nothing: plan order, deadline cuts, fleet
-//! ranges and the progress ETA count partitions, and the run journal
-//! records one batch event per partition with plan items. The
-//! sequential engine
+//! the enumeration recursion. Plan order, deadline cuts, the progress
+//! display, its ETA and run manifests count partitions, and the run
+//! journal records one batch event per partition with plan items; only
+//! the fleet client sizes its ranges by each partition's subtree node
+//! count ([`EnumSpace::masses`]). The sequential engine
 //! ([`transform_synth::synthesize_suite`]) plans the same partitions in
 //! ordinal order before it examines anything, and is the reference
 //! every pipeline run reproduces.
@@ -127,25 +125,25 @@ pub trait SuiteSink: Sync {
 }
 
 /// A [`SuiteSink`] that collects records in memory — the sink behind
-/// [`synthesize`].
-struct CollectSink {
+/// [`synthesize`], and a fleet worker's buffer for its range's records.
+#[derive(Default)]
+pub struct CollectSink {
     records: Mutex<Vec<SuiteRecord>>,
 }
 
 impl CollectSink {
-    fn new() -> CollectSink {
-        CollectSink {
-            records: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn into_elts(self) -> Vec<SynthesizedElt> {
+    /// The collected records, sorted by plan index.
+    pub fn into_records(self) -> Vec<SuiteRecord> {
         let mut records = self
             .records
             .into_inner()
             .expect("record lock is never poisoned");
         records.sort_by_key(|r| r.index);
-        records.into_iter().map(|r| r.elt).collect()
+        records
+    }
+
+    fn into_elts(self) -> Vec<SynthesizedElt> {
+        self.into_records().into_iter().map(|r| r.elt).collect()
     }
 }
 
@@ -186,7 +184,7 @@ pub fn synthesize(
     jobs: usize,
     progress: Option<&Arc<ProgressState>>,
 ) -> Vec<Suite> {
-    let sinks: Vec<CollectSink> = axioms.iter().map(|_| CollectSink::new()).collect();
+    let sinks: Vec<CollectSink> = axioms.iter().map(|_| CollectSink::default()).collect();
     let sink_refs: Vec<&dyn SuiteSink> = sinks.iter().map(|s| s as &dyn SuiteSink).collect();
     let (all_stats, _) = synthesize_streamed(mtm, axioms, opts, jobs, progress, &sink_refs);
     axioms
@@ -368,13 +366,9 @@ mod tests {
                 Some(progress::JournalEventKind::RunEnd),
                 "jobs {jobs}"
             );
-            // Every batch left a span, no partition event is written any
-            // more, and timestamps never run backwards: emission order
-            // is per lock transition, so they are monotone overall.
-            assert!(!events.iter().any(|e| matches!(
-                e.kind,
-                JournalEventKind::PartitionEnumerated | JournalEventKind::PartitionRetired
-            )));
+            // Every batch left a span, and timestamps never run
+            // backwards: emission order is per lock transition, so they
+            // are monotone overall.
             assert!(events
                 .iter()
                 .any(|e| e.kind == progress::JournalEventKind::BatchExamined));
@@ -386,7 +380,7 @@ mod tests {
     }
 
     /// A deadline-cut journaled run records the cut event, and the
-    /// progress mirror carries the exact retired mass the manifest
+    /// progress mirror carries the exact retired counts the manifest
     /// persists: a zero budget cuts the run before its first partition
     /// retires, so none is retired.
     #[test]
@@ -407,7 +401,7 @@ mod tests {
             "cut runs journal their cut point"
         );
         assert_eq!(snap.cut_at_partition, Some(0));
-        assert_eq!((snap.partitions_retired, snap.mass_retired), (0, 0));
+        assert_eq!((snap.partitions_retired, snap.programs), (0, 0));
         assert!(!events
             .iter()
             .any(|e| e.kind == progress::JournalEventKind::BatchExamined));
@@ -452,7 +446,7 @@ mod tests {
         let axioms = ["sc_per_loc", "invlpg"];
         let mut o = opts(6);
         o.timeout = Some(std::time::Duration::ZERO);
-        let sinks = [CollectSink::new(), CollectSink::new()];
+        let sinks = [CollectSink::default(), CollectSink::default()];
         let sink_refs: Vec<&dyn SuiteSink> = sinks.iter().map(|s| s as &dyn SuiteSink).collect();
         let progress = Arc::new(ProgressState::new(&axioms));
         let (stats, _) = synthesize_streamed(&mtm, &axioms, &o, 2, Some(&progress), &sink_refs);

@@ -2,14 +2,13 @@
 //!
 //! A [`ProgressState`] is a block of atomics the fused pipeline
 //! ([`crate::stream`]) publishes into as root partitions retire —
-//! partitions and subtree mass retired (against the totals from
-//! [`EnumSpace::masses`]), programs and plan items planned, live/peak
-//! candidate counts, and per-axiom batch/item/ELT counters. Observers
-//! (the CLI's `--progress` reporter) poll [`ProgressState::snapshot`]
-//! from any thread without touching the pipeline's lock; the pipeline
-//! itself writes with relaxed stores from inside lock-held
-//! transitions, so observation adds no synchronization to the hot
-//! path.
+//! partitions retired (against the run's partition count), programs and
+//! plan items planned, live/peak candidate counts, and per-axiom
+//! batch/item/ELT counters. Observers (the CLI's `--progress` reporter)
+//! poll [`ProgressState::snapshot`] from any thread without touching the
+//! pipeline's lock; the pipeline itself writes with relaxed stores from
+//! inside lock-held transitions, so observation adds no synchronization
+//! to the hot path.
 //!
 //! The same state is the run's final record: the returned
 //! [`StreamMetrics`] *is* the last snapshot (see
@@ -22,11 +21,10 @@
 //! run move through [`AxiomState::Running`] to [`AxiomState::Complete`]
 //! (or [`AxiomState::Cut`] on a deadline).
 //!
-//! [`EnumSpace::masses`]: transform_synth::programs::EnumSpace::masses
 //! [`StreamMetrics`]: crate::StreamMetrics
 //! [`StreamMetrics::from_snapshot`]: crate::StreamMetrics::from_snapshot
 
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -43,26 +41,35 @@ const NO_CUT: usize = usize::MAX;
 pub enum AxiomState {
     /// Known to the run but not started (a fused run that has not
     /// reached it, or a tiered lookup still probing the cache).
-    Pending,
+    Pending = 0,
     /// Its examine batches are in flight.
-    Running,
+    Running = 1,
     /// Its whole schedule retired cleanly; the suite is final.
-    Complete,
+    Complete = 2,
     /// The deadline cut its schedule; the suite is partial.
-    Cut,
+    Cut = 3,
     /// Served from a sealed store entry — no synthesis ran for it.
-    Cached,
+    Cached = 4,
 }
 
 impl AxiomState {
-    fn from_u8(v: u8) -> AxiomState {
-        match v {
+    /// The state's byte — what the progress atomics hold and run
+    /// manifests persist (stable across releases).
+    pub fn as_u8(self) -> u8 {
+        self as u8
+    }
+
+    /// The inverse of [`AxiomState::as_u8`]; `None` for an unassigned
+    /// byte.
+    pub fn from_u8(v: u8) -> Option<AxiomState> {
+        Some(match v {
+            0 => AxiomState::Pending,
             1 => AxiomState::Running,
             2 => AxiomState::Complete,
             3 => AxiomState::Cut,
             4 => AxiomState::Cached,
-            _ => AxiomState::Pending,
-        }
+            _ => return None,
+        })
     }
 
     /// The machine-readable spelling (`--progress json`, tests).
@@ -91,33 +98,15 @@ impl AxiomState {
 /// shapes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum JournalEventKind {
-    /// The fused run bound its space: `a` = partition count, `b` =
-    /// total subtree mass, `c` = worker count.
+    /// The fused run bound its space: `a` = partition count, `b` = 0,
+    /// `c` = worker count.
     RunStart,
-    /// No longer recorded. Journals written while the pipeline planned
-    /// runs of partitions as enumeration tasks carry one per task: `a` =
-    /// its first partition ordinal, `b` = programs delivered, `c` = the
-    /// task's wall-clock in microseconds (0 in still older journals).
-    /// Kept so those journals still decode.
-    PartitionEnumerated,
-    /// No longer recorded. Journals written while the pipeline planned
-    /// enumeration tasks carry one per task: `a` = its first partition
-    /// ordinal, `b` = the planned partitions' summed subtree mass, `c` =
-    /// partitions planned (0 in still older journals, which retired one
-    /// partition per event). Kept so those journals still decode.
-    PartitionRetired,
     /// One examine batch — one root partition's plan items — retired,
     /// for every axiom of the run at once (journaled without an axiom):
     /// `a` = plan items examined, `b` = suite members found across all
     /// axioms, `c` = the partition's wall-clock in microseconds,
     /// planning and examination (so `t_micros - c` is its start).
     BatchExamined,
-    /// No longer recorded. Journals written while partitions were
-    /// admitted in ordinal order carry it where a worker waited behind
-    /// an unfinished earlier task: `a` = the partition ordinal waited
-    /// on, `b` = enumerated tasks queued behind it. Kept so those
-    /// journals still decode.
-    FrontierStall,
     /// `axiom`'s whole schedule retired cleanly.
     AxiomComplete,
     /// The deadline cut the run's shared plan: `a` = the first cut
@@ -150,14 +139,12 @@ pub enum JournalEventKind {
 
 impl JournalEventKind {
     /// The wire byte of the kind (stable across releases — the journal
-    /// codec persists it). Bytes 10 and 11 are retired and unassigned.
+    /// codec persists it). Bytes 1, 2, 4, 10 and 11 are retired and
+    /// unassigned.
     pub fn as_u8(self) -> u8 {
         match self {
             JournalEventKind::RunStart => 0,
-            JournalEventKind::PartitionEnumerated => 1,
-            JournalEventKind::PartitionRetired => 2,
             JournalEventKind::BatchExamined => 3,
-            JournalEventKind::FrontierStall => 4,
             JournalEventKind::AxiomComplete => 5,
             JournalEventKind::Cut => 6,
             JournalEventKind::RunEnd => 7,
@@ -174,10 +161,7 @@ impl JournalEventKind {
     pub fn from_u8(v: u8) -> Option<JournalEventKind> {
         Some(match v {
             0 => JournalEventKind::RunStart,
-            1 => JournalEventKind::PartitionEnumerated,
-            2 => JournalEventKind::PartitionRetired,
             3 => JournalEventKind::BatchExamined,
-            4 => JournalEventKind::FrontierStall,
             5 => JournalEventKind::AxiomComplete,
             6 => JournalEventKind::Cut,
             7 => JournalEventKind::RunEnd,
@@ -195,10 +179,7 @@ impl JournalEventKind {
     pub fn name(self) -> &'static str {
         match self {
             JournalEventKind::RunStart => "run_start",
-            JournalEventKind::PartitionEnumerated => "partition_enumerated",
-            JournalEventKind::PartitionRetired => "partition_retired",
             JournalEventKind::BatchExamined => "batch_examined",
-            JournalEventKind::FrontierStall => "frontier_stall",
             JournalEventKind::AxiomComplete => "axiom_complete",
             JournalEventKind::Cut => "cut",
             JournalEventKind::RunEnd => "run_end",
@@ -252,8 +233,6 @@ pub struct ProgressState {
     axioms: Vec<AxiomProgress>,
     pub(crate) partitions_total: AtomicUsize,
     pub(crate) partitions_retired: AtomicUsize,
-    pub(crate) mass_total: AtomicU64,
-    pub(crate) mass_retired: AtomicU64,
     pub(crate) programs: AtomicUsize,
     pub(crate) items_planned: AtomicUsize,
     pub(crate) live_candidates: AtomicUsize,
@@ -295,13 +274,11 @@ impl ProgressState {
                     batches_done: AtomicUsize::new(0),
                     items_examined: AtomicUsize::new(0),
                     elts: AtomicUsize::new(0),
-                    state: AtomicU8::new(AxiomState::Pending as u8),
+                    state: AtomicU8::new(AxiomState::Pending.as_u8()),
                 })
                 .collect(),
             partitions_total: AtomicUsize::new(0),
             partitions_retired: AtomicUsize::new(0),
-            mass_total: AtomicU64::new(0),
-            mass_retired: AtomicU64::new(0),
             programs: AtomicUsize::new(0),
             items_planned: AtomicUsize::new(0),
             live_candidates: AtomicUsize::new(0),
@@ -322,7 +299,7 @@ impl ProgressState {
     }
 
     pub(crate) fn set_axiom_state(&self, slot: usize, state: AxiomState) {
-        self.axioms[slot].state.store(state as u8, ORD);
+        self.axioms[slot].state.store(state.as_u8(), ORD);
     }
 
     /// Marks `axiom` as served from a sealed cache entry with `elts`
@@ -388,8 +365,6 @@ impl ProgressState {
             elapsed: self.started.elapsed(),
             partitions_total: self.partitions_total.load(ORD),
             partitions_retired: self.partitions_retired.load(ORD),
-            mass_total: self.mass_total.load(ORD),
-            mass_retired: self.mass_retired.load(ORD),
             programs: self.programs.load(ORD),
             items_planned: self.items_planned.load(ORD),
             live_candidates: self.live_candidates.load(ORD),
@@ -404,7 +379,8 @@ impl ProgressState {
                     batches_done: a.batches_done.load(ORD),
                     items_examined: a.items_examined.load(ORD),
                     elts: a.elts.load(ORD),
-                    state: AxiomState::from_u8(a.state.load(ORD)),
+                    state: AxiomState::from_u8(a.state.load(ORD))
+                        .expect("the slot only ever holds a state's byte"),
                 })
                 .collect(),
         }
@@ -438,13 +414,6 @@ pub struct ProgressSnapshot {
     /// finished. On a cut run this includes partitions retired past the
     /// cut, whose items the suites drop.
     pub partitions_retired: usize,
-    /// Total subtree mass of the space
-    /// ([`EnumSpace::total_mass`]).
-    ///
-    /// [`EnumSpace::total_mass`]: transform_synth::programs::EnumSpace::total_mass
-    pub mass_total: u64,
-    /// Mass of the partitions retired so far.
-    pub mass_retired: u64,
     /// Programs of the retired partitions (post symmetry reduction).
     pub programs: usize,
     /// Plan items of the retired partitions (write-bearing first
@@ -464,14 +433,6 @@ pub struct ProgressSnapshot {
 }
 
 impl ProgressSnapshot {
-    /// Fraction of the space's subtree mass retired, in `[0, 1]`.
-    pub fn mass_fraction(&self) -> f64 {
-        if self.mass_total == 0 {
-            return 0.0;
-        }
-        (self.mass_retired as f64 / self.mass_total as f64).min(1.0)
-    }
-
     /// Projected time until every partition of the run is retired
     /// (planned and examined), from the observed partition-retirement
     /// rate. `None` before any partition retired; zero once all did.
@@ -529,11 +490,10 @@ mod tests {
         let state = ProgressState::new(&["a", "b"]);
         let snap = state.snapshot();
         assert_eq!(snap.partitions_total, 0);
-        assert_eq!(snap.mass_retired, 0);
+        assert_eq!(snap.partitions_retired, 0);
         assert_eq!(snap.cut_at_partition, None);
         assert_eq!(snap.axioms.len(), 2);
         assert!(snap.axioms.iter().all(|a| a.state == AxiomState::Pending));
-        assert_eq!(snap.mass_fraction(), 0.0);
         assert_eq!(snap.enumeration_eta(), None);
     }
 
@@ -553,15 +513,11 @@ mod tests {
         let state = ProgressState::new(&["a"]);
         state.partitions_total.store(10, ORD);
         state.partitions_retired.store(5, ORD);
-        state.mass_total.store(100, ORD);
-        state.mass_retired.store(80, ORD);
         state.items_planned.store(40, ORD);
         state.set_axiom_state(0, AxiomState::Running);
         state.axiom(0).items_examined.store(20, ORD);
         let snap = state.snapshot();
-        assert!((snap.mass_fraction() - 0.8).abs() < 1e-9);
-        // Half the partitions planned 40 items → ~80 projected; the
-        // retired mass fraction does not enter.
+        // Half the partitions planned 40 items → ~80 projected.
         assert_eq!(snap.estimated_plan_items(), Some(80));
         let eta = snap.axiom_eta(&snap.axioms[0]).expect("rate exists");
         // 20 items examined, 60 projected remaining → ETA ≈ 3 × elapsed.
@@ -598,10 +554,7 @@ mod tests {
     fn journal_kinds_round_trip_their_wire_byte() {
         for kind in [
             JournalEventKind::RunStart,
-            JournalEventKind::PartitionEnumerated,
-            JournalEventKind::PartitionRetired,
             JournalEventKind::BatchExamined,
-            JournalEventKind::FrontierStall,
             JournalEventKind::AxiomComplete,
             JournalEventKind::Cut,
             JournalEventKind::RunEnd,
@@ -615,17 +568,31 @@ mod tests {
             assert_eq!(JournalEventKind::from_u8(kind.as_u8()), Some(kind));
             assert!(!kind.name().is_empty());
         }
-        // 10 and 11 stay unassigned: no kind may reuse their bytes.
-        for retired in [10, 11, 250] {
-            assert_eq!(JournalEventKind::from_u8(retired), None);
+        // Retired bytes stay unassigned: no kind may reuse them.
+        for retired in [1, 2, 4, 10, 11, 250] {
+            assert_eq!(JournalEventKind::from_u8(retired), None, "{retired}");
+        }
+    }
+
+    #[test]
+    fn axiom_states_round_trip_their_byte() {
+        for state in [
+            AxiomState::Pending,
+            AxiomState::Running,
+            AxiomState::Complete,
+            AxiomState::Cut,
+            AxiomState::Cached,
+        ] {
+            assert_eq!(AxiomState::from_u8(state.as_u8()), Some(state));
+        }
+        for unassigned in [5, 9, 255] {
+            assert_eq!(AxiomState::from_u8(unassigned), None, "{unassigned}");
         }
     }
 
     #[test]
     fn finished_axioms_have_no_eta() {
         let state = ProgressState::new(&["a"]);
-        state.mass_total.store(10, ORD);
-        state.mass_retired.store(10, ORD);
         state.partitions_total.store(1, ORD);
         state.partitions_retired.store(1, ORD);
         state.items_planned.store(5, ORD);

@@ -213,12 +213,9 @@ impl<'s> Pipeline<'s> {
                     .unwrap_or_else(|| panic!("progress state does not track axiom `{name}`"))
             })
             .collect();
-        use std::sync::atomic::Ordering::Relaxed;
-        progress.partitions_total.store(range.len(), Relaxed);
-        let mass = space.masses()[range.clone()]
-            .iter()
-            .fold(0u64, |a, &m| a.saturating_add(m));
-        progress.mass_total.store(mass, Relaxed);
+        progress
+            .partitions_total
+            .store(range.len(), std::sync::atomic::Ordering::Relaxed);
         for &slot in &slots {
             progress.set_axiom_state(slot, AxiomState::Running);
         }
@@ -317,8 +314,6 @@ impl<'s> Pipeline<'s> {
         }
         let p = &self.progress;
         p.partitions_retired.fetch_add(1, Relaxed);
-        p.mass_retired
-            .fetch_add(self.space.masses()[retired.ordinal], Relaxed);
         p.programs.fetch_add(retired.programs, Relaxed);
         p.items_planned.fetch_add(retired.items, Relaxed);
         // Examination hit the deadline: every axiom's suite is partial.
@@ -440,7 +435,7 @@ fn deliver(retired: Vec<Retired>, sinks: &[&dyn SuiteSink]) -> Vec<Vec<ShardStat
 /// sequential suite.
 ///
 /// `progress` receives live counters as the run advances — partitions
-/// and subtree mass retired, programs and plan items, per-axiom batch,
+/// retired, programs and plan items, per-axiom batch,
 /// item and ELT counts ([`crate::progress`] has the full inventory). It
 /// may track more axioms than the run covers (the tiered store passes
 /// its caller's state, with cache-served axioms already marked
@@ -524,7 +519,7 @@ fn run(
         JournalEventKind::RunStart,
         None,
         space.partition_count() as u64,
-        space.total_mass(),
+        0,
         jobs as u64,
     );
 
@@ -837,25 +832,33 @@ mod tests {
     /// bounds 4 / 5 / 6 have 29 / 125 / 624 partitions, and the tasks of
     /// a run over any range are its partitions, claimed one at a time in
     /// ordinal order. Retired in any order, they retire exactly the
-    /// range's subtree mass — the total its progress display shows —
-    /// and plan it without a cut; ranges that tile the space tile its
-    /// mass.
+    /// range's partitions, programs and plan items — what its progress
+    /// display shows — and plan it without a cut; ranges that tile the
+    /// space tile the sequential plan's programs and items.
     #[test]
-    fn tasks_tile_the_space_by_mass() {
+    fn tasks_tile_the_space_by_programs_and_items() {
         for (bound, partitions) in [(4, 29), (5, 125), (6, 624)] {
-            let space = EnumSpace::new(&EnumOptions::new(bound));
-            let masses = space.masses();
+            let eo = EnumOptions::new(bound);
+            let space = EnumSpace::new(&eo);
             let n = space.partition_count();
             assert_eq!(n, partitions, "bound {bound}");
             let plans: Vec<(usize, usize)> = (0..n)
                 .map(|p| space.plan_partition(p, None))
                 .map(|plan| (plan.programs, plan.items.len()))
                 .collect();
+            let planned = |range: Range<usize>| {
+                plans[range]
+                    .iter()
+                    .fold((0, 0), |(n, i), &(p, k)| (n + p, i + k))
+            };
             for range in [0..n, n / 3..n, 0..n / 2, n / 3..2 * n / 3, n / 2..n / 2] {
                 let label = format!("bound {bound} {range:?}");
-                let mass: u64 = masses[range.clone()].iter().sum();
                 let pipeline = Pipeline::new(&space, &[], None, None, range.clone());
-                assert_eq!(pipeline.progress.snapshot().mass_total, mass, "{label}");
+                assert_eq!(
+                    pipeline.progress.snapshot().partitions_total,
+                    range.len(),
+                    "{label}"
+                );
                 let tasks: Vec<usize> = std::iter::from_fn(|| pipeline.claim()).collect();
                 assert_eq!(
                     tasks,
@@ -874,24 +877,31 @@ mod tests {
                     };
                     pipeline.retire(retired, Duration::ZERO, false);
                 }
+                let expected = planned(range.clone());
                 let snap = pipeline.progress.snapshot();
                 assert_eq!(snap.partitions_retired, range.len(), "{label}");
-                assert_eq!(snap.mass_retired, mass, "{label}: tiles the range's mass");
+                assert_eq!(
+                    (snap.programs, snap.items_planned),
+                    expected,
+                    "{label}: tiles the range's programs and items"
+                );
                 let mut st = pipeline.state.into_inner().expect("lock");
                 assert_eq!(st.live, 0, "{label}");
-                let planned = prefix(&mut st.retired, range.clone());
-                assert_eq!(planned.cut_at, None, "{label}");
-                let expected = plans[range.clone()]
-                    .iter()
-                    .fold((0, 0), |(n, i), &(p, k)| (n + p, i + k));
-                assert_eq!((planned.programs, planned.items), expected, "{label}");
+                let kept = prefix(&mut st.retired, range.clone());
+                assert_eq!(kept.cut_at, None, "{label}");
+                assert_eq!((kept.programs, kept.items), expected, "{label}");
             }
             let cuts = [0, n / 3, 2 * n / 3, n];
-            let tiled: u64 = cuts
+            let tiled = cuts
                 .windows(2)
-                .map(|w| masses[w[0]..w[1]].iter().sum::<u64>())
-                .sum();
-            assert_eq!(tiled, space.total_mass(), "bound {bound}");
+                .map(|w| planned(w[0]..w[1]))
+                .fold((0, 0), |(n, i), (p, k)| (n + p, i + k));
+            let reference = sequential_plan(&eo);
+            assert_eq!(
+                tiled,
+                (reference.programs, reference.items.len()),
+                "bound {bound}"
+            );
         }
     }
 
@@ -983,8 +993,8 @@ mod tests {
 
     /// A deadline inside a worker's task, while it plans one partition:
     /// the plan is cut at that partition, and exactly the prefix below
-    /// it is planned, with its mass retired, one batch event per batch
-    /// and exact live accounting.
+    /// it is planned, with its programs and plan items retired, one
+    /// batch event per batch and exact live accounting.
     #[test]
     fn deadline_inside_a_task_admits_exactly_its_prefix() {
         let m = mtm();
@@ -1021,7 +1031,10 @@ mod tests {
         assert_eq!(st.peak_live, peak_before.max(live_before + partial));
         let snap = progress.snapshot();
         assert_eq!(snap.partitions_retired, cut);
-        assert_eq!(snap.mass_retired, space.masses()[..cut].iter().sum::<u64>());
+        assert_eq!(
+            (snap.programs, snap.items_planned),
+            planned_below(&space, cut)
+        );
         assert_eq!(snap.live_candidates, 0);
         let journal = progress.take_journal();
         let batches = journal
@@ -1033,35 +1046,39 @@ mod tests {
     }
 
     /// The progress mirror tracks each worker's task: partitions
-    /// retired, mass retired, programs and plan items all advance with
-    /// each retired partition, in whatever order partitions finish, and
-    /// the mass total is the space's.
+    /// retired, programs and plan items all advance with each retired
+    /// partition, in whatever order partitions finish, and the partition
+    /// total is the space's.
     #[test]
     fn progress_mirrors_task_retirement() {
         let m = mtm();
         let eo = enum_opts(4, true);
         let space = EnumSpace::new(&eo);
-        let masses = space.masses();
         let mut opts = SynthOptions::new(4);
         opts.enumeration = eo;
         let pipeline = whole(&space, &["sc_per_loc"], None);
         let ctx = RunCtx::new(&m, &["sc_per_loc"], &opts);
-        assert_eq!(pipeline.progress.snapshot().mass_total, space.total_mass());
         let count = space.partition_count();
+        assert_eq!(pipeline.progress.snapshot().partitions_total, count);
         claim(&pipeline, count);
-        let (mut partitions, mut mass) = (0, 0);
+        let (mut partitions, mut programs, mut items) = (0, 0, 0);
         for p in (0..count).rev() {
             run_partition(&pipeline, &ctx, p);
+            let plan = space.plan_partition(p, None);
             partitions += 1;
-            mass += masses[p];
+            programs += plan.programs;
+            items += plan.items.len();
             let snap = pipeline.progress.snapshot();
             assert_eq!(snap.partitions_retired, partitions);
-            assert_eq!(snap.mass_retired, mass);
+            assert_eq!((snap.programs, snap.items_planned), (programs, items));
         }
         let mut st = pipeline.state.into_inner().expect("lock");
         let snap = pipeline.progress.snapshot();
         assert_eq!(snap.partitions_retired, space.partition_count());
-        assert_eq!(snap.mass_retired, space.total_mass());
+        assert_eq!(
+            (snap.programs, snap.items_planned),
+            planned_below(&space, count)
+        );
         let plan = prefix(&mut st.retired, pipeline.range.clone());
         assert_eq!(snap.programs, plan.programs);
         assert_eq!(snap.items_planned, plan.items);
@@ -1229,11 +1246,10 @@ mod tests {
         }
     }
 
-    /// A journaled bound-6 run with fences and RMW records one
-    /// `BatchExamined` event per batch (500, of 624 partitions) and no
-    /// `PartitionEnumerated` or `PartitionRetired` event; the batch
-    /// events' items sum to the plan, and the retired mass is the
-    /// space's total.
+    /// A journaled bound-6 run with fences and RMW opens with a
+    /// `RunStart` of its 624 partitions and 2 workers, and records one
+    /// `BatchExamined` event per batch (500); the batch events' items
+    /// sum to the plan, and every partition retires.
     #[test]
     fn journaled_run_records_one_batch_event_per_batch() {
         let m = mtm();
@@ -1247,12 +1263,15 @@ mod tests {
         assert_eq!(metrics.partitions, space.partition_count());
         assert_eq!(metrics.batches, 500);
         let journal = progress.take_journal();
+        let start = journal.first().expect("a run start");
+        assert_eq!(
+            (start.kind, start.a, start.b, start.c),
+            (JournalEventKind::RunStart, 624, 0, 2)
+        );
         let of_kind = |kind| journal.iter().filter(move |e| e.kind == kind);
         assert_eq!(of_kind(JournalEventKind::BatchExamined).count(), 500);
-        assert_eq!(of_kind(JournalEventKind::PartitionEnumerated).count(), 0);
-        assert_eq!(of_kind(JournalEventKind::PartitionRetired).count(), 0);
         let items: u64 = of_kind(JournalEventKind::BatchExamined).map(|e| e.a).sum();
         assert_eq!(items as usize, stats[0].items);
-        assert_eq!(progress.snapshot().mass_retired, space.total_mass());
+        assert_eq!(progress.snapshot().partitions_retired, 624);
     }
 }

@@ -527,8 +527,6 @@ fn run_journals_publish_list_and_fetch_over_loopback() {
         outcome: RunOutcome::Complete,
         partitions_total: 10,
         partitions_retired: 10,
-        mass_total: 100,
-        mass_retired: 100,
         programs: 42,
         items_planned: 17,
         batches: 3,
@@ -543,7 +541,7 @@ fn run_journals_publish_list_and_fetch_over_loopback() {
             kind: JournalEventKind::RunStart,
             axiom: None,
             a: 10,
-            b: 100,
+            b: 0,
             c: 2,
         }],
     };

@@ -42,7 +42,7 @@ use crate::store::{write_staged, EntryMeta, KeyOptions, Store, StoreError};
 use std::fs;
 use std::path::PathBuf;
 use std::time::Duration;
-use transform_par::SuiteSink;
+use transform_par::{CollectSink, SuiteSink};
 use transform_synth::{EnumSpace, ShardStats, SuiteRecord, SuiteStats, SynthOptions};
 
 /// Job specs and lease grants number the partitions of a space that
@@ -217,7 +217,7 @@ impl JobSpec {
             key: KeyOptions::of(opts),
             plan_jobs: plan_jobs.max(1),
             lease_ttl_ms,
-            ranges: balanced_ranges(space.masses(), chunks),
+            ranges: balanced_ranges(&space.masses(), chunks),
         }
     }
 
@@ -667,22 +667,6 @@ pub fn balanced_ranges(masses: &[u64], chunks: usize) -> Vec<(u32, u32)> {
     ranges
 }
 
-/// A [`SuiteSink`] that only collects records — the worker's buffer
-/// between the fused range run and the encoded [`ShardResult`].
-#[derive(Default)]
-struct CollectShard {
-    records: std::sync::Mutex<Vec<SuiteRecord>>,
-}
-
-impl SuiteSink for CollectShard {
-    fn shard_done(&self, _stats: ShardStats, records: Vec<SuiteRecord>) {
-        self.records
-            .lock()
-            .expect("record lock is never poisoned")
-            .extend(records);
-    }
-}
-
 /// Runs a granted lease's range on `jobs` local threads and packages
 /// the upload — the whole compute step of a fleet worker.
 ///
@@ -722,7 +706,7 @@ pub fn execute_lease(grant: &LeaseGrant, jobs: usize) -> Result<ShardResult, Sto
             space.partition_count()
         )));
     }
-    let sinks: Vec<CollectShard> = axioms.iter().map(|_| CollectShard::default()).collect();
+    let sinks: Vec<CollectSink> = axioms.iter().map(|_| CollectSink::default()).collect();
     let sink_refs: Vec<&dyn SuiteSink> = sinks.iter().map(|s| s as &dyn SuiteSink).collect();
     let (stats, _) =
         transform_par::synthesize_range(space, lo..hi, &mtm, &axioms, &opts, jobs, &sink_refs);
@@ -732,16 +716,9 @@ pub fn execute_lease(grant: &LeaseGrant, jobs: usize) -> Result<ShardResult, Sto
     let per_axiom = stats
         .iter()
         .zip(sinks)
-        .map(|(stat, sink)| {
-            let mut records = sink
-                .records
-                .into_inner()
-                .expect("record lock is never poisoned");
-            records.sort_by_key(|r| r.index);
-            AxiomShard {
-                stats: stat.totals(),
-                records,
-            }
+        .map(|(stat, sink)| AxiomShard {
+            stats: stat.totals(),
+            records: sink.into_records(),
         })
         .collect();
     Ok(ShardResult {

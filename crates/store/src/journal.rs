@@ -5,8 +5,10 @@
 //!
 //! * a **run manifest** — the run's key (MTM, bound, options, jobs),
 //!   its outcome ([`RunOutcome`]), and the final counters of its
-//!   [`transform_par::ProgressSnapshot`] — enough for `transform runs
-//!   list` and the serve fleet view without touching event data; and
+//!   [`transform_par::ProgressSnapshot`] (partitions, programs, plan
+//!   items, batches, and one [`transform_par::AxiomSnapshot`] per
+//!   axiom) — enough for `transform runs list` and the serve fleet view
+//!   without touching event data; and
 //! * the **event journal** — every timestamped
 //!   [`transform_par::JournalEvent`] the fused pipeline emitted (one
 //!   batch examine per root partition with plan items, cuts,
@@ -23,6 +25,10 @@
 //! skipped by listings, never served. There is no list file to keep in
 //! step: [`Store::runs`], `transform runs list` and `GET /v1/runs` scan
 //! the journals themselves, so a write or a removal touches one file.
+//!
+//! Journals and run lists written before the manifest dropped subtree
+//! mass carry other magics; they read as corrupt, listings skip them,
+//! and `store verify --remove-corrupt` deletes them.
 //!
 //! A crashed run is visible by construction: the synthesis driver
 //! heartbeats a [`RunOutcome::Running`] manifest while the pipeline
@@ -42,10 +48,10 @@ use crate::codec::{open_frame, seal_frame, Dec, Enc};
 use crate::store::{write_staged, Store, StoreError};
 use std::fs;
 use std::path::PathBuf;
-use transform_par::{AxiomState, JournalEvent, JournalEventKind, ProgressSnapshot};
+use transform_par::{AxiomSnapshot, AxiomState, JournalEvent, JournalEventKind, ProgressSnapshot};
 
-const RUN_MAGIC: &[u8; 8] = b"TFRUNJL\0";
-const RUN_LIST_MAGIC: &[u8; 8] = b"TFRUNLS\0";
+const RUN_MAGIC: &[u8; 8] = b"TFRUNJ2\0";
+const RUN_LIST_MAGIC: &[u8; 8] = b"TFRUNL2\0";
 const RUN_EXT: &str = "tfr";
 
 /// How a journaled run ended (or has not yet).
@@ -58,18 +64,15 @@ pub enum RunOutcome {
     Complete,
     /// The deadline cut the run; suites are partial and unsealed.
     Cut,
-    /// The process died mid-run. Never written by the driver itself —
-    /// listings infer it from a stale [`RunOutcome::Running`] manifest.
-    Crashed,
 }
 
 impl RunOutcome {
+    /// The outcome's wire byte; 3 is unassigned.
     fn as_u8(self) -> u8 {
         match self {
             RunOutcome::Running => 0,
             RunOutcome::Complete => 1,
             RunOutcome::Cut => 2,
-            RunOutcome::Crashed => 3,
         }
     }
 
@@ -78,7 +81,6 @@ impl RunOutcome {
             0 => RunOutcome::Running,
             1 => RunOutcome::Complete,
             2 => RunOutcome::Cut,
-            3 => RunOutcome::Crashed,
             _ => return None,
         })
     }
@@ -89,44 +91,8 @@ impl RunOutcome {
             RunOutcome::Running => "running",
             RunOutcome::Complete => "complete",
             RunOutcome::Cut => "cut",
-            RunOutcome::Crashed => "crashed",
         }
     }
-}
-
-fn axiom_state_u8(s: AxiomState) -> u8 {
-    match s {
-        AxiomState::Pending => 0,
-        AxiomState::Running => 1,
-        AxiomState::Complete => 2,
-        AxiomState::Cut => 3,
-        AxiomState::Cached => 4,
-    }
-}
-
-fn axiom_state_from_u8(v: u8) -> AxiomState {
-    match v {
-        1 => AxiomState::Running,
-        2 => AxiomState::Complete,
-        3 => AxiomState::Cut,
-        4 => AxiomState::Cached,
-        _ => AxiomState::Pending,
-    }
-}
-
-/// One axiom's final counters inside a [`RunManifest`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct RunAxiom {
-    /// The axiom's name.
-    pub name: String,
-    /// Where the axiom ended up.
-    pub state: AxiomState,
-    /// Suite members found (or served, for a cached axiom).
-    pub elts: u64,
-    /// Plan items examined.
-    pub items_examined: u64,
-    /// Examine batches retired.
-    pub batches_done: u64,
 }
 
 /// The summary record of one journaled synthesis run — everything
@@ -154,13 +120,10 @@ pub struct RunManifest {
     pub outcome: RunOutcome,
     /// Enumeration partitions in the space.
     pub partitions_total: u64,
-    /// Partitions planned and examined by the run.
+    /// Partitions planned and examined by the run — for a
+    /// [`RunOutcome::Cut`] run, exactly those retired before the
+    /// deadline hit.
     pub partitions_retired: u64,
-    /// Total subtree mass of the space.
-    pub mass_total: u64,
-    /// Mass of the retired partitions — for a [`RunOutcome::Cut`] run,
-    /// the exact mass retired before the deadline hit.
-    pub mass_retired: u64,
     /// Programs of the retired partitions (post symmetry reduction).
     pub programs: u64,
     /// Plan items of the retired partitions.
@@ -172,7 +135,7 @@ pub struct RunManifest {
     /// First partition the deadline cut, if any.
     pub cut_at_partition: Option<u64>,
     /// Per-axiom final counters.
-    pub axioms: Vec<RunAxiom>,
+    pub axioms: Vec<AxiomSnapshot>,
 }
 
 impl RunManifest {
@@ -203,24 +166,12 @@ impl RunManifest {
             outcome,
             partitions_total: snap.partitions_total as u64,
             partitions_retired: snap.partitions_retired as u64,
-            mass_total: snap.mass_total,
-            mass_retired: snap.mass_retired,
             programs: snap.programs as u64,
             items_planned: snap.items_planned as u64,
             batches: snap.batches as u64,
             peak_live_candidates: snap.peak_live_candidates as u64,
             cut_at_partition: snap.cut_at_partition.map(|p| p as u64),
-            axioms: snap
-                .axioms
-                .iter()
-                .map(|a| RunAxiom {
-                    name: a.name.clone(),
-                    state: a.state,
-                    elts: a.elts as u64,
-                    items_examined: a.items_examined as u64,
-                    batches_done: a.batches_done as u64,
-                })
-                .collect(),
+            axioms: snap.axioms.clone(),
         }
     }
 
@@ -236,16 +187,10 @@ impl RunManifest {
         e.u8(self.outcome.as_u8());
         e.varint(self.partitions_total);
         e.varint(self.partitions_retired);
-        e.varint(self.mass_total);
-        e.varint(self.mass_retired);
         e.varint(self.programs);
         e.varint(self.items_planned);
         e.varint(self.batches);
         e.varint(self.peak_live_candidates);
-        // Retired `final_batch_size` slot: builds with an examine-batch
-        // autotuner wrote its last size here. It stays on the wire as 0,
-        // so journals from either kind of build decode on the other.
-        e.varint(0);
         match self.cut_at_partition {
             Some(p) => {
                 e.boolean(true);
@@ -256,10 +201,10 @@ impl RunManifest {
         e.size(self.axioms.len());
         for axiom in &self.axioms {
             e.string(&axiom.name);
-            e.u8(axiom_state_u8(axiom.state));
-            e.varint(axiom.elts);
-            e.varint(axiom.items_examined);
-            e.varint(axiom.batches_done);
+            e.u8(axiom.state.as_u8());
+            e.size(axiom.elts);
+            e.size(axiom.items_examined);
+            e.size(axiom.batches_done);
         }
     }
 
@@ -278,13 +223,10 @@ impl RunManifest {
         })?;
         let partitions_total = d.varint()?;
         let partitions_retired = d.varint()?;
-        let mass_total = d.varint()?;
-        let mass_retired = d.varint()?;
         let programs = d.varint()?;
         let items_planned = d.varint()?;
         let batches = d.varint()?;
         let peak_live_candidates = d.varint()?;
-        d.varint()?; // the retired slot (see `encode`)
         let cut_at_partition = if d.boolean()? {
             Some(d.varint()?)
         } else {
@@ -293,12 +235,17 @@ impl RunManifest {
         let axiom_count = d.size_bounded(1 << 16, "run axioms")?;
         let mut axioms = Vec::with_capacity(axiom_count);
         for _ in 0..axiom_count {
-            axioms.push(RunAxiom {
-                name: d.string()?,
-                state: axiom_state_from_u8(d.u8()?),
-                elts: d.varint()?,
-                items_examined: d.varint()?,
-                batches_done: d.varint()?,
+            let name = d.string()?;
+            let state_byte = d.u8()?;
+            let state = AxiomState::from_u8(state_byte).ok_or_else(|| {
+                StoreError::Corrupt(format!("invalid axiom state byte {state_byte}"))
+            })?;
+            axioms.push(AxiomSnapshot {
+                name,
+                state,
+                elts: d.size()?,
+                items_examined: d.size()?,
+                batches_done: d.size()?,
             });
         }
         Ok(RunManifest {
@@ -313,8 +260,6 @@ impl RunManifest {
             outcome,
             partitions_total,
             partitions_retired,
-            mass_total,
-            mass_retired,
             programs,
             items_planned,
             batches,
@@ -582,8 +527,8 @@ impl Store {
     }
 
     /// The last-modified time of a run's journal — the age `store gc`
-    /// filters on, and what listings use to flag a stale
-    /// [`RunOutcome::Running`] manifest as crashed.
+    /// filters on; a [`RunOutcome::Running`] manifest whose time went
+    /// stale is a crash record.
     ///
     /// # Errors
     ///
@@ -611,8 +556,6 @@ mod tests {
             outcome,
             partitions_total: 33_044,
             partitions_retired: 33_044,
-            mass_total: 123_456,
-            mass_retired: 123_456,
             programs: 2_725,
             items_planned: 9_999,
             batches: 501,
@@ -622,14 +565,14 @@ mod tests {
                 _ => None,
             },
             axioms: vec![
-                RunAxiom {
+                AxiomSnapshot {
                     name: "sc_per_loc".into(),
                     state: AxiomState::Complete,
                     elts: 54,
                     items_examined: 9_999,
                     batches_done: 501,
                 },
-                RunAxiom {
+                AxiomSnapshot {
                     name: "tlb_causality".into(),
                     state: AxiomState::Cached,
                     elts: 12,
@@ -649,7 +592,7 @@ mod tests {
                     kind: JournalEventKind::RunStart,
                     axiom: None,
                     a: 33_044,
-                    b: 123_456,
+                    b: 0,
                     c: 4,
                 },
                 JournalEvent {
@@ -662,10 +605,10 @@ mod tests {
                 },
                 JournalEvent {
                     t_micros: 2_000,
-                    kind: JournalEventKind::PartitionRetired,
-                    axiom: None,
-                    a: 7,
-                    b: 12,
+                    kind: JournalEventKind::AxiomComplete,
+                    axiom: Some(0),
+                    a: 9_999,
+                    b: 0,
                     c: 0,
                 },
                 JournalEvent {
@@ -678,6 +621,15 @@ mod tests {
                 },
             ],
         }
+    }
+
+    /// `frame` with its body edited and its checksum recomputed.
+    fn reframed(frame: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut body = frame[..frame.len() - 8].to_vec();
+        edit(&mut body);
+        let checksum = crate::codec::fnv1a64(&body);
+        body.extend_from_slice(&checksum.to_le_bytes());
+        body
     }
 
     fn temp_store(tag: &str) -> Store {
@@ -697,12 +649,12 @@ mod tests {
         assert_eq!(decode_run(&bytes).expect("decodes"), journal);
     }
 
-    /// `encode_run(&sample_journal(0xdead_beef))` as written by a build
-    /// whose manifests carried an examine-batch size (2,174 here) in
-    /// the slot after `peak_live_candidates`. It still decodes to the
-    /// same journal, and re-encoding writes the slot as 0.
+    /// A journal as written by a build whose manifests carried subtree
+    /// mass and an examine-batch size, under the magic of that format.
+    /// It reads as corrupt, and listings skip it; so does a run list
+    /// under that format's magic.
     #[test]
-    fn journals_with_a_batch_size_in_the_retired_slot_still_decode() {
+    fn journals_under_the_earlier_magic_are_refused() {
         const EARLIER: &str = concat!(
             "544652554e4a4c0002000000efbeadde0000000008783836745f656c74060101",
             "048080f9c0c1c4820399f0b80e01948202948202c0c407c0c407a5158f4ef503",
@@ -714,18 +666,45 @@ mod tests {
             .step_by(2)
             .map(|i| u8::from_str_radix(&EARLIER[i..i + 2], 16).expect("hex"))
             .collect();
-        let journal = sample_journal(0xdead_beef);
-        assert_eq!(decode_run(&bytes).expect("decodes"), journal);
-        // Peak live 127 (`7f`), then 2,174 (`fe 10`) becomes 0 (`00`);
-        // nothing else moves but the checksum.
-        let payload = &bytes[..bytes.len() - 8];
-        let at = 1 + payload
-            .windows(3)
-            .position(|w| w == [0x7f, 0xfe, 0x10])
-            .expect("the retired slot follows peak live");
-        let expected = [&payload[..at], &[0], &payload[at + 2..]].concat();
-        let reencoded = encode_run(&journal);
-        assert_eq!(&reencoded[..reencoded.len() - 8], expected.as_slice());
+        assert_eq!(&bytes[..8], b"TFRUNJL\0");
+        assert!(matches!(decode_run(&bytes), Err(StoreError::Corrupt(_))));
+        let list = reframed(
+            &encode_run_list(&[sample_manifest(1, RunOutcome::Cut)]),
+            |body| body[..8].copy_from_slice(b"TFRUNLS\0"),
+        );
+        assert!(matches!(
+            decode_run_list(&list),
+            Err(StoreError::Corrupt(_))
+        ));
+
+        let store = temp_store("earlier");
+        std::fs::write(store.run_path(0xdead_beef), &bytes).expect("plants the journal");
+        assert_eq!(store.run_ids().expect("ids"), vec![0xdead_beef]);
+        assert!(
+            store.runs().expect("lists").is_empty(),
+            "skipped, not served"
+        );
+        assert!(store.read_run(0xdead_beef).is_err());
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// An axiom state byte no state owns is damage, like an unknown
+    /// outcome byte: a re-checksummed manifest holding state 9 is
+    /// refused.
+    #[test]
+    fn unknown_axiom_state_bytes_are_corrupt() {
+        let bytes = encode_run(&sample_journal(1));
+        let row = b"\x0asc_per_loc";
+        let at = row.len()
+            + bytes
+                .windows(row.len())
+                .position(|w| w == row)
+                .expect("the first axiom row");
+        assert_eq!(bytes[at], AxiomState::Complete.as_u8());
+        match decode_run(&reframed(&bytes, |body| body[at] = 9)) {
+            Err(StoreError::Corrupt(m)) => assert!(m.contains("axiom state byte 9"), "{m}"),
+            other => panic!("state byte 9 decoded: {other:?}"),
+        }
     }
 
     #[test]
@@ -745,11 +724,9 @@ mod tests {
     #[test]
     fn frames_of_another_format_version_read_as_skew() {
         let skewed = |frame: Vec<u8>| {
-            let mut body = frame[..frame.len() - 8].to_vec();
-            body[8..12].copy_from_slice(&1u32.to_le_bytes());
-            let checksum = crate::codec::fnv1a64(&body);
-            body.extend_from_slice(&checksum.to_le_bytes());
-            body
+            reframed(&frame, |body| {
+                body[8..12].copy_from_slice(&1u32.to_le_bytes())
+            })
         };
         let journal = skewed(encode_run(&sample_journal(1)));
         assert!(matches!(

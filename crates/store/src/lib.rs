@@ -98,7 +98,7 @@ pub use fleet::{
 };
 pub use index::IndexEntry;
 pub use journal::{
-    decode_run, decode_run_list, encode_run, encode_run_list, fresh_run_id, RunAxiom, RunJournal,
+    decode_run, decode_run_list, encode_run, encode_run_list, fresh_run_id, RunJournal,
     RunManifest, RunOutcome,
 };
 pub use remote::HttpTier;

@@ -59,10 +59,10 @@
 //!    assignment is emitted once per surviving remap, in that order.
 //!
 //! [`EnumSpace`] cuts this order at the root shapes: partition `i` holds
-//! every node whose first thread has shape `i`, and the space counts
-//! each partition's nodes once when it is built ([`EnumSpace::masses`]).
-//! That is the only partitioning; how a pool schedules the partitions
-//! never changes the enumerated sequence.
+//! every node whose first thread has shape `i`. That is the only
+//! partitioning; how a pool schedules the partitions never changes the
+//! enumerated sequence. [`EnumSpace::masses`] counts each partition's
+//! nodes on request, for the fleet's range plan.
 
 use crate::canon::canonical_key;
 use serde::{Deserialize, Serialize};
@@ -636,9 +636,6 @@ pub struct EnumSpace {
     shapes: Vec<Shape>,
     opts: EnumOptions,
     max_threads: usize,
-    /// Node count of each root shape's subtree, by ordinal.
-    masses: Vec<u64>,
-    total_mass: u64,
 }
 
 /// The node count of every root shape's subtree, in shape order.
@@ -679,33 +676,28 @@ fn root_masses(shapes: &[Shape], bound: usize, max_threads: usize) -> Vec<u64> {
 }
 
 impl EnumSpace {
-    /// Builds the space with one partition per first-thread shape, and
-    /// counts each partition's nodes once.
+    /// Builds the space with one partition per first-thread shape. A
+    /// space where no thread fits (`max_threads` or the bound is 0) has
+    /// no partition.
     pub fn new(opts: &EnumOptions) -> EnumSpace {
         let mut shapes = shapes(opts);
         shapes.sort_by_key(|s| s.cost); // enables early cut-off in combine
         let max_threads = opts.max_threads.unwrap_or(opts.bound);
-        let masses = root_masses(&shapes, opts.bound, max_threads);
-        let total_mass = masses.iter().fold(0u64, |a, &m| a.saturating_add(m));
+        if max_threads.min(opts.bound) == 0 {
+            shapes.clear();
+        }
         EnumSpace {
             shapes,
             opts: opts.clone(),
             max_threads,
-            masses,
-            total_mass,
         }
     }
 
     /// The mass of every partition, in ordinal order: the exact
-    /// shape-combination node count each work unit covers.
-    pub fn masses(&self) -> &[u64] {
-        &self.masses
-    }
-
-    /// Total mass of the space: the sum of [`EnumSpace::masses`] — the
-    /// denominator of the retired-mass share that progress reports.
-    pub fn total_mass(&self) -> u64 {
-        self.total_mass
+    /// shape-combination node count each work unit covers. Counted on
+    /// each call; only the fleet's range plan asks for it.
+    pub fn masses(&self) -> Vec<u64> {
+        root_masses(&self.shapes, self.opts.bound, self.max_threads)
     }
 
     /// The enumeration options the space was built for.
@@ -715,7 +707,7 @@ impl EnumSpace {
 
     /// Number of partitions.
     pub fn partition_count(&self) -> usize {
-        self.masses.len()
+        self.shapes.len()
     }
 
     /// Enumerates one partition, canonical keys included, with symmetry
@@ -1082,12 +1074,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn total_mass_sums_the_partition_masses() {
+    fn masses_cover_every_partition() {
         let space = EnumSpace::new(&EnumOptions::new(4));
         let masses = space.masses();
         assert_eq!(masses.len(), space.partition_count());
-        assert_eq!(space.total_mass(), masses.iter().sum::<u64>());
-        assert!(space.total_mass() > 0);
+        assert!(masses.iter().all(|&m| m > 0));
     }
 
     #[test]

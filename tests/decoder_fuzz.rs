@@ -13,12 +13,12 @@ use proptest::prelude::*;
 use std::sync::OnceLock;
 use transform_core::spec::parse_mtm;
 use transform_litmus::format::{parse_elt, print_elt};
-use transform_par::{AxiomState, JournalEvent, JournalEventKind};
+use transform_par::{AxiomSnapshot, AxiomState, JournalEvent, JournalEventKind};
 use transform_store::codec::{decode_record, encode_record, fnv1a64};
 use transform_store::index::{self, IndexEntry};
 use transform_store::{
     decode_run, decode_run_list, encode_run, encode_run_list, suite_fingerprint, AxiomShard,
-    EntryMeta, JobSpec, LeaseGrant, RunAxiom, RunJournal, RunManifest, RunOutcome, ShardResult,
+    EntryMeta, JobSpec, LeaseGrant, RunJournal, RunManifest, RunOutcome, ShardResult,
 };
 use transform_synth::{synthesize_suite, SuiteRecord, SynthOptions};
 use transform_x86::x86t_elt;
@@ -97,17 +97,15 @@ fn seeds() -> &'static Seeds {
             outcome,
             partitions_total: 12,
             partitions_retired: 12,
-            mass_total: 345,
-            mass_retired: 345,
             programs: suite.stats.programs as u64,
             items_planned: 40,
             batches: 9,
             peak_live_candidates: 17,
             cut_at_partition: (outcome == RunOutcome::Cut).then_some(5),
-            axioms: vec![RunAxiom {
+            axioms: vec![AxiomSnapshot {
                 name: "invlpg".to_string(),
                 state: AxiomState::Complete,
-                elts: suite.elts.len() as u64,
+                elts: suite.elts.len(),
                 items_examined: 40,
                 batches_done: 9,
             }],
@@ -124,7 +122,7 @@ fn seeds() -> &'static Seeds {
             manifest: manifest(1, RunOutcome::Complete),
             events: vec![
                 event(0, JournalEventKind::RunStart, None, 12),
-                event(150, JournalEventKind::PartitionEnumerated, None, 0),
+                event(150, JournalEventKind::Cut, None, 0),
                 event(180, JournalEventKind::BatchExamined, None, 40),
                 event(900, JournalEventKind::AxiomComplete, Some(0), 0),
             ],
