@@ -435,9 +435,9 @@ fn deliver(retired: Vec<Retired>, sinks: &[&dyn SuiteSink]) -> Vec<Vec<ShardStat
 /// sequential suite.
 ///
 /// `progress` receives live counters as the run advances — partitions
-/// retired, programs and plan items, per-axiom batch,
-/// item and ELT counts ([`crate::progress`] has the full inventory). It
-/// may track more axioms than the run covers (the tiered store passes
+/// retired, programs and plan items, per-axiom batch, item and ELT
+/// counts ([`crate::progress`] has the full inventory). It may track
+/// more axioms than the run covers (the tiered store passes
 /// its caller's state, with cache-served axioms already marked
 /// [`AxiomState::Cached`]); the run binds its own axioms by name.
 /// Observation is lock-free sampling and adds no synchronization to
